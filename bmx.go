@@ -38,7 +38,6 @@ import (
 	"bmx/internal/cluster"
 	"bmx/internal/core"
 	"bmx/internal/dsm"
-	"bmx/internal/place"
 	"bmx/internal/transport"
 )
 
@@ -176,11 +175,6 @@ type CrashChaosConfig = cluster.CrashChaosConfig
 // CrashChaosReport is the outcome of a crash-recovery chaos run; Violations
 // is empty iff every kill/restart preserved the durable state machine.
 type CrashChaosReport = cluster.CrashChaosReport
-
-// PlaceConfig tunes the heat-driven placement engine (budget, wasted-hops
-// threshold, cooldown). The zero value selects conservative defaults.
-// Enable with Cluster.EnablePlacement.
-type PlaceConfig = place.Config
 
 // New builds a cluster.
 func New(cfg Config) *Cluster { return cluster.New(cfg) }

@@ -64,12 +64,6 @@ func main() {
 		peersArg = flag.String("peers", "", "multi-process mode: comma-separated listen addresses of the other bmxd processes")
 		traceOut = flag.String("trace-out", "", "multi-process mode: write this process's flight-recorder events as NDJSON to FILE (mergeable across processes with bmxstat -trace a,b,c)")
 
-		migrate       = flag.Bool("migrate", false, "heat-driven placement: push write ownership to each object's dominant writer at every Run drain (enables heat accounting)")
-		migrateBudget = flag.Int("migrate-budget", 0, "placement: max migrations per Run drain (0 = engine default)")
-		migrateCool   = flag.Uint64("migrate-cooldown", 0, "placement: epochs an object rests after migrating (0 = engine default)")
-		coalesceLoc   = flag.Bool("coalesce-loc", false, "coalesce invariant-2 location updates per destination node (batched dsm.locBatch messages)")
-		hintCache     = flag.Bool("hint-cache", false, "cache the granting owner per object and start remote acquires there instead of at the stale ownerPtr")
-
 		chaos      = flag.Bool("chaos", false, "run the seeded chaos soak instead of the workload driver")
 		chaosSteps = flag.Int("chaos-steps", 400, "chaos: workload steps in the fault storm")
 		dup        = flag.Float64("dup", 0, "chaos: message duplication probability")
@@ -145,7 +139,7 @@ func main() {
 		runChaos(chaosOpts{
 			nodes: *nodes, steps: *chaosSteps, seed: *seed, proto: proto,
 			drop: *loss, dup: *dup, delay: *delay, delayTicks: *delayTicks,
-			partEvery: *partEvery, partFor: *partFor, migrate: *migrate,
+			partEvery: *partEvery, partFor: *partFor,
 			trace: *traceOn, traceJSON: *traceJSON, statsJSON: *statsJSON,
 		})
 		return
@@ -158,11 +152,7 @@ func main() {
 		SendLatency: 1, CallLatency: 1,
 		Consistency: proto, SegmentGrainTokens: coarse,
 		WithDisk: withDisk, Store: factory, GroupCommit: groupCommit,
-		CoalesceLocUpdates: *coalesceLoc, OwnerHintCache: *hintCache,
 	})
-	if *migrate {
-		cl.EnablePlacement(bmx.PlaceConfig{Budget: *migrateBudget, Cooldown: *migrateCool})
-	}
 	if *traceOn {
 		cl.EnableTracing()
 		// A trace run is an observability run: account access locality too,
@@ -542,7 +532,6 @@ type chaosOpts struct {
 	drop, dup, delay   float64
 	delayTicks         uint64
 	partEvery, partFor int
-	migrate            bool
 
 	trace, traceJSON, statsJSON bool
 }
@@ -557,7 +546,7 @@ func runChaos(o chaosOpts) {
 			Drop: o.drop, Dup: o.dup, Delay: o.delay, DelayTicks: o.delayTicks,
 		}},
 		PartitionEvery: o.partEvery, PartitionFor: o.partFor,
-		Trace: o.trace, Migrate: o.migrate,
+		Trace: o.trace,
 	})
 	fmt.Printf("chaos soak: %d nodes, %d steps, seed %d, drop %.0f%%, dup %.0f%%, delay %.0f%% (%d ticks)\n",
 		o.nodes, rep.Steps, o.seed, o.drop*100, o.dup*100, o.delay*100, o.delayTicks)

@@ -25,7 +25,6 @@ var ErrNoOwner = errors.New("dsm: object has no owner anywhere")
 const (
 	KindAcquire    = "dsm.acquire"
 	KindInvalidate = "dsm.invalidate"
-	KindLocUpdate  = "dsm.locUpdate"
 )
 
 // acquireReq travels along the ownerPtr chain until it reaches a node able
@@ -72,14 +71,6 @@ type invalidateReq struct {
 	Class transport.Class
 }
 
-// LocMsg carries location updates pushed down a distributed copy-set
-// (invariant 2).
-type LocMsg struct {
-	O         addr.OID
-	From      addr.NodeID
-	Manifests []Manifest
-}
-
 // Node is one site's DSM protocol engine.
 type Node struct {
 	id       addr.NodeID
@@ -101,13 +92,10 @@ type Node struct {
 	// load while the table is disabled).
 	heat *heat.Table
 
-	// Fast-path state (fastpath.go); all inert until the setters run.
-	coalesceLoc bool
+	// outbox holds the invariant-2 location updates queued since the last
+	// flush, per destination in first-touch order (locbatch.go).
 	outbox      map[addr.NodeID]*locBatch
 	outboxOrder []addr.NodeID
-	hintsOn     bool
-	hints       map[addr.OID]addr.NodeID
-	hintOrder   []addr.OID
 	// scratch is the reusable sortedNodes buffer (takeSorted).
 	scratch []addr.NodeID
 }
@@ -121,6 +109,7 @@ func NewNode(id addr.NodeID, net transport.Transport, hooks Hooks, clusterSize i
 		net:          net,
 		hooks:        hooks,
 		objs:         make(map[addr.OID]*ObjState),
+		outbox:       make(map[addr.NodeID]*locBatch),
 		maxHops:      2*clusterSize + 4,
 		rec:          o.Recorder(id),
 		acquireHops:  o.Hist("dsm.acquire.hops"),
@@ -197,14 +186,9 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 	}
 	if target == n.id {
 		// The chain starts at this node's own allocation-site hint but the
-		// local route is gone (the replica was reclaimed here). A cached
-		// granter hint shortcuts the probe; otherwise try any other
-		// plausible owner before concluding the object is unowned.
-		if h, ok := n.cachedHint(o); ok && h != n.id {
-			target = h
-		} else {
-			target = n.routeAround(o, []addr.NodeID{n.id})
-		}
+		// local route is gone (the replica was reclaimed here). Try any
+		// other plausible owner before concluding the object is unowned.
+		target = n.routeAround(o, []addr.NodeID{n.id})
 		if target == addr.NoNode {
 			if n.reestablish(o, st, mode, class) {
 				return nil
@@ -267,7 +251,6 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 	rep := raw.(acquireReply)
 
 	// Invariant 1: addresses become valid before the acquire completes.
-	n.dropHints(rep.Manifests)
 	n.hooks.ApplyManifests(rep.Manifests, rep.Granter)
 	n.hooks.InstallImage(rep.Image, rep.Granter)
 	if rep.Intra != nil {
@@ -294,10 +277,6 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 		st.Mode = ModeRead
 		st.Owner = false
 		st.OwnerPtr = rep.Granter
-		// Remember the granter beyond this replica's lifetime: if the local
-		// state is reclaimed, the next acquire starts its chain here instead
-		// of at the directory's (possibly staler) allocation-site hint.
-		n.noteHint(o, rep.Granter)
 	}
 
 	elapsed := watch.Elapsed()
@@ -308,7 +287,7 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 	n.rec.Emit(obs.Event{Kind: obs.KAcquireDone, Class: obs.Class(class), OID: o, A: int64(mode), B: int64(elapsed)})
 
 	// Invariant 2: push the location updates down the local copy-set.
-	n.forwardManifests(o, rep.Manifests, class)
+	n.forwardManifests(o, rep.Manifests)
 	n.flushLocOutbox(class)
 	return nil
 }
@@ -333,7 +312,6 @@ func (n *Node) HandleCall(m transport.Msg) (any, int, error) {
 	case KindAcquire:
 		req := m.Payload.(acquireReq)
 		if len(req.Piggyback) > 0 {
-			n.dropHints(req.Piggyback)
 			n.hooks.ApplyManifests(req.Piggyback, req.Requester)
 		}
 		rep, err := n.serveAcquire(req)
@@ -370,28 +348,19 @@ func (n *Node) HandleCall(m transport.Msg) (any, int, error) {
 // HandleAsync consumes asynchronous DSM messages (copy-set location
 // forwarding).
 func (n *Node) HandleAsync(m transport.Msg) {
-	switch m.Kind {
-	case KindLocUpdate:
-		lm := m.Payload.(LocMsg)
-		n.dropHints(lm.Manifests)
-		n.hooks.ApplyManifests(lm.Manifests, lm.From)
-		n.forwardManifests(lm.O, lm.Manifests, m.Class)
-		n.flushLocOutbox(m.Class)
-	case KindLocBatch:
-		// A coalesced batch is its entries in queue order: applying and
-		// re-forwarding each in turn is equivalent to receiving the
-		// individual KindLocUpdate messages in that order. The re-forwards
-		// coalesce again (per destination, across objects), so a batch
-		// travelling down a distributed copy-set stays batched.
-		bm := m.Payload.(LocBatchMsg)
-		n.stats().Add("dsm.locUpdate.batchesRecv", 1)
-		for _, e := range bm.Entries {
-			n.dropHints(e.Manifests)
-			n.hooks.ApplyManifests(e.Manifests, e.From)
-			n.forwardManifests(e.O, e.Manifests, m.Class)
-		}
-		n.flushLocOutbox(m.Class)
+	if m.Kind != KindLocBatch {
+		return
 	}
+	// Apply and re-forward each entry in queue order. The re-forwards queue
+	// into this node's own outbox (per destination, across objects), so a
+	// batch travelling down a distributed copy-set stays batched.
+	bm := m.Payload.(LocBatchMsg)
+	n.stats().Add("dsm.locBatch.recv", 1)
+	for _, e := range bm.Entries {
+		n.hooks.ApplyManifests(e.Manifests, e.From)
+		n.forwardManifests(e.O, e.Manifests)
+	}
+	n.flushLocOutbox(m.Class)
 }
 
 func (n *Node) serveAcquire(req acquireReq) (acquireReply, error) {
@@ -428,16 +397,7 @@ func (n *Node) forwardAcquire(req acquireReq, st *ObjState) (acquireReply, error
 		// (ownership of one object cannot move while its acquire chain
 		// runs), so when no unvisited candidate remains, no owner exists
 		// anywhere and the requester must re-establish the object instead.
-		// A cached granter hint the chain has not visited is tried first —
-		// it is fresher than the directory's candidates. ErrNoOwner's
-		// exhaustiveness is untouched: it is still only concluded when
-		// routeAround itself finds no unvisited candidate.
-		alt := addr.NoNode
-		if h, ok := n.cachedHint(req.O); ok && h != n.id && !inVia(seen, h) {
-			alt = h
-		} else {
-			alt = n.routeAround(req.O, seen)
-		}
+		alt := n.routeAround(req.O, seen)
 		if alt == addr.NoNode {
 			n.stats().Add("dsm.route.exhausted", 1)
 			return acquireReply{}, fmt.Errorf("dsm: %v cannot route %v request for %v (path %s): %w",
@@ -471,12 +431,6 @@ func (n *Node) forwardAcquire(req acquireReq, st *ObjState) (acquireReply, error
 		// reports itself so the new owner records the entering ownerPtr.
 		st.OwnerPtr = req.Requester
 		rep.Path = append(rep.Path, PathEntry{Node: n.id, Gen: n.hooks.NextTableGen(st.Bunch)})
-	} else {
-		// Read forwards leave the ownerPtr alone (the granter may be any
-		// read-copy holder, not the owner), but the granter is still a
-		// fresher chain entry point than whatever this node routes by —
-		// exactly what the hint cache is for.
-		n.noteHint(req.O, rep.Granter)
 	}
 	return rep, nil
 }
@@ -666,9 +620,9 @@ func pathString(via []addr.NodeID) string {
 }
 
 // forwardManifests implements invariant 2: location updates received for o
-// are pushed to every node in the local copy-set, the same fan-out used to
-// invalidate read copies.
-func (n *Node) forwardManifests(o addr.OID, ms []Manifest, class transport.Class) {
+// are queued for every node in the local copy-set, the same fan-out used to
+// invalidate read copies. The enclosing bracket sends them (flushLocOutbox).
+func (n *Node) forwardManifests(o addr.OID, ms []Manifest) {
 	if len(ms) == 0 {
 		return
 	}
@@ -683,16 +637,6 @@ func (n *Node) forwardManifests(o addr.OID, ms []Manifest, class transport.Class
 	members, put := n.takeSorted(st.CopySet)
 	defer put()
 	for _, c := range members {
-		if n.coalesceLoc {
-			// Coalescing: queue into the per-destination outbox; the
-			// enclosing bracket flushes one KindLocBatch per destination.
-			n.queueLocUpdate(c, LocMsg{O: o, From: n.id, Manifests: ms}, pb)
-			continue
-		}
-		n.net.Send(transport.Msg{
-			From: n.id, To: c, Kind: KindLocUpdate, Class: class,
-			Payload: LocMsg{O: o, From: n.id, Manifests: ms},
-			Bytes:   8 + pb, Piggyback: pb,
-		})
+		n.queueLocUpdate(c, LocMsg{O: o, From: n.id, Manifests: ms}, pb)
 	}
 }

@@ -100,26 +100,7 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	if gs := s.localityGauges(); len(gs) > 0 {
 		obs.WritePromGauges(w, gs)
 	}
-	if gs := placeGauges(counters); len(gs) > 0 {
-		obs.WritePromGauges(w, gs)
-	}
 	obs.WritePromText(w, counters, hists)
-}
-
-// placeGauges summarizes the placement engine's work as the conventional
-// *_total family (the raw place.* counters render without the suffix).
-// Empty until EnablePlacement has planned at least one round, so scrapes of
-// placement-free runs stay byte-identical.
-func placeGauges(counters map[string]int64) []obs.PromGauge {
-	if counters["place.rounds"] == 0 {
-		return nil
-	}
-	return []obs.PromGauge{
-		{Name: "place.migrations.total", Help: "Ownership migrations executed by the placement engine.",
-			Value: float64(counters["place.migrations"])},
-		{Name: "place.migrations.failed.total", Help: "Planned migrations whose write acquire failed.",
-			Value: float64(counters["place.migrations.failed"])},
-	}
 }
 
 // localityGauges condenses the heat table into the bmx_locality_* family:

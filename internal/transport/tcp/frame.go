@@ -87,6 +87,7 @@ var (
 	errFrameTruncated = errors.New("tcp: frame body truncated")
 	errFrameTrailing  = errors.New("tcp: trailing bytes after frame body")
 	errFrameType      = errors.New("tcp: unknown frame type")
+	errFrameClass     = errors.New("tcp: unknown message class")
 )
 
 // appendFrame appends the length-prefixed wire encoding of f to dst.
@@ -195,6 +196,9 @@ func decodeFrame(body []byte) (frame, error) {
 			return f, err
 		}
 		f.Class = transport.Class(cl)
+		if !f.Class.Valid() {
+			return f, fmt.Errorf("%w: %d", errFrameClass, cl)
+		}
 		seq, err := r.uvarint()
 		if err != nil {
 			return f, err

@@ -3,6 +3,7 @@ package tcp
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
 	"testing"
@@ -62,10 +63,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(frameMsg), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(frameWithClass(f, frameCall, 2)[4:]) // a class byte no code defines
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := decodeFrame(body)
 		if err != nil {
 			return
+		}
+		if !fr.Class.Valid() {
+			t.Fatalf("decoded a frame of undefined class %d", int(fr.Class))
 		}
 		re, err := appendFrame(nil, &fr)
 		if err != nil {
@@ -124,6 +129,37 @@ func TestFrameSpanEncoding(t *testing.T) {
 	for cut := len(plain) + 1; cut < len(wire); cut++ {
 		if _, err := decodeFrame(wire[4:cut]); err == nil {
 			t.Fatalf("torn span at %d/%d decoded successfully", cut, len(wire))
+		}
+	}
+}
+
+// frameWithClass encodes an otherwise well-formed msg or call frame whose
+// class byte is cl.
+func frameWithClass(t testing.TB, typ frameType, cl byte) []byte {
+	t.Helper()
+	buf, err := appendFrame(nil, &frame{Type: typ, Tick: 5, From: 1, To: 0, Kind: "dsm.acquire",
+		Class: transport.Class(cl), Seq: 2, ReqID: 2, Bytes: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestDecodeFrameRejectsUnknownClass pins that the class byte is validated
+// like every other field read from the wire: only app and gc decode; any
+// other value is an error, never a Msg.Class handed to handlers and probes.
+func TestDecodeFrameRejectsUnknownClass(t *testing.T) {
+	for _, typ := range []frameType{frameMsg, frameCall} {
+		for _, cl := range []transport.Class{transport.ClassApp, transport.ClassGC} {
+			fr, err := decodeFrame(frameWithClass(t, typ, byte(cl))[4:])
+			if err != nil || fr.Class != cl {
+				t.Fatalf("type %d class %v: decoded (%v, %v)", typ, cl, fr.Class, err)
+			}
+		}
+		for _, cl := range []byte{2, 7, 255} {
+			if _, err := decodeFrame(frameWithClass(t, typ, cl)[4:]); !errors.Is(err, errFrameClass) {
+				t.Fatalf("type %d class byte %d: err = %v, want errFrameClass", typ, cl, err)
+			}
 		}
 	}
 }

@@ -28,13 +28,6 @@ const (
 	// ClassGC marks traffic that exists only for garbage collection
 	// (table messages, scion-messages, address-change rounds).
 	ClassGC
-	// ClassPlace marks traffic performed by the placement engine: proactive
-	// ownership migrations toward an object's dominant writer. It is neither
-	// application traffic (no mutator is blocked on it, so it must not
-	// pollute critical-path attribution) nor GC traffic (the §5 probes
-	// assert the collector's classes stay at zero acquires), so it gets its
-	// own accounting bucket.
-	ClassPlace
 )
 
 // String names the class for stats keys.
@@ -44,12 +37,15 @@ func (c Class) String() string {
 		return "app"
 	case ClassGC:
 		return "gc"
-	case ClassPlace:
-		return "place"
 	default:
 		return fmt.Sprintf("class(%d)", int(c))
 	}
 }
+
+// Valid reports whether c is one of the defined classes. Decoders of
+// outside input check it: handlers and the §4.4 probes branch on the class,
+// so an undefined value must never reach them.
+func (c Class) Valid() bool { return c == ClassApp || c == ClassGC }
 
 // Msg is one message on the transport.
 type Msg struct {
