@@ -5,10 +5,9 @@ GO ?= go
 # The deterministic simnet envelopes, named once: `bench-json-sim` writes
 # them, `bench-ref` and `bench-gate` (and CI, through make) read them. Each
 # name has its bmxd arguments in <name>_ARGS.
-SIM_BENCHES := BENCH_4 BENCH_5 BENCH_6_pertx BENCH_6_flip BENCH_6_flatfs BENCH_6_lsm BENCH_7_simnet BENCH_9_zipf BENCH_9_churn
+SIM_BENCHES := BENCH_4 BENCH_6_pertx BENCH_6_flip BENCH_6_flatfs BENCH_6_lsm BENCH_7_simnet BENCH_9_zipf BENCH_9_churn
 TREE4 := -nodes 4 -objects 200 -rounds 8 -workload tree -seed 5 -bunches 4
 BENCH_4_ARGS        := $(TREE4)
-BENCH_5_ARGS        := $(TREE4) -gc-workers 4
 BENCH_6_pertx_ARGS  := $(TREE4) -store mem -sync pertx
 BENCH_6_flip_ARGS   := $(TREE4) -store mem -sync flip
 BENCH_6_flatfs_ARGS := $(TREE4) -store flatfs -sync flip
@@ -68,10 +67,11 @@ bench:
 # Representative workload runs with the time-series sampler on; emit the
 # machine-readable benchmark summaries (quantile trajectories, msgs/op, GC
 # copy and scan volume) that CI uploads as artifacts and A/B-diffs with
-# `bmxstat -bench`. BENCH_5 is the same workload collected by the parallel
-# GC worker pool. The BENCH_6 family is the same workload on a persistent
-# store: per-transaction commit vs group commit (syncs-per-flip is the
-# figure that moves), then the flatfs and LSM backends under group commit.
+# `bmxstat -bench`. BENCH_4 is the tree workload sharded across four bunches,
+# each collected by its own BGC. The BENCH_6 family is the same workload on
+# a persistent store: per-transaction commit vs group commit (syncs-per-flip
+# is the figure that moves), then the flatfs and LSM backends under group
+# commit.
 # BENCH_7 runs the same tree workload once on the simulated network and
 # once as a real 3-process TCP cluster over loopback, and A/B-diffs them:
 # the paper's accounting figures (msgs/op, piggyback volume, zero collector
@@ -123,4 +123,5 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt
+	rm -f cover.out test_output.txt bench_output.txt bmxd.bench
+	rm -f $(filter-out BENCH_REF.json,$(wildcard BENCH_*.json))

@@ -29,23 +29,22 @@ import (
 
 func main() {
 	var (
-		nodes     = flag.Int("nodes", 3, "cluster size")
-		objects   = flag.Int("objects", 100, "objects in the workload graph")
-		rounds    = flag.Int("rounds", 10, "mutate/collect rounds")
-		workload  = flag.String("workload", "list", "graph shape: list, tree, web, oo7, zipf (hot-object skew) or churn-heavy (high allocation/death)")
-		zipfS     = flag.Float64("zipf-s", 1.2, "zipf workload: skew exponent (> 1; larger = hotter head)")
-		bunchN    = flag.Int("bunches", 1, "shard the workload graph across this many bunches (gives -gc-workers independent bunches to collect in parallel)")
-		protocol  = flag.String("protocol", "entry", "consistency protocol: entry or strict")
-		grain     = flag.String("grain", "object", "token granularity: object or segment")
-		churn     = flag.Float64("churn", 0.2, "fraction of links cut per churn step")
-		loss      = flag.Float64("loss", 0, "background message loss rate")
-		gcEvery   = flag.Int("gc-every", 2, "run BGCs every N rounds")
-		gcWorkers = flag.Int("gc-workers", 1, "parallel GC worker pool per node: collect every mapped bunch with this many workers (>1 releases the node lock around trace/copy/fixup)")
-		ggcEvery  = flag.Int("ggc-every", 5, "run the group collector every N rounds")
-		reclaim   = flag.Bool("reclaim", true, "run the from-space reuse protocol after GCs")
-		seed      = flag.Int64("seed", 1, "workload and loss seed")
-		workers   = flag.Int("workers", 1, "parallel mutator goroutines (>1 switches to the concurrent disjoint-bunch workload)")
-		verbose   = flag.Bool("v", false, "print per-round progress")
+		nodes    = flag.Int("nodes", 3, "cluster size")
+		objects  = flag.Int("objects", 100, "objects in the workload graph")
+		rounds   = flag.Int("rounds", 10, "mutate/collect rounds")
+		workload = flag.String("workload", "list", "graph shape: list, tree, web, oo7, zipf (hot-object skew) or churn-heavy (high allocation/death)")
+		zipfS    = flag.Float64("zipf-s", 1.2, "zipf workload: skew exponent (> 1; larger = hotter head)")
+		bunchN   = flag.Int("bunches", 1, "shard the workload graph across this many bunches, each collected by its own BGC")
+		protocol = flag.String("protocol", "entry", "consistency protocol: entry or strict")
+		grain    = flag.String("grain", "object", "token granularity: object or segment")
+		churn    = flag.Float64("churn", 0.2, "fraction of links cut per churn step")
+		loss     = flag.Float64("loss", 0, "background message loss rate")
+		gcEvery  = flag.Int("gc-every", 2, "run BGCs every N rounds")
+		ggcEvery = flag.Int("ggc-every", 5, "run the group collector every N rounds")
+		reclaim  = flag.Bool("reclaim", true, "run the from-space reuse protocol after GCs")
+		seed     = flag.Int64("seed", 1, "workload and loss seed")
+		workers  = flag.Int("workers", 1, "parallel mutator goroutines (>1 switches to the concurrent disjoint-bunch workload)")
+		verbose  = flag.Bool("v", false, "print per-round progress")
 
 		traceOn   = flag.Bool("trace", false, "enable the flight recorder; dump its retained event window and histograms at exit")
 		traceJSON = flag.Bool("trace-json", false, "like -trace, but dump events as newline-delimited JSON")
@@ -166,7 +165,7 @@ func main() {
 	intr.start(cl)
 	if *workers > 1 {
 		runParallel(cl, *workers, *objects, *rounds, *gcEvery, *verbose)
-		dumpStats(cl, *statsJSON, nil)
+		dumpStats(cl, *statsJSON)
 		dumpTrace(cl.Observer(), *traceOn, *traceJSON, cl.Heat().Snapshot())
 		intr.finish(cl, cl.Heat().Snapshot())
 		return
@@ -183,8 +182,7 @@ func main() {
 	}
 	// Shard the graph across -bunches independent bunches: each shard is a
 	// self-contained instance of the workload shape, so the per-bunch
-	// collections have no cross-shard SSPs and -gc-workers has genuinely
-	// independent work to hand out.
+	// collections have no cross-shard SSPs.
 	perShard := *objects / *bunchN
 	if perShard < 1 {
 		perShard = 1
@@ -267,8 +265,8 @@ func main() {
 			for i := 0; i < *nodes; i++ {
 				node := cl.Node(i)
 				var st bmx.CollectStats
-				if *gcWorkers > 1 || len(bunches) > 1 {
-					st = node.CollectBunches(node.Collector().MappedBunches(), *gcWorkers)
+				if len(bunches) > 1 {
+					st = node.CollectBunches(nil)
 				} else {
 					st = node.CollectBunch(bunches[0])
 				}
@@ -314,19 +312,9 @@ func main() {
 	fmt.Printf("GC messages (tables etc.)         : %d\n", st.Get("msg.sent.gc"))
 	fmt.Printf("GC bytes piggybacked on app msgs  : %d\n", st.Get("bytes.piggyback"))
 	fmt.Printf("background messages lost          : %d\n", st.Get("msg.lost"))
-	// Aggregate CPU (sum of per-bunch cost-model work, deterministic) vs
-	// wall time (real elapsed; pool runs report the overall elapsed, not
-	// the per-bunch sum) — their ratio is the point of -gc-workers. Wall
-	// time is printed only in pool mode: serial runs must stay
-	// byte-for-byte identical across same-seed invocations.
-	if *gcWorkers > 1 {
-		fmt.Printf("GC work: %d cpu ticks in %s wall  (-gc-workers %d)\n",
-			gcTotal.CPUTicks, time.Duration(gcTotal.WallNS).Round(time.Microsecond), *gcWorkers)
-	} else {
-		fmt.Printf("GC work: %d cpu ticks\n", gcTotal.CPUTicks)
-	}
+	fmt.Printf("GC work: %d cpu ticks\n", gcTotal.CPUTicks)
 	fmt.Println()
-	dumpStats(cl, *statsJSON, &gcTotal)
+	dumpStats(cl, *statsJSON)
 	dumpTrace(cl.Observer(), *traceOn, *traceJSON, cl.Heat().Snapshot())
 
 	if st.Get("dsm.acquire.r.gc")+st.Get("dsm.acquire.w.gc") != 0 ||
@@ -419,7 +407,7 @@ func runCrashChaosCmd(cfg bmx.CrashChaosConfig, statsJSON bool) {
 		rep.Syncs, rep.LostAllocs)
 	fmt.Printf("simulated ticks: %d\n", rep.ClockTicks)
 	if statsJSON {
-		statsToJSON(os.Stdout, rep.Stats, nil, nil)
+		statsToJSON(os.Stdout, rep.Stats, nil)
 	}
 	if len(rep.Violations) == 0 {
 		fmt.Println("recovered: every kill/restart preserved persistence-by-reachability")
@@ -556,7 +544,7 @@ func runChaos(o chaosOpts) {
 		rep.Stats["msg.dup"], rep.Stats["msg.delayed"], rep.Stats["msg.partitioned"], rep.Stats["msg.lost"])
 	fmt.Printf("simulated ticks: %d\n", rep.ClockTicks)
 	if o.statsJSON {
-		statsToJSON(os.Stdout, rep.Stats, nil, nil)
+		statsToJSON(os.Stdout, rep.Stats, nil)
 	}
 	if o.trace {
 		dumpEvents(rep.Events, o.traceJSON)
@@ -576,7 +564,7 @@ func runChaos(o chaosOpts) {
 // -stats-json — as one JSON object holding the sorted counters plus a
 // snapshot of every histogram (buckets and quantiles), so one file captures
 // the whole run.
-func dumpStats(cl *bmx.Cluster, asJSON bool, gc *bmx.CollectStats) {
+func dumpStats(cl *bmx.Cluster, asJSON bool) {
 	st := cl.Stats()
 	if asJSON {
 		var hists []obs.HistSummary
@@ -585,32 +573,21 @@ func dumpStats(cl *bmx.Cluster, asJSON bool, gc *bmx.CollectStats) {
 				hists = append(hists, s)
 			}
 		}
-		statsToJSON(os.Stdout, st.Snapshot(), hists, gc)
+		statsToJSON(os.Stdout, st.Snapshot(), hists)
 		return
 	}
 	fmt.Println("-- full counters --")
 	fmt.Print(st.String())
 }
 
-// statsJSONDoc is the -stats-json document shape. The gc block carries the
-// merged CollectStats of every collection the driver ran — wall time lives
-// here rather than in the counters, which must stay deterministic.
+// statsJSONDoc is the -stats-json document shape.
 type statsJSONDoc struct {
 	Counters   map[string]int64  `json:"counters"`
 	Histograms []obs.HistSummary `json:"histograms,omitempty"`
-	GC         *gcJSON           `json:"gc,omitempty"`
 }
 
-type gcJSON struct {
-	CPUTicks uint64 `json:"cpuTicks"`
-	WallNS   int64  `json:"wallNS"`
-}
-
-func statsToJSON(w *os.File, snap map[string]int64, hists []obs.HistSummary, gc *bmx.CollectStats) {
+func statsToJSON(w *os.File, snap map[string]int64, hists []obs.HistSummary) {
 	doc := statsJSONDoc{Counters: snap, Histograms: hists}
-	if gc != nil {
-		doc.GC = &gcJSON{CPUTicks: gc.CPUTicks, WallNS: gc.WallNS}
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(doc); err != nil {

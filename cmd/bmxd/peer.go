@@ -143,7 +143,7 @@ func followPeerCluster(p *bmx.Peer, o peerOpts) {
 			}
 			return ctlAck{N: len(req.OIDs)}, 8, nil
 		case "ctl.collect":
-			st := n.CollectBunches(n.Collector().MappedBunches(), 1)
+			st := n.CollectBunches(nil)
 			n.FlushLocations()
 			return ctlAck{N: st.Dead}, 8, nil
 		case "ctl.stats":
@@ -269,7 +269,7 @@ func drivePeerCluster(p *bmx.Peer, o peerOpts) {
 			fatalf("bmxd: mutate at node %v: %v", writer, err)
 		}
 		if o.gcEvery > 0 && r%o.gcEvery == 0 {
-			st := n.CollectBunches(n.Collector().MappedBunches(), 1)
+			st := n.CollectBunches(nil)
 			n.FlushLocations()
 			if o.verbose {
 				fmt.Printf("round %d: BGC at seed: live %d, dead %d\n",

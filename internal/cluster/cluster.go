@@ -575,26 +575,14 @@ func (n *Node) CollectBunchOpts(b addr.BunchID, opts core.CollectOpts) core.Coll
 	return n.col.CollectBunchOpts(b, opts)
 }
 
-// CollectBunches collects each of the given bunches with its own BGC,
-// partitioned across a pool of workers: bunches are independent collection
-// units (§2.2), so the collections proceed concurrently. The node lock is
-// held only for the protocol-state phases of each collection; traces, copies
-// and fixups overlap with mutators and with each other. workers <= 1 runs
-// the collections serially under the node lock, exactly like a CollectBunch
-// loop.
-func (n *Node) CollectBunches(bunches []addr.BunchID, workers int) core.CollectStats {
+// CollectBunches collects each of the given bunches with its own BGC, one
+// after the other under one hold of the node lock — bunches are independent
+// collection units (§2.2) — and merges the statistics. A nil list means
+// every bunch mapped at this node when the lock is taken.
+func (n *Node) CollectBunches(bunches []addr.BunchID) core.CollectStats {
 	defer n.rec.StartSpan(obs.OpGCBunch, addr.NilOID).End()
-	if workers <= 1 {
-		defer n.lock()()
-		return n.col.CollectBunchesParallel(bunches, core.CollectOpts{})
-	}
-	return n.col.CollectBunchesParallel(bunches, core.CollectOpts{
-		Workers: workers,
-		Locked: func(fn func()) {
-			defer n.lock()()
-			fn()
-		},
-	})
+	defer n.lock()()
+	return n.col.CollectBunches(bunches)
 }
 
 // CollectGroup runs the GGC (§7) on the given group, or on every locally

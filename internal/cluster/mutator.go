@@ -143,33 +143,22 @@ func (n *Node) WriteRef(obj Ref, i int, target Ref) error {
 			return fmt.Errorf("cluster: %v holds no address for %v", n.id, target)
 		}
 	}
-	// The object's stripe makes the resolve-and-store atomic against a
-	// parallel GC worker copying obj: without it the worker could move the
-	// object between our address resolution and the field store, and the
-	// store would land in an already-evacuated copy. The stripe is NOT held
-	// across the write barrier — constructing an SSP may issue a synchronous
-	// call, and a stripe holder must never block on the network.
-	unlock := n.col.LockObject(obj.OID)
 	a, err := n.writableAddr(obj)
 	if err != nil {
-		unlock()
 		return err
 	}
 	oldWord, oldRef := heap.GetField(a, i), heap.IsRefField(a, i)
 	heap.SetField(a, i, uint64(ta), !target.IsNil())
-	unlock()
 	if err := n.col.WriteBarrier(obj.OID, target.OID); err != nil {
 		// The protecting SSP could not be constructed (every candidate
 		// scion host unreachable, e.g. across a partition): undo the store
 		// so no unprotected inter-bunch reference remains, and surface the
 		// failure — the caller retries after the fault heals. The address is
-		// re-resolved under a fresh stripe scope: a collection may have
-		// moved the object while the barrier ran.
-		unlock := n.col.LockObject(obj.OID)
+		// re-resolved: the barrier's scion-message releases the node lock
+		// while it waits, and a collection may have moved the object.
 		if a2, err2 := n.writableAddr(obj); err2 == nil {
 			heap.SetField(a2, i, oldWord, oldRef)
 		}
-		unlock()
 		return err
 	}
 	n.col.NoteWrite(obj.OID)
@@ -183,14 +172,11 @@ func (n *Node) WriteWord(obj Ref, i int, v uint64) error {
 	defer n.rec.StartSpan(obs.OpWriteWord, obj.OID).End()
 	defer n.critical()()
 	defer n.lock()()
-	unlock := n.col.LockObject(obj.OID)
 	a, err := n.writableAddr(obj)
 	if err != nil {
-		unlock()
 		return err
 	}
 	n.col.Heap().SetField(a, i, v, false)
-	unlock()
 	if err := n.col.WriteBarrier(obj.OID, addr.NilOID); err != nil {
 		return err // unreachable: a nil target needs no SSP
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"bmx/internal/addr"
 	"bmx/internal/dsm"
@@ -28,12 +27,6 @@ func DefaultCosts() Costs {
 	return Costs{RootTick: 1, ScanWordTick: 1, CopyWordTick: 2, LogTick: 2}
 }
 
-// objStripes is the number of per-object lock stripes in a Collector. The
-// stripes serialize address-level operations on one object — a mutator's
-// field store against a parallel GC worker copying the same object — without
-// any global lock. See LockObject for the ordering rules.
-const objStripes = 64
-
 // Replica is one node's GC state for one mapped bunch: the stub/scion
 // table, the table generation counter and the local allocation segments.
 type Replica struct {
@@ -44,10 +37,6 @@ type Replica struct {
 	// Gen+1 (the first table that will account for them).
 	Gen uint64
 
-	// segMu guards allocSeg and ownSegs: allocation-segment refills happen
-	// both under the node lock (mutator Alloc) and from a parallel GC
-	// worker's unlocked copy phase.
-	segMu    sync.Mutex
 	allocSeg *mem.Segment // current local allocation target (to-space)
 	// ownSegs are the segments this node created for the bunch; only the
 	// creator allocates into a segment, so only the creator may schedule
@@ -74,10 +63,11 @@ func newReplica(b addr.BunchID) *Replica {
 // information; the collector never acquires, releases, or invalidates a
 // token.
 //
-// Lock order (outermost first): cluster object lock → node lock → object
-// stripe (LockObject) → copyMu | Replica.segMu | locMu | repsMu → heap and
-// directory locks. A stripe holder never takes the node lock, and GC workers
-// never hold the node lock across synchronous network calls.
+// The collector has no lock of its own: every method runs under its node's
+// lock (cluster.Node), which owns all node-local state — replicas, roots,
+// pending location updates and the heap. Lock order (outermost first):
+// cluster object-op lock → node lock → shared services (directory and
+// allocator, transport stats, observer, network), each internally locked.
 type Collector struct {
 	node  addr.NodeID
 	heap  *mem.Heap
@@ -86,13 +76,8 @@ type Collector struct {
 	costs Costs
 	dsm   *dsm.Node
 
-	// repsMu guards the reps map structure and the MappedBunches cache;
-	// the contents of each Replica follow their own discipline (table,
-	// generation, write log and gcActive under the node lock; allocation
-	// segments under segMu).
-	repsMu      sync.RWMutex
 	reps        map[addr.BunchID]*Replica
-	mappedCache []addr.BunchID
+	mappedCache []addr.BunchID // sorted keys of reps; nil until next asked for
 
 	roots   map[addr.OID]int    // mutator root handles (stack refs), with counts
 	recvGen map[tableKey]uint64 // scion cleaner: highest table gen per (sender, bunch)
@@ -101,19 +86,6 @@ type Collector struct {
 	// intra-bunch SSPs (§3.2 discusses and rejects this alternative).
 	replicateSSPs bool
 
-	// objMu is the per-object stripe array; see LockObject.
-	objMu [objStripes]sync.Mutex
-	// copyMu guards copyOwned: the objects a running collection has
-	// licensed for copying outside the node lock. An ownership grant
-	// revokes the license (under the object's stripe) before the token
-	// leaves, so an unlocked GC worker can never copy an object this node
-	// no longer owns.
-	copyMu    sync.Mutex
-	copyOwned map[addr.OID]bool
-
-	// locMu guards pending and locEpoch, which are shared between GC
-	// workers, the piggyback path and background flushes.
-	locMu sync.Mutex
 	// pending holds location updates queued per peer, awaiting a
 	// consistency message to ride on, or a background flush (§4.4).
 	pending map[addr.NodeID]map[addr.OID]dsm.Manifest
@@ -128,11 +100,10 @@ type Collector struct {
 	phaseHists map[string]*obs.Histogram
 
 	// durBarrier, when set, is the node's durability barrier: collect()
-	// invokes it from the final locked flip bracket, after reclaim and
-	// table rebuild, with what the flip changed. The persistence layer
-	// logs the copied headers and the deaths and forces the RVM log with
-	// one group-commit sync — the "single batched log force per flip" of
-	// §8 / O'Toole et al.
+	// invokes it at the end of the flip, after reclaim and table rebuild,
+	// with what the flip changed. The persistence layer logs the copied
+	// headers and the deaths and forces the RVM log with one group-commit
+	// sync — the "single batched log force per flip" of §8 / O'Toole et al.
 	durBarrier func(FlipLog)
 }
 
@@ -166,7 +137,6 @@ func NewCollector(node addr.NodeID, heap *mem.Heap, dir Dir, net transport.Trans
 		reps:       make(map[addr.BunchID]*Replica),
 		roots:      make(map[addr.OID]int),
 		recvGen:    make(map[tableKey]uint64),
-		copyOwned:  make(map[addr.OID]bool),
 		pending:    make(map[addr.NodeID]map[addr.OID]dsm.Manifest),
 		locEpoch:   make(map[addr.OID]uint64),
 		rec:        o.Recorder(node),
@@ -181,8 +151,8 @@ func NewCollector(node addr.NodeID, heap *mem.Heap, dir Dir, net transport.Trans
 func (c *Collector) SetDSM(d *dsm.Node) { c.dsm = d }
 
 // SetDurabilityBarrier installs the flip durability hook. Install it at
-// node construction, before any collection runs; the hook is called with
-// the collector's locked flip bracket held, so it must not re-enter the
+// node construction, before any collection runs; the hook is called from
+// inside a collection, under the node lock, so it must not re-enter the
 // collector or take the node lock.
 func (c *Collector) SetDurabilityBarrier(f func(FlipLog)) { c.durBarrier = f }
 
@@ -203,36 +173,12 @@ func (c *Collector) DSM() *dsm.Node { return c.dsm }
 
 func (c *Collector) stats() *transport.Stats { return c.net.Stats() }
 
-// lockObj returns the stripe mutex covering o.
-func (c *Collector) lockObj(o addr.OID) *sync.Mutex {
-	return &c.objMu[uint64(o)%objStripes]
-}
-
-// LockObject takes the address-level stripe of o and returns its unlock
-// function. The stripe makes one object's resolve-and-store (mutator) or
-// read-copy-forward (collector) sequence atomic against the other. Callers
-// may hold the node lock; a stripe holder must never take the node lock,
-// issue a synchronous network call, or take a second stripe.
-func (c *Collector) LockObject(o addr.OID) func() {
-	mu := c.lockObj(o)
-	mu.Lock()
-	return mu.Unlock
-}
-
 // Replica returns the GC state for bunch b, creating it on first use.
 func (c *Collector) Replica(b addr.BunchID) *Replica {
-	c.repsMu.RLock()
-	rep, ok := c.reps[b]
-	c.repsMu.RUnlock()
-	if ok {
+	if rep, ok := c.reps[b]; ok {
 		return rep
 	}
-	c.repsMu.Lock()
-	defer c.repsMu.Unlock()
-	if rep, ok = c.reps[b]; ok {
-		return rep
-	}
-	rep = newReplica(b)
+	rep := newReplica(b)
 	c.reps[b] = rep
 	c.mappedCache = nil
 	return rep
@@ -249,12 +195,9 @@ func (c *Collector) Replica(b addr.BunchID) *Replica {
 // to-space addresses that recovery just rewound.
 func (c *Collector) CrashBunch(b addr.BunchID) {
 	rep := c.Replica(b)
-	rep.segMu.Lock()
 	rep.allocSeg = nil
-	rep.segMu.Unlock()
 	rep.gcActive = false
 	rep.writeLog = make(map[addr.OID]bool)
-	c.locMu.Lock()
 	for nd, q := range c.pending {
 		for o, man := range q {
 			if man.Bunch == b {
@@ -265,13 +208,10 @@ func (c *Collector) CrashBunch(b addr.BunchID) {
 			delete(c.pending, nd)
 		}
 	}
-	c.locMu.Unlock()
 }
 
 // HasReplica reports whether this node tracks bunch b.
 func (c *Collector) HasReplica(b addr.BunchID) bool {
-	c.repsMu.RLock()
-	defer c.repsMu.RUnlock()
 	_, ok := c.reps[b]
 	return ok
 }
@@ -280,14 +220,6 @@ func (c *Collector) HasReplica(b addr.BunchID) bool {
 // locality-based group of §7. The slice is cached until the next replica is
 // created; callers must not mutate it.
 func (c *Collector) MappedBunches() []addr.BunchID {
-	c.repsMu.RLock()
-	cached := c.mappedCache
-	c.repsMu.RUnlock()
-	if cached != nil {
-		return cached
-	}
-	c.repsMu.Lock()
-	defer c.repsMu.Unlock()
 	if c.mappedCache == nil {
 		out := make([]addr.BunchID, 0, len(c.reps))
 		for b := range c.reps {
@@ -340,14 +272,11 @@ func (c *Collector) Alloc(b addr.BunchID, size int) (addr.OID, error) {
 		return addr.NilOID, fmt.Errorf("core: object of %d words exceeds segment capacity %d", size, max)
 	}
 	rep := c.Replica(b)
-	rep.segMu.Lock()
 	if rep.allocSeg == nil || rep.allocSeg.FreeWords() < mem.HeaderWords+size {
 		rep.allocSeg = c.newAllocSeg(b)
 	}
-	seg := rep.allocSeg
-	rep.segMu.Unlock()
 	oid := c.dir.NewOID()
-	a, ok := c.heap.Alloc(seg, oid, size)
+	a, ok := c.heap.Alloc(rep.allocSeg, oid, size)
 	if !ok {
 		return addr.NilOID, fmt.Errorf("core: allocation of %d words failed in fresh segment", size)
 	}
@@ -517,11 +446,7 @@ func (c *Collector) scionHosts(tb addr.BunchID) []addr.NodeID {
 // NoteWrite records a mutation for the concurrent collector's log (O'Toole:
 // writes during the collection are replayed at the flip).
 func (c *Collector) NoteWrite(o addr.OID) {
-	b := c.dir.BunchOf(o)
-	c.repsMu.RLock()
-	rep, ok := c.reps[b]
-	c.repsMu.RUnlock()
-	if ok && rep.gcActive {
+	if rep, ok := c.reps[c.dir.BunchOf(o)]; ok && rep.gcActive {
 		rep.writeLog[o] = true
 	}
 }
@@ -531,11 +456,8 @@ func (c *Collector) NoteWrite(o addr.OID) {
 // queueLocation records that o now lives at newAddr, to be told to every
 // other node holding a replica of the bunch — lazily, by piggybacking.
 func (c *Collector) queueLocation(o addr.OID, b addr.BunchID, newAddr addr.Addr, size int) {
-	holders := c.dir.Holders(b)
-	c.locMu.Lock()
-	defer c.locMu.Unlock()
 	man := dsm.Manifest{OID: o, Addr: newAddr, Size: size, Bunch: b, Epoch: c.locEpoch[o]}
-	for _, peer := range holders {
+	for _, peer := range c.dir.Holders(b) {
 		if peer == c.node {
 			continue
 		}
@@ -550,17 +472,11 @@ func (c *Collector) queueLocation(o addr.OID, b addr.BunchID, newAddr addr.Addr,
 
 // LocationEpoch returns the relocation epoch this node has applied (or, at
 // the owner, produced) for o.
-func (c *Collector) LocationEpoch(o addr.OID) uint64 {
-	c.locMu.Lock()
-	defer c.locMu.Unlock()
-	return c.locEpoch[o]
-}
+func (c *Collector) LocationEpoch(o addr.OID) uint64 { return c.locEpoch[o] }
 
 // PendingLocationCount returns the number of queued (peer, object) location
 // updates awaiting piggyback or flush.
 func (c *Collector) PendingLocationCount() int {
-	c.locMu.Lock()
-	defer c.locMu.Unlock()
 	n := 0
 	for _, q := range c.pending {
 		n += len(q)
@@ -572,30 +488,20 @@ func (c *Collector) PendingLocationCount() int {
 // GC messages instead of waiting for consistency traffic to carry them.
 // Used by the from-space reuse protocol and by the eager-update ablation.
 func (c *Collector) FlushLocations() {
-	type flush struct {
-		peer addr.NodeID
-		ms   []dsm.Manifest
-	}
-	var flushes []flush
-	c.locMu.Lock()
 	for _, peer := range sortedNodeKeys(c.pending) {
 		q := c.pending[peer]
 		if len(q) == 0 {
 			continue
 		}
-		ms := manifestList(q)
 		delete(c.pending, peer)
-		flushes = append(flushes, flush{peer, ms})
-	}
-	c.locMu.Unlock()
-	for _, f := range flushes {
+		ms := manifestList(q)
 		bytes := 0
-		for _, m := range f.ms {
+		for _, m := range ms {
 			bytes += m.WireBytes()
 		}
 		c.net.Send(transport.Msg{
-			From: c.node, To: f.peer, Kind: KindLocFlush, Class: transport.ClassGC,
-			Payload: LocFlushMsg{From: c.node, Manifests: f.ms}, Bytes: bytes,
+			From: c.node, To: peer, Kind: KindLocFlush, Class: transport.ClassGC,
+			Payload: LocFlushMsg{From: c.node, Manifests: ms}, Bytes: bytes,
 		})
 		c.stats().Add("core.locFlush.msgs", 1)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"bmx/internal/addr"
 	"bmx/internal/mem"
@@ -11,10 +10,6 @@ import (
 	"bmx/internal/ssp"
 	"bmx/internal/transport"
 )
-
-// TraceOID, when non-zero, enables verbose per-object diagnostics for that
-// object (tests only).
-var TraceOID addr.OID
 
 // Liveness strengths. Objects reachable from mutator roots, inter-bunch
 // scions or entering ownerPtrs are strongly live. Objects reachable only
@@ -54,18 +49,13 @@ type CollectStats struct {
 	// CPUTicks is the aggregate collector work under the cost model —
 	// the sum over bunches of root, scan, copy and replay charges. Unlike
 	// TotalTicks (which reads the global simulated clock and therefore
-	// absorbs every concurrent worker's advances), CPUTicks is computed
-	// from this collection's own volumes, so parallel runs report the work
-	// done, not the wall it was done in.
+	// absorbs whatever other nodes advance it by meanwhile), CPUTicks is
+	// computed from this collection's own volumes.
 	CPUTicks uint64
-	// WallNS is real elapsed time in nanoseconds. The simulated clock
-	// cannot show parallel speedup (every worker advances the one global
-	// counter); wall time can, on hardware with more than one core.
-	WallNS int64
 }
 
 // Merge folds another collection's statistics into st. It is the single
-// accumulation point used by the group driver and the parallel worker pool.
+// accumulation point used by the group and per-bunch drivers.
 func (st *CollectStats) Merge(o CollectStats) {
 	st.Bunches += o.Bunches
 	st.RootCount += o.RootCount
@@ -80,7 +70,6 @@ func (st *CollectStats) Merge(o CollectStats) {
 	st.PauseFlipTicks += o.PauseFlipTicks
 	st.TotalTicks += o.TotalTicks
 	st.CPUTicks += o.CPUTicks
-	st.WallNS += o.WallNS
 }
 
 // CollectOpts tunes one collection run.
@@ -90,28 +79,6 @@ type CollectOpts struct {
 	// the collector (O'Toole-style). Writes it performs are logged and
 	// replayed at the flip.
 	DuringTrace func()
-
-	// Workers, when > 1 together with Locked, lets CollectBunchesParallel
-	// partition a set of bunches across a worker pool.
-	Workers int
-
-	// Locked, when set, brackets the phases that need the node-level lock
-	// (setup, root snapshot, protocol-state barrier, flip, reclaim and
-	// table rebuild); the trace, copy and fixup phases then run with the
-	// node lock released so mutators keep going. When nil the collection
-	// assumes the caller already holds whatever lock protects protocol
-	// state, and runs every phase inline — the serial drivers' behavior.
-	Locked func(fn func())
-}
-
-// locked brackets fn with the caller-provided node-level lock, or runs it
-// inline when the collection is serial (lock already held by the caller).
-func locked(opts CollectOpts, fn func()) {
-	if opts.Locked != nil {
-		opts.Locked(fn)
-	} else {
-		fn()
-	}
 }
 
 // CollectBunch runs the bunch garbage collector (§4) on this node's replica
@@ -137,8 +104,21 @@ func (c *Collector) CollectGroup(group []addr.BunchID) CollectStats {
 	return c.collect(group, CollectOpts{}, true)
 }
 
+// CollectBunches runs one bunch collection per bunch, in order — bunches
+// are independent collection units (§2.2) — and merges their statistics. A
+// nil list means every bunch currently mapped at this node.
+func (c *Collector) CollectBunches(bunches []addr.BunchID) CollectStats {
+	if bunches == nil {
+		bunches = c.MappedBunches()
+	}
+	var total CollectStats
+	for _, b := range bunches {
+		total.Merge(c.CollectBunch(b))
+	}
+	return total
+}
+
 func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool) CollectStats {
-	wall := time.Now()
 	total := transport.StartWatch(c.net.Clock())
 	var st CollectStats
 	st.Bunches = len(bunches)
@@ -160,83 +140,79 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	var plainStrong []addr.OID
 	scionRootsBySrc := make(map[addr.NodeID][]addr.OID)
 
-	// ---- Locked: setup and flip pause 1 (root snapshot, §4.1) -----------
-	locked(opts, func() {
-		c.rec.Emit(obs.Event{Kind: obs.KGCStart, Class: obs.ClassGC, Flags: gfl, A: int64(len(bunches))})
+	// ---- Setup and flip pause 1 (root snapshot, §4.1) --------------------
+	c.rec.Emit(obs.Event{Kind: obs.KGCStart, Class: obs.ClassGC, Flags: gfl, A: int64(len(bunches))})
 
-		// Map every current segment of the collected bunches and snapshot
-		// the pre-collection segment lists: the copy phase evacuates these,
-		// and this node's own pre-collection allocation segments become
-		// from-space candidates for the §4.5 reuse protocol.
-		for _, b := range bunches {
-			rep := c.Replica(b)
-			for _, meta := range c.dir.Segments(b) {
-				c.heap.MapSegment(meta)
-				oldSegs[meta.ID] = true
-			}
-			rep.segMu.Lock()
-			fromCandidates[b] = rep.ownSegs
-			rep.ownSegs = nil
-			// Fresh to-space: mutator allocations during the collection
-			// land there and survive this cycle unconditionally.
-			rep.allocSeg = c.newAllocSeg(b)
-			rep.segMu.Unlock()
-			rep.gcActive = true
-			rep.writeLog = make(map[addr.OID]bool)
+	// Map every current segment of the collected bunches and snapshot
+	// the pre-collection segment lists: the copy phase evacuates these,
+	// and this node's own pre-collection allocation segments become
+	// from-space candidates for the §4.5 reuse protocol.
+	for _, b := range bunches {
+		rep := c.Replica(b)
+		for _, meta := range c.dir.Segments(b) {
+			c.heap.MapSegment(meta)
+			oldSegs[meta.ID] = true
 		}
+		fromCandidates[b] = rep.ownSegs
+		rep.ownSegs = nil
+		// Fresh to-space: mutator allocations during the collection
+		// land there and survive this cycle unconditionally.
+		rep.allocSeg = c.newAllocSeg(b)
+		rep.gcActive = true
+		rep.writeLog = make(map[addr.OID]bool)
+	}
 
-		pause1 := transport.StartWatch(c.net.Clock())
-		for _, b := range bunches {
-			rep := c.Replica(b)
-			for _, o := range c.RootOIDs() {
-				if c.dir.BunchOf(o) == b {
-					strongRoots = append(strongRoots, o)
-					plainStrong = append(plainStrong, o)
-				}
-			}
-			for _, sc := range rep.Table.InterScionList() {
-				// §7: scions of SSPs originating *at this site* within the
-				// collected group are not roots, so group-internal cycles
-				// are not artificially held over. Remotely held stubs keep
-				// their scions as roots: this site cannot decide for them.
-				if group && set[sc.SrcBunch] && sc.SrcNode == c.node {
-					continue
-				}
-				strongRoots = append(strongRoots, sc.TargetOID)
-				scionRootsBySrc[sc.SrcNode] = append(scionRootsBySrc[sc.SrcNode], sc.TargetOID)
-			}
-			for _, o := range c.dsm.EnteringRoots(b) {
-				if group && c.dsm.EnteringAllDerivative(o) && c.stubsAllInGroup(o, set) {
-					// Every remote replica routing through this node reported
-					// itself live only via scions that this site's own
-					// group-internal stubs sustain (§6.2 extended to
-					// inter-bunch SSPs). The entering entries are an echo of
-					// local liveness, not independent roots: if the trace
-					// reaches o anyway the stubs survive and nothing changes;
-					// if not, the stubs drop, the remote scions are cleaned,
-					// and the cross-site cycle unwinds.
-					c.stats().Add("core.gc.enteringDiscounted", 1)
-					continue
-				}
+	pause1 := transport.StartWatch(c.net.Clock())
+	for _, b := range bunches {
+		rep := c.Replica(b)
+		for _, o := range c.RootOIDs() {
+			if c.dir.BunchOf(o) == b {
 				strongRoots = append(strongRoots, o)
 				plainStrong = append(plainStrong, o)
 			}
-			weakRoots = append(weakRoots, rep.Table.IntraScionRootOIDs()...)
 		}
-		st.RootCount = len(strongRoots) + len(weakRoots)
-		c.net.Clock().Advance(c.costs.RootTick * uint64(st.RootCount))
-		st.PauseRootTicks = pause1.Elapsed()
-		c.phaseHists["roots"].Observe(int64(st.PauseRootTicks))
-		c.rec.Emit(obs.Event{Kind: obs.KGCRoots, Class: obs.ClassGC, Flags: gfl,
-			A: int64(st.RootCount), B: int64(st.PauseRootTicks)})
-	})
+		for _, sc := range rep.Table.InterScionList() {
+			// §7: scions of SSPs originating *at this site* within the
+			// collected group are not roots, so group-internal cycles
+			// are not artificially held over. Remotely held stubs keep
+			// their scions as roots: this site cannot decide for them.
+			if group && set[sc.SrcBunch] && sc.SrcNode == c.node {
+				continue
+			}
+			strongRoots = append(strongRoots, sc.TargetOID)
+			scionRootsBySrc[sc.SrcNode] = append(scionRootsBySrc[sc.SrcNode], sc.TargetOID)
+		}
+		for _, o := range c.dsm.EnteringRoots(b) {
+			if group && c.dsm.EnteringAllDerivative(o) && c.stubsAllInGroup(o, set) {
+				// Every remote replica routing through this node reported
+				// itself live only via scions that this site's own
+				// group-internal stubs sustain (§6.2 extended to
+				// inter-bunch SSPs). The entering entries are an echo of
+				// local liveness, not independent roots: if the trace
+				// reaches o anyway the stubs survive and nothing changes;
+				// if not, the stubs drop, the remote scions are cleaned,
+				// and the cross-site cycle unwinds.
+				c.stats().Add("core.gc.enteringDiscounted", 1)
+				continue
+			}
+			strongRoots = append(strongRoots, o)
+			plainStrong = append(plainStrong, o)
+		}
+		weakRoots = append(weakRoots, rep.Table.IntraScionRootOIDs()...)
+	}
+	st.RootCount = len(strongRoots) + len(weakRoots)
+	c.net.Clock().Advance(c.costs.RootTick * uint64(st.RootCount))
+	st.PauseRootTicks = pause1.Elapsed()
+	c.phaseHists["roots"].Observe(int64(st.PauseRootTicks))
+	c.rec.Emit(obs.Event{Kind: obs.KGCRoots, Class: obs.ClassGC, Flags: gfl,
+		A: int64(st.RootCount), B: int64(st.PauseRootTicks)})
 
 	// ---- Concurrent phase: the mutator may run now ----------------------
 	if opts.DuringTrace != nil {
 		opts.DuringTrace()
 	}
 
-	// ---- Trace (unlocked: scans through internally locked heap state) ---
+	// ---- Trace -----------------------------------------------------------
 	traceWatch := transport.StartWatch(c.net.Clock())
 	live := make(map[addr.OID]int)
 	n, w := c.trace(set, strongRoots, strongLive, live)
@@ -248,31 +224,6 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	c.scanHist.Observe(int64(st.Scanned))
 	c.phaseHists["trace"].Observe(int64(traceWatch.Elapsed()))
 	c.rec.Emit(obs.Event{Kind: obs.KGCTrace, Class: obs.ClassGC, Flags: gfl, A: int64(st.Scanned)})
-
-	// ---- Locked barrier: snapshot per-object protocol state -------------
-	// The unlocked phases below must not touch the dsm maps (mutators
-	// mutate them under the node lock), so ownership and ownerPtr edges of
-	// every live object are snapshotted here. A later ownership transfer is
-	// handled by the copy license (copyOwned): PrepareOwnershipTransfer
-	// revokes it under the object's stripe before the token leaves.
-	ownedSnap := make(map[addr.OID]bool, len(live))
-	ownerPtrSnap := make(map[addr.OID]addr.NodeID, len(live))
-	locked(opts, func() {
-		for o, s := range live {
-			if s == notLive {
-				continue
-			}
-			ownedSnap[o] = c.dsm.IsOwner(o)
-			ownerPtrSnap[o] = c.dsm.OwnerPtrOf(o)
-		}
-		c.copyMu.Lock()
-		for o := range ownedSnap {
-			if ownedSnap[o] {
-				c.copyOwned[o] = true
-			}
-		}
-		c.copyMu.Unlock()
-	})
 
 	// Derivative-exiting analysis (§6.2 extended): for each remote node X
 	// whose scions contributed roots, re-trace without them; a strongly
@@ -293,21 +244,17 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		}
 		c.traceQuiet(set, auxRoots, strongLive, aux)
 		for o, s := range live {
-			if s == strongLive && aux[o] == notLive && ownerPtrSnap[o] == x {
+			if s == strongLive && aux[o] == notLive && c.dsm.OwnerPtrOf(o) == x {
 				derivative[o] = true
 			}
 		}
 	}
 
 	// ---- Copy phase: only locally-owned live objects move (§4.2) --------
-	// Runs unlocked; every move goes through the object's stripe and checks
-	// the copy license, so a concurrent ownership grant either happens
-	// entirely before the copy (license revoked, object skipped) or blocks
-	// on the stripe until the copy lands and then grants the new location.
 	copyWatch := transport.StartWatch(c.net.Clock())
 	var copied []addr.OID
 	for _, o := range sortedLiveOIDs(live) {
-		if !ownedSnap[o] {
+		if !c.dsm.IsOwner(o) {
 			continue
 		}
 		can, ok := c.heap.Canonical(o)
@@ -318,7 +265,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		if meta == nil || !oldSegs[meta.ID] {
 			continue // already in to-space (e.g. allocated during this GC)
 		}
-		if man, moved := c.moveOwnedObjectChecked(o); moved {
+		if man, moved := c.moveOwnedObject(o); moved {
 			copied = append(copied, o)
 			st.Copied++
 			st.CopiedWords += man.Size + mem.HeaderWords
@@ -327,13 +274,6 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 				Flags: gfl | obs.FlagOwned, OID: o, A: int64(man.Size)})
 		}
 	}
-	// The copy window is over: drop the remaining licenses so a later
-	// ownership grant pays no stripe round-trip for these objects.
-	c.copyMu.Lock()
-	for o := range ownedSnap {
-		delete(c.copyOwned, o)
-	}
-	c.copyMu.Unlock()
 	c.phaseHists["copy"].Observe(int64(copyWatch.Elapsed()))
 
 	// ---- Local reference update (§4.4): no token, strictly local --------
@@ -344,137 +284,130 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	c.phaseHists["fixup"].Observe(int64(fixupWatch.Elapsed()))
 
 	replayed := 0
-	locked(opts, func() {
-		// ---- Flip pause 2: replay the mutation log ----------------------
-		pause2 := transport.StartWatch(c.net.Clock())
-		var revive []addr.OID
-		for _, b := range bunches {
-			rep := c.Replica(b)
-			for o := range rep.writeLog {
-				if live[o] != notLive {
-					c.fixupLocalRefs(o)
+	// ---- Flip pause 2: replay the mutation log ----------------------
+	pause2 := transport.StartWatch(c.net.Clock())
+	var revive []addr.OID
+	for _, b := range bunches {
+		rep := c.Replica(b)
+		for o := range rep.writeLog {
+			if live[o] != notLive {
+				c.fixupLocalRefs(o)
+			} else {
+				// Written while the collector ran but missed by the
+				// trace: the mutator reached it through roots acquired
+				// after the snapshot. Revive it (and what it references)
+				// rather than reclaim a live object.
+				revive = append(revive, o)
+			}
+			replayed++
+			c.net.Clock().Advance(c.costs.LogTick)
+		}
+	}
+	if len(revive) > 0 {
+		slices.Sort(revive)
+		rn, rw := c.trace(set, revive, strongLive, live)
+		st.Scanned += rn
+		st.ScannedWords += rw
+		c.stats().Add("core.gc.revived", int64(len(revive)))
+	}
+	st.PauseFlipTicks = pause2.Elapsed()
+	c.phaseHists["flip"].Observe(int64(st.PauseFlipTicks))
+	c.rec.Emit(obs.Event{Kind: obs.KGCFlip, Class: obs.ClassGC, Flags: gfl,
+		A: int64(replayed), B: int64(st.PauseFlipTicks)})
+
+	// ---- Reclaim dead objects locally -------------------------------
+	reclaimWatch := transport.StartWatch(c.net.Clock())
+	deadByManager := make(map[addr.NodeID][]addr.OID)
+	var deadOIDs []addr.OID
+	for _, b := range bunches {
+		for _, o := range c.knownInBunch(b) {
+			if live[o] != notLive {
+				continue
+			}
+			if c.IsRoot(o) {
+				// Became a mutator root after the snapshot (a handle
+				// taken by the DuringTrace mutator); the next collection
+				// decides its fate.
+				continue
+			}
+			if c.dsm.IsRoutingOnly(o) {
+				// Already just a forwarding stub at the manager — but a
+				// late manifest may have re-attached a canonical address;
+				// shed it, or the stub would read as a present replica.
+				if _, ok := c.heap.Canonical(o); ok {
+					c.heap.DropObject(o)
+				}
+				continue
+			}
+			if can, ok := c.heap.Canonical(o); ok {
+				if meta := c.dir.Allocator().Lookup(can); meta != nil && !oldSegs[meta.ID] {
+					continue // allocated during this collection; not traced, not dead
+				}
+			}
+			manager := addr.NoNode
+			if info, ok := c.dir.Object(o); ok {
+				manager = info.AllocNode
+			}
+			rfl := gfl
+			if c.dsm.IsOwner(o) {
+				rfl |= obs.FlagOwned
+			}
+			c.rec.Emit(obs.Event{Kind: obs.KGCReclaim, Class: obs.ClassGC, Flags: rfl, OID: o})
+			c.heap.DropObject(o)
+			switch {
+			case c.dsm.IsOwner(o):
+				// The owner reclaims last: no entering ownerPtrs, no
+				// roots, no scions — the object is globally dead. Tell
+				// the manager to drop its forwarding stub. The directory
+				// record stays: a liveness report still in flight may
+				// yet re-fault the object from the durable store, and
+				// the record anchors that route. Keeping dead objects
+				// out of crash recovery is the checkpoint live-set's
+				// job, not the directory's.
+				c.dsm.Forget(o)
+				if manager != addr.NoNode && manager != c.node {
+					deadByManager[manager] = append(deadByManager[manager], o)
+				}
+			case manager == c.node:
+				// The allocation site anchors every ownerPtr chain for
+				// this object (Li's manager role): keep a routing-only
+				// stub so future acquires from any node still resolve.
+				if !c.dsm.DemoteToRouting(o) {
+					c.dsm.Forget(o)
 				} else {
-					// Written while the collector ran but missed by the
-					// trace: the mutator reached it through roots acquired
-					// after the snapshot. Revive it (and what it references)
-					// rather than reclaim a live object.
-					revive = append(revive, o)
+					c.stats().Add("core.gc.routingStubs", 1)
 				}
-				replayed++
-				c.net.Clock().Advance(c.costs.LogTick)
+			default:
+				c.dsm.Forget(o)
 			}
+			deadOIDs = append(deadOIDs, o)
+			st.Dead++
+			c.stats().Add("core.gc.dead", 1)
 		}
-		if len(revive) > 0 {
-			slices.Sort(revive)
-			rn, rw := c.trace(set, revive, strongLive, live)
-			st.Scanned += rn
-			st.ScannedWords += rw
-			c.stats().Add("core.gc.revived", int64(len(revive)))
-		}
-		st.PauseFlipTicks = pause2.Elapsed()
-		c.phaseHists["flip"].Observe(int64(st.PauseFlipTicks))
-		c.rec.Emit(obs.Event{Kind: obs.KGCFlip, Class: obs.ClassGC, Flags: gfl,
-			A: int64(replayed), B: int64(st.PauseFlipTicks)})
+	}
+	c.sendDeadNotices(deadByManager)
+	c.phaseHists["reclaim"].Observe(int64(reclaimWatch.Elapsed()))
 
-		// ---- Reclaim dead objects locally -------------------------------
-		reclaimWatch := transport.StartWatch(c.net.Clock())
-		deadByManager := make(map[addr.NodeID][]addr.OID)
-		var deadOIDs []addr.OID
-		for _, b := range bunches {
-			for _, o := range c.knownInBunch(b) {
-				if live[o] != notLive {
-					continue
-				}
-				if c.IsRoot(o) {
-					// Became a mutator root after the snapshot (a handle
-					// taken while the collector ran unlocked); the next
-					// collection decides its fate.
-					continue
-				}
-				if c.dsm.IsRoutingOnly(o) {
-					// Already just a forwarding stub at the manager — but a
-					// late manifest may have re-attached a canonical address;
-					// shed it, or the stub would read as a present replica.
-					if _, ok := c.heap.Canonical(o); ok {
-						c.heap.DropObject(o)
-					}
-					continue
-				}
-				if can, ok := c.heap.Canonical(o); ok {
-					if meta := c.dir.Allocator().Lookup(can); meta != nil && !oldSegs[meta.ID] {
-						continue // allocated during this collection; not traced, not dead
-					}
-				}
-				manager := addr.NoNode
-				if info, ok := c.dir.Object(o); ok {
-					manager = info.AllocNode
-				}
-				if o == TraceOID {
-					fmt.Printf("TRACEOID %v: reclaiming at %v (owner=%v)\n", o, c.node, c.dsm.IsOwner(o))
-				}
-				rfl := gfl
-				if c.dsm.IsOwner(o) {
-					rfl |= obs.FlagOwned
-				}
-				c.rec.Emit(obs.Event{Kind: obs.KGCReclaim, Class: obs.ClassGC, Flags: rfl, OID: o})
-				c.heap.DropObject(o)
-				switch {
-				case c.dsm.IsOwner(o):
-					// The owner reclaims last: no entering ownerPtrs, no
-					// roots, no scions — the object is globally dead. Tell
-					// the manager to drop its forwarding stub. The directory
-					// record stays: a liveness report still in flight may
-					// yet re-fault the object from the durable store, and
-					// the record anchors that route. Keeping dead objects
-					// out of crash recovery is the checkpoint live-set's
-					// job, not the directory's.
-					c.dsm.Forget(o)
-					if manager != addr.NoNode && manager != c.node {
-						deadByManager[manager] = append(deadByManager[manager], o)
-					}
-				case manager == c.node:
-					// The allocation site anchors every ownerPtr chain for
-					// this object (Li's manager role): keep a routing-only
-					// stub so future acquires from any node still resolve.
-					if !c.dsm.DemoteToRouting(o) {
-						c.dsm.Forget(o)
-					} else {
-						c.stats().Add("core.gc.routingStubs", 1)
-					}
-				default:
-					c.dsm.Forget(o)
-				}
-				deadOIDs = append(deadOIDs, o)
-				st.Dead++
-				c.stats().Add("core.gc.dead", 1)
-			}
-		}
-		c.sendDeadNotices(deadByManager)
-		c.phaseHists["reclaim"].Observe(int64(reclaimWatch.Elapsed()))
+	// ---- Rebuild stub tables and exiting ownerPtrs (§4.3), send (§6) -
+	tablesWatch := transport.StartWatch(c.net.Clock())
+	for _, b := range bunches {
+		rep := c.Replica(b)
+		oldTable := rep.Table
+		exiting := c.rebuildTable(b, live)
+		rep.Gen++
+		c.sendTables(b, oldTable, exiting, derivative)
+		rep.fromSegs = append(rep.fromSegs, fromCandidates[b]...)
+		rep.gcActive = false
+	}
+	c.phaseHists["tables"].Observe(int64(tablesWatch.Elapsed()))
 
-		// ---- Rebuild stub tables and exiting ownerPtrs (§4.3), send (§6) -
-		tablesWatch := transport.StartWatch(c.net.Clock())
-		for _, b := range bunches {
-			rep := c.Replica(b)
-			oldTable := rep.Table
-			exiting := c.rebuildTable(b, live)
-			rep.Gen++
-			c.sendTables(b, oldTable, exiting, derivative)
-			rep.segMu.Lock()
-			rep.fromSegs = append(rep.fromSegs, fromCandidates[b]...)
-			rep.segMu.Unlock()
-			rep.gcActive = false
-		}
-		c.phaseHists["tables"].Observe(int64(tablesWatch.Elapsed()))
-
-		// ---- Durability barrier (§8): one batched log force per flip ----
-		// Still inside the locked flip bracket, so a crash injected on
-		// either side of this call models a kill exactly before or after
-		// the flip's sync — the two windows the crash chaos mode probes.
-		if c.durBarrier != nil {
-			c.durBarrier(FlipLog{Bunches: bunches, Copied: copied, Dead: deadOIDs})
-		}
-	})
+	// ---- Durability barrier (§8): one batched log force per flip ----
+	// A crash injected on either side of this call models a kill exactly
+	// before or after the flip's sync — the two windows the crash chaos
+	// mode probes.
+	if c.durBarrier != nil {
+		c.durBarrier(FlipLog{Bunches: bunches, Copied: copied, Dead: deadOIDs})
+	}
 
 	for _, s := range live {
 		if s == strongLive {
@@ -488,7 +421,6 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		c.costs.ScanWordTick*uint64(st.ScannedWords) +
 		c.costs.CopyWordTick*uint64(st.CopiedWords) +
 		c.costs.LogTick*uint64(replayed)
-	st.WallNS = time.Since(wall).Nanoseconds()
 	c.rec.Emit(obs.Event{Kind: obs.KGCDone, Class: obs.ClassGC, Flags: gfl,
 		A: int64(st.Dead), B: int64(st.TotalTicks)})
 	c.stats().Add("core.gc.runs", 1)
@@ -496,9 +428,6 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	c.stats().Add("core.gc.pauseFlipTicks", int64(st.PauseFlipTicks))
 	c.stats().Add("core.gc.totalTicks", int64(st.TotalTicks))
 	c.stats().Add("core.gc.cpuTicks", int64(st.CPUTicks))
-	// WallNS is deliberately not a counter: counters must be identical
-	// across same-seed runs (the chaos determinism harness diffs them), and
-	// real time never is. Wall time is reported through CollectStats only.
 	return st
 }
 
@@ -529,8 +458,7 @@ func (c *Collector) LiveOIDs(b addr.BunchID) []addr.OID {
 
 // newAllocSeg creates a fresh local allocation segment for bunch b and
 // remembers it as locally created (only its creator ever allocates into a
-// segment, so only the creator may later reclaim it). Callers hold the
-// replica's segMu.
+// segment, so only the creator may later reclaim it).
 func (c *Collector) newAllocSeg(b addr.BunchID) *mem.Segment {
 	rep := c.Replica(b)
 	meta := c.dir.AddSegment(b)
@@ -581,9 +509,6 @@ func (c *Collector) traceImpl(set map[addr.BunchID]bool, roots []addr.OID, stren
 			continue // cross-bunch edges are represented by SSPs, not traced
 		}
 		live[o] = strength
-		if o == TraceOID && !quiet {
-			fmt.Printf("TRACEOID %v: live (strength %d) at %v\n", o, strength, c.node)
-		}
 		a, ok := c.heap.Canonical(o)
 		if !ok {
 			if !quiet {
@@ -638,10 +563,8 @@ func (c *Collector) stubsAllInGroup(o addr.OID, set map[addr.BunchID]bool) bool 
 // fixupLocalRefs rewrites the pointer fields of o's local copy through the
 // local forwarding pointers. This modifies objects without any token: the
 // change is address-level only and invisible to the application's
-// consistency contract (§4.4). The object's stripe keeps the rewrite atomic
-// against a concurrent copy of the same object.
+// consistency contract (§4.4).
 func (c *Collector) fixupLocalRefs(o addr.OID) {
-	defer c.LockObject(o)()
 	a, ok := c.heap.Canonical(o)
 	if !ok || !c.heap.Mapped(a) || !c.heap.IsObjectAt(a) {
 		return

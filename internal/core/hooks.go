@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"bmx/internal/addr"
 	"bmx/internal/dsm"
 	"bmx/internal/mem"
@@ -89,27 +87,17 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 	// foreign manifest must not move it (only the owner copies an object,
 	// §4.2).
 	if c.dsm.IsOwner(m.OID) {
-		if m.OID == TraceOID {
-			fmt.Printf("TRACEOID %v: manifest at %v skipped (owner)\n", m.OID, c.node)
-		}
 		return
 	}
 	// Out-of-order protection: background messages from different senders
 	// may deliver an older location after a newer one; applying it would
 	// move the canonical address backward and plant a stale forwarding
 	// pointer over good data.
-	c.locMu.Lock()
 	if m.Epoch < c.locEpoch[m.OID] {
-		cur := c.locEpoch[m.OID]
-		c.locMu.Unlock()
-		if m.OID == TraceOID {
-			fmt.Printf("TRACEOID %v: manifest at %v stale epoch %d < %d\n", m.OID, c.node, m.Epoch, cur)
-		}
 		c.stats().Add("core.loc.staleEpoch", 1)
 		return
 	}
 	c.locEpoch[m.OID] = m.Epoch
-	c.locMu.Unlock()
 	if !c.heap.Mapped(m.Addr) {
 		c.heap.MapSegment(meta)
 		// Holding part of the bunch makes this node an interested party
@@ -124,10 +112,6 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 		}
 	}
 	cur, known := c.heap.Canonical(m.OID)
-	if m.OID == TraceOID {
-		fmt.Printf("TRACEOID %v: manifest at %v from %v addr=%v (cur=%v known=%v)\n",
-			m.OID, c.node, from, m.Addr, cur, known)
-	}
 	if known && cur == m.Addr {
 		return // idempotent re-delivery
 	}
@@ -149,9 +133,6 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 		src := c.heap.Resolve(cur)
 		if src != m.Addr && c.heap.Mapped(src) && c.heap.IsObjectAt(src) &&
 			c.heap.ObjOID(src) == m.OID {
-			if m.OID == TraceOID {
-				fmt.Printf("TRACEOID %v: manifest at %v applied src=%v (cur=%v) fwd -> %v\n", m.OID, c.node, src, cur, m.Addr)
-			}
 			c.heap.CopyObject(src, m.Addr)
 			c.heap.SetFwd(src, m.Addr)
 		}
@@ -196,10 +177,6 @@ func (c *Collector) InstallImage(img dsm.ObjectImage, from addr.NodeID) {
 	}
 	c.applyManifest(img.Manifest, from)
 	a, ok := c.heap.Canonical(img.OID)
-	if img.OID == TraceOID {
-		fmt.Printf("TRACEOID %v: InstallImage at %v from %v manAddr=%v canonical=%v ok=%v\n",
-			img.OID, c.node, from, img.Addr, a, ok)
-	}
 	if !ok || !c.heap.Mapped(a) {
 		return
 	}
@@ -247,15 +224,6 @@ func (c *Collector) normalizeRefs(a addr.Addr) {
 // intra-bunch scion before the token grant and return the request for the
 // new owner's matching stub (§5, §3.2).
 func (c *Collector) PrepareOwnershipTransfer(o addr.OID, newOwner addr.NodeID, newOwnerGen uint64) *dsm.IntraSSPReq {
-	// Revoke any copy license a running parallel collection holds for o.
-	// Taking the stripe blocks until an in-flight copy of o lands, and the
-	// license removal stops any later copy attempt: once the token leaves
-	// this node, only the new owner may move the object (§4.2).
-	unlock := c.LockObject(o)
-	c.copyMu.Lock()
-	delete(c.copyOwned, o)
-	c.copyMu.Unlock()
-	unlock()
 	b := c.dir.BunchOf(o)
 	if b == addr.NoBunch {
 		return nil
@@ -351,14 +319,11 @@ func (c *Collector) OnOwnershipAcquired(o addr.OID) {
 // TakePendingManifests drains the location updates queued for peer so they
 // ride as piggyback on an outgoing consistency message (§4.4).
 func (c *Collector) TakePendingManifests(peer addr.NodeID) []dsm.Manifest {
-	c.locMu.Lock()
 	q := c.pending[peer]
 	if len(q) == 0 {
-		c.locMu.Unlock()
 		return nil
 	}
 	delete(c.pending, peer)
-	c.locMu.Unlock()
 	c.stats().Add("core.loc.piggybacked", int64(len(q)))
 	return manifestList(q)
 }
@@ -423,14 +388,11 @@ func (c *Collector) Reestablish(o addr.OID) bool {
 	}
 	if !live {
 		rep := c.Replica(info.Bunch)
-		rep.segMu.Lock()
 		if rep.allocSeg == nil || rep.allocSeg.FreeWords() < mem.HeaderWords+info.Size {
 			rep.allocSeg = c.newAllocSeg(info.Bunch)
 		}
-		seg := rep.allocSeg
-		rep.segMu.Unlock()
 		var ok2 bool
-		a, ok2 = c.heap.Alloc(seg, o, info.Size)
+		a, ok2 = c.heap.Alloc(rep.allocSeg, o, info.Size)
 		if !ok2 {
 			return false
 		}
@@ -439,9 +401,7 @@ func (c *Collector) Reestablish(o addr.OID) bool {
 	c.heap.SetCanonical(o, a)
 	// Supersede every location manifest in flight: a delayed older address
 	// must not move the resurrected object backward at any holder.
-	c.locMu.Lock()
 	c.locEpoch[o]++
-	c.locMu.Unlock()
 	c.queueLocation(o, info.Bunch, a, c.heap.ObjSize(a))
 	c.stats().Add("core.reestablished", 1)
 	return true

@@ -186,33 +186,10 @@ func (c *Collector) serveCopyOut(req CopyOutReq) CopyOutReply {
 
 // moveOwnedObject copies a locally-owned object into the current allocation
 // segment of its bunch, installs the forwarding pointer, and queues location
-// updates for every other replica holder, serialized against mutators and
-// parallel GC workers by the object's stripe. It is the copying primitive
-// used by the serial paths (copy-out service, segment evacuation).
+// updates for every other replica holder. It is the one copying primitive:
+// the bunch collector's copy phase, the copy-out service and segment
+// evacuation all move objects through it.
 func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
-	defer c.LockObject(o)()
-	return c.moveOwnedObjectLocked(o)
-}
-
-// moveOwnedObjectChecked is the parallel collector's copying primitive: it
-// takes the object's stripe and re-validates the copy license under it. If
-// an ownership transfer revoked the license since the trace barrier, the
-// token (and the right to move the object) has left this node and the copy
-// is skipped — the new owner's collector will move it.
-func (c *Collector) moveOwnedObjectChecked(o addr.OID) (dsm.Manifest, bool) {
-	defer c.LockObject(o)()
-	c.copyMu.Lock()
-	licensed := c.copyOwned[o]
-	c.copyMu.Unlock()
-	if !licensed {
-		c.stats().Add("core.gc.copyRevoked", 1)
-		return dsm.Manifest{}, false
-	}
-	return c.moveOwnedObjectLocked(o)
-}
-
-// moveOwnedObjectLocked does the actual copy. Callers hold o's stripe.
-func (c *Collector) moveOwnedObjectLocked(o addr.OID) (dsm.Manifest, bool) {
 	old, ok := c.heap.Canonical(o)
 	if !ok || !c.heap.Mapped(old) || !c.heap.IsObjectAt(old) {
 		return dsm.Manifest{}, false
@@ -234,29 +211,21 @@ func (c *Collector) moveOwnedObjectLocked(o addr.OID) (dsm.Manifest, bool) {
 	b := c.dir.BunchOf(o)
 	rep := c.Replica(b)
 	size := c.heap.ObjSize(old)
-	rep.segMu.Lock()
 	if rep.allocSeg == nil || rep.allocSeg.FreeWords() < size+mem.HeaderWords {
 		rep.allocSeg = c.heap.MapSegment(c.dir.AddSegment(b))
 	}
-	seg := rep.allocSeg
-	rep.segMu.Unlock()
-	to, allocOK := c.heap.Alloc(seg, o, size)
+	to, allocOK := c.heap.Alloc(rep.allocSeg, o, size)
 	if !allocOK {
 		return dsm.Manifest{}, false
 	}
 	for i := 0; i < size; i++ {
 		c.heap.SetField(to, i, c.heap.GetField(old, i), c.heap.IsRefField(old, i))
 	}
-	if o == TraceOID {
-		fmt.Printf("TRACEOID %v: moveOwnedObject at %v %v -> %v\n", o, c.node, old, to)
-	}
 	c.heap.SetFwd(old, to)
 	c.heap.SetCanonical(o, to)
 	c.dir.RecordPlacement(to, o)
-	c.locMu.Lock()
 	c.locEpoch[o]++
 	ep := c.locEpoch[o]
-	c.locMu.Unlock()
 	c.net.Clock().Advance(c.costs.CopyWordTick * uint64(size+mem.HeaderWords))
 	c.queueLocation(o, b, to, size)
 	c.stats().Add("core.gc.copied", 1)

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"sync"
 
 	"bmx/internal/addr"
 )
@@ -13,17 +12,11 @@ import (
 // across nodes between a bunch collection and the propagation of the
 // location updates — that transient divergence is the heart of the paper.
 //
-// The heap is internally synchronized: h.mu guards the segment and canonical
-// maps, and every segment replica carries its own lock (see Segment). This
-// is what lets the parallel collector run its trace/copy/fixup phases with
-// the node lock released while mutators keep operating on the same heap. The
-// locking discipline is strict: h.mu is never held while a segment lock is
-// taken in a way that could invert (segment-locked code never calls back
-// into the heap maps), and no operation ever holds two segment locks
-// (CopyObject stages through a buffer).
+// A Heap and its Segments carry no lock: they are node-local state, touched
+// only under the owning node's lock (cluster.Node) or while the cluster is
+// quiescent. Only the Allocator, shared by every node, locks internally.
 type Heap struct {
 	alloc *Allocator
-	mu    sync.RWMutex
 	segs  map[addr.SegID]*Segment
 	objs  map[addr.OID]addr.Addr // node-local canonical header address
 }
@@ -43,8 +36,6 @@ func (h *Heap) Allocator() *Allocator { return h.alloc }
 // MapSegment creates a zeroed local replica of the segment described by m.
 // Mapping an already-mapped segment returns the existing replica.
 func (h *Heap) MapSegment(m *SegmentMeta) *Segment {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if s, ok := h.segs[m.ID]; ok {
 		return s
 	}
@@ -56,8 +47,6 @@ func (h *Heap) MapSegment(m *SegmentMeta) *Segment {
 // UnmapSegment drops the local replica of segment id and forgets the
 // canonical addresses that pointed into it.
 func (h *Heap) UnmapSegment(id addr.SegID) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	s, ok := h.segs[id]
 	if !ok {
 		return
@@ -72,8 +61,6 @@ func (h *Heap) UnmapSegment(id addr.SegID) {
 
 // Seg returns the local replica of segment id, or nil if not mapped.
 func (h *Heap) Seg(id addr.SegID) *Segment {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	return h.segs[id]
 }
 
@@ -91,8 +78,6 @@ func (h *Heap) Mapped(a addr.Addr) bool { return h.SegAt(a) != nil }
 
 // Segments returns the IDs of all locally mapped segments.
 func (h *Heap) Segments() []addr.SegID {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	out := make([]addr.SegID, 0, len(h.segs))
 	for id := range h.segs {
 		out = append(out, id)
@@ -111,16 +96,12 @@ func (h *Heap) mustSeg(a addr.Addr) *Segment {
 // Word reads the word at address a. The address must be mapped.
 func (h *Heap) Word(a addr.Addr) uint64 {
 	s := h.mustSeg(a)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.words[a.WordOff(s.Meta.Base)]
 }
 
 // SetWord writes the word at address a. The address must be mapped.
 func (h *Heap) SetWord(a addr.Addr, v uint64) {
 	s := h.mustSeg(a)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.words[a.WordOff(s.Meta.Base)] = v
 }
 
@@ -135,18 +116,13 @@ func (h *Heap) Alloc(s *Segment, oid addr.OID, dataWords int) (addr.Addr, bool) 
 		panic("mem: negative object size")
 	}
 	need := HeaderWords + dataWords
-	s.mu.Lock()
 	if s.Meta.Words-s.allocOff < need {
-		s.mu.Unlock()
 		return addr.NilAddr, false
 	}
 	a := s.Meta.Base.AddWords(s.allocOff)
 	s.allocOff += need
-	writeHeaderLocked(s, a, oid, dataWords)
-	s.mu.Unlock()
-	h.mu.Lock()
+	writeHeader(s, a, oid, dataWords)
 	h.objs[oid] = a
-	h.mu.Unlock()
 	return a, true
 }
 
@@ -155,13 +131,10 @@ func (h *Heap) Alloc(s *Segment, oid addr.OID, dataWords int) (addr.Addr, bool) 
 // location update. The containing segment must be mapped. Materialize does
 // not change the canonical address; callers decide that policy.
 func (h *Heap) Materialize(a addr.Addr, oid addr.OID, dataWords int) {
-	s := h.mustSeg(a)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	materializeLocked(s, a, oid, dataWords)
+	materialize(h.mustSeg(a), a, oid, dataWords)
 }
 
-func materializeLocked(s *Segment, a addr.Addr, oid addr.OID, dataWords int) {
+func materialize(s *Segment, a addr.Addr, oid addr.OID, dataWords int) {
 	off := a.WordOff(s.Meta.Base)
 	if off+HeaderWords+dataWords > s.Meta.Words {
 		panic(fmt.Sprintf("mem: materialize %v (%d words) overflows %v", oid, dataWords, s.Meta.ID))
@@ -171,10 +144,10 @@ func materializeLocked(s *Segment, a addr.Addr, oid addr.OID, dataWords int) {
 		// later local allocation cannot overlap them.
 		s.allocOff = off + HeaderWords + dataWords
 	}
-	writeHeaderLocked(s, a, oid, dataWords)
+	writeHeader(s, a, oid, dataWords)
 }
 
-func writeHeaderLocked(s *Segment, a addr.Addr, oid addr.OID, dataWords int) {
+func writeHeader(s *Segment, a addr.Addr, oid addr.OID, dataWords int) {
 	off := a.WordOff(s.Meta.Base)
 	s.words[off] = uint64(uint32(dataWords))
 	s.words[off+1] = uint64(oid)
@@ -188,8 +161,6 @@ func (h *Heap) IsObjectAt(a addr.Addr) bool {
 	if s == nil {
 		return false
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.objMap.Get(a.WordOff(s.Meta.Base))
 }
 
@@ -207,8 +178,6 @@ func (h *Heap) Forwarded(a addr.Addr) bool { return h.Word(a)&flagForwarded != 0
 // object has not been copied).
 func (h *Heap) Fwd(a addr.Addr) addr.Addr {
 	s := h.mustSeg(a)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	off := a.WordOff(s.Meta.Base)
 	if s.words[off]&flagForwarded == 0 {
 		return addr.NilAddr
@@ -218,12 +187,8 @@ func (h *Heap) Fwd(a addr.Addr) addr.Addr {
 
 // SetFwd installs a forwarding pointer in the header of the object at a.
 // This modification is strictly local and never requires a token (§4.2).
-// The target word is published before the flag, under one lock hold, so a
-// concurrent Resolve never observes the flag without the target.
 func (h *Heap) SetFwd(a, to addr.Addr) {
 	s := h.mustSeg(a)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	off := a.WordOff(s.Meta.Base)
 	s.words[off+2] = uint64(to)
 	s.words[off] |= flagForwarded
@@ -233,8 +198,6 @@ func (h *Heap) SetFwd(a, to addr.Addr) {
 // reclaimed and the header deleted, §4.5).
 func (h *Heap) ClearFwd(a addr.Addr) {
 	s := h.mustSeg(a)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	off := a.WordOff(s.Meta.Base)
 	s.words[off] &^= flagForwarded
 	s.words[off+2] = 0
@@ -250,14 +213,11 @@ func (h *Heap) Resolve(a addr.Addr) addr.Addr {
 		if s == nil {
 			return a
 		}
-		s.mu.RLock()
 		off := a.WordOff(s.Meta.Base)
 		if !s.objMap.Get(off) || s.words[off]&flagForwarded == 0 {
-			s.mu.RUnlock()
 			return a
 		}
 		next := addr.Addr(s.words[off+2])
-		s.mu.RUnlock()
 		if next == a {
 			return a
 		}
@@ -272,9 +232,7 @@ func (h *Heap) DataAddr(a addr.Addr, i int) addr.Addr { return a.AddWords(Header
 // GetField reads data word i of the object headed at a.
 func (h *Heap) GetField(a addr.Addr, i int) uint64 {
 	s := h.mustSeg(a)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	off := checkFieldLocked(s, a, i)
+	off := checkField(s, a, i)
 	return s.words[off]
 }
 
@@ -282,9 +240,7 @@ func (h *Heap) GetField(a addr.Addr, i int) uint64 {
 // reference map whether the word now holds a pointer.
 func (h *Heap) SetField(a addr.Addr, i int, v uint64, isRef bool) {
 	s := h.mustSeg(a)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	off := checkFieldLocked(s, a, i)
+	off := checkField(s, a, i)
 	s.words[off] = v
 	if isRef {
 		s.refMap.Set(off)
@@ -297,16 +253,13 @@ func (h *Heap) SetField(a addr.Addr, i int, v uint64, isRef bool) {
 // according to the reference map.
 func (h *Heap) IsRefField(a addr.Addr, i int) bool {
 	s := h.mustSeg(a)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.refMap.Get(checkFieldLocked(s, a, i))
+	return s.refMap.Get(checkField(s, a, i))
 }
 
-// checkFieldLocked validates the field index against the object header and
-// returns the word offset of the field. The segment lock must be held. The
-// object's data words must lie in the same segment as its header (objects
+// checkField validates the field index against the object header and
+// returns the word offset of the field. The object's data words must lie in the same segment as its header (objects
 // never straddle segments).
-func checkFieldLocked(s *Segment, a addr.Addr, i int) int {
+func checkField(s *Segment, a addr.Addr, i int) int {
 	hdr := a.WordOff(s.Meta.Base)
 	size := int(uint32(s.words[hdr]))
 	if i < 0 || i >= size {
@@ -317,12 +270,9 @@ func checkFieldLocked(s *Segment, a addr.Addr, i int) int {
 }
 
 // Refs returns the addresses stored in the pointer fields of the object at
-// a, including nil ones, with their field indices. The whole read is one
-// atomic snapshot of the object's pointer fields.
+// a, including nil ones, with their field indices.
 func (h *Heap) Refs(a addr.Addr) map[int]addr.Addr {
 	s := h.mustSeg(a)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	hdr := a.WordOff(s.Meta.Base)
 	size := int(uint32(s.words[hdr]))
 	out := make(map[int]addr.Addr)
@@ -337,36 +287,20 @@ func (h *Heap) Refs(a addr.Addr) map[int]addr.Addr {
 
 // CopyObject copies the object headed at src to dst: header (fresh, not
 // forwarded), data words and reference-map bits. Both addresses must be
-// mapped, dst typically in a to-space segment. The source is staged through
-// a buffer so the two segment locks are never held together (src and dst may
-// even share a segment).
+// mapped (possibly in the same segment), dst typically in to-space.
 func (h *Heap) CopyObject(src, dst addr.Addr) {
-	ss := h.mustSeg(src)
-	ss.mu.RLock()
+	ss, ds := h.mustSeg(src), h.mustSeg(dst)
 	hdr := src.WordOff(ss.Meta.Base)
 	size := int(uint32(ss.words[hdr]))
-	oid := addr.OID(ss.words[hdr+1])
-	words := make([]uint64, size)
-	refs := make([]bool, size)
-	for i := 0; i < size; i++ {
-		off := hdr + HeaderWords + i
-		words[i] = ss.words[off]
-		refs[i] = ss.refMap.Get(off)
-	}
-	ss.mu.RUnlock()
-
-	ds := h.mustSeg(dst)
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	materializeLocked(ds, dst, oid, size)
+	materialize(ds, dst, addr.OID(ss.words[hdr+1]), size)
 	doff := dst.WordOff(ds.Meta.Base)
 	for i := 0; i < size; i++ {
-		off := doff + HeaderWords + i
-		ds.words[off] = words[i]
-		if refs[i] {
-			ds.refMap.Set(off)
+		from, to := hdr+HeaderWords+i, doff+HeaderWords+i
+		ds.words[to] = ss.words[from]
+		if ss.refMap.Get(from) {
+			ds.refMap.Set(to)
 		} else {
-			ds.refMap.Clear(off)
+			ds.refMap.Clear(to)
 		}
 	}
 }
@@ -381,31 +315,23 @@ func (h *Heap) ObjectBytes(a addr.Addr) int {
 
 // Canonical returns this node's canonical address for oid.
 func (h *Heap) Canonical(oid addr.OID) (addr.Addr, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	a, ok := h.objs[oid]
 	return a, ok
 }
 
 // SetCanonical records a as this node's canonical address for oid.
 func (h *Heap) SetCanonical(oid addr.OID, a addr.Addr) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.objs[oid] = a
 }
 
 // DropObject forgets oid's canonical address (the object was reclaimed
 // locally).
 func (h *Heap) DropObject(oid addr.OID) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	delete(h.objs, oid)
 }
 
 // KnownObjects returns every OID with a canonical address on this node.
 func (h *Heap) KnownObjects() []addr.OID {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	out := make([]addr.OID, 0, len(h.objs))
 	for oid := range h.objs {
 		out = append(out, oid)

@@ -232,15 +232,10 @@ func (a *Allocator) BunchSegments(b addr.BunchID) []*SegmentMeta {
 // Segment is one node's replica of a segment: the word contents plus the
 // object-map and reference-map bit arrays of §8 (one bit per word: a set
 // object-map bit marks an object header; a set reference-map bit marks a
-// word holding a pointer).
-//
-// Each replica carries its own lock guarding the words, both bitmaps and
-// the allocation offset, so a parallel collection's unlocked phases and a
-// mutator under the node lock can touch disjoint (or even the same) words
-// without a data race. No code path ever holds two segment locks at once.
+// word holding a pointer). Like the Heap that maps it, a replica is
+// node-local state guarded by its node's lock, not by one of its own.
 type Segment struct {
 	Meta   *SegmentMeta
-	mu     sync.RWMutex
 	words  []uint64
 	objMap *Bitmap
 	refMap *Bitmap
@@ -263,23 +258,17 @@ func (s *Segment) Contains(a addr.Addr) bool { return s.Meta.Contains(a) }
 
 // FreeWords returns the number of words still available for allocation.
 func (s *Segment) FreeWords() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.Meta.Words - s.allocOff
 }
 
 // UsedWords returns the number of words consumed by allocation.
 func (s *Segment) UsedWords() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.allocOff
 }
 
 // Objects returns the header addresses of every object materialized in this
 // replica, in address order.
 func (s *Segment) Objects() []addr.Addr {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var out []addr.Addr
 	s.objMap.ForEach(func(i int) { out = append(out, s.Meta.Base.AddWords(i)) })
 	return out
@@ -287,16 +276,12 @@ func (s *Segment) Objects() []addr.Addr {
 
 // RefBit reports whether word offset off is marked as a pointer.
 func (s *Segment) RefBit(off int) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.refMap.Get(off)
 }
 
 // SetRefBit marks or clears word offset off in the reference map (used by
 // recovery when replaying logged mutations).
 func (s *Segment) SetRefBit(off int, v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if v {
 		s.refMap.Set(off)
 	} else {
@@ -307,8 +292,6 @@ func (s *Segment) SetRefBit(off int, v bool) {
 // RefWords returns the word offsets marked as pointers in this replica's
 // reference map, in increasing order.
 func (s *Segment) RefWords() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var out []int
 	s.refMap.ForEach(func(i int) { out = append(out, i) })
 	return out
@@ -341,8 +324,6 @@ func (img SegImage) WireBytes() int {
 
 // Export captures the replica's current image.
 func (s *Segment) Export() SegImage {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	words := make([]uint64, len(s.words))
 	copy(words, s.words)
 	return SegImage{
@@ -361,8 +342,6 @@ func (s *Segment) Import(img SegImage) {
 	if img.ID != s.Meta.ID {
 		panic(fmt.Sprintf("mem: importing image of %v into %v", img.ID, s.Meta.ID))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(img.Words) != len(s.words) {
 		panic(fmt.Sprintf("mem: restore size %d into segment of %d words", len(img.Words), len(s.words)))
 	}
@@ -374,9 +353,7 @@ func (s *Segment) Import(img SegImage) {
 
 // CopyContentsFrom overwrites this replica's words and maps with those of
 // src, which must describe the same segment. It is used when a node maps an
-// existing bunch and receives the current replica image. The copy stages
-// through src's exported image so the two segment locks are never held
-// together.
+// existing bunch and receives the current replica image.
 func (s *Segment) CopyContentsFrom(src *Segment) {
 	if src.Meta.ID != s.Meta.ID {
 		panic(fmt.Sprintf("mem: copying contents across segments %v -> %v", src.Meta.ID, s.Meta.ID))
@@ -386,8 +363,6 @@ func (s *Segment) CopyContentsFrom(src *Segment) {
 
 // Snapshot returns a copy of the raw words (used by the persistence layer).
 func (s *Segment) Snapshot() []uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make([]uint64, len(s.words))
 	copy(out, s.words)
 	return out
@@ -396,8 +371,6 @@ func (s *Segment) Snapshot() []uint64 {
 // Restore overwrites the raw words from a snapshot and rebuilds nothing:
 // object and reference maps are restored separately by the recovery layer.
 func (s *Segment) Restore(words []uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(words) != len(s.words) {
 		panic(fmt.Sprintf("mem: restore size %d into segment of %d words", len(words), len(s.words)))
 	}

@@ -73,8 +73,6 @@ const (
 	KSnapshot // observer snapshot taken (marks where a dump was cut)
 	KFatal    // fatal protocol error; the flight-recorder window was dumped
 
-	KGCWorker // one parallel-GC worker finished: A=worker index, B=bunches handled
-
 	// Causal span tracing (see span.go). Span events carry the span identity
 	// in the Trace/Span/SParent fields and the operation in Op.
 	KSpanBegin // span opened: Op says what it measures
@@ -117,7 +115,6 @@ var kindNames = [...]string{
 	KMapBunch:      "cl.mapBunch",
 	KSnapshot:      "cl.snapshot",
 	KFatal:         "fatal",
-	KGCWorker:      "gc.worker",
 	KSpanBegin:     "span.begin",
 	KSpanEnd:       "span.end",
 }
