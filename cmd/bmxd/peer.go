@@ -93,19 +93,26 @@ func runPeerCluster(o peerOpts) {
 		cl.Observer().SetRingSize(1 << 16)
 		cl.EnableTracing()
 	}
-	if err := p.WaitReady(30 * time.Second); err != nil {
-		fatalf("bmxd: node %v: %v", p.ID(), err)
-	}
-	fmt.Fprintf(os.Stderr, "bmxd: node %v of %d up at %s\n", p.ID(), p.Size(), p.Transport().Addr())
 	if p.IsSeed() {
+		waitForPeers(p)
 		drivePeerCluster(p, o)
 	} else {
 		followPeerCluster(p, o)
 	}
 }
 
+// waitForPeers blocks until every other process is routable.
+func waitForPeers(p *bmx.Peer) {
+	if err := p.WaitReady(30 * time.Second); err != nil {
+		fatalf("bmxd: node %v: %v", p.ID(), err)
+	}
+	fmt.Fprintf(os.Stderr, "bmxd: node %v of %d up at %s\n", p.ID(), p.Size(), p.Transport().Addr())
+}
+
 // followPeerCluster serves ctl calls until the seed says shutdown, then
-// audits its own counters, writes its trace and exits.
+// audits its own counters, writes its trace and exits. The control handler
+// is installed before waiting for the mesh: the seed may see every route
+// first and send its first ctl call while this process is still waiting.
 func followPeerCluster(p *bmx.Peer, o peerOpts) {
 	n := p.Node()
 	done := make(chan struct{})
@@ -162,6 +169,7 @@ func followPeerCluster(p *bmx.Peer, o peerOpts) {
 		}
 		return nil, 0, fmt.Errorf("bmxd: unknown ctl kind %q", m.Kind)
 	})
+	waitForPeers(p)
 	// The seed drives every step and fatals on its own errors without
 	// saying goodbye; prolonged silence means it is gone, and wedging here
 	// forever would hang any harness waiting on this process.

@@ -24,7 +24,6 @@ import (
 	"bmx/internal/addr"
 	"bmx/internal/cluster"
 	"bmx/internal/core"
-	"bmx/internal/dsm"
 	"bmx/internal/simnet"
 )
 
@@ -35,11 +34,8 @@ import (
 // attributed to the GC in the cluster stats ("dsm.acquire.w.gc",
 // "dsm.invalidation.gc").
 func TokenCollectBunch(nd *cluster.Node, b addr.BunchID) (core.CollectStats, error) {
-	col := nd.Collector()
-	for _, o := range col.LiveOIDs(b) {
-		if err := nd.DSM().Acquire(o, dsm.ModeWrite, simnet.ClassGC); err != nil {
-			return core.CollectStats{}, err
-		}
+	if err := nd.AcquireLiveWrite(b); err != nil {
+		return core.CollectStats{}, err
 	}
 	return nd.CollectBunch(b), nil
 }
@@ -66,10 +62,8 @@ func StrongCollectAll(cl *cluster.Cluster) (StrongStats, error) {
 	for i := 0; i < cl.Nodes(); i++ {
 		nd := cl.Node(i)
 		for _, b := range nd.Collector().MappedBunches() {
-			for _, o := range nd.Collector().LiveOIDs(b) {
-				if err := nd.DSM().Acquire(o, dsm.ModeWrite, simnet.ClassGC); err != nil {
-					return st, err
-				}
+			if err := nd.AcquireLiveWrite(b); err != nil {
+				return st, err
 			}
 			cs := nd.CollectBunch(b)
 			st.Collected.LiveStrong += cs.LiveStrong

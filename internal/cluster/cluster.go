@@ -7,16 +7,23 @@
 // on additional nodes, and drive collections.
 //
 // Concurrency model (see DESIGN.md §5): every node has its own mutex, so
-// operations on different nodes run in parallel. The two genuinely shared
+// operations on different nodes run in parallel. The genuinely shared
 // services — the core.Directory (with its segment allocator) and the
-// network's queues, clock and stats — have their own fine-grained locks.
-// The lock order is node → directory → network; a node's lock is never held
-// across an outbound synchronous call (the per-node transport wrapper
-// releases it), so a call from node A into node B's handler — or back into
-// A's own handler — cannot deadlock. Driven from a single goroutine the
-// locks are uncontended and behaviour is byte-for-byte the deterministic
-// state machine it always was; RunConcurrent and goroutine-per-node
-// mutators exploit the parallelism.
+// network's queues — have their own fine-grained locks; the clock and the
+// stats counters are atomic. The lock order is node → directory → network.
+//
+// Lock ownership is explicit: every call through a node's transport is made
+// by that node's lock holder (a mutator or collector bracket, or the
+// handleCall/handleAsync serving a message). The per-node transport wrapper
+// therefore releases the lock for each outbound synchronous exchange and
+// takes it back, so a call from node A into node B's handler — or back into
+// A's own handler — cannot deadlock. A TryLock tripwire in the wrapper
+// panics if a call arrives while the lock is free; a call made without the
+// lock while another goroutine holds it goes undetected and breaks mutual
+// exclusion, so the rule is kept by construction. Driven from a single
+// goroutine the locks are uncontended and behaviour is byte-for-byte the
+// deterministic state machine it always was; RunConcurrent and
+// goroutine-per-node mutators exploit the parallelism.
 package cluster
 
 import (
@@ -106,7 +113,7 @@ type mapBunchReply struct {
 }
 
 // objStripes is the size of the striped lock table serializing top-level
-// token operations on the same object (see Cluster.lockObject).
+// token operations on the same object (see Cluster.objLock).
 const objStripes = 64
 
 // Cluster is a simulated BMX deployment.
@@ -141,17 +148,20 @@ type Node struct {
 	col *core.Collector
 	dsm *dsm.Node
 	// mu serializes this node's local state (heap, protocol engine,
-	// collector tables). It is released around outbound synchronous calls
-	// by tr, the node's transport wrapper, so remote handlers — including
-	// this node's own — can always make progress.
-	mu ownedMutex
+	// collector tables). Every bracket takes it as mu.Lock(); defer
+	// mu.Unlock(). Only its holder calls through tr, the node's transport
+	// wrapper, which releases it around each outbound synchronous call so
+	// remote handlers — including this node's own — can always make
+	// progress.
+	mu sync.Mutex
 	tr transport.Transport
 	// rec is this node's flight recorder. Mutator entry points bracket
 	// themselves with EnterCritical/ExitCritical so every event emitted
 	// while an application operation is in flight — here or at a node
 	// serving one of its synchronous calls — carries FlagCritical, which is
 	// what the paper's "no extra messages on the critical path" probes key
-	// on. Nil-safe and a no-op while tracing is disabled.
+	// on. Nil-safe; the depth is tracked even while tracing is disabled (see
+	// obs.Recorder.EnterCritical).
 	rec *obs.Recorder
 
 	disk store.Store
@@ -220,8 +230,8 @@ func (cl *Cluster) Node(i int) *Node { return cl.nodes[i] }
 // Nodes returns the cluster size.
 func (cl *Cluster) Nodes() int { return len(cl.nodes) }
 
-// Stats returns the shared counter registry (internally locked; safe to
-// read while the cluster runs).
+// Stats returns the shared counter registry (atomic counters; safe to read
+// while the cluster runs, atomic per counter, and Reset only at quiescence).
 func (cl *Cluster) Stats() *transport.Stats { return cl.net.Stats() }
 
 // Observer returns the cluster's flight recorder (rides on Stats; one per
@@ -246,7 +256,7 @@ func (cl *Cluster) TraceWindow() []obs.Event {
 	return evs
 }
 
-// Clock returns the simulated clock (internally locked).
+// Clock returns the simulated clock (one atomic word).
 func (cl *Cluster) Clock() *transport.Clock { return cl.net.Clock() }
 
 // EnableSampling attaches a time-series sampler reading the cluster's
@@ -342,21 +352,20 @@ func (cl *Cluster) Run(limit int) int {
 // Pending reports undelivered background messages (internally locked).
 func (cl *Cluster) Pending() int { return cl.net.Pending() }
 
-// lockObject serializes top-level token operations on o cluster-wide and
-// returns the unlock. Striped: unrelated objects may share a stripe, which
+// objLock returns the stripe that serializes top-level token operations on
+// o cluster-wide. Striped: unrelated objects may share a stripe, which
 // over-serializes but never deadlocks (one stripe per operation, always
 // taken before any node lock).
-func (cl *Cluster) lockObject(o addr.OID) func() {
-	m := &cl.objLocks[uint64(o)%objStripes]
-	m.Lock()
-	return m.Unlock
+func (cl *Cluster) objLock(o addr.OID) *sync.Mutex {
+	return &cl.objLocks[uint64(o)%objStripes]
 }
 
 // ---- message routing --------------------------------------------------------
 
 func (n *Node) handleAsync(m transport.Msg) {
 	defer n.rec.StartServerSpan(obs.ServeOpOf(m.Kind), addr.NilOID, m.Span).End()
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	switch {
 	case strings.HasPrefix(m.Kind, "dsm."):
 		n.dsm.HandleAsync(m)
@@ -378,7 +387,8 @@ func (n *Node) handleCall(m transport.Msg) (any, int, error) {
 	// trace tree shows this hop (and any forwarding hops it performs) nested
 	// inside the remote mutator's operation.
 	defer n.rec.StartServerSpan(obs.ServeOpOf(m.Kind), addr.NilOID, m.Span).End()
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	switch {
 	case strings.HasPrefix(m.Kind, "dsm."):
 		return n.dsm.HandleCall(m)
@@ -427,28 +437,12 @@ func (n *Node) DSM() *dsm.Node { return n.dsm }
 // Disk returns the node's simulated disk (nil without WithDisk).
 func (n *Node) Disk() store.Store { return n.disk }
 
-// lock takes this node's mutex and returns the unlock.
-func (n *Node) lock() func() {
-	n.mu.Lock()
-	return n.mu.Unlock
-}
-
-// critical marks this node as being on the application's critical path for
-// the duration of a mutator operation and returns the un-mark. Events the
-// node emits in between — including at other layers, and on other nodes
-// serving this operation's synchronous calls — carry FlagCritical. No-op
-// overhead beyond two atomic adds; depth is tracked even while tracing is
-// disabled so enabling mid-run is sound.
-func (n *Node) critical() func() {
-	n.rec.EnterCritical()
-	return n.rec.ExitCritical
-}
-
 // ---- bunch management ---------------------------------------------------------
 
 // NewBunch creates a bunch owned (created) at this node.
 func (n *Node) NewBunch() addr.BunchID {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	b := n.cl.dir.NewBunch(n.id)
 	n.col.Replica(b)
 	return b
@@ -459,8 +453,10 @@ func (n *Node) NewBunch() addr.BunchID {
 // kept weakly consistent from then on (§2.1).
 func (n *Node) MapBunch(b addr.BunchID) error {
 	defer n.rec.StartSpan(obs.OpMapBunch, addr.NilOID).End()
-	defer n.critical()()
-	defer n.lock()()
+	n.rec.EnterCritical()
+	defer n.rec.ExitCritical()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.mapBunchLocked(b)
 }
 
@@ -530,7 +526,8 @@ func (n *Node) mapBunchLocked(b addr.BunchID) error {
 // any live object of the bunch (transfer ownership first); mutator roots
 // into the bunch must have been removed.
 func (n *Node) UnmapBunch(b addr.BunchID) error {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	for _, o := range n.dsm.ObjectsInBunch(b) {
 		if n.dsm.IsOwner(o) {
 			return fmt.Errorf("cluster: %v still owns %v in %v", n.id, o, b)
@@ -555,7 +552,8 @@ func (n *Node) UnmapBunch(b addr.BunchID) error {
 // CollectBunch runs the BGC on this node's replica of b (§4).
 func (n *Node) CollectBunch(b addr.BunchID) core.CollectStats {
 	defer n.rec.StartSpan(obs.OpGCBunch, addr.NilOID).End()
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.col.CollectBunch(b)
 }
 
@@ -564,7 +562,8 @@ func (n *Node) CollectBunch(b addr.BunchID) core.CollectStats {
 // like an application thread running concurrently with the collector.
 func (n *Node) CollectBunchOpts(b addr.BunchID, opts core.CollectOpts) core.CollectStats {
 	defer n.rec.StartSpan(obs.OpGCBunch, addr.NilOID).End()
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if f := opts.DuringTrace; f != nil {
 		opts.DuringTrace = func() {
 			n.mu.Unlock()
@@ -581,7 +580,8 @@ func (n *Node) CollectBunchOpts(b addr.BunchID, opts core.CollectOpts) core.Coll
 // every bunch mapped at this node when the lock is taken.
 func (n *Node) CollectBunches(bunches []addr.BunchID) core.CollectStats {
 	defer n.rec.StartSpan(obs.OpGCBunch, addr.NilOID).End()
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.col.CollectBunches(bunches)
 }
 
@@ -589,14 +589,16 @@ func (n *Node) CollectBunches(bunches []addr.BunchID) core.CollectStats {
 // mapped bunch when group is nil (the locality heuristic).
 func (n *Node) CollectGroup(group []addr.BunchID) core.CollectStats {
 	defer n.rec.StartSpan(obs.OpGCGroup, addr.NilOID).End()
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.col.CollectGroup(group)
 }
 
 // ConnectedGroups partitions the locally mapped bunches into SSP-connected
 // components (the improved grouping heuristic of §7's future work).
 func (n *Node) ConnectedGroups() [][]addr.BunchID {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.col.ConnectedGroups()
 }
 
@@ -604,20 +606,38 @@ func (n *Node) ConnectedGroups() [][]addr.BunchID {
 // component.
 func (n *Node) CollectConnectedGroups() core.CollectStats {
 	defer n.rec.StartSpan(obs.OpGCGroup, addr.NilOID).End()
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.col.CollectConnectedGroups()
+}
+
+// AcquireLiveWrite takes the write token of every object live in this
+// node's replica of b, as GC-class traffic: the first step of the §4.2
+// "obvious solution" the baseline collectors measure BMX against. BMX's own
+// collector never calls it.
+func (n *Node) AcquireLiveWrite(b addr.BunchID) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, o := range n.col.LiveOIDs(b) {
+		if err := n.dsm.Acquire(o, dsm.ModeWrite, transport.ClassGC); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReclaimFromSpace runs the §4.5 from-space reuse protocol for bunch b.
 func (n *Node) ReclaimFromSpace(b addr.BunchID) core.ReclaimStats {
 	defer n.rec.StartSpan(obs.OpGCReclaim, addr.NilOID).End()
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.col.ReclaimFromSpace(b)
 }
 
 // FlushLocations pushes pending location updates as background messages.
 func (n *Node) FlushLocations() {
 	defer n.rec.StartSpan(obs.OpGCFlush, addr.NilOID).End()
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.col.FlushLocations()
 }

@@ -13,7 +13,8 @@ import (
 // locationEpochs reads the relocation epoch of every object at n under the
 // node lock, which is what guards the collector's epoch table.
 func locationEpochs(n *Node, objs []Ref) []uint64 {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	out := make([]uint64, len(objs))
 	for i, r := range objs {
 		out[i] = n.col.LocationEpoch(r.OID)

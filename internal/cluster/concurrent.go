@@ -1,53 +1,13 @@
 package cluster
 
 import (
-	"bytes"
-	"runtime"
-	"strconv"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"bmx/internal/addr"
 	"bmx/internal/transport"
 )
-
-// gid returns the current goroutine's id. The runtime does not expose it on
-// purpose; parsing the stack header is the standard trick and is only used
-// to let a node's transport wrapper recognise "the caller holds this node's
-// lock" — never for scheduling or identity.
-func gid() int64 {
-	var buf [64]byte
-	b := buf[:runtime.Stack(buf[:], false)]
-	// First line is "goroutine N [status]:".
-	b = bytes.TrimPrefix(b, []byte("goroutine "))
-	if i := bytes.IndexByte(b, ' '); i >= 0 {
-		b = b[:i]
-	}
-	n, _ := strconv.ParseInt(string(b), 10, 64)
-	return n
-}
-
-// ownedMutex is a mutex that remembers which goroutine holds it, so the
-// node's transport wrapper can release it around outbound synchronous calls
-// exactly when the calling goroutine is the holder (direct protocol driving
-// in tests calls dsm.Node methods without any cluster lock held).
-type ownedMutex struct {
-	mu    sync.Mutex
-	owner atomic.Int64 // goroutine id of the holder; 0 when free
-}
-
-func (m *ownedMutex) Lock() {
-	m.mu.Lock()
-	m.owner.Store(gid())
-}
-
-func (m *ownedMutex) Unlock() {
-	m.owner.Store(0)
-	m.mu.Unlock()
-}
-
-// heldByCaller reports whether the calling goroutine holds m.
-func (m *ownedMutex) heldByCaller() bool { return m.owner.Load() == gid() }
 
 // nodeTransport is the per-node view of the cluster transport handed to the
 // node's DSM engine and collector. Its one job is deadlock avoidance: an
@@ -58,6 +18,15 @@ func (m *ownedMutex) heldByCaller() bool { return m.owner.Load() == gid() }
 // therefore holds at most one node lock at any moment, and every blocked
 // Call holds none. Asynchronous Sends only enqueue — no handler runs — so
 // they keep the lock.
+//
+// Lock ownership is explicit: every call through a node's transport is made
+// by the holder of that node's lock — a mutator or collector bracket, or
+// handleCall/handleAsync serving a message — so Call always releases the
+// lock and takes it back. The TryLock tripwire catches a Call made without
+// the lock only while the lock is free: it then panics naming the
+// violation. If another goroutine holds the lock at that moment, Call
+// releases that goroutine's lock and mutual exclusion breaks silently — the
+// tripwire is a debugging aid, not a guard.
 type nodeTransport struct {
 	n     *Node
 	inner transport.Network
@@ -65,11 +34,17 @@ type nodeTransport struct {
 
 func (t *nodeTransport) Send(m transport.Msg) bool { return t.inner.Send(m) }
 
+// tripwireMsg is the tripwire's panic message.
+const tripwireMsg = "cluster: transport call without the node lock held: every call through a node's transport must come from inside its lock bracket"
+
 func (t *nodeTransport) Call(m transport.Msg) (any, error) {
-	if t.n.mu.heldByCaller() {
-		t.n.mu.Unlock()
-		defer t.n.mu.Lock()
+	mu := &t.n.mu
+	if mu.TryLock() {
+		mu.Unlock()
+		panic(fmt.Sprintf("%s (%s %v -> %v)", tripwireMsg, m.Kind, m.From, m.To))
 	}
+	mu.Unlock()
+	defer mu.Lock()
 	return t.inner.Call(m)
 }
 

@@ -49,13 +49,15 @@ func (a flipCrashArm) String() string {
 // the kill with KillRestart once the collection returns (the collector's
 // locked bracket cannot tear its own node down).
 func (n *Node) ArmFlipCrash(when flipCrashArm) {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.flipCrash = when
 }
 
 // FlipCrashFired reports whether an armed crash has reached its barrier.
 func (n *Node) FlipCrashFired() bool {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.flipCrash == crashFired
 }
 
@@ -70,7 +72,8 @@ func (n *Node) KillRestart(b addr.BunchID) error {
 		return err
 	}
 	func() {
-		defer n.lock()()
+		n.mu.Lock()
+		defer n.mu.Unlock()
 		n.flipCrash = crashNone
 	}()
 	// Failure detection, compressed to an instant: peers drop their
@@ -84,7 +87,8 @@ func (n *Node) KillRestart(b addr.BunchID) error {
 			continue
 		}
 		func() {
-			defer peer.lock()()
+			peer.mu.Lock()
+			defer peer.mu.Unlock()
 			for _, o := range peer.dsm.ObjectsInBunch(b) {
 				peer.dsm.Forget(o)
 			}

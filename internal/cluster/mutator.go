@@ -34,8 +34,10 @@ func (r Ref) String() string { return r.OID.String() }
 // objects on its stack.
 func (n *Node) Alloc(b addr.BunchID, size int) (Ref, error) {
 	defer n.rec.StartSpan(obs.OpAlloc, addr.NilOID).End()
-	defer n.critical()()
-	defer n.lock()()
+	n.rec.EnterCritical()
+	defer n.rec.ExitCritical()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	oid, err := n.col.Alloc(b, size)
 	if err != nil {
 		return Nil, err
@@ -55,13 +57,15 @@ func (n *Node) MustAlloc(b addr.BunchID, size int) Ref {
 
 // AddRoot registers r in this node's root set (a mutator stack reference).
 func (n *Node) AddRoot(r Ref) {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.col.AddRoot(r.OID)
 }
 
 // RemoveRoot drops one stack reference to r.
 func (n *Node) RemoveRoot(r Ref) {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.col.RemoveRoot(r.OID)
 }
 
@@ -85,9 +89,13 @@ func (n *Node) acquireToken(r Ref, mode dsm.Mode) error {
 		op = obs.OpAcquireW
 	}
 	defer n.rec.StartSpan(op, r.OID).End()
-	defer n.critical()()
-	defer n.cl.lockObject(r.OID)()
-	defer n.lock()()
+	n.rec.EnterCritical()
+	defer n.rec.ExitCritical()
+	ol := n.cl.objLock(r.OID)
+	ol.Lock()
+	defer ol.Unlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.acquireLocked(r, mode)
 }
 
@@ -122,8 +130,10 @@ func (n *Node) acquireLocked(r Ref, mode dsm.Mode) error {
 // Release ends the critical section on r. Under entry consistency this is
 // local: the token stays cached until another node claims it.
 func (n *Node) Release(r Ref) {
-	defer n.critical()()
-	defer n.lock()()
+	n.rec.EnterCritical()
+	defer n.rec.ExitCritical()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.dsm.Release(r.OID)
 }
 
@@ -132,8 +142,10 @@ func (n *Node) Release(r Ref) {
 // which constructs inter-bunch SSPs as needed.
 func (n *Node) WriteRef(obj Ref, i int, target Ref) error {
 	defer n.rec.StartSpan(obs.OpWriteRef, obj.OID).End()
-	defer n.critical()()
-	defer n.lock()()
+	n.rec.EnterCritical()
+	defer n.rec.ExitCritical()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	heap := n.col.Heap()
 	var ta addr.Addr
 	if !target.IsNil() {
@@ -170,8 +182,10 @@ func (n *Node) WriteRef(obj Ref, i int, target Ref) error {
 // WriteWord stores a scalar in field i of obj (write token required).
 func (n *Node) WriteWord(obj Ref, i int, v uint64) error {
 	defer n.rec.StartSpan(obs.OpWriteWord, obj.OID).End()
-	defer n.critical()()
-	defer n.lock()()
+	n.rec.EnterCritical()
+	defer n.rec.ExitCritical()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	a, err := n.writableAddr(obj)
 	if err != nil {
 		return err
@@ -190,8 +204,10 @@ func (n *Node) WriteWord(obj Ref, i int, v uint64) error {
 // forwarding pointers (the pointer-comparison/indirection semantics of
 // §4.2). The caller must hold a read or write token for obj.
 func (n *Node) ReadRef(obj Ref, i int) (Ref, error) {
-	defer n.critical()()
-	defer n.lock()()
+	n.rec.EnterCritical()
+	defer n.rec.ExitCritical()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	a, err := n.readableAddr(obj)
 	if err != nil {
 		return Nil, err
@@ -219,8 +235,10 @@ func (n *Node) ReadRef(obj Ref, i int) (Ref, error) {
 // ReadWord loads the scalar in field i of obj (read or write token
 // required).
 func (n *Node) ReadWord(obj Ref, i int) (uint64, error) {
-	defer n.critical()()
-	defer n.lock()()
+	n.rec.EnterCritical()
+	defer n.rec.ExitCritical()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	a, err := n.readableAddr(obj)
 	if err != nil {
 		return 0, err
@@ -236,7 +254,8 @@ func (n *Node) SamePtr(x, y Ref) bool { return x.OID == y.OID }
 // Size returns the object's size in words (no token needed; sizes are
 // immutable header data).
 func (n *Node) Size(obj Ref) (int, error) {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	a, ok := n.col.Heap().Canonical(obj.OID)
 	if !ok || !n.col.Heap().Mapped(a) {
 		return 0, fmt.Errorf("cluster: %v not present at %v", obj, n.id)
@@ -247,13 +266,15 @@ func (n *Node) Size(obj Ref) (int, error) {
 // Mode returns this node's token state for obj (for assertions and the
 // figure tool: r, w or i as in the paper's figures).
 func (n *Node) Mode(obj Ref) dsm.Mode {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.dsm.ModeOf(obj.OID)
 }
 
 // IsOwner reports whether this node owns obj.
 func (n *Node) IsOwner(obj Ref) bool {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.dsm.IsOwner(obj.OID)
 }
 

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"bmx/internal/addr"
-	"bmx/internal/dsm"
-	"bmx/internal/simnet"
 )
 
 // Tests for the less-travelled protocol paths.
@@ -180,10 +178,10 @@ func TestGCClassNeverUsedByCollector(t *testing.T) {
 		}
 	}
 	// While the baseline does use it (sanity that the counter works).
-	if err := n1.DSM().Acquire(o1.OID, dsm.ModeWrite, simnet.ClassGC); err != nil {
+	if err := n1.AcquireLiveWrite(b); err != nil {
 		t.Fatal(err)
 	}
-	if st.Get("dsm.acquire.w.gc") != 1 {
+	if st.Get("dsm.acquire.w.gc") != 2 { // o1 and o2
 		t.Fatal("counter inert")
 	}
 }

@@ -138,7 +138,8 @@ func (n *Node) tx() *rvm.Tx {
 // Sync commits the open mutation transaction to the node's recoverable log.
 // Mutations since the previous Sync become crash-durable.
 func (n *Node) Sync() {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.openTx != nil {
 		n.openTx.Commit()
 		n.openTx = nil
@@ -152,7 +153,8 @@ func (n *Node) Sync() {
 // drops them before they can be checkpointed, and reclaimed from-space
 // segments have their files removed.
 func (n *Node) Checkpoint(b addr.BunchID) error {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.disk == nil {
 		return fmt.Errorf("cluster: node %v has no disk", n.id)
 	}
@@ -211,7 +213,8 @@ func (n *Node) Checkpoint(b addr.BunchID) error {
 // Crash simulates a node failure: the disk loses everything unsynced, and
 // the in-memory replica of bunch b is discarded. RecoverBunch rebuilds it.
 func (n *Node) Crash(b addr.BunchID) error {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.disk == nil {
 		return fmt.Errorf("cluster: node %v has no disk", n.id)
 	}
@@ -238,7 +241,8 @@ func (n *Node) Crash(b addr.BunchID) error {
 // owns what it recovers, matching the one-process-per-node prototype
 // simplification of §8).
 func (n *Node) RecoverBunch(b addr.BunchID) error {
-	defer n.lock()()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.disk == nil {
 		return fmt.Errorf("cluster: node %v has no disk", n.id)
 	}

@@ -54,7 +54,8 @@ func (tx *Tx) pin(r Ref, mode dsm.Mode) error {
 	if err := tx.n.acquireToken(r, mode); err != nil {
 		return err
 	}
-	defer tx.n.lock()()
+	tx.n.mu.Lock()
+	defer tx.n.mu.Unlock()
 	if !tx.seen[r.OID] {
 		tx.n.col.AddRoot(r.OID)
 		tx.seen[r.OID] = true

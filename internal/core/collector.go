@@ -444,9 +444,11 @@ func (c *Collector) scionHosts(tb addr.BunchID) []addr.NodeID {
 }
 
 // NoteWrite records a mutation for the concurrent collector's log (O'Toole:
-// writes during the collection are replayed at the flip).
+// writes during the collection are replayed at the flip). The writer holds
+// o's write token, so the node's DSM state knows o's bunch: no directory
+// lookup is needed.
 func (c *Collector) NoteWrite(o addr.OID) {
-	if rep, ok := c.reps[c.dir.BunchOf(o)]; ok && rep.gcActive {
+	if rep, ok := c.reps[c.dsm.KnownBunch(o)]; ok && rep.gcActive {
 		rep.writeLog[o] = true
 	}
 }

@@ -1,8 +1,6 @@
 package dsm
 
 import (
-	"slices"
-
 	"bmx/internal/addr"
 	"bmx/internal/transport"
 )
@@ -80,23 +78,22 @@ func (n *Node) flushLocOutbox(class transport.Class) {
 	n.outboxOrder = n.outboxOrder[:0]
 }
 
-// takeSorted fills the node's reusable scratch buffer with the set's
-// members, sorted — the allocation-free variant of sortedNodes for the hot
-// send paths (invalidate and location-update fan-out). The returned put func
-// hands the buffer back. Take-and-clear, not plain reuse: the node lock is
-// released around outbound synchronous calls, so a re-entrant handler on
-// this node can reach another fan-out while the outer one still iterates —
-// it finds the field nil and allocates fresh instead of clobbering.
-func (n *Node) takeSorted(set map[addr.NodeID]bool) ([]addr.NodeID, func()) {
+// takeCopySet snapshots st's copy-set into the node's reusable scratch
+// buffer for the hot send paths (invalidate and location-update fan-out),
+// which iterate the snapshot while the live set changes under them.
+// putCopySet hands the buffer back. Take-and-clear, not plain reuse: the
+// node lock is released around outbound synchronous calls, so a re-entrant
+// handler on this node can reach another fan-out while the outer one still
+// iterates — it finds the field nil and allocates fresh instead of
+// clobbering.
+func (n *Node) takeCopySet(st *ObjState) []addr.NodeID {
 	buf := n.scratch
 	n.scratch = nil
 	if buf == nil {
 		buf = make([]addr.NodeID, 0, 8)
 	}
-	buf = buf[:0]
-	for id := range set {
-		buf = append(buf, id)
-	}
-	slices.Sort(buf)
-	return buf, func() { n.scratch = buf }
+	return append(buf[:0], st.CopySet...)
 }
+
+// putCopySet returns a takeCopySet buffer for reuse.
+func (n *Node) putCopySet(buf []addr.NodeID) { n.scratch = buf }

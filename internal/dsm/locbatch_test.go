@@ -150,25 +150,34 @@ func TestCoalescedRandomSoakInvariants(t *testing.T) {
 	}
 }
 
-func TestTakeSortedScratchReuse(t *testing.T) {
+func TestTakeCopySetScratchReuse(t *testing.T) {
 	env := newFakeEnv(t, 1)
 	n := env.nodes[0]
-	set := map[addr.NodeID]bool{3: true, 1: true, 2: true}
-	buf1, put1 := n.takeSorted(set)
+	st := newObjState(1)
+	for _, id := range []addr.NodeID{3, 1, 2} {
+		st.addCopy(id)
+	}
+	buf1 := n.takeCopySet(st)
 	if len(buf1) != 3 || buf1[0] != 1 || buf1[1] != 2 || buf1[2] != 3 {
-		t.Fatalf("sorted = %v", buf1)
+		t.Fatalf("snapshot = %v", buf1)
+	}
+	// The snapshot survives the live set changing under it (a member
+	// invalidated while the lock is released).
+	st.dropCopy(2)
+	if buf1[1] != 2 || len(st.CopySet) != 2 {
+		t.Fatalf("snapshot %v, live %v", buf1, st.CopySet)
 	}
 	// A nested take (re-entrant handler during an outbound call) must get
 	// its own buffer, not clobber the outer iteration.
-	buf2, put2 := n.takeSorted(set)
+	buf2 := n.takeCopySet(st)
 	if &buf1[0] == &buf2[0] {
-		t.Fatal("nested takeSorted reused the outer buffer")
+		t.Fatal("nested takeCopySet reused the outer buffer")
 	}
-	put2()
-	put1()
-	buf3, put3 := n.takeSorted(set)
-	put3()
-	if len(buf3) != 3 || buf3[0] != 1 || buf3[2] != 3 {
-		t.Fatalf("reused buffer sorted = %v", buf3)
+	n.putCopySet(buf2)
+	n.putCopySet(buf1)
+	buf3 := n.takeCopySet(st)
+	n.putCopySet(buf3)
+	if len(buf3) != 2 || buf3[0] != 1 || buf3[1] != 3 {
+		t.Fatalf("reused buffer snapshot = %v", buf3)
 	}
 }

@@ -27,6 +27,17 @@ const (
 	KindInvalidate = "dsm.invalidate"
 )
 
+// Counter names indexed by mode and class, so an acquire or invalidation
+// formats nothing.
+var (
+	acquireCounters = [...]*transport.ClassCounter{
+		ModeRead:  transport.NewClassCounter("dsm.acquire.r."),
+		ModeWrite: transport.NewClassCounter("dsm.acquire.w."),
+	}
+	invalidatedCounter  = transport.NewClassCounter("dsm.invalidated.")
+	invalidationCounter = transport.NewClassCounter("dsm.invalidation.")
+)
+
 // acquireReq travels along the ownerPtr chain until it reaches a node able
 // to grant the requested token.
 type acquireReq struct {
@@ -96,7 +107,7 @@ type Node struct {
 	// flush, per destination in first-touch order (locbatch.go).
 	outbox      map[addr.NodeID]*locBatch
 	outboxOrder []addr.NodeID
-	// scratch is the reusable sortedNodes buffer (takeSorted).
+	// scratch is the reusable copy-set snapshot buffer (takeCopySet).
 	scratch []addr.NodeID
 }
 
@@ -139,7 +150,7 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 		return fmt.Errorf("dsm: invalid acquire mode %v", mode)
 	}
 	st := n.state(o)
-	n.stats().Add(fmt.Sprintf("dsm.acquire.%v.%v", mode, class), 1)
+	n.stats().Add(acquireCounters[mode].Name(class), 1)
 	watch := transport.StartWatch(n.net.Clock())
 	n.rec.Emit(obs.Event{Kind: obs.KAcquireStart, Class: obs.Class(class), OID: o, A: int64(mode)})
 
@@ -263,11 +274,10 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 		st.Mode = ModeWrite
 		st.Owner = true
 		st.OwnerPtr = addr.NoNode
-		st.CopySet = make(map[addr.NodeID]bool)
+		st.CopySet = nil
 		for _, pe := range rep.Path {
 			if pe.Node != n.id {
-				st.Entering[pe.Node] = pe.Gen
-				delete(st.DerivEntering, pe.Node)
+				st.setEntering(pe.Node, pe.Gen)
 			}
 		}
 		n.rec.Emit(obs.Event{Kind: obs.KOwnerTransfer, Class: obs.Class(class), OID: o, From: rep.Granter, To: n.id})
@@ -473,11 +483,10 @@ func (n *Node) grantAsOwner(req acquireReq, st *ObjState) (acquireReply, error) 
 	st.Owner = false
 	st.Mode = ModeInvalid
 	st.OwnerPtr = req.Requester
-	st.CopySet = make(map[addr.NodeID]bool)
+	st.CopySet = nil
 	// The requester now owns the object, so its replica no longer points
 	// here: any entering entry recorded for it is obsolete.
-	delete(st.Entering, req.Requester)
-	delete(st.DerivEntering, req.Requester)
+	st.dropEntering(req.Requester)
 	n.stats().Add("dsm.grant.write", 1)
 	return rep, nil
 }
@@ -487,9 +496,8 @@ func (n *Node) grantRead(req acquireReq, st *ObjState) acquireReply {
 	// critical section must be invalidated by a writer. What the strict
 	// protocol removes is caching ACROSS critical sections (Release drops
 	// the token), not the invalidation machinery.
-	st.CopySet[req.Requester] = true
-	st.Entering[req.Requester] = req.RequesterGen
-	delete(st.DerivEntering, req.Requester)
+	st.addCopy(req.Requester)
+	st.setEntering(req.Requester, req.RequesterGen)
 	n.stats().Add("dsm.grant.read", 1)
 	n.rec.Emit(obs.Event{Kind: obs.KAcquireGrant, Class: obs.Class(req.Class), OID: req.O,
 		From: req.Requester, To: n.id, A: int64(req.Mode), B: int64(req.Hops)})
@@ -516,9 +524,8 @@ func (n *Node) recordManifestEntering(ms []Manifest, req acquireReq) {
 			continue // the granted object's entry is handled by the grant itself
 		}
 		st := n.state(m.OID)
-		if _, ok := st.Entering[req.Requester]; !ok {
-			st.Entering[req.Requester] = req.RequesterGen
-			delete(st.DerivEntering, req.Requester)
+		if !st.hasEntering(req.Requester) {
+			st.setEntering(req.Requester, req.RequesterGen)
 		}
 	}
 }
@@ -534,7 +541,7 @@ func (n *Node) serveInvalidate(req invalidateReq) error {
 	if !st.Owner {
 		st.Mode = ModeInvalid
 	}
-	n.stats().Add(fmt.Sprintf("dsm.invalidated.%v", req.Class), 1)
+	n.stats().Add(invalidatedCounter.Name(req.Class), 1)
 	return err
 }
 
@@ -547,10 +554,10 @@ func (n *Node) serveInvalidate(req invalidateReq) error {
 // completed with a possibly-consistent remote copy outstanding.
 func (n *Node) invalidateCopySet(o addr.OID, st *ObjState, class transport.Class) error {
 	var firstErr error
-	members, put := n.takeSorted(st.CopySet)
-	defer put()
+	members := n.takeCopySet(st)
+	defer n.putCopySet(members)
 	for _, c := range members {
-		n.stats().Add(fmt.Sprintf("dsm.invalidation.%v", class), 1)
+		n.stats().Add(invalidationCounter.Name(class), 1)
 		n.rec.Emit(obs.Event{Kind: obs.KInvalidate, Class: obs.Class(class), OID: o, From: n.id, To: c})
 		if _, err := n.net.Call(transport.Msg{
 			From: n.id, To: c, Kind: KindInvalidate, Class: class,
@@ -562,7 +569,7 @@ func (n *Node) invalidateCopySet(o addr.OID, st *ObjState, class transport.Class
 			}
 			continue
 		}
-		delete(st.CopySet, c)
+		st.dropCopy(c)
 	}
 	return firstErr
 }
@@ -602,7 +609,7 @@ func (n *Node) reestablish(o addr.OID, st *ObjState, mode Mode, class transport.
 	st.Owner = true
 	st.Mode = mode
 	st.OwnerPtr = addr.NoNode
-	st.CopySet = make(map[addr.NodeID]bool)
+	st.CopySet = nil
 	n.stats().Add("dsm.reestablished", 1)
 	n.rec.Emit(obs.Event{Kind: obs.KReestablish, Class: obs.Class(class), OID: o, A: int64(mode)})
 	n.heat.NoteOwner(o, n.id)
@@ -634,8 +641,8 @@ func (n *Node) forwardManifests(o addr.OID, ms []Manifest) {
 	for _, m := range ms {
 		pb += m.WireBytes()
 	}
-	members, put := n.takeSorted(st.CopySet)
-	defer put()
+	members := n.takeCopySet(st)
+	defer n.putCopySet(members)
 	for _, c := range members {
 		n.queueLocUpdate(c, LocMsg{O: o, From: n.id, Manifests: ms}, pb)
 	}

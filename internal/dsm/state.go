@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"cmp"
 	"slices"
 
 	"bmx/internal/addr"
@@ -17,22 +18,16 @@ type ObjState struct {
 	// !Owner (§2.2: "a forwarding pointer mechanism indicating which node
 	// is the current object's owner").
 	OwnerPtr addr.NodeID
-	// CopySet lists the nodes this node granted a read token to; copy-sets
-	// are distributed among the granters, forming a tree rooted at the
-	// owner (§2.2).
-	CopySet map[addr.NodeID]bool
-	// Entering records the nodes whose ownerPtr points directly at this
-	// node, mapped to the sender-side table generation at creation time.
-	// These entries are roots of the local bunch collector and the list of
-	// nodes whose references must eventually be updated (§4.5); the scion
-	// cleaner retires them using table messages (§6).
-	Entering map[addr.NodeID]uint64
-	// DerivEntering marks entering entries whose sender reported the remote
-	// replica as live only through scions this node itself created
-	// (TableMsg.Derivative). A group collection covering the sustaining
-	// stubs may discount such entries as roots; everything else treats them
-	// like ordinary entering entries.
-	DerivEntering map[addr.NodeID]bool
+	// CopySet lists, ascending, the nodes this node granted a read token
+	// to; copy-sets are distributed among the granters, forming a tree
+	// rooted at the owner (§2.2).
+	CopySet []addr.NodeID
+	// Entering lists, ascending by node, the nodes whose ownerPtr points
+	// directly at this node. These entries are roots of the local bunch
+	// collector and the list of nodes whose references must eventually be
+	// updated (§4.5); the scion cleaner retires them using table messages
+	// (§6).
+	Entering []EnteringPtr
 	// RoutingOnly marks a forwarding stub kept at the object's allocation
 	// site (its manager, in Li's terminology) after the local replica was
 	// reclaimed: the site anchors every ownerPtr chain, so it must keep
@@ -41,14 +36,70 @@ type ObjState struct {
 	RoutingOnly bool
 }
 
+// EnteringPtr is one entering ownerPtr: a node whose replica's ownerPtr
+// points here.
+type EnteringPtr struct {
+	Node addr.NodeID
+	// Gen is the sender-side table generation when the entry was created.
+	Gen uint64
+	// Derivative marks an entry whose sender reported its replica as live
+	// only through scions this node itself created (TableMsg.Derivative). A
+	// group collection covering the sustaining stubs may discount such
+	// entries as roots; everything else treats them like ordinary entries.
+	Derivative bool
+}
+
+// newObjState returns an invalid-mode state with no route. Copy-set and
+// entering list are small sorted slices, nil until their first insert:
+// most objects a node knows never gain a reader or an entering ownerPtr,
+// and an object that does rarely has more than a few.
 func newObjState(b addr.BunchID) *ObjState {
-	return &ObjState{
-		Bunch:         b,
-		Mode:          ModeInvalid,
-		OwnerPtr:      addr.NoNode,
-		CopySet:       make(map[addr.NodeID]bool),
-		Entering:      make(map[addr.NodeID]uint64),
-		DerivEntering: make(map[addr.NodeID]bool),
+	return &ObjState{Bunch: b, Mode: ModeInvalid, OwnerPtr: addr.NoNode}
+}
+
+// addCopy records a read token granted to id.
+func (st *ObjState) addCopy(id addr.NodeID) {
+	if i, found := slices.BinarySearch(st.CopySet, id); !found {
+		st.CopySet = slices.Insert(st.CopySet, i, id)
+	}
+}
+
+// dropCopy removes id from the copy-set.
+func (st *ObjState) dropCopy(id addr.NodeID) {
+	if i, found := slices.BinarySearch(st.CopySet, id); found {
+		st.CopySet = slices.Delete(st.CopySet, i, i+1)
+	}
+}
+
+// findEntering returns the index of from's entering entry, or where it
+// would be inserted, and whether it exists.
+func (st *ObjState) findEntering(from addr.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(st.Entering, from, func(e EnteringPtr, n addr.NodeID) int {
+		return cmp.Compare(e.Node, n)
+	})
+}
+
+// hasEntering reports whether from has an entering entry.
+func (st *ObjState) hasEntering(from addr.NodeID) bool {
+	_, ok := st.findEntering(from)
+	return ok
+}
+
+// setEntering records (or restamps) from's entering ownerPtr as an
+// ordinary root: a fresh entry is never derivative.
+func (st *ObjState) setEntering(from addr.NodeID, gen uint64) {
+	e := EnteringPtr{Node: from, Gen: gen}
+	if i, found := st.findEntering(from); found {
+		st.Entering[i] = e
+	} else {
+		st.Entering = slices.Insert(st.Entering, i, e)
+	}
+}
+
+// dropEntering removes from's entering entry.
+func (st *ObjState) dropEntering(from addr.NodeID) {
+	if i, found := st.findEntering(from); found {
+		st.Entering = slices.Delete(st.Entering, i, i+1)
 	}
 }
 
@@ -121,7 +172,7 @@ func (n *Node) DemoteToRouting(o addr.OID) bool {
 	}
 	st.RoutingOnly = true
 	st.Mode = ModeInvalid
-	st.CopySet = make(map[addr.NodeID]bool)
+	st.CopySet = nil
 	return true
 }
 
@@ -138,11 +189,10 @@ func (n *Node) IsRoutingOnly(o addr.OID) bool {
 // the mapper's tables say otherwise.
 func (n *Node) AddEntering(o addr.OID, from addr.NodeID, gen uint64) {
 	st := n.state(o)
-	if _, ok := st.Entering[from]; !ok {
-		st.Entering[from] = gen
+	if !st.hasEntering(from) {
 		// A fresh entry starts as an ordinary root; only the sender's next
 		// table may mark it derivative.
-		delete(st.DerivEntering, from)
+		st.setEntering(from, gen)
 	}
 }
 
@@ -154,13 +204,8 @@ func (n *Node) SetEnteringDerivative(o addr.OID, from addr.NodeID, derivative bo
 	if !ok {
 		return
 	}
-	if _, ok := st.Entering[from]; !ok {
-		return
-	}
-	if derivative {
-		st.DerivEntering[from] = true
-	} else {
-		delete(st.DerivEntering, from)
+	if i, found := st.findEntering(from); found {
+		st.Entering[i].Derivative = derivative
 	}
 }
 
@@ -173,8 +218,8 @@ func (n *Node) EnteringAllDerivative(o addr.OID) bool {
 	if !ok || len(st.Entering) == 0 {
 		return false
 	}
-	for from := range st.Entering {
-		if !st.DerivEntering[from] {
+	for _, e := range st.Entering {
+		if !e.Derivative {
 			return false
 		}
 	}
@@ -211,7 +256,7 @@ func (n *Node) CopySetOf(o addr.OID) []addr.NodeID {
 	if !ok {
 		return nil
 	}
-	return sortedNodes(st.CopySet)
+	return slices.Clone(st.CopySet)
 }
 
 // EnteringOf returns the nodes whose ownerPtr points at this node for o.
@@ -221,10 +266,9 @@ func (n *Node) EnteringOf(o addr.OID) []addr.NodeID {
 		return nil
 	}
 	out := make([]addr.NodeID, 0, len(st.Entering))
-	for id := range st.Entering {
-		out = append(out, id)
+	for _, e := range st.Entering {
+		out = append(out, e.Node)
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -265,9 +309,8 @@ func (n *Node) RemoveEnteringUpTo(o addr.OID, from addr.NodeID, gen uint64) bool
 	if !ok {
 		return false
 	}
-	if g, ok := st.Entering[from]; ok && g <= gen {
-		delete(st.Entering, from)
-		delete(st.DerivEntering, from)
+	if i, found := st.findEntering(from); found && st.Entering[i].Gen <= gen {
+		st.Entering = slices.Delete(st.Entering, i, i+1)
 		return true
 	}
 	return false
@@ -280,15 +323,6 @@ func (n *Node) ObjectsInBunch(b addr.BunchID) []addr.OID {
 		if st.Bunch == b {
 			out = append(out, o)
 		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-func sortedNodes(set map[addr.NodeID]bool) []addr.NodeID {
-	out := make([]addr.NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
 	}
 	slices.Sort(out)
 	return out

@@ -64,13 +64,16 @@ func (h *Heap) Seg(id addr.SegID) *Segment {
 	return h.segs[id]
 }
 
-// SegAt returns the local replica containing address a, or nil.
+// SegAt returns the local replica containing address a, or nil. Segment
+// size is constant, so the index is arithmetic (as in Allocator.Lookup) and
+// the answer comes from the node-local map without touching the shared
+// allocator.
 func (h *Heap) SegAt(a addr.Addr) *Segment {
-	m := h.alloc.Lookup(a)
-	if m == nil {
+	id, ok := segIndex(a, h.alloc.SegWords())
+	if !ok {
 		return nil
 	}
-	return h.Seg(m.ID)
+	return h.segs[id]
 }
 
 // Mapped reports whether the segment containing a is mapped locally.

@@ -208,11 +208,20 @@ func (a *Allocator) adoptLocked(m SegmentMeta) *SegmentMeta {
 // Lookup returns the descriptor of the segment containing address x, or nil
 // if x is outside every allocated segment.
 func (a *Allocator) Lookup(x addr.Addr) *SegmentMeta {
-	if x < SegBase {
+	id, ok := segIndex(x, a.segWords)
+	if !ok {
 		return nil
 	}
-	idx := int(uint64(x-SegBase) / uint64(a.segWords*addr.WordBytes))
-	return a.Meta(addr.SegID(idx))
+	return a.Meta(id)
+}
+
+// segIndex returns the ID of the segWords-word segment whose range holds x;
+// false for an address below the segment region.
+func segIndex(x addr.Addr, segWords int) (addr.SegID, bool) {
+	if x < SegBase {
+		return 0, false
+	}
+	return addr.SegID(int(uint64(x-SegBase) / uint64(segWords*addr.WordBytes))), true
 }
 
 // BunchSegments returns the descriptors of every segment belonging to bunch

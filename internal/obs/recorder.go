@@ -43,7 +43,12 @@ func (r *Recorder) Node() addr.NodeID { return r.node }
 
 // EnterCritical marks the start of an application critical-path section on
 // this node; events emitted until the matching ExitCritical carry
-// FlagCritical. Sections nest.
+// FlagCritical, whatever layer emits them through this recorder (a node
+// serving an application-class call opens a section of its own, so the
+// serving side is marked too). Sections nest. The
+// depth is tracked even while recording is disabled (one atomic add each
+// way), so enabling recording in the middle of a run is sound: the first
+// events recorded already see the right depth.
 func (r *Recorder) EnterCritical() {
 	if r != nil {
 		r.crit.Add(1)

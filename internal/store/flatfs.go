@@ -99,7 +99,9 @@ func (s *FlatFS) Sync(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.get(name)
-	f.durable = append([]byte(nil), f.volatile...)
+	// Reuse the durable buffer: it never escapes (ReadDurable and Crash
+	// copy it), so a sync costs no fresh allocation of the whole file.
+	f.durable = append(f.durable[:0], f.volatile...)
 	s.bytesSynced += int64(len(f.durable))
 	s.syncs++
 	if s.dir == "" {

@@ -1,29 +1,20 @@
 package transport
 
-import "sync"
+import "sync/atomic"
 
 // Clock is the simulated tick clock shared by a cluster. Message latencies
 // and garbage-collection work (per-word copy and scan costs) advance it, so
-// pause times and overheads are reproducible and hardware independent.
+// pause times and overheads are reproducible and hardware independent. It is
+// one atomic word: reading or advancing it takes no lock.
 type Clock struct {
-	mu sync.Mutex
-	t  uint64
+	t atomic.Uint64
 }
 
 // Now returns the current simulated time in ticks.
-func (c *Clock) Now() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
+func (c *Clock) Now() uint64 { return c.t.Load() }
 
 // Advance moves simulated time forward by d ticks and returns the new time.
-func (c *Clock) Advance(d uint64) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t += d
-	return c.t
-}
+func (c *Clock) Advance(d uint64) uint64 { return c.t.Add(d) }
 
 // Observe merges a tick observed on a remote clock into this one, Lamport
 // style: the local time becomes max(local, remote)+1 and is returned. A
@@ -34,13 +25,13 @@ func (c *Clock) Advance(d uint64) uint64 {
 // Clock between all nodes and never calls Observe, so its tick streams are
 // byte-identical to builds that predate this method.
 func (c *Clock) Observe(remote uint64) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if remote > c.t {
-		c.t = remote
+	for {
+		cur := c.t.Load()
+		next := max(cur, remote) + 1
+		if c.t.CompareAndSwap(cur, next) {
+			return next
+		}
 	}
-	c.t++
-	return c.t
 }
 
 // Stopwatch measures a simulated-time interval.

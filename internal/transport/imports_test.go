@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -58,6 +59,33 @@ func TestProtocolLayersDoNotImportSimnet(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestClusterNeverAsksWhichGoroutine pins explicit node-lock ownership: no
+// non-test file of internal/cluster declares a gid function or calls
+// runtime.Stack. Asking the runtime which goroutine holds a lock — by
+// parsing a stack dump — once made every mutator operation cost tens of
+// microseconds, more the deeper its stack.
+func TestClusterNeverAsksWhichGoroutine(t *testing.T) {
+	for _, path := range sourceFiles(t, "../cluster") {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatalf("parsing %s: %v", path, err)
+		}
+		ast.Inspect(f, func(nd ast.Node) bool {
+			switch x := nd.(type) {
+			case *ast.FuncDecl:
+				if x.Name.Name == "gid" {
+					t.Errorf("%s declares gid; node-lock ownership must be explicit", path)
+				}
+			case *ast.SelectorExpr:
+				if pkg, ok := x.X.(*ast.Ident); ok && pkg.Name == "runtime" && x.Sel.Name == "Stack" {
+					t.Errorf("%s uses runtime.Stack; node-lock ownership must be explicit", path)
+				}
+			}
+			return true
+		})
 	}
 }
 

@@ -58,6 +58,62 @@ func TestStatsConcurrentHammer(t *testing.T) {
 	}
 }
 
+// TestStatsSnapshotListsTouchedNamesOnly pins what registration on first
+// Add must preserve: a name touched only by Add(name, 0) is listed (tools
+// count counter names, and a zero-valued counter is still a name), and a
+// name never touched — even one only read with Get — is not.
+func TestStatsSnapshotListsTouchedNamesOnly(t *testing.T) {
+	s := NewStats()
+	s.Add("touched.zero", 0)
+	s.Add("touched.one", 1)
+	_ = s.Get("read.only")
+	_ = s.SumPrefix("read.")
+	snap := s.Snapshot()
+	if v, ok := snap["touched.zero"]; !ok || v != 0 {
+		t.Fatalf("touched.zero = %d, %v; want listed at 0", v, ok)
+	}
+	if snap["touched.one"] != 1 {
+		t.Fatalf("touched.one = %d, want 1", snap["touched.one"])
+	}
+	if _, ok := snap["read.only"]; ok {
+		t.Fatal("a name never added is listed")
+	}
+	if len(snap) != 2 {
+		t.Fatalf("snapshot has %d names, want 2: %v", len(snap), snap)
+	}
+	s.Reset()
+	if len(s.Snapshot()) != 0 {
+		t.Fatal("Reset left names behind")
+	}
+}
+
+// TestCountSendNames pins the per-message counter names the transports
+// take from fixed tables to the names they used to build per message.
+func TestCountSendNames(t *testing.T) {
+	s := NewStats()
+	m := Msg{Kind: "dsm.acquire", Class: ClassGC, Bytes: 32}
+	s.CountSend(m)
+	s.CountReply(m, 100)
+	s.CountSend(Msg{Kind: "dsm.acquire", Class: Class(7), Bytes: 1})
+	want := map[string]int64{
+		"msg.sent.gc":                     2,
+		"msg.sent.kind.dsm.acquire":       2,
+		"msg.sent.kind.dsm.acquire.reply": 1,
+		"bytes.sent.gc":                   132,
+		"msg.sent.class(7)":               1,
+		"bytes.sent.class(7)":             1,
+	}
+	got := s.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("%s = %d, want %d (all: %v)", k, got[k], v, got)
+		}
+	}
+}
+
 // TestStatsStringOrderingAndZeroSuppression pins the readout contract every
 // tool and CI log relies on: one line per counter, sorted by name, counters
 // that are (back to) zero suppressed.

@@ -82,6 +82,10 @@ type Transport struct {
 	inboxes  map[addr.NodeID]*inbox
 	seqs     map[pairKey]uint64
 	conns    map[string]*conn // by remote identity (canonical listen addr)
+	// streams holds every stream that may still carry routes: from the
+	// moment newConn sends its hello — before the peer's hello names it —
+	// until it is demoted or dropped. Register announces to all of them.
+	streams  map[*conn]struct{}
 	routes   map[addr.NodeID]*conn
 	pending  map[uint64]*pendingCall
 	nextReq  uint64
@@ -118,6 +122,7 @@ func New(opts Options) (*Transport, error) {
 		inboxes:  make(map[addr.NodeID]*inbox),
 		seqs:     make(map[pairKey]uint64),
 		conns:    make(map[string]*conn),
+		streams:  make(map[*conn]struct{}),
 		routes:   make(map[addr.NodeID]*conn),
 		pending:  make(map[uint64]*pendingCall),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
@@ -154,9 +159,12 @@ func (t *Transport) AddPeer(peer string) {
 }
 
 // Register installs the handlers for a local node and announces the
-// updated local node set to every connected peer.
+// updated local node set on every stream, including streams whose peer
+// hello has not arrived yet: their first hello was built before this
+// registration and would otherwise leave the peer without a route here.
 func (t *Transport) Register(id addr.NodeID, h transport.Handler, c transport.CallHandler) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.handlers[id] = h
 	t.callees[id] = c
 	if t.inboxes[id] == nil {
@@ -165,29 +173,24 @@ func (t *Transport) Register(id addr.NodeID, h transport.Handler, c transport.Ca
 		t.wg.Add(1)
 		go ib.loop()
 	}
-	conns := make([]*conn, 0, len(t.conns))
-	for _, cn := range t.conns {
-		conns = append(conns, cn)
-	}
-	hello := t.helloLocked()
-	t.mu.Unlock()
-
-	buf, err := appendFrame(nil, hello)
+	buf, err := t.helloLocked()
 	if err != nil {
 		return
 	}
-	for _, cn := range conns {
+	for cn := range t.streams {
 		cn.enqueue(buf)
 	}
 }
 
-// helloLocked builds the current hello frame; t.mu must be held.
-func (t *Transport) helloLocked() *frame {
+// helloLocked encodes the current hello frame; t.mu must be held, and the
+// caller enqueues the frame before releasing it, so every stream carries
+// its hellos in registration order and the last one names every node.
+func (t *Transport) helloLocked() ([]byte, error) {
 	nodes := make([]addr.NodeID, 0, len(t.handlers))
 	for id := range t.handlers {
 		nodes = append(nodes, id)
 	}
-	return &frame{Type: frameHello, Tick: t.clock.Now(), ListenAddr: t.laddr, Nodes: nodes}
+	return appendFrame(nil, &frame{Type: frameHello, Tick: t.clock.Now(), ListenAddr: t.laddr, Nodes: nodes})
 }
 
 // Send enqueues one asynchronous message. The stream sequence number is
@@ -244,9 +247,7 @@ func (t *Transport) Send(m transport.Msg) bool {
 	}
 	t.mu.Unlock()
 
-	t.stats.Add("msg.sent."+m.Class.String(), 1)
-	t.stats.Add("msg.sent.kind."+m.Kind, 1)
-	t.stats.Add("bytes.sent."+m.Class.String(), int64(m.Bytes))
+	t.stats.CountSend(m)
 	if m.Piggyback > 0 {
 		t.piggyHist.Observe(int64(m.Piggyback))
 	}
@@ -381,9 +382,7 @@ func (t *Transport) Call(m transport.Msg) (any, error) {
 }
 
 func (t *Transport) accountCallRequest(m transport.Msg) {
-	t.stats.Add("msg.sent."+m.Class.String(), 1)
-	t.stats.Add("msg.sent.kind."+m.Kind, 1)
-	t.stats.Add("bytes.sent."+m.Class.String(), int64(m.Bytes))
+	t.stats.CountSend(m)
 	t.stats.Add("bytes.piggyback", int64(m.Piggyback))
 	if m.Piggyback > 0 {
 		t.piggyHist.Observe(int64(m.Piggyback))
@@ -396,9 +395,7 @@ func (t *Transport) accountCallRequest(m transport.Msg) {
 }
 
 func (t *Transport) accountCallReply(m transport.Msg, replyBytes int) {
-	t.stats.Add("msg.sent."+m.Class.String(), 1)
-	t.stats.Add("msg.sent.kind."+m.Kind+".reply", 1)
-	t.stats.Add("bytes.sent."+m.Class.String(), int64(replyBytes))
+	t.stats.CountReply(m, replyBytes)
 	if o := t.stats.Observer(); o.Enabled() {
 		o.Recorder(m.From).Emit(obs.Event{Kind: obs.KCallReply, Class: obs.Class(m.Class),
 			Msg: obs.MsgKindOf(m.Kind), From: m.To, To: m.From, A: int64(replyBytes),
@@ -611,11 +608,11 @@ func (t *Transport) newConn(nc net.Conn, dialed bool) *conn {
 	c := &conn{t: t, nc: nc, dialed: dialed, closedCh: make(chan struct{})}
 	c.qcond = sync.NewCond(&c.qmu)
 	t.mu.Lock()
-	hello := t.helloLocked()
-	t.mu.Unlock()
-	if buf, err := appendFrame(nil, hello); err == nil {
+	if buf, err := t.helloLocked(); err == nil {
 		c.enqueue(buf)
 	}
+	t.streams[c] = struct{}{}
+	t.mu.Unlock()
 	t.wg.Add(2)
 	go c.writeLoop()
 	go c.readLoop()
@@ -669,6 +666,7 @@ func (t *Transport) installConn(c *conn, f frame) bool {
 // demoteConnLocked removes c from the connection and routing tables but
 // leaves its pending calls registered; t.mu must be held.
 func (t *Transport) demoteConnLocked(c *conn) {
+	delete(t.streams, c)
 	if id := c.identity(); id != "" && t.conns[id] == c {
 		delete(t.conns, id)
 	}
@@ -728,6 +726,7 @@ func (t *Transport) connBusy(c *conn) bool {
 // dropConnLocked removes c from the connection and routing tables and
 // fails its pending calls; t.mu must be held.
 func (t *Transport) dropConnLocked(c *conn) {
+	delete(t.streams, c)
 	if id := c.identity(); id != "" && t.conns[id] == c {
 		delete(t.conns, id)
 	}

@@ -256,6 +256,41 @@ func TestMutualDialDeduplicates(t *testing.T) {
 	}
 }
 
+// A node registered right after New must become routable even when the
+// stream forms first: the hello newConn sends then names no node, and the
+// stream is not installed until the peer's hello is read, so Register must
+// re-announce on streams that are still waiting for it. Each pair races
+// the dial against both registrations, delayed by 0–300µs so the sweep
+// crosses the window on a loopback socket; without the re-announcement
+// about one pair in ten in that sweep stays unroutable forever.
+func TestTCPRegisterRightAfterNewStaysRoutable(t *testing.T) {
+	const pairs = 50
+	for i := 0; i < pairs; i++ {
+		a, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(Options{Peers: []string{a.Addr()}})
+		if err != nil {
+			a.Close()
+			t.Fatal(err)
+		}
+		// Spin rather than sleep: timer granularity is coarser than the
+		// window.
+		for until := time.Now().Add(time.Duration(i) * 6 * time.Microsecond); time.Now().Before(until); {
+		}
+		a.Register(0, nil, nil)
+		b.Register(1, nil, nil)
+		errA := a.WaitForNodes(1, 5*time.Second)
+		errB := b.WaitForNodes(1, 5*time.Second)
+		a.Close()
+		b.Close()
+		if errA != nil || errB != nil {
+			t.Fatalf("pair %d: a: %v; b: %v", i, errA, errB)
+		}
+	}
+}
+
 // The Lamport merge keeps cross-process tick attribution coherent: a tick
 // read after receiving a frame is greater than any tick the sender
 // stamped before sending it.
