@@ -153,7 +153,8 @@ func BenchmarkE5_LossyReclamation(b *testing.B) {
 		b.Run(fmt.Sprintf("loss=%.0f%%", loss*100), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cl := bmx.New(bmx.Config{Nodes: 2, SegWords: 512, Seed: int64(i + 1), LossRate: loss})
+				cl := bmx.New(bmx.Config{Nodes: 2, SegWords: 512, Seed: int64(i + 1),
+					Faults: bmx.FaultPlan{Default: bmx.FaultRates{Drop: loss}}})
 				n1, n2 := cl.Node(0), cl.Node(1)
 				b1, b2 := n1.NewBunch(), n2.NewBunch()
 				tgt := n2.MustAlloc(b2, 1)

@@ -30,7 +30,7 @@
 // The collector's defining properties are measurable through cl.Stats():
 // it acquires zero tokens ("dsm.acquire.*.gc" stays zero), sends its
 // information as piggyback on consistency messages ("bytes.piggyback"),
-// and tolerates loss of its background table messages (Config.LossRate).
+// and tolerates loss of its background table messages (Config.Faults).
 package bmx
 
 import (

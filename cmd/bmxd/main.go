@@ -16,8 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
+	"strings"
 
 	"bmx"
 	"bmx/internal/introspect"
@@ -43,7 +42,6 @@ func main() {
 		ggcEvery = flag.Int("ggc-every", 5, "run the group collector every N rounds")
 		reclaim  = flag.Bool("reclaim", true, "run the from-space reuse protocol after GCs")
 		seed     = flag.Int64("seed", 1, "workload and loss seed")
-		workers  = flag.Int("workers", 1, "parallel mutator goroutines (>1 switches to the concurrent disjoint-bunch workload)")
 		verbose  = flag.Bool("v", false, "print per-round progress")
 
 		traceOn   = flag.Bool("trace", false, "enable the flight recorder; dump its retained event window and histograms at exit")
@@ -78,6 +76,11 @@ func main() {
 	flag.Parse()
 
 	if *listen != "" {
+		if ignored := peerIgnoredFlags(); len(ignored) > 0 {
+			fmt.Fprintf(os.Stderr, "bmxd: -listen (multi-process mode) does not support %s\n",
+				strings.Join(ignored, ", "))
+			os.Exit(2)
+		}
 		runPeerCluster(peerOpts{
 			listen: *listen, peers: splitPeers(*peersArg),
 			workload: *workload, objects: *objects, rounds: *rounds,
@@ -103,10 +106,6 @@ func main() {
 		coarse = true
 	default:
 		fmt.Fprintf(os.Stderr, "bmxd: unknown grain %q\n", *grain)
-		os.Exit(2)
-	}
-	if *workers > 1 && coarse {
-		fmt.Fprintln(os.Stderr, "bmxd: segment-grain tokens support the deterministic single driver only (-workers 1)")
 		os.Exit(2)
 	}
 	if *traceJSON {
@@ -143,11 +142,9 @@ func main() {
 		})
 		return
 	}
-	if *workers > *nodes {
-		*nodes = *workers
-	}
 	cl := bmx.New(bmx.Config{
-		Nodes: *nodes, SegWords: 512, Seed: *seed, LossRate: *loss,
+		Nodes: *nodes, SegWords: 512, Seed: *seed,
+		Faults:      bmx.FaultPlan{Default: bmx.FaultRates{Drop: *loss}},
 		SendLatency: 1, CallLatency: 1,
 		Consistency: proto, SegmentGrainTokens: coarse,
 		WithDisk: withDisk, Store: factory, GroupCommit: groupCommit,
@@ -163,13 +160,6 @@ func main() {
 		seriesPath: *seriesJSON, benchPath: *benchJSON,
 	}
 	intr.start(cl)
-	if *workers > 1 {
-		runParallel(cl, *workers, *objects, *rounds, *gcEvery, *verbose)
-		dumpStats(cl, *statsJSON)
-		dumpTrace(cl.Observer(), *traceOn, *traceJSON, cl.Heat().Snapshot())
-		intr.finish(cl, cl.Heat().Snapshot())
-		return
-	}
 	n0 := cl.Node(0)
 	switch *workload {
 	case "list", "tree", "web", "oo7", "zipf", "churn-heavy":
@@ -636,79 +626,4 @@ func dumpEvents(evs []obs.Event, asJSON bool) {
 		return
 	}
 	obs.Dump(os.Stdout, evs)
-}
-
-// runParallel exercises the per-node locking payoff: one mutator goroutine
-// per worker, each the sole user of its own node and bunch, running
-// allocate/write/read/collect rounds concurrently, with background traffic
-// drained by RunConcurrent between rounds. Disjoint bunches share only the
-// directory, allocator and network, so wall-clock throughput scales with
-// workers on multicore hardware.
-func runParallel(cl *bmx.Cluster, workers, objects, rounds, gcEvery int, verbose bool) {
-	perWorker := objects / workers
-	if perWorker < 1 {
-		perWorker = 1
-	}
-	start := time.Now()
-	var totalOps, totalDead int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(n *bmx.Node) {
-			defer wg.Done()
-			b := n.NewBunch()
-			var objs []bmx.Ref
-			for j := 0; j < perWorker; j++ {
-				r, err := n.Alloc(b, 4)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "bmxd:", err)
-					os.Exit(1)
-				}
-				n.AddRoot(r)
-				objs = append(objs, r)
-			}
-			ops, dead := 0, 0
-			for r := 1; r <= rounds; r++ {
-				for i, o := range objs {
-					if err := n.AcquireWrite(o); err != nil {
-						fmt.Fprintln(os.Stderr, "bmxd:", err)
-						os.Exit(1)
-					}
-					if err := n.WriteWord(o, 1, uint64(r*i)); err != nil {
-						fmt.Fprintln(os.Stderr, "bmxd:", err)
-						os.Exit(1)
-					}
-					if _, err := n.ReadWord(o, 1); err != nil {
-						fmt.Fprintln(os.Stderr, "bmxd:", err)
-						os.Exit(1)
-					}
-					n.Release(o)
-					ops += 3
-				}
-				if gcEvery > 0 && r%gcEvery == 0 {
-					st := n.CollectBunch(b)
-					dead += st.Dead
-					if verbose {
-						fmt.Printf("worker %v round %d: live %d, dead %d\n",
-							n.ID(), r, st.LiveStrong+st.LiveWeak, st.Dead)
-					}
-				}
-			}
-			mu.Lock()
-			totalOps += int64(ops)
-			totalDead += int64(dead)
-			mu.Unlock()
-		}(cl.Node(w))
-	}
-	wg.Wait()
-	cl.RunConcurrent(0)
-	elapsed := time.Since(start)
-
-	fmt.Printf("parallel workload: %d workers, %d objects each, %d rounds\n",
-		workers, perWorker, rounds)
-	fmt.Printf("mutator operations: %d in %v (%.0f ops/sec wall clock)\n",
-		totalOps, elapsed.Round(time.Millisecond), float64(totalOps)/elapsed.Seconds())
-	fmt.Printf("objects reclaimed locally: %d\n", totalDead)
-	fmt.Println()
 }

@@ -11,6 +11,7 @@ package main
 
 import (
 	"encoding/gob"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -72,6 +73,27 @@ type peerOpts struct {
 	// run diffs against a simnet run with bmxstat -bench A -diff B.
 	seriesOut string
 	benchOut  string
+}
+
+// peerFlags are the flags multi-process mode reads (peerOpts); it takes
+// nothing else from the command line.
+var peerFlags = map[string]bool{
+	"listen": true, "peers": true, "workload": true, "objects": true,
+	"rounds": true, "gc-every": true, "churn": true, "seed": true,
+	"trace-out": true, "v": true, "series-json": true, "bench-json": true,
+}
+
+// peerIgnoredFlags names, as "-name", every flag set on the command line
+// that multi-process mode does not read, so it can refuse them instead of
+// silently running without them.
+func peerIgnoredFlags() []string {
+	var out []string
+	flag.Visit(func(f *flag.Flag) {
+		if !peerFlags[f.Name] {
+			out = append(out, "-"+f.Name)
+		}
+	})
+	return out
 }
 
 // runPeerCluster is the -listen entry point; it never returns.

@@ -21,7 +21,8 @@ const (
 )
 
 func main() {
-	cl := bmx.New(bmx.Config{Nodes: 3, SegWords: 512, Seed: 42, LossRate: 0.2})
+	cl := bmx.New(bmx.Config{Nodes: 3, SegWords: 512, Seed: 42,
+		Faults: bmx.FaultPlan{Default: bmx.FaultRates{Drop: 0.2}}})
 	home := cl.Node(0)
 	b := home.NewBunch()
 

@@ -45,9 +45,9 @@ const kindRC = "rc.delta"
 
 // NewRefCountSystem builds a reference-counting cluster of n nodes over a
 // network with the given seed and loss rate.
-func NewRefCountSystem(n int, seed int64, lossRate float64) *RefCountSystem {
+func NewRefCountSystem(n int, seed int64, loss float64) *RefCountSystem {
 	sys := &RefCountSystem{
-		net:  simnet.New(simnet.Options{Seed: seed, LossRate: lossRate}),
+		net:  simnet.New(simnet.Options{Seed: seed, Faults: simnet.FaultPlan{Default: simnet.FaultRates{Drop: loss}}}),
 		refs: make(map[rcRef]bool),
 	}
 	for i := 0; i < n; i++ {

@@ -103,9 +103,6 @@ type chaosObj struct {
 	rooted map[int]bool // node index -> rooted there
 }
 
-// debugChaos prints per-step root/replica divergence while the storm runs.
-const debugChaos = false
-
 // chaosCut is one scheduled partition and the storm step that heals it.
 type chaosCut struct {
 	a, b   int
@@ -198,11 +195,7 @@ func runChaos(cl *Cluster, cfg ChaosConfig) ChaosReport {
 		rep.Ops++
 		bi := rng.Intn(len(bunches))
 		nd := cl.Node(mapped[bi][rng.Intn(len(mapped[bi]))])
-		op := rng.Intn(12)
-		if debugChaos {
-			fmt.Printf("CHAOSDBG step %d: op%d bunch=%v node=%v cuts=%v\n", step, op, bunches[bi], nd.ID(), cuts)
-		}
-		switch op {
+		switch rng.Intn(12) {
 		case 0, 1: // allocate and root at the allocator
 			size := 2 + rng.Intn(3)
 			r, err := nd.Alloc(bunches[bi], size)
@@ -299,24 +292,10 @@ func runChaos(cl *Cluster, cfg ChaosConfig) ChaosReport {
 		if burst := rng.Intn(4); burst > 0 {
 			cl.Run(burst)
 		}
-		if debugChaos {
-			for _, o := range objs {
-				for _, ni := range sortedRootNodes(o.rooted) {
-					if !cl.Node(ni).Collector().IsRoot(o.ref.OID) {
-						fmt.Printf("CHAOSDBG step %d: %v rooted at n%d but collector disagrees [%s]\n",
-							step, o.ref, ni, routeState(cl, o.ref.OID))
-					} else if _, ok := cl.Node(ni).Collector().Heap().Canonical(o.ref.OID); !ok {
-						fmt.Printf("CHAOSDBG step %d: %v rooted at n%d but canonical gone [%s]\n",
-							step, o.ref, ni, routeState(cl, o.ref.OID))
-					}
-				}
-			}
-		}
 	}
 
 	// Heal phase: every fault gone. From here the run must converge.
 	cl.SetFaultPlan(transport.FaultPlan{})
-	cl.SetLossRate(0)
 	cl.Run(0)
 
 	// Drain to fixpoint: collections and reclaim rounds everywhere until a

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"bmx/internal/addr"
 	"bmx/internal/core"
@@ -46,11 +47,10 @@ import (
 // Config parametrizes a simulated cluster.
 type Config struct {
 	Nodes       int
-	SegWords    int     // segment size in words (constant, §2.1); default 256
-	Seed        int64   // RNG seed (loss injection)
-	LossRate    float64 // drop probability for background GC messages
-	SendLatency uint64  // simulated ticks per background delivery
-	CallLatency uint64  // simulated ticks per synchronous leg
+	SegWords    int    // segment size in words (constant, §2.1); default 256
+	Seed        int64  // RNG seed (fault injection)
+	SendLatency uint64 // simulated ticks per background delivery
+	CallLatency uint64 // simulated ticks per synchronous leg
 	Costs       core.Costs
 	WithDisk    bool // give each node a persistent store + RVM log
 	// Store is the per-node backend factory used when persistence is on
@@ -74,12 +74,14 @@ type Config struct {
 	// grain is supported by the deterministic single driver only.
 	SegmentGrainTokens bool
 	// Transport overrides the communication substrate. Nil means a
-	// simnet.Network built from the Seed/LossRate/latency fields above —
-	// the deterministic simulated cluster.
+	// simnet.Network built from the Seed/latency fields above — the
+	// deterministic simulated cluster.
 	Transport transport.Network
 	// Faults is the initial fault-injection plan (drop/duplicate/delay
-	// rates and node-pair partitions) installed on the transport. A zero
-	// plan installs nothing, so existing configurations are unaffected.
+	// rates and node-pair partitions) installed on the transport. It is the
+	// one loss knob: Faults.Default.Drop is the background-message drop
+	// probability. A zero plan installs nothing, so existing configurations
+	// are unaffected.
 	Faults transport.FaultPlan
 }
 
@@ -135,9 +137,11 @@ type Cluster struct {
 	sampler *obs.Sampler
 	// heat is the access-locality table riding the transport's observer,
 	// cached here so mutator entry points attribute reads and writes with
-	// one atomic load while it is disabled. Run closes one decay epoch per
-	// drain — the same round boundary the sampler uses.
+	// one atomic load while it is disabled.
 	heat *heat.Table
+	// ctl is the driver's handler for "ctl.*" calls (see Peer.SetControl);
+	// nil until one is installed.
+	ctl atomic.Pointer[transport.CallHandler]
 }
 
 // Node is one site of the cluster: its heap, protocol engine, collector and
@@ -181,7 +185,6 @@ func New(cfg Config) *Cluster {
 	if net == nil {
 		net = simnet.New(simnet.Options{
 			Seed:        cfg.Seed,
-			LossRate:    cfg.LossRate,
 			SendLatency: cfg.SendLatency,
 			CallLatency: cfg.CallLatency,
 		})
@@ -189,39 +192,50 @@ func New(cfg Config) *Cluster {
 	if !cfg.Faults.Zero() {
 		net.SetFaultPlan(cfg.Faults)
 	}
-	cl := &Cluster{cfg: cfg, net: net}
-	cl.heat = heat.Of(net.Stats().Observer())
+	cl := &Cluster{cfg: cfg, net: net, heat: heat.Of(net.Stats().Observer())}
 	cl.dir = core.NewDirectory(mem.NewAllocator(cfg.SegWords))
 	for i := 0; i < cfg.Nodes; i++ {
-		id := addr.NodeID(i)
-		n := &Node{cl: cl, id: id}
-		n.tr = &nodeTransport{n: n, inner: cl.net}
-		n.rec = cl.net.Stats().Observer().Recorder(id)
-		heap := mem.NewHeap(cl.dir.Allocator())
-		col := core.NewCollector(id, heap, cl.dir, n.tr, cfg.Costs)
-		d := dsm.NewNode(id, n.tr, col, cfg.Nodes)
-		d.SetProtocol(cfg.Consistency)
-		col.SetDSM(d)
-		n.col, n.dsm = col, d
-		if cfg.WithDisk || cfg.Store != nil {
-			var base store.Store
-			if cfg.Store != nil {
-				base = cfg.Store()
-			} else {
-				base = store.NewDisk()
-			}
-			// Measure feeds store.* counters and histograms into the
-			// cluster's obs pipeline (and thus /metrics and bmxstat).
-			n.disk = store.Measure(base, cl.net.Stats(), cl.net.Stats().Observer())
-			n.log = rvm.NewLog(n.disk, "rvm-log")
-			n.log.SetCounter(cl.net.Stats().Add)
-			n.log.SetGroupCommit(cfg.GroupCommit)
-			col.SetDurabilityBarrier(n.flipBarrier)
-		}
-		cl.nodes = append(cl.nodes, n)
-		cl.net.Register(id, n.handleAsync, n.handleCall)
+		cl.newNode(addr.NodeID(i))
 	}
 	return cl
+}
+
+// newNode assembles one site over the cluster's transport and directory —
+// the single construction path of both deployments: New calls it once per
+// simulated node, NewPeer once per process. A node is its transport wrapper,
+// flight recorder, heap, collector and DSM engine, plus a store, an RVM log
+// and the flip's durability barrier when the configuration asks for
+// persistence. Its handlers are registered last, so no message reaches a
+// half-built node.
+func (cl *Cluster) newNode(id addr.NodeID) *Node {
+	cfg := cl.cfg
+	n := &Node{cl: cl, id: id}
+	n.tr = &nodeTransport{n: n, inner: cl.net}
+	n.rec = cl.net.Stats().Observer().Recorder(id)
+	heap := mem.NewHeap(cl.dir.Allocator())
+	col := core.NewCollector(id, heap, cl.dir, n.tr, cfg.Costs)
+	d := dsm.NewNode(id, n.tr, col, cfg.Nodes)
+	d.SetProtocol(cfg.Consistency)
+	col.SetDSM(d)
+	n.col, n.dsm = col, d
+	if cfg.WithDisk || cfg.Store != nil {
+		var base store.Store
+		if cfg.Store != nil {
+			base = cfg.Store()
+		} else {
+			base = store.NewDisk()
+		}
+		// Measure feeds store.* counters and histograms into the
+		// cluster's obs pipeline (and thus /metrics and bmxstat).
+		n.disk = store.Measure(base, cl.net.Stats(), cl.net.Stats().Observer())
+		n.log = rvm.NewLog(n.disk, "rvm-log")
+		n.log.SetCounter(cl.net.Stats().Add)
+		n.log.SetGroupCommit(cfg.GroupCommit)
+		col.SetDurabilityBarrier(n.flipBarrier)
+	}
+	cl.nodes = append(cl.nodes, n)
+	cl.net.Register(id, n.handleAsync, n.handleCall)
+	return n
 }
 
 // Node returns node i.
@@ -277,7 +291,7 @@ func (cl *Cluster) Sampler() *obs.Sampler { return cl.sampler }
 
 // EnableHeat switches access-locality accounting on: from here every read,
 // write and acquire is attributed per (object, requesting node) in the heat
-// table, and every Run drain closes one decay epoch.
+// table.
 func (cl *Cluster) EnableHeat() { cl.heat.Enable() }
 
 // Heat returns the cluster's access-locality table (always non-nil; inert
@@ -296,11 +310,6 @@ func (cl *Cluster) Sample() {
 // tools and experiments). In a multi-process peer it is a proxy for the
 // seed's directory.
 func (cl *Cluster) Directory() core.Dir { return cl.dir }
-
-// SetLossRate changes the background-message drop probability. The rate is
-// clamped to [0, 1] (NaN and negative values become 0) and the effective
-// rate actually installed is returned.
-func (cl *Cluster) SetLossRate(p float64) float64 { return cl.net.SetLossRate(p) }
 
 // SetFaultPlan installs a fault-injection plan (drop/duplicate/delay rates
 // and node-pair partitions) on the cluster's transport, replacing any
@@ -345,7 +354,6 @@ func (cl *Cluster) Step() bool { return cl.net.Step() }
 func (cl *Cluster) Run(limit int) int {
 	n := cl.net.Run(limit)
 	cl.Sample()
-	cl.heat.Advance()
 	return n
 }
 
@@ -374,7 +382,36 @@ func (n *Node) handleAsync(m transport.Msg) {
 	}
 }
 
+// handleCall is the node's one call router, in both deployments. Directory
+// service (the seed of a multi-process cluster) and driver control are
+// served first, outside the critical-path marker and the node lock: the
+// Directory has its own lock and a dir call may arrive while this node's
+// lock is held by a blocked mutator, and a control call invokes the mutator
+// API, which takes the node lock itself.
 func (n *Node) handleCall(m transport.Msg) (any, int, error) {
+	switch {
+	case strings.HasPrefix(m.Kind, "dir."):
+		defer n.rec.StartServerSpan(obs.OpServeDir, addr.NilOID, m.Span).End()
+		d, ok := n.cl.dir.(*core.Directory)
+		if !ok {
+			return nil, 0, fmt.Errorf("cluster: dir call %q reached non-seed node %v", m.Kind, n.id)
+		}
+		return serveDir(d, m)
+	case strings.HasPrefix(m.Kind, "ctl."):
+		defer n.rec.StartServerSpan(obs.OpServeCtl, addr.NilOID, m.Span).End()
+		if h := n.cl.ctl.Load(); h != nil {
+			return (*h)(m)
+		}
+		return nil, 0, fmt.Errorf("cluster: no control handler at node %v for %q", n.id, m.Kind)
+	}
+	return n.dispatchCall(m)
+}
+
+// dispatchCall is the node's ordinary call dispatch, under the node lock.
+// It is a function of its own so that the dsm.* and gc.* calls keep
+// open-coded defers: Go open-codes a function's defers only while defers ×
+// returns stays at most 15, which the router's two extra families exceed.
+func (n *Node) dispatchCall(m transport.Msg) (any, int, error) {
 	if m.Class == transport.ClassApp {
 		// Serving a synchronous application-class call: the remote mutator
 		// is blocked on this reply, so everything this node does until it

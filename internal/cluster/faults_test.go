@@ -11,6 +11,19 @@ import (
 	"bmx/internal/transport"
 )
 
+// lossy is a fault plan that drops background messages with probability p
+// and injects nothing else.
+func lossy(p float64) transport.FaultPlan {
+	return transport.FaultPlan{Default: transport.FaultRates{Drop: p}}
+}
+
+// setLoss changes only the installed plan's default drop rate.
+func setLoss(cl *Cluster, p float64) {
+	fp := cl.Faults()
+	fp.Default.Drop = p
+	cl.SetFaultPlan(fp)
+}
+
 // sspFingerprint renders every node's stub/scion tables and the residency of
 // the tracked objects as one canonical string, so two runs can be compared
 // for protocol-state equality.
@@ -131,7 +144,7 @@ func TestCleanerLossGapSafety(t *testing.T) {
 	for _, loss := range []float64{0.1, 0.5, 0.9} {
 		loss := loss
 		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
-			cl := New(Config{Nodes: 2, SegWords: 64, Seed: 23, LossRate: loss})
+			cl := New(Config{Nodes: 2, SegWords: 64, Seed: 23, Faults: lossy(loss)})
 			n1, n2 := cl.Node(0), cl.Node(1)
 			b1, b2 := n1.NewBunch(), n2.NewBunch()
 			live := n2.MustAlloc(b2, 1)
@@ -156,7 +169,7 @@ func TestCleanerLossGapSafety(t *testing.T) {
 
 			// Once the channel heals, liveness completes: the dead branch is
 			// reclaimed and its scion never resurrects.
-			cl.SetLossRate(0)
+			setLoss(cl, 0)
 			settle(cl, 4)
 			if _, ok := n2.Collector().Heap().Canonical(dead.OID); ok {
 				t.Fatal("dead object survived after the channel healed")

@@ -347,7 +347,7 @@ func TestTablesTolerateLoss(t *testing.T) {
 	// Table messages are idempotent snapshots: with 40% background loss,
 	// repeated collection rounds still reclaim distributed garbage and
 	// never touch live objects.
-	cl := New(Config{Nodes: 2, SegWords: 64, Seed: 7, LossRate: 0.4})
+	cl := New(Config{Nodes: 2, SegWords: 64, Seed: 7, Faults: lossy(0.4)})
 	n1, n2 := cl.Node(0), cl.Node(1)
 	b1 := n1.NewBunch()
 	b2 := n2.NewBunch()

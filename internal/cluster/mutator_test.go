@@ -163,7 +163,7 @@ func TestTinySegmentsGC(t *testing.T) {
 func TestReclaimUnderLoss(t *testing.T) {
 	// The §4.5 rounds use synchronous calls, so background loss must not
 	// affect them.
-	cl := New(Config{Nodes: 2, SegWords: 64, Seed: 3, LossRate: 0.5})
+	cl := New(Config{Nodes: 2, SegWords: 64, Seed: 3, Faults: lossy(0.5)})
 	n1, n2 := cl.Node(0), cl.Node(1)
 	b := n1.NewBunch()
 	o1 := n1.MustAlloc(b, 2)

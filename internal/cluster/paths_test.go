@@ -121,7 +121,7 @@ func TestUnmapAndRemapBunch(t *testing.T) {
 func TestInvariant2FanOutUnderLoss(t *testing.T) {
 	// Copy-set location forwarding is lossy; a lost forward must be
 	// repaired at the holder's next acquire (invariant 1), never crash.
-	cl := New(Config{Nodes: 3, SegWords: 64, Seed: 5, LossRate: 1.0})
+	cl := New(Config{Nodes: 3, SegWords: 64, Seed: 5, Faults: lossy(1.0)})
 	n1, n2, n3 := cl.Node(0), cl.Node(1), cl.Node(2)
 	b := n1.NewBunch()
 	o := n1.MustAlloc(b, 2)

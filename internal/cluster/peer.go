@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"bmx/internal/addr"
@@ -42,24 +40,15 @@ type PeerConfig struct {
 // exactly one Node, plus the seed/proxy directory wiring and a control-call
 // hook for a driver protocol layered on top ("ctl.*" kinds).
 type Peer struct {
-	cl   *Cluster
-	n    *Node
-	tr   *tcp.Transport
-	id   addr.NodeID
-	size int
-	ctl  atomic.Pointer[transport.CallHandler]
+	cl *Cluster
+	n  *Node
+	tr *tcp.Transport
 }
 
 // NewPeer builds this process's node and starts listening. The returned
 // peer is live immediately; use WaitReady to block until the whole cluster
 // is mutually connected.
 func NewPeer(cfg PeerConfig) (*Peer, error) {
-	if cfg.SegWords == 0 {
-		cfg.SegWords = 256
-	}
-	if cfg.Costs == (core.Costs{}) {
-		cfg.Costs = core.DefaultCosts()
-	}
 	all := append(append([]string(nil), cfg.Peers...), cfg.Listen)
 	sort.Strings(all)
 	for i := 1; i < len(all); i++ {
@@ -73,59 +62,21 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		return nil, err
 	}
 	cl := &Cluster{
-		cfg: Config{Nodes: len(all), SegWords: cfg.SegWords, Costs: cfg.Costs,
+		cfg: Config{Nodes: len(all), SegWords: cfg.SegWords, Seed: cfg.Seed, Costs: cfg.Costs,
 			Consistency: cfg.Consistency}.withDefaults(),
-		net: tr,
+		net:  tr,
+		heat: heat.Of(tr.Stats().Observer()),
 	}
-	cl.heat = heat.Of(tr.Stats().Observer())
 	if id == 0 {
-		cl.dir = core.NewDirectory(mem.NewAllocator(cfg.SegWords))
+		cl.dir = core.NewDirectory(mem.NewAllocator(cl.cfg.SegWords))
 	} else {
-		cl.dir = newRemoteDir(tr, id, 0, cfg.SegWords)
+		cl.dir = newRemoteDir(tr, id, 0, cl.cfg.SegWords)
 	}
-	n := &Node{cl: cl, id: id}
-	n.tr = &nodeTransport{n: n, inner: tr}
-	n.rec = tr.Stats().Observer().Recorder(id)
-	heap := mem.NewHeap(cl.dir.Allocator())
-	col := core.NewCollector(id, heap, cl.dir, n.tr, cfg.Costs)
-	d := dsm.NewNode(id, n.tr, col, len(all))
-	d.SetProtocol(cfg.Consistency)
-	col.SetDSM(d)
-	n.col, n.dsm = col, d
-	cl.nodes = append(cl.nodes, n)
-	p := &Peer{cl: cl, n: n, tr: tr, id: id, size: len(all)}
-	tr.Register(id, n.handleAsync, p.handleCall)
-	return p, nil
-}
-
-// handleCall routes the two call families that must not enter the node's
-// ordinary dispatch: directory service (seed only; the Directory has its
-// own lock and a dir call may arrive while this node's lock is held by a
-// blocked mutator) and driver control (which invokes the mutator API, which
-// takes the node lock itself).
-func (p *Peer) handleCall(m transport.Msg) (any, int, error) {
-	switch {
-	case strings.HasPrefix(m.Kind, "dir."):
-		defer p.n.rec.StartServerSpan(obs.OpServeDir, addr.NilOID, m.Span).End()
-		d, ok := p.cl.dir.(*core.Directory)
-		if !ok {
-			return nil, 0, fmt.Errorf("cluster: dir call %q reached non-seed node %v", m.Kind, p.id)
-		}
-		return serveDir(d, m)
-	case strings.HasPrefix(m.Kind, "ctl."):
-		defer p.n.rec.StartServerSpan(obs.OpServeCtl, addr.NilOID, m.Span).End()
-		if h := p.ctl.Load(); h != nil {
-			return (*h)(m)
-		}
-		return nil, 0, fmt.Errorf("cluster: no control handler at node %v for %q", p.id, m.Kind)
-	}
-	// Everything else falls through to the node's ordinary dispatch, which
-	// opens its own server span.
-	return p.n.handleCall(m)
+	return &Peer{cl: cl, n: cl.newNode(id), tr: tr}, nil
 }
 
 // SetControl installs the driver's handler for "ctl.*" calls.
-func (p *Peer) SetControl(h transport.CallHandler) { p.ctl.Store(&h) }
+func (p *Peer) SetControl(h transport.CallHandler) { p.cl.ctl.Store(&h) }
 
 // Control sends one driver-protocol call to another process's node. The
 // call runs under a ctl.drive span, so everything the remote node does to
@@ -133,25 +84,25 @@ func (p *Peer) SetControl(h transport.CallHandler) { p.ctl.Store(&h) }
 func (p *Peer) Control(to addr.NodeID, kind string, payload any, bytes int) (any, error) {
 	defer p.n.rec.StartSpan(obs.OpCtl, addr.NilOID).End()
 	return p.tr.Call(transport.Msg{
-		From: p.id, To: to, Kind: kind, Class: transport.ClassApp,
+		From: p.n.id, To: to, Kind: kind, Class: transport.ClassApp,
 		Payload: payload, Bytes: bytes,
 	})
 }
 
 // WaitReady blocks until every other process's node is routable.
 func (p *Peer) WaitReady(timeout time.Duration) error {
-	return p.tr.WaitForNodes(p.size-1, timeout)
+	return p.tr.WaitForNodes(p.Size()-1, timeout)
 }
 
 // ID returns this process's node identity (its rank in the sorted address
 // set).
-func (p *Peer) ID() addr.NodeID { return p.id }
+func (p *Peer) ID() addr.NodeID { return p.n.id }
 
 // Size returns the cluster size (process count).
-func (p *Peer) Size() int { return p.size }
+func (p *Peer) Size() int { return p.cl.cfg.Nodes }
 
 // IsSeed reports whether this process owns the authoritative directory.
-func (p *Peer) IsSeed() bool { return p.id == 0 }
+func (p *Peer) IsSeed() bool { return p.n.id == 0 }
 
 // Cluster returns the single-node cluster view (stats, observer, tracing).
 func (p *Peer) Cluster() *Cluster { return p.cl }

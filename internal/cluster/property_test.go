@@ -54,7 +54,7 @@ func newModel(t *testing.T, cfg modelCfg) *model {
 	m := &model{
 		t: t,
 		cl: New(Config{
-			Nodes: cfg.nodes, SegWords: 128, Seed: cfg.seed, LossRate: cfg.loss,
+			Nodes: cfg.nodes, SegWords: 128, Seed: cfg.seed, Faults: lossy(cfg.loss),
 			Consistency: cfg.protocol, SegmentGrainTokens: cfg.segmentGrain,
 		}),
 		rng:  rand.New(rand.NewSource(cfg.seed)),
@@ -602,7 +602,7 @@ func runModelCfg(t *testing.T, cfg modelCfg) {
 	m.verifyContents()
 	// Liveness needs a loss-free quiescent phase (loss only delays, but
 	// the bounded drain below must converge deterministically).
-	m.cl.SetLossRate(0)
+	setLoss(m.cl, 0)
 	for d := 0; d < 4; d++ {
 		m.drain(1)
 		if debugDangling {

@@ -49,7 +49,6 @@ type dirReply struct {
 	Meta  mem.SegmentMeta
 	Metas []mem.SegmentMeta
 	Info  core.ObjInfo
-	N     int
 	Ok    bool
 }
 
@@ -102,8 +101,6 @@ func serveDir(d *core.Directory, m transport.Msg) (any, int, error) {
 		rep.O = d.NewOID()
 	case "dir.registerObject":
 		d.RegisterObject(req.Info)
-	case "dir.dropObject":
-		d.DropObject(req.O)
 	case "dir.object":
 		rep.Info, rep.Ok = d.Object(req.O)
 	case "dir.bunchOf":
@@ -118,8 +115,6 @@ func serveDir(d *core.Directory, m transport.Msg) (any, int, error) {
 		d.RecordPlacement(req.A, req.O)
 	case "dir.placementOID":
 		rep.O, rep.Ok = d.PlacementOID(req.A)
-	case "dir.objectCount":
-		rep.N = d.ObjectCount()
 	default:
 		return nil, 0, fmt.Errorf("cluster: unknown dir call %q", m.Kind)
 	}
@@ -227,8 +222,6 @@ func (rd *remoteDir) RegisterObject(info core.ObjInfo) {
 	rd.call("dir.registerObject", dirReq{Info: info})
 }
 
-func (rd *remoteDir) DropObject(o addr.OID) { rd.call("dir.dropObject", dirReq{O: o}) }
-
 func (rd *remoteDir) Object(o addr.OID) (core.ObjInfo, bool) {
 	rep := rd.call("dir.object", dirReq{O: o})
 	return rep.Info, rep.Ok
@@ -258,5 +251,3 @@ func (rd *remoteDir) PlacementOID(a addr.Addr) (addr.OID, bool) {
 	rep := rd.call("dir.placementOID", dirReq{A: a})
 	return rep.O, rep.Ok
 }
-
-func (rd *remoteDir) ObjectCount() int { return rd.call("dir.objectCount", dirReq{}).N }

@@ -35,7 +35,6 @@ type Dir interface {
 
 	NewOID() addr.OID
 	RegisterObject(info ObjInfo)
-	DropObject(o addr.OID)
 	Object(o addr.OID) (ObjInfo, bool)
 	BunchOf(o addr.OID) addr.BunchID
 	SegmentPopulation(a addr.Addr) []addr.OID
@@ -43,7 +42,6 @@ type Dir interface {
 	OwnerHintOf(o addr.OID) addr.NodeID
 	RecordPlacement(a addr.Addr, o addr.OID)
 	PlacementOID(a addr.Addr) (addr.OID, bool)
-	ObjectCount() int
 }
 
 var _ Dir = (*Directory)(nil)

@@ -279,14 +279,6 @@ func (d *Directory) RegisterObject(info ObjInfo) {
 	}
 }
 
-// DropObject removes an object's allocation record once it has been
-// reclaimed everywhere. Unknown OIDs are ignored.
-func (d *Directory) DropObject(o addr.OID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.objects, o)
-}
-
 // Object returns the allocation record of o.
 func (d *Directory) Object(o addr.OID) (ObjInfo, bool) {
 	d.mu.Lock()
@@ -354,11 +346,4 @@ func (d *Directory) PlacementOID(a addr.Addr) (addr.OID, bool) {
 	defer d.mu.Unlock()
 	o, ok := d.placements[a]
 	return o, ok
-}
-
-// ObjectCount returns the number of registered objects.
-func (d *Directory) ObjectCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.objects)
 }

@@ -282,9 +282,6 @@ func (c *Collector) evacuateSegment(b addr.BunchID, seg addr.SegID) {
 			theirs = append(theirs, o)
 		}
 	}
-	if debugReclaim {
-		fmt.Printf("EVACDBG node %v seg %v: mine=%v theirs=%v\n", c.node, seg, mine, theirs)
-	}
 	for _, o := range mine {
 		c.moveOwnedObject(o)
 	}
@@ -342,10 +339,6 @@ func (c *Collector) requestCopyOut(oids []addr.OID) {
 				continue
 			}
 			rep := raw.(CopyOutReply)
-			if debugReclaim {
-				fmt.Printf("COPYOUTDBG node %v <- %v: manifests=%v notOwned=%v\n",
-					c.node, t.node, rep.Manifests, rep.NotOwned)
-			}
 			c.ApplyManifests(rep.Manifests, t.node)
 			for o, hint := range rep.NotOwned {
 				if hint != addr.NoNode && hint != c.node {
@@ -436,11 +429,6 @@ func (c *Collector) dropCanonicalsIn(seg addr.SegID) {
 	}
 	for _, o := range c.heap.KnownObjects() {
 		if a, ok := c.heap.Canonical(o); ok && meta.Contains(a) {
-			if debugReclaim {
-				fmt.Printf("DROPDBG node %v: dropping %v canonical %v (knows=%v owner=%v ownerPtr=%v fwd=%v objAt=%v)\n",
-					c.node, o, a, c.dsm.Knows(o), c.dsm.IsOwner(o), c.dsm.OwnerPtrOf(o),
-					c.heap.Forwarded(a), c.heap.IsObjectAt(a))
-			}
 			c.heap.DropObject(o)
 			if c.heap.IsObjectAt(a) && c.heap.ObjOID(a) != o {
 				// The address was reused under a stale canonical: only the
@@ -453,6 +441,3 @@ func (c *Collector) dropCanonicalsIn(seg addr.SegID) {
 		}
 	}
 }
-
-// debugReclaim enables verbose reclaim diagnostics (tests only).
-var debugReclaim = false

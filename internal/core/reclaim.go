@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"bmx/internal/addr"
 	"bmx/internal/dsm"
 	"bmx/internal/obs"
@@ -99,12 +97,6 @@ func (c *Collector) ReclaimFromSpace(b addr.BunchID) ReclaimStats {
 			continue
 		}
 
-		if debugReclaim {
-			fmt.Printf("RECLAIMDBG node %v seg %v headers=%d\n", c.node, id, len(headers))
-			for _, h := range headers {
-				fmt.Printf("  RECLAIMDBG header %v -> %v\n", h.Old, h.OID)
-			}
-		}
 		// 3. Free the segment locally and in the directory.
 		c.rememberTombstones(headers)
 		c.rewriteRefsInto(s.Meta, headerTable(headers))

@@ -8,11 +8,13 @@ import (
 	"bmx/internal/cluster"
 	"bmx/internal/core"
 	"bmx/internal/trace"
+	"bmx/internal/transport"
 )
 
 func newCluster(nodes int, loss float64) *cluster.Cluster {
 	return cluster.New(cluster.Config{
-		Nodes: nodes, SegWords: 512, Seed: 1, LossRate: loss,
+		Nodes: nodes, SegWords: 512, Seed: 1,
+		Faults:      transport.FaultPlan{Default: transport.FaultRates{Drop: loss}},
 		SendLatency: 1, CallLatency: 1, Costs: core.DefaultCosts(),
 	})
 }

@@ -1,9 +1,7 @@
 // Package heat is the cluster's access-locality accounting layer: per-OID
-// and per-bunch read/write/acquire counters sliced by requester node, with
-// decaying epoch windows so steady-state skew and bursty skew are
-// distinguishable, and ownership marks stamped with the Lamport tick so the
-// per-process tables of a multi-process cluster merge into one consistent
-// heat table. It rides the obs.Observer the same way the observer rides on
+// and per-bunch read/write/acquire counters sliced by requester node, and
+// ownership marks stamped with the Lamport tick so the per-process tables
+// of a multi-process cluster merge into one consistent heat table. It rides the obs.Observer the same way the observer rides on
 // transport.Stats: any layer holding a transport reaches the table through
 // heat.Of(stats.Observer()) with no constructor churn, and while disabled
 // every note is a single atomic load — the event rings' contract.
@@ -47,7 +45,6 @@ type Table struct {
 	mu     sync.Mutex
 	cells  map[cellKey]*cell
 	owners map[addr.OID]ownerMark
-	epoch  uint64
 }
 
 type cellKey struct {
@@ -55,10 +52,7 @@ type cellKey struct {
 	node addr.NodeID
 }
 
-// cell accumulates one node's accesses to one object. recent is the
-// epoch-decayed activity figure: every note adds one, every Advance halves
-// it, so a burst fades over a few epochs while the cumulative counters keep
-// the whole history.
+// cell accumulates one node's accesses to one object.
 type cell struct {
 	bunch    addr.BunchID
 	reads    uint64
@@ -66,7 +60,6 @@ type cell struct {
 	acquires uint64
 	remote   uint64 // acquires that travelled the owner chain
 	hops     uint64 // ownerPtr forwards those remote acquires cost
-	recent   uint64
 }
 
 // ownerMark records who owned the object as of a Lamport tick. Marks are
@@ -118,9 +111,7 @@ func (t *Table) NoteRead(by addr.NodeID, o addr.OID, b addr.BunchID) {
 		return
 	}
 	t.mu.Lock()
-	c := t.cellLocked(by, o, b)
-	c.reads++
-	c.recent++
+	t.cellLocked(by, o, b).reads++
 	t.mu.Unlock()
 }
 
@@ -130,9 +121,7 @@ func (t *Table) NoteWrite(by addr.NodeID, o addr.OID, b addr.BunchID) {
 		return
 	}
 	t.mu.Lock()
-	c := t.cellLocked(by, o, b)
-	c.writes++
-	c.recent++
+	t.cellLocked(by, o, b).writes++
 	t.mu.Unlock()
 }
 
@@ -147,7 +136,6 @@ func (t *Table) NoteAcquire(by addr.NodeID, o addr.OID, b addr.BunchID, remote b
 	t.mu.Lock()
 	c := t.cellLocked(by, o, b)
 	c.acquires++
-	c.recent++
 	if remote {
 		c.remote++
 		if hops > 0 {
@@ -176,31 +164,6 @@ func (t *Table) NoteOwner(o addr.OID, owner addr.NodeID) {
 	t.mu.Unlock()
 }
 
-// Advance closes one epoch: every cell's decayed-activity figure is halved.
-// The cluster calls this once per Run drain (the driver's round boundary),
-// so "recent" means "roughly the last few rounds" deterministically.
-func (t *Table) Advance() {
-	if t == nil || !t.enabled.Load() {
-		return
-	}
-	t.mu.Lock()
-	t.epoch++
-	for _, c := range t.cells {
-		c.recent /= 2
-	}
-	t.mu.Unlock()
-}
-
-// Epoch returns how many decay epochs have closed.
-func (t *Table) Epoch() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.epoch
-}
-
 // Len returns the number of (object, node) cells.
 func (t *Table) Len() int {
 	if t == nil {
@@ -217,6 +180,6 @@ func (t *Table) Reset() {
 		return
 	}
 	t.mu.Lock()
-	t.cells, t.owners, t.epoch = nil, nil, 0
+	t.cells, t.owners = nil, nil
 	t.mu.Unlock()
 }

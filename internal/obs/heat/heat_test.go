@@ -29,14 +29,12 @@ func TestDisabledPathIsNoOp(t *testing.T) {
 	tb.NoteWrite(1, 10, 1)
 	tb.NoteAcquire(1, 10, 1, true, 3)
 	tb.NoteOwner(10, 1)
-	tb.Advance()
-	if tb.Len() != 0 || len(tb.Snapshot()) != 0 || tb.Epoch() != 0 {
-		t.Fatalf("disabled table accumulated state: len=%d epoch=%d", tb.Len(), tb.Epoch())
+	if tb.Len() != 0 || len(tb.Snapshot()) != 0 {
+		t.Fatalf("disabled table accumulated state: len=%d", tb.Len())
 	}
 	// A nil observer yields a detached table; everything must still be safe.
 	var nilT *Table = Of(nil)
 	nilT.NoteWrite(1, 10, 1)
-	nilT.Advance()
 	if nilT.Enabled() {
 		t.Fatal("detached table claims to be enabled")
 	}
@@ -70,30 +68,8 @@ func TestCountersAccumulate(t *testing.T) {
 	if r.Reads != 2 || r.Writes != 1 || r.Acquires != 2 || r.Remote != 1 || r.Hops != 3 {
 		t.Fatalf("counters wrong: %+v", r)
 	}
-	if r.Recent != 5 {
-		t.Fatalf("recent = %d, want 5 (one per note)", r.Recent)
-	}
 	if r.Owner == nil || *r.Owner != 1 || r.OwnerTick != 7 {
 		t.Fatalf("owner mark wrong: %+v", r)
-	}
-}
-
-func TestAdvanceDecaysRecentOnly(t *testing.T) {
-	tb, _ := table(t)
-	for i := 0; i < 8; i++ {
-		tb.NoteWrite(1, 10, 1)
-	}
-	tb.Advance()
-	tb.Advance()
-	r := tb.Snapshot()[0]
-	if r.Writes != 8 {
-		t.Fatalf("cumulative writes decayed: %d", r.Writes)
-	}
-	if r.Recent != 2 {
-		t.Fatalf("recent = %d after two halvings of 8, want 2", r.Recent)
-	}
-	if tb.Epoch() != 2 {
-		t.Fatalf("epoch = %d, want 2", tb.Epoch())
 	}
 }
 
@@ -267,10 +243,9 @@ func TestAnalyzeRanksMismatchesByWastedHops(t *testing.T) {
 	}
 }
 
-// TestConcurrentNotesUnderRace is the -race hammer of the ISSUE: many
-// mutator goroutines and a GC-shaped reader pounding one table while epochs
-// advance and snapshots are cut. Correctness of the totals is asserted;
-// the data-race detector asserts the rest.
+// TestConcurrentNotesUnderRace is the -race hammer: many mutator
+// goroutines pounding one table while a reader cuts snapshots. Correctness
+// of the totals is asserted; the data-race detector asserts the rest.
 func TestConcurrentNotesUnderRace(t *testing.T) {
 	tb, _ := table(t)
 	const (
@@ -293,14 +268,12 @@ func TestConcurrentNotesUnderRace(t *testing.T) {
 			}
 		}(addr.NodeID(w % 4))
 	}
-	// The decay ticker and a snapshot reader run against the mutators, like
-	// Cluster.Run and /heat do.
+	// A snapshot reader runs against the mutators, like /heat does.
 	var snapWG sync.WaitGroup
 	snapWG.Add(1)
 	go func() {
 		defer snapWG.Done()
 		for i := 0; i < 200; i++ {
-			tb.Advance()
 			_ = tb.Snapshot()
 		}
 	}()

@@ -32,7 +32,6 @@ type ObjectHeat struct {
 	Acquires uint64  `json:"acquires"`
 	Remote   uint64  `json:"remote"`
 	Hops     uint64  `json:"hops"`
-	Recent   uint64  `json:"recent"`
 	Ratio    float64 `json:"remote_ratio"` // remote acquires / acquires
 
 	Owner    int32 `json:"owner"`    // current owner, -1 if unknown
@@ -50,7 +49,6 @@ type NodeSlice struct {
 	Acquires uint64 `json:"acquires"`
 	Remote   uint64 `json:"remote"`
 	Hops     uint64 `json:"hops"`
-	Recent   uint64 `json:"recent"`
 }
 
 // BunchHeat aggregates every tracked object of one bunch.
@@ -129,11 +127,10 @@ func Analyze(rows []Row) LocalityReport {
 		o.Acquires += r.Acquires
 		o.Remote += r.Remote
 		o.Hops += r.Hops
-		o.Recent += r.Recent
-		if r.Reads|r.Writes|r.Acquires|r.Remote|r.Hops|r.Recent != 0 {
+		if r.Reads|r.Writes|r.Acquires|r.Remote|r.Hops != 0 {
 			o.PerNode = append(o.PerNode, NodeSlice{
 				Node: r.Node, Reads: r.Reads, Writes: r.Writes, Acquires: r.Acquires,
-				Remote: r.Remote, Hops: r.Hops, Recent: r.Recent,
+				Remote: r.Remote, Hops: r.Hops,
 			})
 		}
 		if r.Owner != nil && (!o.hasOwner || r.OwnerTick >= o.ownerTick) {

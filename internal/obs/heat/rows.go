@@ -28,7 +28,6 @@ type Row struct {
 	Acquires uint64 `json:"acquires,omitempty"`
 	Remote   uint64 `json:"remote,omitempty"`
 	Hops     uint64 `json:"hops,omitempty"`
-	Recent   uint64 `json:"recent,omitempty"`
 
 	// Owner/OwnerTick carry the emitting table's ownership mark for OID.
 	// OwnerTick is the Lamport tick of the transition; merging keeps the
@@ -54,7 +53,7 @@ func (t *Table) Snapshot() []Row {
 		r := Row{
 			Heat: rowVersion, OID: uint64(k.oid), Bunch: uint32(c.bunch), Node: int32(k.node),
 			Reads: c.reads, Writes: c.writes, Acquires: c.acquires,
-			Remote: c.remote, Hops: c.hops, Recent: c.recent,
+			Remote: c.remote, Hops: c.hops,
 		}
 		if m, ok := t.owners[k.oid]; ok {
 			owner := int32(m.node)
@@ -114,7 +113,6 @@ func Merge(parts ...[]Row) []Row {
 			c.Acquires += r.Acquires
 			c.Remote += r.Remote
 			c.Hops += r.Hops
-			c.Recent += r.Recent
 			if r.Owner != nil {
 				o := owners[addr.OID(r.OID)]
 				if !o.ok || r.OwnerTick >= o.tick {

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"bmx/internal/transport"
@@ -131,38 +130,24 @@ func TestPartitionCutsBothPrimitives(t *testing.T) {
 	}
 }
 
-func TestSetLossRateClampsAndReturnsEffective(t *testing.T) {
-	nw := New(Options{})
-	cases := []struct {
-		in, want float64
-	}{
-		{math.NaN(), 0},
-		{-0.3, 0},
-		{2.5, 1},
-		{0.25, 0.25},
-	}
-	for _, c := range cases {
-		if got := nw.SetLossRate(c.in); got != c.want {
-			t.Errorf("SetLossRate(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestZeroPlanDrawsNothing(t *testing.T) {
-	// Installing a plan whose rates are all zero must not consume RNG draws:
-	// the loss stream under LossRate must be byte-for-byte the same as on a
-	// network that never saw SetFaultPlan.
-	run := func(install bool) []uint64 {
-		nw := New(Options{Seed: 5, LossRate: 0.4})
-		if install {
-			nw.SetFaultPlan(FaultPlan{
-				ByClass: map[transport.Class]FaultRates{ClassGC: {}},
-				ByKind:  map[string]FaultRates{"gc.table": {}},
-			})
-		}
+	// A message whose resolved rates are all zero must not consume RNG
+	// draws: the loss stream under Default.Drop must be byte-for-byte the
+	// same whether or not zero-rate traffic is interleaved with it.
+	run := func(interleave bool) []uint64 {
+		nw := New(Options{Seed: 5, Faults: FaultPlan{
+			Default: FaultRates{Drop: 0.4},
+			ByClass: map[transport.Class]FaultRates{ClassApp: {}},
+			ByKind:  map[string]FaultRates{"gc.quiet": {}},
+		}})
 		got := collectNode(nw, 1)
+		collectNode(nw, 2)
 		for i := 0; i < 100; i++ {
 			nw.Send(Msg{From: 0, To: 1, Kind: "gc.table", Class: ClassGC})
+			if interleave {
+				nw.Send(Msg{From: 0, To: 2, Kind: "gc.quiet", Class: ClassGC})
+				nw.Send(Msg{From: 0, To: 2, Kind: "dsm.grant", Class: ClassApp})
+			}
 		}
 		nw.Run(0)
 		var seqs []uint64

@@ -91,15 +91,15 @@ func StartWatch(c *Clock) Stopwatch { return transport.StartWatch(c) }
 
 // Options configures a Network.
 type Options struct {
-	Seed        int64   // RNG seed for fault injection
-	LossRate    float64 // drop probability for asynchronous sends, clamped to [0,1]
-	SendLatency uint64  // simulated ticks charged per async delivery
-	CallLatency uint64  // simulated ticks charged per synchronous leg
+	Seed        int64  // RNG seed for fault injection
+	SendLatency uint64 // simulated ticks charged per async delivery
+	CallLatency uint64 // simulated ticks charged per synchronous leg
 
 	// Faults is the initial fault-injection plan (drop/duplicate/delay
-	// rates per class or kind, plus node-pair partitions). It can be
-	// replaced at runtime with SetFaultPlan. The zero plan injects nothing
-	// and draws nothing from the RNG.
+	// rates per class or kind, plus node-pair partitions); Faults.Default.Drop
+	// is the plain loss rate. It can be replaced at runtime with
+	// SetFaultPlan. The zero plan injects nothing and draws nothing from the
+	// RNG.
 	Faults FaultPlan
 }
 
@@ -145,10 +145,9 @@ type Network struct {
 // Network implements the full driver-paced transport contract.
 var _ transport.Network = (*Network)(nil)
 
-// New creates a network with the given options. The loss rate and fault
-// plan are sanitized (probabilities clamped to [0, 1]).
+// New creates a network with the given options. The fault plan is
+// sanitized (probabilities clamped to [0, 1]).
 func New(opts Options) *Network {
-	opts.LossRate = transport.ClampProb(opts.LossRate)
 	nw := &Network{
 		opts:     opts,
 		plan:     opts.Faults.Sanitized(),
@@ -179,18 +178,6 @@ func (nw *Network) Register(id addr.NodeID, h Handler, c CallHandler) {
 	nw.callees[id] = c
 }
 
-// SetLossRate changes the asynchronous drop probability at runtime. The
-// rate is clamped to [0, 1] — NaN and negative values become 0, values
-// above 1 become 1 (drop everything) — and the effective rate actually
-// installed is returned.
-func (nw *Network) SetLossRate(p float64) float64 {
-	p = transport.ClampProb(p)
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	nw.opts.LossRate = p
-	return p
-}
-
 // SetFaultPlan installs a fault-injection plan, replacing any previous one.
 // The plan is sanitized and deep-copied, so the caller may keep mutating its
 // own copy. Installing the zero plan disables injection and draws nothing
@@ -211,8 +198,8 @@ func (nw *Network) Faults() FaultPlan {
 }
 
 // Send enqueues an asynchronous message on the FIFO stream from m.From to
-// m.To, assigning its stream sequence number. The installed loss rate,
-// fault plan and partitions may drop, duplicate or delay the message:
+// m.To, assigning its stream sequence number. The installed fault plan and
+// partitions may drop, duplicate or delay the message:
 //
 //   - A dropped or partitioned message still consumes a sequence number,
 //     so the receiver observes a gap, never a reorder.
@@ -250,19 +237,16 @@ func (nw *Network) Send(m Msg) bool {
 	dup := false
 	var readyAt, delayTicks uint64
 	if !partitioned {
-		lost = nw.opts.LossRate > 0 && nw.rng.Float64() < nw.opts.LossRate
-		if !lost {
-			r := nw.plan.RatesFor(m.Class, m.Kind)
-			if r.Drop > 0 && nw.rng.Float64() < r.Drop {
-				lost = true
-			} else {
-				if r.Dup > 0 && nw.rng.Float64() < r.Dup {
-					dup = true
-				}
-				if r.Delay > 0 && r.DelayTicks > 0 && nw.rng.Float64() < r.Delay {
-					delayTicks = r.DelayTicks
-					readyAt = nw.clock.Now() + delayTicks
-				}
+		r := nw.plan.RatesFor(m.Class, m.Kind)
+		if r.Drop > 0 && nw.rng.Float64() < r.Drop {
+			lost = true
+		} else {
+			if r.Dup > 0 && nw.rng.Float64() < r.Dup {
+				dup = true
+			}
+			if r.Delay > 0 && r.DelayTicks > 0 && nw.rng.Float64() < r.Delay {
+				delayTicks = r.DelayTicks
+				readyAt = nw.clock.Now() + delayTicks
 			}
 		}
 	}

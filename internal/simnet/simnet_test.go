@@ -9,6 +9,10 @@ import (
 	"bmx/internal/addr"
 )
 
+// lossy is a fault plan that drops asynchronous sends with probability p
+// and injects nothing else.
+func lossy(p float64) FaultPlan { return FaultPlan{Default: FaultRates{Drop: p}} }
+
 func collectNode(nw *Network, id addr.NodeID) *[]Msg {
 	var mu sync.Mutex
 	got := &[]Msg{}
@@ -67,7 +71,7 @@ func TestStepOneAtATime(t *testing.T) {
 func TestCallReliableUnderLoss(t *testing.T) {
 	// Synchronous consistency calls must be reliable even when the
 	// background channel is fully lossy.
-	nw := New(Options{LossRate: 1.0, Seed: 7})
+	nw := New(Options{Faults: lossy(1.0), Seed: 7})
 	collectNode(nw, 1)
 	reply, err := nw.Call(Msg{From: 0, To: 1, Kind: "dsm.acq", Class: ClassApp})
 	if err != nil {
@@ -95,7 +99,7 @@ func TestCallHandlerError(t *testing.T) {
 }
 
 func TestLossDropsButKeepsOrder(t *testing.T) {
-	nw := New(Options{LossRate: 0.5, Seed: 42})
+	nw := New(Options{Faults: lossy(0.5), Seed: 42})
 	got := collectNode(nw, 1)
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -125,7 +129,7 @@ func TestLossDropsButKeepsOrder(t *testing.T) {
 
 func TestLossDeterministicBySeed(t *testing.T) {
 	run := func() []uint64 {
-		nw := New(Options{LossRate: 0.3, Seed: 99})
+		nw := New(Options{Faults: lossy(0.3), Seed: 99})
 		got := collectNode(nw, 1)
 		for i := 0; i < 50; i++ {
 			nw.Send(Msg{From: 0, To: 1})
@@ -151,11 +155,11 @@ func TestLossDeterministicBySeed(t *testing.T) {
 func TestSetLossRate(t *testing.T) {
 	nw := New(Options{Seed: 1})
 	collectNode(nw, 1)
-	nw.SetLossRate(1.0)
+	nw.SetFaultPlan(lossy(1.0))
 	if nw.Send(Msg{From: 0, To: 1}) {
 		t.Fatal("send should report loss at rate 1.0")
 	}
-	nw.SetLossRate(0)
+	nw.SetFaultPlan(lossy(0))
 	if !nw.Send(Msg{From: 0, To: 1}) {
 		t.Fatal("send should succeed at rate 0")
 	}
@@ -299,7 +303,7 @@ func TestFIFOPropertyUnderLoss(t *testing.T) {
 	// Property: for any seed and loss rate, delivered seq numbers on a
 	// stream are strictly increasing (loss never reorders).
 	f := func(seed int64, lossPct uint8, count uint8) bool {
-		nw := New(Options{Seed: seed, LossRate: float64(lossPct%90) / 100})
+		nw := New(Options{Seed: seed, Faults: lossy(float64(lossPct%90) / 100)})
 		got := collectNode(nw, 1)
 		for i := 0; i < int(count); i++ {
 			nw.Send(Msg{From: 0, To: 1})

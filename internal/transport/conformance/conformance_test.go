@@ -11,6 +11,12 @@ import (
 	"bmx/internal/transport/tcp"
 )
 
+// lossy is a fault plan that drops asynchronous sends with probability p
+// and injects nothing else.
+func lossy(p float64) transport.FaultPlan {
+	return transport.FaultPlan{Default: transport.FaultRates{Drop: p}}
+}
+
 // The deterministic in-process network: one shared substrate for all
 // nodes, delivery driven by Pump.
 func TestConformanceSimnet(t *testing.T) {
@@ -19,7 +25,7 @@ func TestConformanceSimnet(t *testing.T) {
 		return &conformance.Env{
 			Endpoint: func(addr.NodeID) transport.Transport { return nw },
 			Pump:     func() { nw.Run(0) },
-			SetLoss:  func(p float64) { nw.SetLossRate(p) },
+			SetLoss:  func(p float64) { nw.SetFaultPlan(lossy(p)) },
 		}
 	})
 }
@@ -53,7 +59,7 @@ func TestConformanceTCP(t *testing.T) {
 			Pump:     func() {},
 			SetLoss: func(p float64) {
 				for _, tr := range all {
-					tr.SetLossRate(p)
+					tr.SetFaultPlan(lossy(p))
 				}
 			},
 			Settle: func() {

@@ -89,6 +89,42 @@ func TestClusterNeverAsksWhichGoroutine(t *testing.T) {
 	}
 }
 
+// TestOneWayToBuildANode is the construction census: the simulated cluster
+// and a multi-process peer build their nodes through one constructor and
+// route calls through one handler, so non-test internal/cluster code calls
+// core.NewCollector and dsm.NewNode exactly once each and declares
+// handleCall exactly once. Two assembly paths drift apart; one keeps a
+// peer's node the node the simulated cluster builds.
+func TestOneWayToBuildANode(t *testing.T) {
+	counts := map[string]int{}
+	for _, path := range sourceFiles(t, "../cluster") {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatalf("parsing %s: %v", path, err)
+		}
+		ast.Inspect(f, func(nd ast.Node) bool {
+			switch x := nd.(type) {
+			case *ast.FuncDecl:
+				if x.Name.Name == "handleCall" {
+					counts["handleCall"]++
+				}
+			case *ast.CallExpr:
+				if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
+					if pkg, ok := sel.X.(*ast.Ident); ok {
+						counts[pkg.Name+"."+sel.Sel.Name]++
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, name := range []string{"core.NewCollector", "dsm.NewNode", "handleCall"} {
+		if counts[name] != 1 {
+			t.Errorf("internal/cluster has %d of %s, want exactly 1", counts[name], name)
+		}
+	}
+}
+
 // TestNodeLocalStateCarriesNoLock is the lock census: the collector, the
 // protocol engine and the heap are node-local state, owned outright by the
 // node lock in internal/cluster, so none of their files may import sync. A

@@ -30,7 +30,7 @@ type Options struct {
 	BackoffMin  time.Duration // first reconnect delay (default 25ms)
 	BackoffMax  time.Duration // reconnect delay ceiling (default 1s)
 
-	// Seed seeds the loss-injection RNG (SetLossRate, fault-plan drops).
+	// Seed seeds the loss-injection RNG (fault-plan drops).
 	Seed int64
 }
 
@@ -85,14 +85,13 @@ type Transport struct {
 	// streams holds every stream that may still carry routes: from the
 	// moment newConn sends its hello — before the peer's hello names it —
 	// until it is demoted or dropped. Register announces to all of them.
-	streams  map[*conn]struct{}
-	routes   map[addr.NodeID]*conn
-	pending  map[uint64]*pendingCall
-	nextReq  uint64
-	lossRate float64
-	plan     transport.FaultPlan
-	rng      *rand.Rand
-	closed   bool
+	streams map[*conn]struct{}
+	routes  map[addr.NodeID]*conn
+	pending map[uint64]*pendingCall
+	nextReq uint64
+	plan    transport.FaultPlan
+	rng     *rand.Rand
+	closed  bool
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -219,9 +218,7 @@ func (t *Transport) Send(m transport.Msg) bool {
 	partitioned := t.plan.Partitioned(m.From, m.To)
 	lost := false
 	if !partitioned && !t.closed {
-		if t.lossRate > 0 && t.rng.Float64() < t.lossRate {
-			lost = true
-		} else if r := t.plan.RatesFor(m.Class, m.Kind); r.Drop > 0 && t.rng.Float64() < r.Drop {
+		if r := t.plan.RatesFor(m.Class, m.Kind); r.Drop > 0 && t.rng.Float64() < r.Drop {
 			lost = true
 		}
 	}
@@ -485,19 +482,10 @@ func (t *Transport) Pending() int {
 	return n
 }
 
-// SetLossRate installs a drop probability for asynchronous sends (applied
-// before a frame enters its stream) and returns the clamped rate.
-func (t *Transport) SetLossRate(p float64) float64 {
-	p = transport.ClampProb(p)
-	t.mu.Lock()
-	t.lossRate = p
-	t.mu.Unlock()
-	return p
-}
-
 // SetFaultPlan installs a fault plan. Partitions sever both sends and
-// calls and drop rates apply to sends, mirroring simnet; duplication and
-// delay are not synthesized — a real network supplies its own.
+// calls and drop rates apply to sends (before a frame enters its stream),
+// mirroring simnet; duplication and delay are not synthesized — a real
+// network supplies its own.
 func (t *Transport) SetFaultPlan(fp transport.FaultPlan) {
 	fp = fp.Sanitized()
 	t.mu.Lock()

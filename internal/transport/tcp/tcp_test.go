@@ -327,9 +327,6 @@ func TestSteppingIsNoOp(t *testing.T) {
 	if !a.Faults().Partitioned(0, 1) {
 		t.Fatal("fault plan not retained")
 	}
-	if got := a.SetLossRate(2.5); got != 1 {
-		t.Fatalf("SetLossRate clamp: %v", got)
-	}
 }
 
 // A partition installed on the sender severs calls with the sentinel the

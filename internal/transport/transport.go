@@ -116,12 +116,9 @@ type Network interface {
 	Run(limit int) int
 	// Pending reports the number of undelivered asynchronous messages.
 	Pending() int
-	// SetLossRate changes the asynchronous drop probability at runtime.
-	// The rate is clamped to [0, 1] (NaN and negative values become 0) and
-	// the effective rate actually installed is returned.
-	SetLossRate(p float64) float64
 	// SetFaultPlan installs a fault-injection plan (drop/duplicate/delay
-	// rates and node-pair partitions). The plan is sanitized and copied;
+	// rates and node-pair partitions); its Default.Drop is the
+	// asynchronous loss rate. The plan is sanitized and copied;
 	// installing the zero FaultPlan disables injection entirely and must
 	// leave deterministic runs byte-for-byte identical to runs that never
 	// installed a plan.
