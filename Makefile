@@ -54,12 +54,16 @@ chaos:
 # disciplines and every store backend, plus the Go crash suite under the
 # race detector. Each run kills nodes mid-collection on both sides of the
 # flip's log force and audits persistence-by-reachability after restart.
+# The seed-5 run puts flatfs on a real directory, so recovery reads back
+# what its tail writes and fsyncs actually left on disk.
 chaos-crash:
 	$(GO) test -race -run 'Crash|KillRestart|GroupCommit' ./internal/cluster/ ./internal/store/
 	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 600 -seed 1 -sync pertx
 	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 600 -seed 2 -sync flip
 	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 3 -store flatfs -sync flip
 	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 4 -store lsm -sync flip
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+		$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 5 -store flatfs -store-dir "$$d" -sync pertx
 
 bench:
 	$(GO) test -bench=. -benchmem -run xxx .

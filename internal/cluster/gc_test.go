@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
+	"bmx/internal/addr"
 	"bmx/internal/core"
 )
 
@@ -340,6 +342,111 @@ func TestFromSpaceReclaimWithRemoteOwner(t *testing.T) {
 	}
 	if v, _ := n1.ReadWord(o, 0); v != 99 {
 		t.Fatalf("value after reclaim = %d", v)
+	}
+}
+
+// TestFromSpaceReclaimBatch reclaims two from-space segments linked by a
+// forwarding chain — o1 was copied from the first into the second and on
+// into to-space — in one round: one gc.addrChange per peer per call, every
+// reference resolving afterwards. Across a partition the whole batch stays
+// queued, and is reclaimed after heal.
+func TestFromSpaceReclaimBatch(t *testing.T) {
+	cl := New(Config{Nodes: 3, SegWords: 64, Seed: 1})
+	n0, n1, n2 := cl.Node(0), cl.Node(1), cl.Node(2)
+	b := n0.NewBunch()
+	o1 := n0.MustAlloc(b, 2)
+	o2 := n0.MustAlloc(b, 2)
+	n0.AddRoot(o1)
+	n0.WriteRef(o1, 0, o2)
+	n0.WriteWord(o2, 1, 42)
+	for _, n := range []*Node{n1, n2} {
+		if err := n.MapBunch(b); err != nil {
+			t.Fatal(err)
+		}
+		n.AddRoot(o1)
+	}
+	heap := n0.Collector().Heap()
+	first, _ := heap.Canonical(o1.OID)
+
+	// Two collections: the allocation segment and then the first to-space
+	// both become from-space, and o1's first header forwards into the
+	// second segment, whose header forwards on into to-space.
+	for i := 0; i < 2; i++ {
+		n0.CollectBunch(b)
+		cl.Run(0)
+	}
+	batch := n0.Collector().FromSpaceSegments(b)
+	if len(batch) < 2 {
+		t.Fatalf("from-space batch = %v, want at least two segments", batch)
+	}
+	doomed := func(a addr.Addr) bool {
+		id, ok := heap.Allocator().SegIndex(a)
+		return ok && slices.Contains(batch, id)
+	}
+	mid := heap.Fwd(first)
+	chained := doomed(first) && doomed(mid) && heap.SegAt(first) != heap.SegAt(mid) &&
+		heap.Forwarded(mid) && !doomed(heap.Fwd(mid))
+	if !chained {
+		t.Fatalf("want a chain doomed %v -> other doomed %v -> to-space, got -> %v", first, mid, heap.Fwd(mid))
+	}
+
+	// Across a partition the round aborts and the whole batch is requeued.
+	cl.Partition(0, 2)
+	if st := n0.ReclaimFromSpace(b); st.Segments != 0 {
+		t.Fatalf("reclaimed %d segments across a partition", st.Segments)
+	}
+	if got := n0.Collector().FromSpaceSegments(b); !slices.Equal(got, batch) {
+		t.Fatalf("after abort from-space = %v, want the whole batch %v", got, batch)
+	}
+	cl.HealAll()
+
+	rounds := cl.Stats().Get("msg.sent.kind.gc.addrChange")
+	st := n0.ReclaimFromSpace(b)
+	if st.Segments != len(batch) {
+		t.Fatalf("reclaimed %d segments, want the batch of %d", st.Segments, len(batch))
+	}
+	if got := cl.Stats().Get("msg.sent.kind.gc.addrChange") - rounds; got != 2 {
+		t.Fatalf("gc.addrChange messages for one reclaim = %d, want one per peer (2)", got)
+	}
+	if segs := n0.Collector().FromSpaceSegments(b); len(segs) != 0 {
+		t.Fatalf("from-space after reclaim = %v", segs)
+	}
+	cl.Run(0)
+
+	for _, n := range []*Node{n0, n1, n2} {
+		h := n.Collector().Heap()
+		for _, id := range h.Segments() {
+			if doomed(h.Seg(id).Meta.Base) {
+				t.Fatalf("node %v still maps reclaimed segment %v", n.ID(), id)
+			}
+		}
+		// The replica's own word, before any acquire refreshes it, must
+		// already have been rewritten out of the freed batch.
+		if can, ok := h.Canonical(o1.OID); ok && h.IsObjectAt(can) {
+			if w := addr.Addr(h.GetField(can, 0)); doomed(w) {
+				t.Fatalf("node %v: o1[0] = %v still points into the freed batch", n.ID(), w)
+			}
+		} else {
+			t.Fatalf("node %v lost its replica of o1", n.ID())
+		}
+		if err := n.AcquireRead(o1); err != nil {
+			t.Fatalf("node %v: %v", n.ID(), err)
+		}
+		r, err := n.ReadRef(o1, 0)
+		if err != nil || !n.SamePtr(r, o2) {
+			t.Fatalf("node %v: o1[0] = %v, %v; want o2", n.ID(), r, err)
+		}
+		n.Release(o1)
+		if err := n.AcquireRead(o2); err != nil {
+			t.Fatalf("node %v: %v", n.ID(), err)
+		}
+		if v, _ := n.ReadWord(o2, 1); v != 42 {
+			t.Fatalf("node %v: o2[1] = %d, want 42", n.ID(), v)
+		}
+		n.Release(o2)
+	}
+	if vs := cl.CheckInvariants(); len(vs) != 0 {
+		t.Fatalf("invariants violated after batched reclaim: %v", vs)
 	}
 }
 

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -79,9 +80,19 @@ type Directory struct {
 	// every replica with the pages; in this simulation the directory
 	// carries that knowledge, so a stale word in any replica still
 	// identifies its object even after the segment holding the header was
-	// freed or was never mapped locally.
-	placements map[addr.Addr]addr.OID
+	// freed or was never mapped locally. The ledger is kept per segment,
+	// sorted by address, so freeing a segment forgets its range without
+	// touching any other segment's placements.
+	placements map[addr.SegID][]placement
 }
+
+// placement is one ledger entry: an object was placed at an address.
+type placement struct {
+	a addr.Addr
+	o addr.OID
+}
+
+func cmpPlacement(p placement, a addr.Addr) int { return cmp.Compare(p.a, a) }
 
 // NewDirectory creates a directory drawing segments from alloc.
 func NewDirectory(alloc *mem.Allocator) *Directory {
@@ -93,7 +104,7 @@ func NewDirectory(alloc *mem.Allocator) *Directory {
 		nextOID:    1,
 		segObjs:    make(map[addr.SegID][]addr.OID),
 		ownerHint:  make(map[addr.OID]addr.NodeID),
-		placements: make(map[addr.Addr]addr.OID),
+		placements: make(map[addr.SegID][]placement),
 	}
 }
 
@@ -234,12 +245,8 @@ func (d *Directory) RemoveSegment(b addr.BunchID, id addr.SegID) {
 			continue
 		}
 		bi.segs = append(bi.segs[:i], bi.segs[i+1:]...)
-		if meta := d.alloc.Meta(id); meta != nil {
-			for a := range d.placements {
-				if meta.Contains(a) {
-					delete(d.placements, a)
-				}
-			}
+		if d.alloc.Meta(id) != nil {
+			delete(d.placements, id)
 			delete(d.segObjs, id)
 		}
 		d.alloc.Free(id)
@@ -273,7 +280,7 @@ func (d *Directory) RegisterObject(info ObjInfo) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.objects[info.OID] = info
-	d.placements[info.AllocAddr] = info.OID
+	d.place(info.AllocAddr, info.OID)
 	if meta := d.alloc.Lookup(info.AllocAddr); meta != nil {
 		d.segObjs[meta.ID] = append(d.segObjs[meta.ID], info.OID)
 	}
@@ -337,13 +344,37 @@ func (d *Directory) OwnerHintOf(o addr.OID) addr.NodeID {
 func (d *Directory) RecordPlacement(a addr.Addr, o addr.OID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.placements[a] = o
+	d.place(a, o)
+}
+
+// place records a placement in the ledger of a's segment. Only addresses
+// inside the segment region can hold an object. Allocation bumps upward, so
+// the new entry almost always goes at the end. Caller holds d.mu.
+func (d *Directory) place(a addr.Addr, o addr.OID) {
+	id, ok := d.alloc.SegIndex(a)
+	if !ok {
+		return
+	}
+	ps := d.placements[id]
+	i, found := slices.BinarySearchFunc(ps, a, cmpPlacement)
+	if found {
+		ps[i].o = o
+		return
+	}
+	d.placements[id] = slices.Insert(ps, i, placement{a, o})
 }
 
 // PlacementOID returns the object that was placed at a, if any ever was.
 func (d *Directory) PlacementOID(a addr.Addr) (addr.OID, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	o, ok := d.placements[a]
-	return o, ok
+	id, ok := d.alloc.SegIndex(a)
+	if !ok {
+		return addr.NilOID, false
+	}
+	ps := d.placements[id]
+	if i, found := slices.BinarySearchFunc(ps, a, cmpPlacement); found {
+		return ps[i].o, true
+	}
+	return addr.NilOID, false
 }

@@ -106,16 +106,30 @@ func TestDirectoryOIDsUnique(t *testing.T) {
 
 func TestDirectoryPlacements(t *testing.T) {
 	d := newDir()
-	d.RecordPlacement(0x1000, 7)
-	d.RecordPlacement(0x2000, 7) // the object moved
-	if o, ok := d.PlacementOID(0x1000); !ok || o != 7 {
+	b := d.NewBunch(0)
+	from, to := d.AddSegment(b), d.AddSegment(b)
+	old, moved := from.Base.AddWords(8), to.Base.AddWords(8)
+	d.RecordPlacement(old, 7)
+	d.RecordPlacement(moved, 7) // the object moved
+	if o, ok := d.PlacementOID(old); !ok || o != 7 {
 		t.Fatal("old placement lost")
 	}
-	if o, ok := d.PlacementOID(0x2000); !ok || o != 7 {
+	if o, ok := d.PlacementOID(moved); !ok || o != 7 {
 		t.Fatal("new placement missing")
 	}
-	if _, ok := d.PlacementOID(0x3000); ok {
+	if _, ok := d.PlacementOID(to.Base); ok {
 		t.Fatal("phantom placement")
+	}
+	if _, ok := d.PlacementOID(0x3000); ok {
+		t.Fatal("phantom placement below the segment region")
+	}
+	// Freeing a segment forgets the placements in its range, and only those.
+	d.RemoveSegment(b, from.ID)
+	if _, ok := d.PlacementOID(old); ok {
+		t.Fatal("placement in a freed segment survived")
+	}
+	if o, ok := d.PlacementOID(moved); !ok || o != 7 {
+		t.Fatal("freeing one segment dropped another's placement")
 	}
 }
 

@@ -27,9 +27,9 @@ const (
 	// KindCopyOut asks an object's owner to copy it out of a from-space
 	// segment about to be reused (§4.5).
 	KindCopyOut = "gc.copyOut"
-	// KindAddrChange informs a replica holder of the address changes in a
-	// from-space segment being reclaimed, and asks it to evacuate its own
-	// objects and unmap its replica of the segment (§4.5).
+	// KindAddrChange informs a replica holder of the address changes in the
+	// batch of from-space segments being reclaimed, and asks it to evacuate
+	// its own objects and unmap its replicas of the batch (§4.5).
 	KindAddrChange = "gc.addrChange"
 	// KindDeadNotice tells an object's allocation site (the routing
 	// anchor) that the owner reclaimed the object, so the forwarding stub
@@ -64,12 +64,13 @@ type CopyOutReply struct {
 
 // AddrChangeMsg is the payload of KindAddrChange.
 type AddrChangeMsg struct {
-	From      addr.NodeID
-	Bunch     addr.BunchID
-	Seg       addr.SegID
+	From  addr.NodeID
+	Bunch addr.BunchID
+	// Segs is the batch of doomed segments one round frees.
+	Segs      []addr.SegID
 	Manifests []dsm.Manifest
-	// Headers names every object whose header lies in the doomed segment,
-	// by old address. Only the segment's creator allocates into it, so the
+	// Headers names every object whose header lies in a doomed segment, by
+	// old address. Only a segment's creator allocates into it, so the
 	// initiator knows them all; receivers use the table to rewrite words
 	// they could not resolve through local state.
 	Headers []SegHeader
@@ -235,18 +236,18 @@ func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
 
 // serveAddrChange participates in another node's from-space reuse round
 // (§4.5): apply the address changes, evacuate any of our own objects still
-// resident in the doomed segment, rewrite local references into it, and
-// unmap the local replica.
+// resident in the doomed batch, rewrite local references into it, and only
+// then unmap the local replicas.
 func (c *Collector) serveAddrChange(msg AddrChangeMsg) {
 	c.rememberTombstones(msg.Headers)
 	c.ApplyManifests(msg.Manifests, msg.From)
-	c.evacuateSegment(msg.Bunch, msg.Seg)
-	meta := c.dir.Allocator().Meta(msg.Seg)
-	if meta != nil {
-		c.rewriteRefsInto(meta, headerTable(msg.Headers))
+	c.evacuate(msg.Segs)
+	doomed := c.doomedSet(msg.Segs)
+	c.rewriteRefsInto(doomed, headerTable(msg.Headers))
+	c.dropCanonicalsIn(doomed)
+	for _, id := range msg.Segs {
+		c.heap.UnmapSegment(id)
 	}
-	c.dropCanonicalsIn(msg.Seg)
-	c.heap.UnmapSegment(msg.Seg)
 	c.stats().Add("core.reclaim.participated", 1)
 }
 
@@ -258,28 +259,30 @@ func headerTable(hs []SegHeader) map[addr.Addr]addr.OID {
 	return out
 }
 
-// evacuateSegment rescues every object whose local canonical address lies in
-// segment seg: owned objects are moved locally; non-owned ones are copied
-// out by their owner.
-func (c *Collector) evacuateSegment(b addr.BunchID, seg addr.SegID) {
-	s := c.heap.Seg(seg)
-	if s == nil {
-		return
-	}
+// evacuate rescues every object whose local canonical address lies in one
+// of the given segments: owned objects are moved locally; non-owned ones
+// are copied out by their owners, one request per owner for the batch.
+func (c *Collector) evacuate(segs []addr.SegID) {
 	var mine, theirs []addr.OID
-	for _, a := range s.Objects() {
-		if c.heap.Forwarded(a) {
+	for _, id := range segs {
+		s := c.heap.Seg(id)
+		if s == nil {
 			continue
 		}
-		o := c.heap.ObjOID(a)
-		can, ok := c.heap.Canonical(o)
-		if !ok || can != a {
-			continue // dead here, or already relocated
-		}
-		if c.dsm.IsOwner(o) {
-			mine = append(mine, o)
-		} else if c.dsm.Knows(o) {
-			theirs = append(theirs, o)
+		for _, a := range s.Objects() {
+			if c.heap.Forwarded(a) {
+				continue
+			}
+			o := c.heap.ObjOID(a)
+			can, ok := c.heap.Canonical(o)
+			if !ok || can != a {
+				continue // dead here, or already relocated
+			}
+			if c.dsm.IsOwner(o) {
+				mine = append(mine, o)
+			} else if c.dsm.Knows(o) {
+				theirs = append(theirs, o)
+			}
 		}
 	}
 	for _, o := range mine {
@@ -354,53 +357,54 @@ func (c *Collector) requestCopyOut(oids []addr.OID) {
 }
 
 // rewriteRefsInto rewrites every local pointer word — and every forwarding
-// pointer in other segments — that points into the given segment through
-// the forwarding pointers resident there, so the segment holds no
-// forwarding pointer anybody still needs (§4.5). Without the second pass, a
-// forwarding chain hopping through the doomed segment would dangle once it
-// is unmapped.
-func (c *Collector) rewriteRefsInto(target *mem.SegmentMeta, headers map[addr.Addr]addr.OID) {
+// pointer — outside the doomed batch that points into it, through the
+// forwarding pointers resident there, so the batch holds no forwarding
+// pointer anybody still needs (§4.5). One pass over the heap serves the
+// whole batch. Without the second pass, a forwarding chain hopping through
+// a doomed segment would dangle once it is unmapped. The doomed segments'
+// own words die with them and are not rewritten.
+func (c *Collector) rewriteRefsInto(doomed segSet, headers map[addr.Addr]addr.OID) {
 	for _, id := range c.heap.Segments() {
+		if doomed.has(id) {
+			continue
+		}
 		s := c.heap.Seg(id)
 		base := s.Meta.Base
 		for _, off := range s.RefWords() {
 			a := base.AddWords(off)
 			w := addr.Addr(c.heap.Word(a))
-			if w.IsNil() || !target.Contains(w) {
+			if w.IsNil() || !doomed.contains(w) {
 				continue
 			}
-			if r, ok := c.escapeDoomed(target, w, headers); ok {
+			if r, ok := c.escapeDoomed(doomed, w, headers); ok {
 				c.heap.SetWord(a, uint64(r))
 				c.stats().Add("core.reclaim.refsRewritten", 1)
 			}
 		}
-		if s.Meta.ID == target.ID {
-			continue
-		}
-		for _, h := range s.Objects() {
+		s.ForEachObject(func(h addr.Addr) {
 			if !c.heap.Forwarded(h) {
-				continue
+				return
 			}
 			fwd := c.heap.Fwd(h)
-			if !target.Contains(fwd) {
-				continue
+			if !doomed.contains(fwd) {
+				return
 			}
-			if r, ok := c.escapeDoomed(target, fwd, headers); ok {
+			if r, ok := c.escapeDoomed(doomed, fwd, headers); ok {
 				c.heap.SetFwd(h, r)
 				c.stats().Add("core.reclaim.fwdsRewritten", 1)
 			}
-		}
+		})
 	}
 }
 
 // escapeDoomed finds the current address of whatever w (inside the doomed
-// segment) refers to: through the local forwarding pointer when one exists,
+// batch) refers to: through the local forwarding pointer when one exists,
 // via the object header under w and the canonical map, or via the
 // initiator's header table — a replica may hold old words for an object
 // whose header it never materialized. Returns false when nothing better
 // than w is known (then w is a reference inside stale garbage).
-func (c *Collector) escapeDoomed(target *mem.SegmentMeta, w addr.Addr, headers map[addr.Addr]addr.OID) (addr.Addr, bool) {
-	if r := c.heap.Resolve(w); r != w && !target.Contains(r) {
+func (c *Collector) escapeDoomed(doomed segSet, w addr.Addr, headers map[addr.Addr]addr.OID) (addr.Addr, bool) {
+	if r := c.heap.Resolve(w); r != w && !doomed.contains(r) {
 		return r, true
 	}
 	oid := addr.NilOID
@@ -411,7 +415,7 @@ func (c *Collector) escapeDoomed(target *mem.SegmentMeta, w addr.Addr, headers m
 	}
 	if !oid.IsNil() {
 		if can, ok := c.heap.Canonical(oid); ok {
-			if can = c.heap.Resolve(can); can != w && !target.Contains(can) {
+			if can = c.heap.Resolve(can); can != w && !doomed.contains(can) {
 				return can, true
 			}
 		}
@@ -420,15 +424,11 @@ func (c *Collector) escapeDoomed(target *mem.SegmentMeta, w addr.Addr, headers m
 	return addr.NilAddr, false
 }
 
-// dropCanonicalsIn forgets canonical addresses still inside a segment being
-// reclaimed. Anything still here is stale: live objects were evacuated.
-func (c *Collector) dropCanonicalsIn(seg addr.SegID) {
-	meta := c.dir.Allocator().Meta(seg)
-	if meta == nil {
-		return
-	}
+// dropCanonicalsIn forgets canonical addresses still inside the batch being
+// reclaimed. Anything still there is stale: live objects were evacuated.
+func (c *Collector) dropCanonicalsIn(doomed segSet) {
 	for _, o := range c.heap.KnownObjects() {
-		if a, ok := c.heap.Canonical(o); ok && meta.Contains(a) {
+		if a, ok := c.heap.Canonical(o); ok && doomed.contains(a) {
 			c.heap.DropObject(o)
 			if c.heap.IsObjectAt(a) && c.heap.ObjOID(a) != o {
 				// The address was reused under a stale canonical: only the

@@ -208,12 +208,17 @@ func (a *Allocator) adoptLocked(m SegmentMeta) *SegmentMeta {
 // Lookup returns the descriptor of the segment containing address x, or nil
 // if x is outside every allocated segment.
 func (a *Allocator) Lookup(x addr.Addr) *SegmentMeta {
-	id, ok := segIndex(x, a.segWords)
+	id, ok := a.SegIndex(x)
 	if !ok {
 		return nil
 	}
 	return a.Meta(id)
 }
+
+// SegIndex returns the ID of the segment whose address range holds x, by
+// arithmetic alone: the segment need not have been allocated. False for an
+// address below the segment region.
+func (a *Allocator) SegIndex(x addr.Addr) (addr.SegID, bool) { return segIndex(x, a.segWords) }
 
 // segIndex returns the ID of the segWords-word segment whose range holds x;
 // false for an address below the segment region.
@@ -279,8 +284,15 @@ func (s *Segment) UsedWords() int {
 // replica, in address order.
 func (s *Segment) Objects() []addr.Addr {
 	var out []addr.Addr
-	s.objMap.ForEach(func(i int) { out = append(out, s.Meta.Base.AddWords(i)) })
+	s.ForEachObject(func(a addr.Addr) { out = append(out, a) })
 	return out
+}
+
+// ForEachObject calls f with the header address of every object
+// materialized in this replica, in address order, without building a list.
+func (s *Segment) ForEachObject(f func(a addr.Addr)) {
+	base := s.Meta.Base
+	s.objMap.ForEach(func(i int) { f(base.AddWords(i)) })
 }
 
 // RefBit reports whether word offset off is marked as a pointer.

@@ -20,7 +20,6 @@
 package rvm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -159,47 +158,37 @@ func (l *Log) Recover() []Record {
 	return records
 }
 
+// forEachRecord decodes the log's records in order. Every record starts
+// with a tag byte and the transaction ID; a torn or corrupt record ends the
+// scan.
 func forEachRecord(data []byte, f func(tag byte, r Record)) {
-	buf := bytes.NewReader(data)
-	for buf.Len() > 0 {
-		tag, err := buf.ReadByte()
-		if err != nil {
-			return
-		}
-		var tx uint64
-		if err := binary.Read(buf, binary.LittleEndian, &tx); err != nil {
-			return
-		}
+	le := binary.LittleEndian
+	for len(data) >= 9 {
+		tag, tx := data[0], le.Uint64(data[1:])
+		data = data[9:]
 		switch tag {
 		case tagCommit:
 			f(tagCommit, Record{Tx: tx})
 		case tagDead:
-			var oid uint64
-			if err := binary.Read(buf, binary.LittleEndian, &oid); err != nil {
+			if len(data) < 8 {
 				return // torn record: stop
 			}
-			f(tagDead, Record{Tx: tx, Dead: true, OID: addr.OID(oid)})
+			f(tagDead, Record{Tx: tx, Dead: true, OID: addr.OID(le.Uint64(data))})
+			data = data[8:]
 		case tagRange, tagRefBit:
-			var seg, gen, off, n uint32
-			if err := binary.Read(buf, binary.LittleEndian, &seg); err != nil {
+			if len(data) < 16 {
 				return
 			}
-			if err := binary.Read(buf, binary.LittleEndian, &gen); err != nil {
-				return
-			}
-			if err := binary.Read(buf, binary.LittleEndian, &off); err != nil {
-				return
-			}
-			if err := binary.Read(buf, binary.LittleEndian, &n); err != nil {
-				return
-			}
-			if int(n) > buf.Len()/8 {
+			seg, gen, off, n := le.Uint32(data), le.Uint32(data[4:]), le.Uint32(data[8:]), le.Uint32(data[12:])
+			data = data[16:]
+			if uint64(n) > uint64(len(data)/8) {
 				return // torn or corrupt length: stop at the damage
 			}
 			words := make([]uint64, n)
-			if err := binary.Read(buf, binary.LittleEndian, &words); err != nil {
-				return // torn record: stop
+			for i := range words {
+				words[i] = le.Uint64(data[8*i:])
 			}
+			data = data[8*len(words):]
 			f(tag, Record{
 				Tx: tx, Seg: addr.SegID(seg), Gen: gen, Off: int(off),
 				Words: words, RefBit: tag == tagRefBit,
@@ -216,7 +205,7 @@ func forEachRecord(data []byte, f func(tag byte, r Record)) {
 type Tx struct {
 	log  *Log
 	id   uint64
-	buf  bytes.Buffer
+	buf  []byte // encoded records, appended to the log at commit
 	done bool
 }
 
@@ -244,25 +233,43 @@ func (tx *Tx) SetRefBit(seg addr.SegID, gen uint32, off int, v bool) {
 // On recovery the object must stay dead: a logged death overrides any
 // earlier checkpoint or header record for the same object.
 func (tx *Tx) SetDead(oid addr.OID) {
+	tx.begin(tagDead)
+	tx.buf = binary.LittleEndian.AppendUint64(tx.buf, uint64(oid))
+}
+
+// begin starts a record of the given tag: the tag byte, then the
+// transaction ID.
+func (tx *Tx) begin(tag byte) {
 	if tx.done {
 		panic("rvm: record on a finished transaction")
 	}
-	tx.buf.WriteByte(tagDead)
-	binary.Write(&tx.buf, binary.LittleEndian, tx.id)
-	binary.Write(&tx.buf, binary.LittleEndian, uint64(oid))
+	tx.buf = binary.LittleEndian.AppendUint64(append(tx.buf, tag), tx.id)
 }
 
 func (tx *Tx) record(tag byte, seg addr.SegID, gen uint32, off int, words []uint64) {
-	if tx.done {
-		panic("rvm: record on a finished transaction")
+	tx.begin(tag)
+	le := binary.LittleEndian
+	b := le.AppendUint32(tx.buf, uint32(seg))
+	b = le.AppendUint32(b, gen)
+	b = le.AppendUint32(b, uint32(off))
+	b = le.AppendUint32(b, uint32(len(words)))
+	for _, w := range words {
+		b = le.AppendUint64(b, w)
 	}
-	tx.buf.WriteByte(tag)
-	binary.Write(&tx.buf, binary.LittleEndian, tx.id)
-	binary.Write(&tx.buf, binary.LittleEndian, uint32(seg))
-	binary.Write(&tx.buf, binary.LittleEndian, gen)
-	binary.Write(&tx.buf, binary.LittleEndian, uint32(off))
-	binary.Write(&tx.buf, binary.LittleEndian, uint32(len(words)))
-	binary.Write(&tx.buf, binary.LittleEndian, words)
+	tx.buf = b
+}
+
+// seal ends the transaction with its commit marker and appends it to the
+// log, without forcing.
+func (tx *Tx) seal(op string) {
+	if tx.done {
+		panic("rvm: " + op + " on a finished transaction")
+	}
+	tx.begin(tagCommit)
+	tx.done = true
+	l := tx.log
+	l.st.Append(l.name, tx.buf)
+	l.count("rvm.log.bytes", int64(len(tx.buf)))
 }
 
 // Commit appends the transaction's records and a commit marker to the log.
@@ -270,15 +277,8 @@ func (tx *Tx) record(tag byte, seg addr.SegID, gen uint32, off int, words []uint
 // updates survive any crash; in group-commit mode durability waits for the
 // next Barrier.
 func (tx *Tx) Commit() {
-	if tx.done {
-		panic("rvm: Commit on a finished transaction")
-	}
-	tx.done = true
-	tx.buf.WriteByte(tagCommit)
-	binary.Write(&tx.buf, binary.LittleEndian, tx.id)
+	tx.seal("Commit")
 	l := tx.log
-	l.st.Append(l.name, tx.buf.Bytes())
-	l.count("rvm.log.bytes", int64(tx.buf.Len()))
 	l.count("rvm.log.commits", 1)
 	if !l.GroupCommit() {
 		l.st.Sync(l.name)
@@ -288,16 +288,7 @@ func (tx *Tx) Commit() {
 // WriteNoSync appends the transaction's records and commit marker to the log
 // WITHOUT forcing it to disk. It exists to demonstrate what recovery does
 // when a crash intervenes before the force (the transaction must vanish).
-func (tx *Tx) WriteNoSync() {
-	if tx.done {
-		panic("rvm: WriteNoSync on a finished transaction")
-	}
-	tx.done = true
-	tx.buf.WriteByte(tagCommit)
-	binary.Write(&tx.buf, binary.LittleEndian, tx.id)
-	tx.log.st.Append(tx.log.name, tx.buf.Bytes())
-	tx.log.count("rvm.log.bytes", int64(tx.buf.Len()))
-}
+func (tx *Tx) WriteNoSync() { tx.seal("WriteNoSync") }
 
 // Abort discards the transaction.
 func (tx *Tx) Abort() { tx.done = true }

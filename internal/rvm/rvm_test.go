@@ -1,6 +1,7 @@
 package rvm
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"bmx/internal/addr"
@@ -26,6 +27,44 @@ func TestCommitRecover(t *testing.T) {
 	}
 	if recs[1].Off != 20 || recs[1].Words[0] != 9 {
 		t.Fatalf("record 1 = %+v", recs[1])
+	}
+}
+
+// TestLogFormatGolden pins the on-disk record format byte for byte: one
+// transaction holding one record of each kind, then its commit marker. All
+// integers are little-endian; a range or ref-bit record is tag, tx (u64),
+// seg, gen, off, word count (u32 each), then the words (u64 each).
+func TestLogFormatGolden(t *testing.T) {
+	d := store.NewDisk()
+	l := NewLog(d, "log")
+	tx := l.Begin()
+	tx.SetRange(0x0203, 0x04050607, 0x10, []uint64{0x0102030405060708, 9})
+	tx.SetRefBit(0x0203, 0x04050607, 0x11, true)
+	tx.SetDead(addr.OID(0x1122334455667788))
+	tx.Commit()
+	want := "52" + "0100000000000000" + "03020000" + "07060504" + "10000000" + "02000000" +
+		"0807060504030201" + "0900000000000000" +
+		"42" + "0100000000000000" + "03020000" + "07060504" + "11000000" + "01000000" +
+		"0100000000000000" +
+		"44" + "0100000000000000" + "8877665544332211" +
+		"43" + "0100000000000000"
+	got, _ := d.Read("log")
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("log bytes\n got %x\nwant %s", got, want)
+	}
+	recs := l.Recover()
+	if len(recs) != 3 {
+		t.Fatalf("recovered %d records, want 3", len(recs))
+	}
+	if r := recs[0]; r.Seg != 0x0203 || r.Gen != 0x04050607 || r.Off != 0x10 || r.RefBit ||
+		len(r.Words) != 2 || r.Words[0] != 0x0102030405060708 || r.Words[1] != 9 {
+		t.Fatalf("range record = %+v", r)
+	}
+	if r := recs[1]; !r.RefBit || r.Off != 0x11 || len(r.Words) != 1 || r.Words[0] != 1 {
+		t.Fatalf("ref-bit record = %+v", r)
+	}
+	if r := recs[2]; !r.Dead || r.OID != 0x1122334455667788 {
+		t.Fatalf("dead record = %+v", r)
 	}
 }
 

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,33 +11,48 @@ import (
 )
 
 // FlatFS is the one-file-per-name backend (the "flatfs" backend, after the
-// flat-filesystem datastores used by content-addressed stores). Volatile
-// contents always live in memory — the page cache. The durable half is
-// either an in-memory shadow (no directory: simulated, like Disk) or a real
-// file under dir written with os.File + fsync on every Sync.
+// flat-filesystem datastores used by content-addressed stores).
 //
-// With a directory, a new FlatFS loads every regular file found there as
-// durable (and volatile) content, which is what makes cross-process
-// recovery real: a bmxd run pointed at the same -store-dir resumes from
-// whatever the previous run forced to disk.
+// Without a directory durability is simulated: like Disk, every file keeps
+// a volatile and a durable copy in memory.
+//
+// With a directory the durable half is the file on disk, and memory holds
+// only what was written since that file's last Sync: the appended tail, or
+// the whole new contents after a Write. Sync of an appended file writes the
+// tail at the durable offset and fsyncs, so a sync costs the tail, not the
+// file; a replaced file is truncated and rewritten. A new FlatFS takes every
+// regular file found in the directory as durable content, which is what
+// makes cross-process recovery real: a bmxd run pointed at the same
+// -store-dir resumes from whatever the previous run forced to disk.
 type FlatFS struct {
 	mu    sync.Mutex
-	dir   string // "" = simulated durability
-	files map[string]*file
+	dir   string               // "" = simulated durability
+	files map[string]*file     // simulated mode
+	disk  map[string]*diskFile // directory mode
 	// stats
 	bytesWritten int64
 	bytesSynced  int64
 	syncs        int64
 }
 
+// diskFile is one directory-mode file. Its durable contents are the size
+// bytes of the file on disk (present once onDisk); its volatile contents
+// are those followed by pending, or pending alone when replaced — a Write
+// since the last Sync superseded what is on disk.
+type diskFile struct {
+	size     int64
+	onDisk   bool
+	replaced bool
+	pending  []byte
+}
+
 var _ Store = (*FlatFS)(nil)
 
 // NewFlatFS returns a flatfs store. With dir == "" durability is simulated
 // in memory; otherwise dir is created if needed and existing files in it
-// are loaded as the durable state. Errors touching the real filesystem are
-// reported on first use via panic — the store layer has no error channel,
-// matching the simulated backends, and a broken store directory is fatal
-// to a node anyway.
+// are the durable state. Errors touching the real filesystem panic — the
+// store layer has no error channel, matching the simulated backends, and a
+// broken store directory is fatal to a node anyway.
 func NewFlatFS(dir string) *FlatFS {
 	s := &FlatFS{dir: dir, files: make(map[string]*file)}
 	if dir == "" {
@@ -44,24 +61,28 @@ func NewFlatFS(dir string) *FlatFS {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		panic(fmt.Sprintf("store: flatfs %s: %v", dir, err))
 	}
-	ents, err := os.ReadDir(dir)
+	s.load()
+	return s
+}
+
+// load rebuilds the directory-mode namespace from the directory: one file
+// per regular file there, durable up to its size, nothing pending.
+func (s *FlatFS) load() {
+	ents, err := os.ReadDir(s.dir)
 	if err != nil {
-		panic(fmt.Sprintf("store: flatfs %s: %v", dir, err))
+		panic(fmt.Sprintf("store: flatfs %s: %v", s.dir, err))
 	}
+	s.disk = make(map[string]*diskFile, len(ents))
 	for _, e := range ents {
 		if !e.Type().IsRegular() {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		info, err := e.Info()
 		if err != nil {
-			panic(fmt.Sprintf("store: flatfs %s: %v", dir, err))
+			panic(fmt.Sprintf("store: flatfs %s: %v", s.dir, err))
 		}
-		s.files[e.Name()] = &file{
-			durable:  data,
-			volatile: append([]byte(nil), data...),
-		}
+		s.disk[e.Name()] = &diskFile{size: info.Size(), onDisk: true}
 	}
-	return s
 }
 
 func (s *FlatFS) get(name string) *file {
@@ -73,45 +94,75 @@ func (s *FlatFS) get(name string) *file {
 	return f
 }
 
+func (s *FlatFS) getDisk(name string) *diskFile {
+	f, ok := s.disk[name]
+	if !ok {
+		f = &diskFile{}
+		s.disk[name] = f
+	}
+	return f
+}
+
 func (s *FlatFS) path(name string) string { return filepath.Join(s.dir, name) }
 
 // Write replaces the volatile contents of name.
 func (s *FlatFS) Write(name string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := s.get(name)
-	f.volatile = append([]byte(nil), data...)
 	s.bytesWritten += int64(len(data))
+	if s.dir != "" {
+		f := s.getDisk(name)
+		f.pending = append([]byte(nil), data...)
+		f.replaced = true
+		return
+	}
+	s.get(name).volatile = append([]byte(nil), data...)
 }
 
 // Append extends the volatile contents of name.
 func (s *FlatFS) Append(name string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.bytesWritten += int64(len(data))
+	if s.dir != "" {
+		f := s.getDisk(name)
+		f.pending = append(f.pending, data...)
+		return
+	}
 	f := s.get(name)
 	f.volatile = append(f.volatile, data...)
-	s.bytesWritten += int64(len(data))
 }
 
 // Sync forces the volatile contents of name to the durable half — with a
-// directory, an os.File write followed by fsync.
+// directory, a write of what is pending followed by fsync.
 func (s *FlatFS) Sync(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.syncs++
+	if s.dir != "" {
+		s.bytesSynced += s.syncDisk(s.getDisk(name), name)
+		return
+	}
 	f := s.get(name)
 	// Reuse the durable buffer: it never escapes (ReadDurable and Crash
 	// copy it), so a sync costs no fresh allocation of the whole file.
 	f.durable = append(f.durable[:0], f.volatile...)
 	s.bytesSynced += int64(len(f.durable))
-	s.syncs++
-	if s.dir == "" {
-		return
+}
+
+// syncDisk writes f's pending bytes to name's file and fsyncs it: at the
+// durable offset for an appended file, over a truncated one for a replaced
+// or never-synced file. It returns the file's durable size.
+func (s *FlatFS) syncDisk(f *diskFile, name string) int64 {
+	flags, off := os.O_WRONLY|os.O_CREATE, f.size
+	if f.replaced || !f.onDisk {
+		flags, off = flags|os.O_TRUNC, 0
 	}
-	fh, err := os.OpenFile(s.path(name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	fh, err := os.OpenFile(s.path(name), flags, 0o644)
 	if err != nil {
 		panic(fmt.Sprintf("store: flatfs sync %s: %v", name, err))
 	}
-	if _, err := fh.Write(f.durable); err == nil {
+	if _, err = fh.WriteAt(f.pending, off); err == nil {
 		err = fh.Sync()
 	}
 	if cerr := fh.Close(); err == nil {
@@ -120,12 +171,37 @@ func (s *FlatFS) Sync(name string) {
 	if err != nil {
 		panic(fmt.Sprintf("store: flatfs sync %s: %v", name, err))
 	}
+	f.size = off + int64(len(f.pending))
+	f.onDisk, f.replaced, f.pending = true, false, nil
+	return f.size
+}
+
+// durable reads f's durable contents from disk.
+func (s *FlatFS) durable(f *diskFile, name string) []byte {
+	if !f.onDisk {
+		return nil
+	}
+	data, err := os.ReadFile(s.path(name))
+	if err != nil {
+		panic(fmt.Sprintf("store: flatfs read %s: %v", name, err))
+	}
+	return data
 }
 
 // Read returns the volatile contents of name. The returned slice is a copy.
 func (s *FlatFS) Read(name string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.dir != "" {
+		f, ok := s.disk[name]
+		if !ok {
+			return nil, false
+		}
+		if f.replaced {
+			return append([]byte(nil), f.pending...), true
+		}
+		return append(s.durable(f, name), f.pending...), true
+	}
 	f, ok := s.files[name]
 	if !ok {
 		return nil, false
@@ -137,6 +213,13 @@ func (s *FlatFS) Read(name string) ([]byte, bool) {
 func (s *FlatFS) ReadDurable(name string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.dir != "" {
+		f, ok := s.disk[name]
+		if !ok {
+			return nil, false
+		}
+		return s.durable(f, name), true
+	}
 	f, ok := s.files[name]
 	if !ok {
 		return nil, false
@@ -148,9 +231,17 @@ func (s *FlatFS) ReadDurable(name string) ([]byte, bool) {
 func (s *FlatFS) Remove(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.files, name)
-	if s.dir != "" {
-		os.Remove(s.path(name))
+	if s.dir == "" {
+		delete(s.files, name)
+		return
+	}
+	delete(s.disk, name)
+	s.removeFile(name)
+}
+
+func (s *FlatFS) removeFile(name string) {
+	if err := os.Remove(s.path(name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		panic(fmt.Sprintf("store: flatfs remove %s: %v", name, err))
 	}
 }
 
@@ -159,48 +250,36 @@ func (s *FlatFS) Remove(name string) {
 func (s *FlatFS) Rename(oldName, newName string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, ok := s.files[oldName]
+	if s.dir == "" {
+		if f, ok := s.files[oldName]; ok {
+			delete(s.files, oldName)
+			s.files[newName] = f
+		}
+		return
+	}
+	f, ok := s.disk[oldName]
 	if !ok {
 		return
 	}
-	delete(s.files, oldName)
-	s.files[newName] = f
-	if s.dir != "" {
-		// Only the durable half exists on disk; a never-synced source has
-		// no file to move, and the destination must not keep stale bytes.
-		if _, err := os.Stat(s.path(oldName)); err == nil {
-			os.Rename(s.path(oldName), s.path(newName))
-		} else {
-			os.Remove(s.path(newName))
-		}
+	delete(s.disk, oldName)
+	s.disk[newName] = f
+	// Only the durable half exists on disk; a never-synced source has no
+	// file to move, and the destination must not keep stale bytes.
+	if !f.onDisk {
+		s.removeFile(newName)
+	} else if err := os.Rename(s.path(oldName), s.path(newName)); err != nil {
+		panic(fmt.Sprintf("store: flatfs rename %s: %v", oldName, err))
 	}
 }
 
 // Crash discards every file's volatile contents. With a directory, the
-// surviving state is re-read from disk, so what recovery sees is literally
-// what fsync left there.
+// namespace is re-read from disk, so what recovery sees is literally what
+// fsync left there.
 func (s *FlatFS) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dir != "" {
-		s.files = make(map[string]*file)
-		ents, err := os.ReadDir(s.dir)
-		if err != nil {
-			panic(fmt.Sprintf("store: flatfs %s: %v", s.dir, err))
-		}
-		for _, e := range ents {
-			if !e.Type().IsRegular() {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
-			if err != nil {
-				panic(fmt.Sprintf("store: flatfs %s: %v", s.dir, err))
-			}
-			s.files[e.Name()] = &file{
-				durable:  data,
-				volatile: append([]byte(nil), data...),
-			}
-		}
+		s.load()
 		return
 	}
 	for name, f := range s.files {
@@ -216,8 +295,11 @@ func (s *FlatFS) Crash() {
 func (s *FlatFS) Files() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.files))
+	out := make([]string, 0, len(s.files)+len(s.disk))
 	for n := range s.files {
+		out = append(out, n)
+	}
+	for n := range s.disk {
 		out = append(out, n)
 	}
 	slices.Sort(out)
@@ -240,5 +322,5 @@ func (s *FlatFS) String() string {
 		mode = s.dir
 	}
 	return fmt.Sprintf("flatfs{%s, files: %d, written: %dB, synced: %dB}",
-		mode, len(s.files), s.bytesWritten, s.bytesSynced)
+		mode, len(s.files)+len(s.disk), s.bytesWritten, s.bytesSynced)
 }

@@ -12,9 +12,10 @@
 //
 //   - Disk (memstore): the original map-backed simulated disk. Fully
 //     deterministic; the default for the chaos harness.
-//   - FlatFS: one file per name. Given a directory it backs durable
-//     content with real os.File writes + fsync (and recovers from the
-//     directory on construction); without one it simulates.
+//   - FlatFS: one file per name. Given a directory the durable content
+//     is the real file — a sync writes only what is pending and fsyncs,
+//     and construction recovers from the directory; without one it
+//     simulates.
 //   - LSM: log-structured — every operation is a record appended to an
 //     active segment; Sync advances a durable watermark over the shared
 //     log (group durability) and compaction folds cold segments into a
