@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -27,8 +26,7 @@ import (
 	"bmx/internal/transport"
 )
 
-// The driver-protocol payloads. Registered for the TCP transport's gob
-// payload codec; every process runs the same binary.
+// The driver-protocol payloads; their wire codecs are in wire.go.
 type ctlMapReq struct{ Bunch addr.BunchID }
 
 type ctlMutateReq struct {
@@ -44,14 +42,6 @@ type ctlStatsReply struct{ Counters map[string]int64 }
 // (ctl.heat); the seed merges the snapshots by Lamport order into the
 // cluster-wide table (see PROTOCOL.md).
 type ctlHeatReply struct{ Rows []heat.Row }
-
-func init() {
-	gob.Register(ctlMapReq{})
-	gob.Register(ctlMutateReq{})
-	gob.Register(ctlAck{})
-	gob.Register(ctlStatsReply{})
-	gob.Register(ctlHeatReply{})
-}
 
 // mutatedValue is the word every commanded write stores: recomputable by
 // the seed for the convergence audit.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -177,5 +178,32 @@ func TestPeerControlChannel(t *testing.T) {
 	}
 	if _, err := other.Control(seed.ID(), "ctl.ping", 1, 8); err == nil {
 		t.Fatal("ctl call to handlerless seed should fail")
+	}
+}
+
+// A closed follower may still have a delivery draining — a gc.locFlush
+// whose manifest names a segment it never saw — and resolving that segment
+// through the directory's mirror allocator calls the seed over a transport
+// that is gone. That must come back empty, not panic the process: the
+// transport reports transport.ErrClosed and the directory proxy gives up
+// quietly, while every other call failure still panics.
+func TestClosedPeerResolvesUnseenSegmentToNil(t *testing.T) {
+	peers := startPeers(t, reserveAddrs(t, 2))
+	seed := seedOf(t, peers)
+	var follower *Peer
+	for _, p := range peers {
+		if !p.IsSeed() {
+			follower = p
+		}
+	}
+	meta := seed.cl.dir.AddSegment(seed.Node().NewBunch())
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := follower.cl.dir.Allocator().Lookup(meta.Base); got != nil {
+		t.Fatalf("closed follower resolved segment %v to %+v, want nil", meta.ID, got)
+	}
+	if _, err := follower.Control(seed.ID(), "ctl.ping", 1, 8); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("call after Close: err = %v, want transport.ErrClosed", err)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"bmx/internal/addr"
@@ -147,12 +148,17 @@ func newRemoteDir(tr transport.Transport, self, seed addr.NodeID, segWords int) 
 
 // call forwards one directory method and panics on transport failure: the
 // directory API has no error channel (the in-memory service cannot fail),
-// and a peer that has lost its metadata authority cannot limp on.
+// and a peer that has lost its metadata authority cannot limp on. The one
+// exception is this peer's own shutdown: a delivery still draining after
+// Close gets the zero reply (no segment, no bunch, not found) instead.
 func (rd *remoteDir) call(kind string, req dirReq) dirReply {
 	raw, err := rd.tr.Call(transport.Msg{
 		From: rd.self, To: rd.seed, Kind: kind, Class: transport.ClassApp,
 		Payload: req, Bytes: 32,
 	})
+	if errors.Is(err, transport.ErrClosed) {
+		return dirReply{}
+	}
 	if err != nil {
 		panic(fmt.Sprintf("cluster: directory call %s to seed %v failed: %v", kind, rd.seed, err))
 	}

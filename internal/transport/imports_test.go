@@ -146,3 +146,39 @@ func TestNodeLocalStateCarriesNoLock(t *testing.T) {
 		}
 	}
 }
+
+// TestNoGobInTheProgram is the codec census: no non-test Go file in the
+// module, cmd/ included, imports encoding/gob. Every payload that crosses a
+// wire has a registered binary codec (codec.go); gob once spent five sixths
+// of a TCP round trip re-sending type descriptors and rebuilding its decode
+// engine per message.
+func TestNoGobInTheProgram(t *testing.T) {
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != root && err == nil {
+				return filepath.SkipDir // another module (bench/)
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		for _, p := range importsOf(t, path) {
+			if p == "encoding/gob" {
+				t.Errorf("%s imports encoding/gob; register a binary payload codec instead (transport.RegisterPayload)", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

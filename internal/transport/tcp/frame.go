@@ -3,10 +3,11 @@
 //
 // The wire unit is a frame: a 4-byte big-endian length followed by a
 // hand-rolled binary body (type tag, Lamport tick, then type-specific
-// fields). Protocol payloads — the `any` in transport.Msg — are carried
-// opaquely inside the frame as a self-describing gob blob (see payload.go),
-// so the frame decoder itself touches no reflection and can be fuzzed
-// byte-by-byte: every length it reads is bounds-checked against the bytes
+// fields). Protocol payloads — the `any` in transport.Msg — ride inside the
+// frame as an opaque blob (tag byte, then body; see payload.go) that the
+// frame decoder only slices out, so it can be fuzzed byte-by-byte on its
+// own. Frame and payload decoders read through the one bounds-checked
+// cursor, transport.Reader: every length is checked against the bytes
 // actually present, so torn, truncated or hostile input errors cleanly
 // without panicking or allocating beyond the data on hand.
 //
@@ -66,7 +67,7 @@ type frame struct {
 	ReqID     uint64 // call & reply
 	Bytes     int
 	Piggyback int
-	Payload   []byte // opaque payload blob (gob, see payload.go)
+	Payload   []byte // payload blob: tag byte, then body (see payload.go)
 
 	// reply
 	ReplyBytes int
@@ -82,12 +83,9 @@ type frame struct {
 }
 
 var (
-	errFrameTooBig    = errors.New("tcp: frame exceeds MaxFrameBytes")
-	errFrameEmpty     = errors.New("tcp: empty frame")
-	errFrameTruncated = errors.New("tcp: frame body truncated")
-	errFrameTrailing  = errors.New("tcp: trailing bytes after frame body")
-	errFrameType      = errors.New("tcp: unknown frame type")
-	errFrameClass     = errors.New("tcp: unknown message class")
+	errFrameTooBig = errors.New("tcp: frame exceeds MaxFrameBytes")
+	errFrameEmpty  = errors.New("tcp: empty frame")
+	errFrameType   = errors.New("tcp: unknown frame type")
 )
 
 // appendFrame appends the length-prefixed wire encoding of f to dst.
@@ -98,16 +96,13 @@ func appendFrame(dst []byte, f *frame) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, f.Tick)
 	switch f.Type {
 	case frameHello:
-		dst = appendString(dst, f.ListenAddr)
-		dst = binary.AppendUvarint(dst, uint64(len(f.Nodes)))
-		for _, n := range f.Nodes {
-			dst = appendNodeID(dst, n)
-		}
+		dst = transport.AppendString(dst, f.ListenAddr)
+		dst = transport.AppendSlice(dst, f.Nodes, transport.AppendNodeID)
 	case frameMsg, frameCall:
-		dst = appendNodeID(dst, f.From)
-		dst = appendNodeID(dst, f.To)
-		dst = appendString(dst, f.Kind)
-		dst = append(dst, byte(f.Class))
+		dst = transport.AppendNodeID(dst, f.From)
+		dst = transport.AppendNodeID(dst, f.To)
+		dst = transport.AppendString(dst, f.Kind)
+		dst = transport.AppendClass(dst, f.Class)
 		if f.Type == frameMsg {
 			dst = binary.AppendUvarint(dst, f.Seq)
 		} else {
@@ -115,7 +110,7 @@ func appendFrame(dst []byte, f *frame) ([]byte, error) {
 		}
 		dst = binary.AppendUvarint(dst, uint64(max(f.Bytes, 0)))
 		dst = binary.AppendUvarint(dst, uint64(max(f.Piggyback, 0)))
-		dst = appendBytes(dst, f.Payload)
+		dst = transport.AppendBlob(dst, f.Payload)
 		// Optional trailing span field: present iff any component is
 		// non-zero, keeping span-free frames byte-identical to the
 		// pre-span encoding.
@@ -127,14 +122,11 @@ func appendFrame(dst []byte, f *frame) ([]byte, error) {
 	case frameReply:
 		dst = binary.AppendUvarint(dst, f.ReqID)
 		dst = binary.AppendUvarint(dst, uint64(max(f.ReplyBytes, 0)))
-		if f.HasErr {
-			dst = append(dst, 1)
-			dst = appendString(dst, f.ErrName)
-			dst = appendString(dst, f.ErrDetail)
-		} else {
-			dst = append(dst, 0)
+		if dst = transport.AppendBool(dst, f.HasErr); f.HasErr {
+			dst = transport.AppendString(dst, f.ErrName)
+			dst = transport.AppendString(dst, f.ErrDetail)
 		}
-		dst = appendBytes(dst, f.Payload)
+		dst = transport.AppendBlob(dst, f.Payload)
 	default:
 		return dst[:start], fmt.Errorf("%w: %d", errFrameType, f.Type)
 	}
@@ -148,124 +140,64 @@ func appendFrame(dst []byte, f *frame) ([]byte, error) {
 
 // decodeFrame decodes one frame body (the bytes after the length prefix).
 // It is total: any input either yields a frame or a descriptive error, with
-// every internal length validated against the bytes remaining, so hostile
-// input cannot provoke a panic or an allocation beyond len(body).
+// every internal length validated against the bytes remaining by
+// transport.Reader, so hostile input cannot provoke a panic or an
+// allocation beyond len(body).
 func decodeFrame(body []byte) (frame, error) {
 	var f frame
-	r := frameReader{b: body}
-	t, err := r.byte()
-	if err != nil {
+	if len(body) == 0 {
 		return f, errFrameEmpty
 	}
-	f.Type = frameType(t)
-	if f.Tick, err = r.uvarint(); err != nil {
-		return f, err
-	}
+	r := transport.NewReader(body)
+	f.Type = frameType(r.Byte())
+	f.Tick = r.Uvarint()
 	switch f.Type {
 	case frameHello:
-		if f.ListenAddr, err = r.str(); err != nil {
-			return f, err
-		}
-		n, err := r.uvarint()
-		if err != nil {
-			return f, err
-		}
-		// Each node costs at least one body byte, so the count is
-		// implicitly bounded by the data actually present.
-		if n > uint64(r.rem()) {
-			return f, errFrameTruncated
-		}
-		f.Nodes = make([]addr.NodeID, n)
-		for i := range f.Nodes {
-			if f.Nodes[i], err = r.nodeID(); err != nil {
-				return f, err
+		f.ListenAddr = r.Str()
+		// Each node costs at least one body byte, so Count bounds the
+		// allocation by the data actually present. A loop rather than
+		// transport.ReadSlice keeps r off the heap for every frame.
+		if n := r.Count(1); n > 0 {
+			f.Nodes = make([]addr.NodeID, n)
+			for i := range f.Nodes {
+				f.Nodes[i] = r.NodeID()
 			}
 		}
 	case frameMsg, frameCall:
-		if f.From, err = r.nodeID(); err != nil {
-			return f, err
-		}
-		if f.To, err = r.nodeID(); err != nil {
-			return f, err
-		}
-		if f.Kind, err = r.str(); err != nil {
-			return f, err
-		}
-		cl, err := r.byte()
-		if err != nil {
-			return f, err
-		}
-		f.Class = transport.Class(cl)
-		if !f.Class.Valid() {
-			return f, fmt.Errorf("%w: %d", errFrameClass, cl)
-		}
-		seq, err := r.uvarint()
-		if err != nil {
-			return f, err
-		}
-		if f.Type == frameMsg {
+		f.From = r.NodeID()
+		f.To = r.NodeID()
+		f.Kind = r.Str()
+		f.Class = r.Class()
+		if seq := r.Uvarint(); f.Type == frameMsg {
 			f.Seq = seq
 		} else {
 			f.ReqID = seq
 		}
-		b, err := r.uvarint()
-		if err != nil {
-			return f, err
-		}
-		p, err := r.uvarint()
-		if err != nil {
-			return f, err
-		}
-		f.Bytes, f.Piggyback = clampInt(b), clampInt(p)
-		if f.Payload, err = r.blob(); err != nil {
-			return f, err
-		}
+		f.Bytes = clampInt(r.Uvarint())
+		f.Piggyback = clampInt(r.Uvarint())
+		f.Payload = r.Blob()
 		// Optional trailing span field: bytes remaining after the payload
-		// must be exactly the three span uvarints (each bounds-checked; a
-		// torn span errors as truncated, anything extra as trailing).
-		if r.rem() > 0 {
-			if f.Trace, err = r.uvarint(); err != nil {
-				return f, err
-			}
-			if f.Span, err = r.uvarint(); err != nil {
-				return f, err
-			}
-			if f.SParent, err = r.uvarint(); err != nil {
-				return f, err
-			}
+		// must be exactly the three span uvarints (a torn span errors as
+		// truncated, anything extra as trailing).
+		if r.Rem() > 0 {
+			f.Trace = r.Uvarint()
+			f.Span = r.Uvarint()
+			f.SParent = r.Uvarint()
 		}
 	case frameReply:
-		if f.ReqID, err = r.uvarint(); err != nil {
-			return f, err
+		f.ReqID = r.Uvarint()
+		f.ReplyBytes = clampInt(r.Uvarint())
+		if f.HasErr = r.Bool(); f.HasErr {
+			f.ErrName = r.Str()
+			f.ErrDetail = r.Str()
 		}
-		rb, err := r.uvarint()
-		if err != nil {
-			return f, err
-		}
-		f.ReplyBytes = clampInt(rb)
-		he, err := r.byte()
-		if err != nil {
-			return f, err
-		}
-		f.HasErr = he != 0
-		if f.HasErr {
-			if f.ErrName, err = r.str(); err != nil {
-				return f, err
-			}
-			if f.ErrDetail, err = r.str(); err != nil {
-				return f, err
-			}
-		}
-		if f.Payload, err = r.blob(); err != nil {
-			return f, err
-		}
+		f.Payload = r.Blob()
 	default:
-		return f, fmt.Errorf("%w: %d", errFrameType, f.Type)
+		if r.Err() == nil {
+			return f, fmt.Errorf("%w: %d", errFrameType, f.Type)
+		}
 	}
-	if r.rem() != 0 {
-		return f, errFrameTrailing
-	}
-	return f, nil
+	return f, r.End()
 }
 
 // readFrame reads one length-prefixed frame from r. The length prefix is
@@ -288,81 +220,6 @@ func readFrame(r io.Reader) (frame, error) {
 		return frame{}, fmt.Errorf("tcp: frame body: %w", err)
 	}
 	return decodeFrame(body)
-}
-
-// frameReader is a bounds-checked cursor over one frame body.
-type frameReader struct {
-	b []byte
-	i int
-}
-
-func (r *frameReader) rem() int { return len(r.b) - r.i }
-
-func (r *frameReader) byte() (byte, error) {
-	if r.i >= len(r.b) {
-		return 0, errFrameTruncated
-	}
-	c := r.b[r.i]
-	r.i++
-	return c, nil
-}
-
-func (r *frameReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.i:])
-	if n <= 0 {
-		return 0, errFrameTruncated
-	}
-	r.i += n
-	return v, nil
-}
-
-// blob reads a uvarint length followed by that many raw bytes. The length
-// is validated against the remaining body before slicing, so a lying
-// prefix cannot read out of bounds or force an oversized allocation.
-func (r *frameReader) blob() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.rem()) {
-		return nil, errFrameTruncated
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b := r.b[r.i : r.i+int(n)]
-	r.i += int(n)
-	return b, nil
-}
-
-func (r *frameReader) str() (string, error) {
-	b, err := r.blob()
-	return string(b), err
-}
-
-func (r *frameReader) nodeID() (addr.NodeID, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(^uint32(0)) {
-		return 0, fmt.Errorf("tcp: node id out of range: %d", v)
-	}
-	return addr.NodeID(int32(uint32(v))), nil
-}
-
-func appendNodeID(dst []byte, n addr.NodeID) []byte {
-	return binary.AppendUvarint(dst, uint64(uint32(n)))
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }
 
 // clampInt converts a wire-read uvarint to a non-negative int without

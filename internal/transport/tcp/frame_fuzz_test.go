@@ -157,8 +157,8 @@ func TestDecodeFrameRejectsUnknownClass(t *testing.T) {
 			}
 		}
 		for _, cl := range []byte{2, 7, 255} {
-			if _, err := decodeFrame(frameWithClass(t, typ, cl)[4:]); !errors.Is(err, errFrameClass) {
-				t.Fatalf("type %d class byte %d: err = %v, want errFrameClass", typ, cl, err)
+			if _, err := decodeFrame(frameWithClass(t, typ, cl)[4:]); !errors.Is(err, transport.ErrBadClass) {
+				t.Fatalf("type %d class byte %d: err = %v, want transport.ErrBadClass", typ, cl, err)
 			}
 		}
 	}

@@ -1,61 +1,54 @@
 package tcp
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"bmx/internal/transport"
 )
 
-// Payload codec: the `any` payload of a transport.Msg (and of call
-// replies) crosses the wire as a self-describing gob blob nested inside
-// the frame. gob is the one stdlib codec that round-trips Go values held
-// in interfaces — including the protocol layers' unexported payload
-// structs, whose fields are exported — provided each concrete type is
-// registered. Every package that puts a type on the wire registers it in
-// an init function (dsm, core, ssp, cluster); since all processes of a
-// cluster run the same bmxd binary, the registries agree by construction.
+// Payload codec: the `any` payload of a transport.Msg (and of call replies)
+// crosses the wire as a blob nested inside the frame — one tag byte, then
+// the body written by the codec its package registered with
+// transport.RegisterPayload (dsm, core, ssp, cluster and cmd/bmxd, each in
+// its wire.go). A nil payload is an empty blob. Encoding a type nobody
+// registered is an error, and so is an unknown tag or a body its decoder
+// rejects; each surfaces through the path the message took (msg.encodeError
+// or msg.decodeError for sends, the call's error for calls and replies).
 //
 // The blob is decoded only after the frame decoder has bounds-checked it
-// against the received body, so gob never sees a length the wire did not
-// actually deliver.
+// against the received body, and the decoders copy what they keep, so a
+// decoded payload never aliases the read buffer.
 
-// payloadBox wraps the payload so gob transmits the concrete type's
-// identity even when the value is an interface.
-type payloadBox struct{ V any }
+// The primitive payloads the transport tests, the conformance suite, the
+// peer control-channel test and the benchmark's wire probes send.
+const (
+	tagInt     byte = 1
+	tagString  byte = 2
+	tagUint64s byte = 3
+)
 
-// encodePayload renders v as a self-describing blob; nil stays empty.
+func init() {
+	transport.RegisterPayload(tagInt,
+		func(dst []byte, v int) []byte { return transport.AppendVarint(dst, int64(v)) },
+		(*transport.Reader).Int)
+	transport.RegisterPayload(tagString, transport.AppendString, (*transport.Reader).Str)
+	transport.RegisterPayload(tagUint64s, transport.AppendUvarints[uint64], transport.ReadUvarints[uint64])
+}
+
+// encodePayload renders v as a tagged blob; nil stays empty.
 func encodePayload(v any) ([]byte, error) {
-	if v == nil {
-		return nil, nil
+	b, err := transport.AppendPayload(nil, v)
+	if err != nil {
+		return nil, fmt.Errorf("tcp: encode payload: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payloadBox{V: v}); err != nil {
-		return nil, fmt.Errorf("tcp: encode payload %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // decodePayload reverses encodePayload; an empty blob is a nil payload.
 func decodePayload(b []byte) (any, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	var box payloadBox
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&box); err != nil {
+	v, err := transport.DecodePayload(b)
+	if err != nil {
 		return nil, fmt.Errorf("tcp: decode payload: %w", err)
 	}
-	return box.V, nil
-}
-
-func init() {
-	// Primitive payloads common in tests and control traffic. Protocol
-	// packages register their own struct types beside their definitions.
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(uint64(0))
-	gob.Register("")
-	gob.Register(false)
-	gob.Register([]byte(nil))
-	gob.Register([]uint64(nil))
-	gob.Register([]string(nil))
+	return v, nil
 }

@@ -294,7 +294,8 @@ func (t *Transport) encodeMsgLocked(ft frameType, m transport.Msg, reqID uint64)
 // ID, so any number of calls — including calls issued by handlers of
 // inbound traffic on the same stream — proceed concurrently. A severed
 // or absent connection fails the call with an error wrapping
-// transport.ErrPartitioned, the same sentinel a simnet partition yields;
+// transport.ErrPartitioned, the same sentinel a simnet partition yields,
+// and once Close has begun every call fails with transport.ErrClosed;
 // registered sentinel errors returned by the remote callee cross the wire
 // with errors.Is fidelity (see transport.RegisterWireError).
 func (t *Transport) Call(m transport.Msg) (any, error) {
@@ -304,10 +305,14 @@ func (t *Transport) Call(m transport.Msg) (any, error) {
 		}
 	}
 	t.mu.Lock()
+	closed := t.closed
 	partitioned := t.plan.Partitioned(m.From, m.To)
 	localCallee := t.callees[m.To]
 	t.mu.Unlock()
 
+	if closed {
+		return nil, t.callClosed(m)
+	}
 	o := t.stats.Observer()
 	if partitioned {
 		t.stats.Add("msg.partitioned", 1)
@@ -343,14 +348,14 @@ func (t *Transport) Call(m transport.Msg) (any, error) {
 	t.mu.Unlock()
 
 	if c == nil {
-		return nil, fmt.Errorf("tcp: call %s %v -> %v: no route: %w", m.Kind, m.From, m.To, transport.ErrPartitioned)
+		return nil, t.callLost(m, "no route")
 	}
 	if encErr != nil {
 		return nil, fmt.Errorf("tcp: call %s: %w", m.Kind, encErr)
 	}
 	if !c.enqueue(buf) {
 		t.unregisterCall(reqID)
-		return nil, fmt.Errorf("tcp: call %s %v -> %v: connection down: %w", m.Kind, m.From, m.To, transport.ErrPartitioned)
+		return nil, t.callLost(m, "connection down")
 	}
 
 	timer := time.NewTimer(t.opts.CallTimeout)
@@ -368,14 +373,32 @@ func (t *Transport) Call(m transport.Msg) (any, error) {
 		return reply, nil
 	case <-pc.c.closedCh:
 		t.unregisterCall(reqID)
-		return nil, fmt.Errorf("tcp: call %s %v -> %v: connection lost: %w", m.Kind, m.From, m.To, transport.ErrPartitioned)
+		return nil, t.callLost(m, "connection lost")
 	case <-timer.C:
 		t.unregisterCall(reqID)
 		return nil, fmt.Errorf("tcp: call %s %v -> %v: timeout after %v", m.Kind, m.From, m.To, t.opts.CallTimeout)
 	case <-t.done:
 		t.unregisterCall(reqID)
-		return nil, fmt.Errorf("tcp: call %s: transport closed", m.Kind)
+		return nil, t.callClosed(m)
 	}
+}
+
+// callLost is the error of a call whose stream is missing or severed:
+// transport.ErrPartitioned, the sentinel a simnet partition yields — unless
+// this transport's Close has begun, which is what severed it.
+func (t *Transport) callLost(m transport.Msg, what string) error {
+	t.mu.Lock()
+	closed := t.closed
+	t.mu.Unlock()
+	if closed {
+		return t.callClosed(m)
+	}
+	return fmt.Errorf("tcp: call %s %v -> %v: %s: %w", m.Kind, m.From, m.To, what, transport.ErrPartitioned)
+}
+
+// callClosed is the error of a call made or cut short after Close began.
+func (t *Transport) callClosed(m transport.Msg) error {
+	return fmt.Errorf("tcp: call %s: %w", m.Kind, transport.ErrClosed)
 }
 
 func (t *Transport) accountCallRequest(m transport.Msg) {

@@ -8,15 +8,23 @@
 //
 // The package also owns the two genuinely shared measurement services every
 // substrate must provide — the simulated tick Clock and the Stats counter
-// registry — both safe for concurrent use.
+// registry — both safe for concurrent use — and the payload codec registry
+// a wire substrate encodes messages with (codec.go).
 package transport
 
 import (
+	"errors"
 	"fmt"
 
 	"bmx/internal/addr"
 	"bmx/internal/obs"
 )
+
+// ErrClosed is the error a transport returns (wrapped) from Call once its
+// own Close has begun. Callers that outlive their transport — a delivery
+// still draining during shutdown — test for it with errors.Is and give up
+// quietly instead of treating the failure as a lost peer.
+var ErrClosed = errors.New("transport: closed")
 
 // Class attributes a message to the application or to the collector.
 type Class int
