@@ -380,7 +380,8 @@ func sortedRootNodes(rooted map[int]bool) []int {
 // messages: who thinks they own it, where each ownerPtr points, and what
 // the manager's probable-owner hint says.
 func routeState(cl *Cluster, oid addr.OID) string {
-	s := fmt.Sprintf("hint=%v", cl.dir.OwnerHintOf(oid))
+	_, hint := cl.dir.Locate(oid)
+	s := fmt.Sprintf("hint=%v", hint)
 	for i := 0; i < cl.Nodes(); i++ {
 		nd := cl.Node(i)
 		_, has := nd.Collector().Heap().Canonical(oid)

@@ -26,6 +26,9 @@ import (
 //     deliberately omits their exiting ownerPtrs).
 //   - heap sanity: every canonical address resolves to a header carrying
 //     the object's identity.
+//   - bunch agreement: every object a node's DSM state files under a bunch
+//     is in that bunch according to the directory — the premise that lets
+//     Collector.BunchOf answer from local state.
 func (cl *Cluster) CheckInvariants() []string {
 	// Freeze the whole cluster: take every node lock in ascending node-ID
 	// order (the one place two node locks are held at once; the fixed
@@ -53,6 +56,9 @@ func (cl *Cluster) CheckInvariants() []string {
 	for _, n := range cl.nodes {
 		for _, b := range cl.dir.Bunches() {
 			for _, o := range n.dsm.ObjectsInBunch(b) {
+				if db := cl.dir.BunchOf(o); db != b {
+					report("bunch: %v is in %v at %v, but the directory says %v", o, b, n.id, db)
+				}
 				v := views[o]
 				if v == nil {
 					v = &view{}

@@ -370,8 +370,20 @@ func (cl *Cluster) objLock(o addr.OID) *sync.Mutex {
 
 // ---- message routing --------------------------------------------------------
 
+// handleAsync is the node's one message router. A one-way directory
+// message (the seed's owner-hint updates) is served first, outside the node
+// lock, exactly as handleCall serves directory calls; one that reaches a
+// node without the authoritative directory is counted and dropped.
 func (n *Node) handleAsync(m transport.Msg) {
 	defer n.rec.StartServerSpan(obs.ServeOpOf(m.Kind), addr.NilOID, m.Span).End()
+	if strings.HasPrefix(m.Kind, "dir.") {
+		if d, ok := n.cl.dir.(*core.Directory); ok {
+			serveDir(d, m)
+		} else {
+			n.cl.Stats().Add("cluster.dir.misrouted", 1)
+		}
+		return
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	switch {

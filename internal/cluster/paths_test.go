@@ -193,19 +193,20 @@ func TestOwnerHintTracksTransfers(t *testing.T) {
 	o := n1.MustAlloc(b, 1)
 	n1.AddRoot(o)
 	dir := cl.Directory()
-	if h := dir.OwnerHintOf(o.OID); h != n1.ID() {
-		t.Fatalf("initial hint = %v", h)
+	// The allocation site is the hint until ownership first moves.
+	if bb, h := dir.Locate(o.OID); bb != b || h != n1.ID() {
+		t.Fatalf("initial locate = %v, %v", bb, h)
 	}
 	n2.AcquireWrite(o)
-	if h := dir.OwnerHintOf(o.OID); h != n2.ID() {
+	if _, h := dir.Locate(o.OID); h != n2.ID() {
 		t.Fatalf("hint after transfer = %v", h)
 	}
 	n3.AcquireWrite(o)
-	if h := dir.OwnerHintOf(o.OID); h != n3.ID() {
+	if _, h := dir.Locate(o.OID); h != n3.ID() {
 		t.Fatalf("hint after second transfer = %v", h)
 	}
-	if dir.OwnerHintOf(addr.OID(9999)) != addr.NoNode {
-		t.Fatal("unknown object must have no hint")
+	if bb, h := dir.Locate(addr.OID(9999)); bb != addr.NoBunch || h != addr.NoNode {
+		t.Fatal("unknown object must have no bunch and no hint")
 	}
 }
 

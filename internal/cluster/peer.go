@@ -20,7 +20,7 @@ import (
 // set — its own listen address plus every other process's — and node
 // identity follows from it deterministically: sort all addresses, your rank
 // is your NodeID. The rank-0 process is the seed: it owns the authoritative
-// core.Directory and answers the other processes' "dir.*" calls; everyone
+// core.Directory and serves the other processes' "dir.*" messages; everyone
 // else holds a remoteDir proxy. No further coordination is needed to boot.
 type PeerConfig struct {
 	// Listen is this process's address, exactly as the other processes

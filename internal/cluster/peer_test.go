@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,5 +206,167 @@ func TestClosedPeerResolvesUnseenSegmentToNil(t *testing.T) {
 	}
 	if _, err := follower.Control(seed.ID(), "ctl.ping", 1, 8); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("call after Close: err = %v, want transport.ErrClosed", err)
+	}
+}
+
+// dirTraffic sums, over every peer, the msg.sent.kind.dir.* counters: each
+// directory message a process sent, and each reply its calls received.
+func dirTraffic(peers []*Peer) map[string]int64 {
+	out := make(map[string]int64)
+	for _, p := range peers {
+		for k, v := range p.Cluster().Stats().Snapshot() {
+			if strings.HasPrefix(k, "msg.sent.kind.dir.") {
+				out[k] += v
+			}
+		}
+	}
+	return out
+}
+
+func sumCounter(peers []*Peer, name string) int64 {
+	var n int64
+	for _, p := range peers {
+		n += p.Cluster().Stats().Get(name)
+	}
+	return n
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// Once every follower has protocol state for every object, remote acquires
+// between followers make no synchronous directory call: an object's bunch
+// is local state (Collector.BunchOf), and the owner hint a write grant
+// leaves behind goes to the seed one-way. Only first contact, in the
+// warm-up, asks the seed anything.
+func TestPeerSteadyStateAcquiresCallNoDirectory(t *testing.T) {
+	peers := startPeers(t, reserveAddrs(t, 3))
+	seed := seedOf(t, peers)
+	b := seed.Node().NewBunch()
+	var followers []*Node
+	for _, p := range peers {
+		if !p.IsSeed() {
+			if err := p.Node().MapBunch(b); err != nil {
+				t.Fatal(err)
+			}
+			followers = append(followers, p.Node())
+		}
+	}
+	// Three objects homed on each process: nine, an odd count, so the load
+	// below hands each object's write token back and forth between the two
+	// followers and every acquire in it is remote.
+	var objs []Ref
+	for _, p := range peers {
+		for i := 0; i < 3; i++ {
+			o := p.Node().MustAlloc(b, 2)
+			p.Node().AddRoot(o)
+			objs = append(objs, o)
+		}
+	}
+	for _, f := range followers {
+		for _, o := range objs {
+			if err := f.AcquireRead(o); err != nil {
+				t.Fatal(err)
+			}
+			f.Release(o)
+		}
+	}
+
+	before := dirTraffic(peers)
+	grantsBefore := sumCounter(peers, "dsm.grant.write")
+	for i := 0; i < 100; i++ {
+		o := objs[i%len(objs)]
+		w, r := followers[i%2], followers[1-i%2]
+		if err := w.AcquireWrite(o); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteWord(o, 0, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		w.Release(o)
+		if err := r.AcquireRead(o); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := r.ReadWord(o, 0); err != nil || v != uint64(i) {
+			t.Fatalf("step %d: %v read %d (%v), want %d", i, o, v, err, i)
+		}
+		r.Release(o)
+	}
+	grants := sumCounter(peers, "dsm.grant.write") - grantsBefore
+
+	const hint = "msg.sent.kind.dir.setOwnerHint"
+	after := dirTraffic(peers)
+	for k, v := range after {
+		if d := v - before[k]; d != 0 && k != hint {
+			t.Errorf("%s: %d in steady state, want 0 (only the one-way owner hint may reach the seed)", k, d)
+		}
+	}
+	if grants == 0 {
+		t.Fatal("the load granted no write token")
+	}
+	if d := after[hint] - before[hint]; d > grants {
+		t.Errorf("%d owner hints sent for %d write grants, want at most one each", d, grants)
+	}
+}
+
+// The seed serves a one-way owner hint before taking its node lock, so the
+// hint lands while another goroutine holds that lock; a dir message that
+// reaches a follower, which has no directory to apply it to, is counted
+// and dropped.
+func TestSeedAppliesOwnerHintWhileNodeLockHeld(t *testing.T) {
+	peers := startPeers(t, reserveAddrs(t, 2))
+	seed, follower := seedOf(t, peers), peers[0]
+	if follower == seed {
+		follower = peers[1]
+	}
+	o := seed.Node().MustAlloc(seed.Node().NewBunch(), 1)
+	func() {
+		seed.Node().mu.Lock()
+		defer seed.Node().mu.Unlock()
+		follower.cl.dir.SetOwnerHint(o.OID, follower.ID())
+		waitFor(t, "the seed to apply the hint", func() bool {
+			_, h := seed.cl.dir.Locate(o.OID)
+			return h == follower.ID()
+		})
+	}()
+
+	seed.tr.Send(transport.Msg{From: seed.ID(), To: follower.ID(), Kind: "dir.setOwnerHint",
+		Class: transport.ClassApp, Payload: dirReq{O: o.OID, Node: seed.ID()}, Bytes: 32})
+	waitFor(t, "the follower to drop the misrouted hint", func() bool {
+		return follower.Cluster().Stats().Get("cluster.dir.misrouted") == 1
+	})
+}
+
+// A hint sent after the peer closed is lost quietly: it neither panics nor
+// waits for a seed it can no longer reach.
+func TestClosedPeerOwnerHintIsNoOp(t *testing.T) {
+	peers := startPeers(t, reserveAddrs(t, 2))
+	seed, follower := seedOf(t, peers), peers[0]
+	if follower == seed {
+		follower = peers[1]
+	}
+	o := seed.Node().MustAlloc(seed.Node().NewBunch(), 1)
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		follower.cl.dir.SetOwnerHint(o.OID, follower.ID())
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("SetOwnerHint on a closed peer blocked")
+	}
+	if _, h := seed.cl.dir.Locate(o.OID); h != seed.ID() {
+		t.Fatalf("hint = %v after a send from a closed peer, want the allocation site %v", h, seed.ID())
 	}
 }

@@ -177,7 +177,7 @@ func (n *Node) Checkpoint(b addr.BunchID) error {
 	// records.
 	var liveOIDs []addr.OID
 	for _, o := range heap.KnownObjects() {
-		if n.cl.dir.BunchOf(o) == b {
+		if n.col.BunchOf(o) == b {
 			liveOIDs = append(liveOIDs, o)
 		}
 	}

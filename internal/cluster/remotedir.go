@@ -13,19 +13,27 @@ import (
 // The multi-process cluster keeps the paper's centralized metadata service:
 // one process — the seed, node 0 — owns the real core.Directory, and every
 // other process holds a remoteDir, a core.Dir proxy that forwards each
-// method as a synchronous application-class call ("dir.*") to the seed.
-// Directory traffic is bookkeeping the simulated cluster performs through a
-// shared in-memory object; it is deliberately application-class so the
-// paper's §4.4 probe (no GC-class message on the critical path) measures
-// the collector's protocol messages, not the deployment's metadata plumbing.
+// method as an application-class message ("dir.*") to the seed. Every
+// method is a synchronous call except SetOwnerHint: the hint is advisory
+// (chains stay authoritative, and a late or lost hint names a past owner,
+// which still lies on a sound transfer chain), so it goes one-way and no
+// ownership change waits on the seed. Directory traffic is bookkeeping the
+// simulated cluster performs through a shared in-memory object; it is
+// deliberately application-class so the paper's §4.4 probe (no GC-class
+// message on the critical path) measures the collector's protocol
+// messages, not the deployment's metadata plumbing. The collector answers
+// an object's bunch from its own DSM state (Collector.BunchOf), so only
+// first contact with an object (dir.locate) puts a dir call on a mutator's
+// path in steady state.
 //
-// Deadlock safety: dir calls are issued on the raw TCP transport — NOT the
-// node's lock-releasing wrapper — so they may run while the caller holds
-// its node lock. That is sound because serving a dir call takes no node
-// lock anywhere: the seed answers from the Directory's own mutex on a
-// transport goroutine, and the TCP transport serves every call on a fresh
-// goroutine, so a seed blocked in its own outbound call cannot wedge the
-// service.
+// Deadlock safety: dir messages are issued on the raw TCP transport — NOT
+// the node's lock-releasing wrapper — so they may run while the caller
+// holds its node lock. That is sound because serving a dir message takes
+// no node lock anywhere: the seed answers from the Directory's own mutex on
+// a transport goroutine (handleCall for calls, handleAsync for the one-way
+// hint, both before the node lock), and the TCP transport serves every call
+// on a fresh goroutine, so a seed blocked in its own outbound call cannot
+// wedge the service.
 
 // dirReq is the argument bundle of one forwarded directory method; which
 // fields matter depends on the "dir.<method>" kind.
@@ -57,9 +65,9 @@ func (r dirReply) wireBytes() int {
 	return 16 + 8*(len(r.Bs)+len(r.Nodes)+len(r.OIDs)) + 40*len(r.Metas)
 }
 
-// serveDir answers one forwarded directory call against the authoritative
-// directory. Registered ahead of the node's own call handler on the seed
-// process; never takes a node lock.
+// serveDir answers one forwarded directory message against the
+// authoritative directory. The seed's handlers call it before anything
+// else; it never takes a node lock.
 func serveDir(d *core.Directory, m transport.Msg) (any, int, error) {
 	req, _ := m.Payload.(dirReq)
 	rep := dirReply{}
@@ -110,8 +118,8 @@ func serveDir(d *core.Directory, m transport.Msg) (any, int, error) {
 		rep.OIDs = d.SegmentPopulation(req.A)
 	case "dir.setOwnerHint":
 		d.SetOwnerHint(req.O, req.Node)
-	case "dir.ownerHintOf":
-		rep.Node = d.OwnerHintOf(req.O)
+	case "dir.locate":
+		rep.B, rep.Node = d.Locate(req.O)
 	case "dir.recordPlacement":
 		d.RecordPlacement(req.A, req.O)
 	case "dir.placementOID":
@@ -241,12 +249,20 @@ func (rd *remoteDir) SegmentPopulation(a addr.Addr) []addr.OID {
 	return rd.call("dir.segmentPopulation", dirReq{A: a}).OIDs
 }
 
+// SetOwnerHint is the one one-way directory message: the caller does not
+// wait for the seed. A send the transport refuses — a broken stream, or
+// this peer already closed — loses the hint, which only leaves an older
+// past owner as the chain's starting point.
 func (rd *remoteDir) SetOwnerHint(o addr.OID, n addr.NodeID) {
-	rd.call("dir.setOwnerHint", dirReq{O: o, Node: n})
+	rd.tr.Send(transport.Msg{
+		From: rd.self, To: rd.seed, Kind: "dir.setOwnerHint", Class: transport.ClassApp,
+		Payload: dirReq{O: o, Node: n}, Bytes: 32,
+	})
 }
 
-func (rd *remoteDir) OwnerHintOf(o addr.OID) addr.NodeID {
-	return rd.call("dir.ownerHintOf", dirReq{O: o}).Node
+func (rd *remoteDir) Locate(o addr.OID) (addr.BunchID, addr.NodeID) {
+	rep := rd.call("dir.locate", dirReq{O: o})
+	return rep.B, rep.Node
 }
 
 func (rd *remoteDir) RecordPlacement(a addr.Addr, o addr.OID) {

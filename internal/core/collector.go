@@ -280,8 +280,9 @@ func (c *Collector) Alloc(b addr.BunchID, size int) (addr.OID, error) {
 	if !ok {
 		return addr.NilOID, fmt.Errorf("core: allocation of %d words failed in fresh segment", size)
 	}
+	// The allocation record is also the object's first owner hint
+	// (Directory.Locate falls back to AllocNode), so none is set here.
 	c.dir.RegisterObject(ObjInfo{OID: oid, Bunch: b, Size: size, AllocNode: c.node, AllocAddr: a})
-	c.dir.SetOwnerHint(oid, c.node)
 	c.dsm.RegisterNew(oid, b)
 	c.stats().Add("core.alloc.objects", 1)
 	c.stats().Add("core.alloc.words", int64(size+mem.HeaderWords))
@@ -359,7 +360,7 @@ func (c *Collector) WriteBarrier(src, target addr.OID) error {
 	if target.IsNil() {
 		return nil
 	}
-	sb, tb := c.dir.BunchOf(src), c.dir.BunchOf(target)
+	sb, tb := c.BunchOf(src), c.BunchOf(target)
 	if sb == tb || tb == addr.NoBunch {
 		return nil
 	}

@@ -8,8 +8,9 @@ import (
 // Dir is the cluster metadata service as the collector and cluster layers
 // consume it. In the simulated single-process cluster it is the in-memory
 // *Directory; in a multi-process deployment every node but the seed holds a
-// proxy that forwards each method as a synchronous application-class call to
-// the seed's Directory and mirrors segment metadata into a local allocator.
+// proxy that forwards each method as an application-class message to the
+// seed's Directory — a synchronous call, except the advisory SetOwnerHint,
+// which is one-way — and mirrors segment metadata into a local allocator.
 // The methods are exactly *Directory's exported set, so the simulated
 // cluster's behaviour is untouched by the indirection.
 type Dir interface {
@@ -39,7 +40,7 @@ type Dir interface {
 	BunchOf(o addr.OID) addr.BunchID
 	SegmentPopulation(a addr.Addr) []addr.OID
 	SetOwnerHint(o addr.OID, n addr.NodeID)
-	OwnerHintOf(o addr.OID) addr.NodeID
+	Locate(o addr.OID) (addr.BunchID, addr.NodeID)
 	RecordPlacement(a addr.Addr, o addr.OID)
 	PlacementOID(a addr.Addr) (addr.OID, bool)
 }

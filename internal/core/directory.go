@@ -70,9 +70,10 @@ type Directory struct {
 	segObjs map[addr.SegID][]addr.OID
 	// ownerHint is the manager-side probable owner of each object (Li's
 	// dynamic distributed manager keeps exactly this), updated whenever a
-	// write token is granted. It only seeds ownerPtr chains when a node
-	// has no local routing state; the chains themselves stay
-	// authoritative.
+	// write token is granted; absent, the allocation site stands in. It
+	// only seeds ownerPtr chains when a node has no local routing state;
+	// the chains themselves stay authoritative, so a stale hint — any past
+	// owner — is still a sound place to start one.
 	ownerHint map[addr.OID]addr.NodeID
 	// placements maps every address an object has ever been placed at
 	// (its allocation address and each to-space copy) to its identity. In
@@ -325,18 +326,20 @@ func (d *Directory) SetOwnerHint(o addr.OID, n addr.NodeID) {
 	d.ownerHint[o] = n
 }
 
-// OwnerHintOf returns the probable owner of o: the last recorded transfer
-// target, falling back to the allocation site.
-func (d *Directory) OwnerHintOf(o addr.OID) addr.NodeID {
+// Locate returns what a node needs to start tracking o: its bunch and its
+// probable owner — the last recorded transfer target, falling back to the
+// allocation site. An unknown object is (NoBunch, NoNode).
+func (d *Directory) Locate(o addr.OID) (addr.BunchID, addr.NodeID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if n, ok := d.ownerHint[o]; ok {
-		return n
-	}
+	b, hint := addr.NoBunch, addr.NoNode
 	if info, ok := d.objects[o]; ok {
-		return info.AllocNode
+		b, hint = info.Bunch, info.AllocNode
 	}
-	return addr.NoNode
+	if n, ok := d.ownerHint[o]; ok {
+		hint = n
+	}
+	return b, hint
 }
 
 // RecordPlacement records that object o was placed (allocated or copied)

@@ -166,7 +166,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	for _, b := range bunches {
 		rep := c.Replica(b)
 		for _, o := range c.RootOIDs() {
-			if c.dir.BunchOf(o) == b {
+			if c.BunchOf(o) == b {
 				strongRoots = append(strongRoots, o)
 				plainStrong = append(plainStrong, o)
 			}
@@ -442,7 +442,7 @@ func (c *Collector) LiveOIDs(b addr.BunchID) []addr.OID {
 	set := map[addr.BunchID]bool{b: true}
 	var strong []addr.OID
 	for _, o := range c.RootOIDs() {
-		if c.dir.BunchOf(o) == b {
+		if c.BunchOf(o) == b {
 			strong = append(strong, o)
 		}
 	}
@@ -505,7 +505,7 @@ func (c *Collector) traceImpl(set map[addr.BunchID]bool, roots []addr.OID, stren
 		if o.IsNil() || live[o] >= strength {
 			continue
 		}
-		if !set[c.dir.BunchOf(o)] {
+		if !set[c.BunchOf(o)] {
 			continue // cross-bunch edges are represented by SSPs, not traced
 		}
 		live[o] = strength
@@ -588,7 +588,7 @@ func (c *Collector) knownInBunch(b addr.BunchID) []addr.OID {
 		set[o] = true
 	}
 	for _, o := range c.heap.KnownObjects() {
-		if c.dir.BunchOf(o) == b {
+		if c.BunchOf(o) == b {
 			set[o] = true
 		}
 	}
@@ -635,7 +635,7 @@ func (c *Collector) rebuildTable(b addr.BunchID, live map[addr.OID]int) map[addr
 
 	exiting := make(map[addr.OID]addr.NodeID)
 	for o, s := range live {
-		if s != strongLive || c.dir.BunchOf(o) != b || c.dsm.IsOwner(o) {
+		if s != strongLive || c.BunchOf(o) != b || c.dsm.IsOwner(o) {
 			continue
 		}
 		// Exiting ownerPtrs describe cached *replicas* (§4.3); protocol

@@ -35,7 +35,7 @@ func (c *Collector) manifestOf(o addr.OID) (dsm.Manifest, bool) {
 		size = info.Size
 	}
 	return dsm.Manifest{
-		OID: o, Addr: a, Size: size, Bunch: c.dir.BunchOf(o),
+		OID: o, Addr: a, Size: size, Bunch: c.BunchOf(o),
 		Epoch: c.LocationEpoch(o),
 	}, true
 }
@@ -224,7 +224,7 @@ func (c *Collector) normalizeRefs(a addr.Addr) {
 // intra-bunch scion before the token grant and return the request for the
 // new owner's matching stub (§5, §3.2).
 func (c *Collector) PrepareOwnershipTransfer(o addr.OID, newOwner addr.NodeID, newOwnerGen uint64) *dsm.IntraSSPReq {
-	b := c.dir.BunchOf(o)
+	b := c.BunchOf(o)
 	if b == addr.NoBunch {
 		return nil
 	}
@@ -301,9 +301,10 @@ func (c *Collector) ApplyIntraSSP(req *dsm.IntraSSPReq) {
 // table message could ever unwind.
 func (c *Collector) OnOwnershipAcquired(o addr.OID) {
 	// Update the manager's probable-owner record (Li's dynamic
-	// distributed manager keeps exactly this hint).
+	// distributed manager keeps exactly this hint). It is advisory, so a
+	// remote directory takes it one-way.
 	c.dir.SetOwnerHint(o, c.node)
-	b := c.dir.BunchOf(o)
+	b := c.BunchOf(o)
 	if b == addr.NoBunch {
 		return
 	}
@@ -337,10 +338,11 @@ func (c *Collector) NextTableGen(b addr.BunchID) uint64 {
 	return c.Replica(b).Gen + 1
 }
 
-// OwnerHint starts an ownerPtr chain at the object's probable owner (the
-// manager's record, falling back to the allocation site).
-func (c *Collector) OwnerHint(o addr.OID) addr.NodeID {
-	return c.dir.OwnerHintOf(o)
+// Locate asks the directory for o's bunch and the start of its ownerPtr
+// chain (the manager's probable owner, falling back to the allocation
+// site) in one lookup.
+func (c *Collector) Locate(o addr.OID) (addr.BunchID, addr.NodeID) {
+	return c.dir.Locate(o)
 }
 
 // RouteCandidates lists every plausible owner of o, most likely first: the
@@ -350,10 +352,10 @@ func (c *Collector) OwnerHint(o addr.OID) addr.NodeID {
 // interested holder, and holders are never forgotten).
 func (c *Collector) RouteCandidates(o addr.OID) []addr.NodeID {
 	var out []addr.NodeID
-	if h := c.dir.OwnerHintOf(o); h != addr.NoNode {
+	b, h := c.dir.Locate(o)
+	if h != addr.NoNode {
 		out = append(out, h)
 	}
-	b := c.dir.BunchOf(o)
 	if b == addr.NoBunch {
 		return out
 	}
@@ -407,5 +409,14 @@ func (c *Collector) Reestablish(o addr.OID) bool {
 	return true
 }
 
-// BunchOf maps an object to its bunch via the directory.
-func (c *Collector) BunchOf(o addr.OID) addr.BunchID { return c.dir.BunchOf(o) }
+// BunchOf maps an object to its bunch. An object's bunch never changes, and
+// every way this node comes to hold protocol state for an object —
+// allocation, a manifest, first contact — records it, so the DSM state
+// answers; only an object this node has never tracked costs a directory
+// lookup (Cluster.CheckInvariants pins the two answers equal).
+func (c *Collector) BunchOf(o addr.OID) addr.BunchID {
+	if b := c.dsm.KnownBunch(o); b != addr.NoBunch {
+		return b
+	}
+	return c.dir.BunchOf(o)
+}

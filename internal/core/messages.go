@@ -209,7 +209,7 @@ func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
 		man, ok := c.manifestOf(o)
 		return man, ok
 	}
-	b := c.dir.BunchOf(o)
+	b := c.BunchOf(o)
 	rep := c.Replica(b)
 	size := c.heap.ObjSize(old)
 	if rep.allocSeg == nil || rep.allocSeg.FreeWords() < size+mem.HeaderWords {

@@ -134,7 +134,9 @@ func (h *fakeHooks) TakePendingManifests(peer addr.NodeID) []Manifest {
 
 func (h *fakeHooks) NextTableGen(b addr.BunchID) uint64 { return 1 }
 
-func (h *fakeHooks) OwnerHint(o addr.OID) addr.NodeID { return h.env.hint[o] }
+func (h *fakeHooks) Locate(o addr.OID) (addr.BunchID, addr.NodeID) {
+	return h.env.bunch[o], h.env.hint[o]
+}
 
 func (h *fakeHooks) RouteCandidates(o addr.OID) []addr.NodeID { return h.env.candidates[o] }
 
@@ -145,8 +147,6 @@ func (h *fakeHooks) Reestablish(o addr.OID) bool {
 	}
 	return false
 }
-
-func (h *fakeHooks) BunchOf(o addr.OID) addr.BunchID { return h.env.bunch[o] }
 
 // ---- tests ----------------------------------------------------------------
 

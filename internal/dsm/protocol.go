@@ -238,7 +238,7 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 		// The chain failed for a transient reason (e.g. a partition). Retry
 		// once through the manager's probable owner, which is on a sound
 		// transfer chain by construction.
-		hint := n.hooks.OwnerHint(o)
+		_, hint := n.hooks.Locate(o)
 		if hint == addr.NoNode || hint == n.id || hint == target {
 			return err
 		}

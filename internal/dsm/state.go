@@ -109,8 +109,9 @@ func (n *Node) state(o addr.OID) *ObjState {
 	if st, ok := n.objs[o]; ok {
 		return st
 	}
-	st := newObjState(n.hooks.BunchOf(o))
-	st.OwnerPtr = n.hooks.OwnerHint(o)
+	b, hint := n.hooks.Locate(o)
+	st := newObjState(b)
+	st.OwnerPtr = hint
 	n.objs[o] = st
 	return st
 }

@@ -201,10 +201,11 @@ type Hooks interface {
 	// table for bunch b (stamps entering entries and scions created on
 	// this node's behalf).
 	NextTableGen(b addr.BunchID) uint64
-	// OwnerHint returns a starting node for the ownerPtr chain of an
-	// object this node has no protocol state for (the allocation site
-	// recorded in the cluster directory).
-	OwnerHint(o addr.OID) addr.NodeID
+	// Locate returns, in one directory lookup, the bunch of an object this
+	// node has no protocol state for and a starting node for its ownerPtr
+	// chain (the manager's probable owner, falling back to the allocation
+	// site).
+	Locate(o addr.OID) (addr.BunchID, addr.NodeID)
 	// RouteCandidates returns every plausible chain target for o, most
 	// likely first: the manager's probable owner, then every node holding
 	// content of the object's bunch. The set must be a superset of the
@@ -218,6 +219,4 @@ type Hooks interface {
 	// reports false when the object is unknown to the cluster directory,
 	// in which case the handle is truly dangling.
 	Reestablish(o addr.OID) bool
-	// BunchOf maps an object to its bunch.
-	BunchOf(o addr.OID) addr.BunchID
 }
