@@ -88,9 +88,12 @@ var (
 	errFrameType   = errors.New("tcp: unknown frame type")
 )
 
-// appendFrame appends the length-prefixed wire encoding of f to dst.
-func appendFrame(dst []byte, f *frame) ([]byte, error) {
+// appendFrame appends the length-prefixed wire encoding of f to dst. A
+// non-nil v is the payload of a msg, call or reply frame, encoded straight
+// into dst in place of f.Payload; either way the bytes are the same.
+func appendFrame(dst []byte, f *frame, v any) ([]byte, error) {
 	start := len(dst)
+	var err error
 	dst = append(dst, 0, 0, 0, 0) // length prefix backfilled below
 	dst = append(dst, byte(f.Type))
 	dst = binary.AppendUvarint(dst, f.Tick)
@@ -110,7 +113,9 @@ func appendFrame(dst []byte, f *frame) ([]byte, error) {
 		}
 		dst = binary.AppendUvarint(dst, uint64(max(f.Bytes, 0)))
 		dst = binary.AppendUvarint(dst, uint64(max(f.Piggyback, 0)))
-		dst = transport.AppendBlob(dst, f.Payload)
+		if dst, err = appendPayloadBlob(dst, f.Payload, v); err != nil {
+			return dst[:start], err
+		}
 		// Optional trailing span field: present iff any component is
 		// non-zero, keeping span-free frames byte-identical to the
 		// pre-span encoding.
@@ -126,7 +131,9 @@ func appendFrame(dst []byte, f *frame) ([]byte, error) {
 			dst = transport.AppendString(dst, f.ErrName)
 			dst = transport.AppendString(dst, f.ErrDetail)
 		}
-		dst = transport.AppendBlob(dst, f.Payload)
+		if dst, err = appendPayloadBlob(dst, f.Payload, v); err != nil {
+			return dst[:start], err
+		}
 	default:
 		return dst[:start], fmt.Errorf("%w: %d", errFrameType, f.Type)
 	}
@@ -142,8 +149,9 @@ func appendFrame(dst []byte, f *frame) ([]byte, error) {
 // It is total: any input either yields a frame or a descriptive error, with
 // every internal length validated against the bytes remaining by
 // transport.Reader, so hostile input cannot provoke a panic or an
-// allocation beyond len(body).
-func decodeFrame(body []byte) (frame, error) {
+// allocation beyond len(body). The Payload of the result aliases body; kind
+// strings come from kinds when it is non-nil (see intern).
+func decodeFrame(body []byte, kinds map[string]string) (frame, error) {
 	var f frame
 	if len(body) == 0 {
 		return f, errFrameEmpty
@@ -166,7 +174,7 @@ func decodeFrame(body []byte) (frame, error) {
 	case frameMsg, frameCall:
 		f.From = r.NodeID()
 		f.To = r.NodeID()
-		f.Kind = r.Str()
+		f.Kind = intern(kinds, r.Blob())
 		f.Class = r.Class()
 		if seq := r.Uvarint(); f.Type == frameMsg {
 			f.Seq = seq
@@ -200,26 +208,67 @@ func decodeFrame(body []byte) (frame, error) {
 	return f, r.End()
 }
 
-// readFrame reads one length-prefixed frame from r. The length prefix is
-// validated before the body is read; the body buffer is bounded by
-// MaxFrameBytes and by the announced length.
-func readFrame(r io.Reader) (frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// maxKinds bounds a stream's kind table and keptBufBytes the buffers a
+// stream keeps between frames, so neither a hostile peer nor one huge frame
+// pins memory for the stream's lifetime.
+const (
+	maxKinds     = 256
+	keptBufBytes = 64 << 10
+)
+
+// intern returns b as a string: the copy kinds already holds when it has
+// seen b, else a fresh one it keeps while it has room. The protocol's kinds
+// are a small closed set, so a stream's steady traffic allocates none.
+func intern(kinds map[string]string, b []byte) string {
+	if s, ok := kinds[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if kinds != nil && len(kinds) < maxKinds {
+		kinds[s] = s
+	}
+	return s
+}
+
+// frameReader reads one stream's length-prefixed frames into a body buffer
+// it reuses, interning kind strings as it goes. A frame's Payload aliases
+// that buffer, so it must be decoded before the next call to next.
+type frameReader struct {
+	r     io.Reader
+	hdr   [4]byte
+	body  []byte
+	kinds map[string]string
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: r, kinds: make(map[string]string)}
+}
+
+// next reads one frame. The length prefix is validated before the body is
+// read; the body is bounded by MaxFrameBytes and by the announced length.
+func (fr *frameReader) next() (frame, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(fr.hdr[:])
 	if n == 0 {
 		return frame{}, errFrameEmpty
 	}
 	if n > MaxFrameBytes {
 		return frame{}, fmt.Errorf("%w: announced %d bytes", errFrameTooBig, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body := fr.body
+	if uint32(cap(body)) < n {
+		body = make([]byte, n)
+		if n <= keptBufBytes {
+			fr.body = body
+		}
+	}
+	body = body[:n]
+	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return frame{}, fmt.Errorf("tcp: frame body: %w", err)
 	}
-	return decodeFrame(body)
+	return decodeFrame(body, fr.kinds)
 }
 
 // clampInt converts a wire-read uvarint to a non-negative int without

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // message kinds the protocol layers put on the wire.
 func seedFrames(t testing.TB) [][]byte {
 	t.Helper()
-	pb, err := encodePayload([]uint64{7, 9, 11})
+	pb, err := transport.AppendPayload(nil, []uint64{7, 9, 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func seedFrames(t testing.TB) [][]byte {
 	}
 	var out [][]byte
 	for _, f := range frames {
-		buf, err := appendFrame(nil, f)
+		buf, err := appendFrame(nil, f, nil)
 		if err != nil {
 			t.Fatalf("encode seed %v: %v", f.Type, err)
 		}
@@ -65,18 +66,18 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{byte(frameMsg), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(frameWithClass(f, frameCall, 2)[4:]) // a class byte no code defines
 	f.Fuzz(func(t *testing.T, body []byte) {
-		fr, err := decodeFrame(body)
+		fr, err := decodeFrame(body, nil)
 		if err != nil {
 			return
 		}
 		if !fr.Class.Valid() {
 			t.Fatalf("decoded a frame of undefined class %d", int(fr.Class))
 		}
-		re, err := appendFrame(nil, &fr)
+		re, err := appendFrame(nil, &fr, nil)
 		if err != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}
-		fr2, err := decodeFrame(re[4:])
+		fr2, err := decodeFrame(re[4:], nil)
 		if err != nil {
 			t.Fatalf("canonical re-encode failed to decode: %v", err)
 		}
@@ -93,13 +94,13 @@ func FuzzDecodeFrame(f *testing.F) {
 func TestFrameSpanEncoding(t *testing.T) {
 	base := frame{Type: frameMsg, Tick: 9, From: 1, To: 2, Kind: "dsm.acquire",
 		Class: transport.ClassApp, Seq: 4, Bytes: 16}
-	plain, err := appendFrame(nil, &base)
+	plain, err := appendFrame(nil, &base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spanned := base
 	spanned.Trace, spanned.Span, spanned.SParent = 0x111, 0x222, 0x333
-	wire, err := appendFrame(nil, &spanned)
+	wire, err := appendFrame(nil, &spanned, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +110,14 @@ func TestFrameSpanEncoding(t *testing.T) {
 	// Zero span ⇒ byte-identical to a frame that never had the field.
 	rezero := spanned
 	rezero.Trace, rezero.Span, rezero.SParent = 0, 0, 0
-	replain, err := appendFrame(nil, &rezero)
+	replain, err := appendFrame(nil, &rezero, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, replain) {
 		t.Fatal("zero-span frame is not byte-identical to the span-free encoding")
 	}
-	got, err := decodeFrame(wire[4:])
+	got, err := decodeFrame(wire[4:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +128,79 @@ func TestFrameSpanEncoding(t *testing.T) {
 	// Cutting ALL span bytes is the legal span-free format, so the torn
 	// range starts one byte in.
 	for cut := len(plain) + 1; cut < len(wire); cut++ {
-		if _, err := decodeFrame(wire[4:cut]); err == nil {
+		if _, err := decodeFrame(wire[4:cut], nil); err == nil {
 			t.Fatalf("torn span at %d/%d decoded successfully", cut, len(wire))
 		}
+	}
+}
+
+// A stream's frame reader decodes every frame though it reuses one body
+// buffer, and its kind table stops growing at maxKinds however many kinds a
+// peer makes up.
+func TestFrameReaderReusesBufferAndBoundsKinds(t *testing.T) {
+	var stream []byte
+	const n = maxKinds + 50
+	for i := 0; i < n; i++ {
+		var err error
+		stream, err = appendFrame(stream, &frame{Type: frameMsg, Kind: fmt.Sprintf("kind.%d", i%(n-10)), Seq: uint64(i)}, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := newFrameReader(bytes.NewReader(stream))
+	for i := 0; i < n; i++ {
+		f, err := r.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := decodePayload(f.Payload)
+		if want := fmt.Sprintf("kind.%d", i%(n-10)); err != nil || f.Kind != want || f.Seq != uint64(i) || v != i {
+			t.Fatalf("frame %d: kind %q seq %d payload %v (%v)", i, f.Kind, f.Seq, v, err)
+		}
+	}
+	if len(r.kinds) != maxKinds {
+		t.Fatalf("kind table holds %d kinds, want the cap %d", len(r.kinds), maxKinds)
+	}
+}
+
+// A payload encoded in place, straight into the frame buffer, yields the
+// same bytes as the payload encoded on its own and copied in as a blob —
+// for msg, call and reply frames, and for bodies whose length prefix takes
+// one, two or three bytes.
+func TestFramePayloadInPlace(t *testing.T) {
+	for _, words := range []int{0, 3, 60, 20000} {
+		v := make([]uint64, words)
+		for i := range v {
+			v[i] = uint64(i) << 9
+		}
+		blob, err := transport.AppendPayload(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []frame{
+			{Type: frameMsg, Tick: 3, From: 1, To: 2, Kind: "gc.table", Seq: 8, Bytes: 64, Trace: 5, Span: 6, SParent: 7},
+			{Type: frameCall, Tick: 4, From: 2, To: 1, Kind: "dsm.acquire", ReqID: 9},
+			{Type: frameReply, Tick: 5, ReqID: 9, ReplyBytes: 16},
+		} {
+			f.Payload = blob
+			want, err := appendFrame(nil, &f, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Payload = nil
+			got, err := appendFrame([]byte("prefix"), &f, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[len("prefix"):], want) {
+				t.Fatalf("type %d, %d words: in-place encoding differs from the blob encoding", f.Type, words)
+			}
+		}
+	}
+	// A payload with no codec fails the frame and leaves dst as it was.
+	f := frame{Type: frameMsg, Kind: "k"}
+	if got, err := appendFrame([]byte("x"), &f, struct{}{}); !errors.Is(err, transport.ErrNoCodec) || string(got) != "x" {
+		t.Fatalf("unregistered payload: (%q, %v)", got, err)
 	}
 }
 
@@ -138,7 +209,7 @@ func TestFrameSpanEncoding(t *testing.T) {
 func frameWithClass(t testing.TB, typ frameType, cl byte) []byte {
 	t.Helper()
 	buf, err := appendFrame(nil, &frame{Type: typ, Tick: 5, From: 1, To: 0, Kind: "dsm.acquire",
-		Class: transport.Class(cl), Seq: 2, ReqID: 2, Bytes: 32})
+		Class: transport.Class(cl), Seq: 2, ReqID: 2, Bytes: 32}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +222,13 @@ func frameWithClass(t testing.TB, typ frameType, cl byte) []byte {
 func TestDecodeFrameRejectsUnknownClass(t *testing.T) {
 	for _, typ := range []frameType{frameMsg, frameCall} {
 		for _, cl := range []transport.Class{transport.ClassApp, transport.ClassGC} {
-			fr, err := decodeFrame(frameWithClass(t, typ, byte(cl))[4:])
+			fr, err := decodeFrame(frameWithClass(t, typ, byte(cl))[4:], nil)
 			if err != nil || fr.Class != cl {
 				t.Fatalf("type %d class %v: decoded (%v, %v)", typ, cl, fr.Class, err)
 			}
 		}
 		for _, cl := range []byte{2, 7, 255} {
-			if _, err := decodeFrame(frameWithClass(t, typ, cl)[4:]); !errors.Is(err, transport.ErrBadClass) {
+			if _, err := decodeFrame(frameWithClass(t, typ, cl)[4:], nil); !errors.Is(err, transport.ErrBadClass) {
 				t.Fatalf("type %d class byte %d: err = %v, want transport.ErrBadClass", typ, cl, err)
 			}
 		}
@@ -169,7 +240,7 @@ func TestDecodeFrameRejectsUnknownClass(t *testing.T) {
 func TestReadFrameOversizedPrefix(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrameBytes+1)
-	_, err := readFrame(bytes.NewReader(hdr[:]))
+	_, err := newFrameReader(bytes.NewReader(hdr[:])).next()
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("MaxFrameBytes")) {
 		t.Fatalf("oversized prefix: err = %v", err)
 	}
@@ -180,12 +251,12 @@ func TestReadFrameOversizedPrefix(t *testing.T) {
 func TestReadFrameTruncated(t *testing.T) {
 	for _, buf := range seedFrames(t) {
 		for cut := 0; cut < len(buf); cut++ {
-			if _, err := readFrame(bytes.NewReader(buf[:cut])); err == nil {
+			if _, err := newFrameReader(bytes.NewReader(buf[:cut])).next(); err == nil {
 				t.Fatalf("truncation at %d/%d decoded successfully", cut, len(buf))
 			}
 		}
 		// The full frame still decodes after all that slicing.
-		if _, err := readFrame(bytes.NewReader(buf)); err != nil {
+		if _, err := newFrameReader(bytes.NewReader(buf)).next(); err != nil {
 			t.Fatalf("intact frame failed: %v", err)
 		}
 	}
@@ -200,13 +271,13 @@ func TestReadFrameSequential(t *testing.T) {
 	for _, buf := range seeds {
 		stream = append(stream, buf...)
 	}
-	r := bytes.NewReader(stream)
+	r := newFrameReader(bytes.NewReader(stream))
 	for i := range seeds {
-		if _, err := readFrame(r); err != nil {
+		if _, err := r.next(); err != nil {
 			t.Fatalf("frame %d of stream: %v", i, err)
 		}
 	}
-	if _, err := readFrame(r); err != io.EOF {
+	if _, err := r.next(); err != io.EOF {
 		t.Fatalf("clean EOF expected at stream end, got %v", err)
 	}
 }

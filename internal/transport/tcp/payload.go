@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"bmx/internal/transport"
@@ -17,7 +18,8 @@ import (
 //
 // The blob is decoded only after the frame decoder has bounds-checked it
 // against the received body, and the decoders copy what they keep, so a
-// decoded payload never aliases the read buffer.
+// decoded payload never aliases the read buffer, which the stream reuses
+// for its next frame.
 
 // The primitive payloads the transport tests, the conformance suite, the
 // peer control-channel test and the benchmark's wire probes send.
@@ -35,16 +37,30 @@ func init() {
 	transport.RegisterPayload(tagUint64s, transport.AppendUvarints[uint64], transport.ReadUvarints[uint64])
 }
 
-// encodePayload renders v as a tagged blob; nil stays empty.
-func encodePayload(v any) ([]byte, error) {
-	b, err := transport.AppendPayload(nil, v)
-	if err != nil {
-		return nil, fmt.Errorf("tcp: encode payload: %w", err)
+// appendPayloadBlob appends a payload blob to dst: raw as it is when v is
+// nil, else v encoded straight into dst — tag and body first, then shifted
+// up by the few bytes its length prefix takes, so no intermediate buffer is
+// built. A nil v with no raw bytes is the empty blob of a nil payload.
+func appendPayloadBlob(dst, raw []byte, v any) ([]byte, error) {
+	if v == nil {
+		return transport.AppendBlob(dst, raw), nil
 	}
-	return b, nil
+	start := len(dst)
+	dst, err := transport.AppendPayload(dst, v)
+	if err != nil {
+		return dst[:start], fmt.Errorf("tcp: encode payload: %w", err)
+	}
+	n := len(dst) - start
+	var pre [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(pre[:], uint64(n))
+	dst = append(dst, pre[:k]...)
+	copy(dst[start+k:], dst[start:start+n])
+	copy(dst[start:], pre[:k])
+	return dst, nil
 }
 
-// decodePayload reverses encodePayload; an empty blob is a nil payload.
+// decodePayload decodes the bytes of a payload blob (tag, then body); an
+// empty blob is a nil payload.
 func decodePayload(b []byte) (any, error) {
 	v, err := transport.DecodePayload(b)
 	if err != nil {

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -25,7 +26,10 @@ type Options struct {
 	// processes shares exactly one stream no matter who dials whom.
 	Peers []string
 
-	CallTimeout time.Duration // synchronous call deadline (default 10s)
+	// CallTimeout is the synchronous call deadline (default 10s). One
+	// sweeper per transport enforces it, so a call that gets no reply fails
+	// between CallTimeout and CallTimeout plus sweepPeriod after it began.
+	CallTimeout time.Duration
 	DialTimeout time.Duration // per-attempt dial deadline (default 2s)
 	BackoffMin  time.Duration // first reconnect delay (default 25ms)
 	BackoffMax  time.Duration // reconnect delay ceiling (default 1s)
@@ -53,12 +57,43 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// sweepPeriod is how often the deadline sweeper looks for calls whose
+// CallTimeout has passed: a tenth of the timeout, at least a millisecond.
+func sweepPeriod(timeout time.Duration) time.Duration {
+	return max(timeout/10, time.Millisecond)
+}
+
 type pairKey struct{ from, to addr.NodeID }
 
-// pendingCall is one in-flight synchronous request awaiting its reply.
-type pendingCall struct {
-	ch chan frame
-	c  *conn
+// callSlot is the reusable record of one remote call in flight. Whoever
+// takes a slot out of the pending table — the reply, the deadline sweeper,
+// the stream's teardown or Close — sends the call's one outcome on ch, under
+// the transport lock. So ch holds at most one outcome, and a call that has
+// returned leaves its slot empty for the next call to reuse with its
+// channel. A reply that comes too late finds no slot under its request ID.
+type callSlot struct {
+	ch       chan callOutcome // capacity 1, kept with the slot
+	id       uint64           // request ID of the call using the slot
+	c        *conn            // the stream the call went out on
+	deadline time.Time
+}
+
+// callStatus says how a remote call ended.
+type callStatus uint8
+
+const (
+	callReplied callStatus = iota
+	callTimedOut
+	callLost // its stream closed, or the transport did
+)
+
+// callOutcome is what a call's slot receives.
+type callOutcome struct {
+	status    callStatus
+	reply     any
+	bytes     int   // reply bytes the callee reported
+	err       error // the callee's error, rebuilt by transport.WireError
+	decodeErr error // the reply payload did not decode
 }
 
 // Transport is the TCP implementation of transport.Network. Nodes
@@ -87,11 +122,14 @@ type Transport struct {
 	// until it is demoted or dropped. Register announces to all of them.
 	streams map[*conn]struct{}
 	routes  map[addr.NodeID]*conn
-	pending map[uint64]*pendingCall
-	nextReq uint64
-	plan    transport.FaultPlan
-	rng     *rand.Rand
-	closed  bool
+	// pending holds the slot of every remote call in flight, by request
+	// ID; freeSlots holds the slots of calls that have returned.
+	pending   map[uint64]*callSlot
+	freeSlots []*callSlot
+	nextReq   uint64
+	plan      transport.FaultPlan
+	rng       *rand.Rand
+	closed    bool
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -123,14 +161,15 @@ func New(opts Options) (*Transport, error) {
 		conns:    make(map[string]*conn),
 		streams:  make(map[*conn]struct{}),
 		routes:   make(map[addr.NodeID]*conn),
-		pending:  make(map[uint64]*pendingCall),
+		pending:  make(map[uint64]*callSlot),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		done:     make(chan struct{}),
 	}
 	t.stats.Observer().SetTickSource(t.clock.Now)
 	t.piggyHist = t.stats.Observer().Hist("net.piggyback.bytes")
-	t.wg.Add(1)
+	t.wg.Add(2)
 	go t.acceptLoop()
+	go t.sweepLoop()
 	for _, p := range opts.Peers {
 		t.AddPeer(p)
 	}
@@ -172,32 +211,31 @@ func (t *Transport) Register(id addr.NodeID, h transport.Handler, c transport.Ca
 		t.wg.Add(1)
 		go ib.loop()
 	}
-	buf, err := t.helloLocked()
-	if err != nil {
-		return
-	}
+	hello := t.helloLocked()
 	for cn := range t.streams {
-		cn.enqueue(buf)
+		cn.enqueue(&hello, nil)
 	}
 }
 
-// helloLocked encodes the current hello frame; t.mu must be held, and the
+// helloLocked builds the current hello frame; t.mu must be held, and the
 // caller enqueues the frame before releasing it, so every stream carries
 // its hellos in registration order and the last one names every node.
-func (t *Transport) helloLocked() ([]byte, error) {
+func (t *Transport) helloLocked() frame {
 	nodes := make([]addr.NodeID, 0, len(t.handlers))
 	for id := range t.handlers {
 		nodes = append(nodes, id)
 	}
-	return appendFrame(nil, &frame{Type: frameHello, Tick: t.clock.Now(), ListenAddr: t.laddr, Nodes: nodes})
+	return frame{Type: frameHello, Tick: t.clock.Now(), ListenAddr: t.laddr, Nodes: nodes}
 }
 
 // Send enqueues one asynchronous message. The stream sequence number is
-// assigned under the transport lock in enqueue order, and each remote
-// pair shares a single TCP stream, so delivery is per-pair FIFO. A send
-// to a disconnected or unknown node is dropped — it still consumes its
-// sequence number, so the receiver observes a gap, never a reorder —
-// matching the lossy contract the GC's idempotent tables are built for.
+// assigned, and the frame queued, under the transport lock, so the queue
+// holds a pair's frames in Seq order; each remote pair shares a single TCP
+// stream, and no inline write overtakes a queued frame (see conn.write),
+// so delivery is per-pair FIFO. A send to a disconnected or unknown node
+// is dropped — it still consumes its sequence number, so the receiver
+// observes a gap, never a reorder — matching the lossy contract the GC's
+// idempotent tables are built for.
 // Locally-registered destinations are delivered through the same
 // per-destination inbox goroutines as network traffic, never
 // synchronously on the caller's stack (callers may hold node locks).
@@ -232,9 +270,9 @@ func (t *Transport) Send(m transport.Msg) bool {
 			ib.push(m)
 			accepted = true
 		} else if c := t.routes[m.To]; c != nil {
-			if buf, err := t.encodeMsgLocked(frameMsg, m, 0); err == nil {
-				accepted = c.enqueue(buf)
-			} else {
+			f := t.msgFrame(frameMsg, &m, 0)
+			var err error
+			if accepted, err = c.enqueue(&f, m.Payload); err != nil {
 				t.stats.Add("msg.encodeError", 1)
 			}
 		}
@@ -272,28 +310,26 @@ func (t *Transport) Send(m transport.Msg) bool {
 	return true
 }
 
-// encodeMsgLocked renders m as a msg or call frame; t.mu must be held so
-// that frames enter their stream's queue in sequence order.
-func (t *Transport) encodeMsgLocked(ft frameType, m transport.Msg, reqID uint64) ([]byte, error) {
-	pb, err := encodePayload(m.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return appendFrame(nil, &frame{
+// msgFrame is the msg or call frame that carries m. Its payload is encoded
+// when the frame is, straight into the stream's buffer (appendFrame's v).
+func (t *Transport) msgFrame(ft frameType, m *transport.Msg, reqID uint64) frame {
+	return frame{
 		Type: ft, Tick: t.clock.Now(),
 		From: m.From, To: m.To, Kind: m.Kind, Class: m.Class,
 		Seq: m.Seq, ReqID: reqID, Bytes: m.Bytes, Piggyback: m.Piggyback,
-		Payload: pb,
-		Trace:   m.Span.Trace, Span: m.Span.Span, SParent: m.Span.Parent,
-	})
+		Trace: m.Span.Trace, Span: m.Span.Span, SParent: m.Span.Parent,
+	}
 }
 
 // Call performs a synchronous request/reply exchange. Calls to local
 // nodes run the callee directly on the caller's goroutine (as simnet
 // does); remote calls are multiplexed over the pair's stream by request
 // ID, so any number of calls — including calls issued by handlers of
-// inbound traffic on the same stream — proceed concurrently. A severed
-// or absent connection fails the call with an error wrapping
+// inbound traffic on the same stream — proceed concurrently. A remote call
+// takes a reusable reply slot, writes its own frame when the stream is
+// idle (else queues it; see conn.write) and waits on the slot for the
+// reply, the deadline sweeper's timeout or its stream's loss. A severed or
+// absent connection fails the call with an error wrapping
 // transport.ErrPartitioned, the same sentinel a simnet partition yields,
 // and once Close has begun every call fails with transport.ErrClosed;
 // registered sentinel errors returned by the remote callee cross the wire
@@ -308,6 +344,12 @@ func (t *Transport) Call(m transport.Msg) (any, error) {
 	closed := t.closed
 	partitioned := t.plan.Partitioned(m.From, m.To)
 	localCallee := t.callees[m.To]
+	var s *callSlot
+	if !closed && !partitioned && localCallee == nil {
+		if c := t.routes[m.To]; c != nil {
+			s = t.openCallLocked(c)
+		}
+	}
 	t.mu.Unlock()
 
 	if closed {
@@ -329,57 +371,105 @@ func (t *Transport) Call(m transport.Msg) (any, error) {
 		t.accountCallReply(m, replyBytes)
 		return reply, err
 	}
-
-	t.mu.Lock()
-	c := t.routes[m.To]
-	var buf []byte
-	var reqID uint64
-	var encErr error
-	var pc *pendingCall
-	if c != nil {
-		t.nextReq++
-		reqID = t.nextReq
-		buf, encErr = t.encodeMsgLocked(frameCall, m, reqID)
-		if encErr == nil {
-			pc = &pendingCall{ch: make(chan frame, 1), c: c}
-			t.pending[reqID] = pc
-		}
-	}
-	t.mu.Unlock()
-
-	if c == nil {
+	if s == nil {
 		return nil, t.callLost(m, "no route")
 	}
-	if encErr != nil {
-		return nil, fmt.Errorf("tcp: call %s: %w", m.Kind, encErr)
-	}
-	if !c.enqueue(buf) {
-		t.unregisterCall(reqID)
-		return nil, t.callLost(m, "connection down")
-	}
 
-	timer := time.NewTimer(t.opts.CallTimeout)
-	defer timer.Stop()
-	select {
-	case f := <-pc.ch:
-		t.accountCallReply(m, f.ReplyBytes)
-		if f.HasErr {
-			return nil, transport.WireError(f.ErrName, f.ErrDetail)
+	f := t.msgFrame(frameCall, &m, s.id)
+	if err := s.c.write(&f, m.Payload); err != nil {
+		t.cancelCall(s)
+		if errors.Is(err, errStreamDown) {
+			return nil, t.callLost(m, "connection down")
 		}
-		reply, err := decodePayload(f.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("tcp: call %s reply: %w", m.Kind, err)
-		}
-		return reply, nil
-	case <-pc.c.closedCh:
-		t.unregisterCall(reqID)
-		return nil, t.callLost(m, "connection lost")
-	case <-timer.C:
-		t.unregisterCall(reqID)
+		return nil, fmt.Errorf("tcp: call %s: %w", m.Kind, err)
+	}
+	out := t.awaitCall(s)
+	switch out.status {
+	case callTimedOut:
 		return nil, fmt.Errorf("tcp: call %s %v -> %v: timeout after %v", m.Kind, m.From, m.To, t.opts.CallTimeout)
-	case <-t.done:
-		t.unregisterCall(reqID)
-		return nil, t.callClosed(m)
+	case callLost:
+		return nil, t.callLost(m, "connection lost")
+	}
+	t.accountCallReply(m, out.bytes)
+	if out.err != nil {
+		return nil, out.err
+	}
+	if out.decodeErr != nil {
+		return nil, fmt.Errorf("tcp: call %s reply: %w", m.Kind, out.decodeErr)
+	}
+	return out.reply, nil
+}
+
+// openCallLocked puts a call on c into a free slot under a new request ID;
+// t.mu must be held.
+func (t *Transport) openCallLocked(c *conn) *callSlot {
+	var s *callSlot
+	if n := len(t.freeSlots); n > 0 {
+		s = t.freeSlots[n-1]
+		t.freeSlots = t.freeSlots[:n-1]
+	} else {
+		s = &callSlot{ch: make(chan callOutcome, 1)}
+	}
+	t.nextReq++
+	s.id, s.c, s.deadline = t.nextReq, c, time.Now().Add(t.opts.CallTimeout)
+	t.pending[s.id] = s
+	return s
+}
+
+// finishLocked ends the pending call in s with outcome o; t.mu must be
+// held, and s must still be pending.
+func (t *Transport) finishLocked(s *callSlot, o callOutcome) {
+	delete(t.pending, s.id)
+	s.ch <- o
+}
+
+// awaitCall waits for the outcome of the call in s and frees the slot.
+func (t *Transport) awaitCall(s *callSlot) callOutcome {
+	o := <-s.ch
+	t.mu.Lock()
+	t.freeSlotLocked(s)
+	t.mu.Unlock()
+	return o
+}
+
+// cancelCall withdraws a call whose frame never went out and frees its
+// slot, emptying it first if the call has already been ended.
+func (t *Transport) cancelCall(s *callSlot) {
+	t.mu.Lock()
+	if t.pending[s.id] == s {
+		delete(t.pending, s.id)
+	} else {
+		<-s.ch
+	}
+	t.freeSlotLocked(s)
+	t.mu.Unlock()
+}
+
+func (t *Transport) freeSlotLocked(s *callSlot) {
+	s.c = nil
+	t.freeSlots = append(t.freeSlots, s)
+}
+
+// sweepLoop is the transport's one call timer: every sweepPeriod it ends
+// the calls whose CallTimeout has passed.
+func (t *Transport) sweepLoop() {
+	defer t.wg.Done()
+	tick := time.NewTicker(sweepPeriod(t.opts.CallTimeout))
+	defer tick.Stop()
+	for {
+		select {
+		case <-t.done:
+			return
+		case <-tick.C:
+		}
+		now := time.Now()
+		t.mu.Lock()
+		for _, s := range t.pending {
+			if now.After(s.deadline) {
+				t.finishLocked(s, callOutcome{status: callTimedOut})
+			}
+		}
+		t.mu.Unlock()
 	}
 }
 
@@ -423,12 +513,6 @@ func (t *Transport) accountCallReply(m transport.Msg, replyBytes int) {
 	}
 }
 
-func (t *Transport) unregisterCall(reqID uint64) {
-	t.mu.Lock()
-	delete(t.pending, reqID)
-	t.mu.Unlock()
-}
-
 // WaitForNodes blocks until routes to at least want distinct remote nodes
 // exist (the mesh has formed), or the timeout elapses.
 func (t *Transport) WaitForNodes(want int, timeout time.Duration) error {
@@ -456,6 +540,9 @@ func (t *Transport) WaitForNodes(want int, timeout time.Duration) error {
 func (t *Transport) Close() error {
 	t.mu.Lock()
 	t.closed = true
+	for _, s := range t.pending {
+		t.finishLocked(s, callOutcome{status: callLost})
+	}
 	conns := make([]*conn, 0, len(t.conns))
 	for _, c := range t.conns {
 		conns = append(conns, c)
@@ -616,12 +703,11 @@ func (t *Transport) newConn(nc net.Conn, dialed bool) *conn {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	c := &conn{t: t, nc: nc, dialed: dialed, closedCh: make(chan struct{})}
+	c := &conn{t: t, nc: nc, dialed: dialed, closedCh: make(chan struct{}), calls: make(chan inCall)}
 	c.qcond = sync.NewCond(&c.qmu)
 	t.mu.Lock()
-	if buf, err := t.helloLocked(); err == nil {
-		c.enqueue(buf)
-	}
+	hello := t.helloLocked()
+	c.enqueue(&hello, nil)
 	t.streams[c] = struct{}{}
 	t.mu.Unlock()
 	t.wg.Add(2)
@@ -654,7 +740,6 @@ func (t *Transport) installConn(c *conn, f frame) bool {
 		loser = existing
 	}
 	t.conns[f.ListenAddr] = c
-	c.nodes = f.Nodes
 	for _, n := range f.Nodes {
 		if t.handlers[n] == nil {
 			t.routes[n] = c
@@ -689,7 +774,8 @@ func (t *Transport) demoteConnLocked(c *conn) {
 }
 
 // drainConn closes a demoted stream once its in-flight calls have
-// resolved, bounded by the call timeout (nothing can be pending longer).
+// resolved, bounded by the call timeout plus a sweep (nothing can be
+// pending longer).
 // Async frames still queued on it flow out meanwhile; in the worst case a
 // late one interleaves with the successor stream at the receiver, which
 // the background protocol absorbs the same way it absorbs delay — tables
@@ -705,7 +791,7 @@ func (t *Transport) drainConn(c *conn) {
 		linger = t.opts.CallTimeout
 	}
 	start := time.Now()
-	deadline := start.Add(t.opts.CallTimeout)
+	deadline := start.Add(t.opts.CallTimeout + sweepPeriod(t.opts.CallTimeout))
 	for time.Now().Before(deadline) {
 		if time.Since(start) >= linger && !t.connBusy(c) {
 			break
@@ -719,15 +805,15 @@ func (t *Transport) drainConn(c *conn) {
 
 // connBusy reports whether c still carries an unresolved conversation:
 // a local call awaiting its reply, or a received call whose reply has
-// not been enqueued.
+// not been written or queued.
 func (t *Transport) connBusy(c *conn) bool {
 	if c.serving.Load() != 0 {
 		return true
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, pc := range t.pending {
-		if pc.c == c {
+	for _, s := range t.pending {
+		if s.c == c {
 			return true
 		}
 	}
@@ -746,9 +832,9 @@ func (t *Transport) dropConnLocked(c *conn) {
 			delete(t.routes, n)
 		}
 	}
-	for id, pc := range t.pending {
-		if pc.c == c {
-			delete(t.pending, id)
+	for _, s := range t.pending {
+		if s.c == c {
+			t.finishLocked(s, callOutcome{status: callLost})
 		}
 	}
 }
@@ -761,7 +847,7 @@ func (t *Transport) detachConn(c *conn) {
 }
 
 // deliverRemote hands a received msg frame to its destination's inbox.
-func (t *Transport) deliverRemote(f frame) {
+func (t *Transport) deliverRemote(f *frame) {
 	payload, err := decodePayload(f.Payload)
 	if err != nil {
 		t.stats.Add("msg.decodeError", 1)
@@ -780,75 +866,96 @@ func (t *Transport) deliverRemote(f frame) {
 	ib.push(m)
 }
 
-// serveCall runs an inbound call on its own goroutine (callees may Send
-// and Call freely — the stream's read loop is never blocked by them) and
-// writes the reply frame back on the same stream.
-func (t *Transport) serveCall(c *conn, f frame) {
+// inCall is one received call, decoded off the stream's read buffer.
+type inCall struct {
+	m   transport.Msg
+	id  uint64
+	err error // the payload did not decode
+}
+
+// serveCall runs one received call on a call worker and writes the reply
+// back on the stream the call came in on — inline when the stream is idle,
+// as a Call writes its request. Callees may Send and Call freely, over this
+// stream too: the read loop never waits for a worker, and a busy worker
+// set grows.
+func (t *Transport) serveCall(c *conn, ic *inCall) {
 	t.mu.Lock()
-	callee := t.callees[f.To]
+	callee := t.callees[ic.m.To]
 	t.mu.Unlock()
 
-	rf := frame{Type: frameReply, ReqID: f.ReqID}
+	rf := frame{Type: frameReply, ReqID: ic.id}
 	var reply any
-	var err error
+	err := ic.err
 	if callee == nil {
-		err = fmt.Errorf("tcp: no call handler registered for %v", f.To)
-	} else {
-		var payload any
-		payload, err = decodePayload(f.Payload)
-		if err == nil {
-			m := transport.Msg{From: f.From, To: f.To, Kind: f.Kind, Class: f.Class,
-				Payload: payload, Bytes: f.Bytes, Piggyback: f.Piggyback,
-				Span: obs.SpanContext{Trace: f.Trace, Span: f.Span, Parent: f.SParent}}
-			reply, rf.ReplyBytes, err = callee(m)
-		}
-	}
-	if err == nil {
-		rf.Payload, err = encodePayload(reply)
-	}
-	if err != nil {
-		rf.HasErr = true
-		rf.ErrName = transport.WireErrorName(err)
-		rf.ErrDetail = err.Error()
-		rf.Payload = nil
+		err = fmt.Errorf("tcp: no call handler registered for %v", ic.m.To)
+	} else if err == nil {
+		reply, rf.ReplyBytes, err = callee(ic.m)
 	}
 	rf.Tick = t.clock.Now()
-	if buf, ferr := appendFrame(nil, &rf); ferr == nil {
-		c.enqueue(buf)
+	if err == nil {
+		if err = c.write(&rf, reply); err == nil || errors.Is(err, errStreamDown) {
+			return
+		}
 	}
+	rf.HasErr = true
+	rf.ErrName = transport.WireErrorName(err)
+	rf.ErrDetail = err.Error()
+	c.write(&rf, nil)
 }
 
-// resolveCall completes the pending call a reply frame answers; a reply
-// whose call already timed out or failed is dropped.
-func (t *Transport) resolveCall(f frame) {
-	t.mu.Lock()
-	pc := t.pending[f.ReqID]
-	delete(t.pending, f.ReqID)
-	t.mu.Unlock()
-	if pc != nil {
-		pc.ch <- f
+// resolveCall ends the call a reply frame answers, decoding the payload
+// before the stream's read buffer is reused. A reply whose call has
+// already ended — timed out, or failed with its stream — finds no slot and
+// is dropped.
+func (t *Transport) resolveCall(f *frame) {
+	o := callOutcome{status: callReplied, bytes: f.ReplyBytes}
+	if f.HasErr {
+		o.err = transport.WireError(f.ErrName, f.ErrDetail)
+	} else {
+		o.reply, o.decodeErr = decodePayload(f.Payload)
 	}
+	t.mu.Lock()
+	if s := t.pending[f.ReqID]; s != nil {
+		t.finishLocked(s, o)
+	}
+	t.mu.Unlock()
 }
+
+// errStreamDown reports a frame its stream could not carry: the stream was
+// dead, or died writing it.
+var errStreamDown = errors.New("tcp: stream down")
+
+// maxSpareBufs bounds the written frame buffers a stream keeps for reuse.
+const maxSpareBufs = 64
 
 // conn is one live stream to a peer process.
 type conn struct {
 	t      *Transport
 	nc     net.Conn
 	dialed bool
-	nodes  []addr.NodeID
 
 	idMu sync.Mutex
 	id   string // peer identity (canonical listen addr), "" until hello
 
+	// The write side. One goroutine at a time writes to nc, and holds the
+	// writing mark while it does: the write loop draining q, or a caller
+	// writing its own frame inline (see write).
 	qmu      sync.Mutex
-	qcond    *sync.Cond
-	q        [][]byte
+	qcond    *sync.Cond // wakes the write loop: frames queued, stream idle
+	q        [][]byte   // frames waiting for the write loop, in claim order
+	spare    [][]byte   // written frame buffers, for reuse by q
+	writing  bool
 	dead     bool
 	closedCh chan struct{}
+	wbuf     []byte      // the inline frame buffer, used under the writing mark
+	iov      net.Buffers // the write loop's batch, consumed by WriteTo
 
+	// calls hands received calls to the stream's call workers. It is
+	// unbuffered, so a send succeeds only into a worker waiting for work.
+	calls chan inCall
 	// serving counts call frames received on this stream whose replies
-	// have not been enqueued yet; drainConn waits for it to reach zero
-	// so a demoted stream never swallows a reply it still owes.
+	// have not been written or queued yet; drainConn waits for it to reach
+	// zero so a demoted stream never swallows a reply it still owes.
 	serving atomic.Int64
 }
 
@@ -864,56 +971,140 @@ func (c *conn) identity() string {
 	return c.id
 }
 
-// enqueue appends an encoded frame to the stream's write queue,
-// preserving the order in which senders enqueued (callers serialize per
-// pair under the transport lock, which makes the queue order the Seq
-// order). It reports false once the stream is dead.
-func (c *conn) enqueue(buf []byte) bool {
+// enqueue queues one frame (payload v, see appendFrame) for the write loop.
+// Its callers, Send and hello, hold t.mu, under which they serialize per
+// pair, which makes the queue order the Seq order. It reports false once
+// the stream is dead, and the error of a frame that does not encode.
+func (c *conn) enqueue(f *frame, v any) (bool, error) {
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	if c.dead {
+		return false, nil
+	}
+	if err := c.queueLocked(f, v); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// write puts one frame (payload v) on the stream for a caller that holds no
+// transport lock: a Call's request or a served call's reply. If the stream
+// is idle — nobody writing, nothing queued — the caller takes the writing
+// mark and writes the frame on its own goroutine, with no hand-off to the
+// write loop; frames queued meanwhile wait until it lets go, and then the
+// loop writes them. Otherwise the frame joins the queue. The stream thus
+// carries frames in the order they claimed it, and an inline write claims
+// it only once every queued frame is out, so it never overtakes a Send. It
+// returns the frame's encoding error, or errStreamDown if the stream could
+// not carry it.
+func (c *conn) write(f *frame, v any) error {
 	c.qmu.Lock()
 	if c.dead {
 		c.qmu.Unlock()
-		return false
+		return errStreamDown
 	}
-	c.q = append(c.q, buf)
-	c.qcond.Signal()
+	if c.writing || len(c.q) > 0 {
+		err := c.queueLocked(f, v)
+		c.qmu.Unlock()
+		return err
+	}
+	c.writing = true
 	c.qmu.Unlock()
-	return true
+
+	buf, err := appendFrame(c.wbuf[:0], f, v)
+	if err == nil {
+		if _, werr := c.nc.Write(buf); werr != nil {
+			err = errStreamDown
+		}
+	}
+	if cap(buf) <= keptBufBytes {
+		c.wbuf = buf
+	}
+	c.qmu.Lock()
+	c.writing = false
+	if len(c.q) > 0 {
+		c.qcond.Signal()
+	}
+	c.qmu.Unlock()
+	if err == errStreamDown {
+		c.close()
+	}
+	return err
 }
 
-// writeLoop drains the queue onto the socket, batching whatever is ready.
+// queueLocked encodes a frame into a spare buffer and queues it for the
+// write loop; c.qmu must be held.
+func (c *conn) queueLocked(f *frame, v any) error {
+	var buf []byte
+	if n := len(c.spare); n > 0 {
+		buf, c.spare = c.spare[n-1], c.spare[:n-1]
+	}
+	buf, err := appendFrame(buf, f, v)
+	if err != nil {
+		if cap(buf) > 0 {
+			c.spare = append(c.spare, buf)
+		}
+		return err
+	}
+	c.q = append(c.q, buf)
+	if !c.writing {
+		c.qcond.Signal()
+	}
+	return nil
+}
+
+// writeLoop drains the queue whenever the stream is idle, writing all that
+// is queued with one writev (net.Buffers) and keeping the written buffers
+// for reuse.
 func (c *conn) writeLoop() {
 	defer c.t.wg.Done()
+	var batch [][]byte
+	var iov net.Buffers // the batch's backing array; c.iov is consumed
+	c.qmu.Lock()
 	for {
-		c.qmu.Lock()
-		for len(c.q) == 0 && !c.dead {
+		for (len(c.q) == 0 || c.writing) && !c.dead {
 			c.qcond.Wait()
 		}
 		if c.dead {
 			c.qmu.Unlock()
 			return
 		}
-		batch := c.q
-		c.q = nil
+		batch, c.q = c.q, batch[:0]
+		c.writing = true
 		c.qmu.Unlock()
-		for _, buf := range batch {
-			if _, err := c.nc.Write(buf); err != nil {
-				c.close()
-				return
+
+		iov = append(iov[:0], batch...)
+		c.iov = iov
+		_, err := c.iov.WriteTo(c.nc)
+
+		c.qmu.Lock()
+		c.writing = false
+		for i, buf := range batch {
+			if len(c.spare) < maxSpareBufs && cap(buf) <= keptBufBytes {
+				c.spare = append(c.spare, buf[:0])
 			}
+			batch[i] = nil
+		}
+		if err != nil {
+			c.qmu.Unlock()
+			c.close()
+			return
 		}
 	}
 }
 
-// readLoop decodes frames until the stream errors: hellos (re)install
-// identity and routes, msgs go to their destination inbox, calls are
-// served on fresh goroutines, replies complete their pending calls. Every
-// received tick merges into the local Lamport clock.
+// readLoop decodes frames until the stream errors, each frame's payload
+// before the reader reuses its buffer for the next: hellos (re)install
+// identity and routes, msgs go to their destination inbox, calls go to the
+// stream's call workers, replies end their calls. Nothing here waits for a
+// handler, a callee or a write. Every received tick merges into the local
+// Lamport clock.
 func (c *conn) readLoop() {
 	defer c.t.wg.Done()
 	defer c.close()
-	br := bufio.NewReaderSize(c.nc, 64<<10)
+	fr := newFrameReader(bufio.NewReaderSize(c.nc, 64<<10))
 	for {
-		f, err := readFrame(br)
+		f, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -924,21 +1115,53 @@ func (c *conn) readLoop() {
 				return
 			}
 		case frameMsg:
-			c.t.deliverRemote(f)
+			c.t.deliverRemote(&f)
 		case frameCall:
-			c.serving.Add(1)
-			go func(f frame) {
-				defer c.serving.Add(-1)
-				c.t.serveCall(c, f)
-			}(f)
+			c.dispatchCall(&f)
 		case frameReply:
-			c.t.resolveCall(f)
+			c.t.resolveCall(&f)
+		}
+	}
+}
+
+// dispatchCall hands a received call to the stream's call workers without
+// blocking the read loop: a worker waiting for work takes it at once, and
+// when every worker is busy a new one starts with it. Workers live as long
+// as the stream, so once the set has grown to the stream's concurrency a
+// call costs no goroutine start and no stack growth. The set has no cap on
+// purpose: a callee may wait on a call back over this same stream, and a
+// capped set would deadlock once every worker waited so.
+func (c *conn) dispatchCall(f *frame) {
+	payload, err := decodePayload(f.Payload)
+	ic := inCall{id: f.ReqID, err: err, m: transport.Msg{From: f.From, To: f.To, Kind: f.Kind, Class: f.Class,
+		Payload: payload, Bytes: f.Bytes, Piggyback: f.Piggyback,
+		Span: obs.SpanContext{Trace: f.Trace, Span: f.Span, Parent: f.SParent}}}
+	c.serving.Add(1)
+	select {
+	case c.calls <- ic:
+	default:
+		go c.callWorker(ic)
+	}
+}
+
+// callWorker serves ic, then every call handed to it, until the stream
+// closes. Like the reply it may still owe, a worker is not waited for by
+// Close: its callee may block on state Close cannot see.
+func (c *conn) callWorker(ic inCall) {
+	for {
+		c.t.serveCall(c, &ic)
+		c.serving.Add(-1)
+		select {
+		case ic = <-c.calls:
+		case <-c.closedCh:
+			return
 		}
 	}
 }
 
 // close severs the stream: the socket is closed, the write queue is
-// poisoned, routes and pending calls through this stream are detached.
+// poisoned, routes through this stream are detached and its pending calls
+// fail.
 func (c *conn) close() {
 	c.qmu.Lock()
 	if c.dead {

@@ -3,6 +3,9 @@ package tcp
 import (
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -122,6 +125,91 @@ func TestCallNoRouteFailsAsPartitioned(t *testing.T) {
 	}
 }
 
+// A call whose callee does not answer within CallTimeout fails with the
+// timeout error and leaves nothing pending; the callee's late reply is
+// dropped rather than handed to the next call on the stream, which gets its
+// own reply.
+func TestCallTimesOut(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	a, err := New(Options{CallTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	b, err := New(Options{Peers: []string{a.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+
+	release := make(chan struct{}) // lets the timed-out callee answer
+	entered := make(chan string, 2)
+	hold := make(chan struct{}) // holds the second callee until the late reply is out
+	b.Register(1, nil, func(m transport.Msg) (any, int, error) {
+		switch s := m.Payload.(string); s {
+		case "slow":
+			entered <- s
+			<-release
+			return "late", 4, nil
+		case "second":
+			entered <- s
+			<-hold
+		}
+		return m.Payload, 4, nil
+	})
+	a.Register(0, nil, nil)
+	if err := a.WaitForNodes(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	_, err = a.Call(transport.Msg{From: 0, To: 1, Kind: "slow", Payload: "slow"})
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "timeout after") {
+		t.Fatalf("blocked callee: err = %v, want a timeout", err)
+	}
+	// Scheduling slack on a loaded box on top of the sweep period.
+	if limit := timeout + sweepPeriod(timeout) + 100*time.Millisecond; elapsed < timeout || elapsed > limit {
+		t.Fatalf("timed out after %v, want between %v and %v", elapsed, timeout, limit)
+	}
+	<-entered
+	a.mu.Lock()
+	pending := len(a.pending)
+	a.mu.Unlock()
+	if pending != 0 {
+		t.Fatalf("%d calls still pending after the timeout", pending)
+	}
+
+	// The next call is in flight, on the slot the timed-out call freed, when
+	// the late reply arrives: the stream carries the late reply first.
+	second := make(chan error, 1)
+	go func() {
+		reply, err := a.Call(transport.Msg{From: 0, To: 1, Kind: "second", Payload: "second"})
+		if err == nil && reply != "second" {
+			err = fmt.Errorf("reply %v, want its own (second)", reply)
+		}
+		second <- err
+	}()
+	<-entered
+	close(release)
+	waitFor(t, "the late reply leaves the callee", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		for _, c := range b.conns {
+			return c.serving.Load() == 1 // only "second" still owes its reply
+		}
+		return false
+	})
+	close(hold)
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	reply, err := a.Call(transport.Msg{From: 0, To: 1, Kind: "third", Payload: "third"})
+	if err != nil || reply != "third" {
+		t.Fatalf("call after the timeout: (%v, %v), want (third, nil)", reply, err)
+	}
+}
+
 // Handlers may Send and Call on the transport that invoked them — the
 // stream's read loop never runs them, so no deadlock.
 func TestHandlerReentrancy(t *testing.T) {
@@ -154,6 +242,285 @@ func TestHandlerReentrancy(t *testing.T) {
 		t.Fatal("handler-initiated call+send never completed")
 	}
 }
+
+// Served calls that call back over the stream they arrived on, several
+// levels deep and many at once, all complete while one more served call
+// blocks throughout: the stream's call workers grow with demand instead of
+// waiting for a busy one, and the blocked call holds up neither calls nor
+// sends.
+func TestCallHandlerCallsBackOnSameStream(t *testing.T) {
+	a, b := twoTransports(t)
+	blocked := make(chan struct{})
+	unblock := make(chan struct{})
+	t.Cleanup(func() { close(unblock) }) // runs before the transports close
+	var sends sync.WaitGroup
+	// nest answers a depth-d call by calling the caller back at depth d-1.
+	nest := func(self *Transport, id addr.NodeID) transport.CallHandler {
+		return func(m transport.Msg) (any, int, error) {
+			if m.Kind == "block" {
+				close(blocked)
+				<-unblock
+				return 0, 0, nil
+			}
+			d := m.Payload.(int)
+			if d == 0 {
+				return 0, 0, nil
+			}
+			r, err := self.Call(transport.Msg{From: id, To: m.From, Kind: "nest", Payload: d - 1})
+			if err != nil {
+				return nil, 0, err
+			}
+			return r.(int) + 1, 0, nil
+		}
+	}
+	a.Register(0, func(transport.Msg) { sends.Done() }, nest(a, 0))
+	b.Register(1, func(transport.Msg) { sends.Done() }, nest(b, 1))
+	if err := a.WaitForNodes(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WaitForNodes(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	blockErr := make(chan error, 1)
+	go func() {
+		_, err := a.Call(transport.Msg{From: 0, To: 1, Kind: "block"})
+		blockErr <- err
+	}()
+	<-blocked
+
+	const callers, depth, rounds = 8, 3, 5
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			from, to, tr := addr.NodeID(0), addr.NodeID(1), a
+			if i%2 == 1 {
+				from, to, tr = 1, 0, b
+			}
+			for r := 0; r < rounds; r++ {
+				got, err := tr.Call(transport.Msg{From: from, To: to, Kind: "nest", Payload: depth})
+				if err == nil && got != depth {
+					err = fmt.Errorf("nested call answered %v, want %d", got, depth)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				sends.Add(1)
+				tr.Send(transport.Msg{From: from, To: to, Kind: "note"})
+			}
+		}(i)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); sends.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("nested calls or sends stalled behind a blocked call")
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-blockErr:
+		t.Fatalf("blocked call returned early: %v", err)
+	default:
+	}
+}
+
+// Inline call writes never reorder the sends queued on the same stream:
+// the receiver sees every Seq, in order, while calls race the sends, on one
+// P and on all of them.
+func TestSendFIFOWithConcurrentInlineCalls(t *testing.T) {
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			a, b := twoTransports(t)
+			const n = 5000
+			var mu sync.Mutex
+			var got []transport.Msg
+			all := make(chan struct{})
+			b.Register(1, func(m transport.Msg) {
+				mu.Lock()
+				defer mu.Unlock()
+				if got = append(got, m); len(got) == n {
+					close(all)
+				}
+			}, echo)
+			a.Register(0, nil, nil)
+			if err := a.WaitForNodes(1, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var callers sync.WaitGroup
+			errs := make(chan error, 4)
+			for g := 0; g < 4; g++ {
+				callers.Add(1)
+				go func() {
+					defer callers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if _, err := a.Call(transport.Msg{From: 0, To: 1, Kind: "probe.echo", Payload: g}); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			for i := 0; i < n; i++ {
+				if !a.Send(transport.Msg{From: 0, To: 1, Kind: "gc.table", Class: transport.ClassGC, Payload: i}) {
+					t.Fatalf("send %d rejected", i)
+				}
+			}
+			select {
+			case <-all:
+			case <-time.After(20 * time.Second):
+				t.Fatal("sends never all arrived")
+			}
+			close(stop)
+			callers.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for i, m := range got {
+				if m.Seq != uint64(i+1) || m.Payload != i {
+					t.Fatalf("message %d arrived as seq %d payload %v (FIFO broken)", i, m.Seq, m.Payload)
+				}
+			}
+		})
+	}
+}
+
+// An inline call write never overtakes a frame already queued on its
+// stream, so a goroutine's Send reaches the wire before its next Call, as
+// when every frame went through the queue. The peer is a bare socket that
+// checks the order frames arrive in.
+func TestInlineCallNeverOvertakesQueuedSend(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a, err := New(Options{Peers: []string{ln.Addr().String()}, CallTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.Register(0, nil, nil)
+	nc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	hello, err := appendFrame(nil, &frame{Type: frameHello, ListenAddr: ln.Addr().String(), Nodes: []addr.NodeID{1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WaitForNodes(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	peerErr := make(chan error, 1)
+	go func() {
+		fr := newFrameReader(nc)
+		sent := map[any]bool{}
+		var seq uint64
+		var out []byte
+		for {
+			f, err := fr.next()
+			if err != nil {
+				peerErr <- nil // the test closed the socket
+				return
+			}
+			v, _ := decodePayload(f.Payload)
+			switch f.Type {
+			case frameMsg:
+				if f.Seq != seq+1 {
+					peerErr <- fmt.Errorf("msg seq %d after %d", f.Seq, seq)
+					return
+				}
+				seq = f.Seq
+				sent[v] = true
+			case frameCall:
+				if !sent[v] {
+					peerErr <- fmt.Errorf("call %v reached the wire before the send made just before it", v)
+					return
+				}
+				out, _ = appendFrame(out[:0], &frame{Type: frameReply, ReqID: f.ReqID}, nil)
+				nc.Write(out)
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // keeps the queue busy
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			a.Send(transport.Msg{From: 0, To: 1, Kind: "gc.table", Payload: -1 - i})
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 250; i++ {
+				k := g*1000 + i
+				a.Send(transport.Msg{From: 0, To: 1, Kind: "mark", Payload: k})
+				if _, err := a.Call(transport.Msg{From: 0, To: 1, Kind: "probe", Payload: k}); err != nil {
+					t.Errorf("call %d: %v", k, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	nc.Close()
+	if err := <-peerErr; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A nil-payload call over loopback, counting both ends, allocates nothing
+// in the steady state: the caller writes its own frame from a reused buffer
+// and waits on a reused reply slot, each end reads into a reused buffer,
+// and the callee's read loop hands the call to a standing worker that
+// writes the reply the way the caller wrote the request.
+func TestCallAllocations(t *testing.T) {
+	a, b := twoTransports(t)
+	b.Register(1, nil, echo)
+	a.Register(0, nil, nil)
+	if err := a.WaitForNodes(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	msg := transport.Msg{From: 0, To: 1, Kind: "probe.echo", Class: transport.ClassApp}
+	call := func() {
+		if _, err := a.Call(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // counters, buffers and workers settle
+		call()
+	}
+	if got := testing.AllocsPerRun(1000, call); got > 1 {
+		t.Fatalf("nil-payload call: %v allocs, want at most 1 for both ends", got)
+	}
+}
+
+func echo(m transport.Msg) (any, int, error) { return m.Payload, m.Bytes, nil }
 
 // After the remote process dies and a new one takes over its address, the
 // dialer's backoff loop re-establishes the stream and traffic resumes.
@@ -375,5 +742,3 @@ func TestLocalDeliveryNeverSynchronous(t *testing.T) {
 		t.Fatal("local delivery did not happen asynchronously")
 	}
 }
-
-var _ = addr.NodeID(0)
