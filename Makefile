@@ -24,7 +24,7 @@ define newline
 
 endef
 
-.PHONY: all build vet test test-short race chaos chaos-crash bench bench-json bench-json-sim bench-json-tcp bench-ref bench-gate experiments figures examples cover clean
+.PHONY: all build vet test test-short race chaos chaos-crash bench bench-json bench-json-sim bench-json-tcp bench-ref bench-gate experiments examples cover clean
 
 all: build vet test
 
@@ -111,9 +111,6 @@ bench-json-tcp:
 
 experiments:
 	$(GO) run ./cmd/bmxbench
-
-figures:
-	$(GO) run ./cmd/bmxtrace
 
 examples:
 	$(GO) run ./examples/quickstart

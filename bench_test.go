@@ -1,21 +1,22 @@
 package bmx_test
 
-// Benchmarks, one family per experiment in EXPERIMENTS.md (E1-E9, A1-A2)
-// plus micro-benchmarks of the primitive operations. The experiment
-// families measure the real wall-clock cost of regenerating each table's
-// workload; the structural claims themselves (zero tokens, zero extra
-// messages, ...) are asserted by the exp package's tests.
+// Wall-clock benchmarks of the experiment workloads in EXPERIMENTS.md and of
+// a few primitives. The wall-clock benchmark under bench/ (`go run -C bench
+// ./wall`) times the mutator primitives, the write barrier, the token
+// ping-pong, the steady-state collector, checkpoint and recovery, and
+// parallel mutators; a benchmark stays here only for what none of its
+// workloads or probes runs, and each says what that is. The structural
+// claims themselves (zero tokens, zero extra messages, ...) are asserted by
+// internal/exp's tests.
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"bmx"
 	"bmx/internal/baseline"
 	"bmx/internal/cluster"
 	"bmx/internal/core"
-	"bmx/internal/exp"
 	"bmx/internal/trace"
 )
 
@@ -45,6 +46,9 @@ func sharedList(b *testing.B, cl *bmx.Cluster, objs int) (bmx.BunchID, trace.Gra
 
 // ---- E1: collection with and without token acquisition ---------------------
 
+// BenchmarkE1_BGC is E1_TokenGC's BMX arm on the same fixture: bench/
+// collects a replicated bunch only inside gc_persist, beside a flatfs store
+// and mutator traffic.
 func BenchmarkE1_BGC(b *testing.B) {
 	cl := benchCluster(3)
 	bu, _ := sharedList(b, cl, 40)
@@ -56,6 +60,8 @@ func BenchmarkE1_BGC(b *testing.B) {
 	}
 }
 
+// BenchmarkE1_TokenGC: nothing in bench/ runs the §4.2 token-acquiring
+// strawman.
 func BenchmarkE1_TokenGC(b *testing.B) {
 	cl := benchCluster(3)
 	bu, g := sharedList(b, cl, 40)
@@ -80,6 +86,8 @@ func BenchmarkE1_TokenGC(b *testing.B) {
 
 // ---- E2: BGC at the owner under varying replication ------------------------
 
+// BenchmarkE2_ReplicationDegree: nothing in bench/ varies the replication
+// degree of the bunch it collects.
 func BenchmarkE2_ReplicationDegree(b *testing.B) {
 	for _, r := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("replicas=%d", r), func(b *testing.B) {
@@ -97,6 +105,8 @@ func BenchmarkE2_ReplicationDegree(b *testing.B) {
 
 // ---- E3: mutate+collect round, lazy vs eager updates ------------------------
 
+// BenchmarkE3_Round: mutate+collect rounds, lazy and eager; nothing in
+// bench/ calls FlushLocations.
 func BenchmarkE3_Round(b *testing.B) {
 	for _, eager := range []bool{false, true} {
 		name := "lazy"
@@ -124,6 +134,8 @@ func BenchmarkE3_Round(b *testing.B) {
 
 // ---- E4: pause accounting, concurrent vs stop-the-world ---------------------
 
+// BenchmarkE4_Collect: nothing in bench/ mutates during a trace
+// (CollectOpts.DuringTrace), so no probe replays a mutation log at the flip.
 func BenchmarkE4_Collect(b *testing.B) {
 	for _, objs := range []int{64, 256, 512} {
 		b.Run(fmt.Sprintf("objects=%d", objs), func(b *testing.B) {
@@ -148,6 +160,7 @@ func BenchmarkE4_Collect(b *testing.B) {
 
 // ---- E5: reclamation under message loss -------------------------------------
 
+// BenchmarkE5_LossyReclamation: nothing in bench/ drops messages.
 func BenchmarkE5_LossyReclamation(b *testing.B) {
 	for _, loss := range []float64{0, 0.3} {
 		b.Run(fmt.Sprintf("loss=%.0f%%", loss*100), func(b *testing.B) {
@@ -190,6 +203,8 @@ func BenchmarkE5_LossyReclamation(b *testing.B) {
 
 // ---- E6: distributed chain reclamation --------------------------------------
 
+// BenchmarkE6_ChainReclaim: nothing in bench/ creates inter-bunch
+// references across nodes, so no scion cleaner there unwinds a chain.
 func BenchmarkE6_ChainReclaim(b *testing.B) {
 	for _, L := range []int{2, 8} {
 		b.Run(fmt.Sprintf("len=%d", L), func(b *testing.B) {
@@ -242,6 +257,9 @@ func BenchmarkE6_ChainReclaim(b *testing.B) {
 
 // ---- E7: whole-cluster collection, weak vs strong ----------------------------
 
+// BenchmarkE7_WeakAllNodes is E7_StrongAllNodes' BMX arm: gc_persist
+// collects its shared bunch at one node per round, never at all of them
+// before the tables are delivered.
 func BenchmarkE7_WeakAllNodes(b *testing.B) {
 	cl := benchCluster(4)
 	bu, _ := sharedList(b, cl, 40)
@@ -254,6 +272,8 @@ func BenchmarkE7_WeakAllNodes(b *testing.B) {
 	}
 }
 
+// BenchmarkE7_StrongAllNodes: nothing in bench/ runs the Le Sergent-style
+// strongly consistent collector.
 func BenchmarkE7_StrongAllNodes(b *testing.B) {
 	cl := benchCluster(4)
 	sharedList(b, cl, 40)
@@ -265,86 +285,11 @@ func BenchmarkE7_StrongAllNodes(b *testing.B) {
 	}
 }
 
-// ---- E8: the write barrier ----------------------------------------------------
-
-func BenchmarkE8_WriteBarrier(b *testing.B) {
-	b.Run("intra-bunch", func(b *testing.B) {
-		cl := benchCluster(1)
-		n0 := cl.Node(0)
-		bu := n0.NewBunch()
-		src := n0.MustAlloc(bu, 1)
-		tgt := n0.MustAlloc(bu, 1)
-		n0.AddRoot(src)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := n0.WriteRef(src, 0, tgt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("inter-bunch-local", func(b *testing.B) {
-		cl := benchCluster(1)
-		n0 := cl.Node(0)
-		b1, b2 := n0.NewBunch(), n0.NewBunch()
-		src := n0.MustAlloc(b1, 1)
-		tgt := n0.MustAlloc(b2, 1)
-		n0.AddRoot(src)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := n0.WriteRef(src, 0, tgt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		cl := benchCluster(1)
-		n0 := cl.Node(0)
-		bu := n0.NewBunch()
-		src := n0.MustAlloc(bu, 1)
-		n0.AddRoot(src)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := n0.WriteWord(src, 0, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// ---- E9: checkpoint and recovery ----------------------------------------------
-
-func BenchmarkE9_CheckpointRecover(b *testing.B) {
-	for _, objs := range []int{32, 128} {
-		b.Run(fmt.Sprintf("objects=%d", objs), func(b *testing.B) {
-			cl := bmx.New(bmx.Config{Nodes: 1, SegWords: 512, Seed: 1, WithDisk: true})
-			n0 := cl.Node(0)
-			bu := n0.NewBunch()
-			g, err := trace.BuildList(n0, bu, objs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := n0.Checkpoint(bu); err != nil {
-					b.Fatal(err)
-				}
-				if err := n0.WriteWord(g.Objects[0], 1, uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-				n0.Sync()
-				if err := n0.Crash(bu); err != nil {
-					b.Fatal(err)
-				}
-				if err := n0.RecoverBunch(bu); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // ---- A1/A2: ablations -----------------------------------------------------------
 
+// BenchmarkA1_OwnershipTransfer: dsm.ping_pong_us moves an object with no
+// inter-bunch reference; here every transfer carries a stub, intra-bunch or
+// replicated.
 func BenchmarkA1_OwnershipTransfer(b *testing.B) {
 	for _, replicate := range []bool{false, true} {
 		name := "intraSSP"
@@ -385,6 +330,8 @@ func BenchmarkA1_OwnershipTransfer(b *testing.B) {
 	}
 }
 
+// BenchmarkA2_LocationPropagation: collect-only rounds, lazy and eager;
+// nothing in bench/ calls FlushLocations.
 func BenchmarkA2_LocationPropagation(b *testing.B) {
 	for _, eager := range []bool{false, true} {
 		name := "lazy"
@@ -409,52 +356,8 @@ func BenchmarkA2_LocationPropagation(b *testing.B) {
 
 // ---- Micro-benchmarks of the primitives ---------------------------------------
 
-func BenchmarkAlloc(b *testing.B) {
-	cl := bmx.New(bmx.Config{Nodes: 1, SegWords: 4096})
-	n0 := cl.Node(0)
-	bu := n0.NewBunch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n0.Alloc(bu, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAcquireReadCached(b *testing.B) {
-	cl := benchCluster(2)
-	n0, n1 := cl.Node(0), cl.Node(1)
-	bu := n0.NewBunch()
-	o := n0.MustAlloc(bu, 2)
-	if err := n1.AcquireRead(o); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n1.AcquireRead(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAcquireWritePingPong(b *testing.B) {
-	cl := benchCluster(2)
-	n0, n1 := cl.Node(0), cl.Node(1)
-	bu := n0.NewBunch()
-	o := n0.MustAlloc(bu, 2)
-	n0.AddRoot(o)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nd := n1
-		if i%2 == 1 {
-			nd = n0
-		}
-		if err := nd.AcquireWrite(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkReadRef: cluster.read_word_ns reads a scalar; nothing in bench/
+// reads a reference, which resolves the target's address.
 func BenchmarkReadRef(b *testing.B) {
 	cl := benchCluster(1)
 	n0 := cl.Node(0)
@@ -472,23 +375,7 @@ func BenchmarkReadRef(b *testing.B) {
 	}
 }
 
-func BenchmarkBGCSteadyState(b *testing.B) {
-	for _, objs := range []int{100, 400, 2000} {
-		b.Run(fmt.Sprintf("objects=%d", objs), func(b *testing.B) {
-			cl := bmx.New(bmx.Config{Nodes: 1, SegWords: 4096})
-			n0 := cl.Node(0)
-			bu := n0.NewBunch()
-			if _, err := trace.BuildList(n0, bu, objs); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n0.CollectBunch(bu)
-			}
-		})
-	}
-}
-
+// BenchmarkSixteenNodeCollection: bench/ never builds more than four nodes.
 func BenchmarkSixteenNodeCollection(b *testing.B) {
 	cl := benchCluster(16)
 	bu, _ := sharedList(b, cl, 64)
@@ -501,26 +388,9 @@ func BenchmarkSixteenNodeCollection(b *testing.B) {
 	}
 }
 
-func BenchmarkExperimentHarness(b *testing.B) {
-	// The cost of regenerating a representative full table.
-	b.Run("E1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if t := exp.RunE1(); !t.Pass {
-				b.Fatal("E1 shape violated")
-			}
-		}
-	})
-	b.Run("E8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if t := exp.RunE8(); !t.Pass {
-				b.Fatal("E8 shape violated")
-			}
-		}
-	})
-}
-
 // ---- A3/A4/A5 and transactions ----------------------------------------------
 
+// BenchmarkA3_ProtocolVariants: nothing in bench/ runs the strict protocol.
 func BenchmarkA3_ProtocolVariants(b *testing.B) {
 	for _, p := range []bmx.Protocol{bmx.ProtocolEntry, bmx.ProtocolStrict} {
 		b.Run(p.String(), func(b *testing.B) {
@@ -543,6 +413,8 @@ func BenchmarkA3_ProtocolVariants(b *testing.B) {
 	}
 }
 
+// BenchmarkA4_GranularityAcquire: nothing in bench/ turns on segment-grain
+// tokens.
 func BenchmarkA4_GranularityAcquire(b *testing.B) {
 	for _, coarse := range []bool{false, true} {
 		name := "object"
@@ -571,6 +443,8 @@ func BenchmarkA4_GranularityAcquire(b *testing.B) {
 	}
 }
 
+// BenchmarkA5_Grouping: gc_persist runs CollectGroup(nil) on a bunch with no
+// inter-bunch cycles; nothing in bench/ calls CollectConnectedGroups.
 func BenchmarkA5_Grouping(b *testing.B) {
 	build := func() *bmx.Node {
 		cl := bmx.New(bmx.Config{Nodes: 1, SegWords: 512})
@@ -604,6 +478,7 @@ func BenchmarkA5_Grouping(b *testing.B) {
 	})
 }
 
+// BenchmarkTxCommit: nothing in bench/ runs a transaction.
 func BenchmarkTxCommit(b *testing.B) {
 	cl := bmx.New(bmx.Config{Nodes: 1, SegWords: 512})
 	n := cl.Node(0)
@@ -622,72 +497,9 @@ func BenchmarkTxCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelDisjointMutators measures the payoff of per-node
-// locking: W worker goroutines, each the sole mutator of its own node and
-// bunch, doing acquire/write/read/release rounds with a collection every
-// 64 operations. Workers share only the internally locked directory,
-// allocator and network, so on multicore hardware throughput scales with W
-// where the old global cluster lock serialized everything. Reported time
-// is per operation across all workers.
-func BenchmarkParallelDisjointMutators(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cl := bmx.New(bmx.Config{Nodes: workers, SegWords: 512, Seed: 1})
-			type lane struct {
-				n    *cluster.Node
-				bu   bmx.BunchID
-				objs []bmx.Ref
-			}
-			lanes := make([]lane, workers)
-			for w := 0; w < workers; w++ {
-				n := cl.Node(w)
-				bu := n.NewBunch()
-				var objs []bmx.Ref
-				for j := 0; j < 8; j++ {
-					r := n.MustAlloc(bu, 4)
-					n.AddRoot(r)
-					objs = append(objs, r)
-				}
-				lanes[w] = lane{n: n, bu: bu, objs: objs}
-			}
-			perWorker := b.N/workers + 1
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(l lane) {
-					defer wg.Done()
-					for i := 0; i < perWorker; i++ {
-						r := l.objs[i%len(l.objs)]
-						if err := l.n.AcquireWrite(r); err != nil {
-							b.Error(err)
-							return
-						}
-						if err := l.n.WriteWord(r, 1, uint64(i)); err != nil {
-							b.Error(err)
-							return
-						}
-						if _, err := l.n.ReadWord(r, 1); err != nil {
-							b.Error(err)
-							return
-						}
-						l.n.Release(r)
-						if i%64 == 63 {
-							l.n.CollectBunch(l.bu)
-						}
-					}
-				}(lanes[w])
-			}
-			wg.Wait()
-			b.StopTimer()
-			cl.RunConcurrent(0)
-		})
-	}
-}
-
 // BenchmarkParallelRunConcurrent compares draining one backlog of
 // background messages with the deterministic single-driver Run against the
-// goroutine-per-node RunConcurrent.
+// goroutine-per-node RunConcurrent, which nothing in bench/ calls.
 func BenchmarkParallelRunConcurrent(b *testing.B) {
 	build := func() *bmx.Cluster {
 		cl := bmx.New(bmx.Config{Nodes: 4, SegWords: 512, Seed: 1})

@@ -1,110 +1,25 @@
-// Command bmxbench regenerates the reproduction's experiment tables
-// (EXPERIMENTS.md): the measurable claims of the paper's §§4-8, each checked
-// against the baselines the paper names, plus the two design ablations.
-//
-// Usage:
-//
-//	bmxbench            # run everything
-//	bmxbench -exp e1,e5 # run a subset
-//	bmxbench -list      # list experiment ids and titles
+// Command bmxbench regenerates the reproduction's experiment tables: the
+// measurable claims of the paper's §§4-8, each checked against the baselines
+// the paper names, plus the design ablations. Its output is EXPERIMENTS.md's
+// fenced block byte for byte (internal/exp's TestRunAll pins that).
 //
 // Exit status is non-zero if any experiment's measured data violates the
 // shape the paper predicts.
 package main
 
 import (
-	"encoding/csv"
-	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"bmx/internal/exp"
 )
 
-// writeCSV dumps one experiment table as <dir>/<id>.csv.
-func writeCSV(dir string, t exp.Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, strings.ToLower(t.ID)+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	if err := w.Write(t.Header); err != nil {
-		return err
-	}
-	if err := w.WriteAll(t.Rows); err != nil {
-		return err
-	}
-	w.Flush()
-	return w.Error()
-}
-
-var experiments = []struct {
-	id  string
-	run func() exp.Table
-}{
-	{"f1", exp.RunF1}, {"f2", exp.RunF2}, {"f3", exp.RunF3}, {"f4", exp.RunF4},
-	{"e1", exp.RunE1}, {"e2", exp.RunE2}, {"e3", exp.RunE3},
-	{"e4", exp.RunE4}, {"e5", exp.RunE5}, {"e6", exp.RunE6},
-	{"e7", exp.RunE7}, {"e8", exp.RunE8}, {"e9", exp.RunE9}, {"e10", exp.RunE10},
-	{"a1", exp.RunA1}, {"a2", exp.RunA2}, {"a3", exp.RunA3}, {"a4", exp.RunA4},
-	{"a5", exp.RunA5},
-}
-
 func main() {
-	which := flag.String("exp", "all", "comma-separated ids (f1..f4, e1..e10, a1..a5) or 'all'")
-	list := flag.Bool("list", false, "list experiments and exit")
-	csvOut := flag.String("csv", "", "also write every table as CSV to this directory")
-	flag.Parse()
-
-	if *list {
-		for _, e := range experiments {
-			t := e.run // don't run; titles live in the Table, so describe by id
-			_ = t
-			fmt.Printf("%s\n", strings.ToUpper(e.id))
-		}
-		fmt.Println("see EXPERIMENTS.md for the per-experiment index")
-		return
-	}
-
-	want := map[string]bool{}
-	if *which != "all" {
-		for _, id := range strings.Split(*which, ",") {
-			want[strings.ToLower(strings.TrimSpace(id))] = true
-		}
-	}
-
-	failed := 0
-	ran := 0
-	for _, e := range experiments {
-		if *which != "all" && !want[e.id] {
-			continue
-		}
-		ran++
-		t := e.run()
-		fmt.Println(t.String())
-		if *csvOut != "" {
-			if err := writeCSV(*csvOut, t); err != nil {
-				fmt.Fprintf(os.Stderr, "bmxbench: csv: %v\n", err)
-				os.Exit(1)
-			}
-		}
+	tables := exp.RunAll()
+	fmt.Print(exp.Render(tables))
+	for _, t := range tables {
 		if !t.Pass {
-			failed++
+			os.Exit(1)
 		}
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "bmxbench: no experiment matches %q\n", *which)
-		os.Exit(2)
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "bmxbench: %d experiment(s) violated the predicted shape\n", failed)
-		os.Exit(1)
-	}
-	fmt.Printf("all %d experiment(s) match the paper's predicted shapes\n", ran)
 }

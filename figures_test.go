@@ -268,10 +268,23 @@ func figure3(t *testing.T) (cl *bmx.Cluster, b bmx.BunchID, o1, o2 bmx.Ref) {
 	return cl, b, o1, o2
 }
 
+// addressesValid asserts invariant 1 after a write acquire of O1 at n: O1
+// and O2 both resolve to addresses mapped at n.
+func addressesValid(t *testing.T, n *bmx.Node, o1, o2 bmx.Ref) {
+	t.Helper()
+	heap := n.Collector().Heap()
+	for _, o := range []bmx.Ref{o1, o2} {
+		a, ok := heap.Canonical(o.OID)
+		if !ok || !heap.Mapped(heap.Resolve(a)) {
+			t.Fatalf("%v at node %v: canonical %v (present %v) does not resolve to a mapped address", o.OID, n.ID(), a, ok)
+		}
+	}
+}
+
 func TestFigure3CaseA_NoCopies(t *testing.T) {
 	// Case (a): nothing was copied anywhere; the acquire needs no special
 	// operation.
-	cl, _, o1, _ := figure3(t)
+	cl, _, o1, o2 := figure3(t)
 	n2 := cl.Node(1)
 	locBefore := cl.Stats().Get("core.loc.applied")
 	if err := n2.AcquireWrite(o1); err != nil {
@@ -280,13 +293,18 @@ func TestFigure3CaseA_NoCopies(t *testing.T) {
 	if got := cl.Stats().Get("core.loc.applied"); got != locBefore {
 		t.Fatalf("case (a) applied %d location updates, want 0", got-locBefore)
 	}
+	addressesValid(t, n2, o1, o2)
+	// The reference chain is intact.
+	if r, err := n2.ReadRef(o1, 0); err != nil || !n2.SamePtr(r, o2) {
+		t.Fatalf("O1.0 at N2 = %v, %v", r, err)
+	}
 }
 
 func TestFigure3CaseB_AcquiredObjectCopiedAtGranter(t *testing.T) {
 	// Case (b): O1 was copied to to-space at N1; its new location is
 	// piggybacked on the token grant and processed before the acquire
 	// returns (invariant 1).
-	cl, b, o1, _ := figure3(t)
+	cl, b, o1, o2 := figure3(t)
 	n1, n2 := cl.Node(0), cl.Node(1)
 	n1.CollectBunch(b)
 	newAddr, _ := n1.Collector().Heap().Canonical(o1.OID)
@@ -297,6 +315,7 @@ func TestFigure3CaseB_AcquiredObjectCopiedAtGranter(t *testing.T) {
 	if got, _ := n2.Collector().Heap().Canonical(o1.OID); got != newAddr {
 		t.Fatalf("O1 at N2 = %v, want granter's to-space address %v", got, newAddr)
 	}
+	addressesValid(t, n2, o1, o2)
 	if err := n2.WriteWord(o1, 1, 9); err != nil {
 		t.Fatal(err)
 	}
@@ -316,6 +335,7 @@ func TestFigure3CaseC_ReferencedObjectCopiedAtGranter(t *testing.T) {
 	if got, _ := n2.Collector().Heap().Canonical(o2.OID); got != newO2 {
 		t.Fatalf("O2 at N2 = %v, want %v (invariant 1 covers referenced objects)", got, newO2)
 	}
+	addressesValid(t, n2, o1, o2)
 	// Following the pointer works immediately.
 	r, err := n2.ReadRef(o1, 0)
 	if err != nil || !n2.SamePtr(r, o2) {
@@ -339,6 +359,7 @@ func TestFigure3CaseD_ReferencedObjectCopiedAtAcquirer(t *testing.T) {
 	if err := n2.AcquireWrite(o1); err != nil { // token + valid O1 from N1
 		t.Fatal(err)
 	}
+	addressesValid(t, n2, o1, o2)
 	heap2 := n2.Collector().Heap()
 	a1, _ := heap2.Canonical(o1.OID)
 	raw := bmx.Addr(heap2.GetField(a1, 0))

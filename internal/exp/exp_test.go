@@ -1,58 +1,80 @@
 package exp
 
-import "testing"
+import (
+	"os"
+	"strings"
+	"sync"
+	"testing"
+)
 
-// Every experiment must run cleanly and its measured data must exhibit the
-// shape the paper predicts. These are the repository's table/figure
-// regeneration checks (see EXPERIMENTS.md).
+// tables is the one run of every experiment that all tests here read.
+var tables = sync.OnceValue(RunAll)
 
-func check(t *testing.T, tab Table) {
-	t.Helper()
-	if len(tab.Rows) == 0 {
-		t.Fatalf("%s produced no rows", tab.ID)
-	}
-	if !tab.Pass {
-		t.Fatalf("%s shape violated:\n%s", tab.ID, tab.String())
-	}
-	if tab.String() == "" {
-		t.Fatalf("%s renders empty", tab.ID)
-	}
-}
-
-func TestF1FigureOne(t *testing.T)               { check(t, RunF1()) }
-func TestF2FigureTwo(t *testing.T)               { check(t, RunF2()) }
-func TestF3FigureThree(t *testing.T)             { check(t, RunF3()) }
-func TestF4FigureFour(t *testing.T)              { check(t, RunF4()) }
-func TestE1TokenInterference(t *testing.T)       { check(t, RunE1()) }
-func TestE2ReplicationIndependence(t *testing.T) { check(t, RunE2()) }
-func TestE3PiggybackMessages(t *testing.T)       { check(t, RunE3()) }
-func TestE4FlipPauses(t *testing.T)              { check(t, RunE4()) }
-func TestE5LossTolerance(t *testing.T)           { check(t, RunE5()) }
-func TestE6AcyclicLatency(t *testing.T)          { check(t, RunE6()) }
-func TestE7StrongVsWeakScaling(t *testing.T)     { check(t, RunE7()) }
-func TestE8WriteBarrier(t *testing.T)            { check(t, RunE8()) }
-func TestE9Recovery(t *testing.T)                { check(t, RunE9()) }
-func TestE10Incrementality(t *testing.T)         { check(t, RunE10()) }
-func TestA1IntraSSPAblation(t *testing.T)        { check(t, RunA1()) }
-func TestA2LazyUpdateAblation(t *testing.T)      { check(t, RunA2()) }
-func TestA3ProtocolGenerality(t *testing.T)      { check(t, RunA3()) }
-func TestA4ConsistencyGranularity(t *testing.T)  { check(t, RunA4()) }
-func TestA5GroupingHeuristic(t *testing.T)       { check(t, RunA5()) }
-
+// TestRunAll pins EXPERIMENTS.md to the code: the fenced block under "Claim
+// experiments" must be exactly what bmxbench prints. The experiments are
+// deterministic (seeded, simulated clock), so this also proves that every
+// table is identical on every run.
 func TestRunAll(t *testing.T) {
-	tables := RunAll()
-	if len(tables) != 19 {
-		t.Fatalf("RunAll returned %d tables", len(tables))
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	ids := map[string]bool{}
-	for _, tab := range tables {
-		if ids[tab.ID] {
-			t.Fatalf("duplicate table id %s", tab.ID)
+	_, block, _ := strings.Cut(string(doc), "## Claim experiments")
+	_, block, _ = strings.Cut(block, "```\n")
+	want, _, ok := strings.Cut(block, "```\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no fenced block under \"## Claim experiments\"")
+	}
+	got := Render(tables())
+	if got == want {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			t.Fatalf("EXPERIMENTS.md's measured block is stale at its line %d:\n doc: %q\n run: %q\nregenerate it with `go run ./cmd/bmxbench`", i+1, w[i], g[i])
 		}
-		ids[tab.ID] = true
 	}
+	t.Fatalf("EXPERIMENTS.md's measured block has %d lines, bmxbench prints %d; regenerate it with `go run ./cmd/bmxbench`", len(w), len(g))
 }
 
+// check asserts that experiment id ran, produced rows, and shows the shape
+// the paper predicts.
+func check(t *testing.T, id string) {
+	t.Helper()
+	for _, tab := range tables() {
+		if tab.ID != id {
+			continue
+		}
+		if len(tab.Rows) == 0 {
+			t.Fatalf("%s produced no rows", id)
+		}
+		if !tab.Pass {
+			t.Fatalf("%s shape violated:\n%s", id, tab.String())
+		}
+		return
+	}
+	t.Fatalf("RunAll has no table %s", id)
+}
+
+func TestE1TokenInterference(t *testing.T)       { check(t, "E1") }
+func TestE2ReplicationIndependence(t *testing.T) { check(t, "E2") }
+func TestE3PiggybackMessages(t *testing.T)       { check(t, "E3") }
+func TestE4FlipPauses(t *testing.T)              { check(t, "E4") }
+func TestE5LossTolerance(t *testing.T)           { check(t, "E5") }
+func TestE6AcyclicLatency(t *testing.T)          { check(t, "E6") }
+func TestE7StrongVsWeakScaling(t *testing.T)     { check(t, "E7") }
+func TestE8WriteBarrier(t *testing.T)            { check(t, "E8") }
+func TestE9Recovery(t *testing.T)                { check(t, "E9") }
+func TestE10Incrementality(t *testing.T)         { check(t, "E10") }
+func TestA1IntraSSPAblation(t *testing.T)        { check(t, "A1") }
+func TestA2LazyUpdateAblation(t *testing.T)      { check(t, "A2") }
+func TestA3ProtocolGenerality(t *testing.T)      { check(t, "A3") }
+func TestA4ConsistencyGranularity(t *testing.T)  { check(t, "A4") }
+func TestA5GroupingHeuristic(t *testing.T)       { check(t, "A5") }
+
+// TestTableRendering covers the renderer on a hand-built table, including
+// the "SHAPE VIOLATED" verdict that no real experiment produces.
 func TestTableRendering(t *testing.T) {
 	tab := Table{ID: "X", Title: "demo", Header: []string{"a", "bb"}, Shape: "none", Pass: true}
 	tab.AddRow(1, "x")
@@ -60,41 +82,15 @@ func TestTableRendering(t *testing.T) {
 	tab.Note("hello %d", 7)
 	s := tab.String()
 	for _, want := range []string{"X — demo", "a", "bb", "2.50", "longer", "note: hello 7", "SHAPE HOLDS"} {
-		if !contains(s, want) {
+		if !strings.Contains(s, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, s)
 		}
 	}
 	tab.Pass = false
-	if !contains(tab.String(), "SHAPE VIOLATED") {
+	if !strings.Contains(tab.String(), "SHAPE VIOLATED") {
 		t.Fatal("fail verdict missing")
 	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 || index(s, sub) >= 0)
-}
-
-func index(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
-}
-
-// TestDeterminism backs EXPERIMENTS.md's claim that every table is
-// identical on every run: same seeds, same simulated clock, same rows.
-func TestDeterminism(t *testing.T) {
-	a := RunAll()
-	b := RunAll()
-	if len(a) != len(b) {
-		t.Fatalf("table counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].String() != b[i].String() {
-			t.Fatalf("%s is not deterministic:\n--- first\n%s\n--- second\n%s",
-				a[i].ID, a[i].String(), b[i].String())
-		}
+	if got := Render([]Table{tab}); !strings.HasSuffix(got, "\n1 of 1 experiment(s) violated the predicted shape\n") {
+		t.Fatalf("Render's verdict line missing:\n%s", got)
 	}
 }

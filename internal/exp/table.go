@@ -1,11 +1,11 @@
 // Package exp is the experiment harness of the reproduction. The paper has
 // no quantitative evaluation section ("We are currently in the process of
-// evaluating the performance of BMX", §10), so the harness regenerates the
-// two things the paper does publish: its four worked figures (as executable
-// scenarios, also covered by the test suite) and the measurable performance
-// claims of §§4-8, each checked against the baselines the paper names. Every
-// experiment returns a Table whose shape check encodes what the paper
-// predicts: who wins, by roughly what factor, and what must be exactly zero.
+// evaluating the performance of BMX", §10); what it publishes is four worked
+// figures (reproduced by figures_test.go at the repository root) and the
+// measurable performance claims of §§4-8, which this package checks against
+// the baselines the paper names. Every experiment returns a Table whose
+// shape check encodes what the paper predicts: who wins, by roughly what
+// factor, and what must be exactly zero.
 package exp
 
 import (
@@ -16,7 +16,7 @@ import (
 // Table is one experiment's result: rows to print plus a programmatic
 // verdict on the paper's predicted shape.
 type Table struct {
-	ID     string // E1..E9, A1, A2
+	ID     string // E1..E10, A1..A5
 	Title  string
 	Claim  string // the paper statement under test
 	Header []string
@@ -98,13 +98,31 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// RunAll executes every figure reproduction, experiment and ablation in
-// order.
+// RunAll executes every experiment and ablation in order.
 func RunAll() []Table {
 	return []Table{
-		RunF1(), RunF2(), RunF3(), RunF4(),
 		RunE1(), RunE2(), RunE3(), RunE4(), RunE5(),
 		RunE6(), RunE7(), RunE8(), RunE9(), RunE10(),
 		RunA1(), RunA2(), RunA3(), RunA4(), RunA5(),
 	}
+}
+
+// Render is what bmxbench prints and EXPERIMENTS.md records: every table,
+// a blank line after each, then one verdict line over all of them.
+func Render(tables []Table) string {
+	var b strings.Builder
+	failed := 0
+	for _, t := range tables {
+		b.WriteString(t.String())
+		b.WriteByte('\n')
+		if !t.Pass {
+			failed++
+		}
+	}
+	if failed > 0 {
+		fmt.Fprintf(&b, "%d of %d experiment(s) violated the predicted shape\n", failed, len(tables))
+	} else {
+		fmt.Fprintf(&b, "all %d experiment(s) match the paper's predicted shapes\n", len(tables))
+	}
+	return b.String()
 }
