@@ -450,6 +450,51 @@ func TestFromSpaceReclaimBatch(t *testing.T) {
 	}
 }
 
+// TestCopyOverflowSegmentsAreReclaimed pins that every segment a collection
+// opens is eventually reclaimable. The live set fills more than one to-space
+// segment, so the copy phase overflows into fresh ones; those must join the
+// node's own segments like allocation segments do, or every collect-reclaim
+// round leaks them and every holder of the bunch maps more of them.
+func TestCopyOverflowSegmentsAreReclaimed(t *testing.T) {
+	cl := New(Config{Nodes: 2, SegWords: 64, Seed: 1})
+	n0, n1 := cl.Node(0), cl.Node(1)
+	b := n0.NewBunch()
+	objs := make([]Ref, 40)
+	for i := range objs {
+		objs[i] = n0.MustAlloc(b, 4)
+		n0.AddRoot(objs[i])
+	}
+	if err := n1.MapBunch(b); err != nil {
+		t.Fatal(err)
+	}
+	mapped := func() int { return len(n0.Collector().Heap().Segments()) }
+	var wantMapped, wantDir int
+	for round := 1; round <= 6; round++ {
+		n0.CollectBunch(b)
+		cl.Run(0)
+		n0.ReclaimFromSpace(b)
+		cl.Run(0)
+		gotMapped, gotDir := mapped(), len(cl.Directory().Segments(b))
+		if round == 2 {
+			wantMapped, wantDir = gotMapped, gotDir
+			continue
+		}
+		if round > 2 && (gotMapped > wantMapped || gotDir > wantDir) {
+			t.Fatalf("round %d: n0 maps %d segments and the bunch has %d, up from %d and %d after round 2",
+				round, gotMapped, gotDir, wantMapped, wantDir)
+		}
+	}
+	for i, o := range objs {
+		if err := n1.AcquireRead(o); err != nil {
+			t.Fatalf("object %d: %v", i, err)
+		}
+		n1.Release(o)
+	}
+	if vs := cl.CheckInvariants(); len(vs) != 0 {
+		t.Fatalf("invariants violated: %v", vs)
+	}
+}
+
 func TestTablesTolerateLoss(t *testing.T) {
 	// Table messages are idempotent snapshots: with 40% background loss,
 	// repeated collection rounds still reclaim distributed garbage and

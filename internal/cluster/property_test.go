@@ -246,9 +246,9 @@ func (m *model) checkDangling(ctx string) {
 						nd.Mode(Ref{OID: oid}), nd.DSM().IsOwner(oid))
 				}
 			}
-			for f, v := range heap.Refs(a) {
+			heap.ForEachRef(a, func(f int, v addr.Addr) {
 				if v.IsNil() {
-					continue
+					return
 				}
 				// Resolution semantics match the mutator's ReadRef:
 				// forwarding pointers, then the tombstone index.
@@ -274,7 +274,7 @@ func (m *model) checkDangling(ctx string) {
 						want, tcan, tok, nd.Mode(Ref{OID: want}), nd.DSM().IsOwner(want),
 						nd.Mode(Ref{OID: oid}), nd.DSM().IsOwner(oid))
 				}
-			}
+			})
 		}
 	}
 }
@@ -477,15 +477,15 @@ func (m *model) checkLiveness() {
 					if !heap.Mapped(sa) || !heap.IsObjectAt(sa) {
 						continue
 					}
-					for f, v := range heap.Refs(sa) {
+					heap.ForEachRef(sa, func(f int, v addr.Addr) {
 						if v.IsNil() {
-							continue
+							return
 						}
 						if _, tgt := col.ResolveRef(v); tgt == oid {
 							m.t.Logf("PREDDBG node %d: %v.%d -> %v (src reach=%v exempt=%v)",
 								i, src, f, oid, reach[src], exempt[src])
 						}
-					}
+					})
 				}
 				m.t.Fatalf("LIVENESS: unreachable acyclic %v still present at node %d", oid, i)
 			}
@@ -568,14 +568,14 @@ func (m *model) deadCycleClosure(reach map[addr.OID]bool) map[addr.OID]bool {
 			if !heap.Mapped(a) || !heap.IsObjectAt(a) {
 				continue
 			}
-			for _, v := range heap.Refs(a) {
+			heap.ForEachRef(a, func(_ int, v addr.Addr) {
 				if v.IsNil() {
-					continue
+					return
 				}
 				if _, t := col.ResolveRef(v); !t.IsNil() && !reach[t] {
 					stack = append(stack, t)
 				}
-			}
+			})
 		}
 	}
 	return out

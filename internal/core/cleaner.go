@@ -98,14 +98,11 @@ func (c *Collector) ApplyTable(msg ssp.TableMsg) {
 	for _, o := range msg.Exiting {
 		ex[o] = true
 	}
-	for _, o := range c.dsm.ObjectsInBunch(msg.Bunch) {
-		if ex[o] {
-			continue
-		}
-		if c.dsm.RemoveEnteringUpTo(o, msg.From, msg.Gen) {
+	c.dsm.ForEachObjectInBunch(msg.Bunch, func(o addr.OID) {
+		if !ex[o] && c.dsm.RemoveEnteringUpTo(o, msg.From, msg.Gen) {
 			c.stats().Add("core.cleaner.enteringRemoved", 1)
 		}
-	}
+	})
 	deriv := make(map[addr.OID]bool, len(msg.Derivative))
 	for _, o := range msg.Derivative {
 		deriv[o] = true

@@ -143,14 +143,15 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	// ---- Setup and flip pause 1 (root snapshot, §4.1) --------------------
 	c.rec.Emit(obs.Event{Kind: obs.KGCStart, Class: obs.ClassGC, Flags: gfl, A: int64(len(bunches))})
 
-	// Map every current segment of the collected bunches and snapshot
-	// the pre-collection segment lists: the copy phase evacuates these,
-	// and this node's own pre-collection allocation segments become
-	// from-space candidates for the §4.5 reuse protocol.
+	// Snapshot the pre-collection segment lists: the copy phase evacuates
+	// these, and every segment this node created for the bunch since its
+	// last collection — allocation and copy-overflow segments alike —
+	// becomes a from-space candidate for the §4.5 reuse protocol. Nothing
+	// is mapped here: a segment this node holds no replica of has no
+	// object for the trace to find.
 	for _, b := range bunches {
 		rep := c.Replica(b)
 		for _, meta := range c.dir.Segments(b) {
-			c.heap.MapSegment(meta)
 			oldSegs[meta.ID] = true
 		}
 		fromCandidates[b] = rep.ownSegs
@@ -436,9 +437,6 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 // the baseline collectors use to decide what they would lock.
 func (c *Collector) LiveOIDs(b addr.BunchID) []addr.OID {
 	rep := c.Replica(b)
-	for _, meta := range c.dir.Segments(b) {
-		c.heap.MapSegment(meta)
-	}
 	set := map[addr.BunchID]bool{b: true}
 	var strong []addr.OID
 	for _, o := range c.RootOIDs() {
@@ -528,19 +526,19 @@ func (c *Collector) traceImpl(set map[addr.BunchID]bool, roots []addr.OID, stren
 		if !quiet {
 			c.net.Clock().Advance(c.costs.ScanWordTick * uint64(size))
 		}
-		for _, v := range sortedRefValues(c.heap.Refs(a)) {
+		c.heap.ForEachRef(a, func(_ int, v addr.Addr) {
 			if v.IsNil() {
-				continue
+				return
 			}
 			t := c.OIDAt(v)
 			if t.IsNil() {
 				if !quiet {
 					c.stats().Add("core.gc.danglingScan", 1)
 				}
-				continue
+				return
 			}
 			work = append(work, t)
-		}
+		})
 	}
 	return scanned, words
 }
@@ -569,33 +567,28 @@ func (c *Collector) fixupLocalRefs(o addr.OID) {
 	if !ok || !c.heap.Mapped(a) || !c.heap.IsObjectAt(a) {
 		return
 	}
-	for i, v := range c.heap.Refs(a) {
+	c.heap.ForEachRef(a, func(i int, v addr.Addr) {
 		if v.IsNil() {
-			continue
+			return
 		}
 		if r, oid := c.ResolveRef(v); !oid.IsNil() && r != v {
 			c.heap.SetField(a, i, uint64(r), true)
 			c.stats().Add("core.gc.refsUpdated", 1)
 		}
-	}
+	})
 }
 
 // knownInBunch lists every object of bunch b this node has any knowledge of
-// (protocol state or a canonical address).
+// (protocol state or a canonical address), sorted.
 func (c *Collector) knownInBunch(b addr.BunchID) []addr.OID {
-	set := make(map[addr.OID]bool)
-	for _, o := range c.dsm.ObjectsInBunch(b) {
-		set[o] = true
-	}
-	for _, o := range c.heap.KnownObjects() {
-		if c.BunchOf(o) == b {
-			set[o] = true
+	var out []addr.OID
+	c.dsm.ForEachObjectInBunch(b, func(o addr.OID) { out = append(out, o) })
+	c.heap.ForEachCanonical(func(o addr.OID, _ addr.Addr) {
+		// An object whose protocol state names b is already listed.
+		if c.dsm.KnownBunch(o) != b && c.BunchOf(o) == b {
+			out = append(out, o)
 		}
-	}
-	out := make([]addr.OID, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
+	})
 	slices.Sort(out)
 	return out
 }
@@ -659,12 +652,11 @@ func (c *Collector) objectStillReferences(src, target addr.OID) bool {
 	if !ok || !c.heap.Mapped(a) || !c.heap.IsObjectAt(a) {
 		return false
 	}
-	for _, v := range c.heap.Refs(a) {
-		if !v.IsNil() && c.OIDAt(v) == target {
-			return true
-		}
-	}
-	return false
+	found := false
+	c.heap.ForEachRef(a, func(_ int, v addr.Addr) {
+		found = found || !v.IsNil() && c.OIDAt(v) == target
+	})
+	return found
 }
 
 // sendTables distributes the freshly rebuilt reachability information of
@@ -741,20 +733,5 @@ func sortedLiveOIDs(live map[addr.OID]int) []addr.OID {
 		}
 	}
 	slices.Sort(out)
-	return out
-}
-
-// sortedRefValues returns the pointer-field values of an object in field
-// order, for deterministic traversal.
-func sortedRefValues(refs map[int]addr.Addr) []addr.Addr {
-	idx := make([]int, 0, len(refs))
-	for i := range refs {
-		idx = append(idx, i)
-	}
-	slices.Sort(idx)
-	out := make([]addr.Addr, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, refs[i])
-	}
 	return out
 }

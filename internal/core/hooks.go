@@ -52,16 +52,16 @@ func (c *Collector) GrantManifests(o addr.OID) []dsm.Manifest {
 		return out
 	}
 	seen := map[addr.OID]bool{o: true}
-	for _, ra := range c.heap.Refs(a) {
+	c.heap.ForEachRef(a, func(_ int, ra addr.Addr) {
 		t := c.OIDAt(ra)
 		if t.IsNil() || seen[t] {
-			continue
+			return
 		}
 		seen[t] = true
 		if m, ok := c.manifestOf(t); ok {
 			out = append(out, m)
 		}
-	}
+	})
 	return out
 }
 
@@ -204,19 +204,19 @@ func (c *Collector) InstallImage(img dsm.ObjectImage, from addr.NodeID) {
 // freshest locally known address of each referee: through forwarding
 // pointers, then through the canonical map keyed by the referee's identity.
 func (c *Collector) normalizeRefs(a addr.Addr) {
-	for i, v := range c.heap.Refs(a) {
+	c.heap.ForEachRef(a, func(i int, v addr.Addr) {
 		if v.IsNil() {
-			continue
+			return
 		}
 		r, oid := c.ResolveRef(v)
 		if oid.IsNil() {
-			continue // stale garbage; nothing better known
+			return // stale garbage; nothing better known
 		}
 		if r != v {
 			c.heap.SetField(a, i, uint64(r), true)
 			c.stats().Add("core.loc.refsNormalized", 1)
 		}
-	}
+	})
 }
 
 // PrepareOwnershipTransfer implements invariant 3 at the old owner: if this

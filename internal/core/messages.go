@@ -213,7 +213,7 @@ func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
 	rep := c.Replica(b)
 	size := c.heap.ObjSize(old)
 	if rep.allocSeg == nil || rep.allocSeg.FreeWords() < size+mem.HeaderWords {
-		rep.allocSeg = c.heap.MapSegment(c.dir.AddSegment(b))
+		rep.allocSeg = c.newAllocSeg(b)
 	}
 	to, allocOK := c.heap.Alloc(rep.allocSeg, o, size)
 	if !allocOK {
@@ -246,7 +246,7 @@ func (c *Collector) serveAddrChange(msg AddrChangeMsg) {
 	c.rewriteRefsInto(doomed, headerTable(msg.Headers))
 	c.dropCanonicalsIn(doomed)
 	for _, id := range msg.Segs {
-		c.heap.UnmapSegment(id)
+		c.heap.DiscardSegment(id)
 	}
 	c.stats().Add("core.reclaim.participated", 1)
 }
@@ -362,38 +362,28 @@ func (c *Collector) requestCopyOut(oids []addr.OID) {
 // pointer anybody still needs (§4.5). One pass over the heap serves the
 // whole batch. Without the second pass, a forwarding chain hopping through
 // a doomed segment would dangle once it is unmapped. The doomed segments'
-// own words die with them and are not rewritten.
+// own words die with them and are not rewritten. The walk reads each
+// replica's words and bitmaps directly: it visits every pointer word the
+// node holds, so a lookup per word would dominate the round.
 func (c *Collector) rewriteRefsInto(doomed segSet, headers map[addr.Addr]addr.OID) {
-	for _, id := range c.heap.Segments() {
-		if doomed.has(id) {
-			continue
+	escape := func(w addr.Addr) (addr.Addr, bool) {
+		if w.IsNil() || !doomed.contains(w) {
+			return w, false
 		}
-		s := c.heap.Seg(id)
-		base := s.Meta.Base
-		for _, off := range s.RefWords() {
-			a := base.AddWords(off)
-			w := addr.Addr(c.heap.Word(a))
-			if w.IsNil() || !doomed.contains(w) {
-				continue
-			}
-			if r, ok := c.escapeDoomed(doomed, w, headers); ok {
-				c.heap.SetWord(a, uint64(r))
-				c.stats().Add("core.reclaim.refsRewritten", 1)
-			}
+		return c.escapeDoomed(doomed, w, headers)
+	}
+	var refs, fwds int
+	c.heap.ForEachSegment(func(s *mem.Segment) {
+		if !doomed.has(s.Meta.ID) {
+			refs += s.RewriteRefs(escape)
+			fwds += s.RewriteFwds(escape)
 		}
-		s.ForEachObject(func(h addr.Addr) {
-			if !c.heap.Forwarded(h) {
-				return
-			}
-			fwd := c.heap.Fwd(h)
-			if !doomed.contains(fwd) {
-				return
-			}
-			if r, ok := c.escapeDoomed(doomed, fwd, headers); ok {
-				c.heap.SetFwd(h, r)
-				c.stats().Add("core.reclaim.fwdsRewritten", 1)
-			}
-		})
+	})
+	if refs > 0 {
+		c.stats().Add("core.reclaim.refsRewritten", int64(refs))
+	}
+	if fwds > 0 {
+		c.stats().Add("core.reclaim.fwdsRewritten", int64(fwds))
 	}
 }
 
@@ -427,17 +417,18 @@ func (c *Collector) escapeDoomed(doomed segSet, w addr.Addr, headers map[addr.Ad
 // dropCanonicalsIn forgets canonical addresses still inside the batch being
 // reclaimed. Anything still there is stale: live objects were evacuated.
 func (c *Collector) dropCanonicalsIn(doomed segSet) {
-	for _, o := range c.heap.KnownObjects() {
-		if a, ok := c.heap.Canonical(o); ok && doomed.contains(a) {
-			c.heap.DropObject(o)
-			if c.heap.IsObjectAt(a) && c.heap.ObjOID(a) != o {
-				// The address was reused under a stale canonical: only the
-				// pointer is bogus, the protocol state (ownership, copy-set,
-				// entering ownerPtrs) is still real and still routes.
-				continue
-			}
-			c.dsm.Forget(o)
-			c.stats().Add("core.reclaim.staleDropped", 1)
+	c.heap.ForEachCanonical(func(o addr.OID, a addr.Addr) {
+		if !doomed.contains(a) {
+			return
 		}
-	}
+		c.heap.DropObject(o)
+		if c.heap.IsObjectAt(a) && c.heap.ObjOID(a) != o {
+			// The address was reused under a stale canonical: only the
+			// pointer is bogus, the protocol state (ownership, copy-set,
+			// entering ownerPtrs) is still real and still routes.
+			return
+		}
+		c.dsm.Forget(o)
+		c.stats().Add("core.reclaim.staleDropped", 1)
+	})
 }

@@ -116,7 +116,7 @@ func (c *Collector) ReclaimFromSpace(b addr.BunchID) ReclaimStats {
 	st := ReclaimStats{Segments: len(ids)}
 	for _, id := range ids {
 		words := c.heap.Seg(id).Meta.Words
-		c.heap.UnmapSegment(id)
+		c.heap.DiscardSegment(id)
 		c.dir.RemoveSegment(b, id)
 		st.WordsFreed += words
 		c.stats().Add("core.reclaim.segments", 1)

@@ -317,7 +317,19 @@ func (n *Node) RemoveEnteringUpTo(o addr.OID, from addr.NodeID, gen uint64) bool
 	return false
 }
 
-// ObjectsInBunch returns every object of bunch b with local protocol state.
+// ForEachObjectInBunch calls f with every object of bunch b with local
+// protocol state, in no particular order. f must not create or forget
+// protocol state.
+func (n *Node) ForEachObjectInBunch(b addr.BunchID, f func(o addr.OID)) {
+	for o, st := range n.objs {
+		if st.Bunch == b {
+			f(o)
+		}
+	}
+}
+
+// ObjectsInBunch returns every object of bunch b with local protocol state,
+// sorted.
 func (n *Node) ObjectsInBunch(b addr.BunchID) []addr.OID {
 	var out []addr.OID
 	for o, st := range n.objs {

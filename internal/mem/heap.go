@@ -17,15 +17,17 @@ import (
 // quiescent. Only the Allocator, shared by every node, locks internally.
 type Heap struct {
 	alloc *Allocator
-	segs  map[addr.SegID]*Segment
-	objs  map[addr.OID]addr.Addr // node-local canonical header address
+	// segs is indexed by SegID, nil where this node maps nothing. Segment
+	// IDs are dense (the allocator numbers them in order and recycles freed
+	// ones), so the table stays as long as the cluster's peak segment count.
+	segs []*Segment
+	objs map[addr.OID]addr.Addr // node-local canonical header address
 }
 
 // NewHeap creates an empty heap drawing segment metadata from alloc.
 func NewHeap(alloc *Allocator) *Heap {
 	return &Heap{
 		alloc: alloc,
-		segs:  make(map[addr.SegID]*Segment),
 		objs:  make(map[addr.OID]addr.Addr),
 	}
 }
@@ -36,8 +38,11 @@ func (h *Heap) Allocator() *Allocator { return h.alloc }
 // MapSegment creates a zeroed local replica of the segment described by m.
 // Mapping an already-mapped segment returns the existing replica.
 func (h *Heap) MapSegment(m *SegmentMeta) *Segment {
-	if s, ok := h.segs[m.ID]; ok {
+	if s := h.Seg(m.ID); s != nil {
 		return s
+	}
+	if n := int(m.ID) + 1; n > len(h.segs) {
+		h.segs = append(h.segs, make([]*Segment, n-len(h.segs))...)
 	}
 	s := newSegment(m)
 	h.segs[m.ID] = s
@@ -47,8 +52,8 @@ func (h *Heap) MapSegment(m *SegmentMeta) *Segment {
 // UnmapSegment drops the local replica of segment id and forgets the
 // canonical addresses that pointed into it.
 func (h *Heap) UnmapSegment(id addr.SegID) {
-	s, ok := h.segs[id]
-	if !ok {
+	s := h.Seg(id)
+	if s == nil {
 		return
 	}
 	for oid, a := range h.objs {
@@ -56,12 +61,25 @@ func (h *Heap) UnmapSegment(id addr.SegID) {
 			delete(h.objs, oid)
 		}
 	}
-	delete(h.segs, id)
+	h.segs[id] = nil
+}
+
+// DiscardSegment drops the local replica of segment id without looking at
+// the canonical addresses: the caller has already forgotten every one that
+// pointed into it. It spares a reclaim round UnmapSegment's scan of every
+// known object per segment.
+func (h *Heap) DiscardSegment(id addr.SegID) {
+	if int(id) < len(h.segs) {
+		h.segs[id] = nil
+	}
 }
 
 // Seg returns the local replica of segment id, or nil if not mapped.
 func (h *Heap) Seg(id addr.SegID) *Segment {
-	return h.segs[id]
+	if int(id) < len(h.segs) {
+		return h.segs[id]
+	}
+	return nil
 }
 
 // SegAt returns the local replica containing address a, or nil. Segment
@@ -73,19 +91,28 @@ func (h *Heap) SegAt(a addr.Addr) *Segment {
 	if !ok {
 		return nil
 	}
-	return h.segs[id]
+	return h.Seg(id)
 }
 
 // Mapped reports whether the segment containing a is mapped locally.
 func (h *Heap) Mapped(a addr.Addr) bool { return h.SegAt(a) != nil }
 
-// Segments returns the IDs of all locally mapped segments.
+// Segments returns the IDs of all locally mapped segments, in increasing
+// order.
 func (h *Heap) Segments() []addr.SegID {
-	out := make([]addr.SegID, 0, len(h.segs))
-	for id := range h.segs {
-		out = append(out, id)
-	}
+	var out []addr.SegID
+	h.ForEachSegment(func(s *Segment) { out = append(out, s.Meta.ID) })
 	return out
+}
+
+// ForEachSegment calls f with every locally mapped replica, in segment-ID
+// order. f must not map or unmap segments.
+func (h *Heap) ForEachSegment(f func(s *Segment)) {
+	for _, s := range h.segs {
+		if s != nil {
+			f(s)
+		}
+	}
 }
 
 func (h *Heap) mustSeg(a addr.Addr) *Segment {
@@ -272,20 +299,19 @@ func checkField(s *Segment, a addr.Addr, i int) int {
 	return hdr + HeaderWords + i
 }
 
-// Refs returns the addresses stored in the pointer fields of the object at
-// a, including nil ones, with their field indices.
-func (h *Heap) Refs(a addr.Addr) map[int]addr.Addr {
+// ForEachRef calls f with the index and value of every pointer field of the
+// object at a, nil ones included, in field order. Each field is read just
+// before f sees it, so f may rewrite fields through SetField.
+func (h *Heap) ForEachRef(a addr.Addr, f func(i int, v addr.Addr)) {
 	s := h.mustSeg(a)
 	hdr := a.WordOff(s.Meta.Base)
+	data := hdr + HeaderWords
 	size := int(uint32(s.words[hdr]))
-	out := make(map[int]addr.Addr)
 	for i := 0; i < size; i++ {
-		off := hdr + HeaderWords + i
-		if s.refMap.Get(off) {
-			out[i] = addr.Addr(s.words[off])
+		if s.refMap.Get(data + i) {
+			f(i, addr.Addr(s.words[data+i]))
 		}
 	}
-	return out
 }
 
 // CopyObject copies the object headed at src to dst: header (fresh, not
@@ -331,6 +357,15 @@ func (h *Heap) SetCanonical(oid addr.OID, a addr.Addr) {
 // locally).
 func (h *Heap) DropObject(oid addr.OID) {
 	delete(h.objs, oid)
+}
+
+// ForEachCanonical calls f with every OID that has a canonical address on
+// this node, and that address, in no particular order. f may forget the
+// object it is given (DropObject) but must not record new ones.
+func (h *Heap) ForEachCanonical(f func(o addr.OID, a addr.Addr)) {
+	for o, a := range h.objs {
+		f(o, a)
+	}
 }
 
 // KnownObjects returns every OID with a canonical address on this node.

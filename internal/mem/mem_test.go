@@ -133,7 +133,8 @@ func TestFieldsAndRefMap(t *testing.T) {
 	if h.IsRefField(oa, 1) {
 		t.Fatal("ref bit not cleared")
 	}
-	refs := h.Refs(oa)
+	refs := map[int]addr.Addr{}
+	h.ForEachRef(oa, func(i int, v addr.Addr) { refs[i] = v })
 	if len(refs) != 0 {
 		t.Fatalf("refs = %v", refs)
 	}
@@ -277,6 +278,55 @@ func TestUnmapSegment(t *testing.T) {
 		t.Fatal("canonical address survived unmap")
 	}
 	h.UnmapSegment(m.ID) // idempotent
+}
+
+// TestRewriteWalks pins the segment-direct walks: every pointer word and
+// every forwarding pointer of a replica is offered, scalars and plain
+// headers are not, and only the words the callback changes are written.
+func TestRewriteWalks(t *testing.T) {
+	a, h := newTestHeap()
+	s := h.MapSegment(a.NewSegment(1))
+	x, _ := h.Alloc(s, 1, 3)
+	y, _ := h.Alloc(s, 2, 1)
+	z, _ := h.Alloc(s, 3, 1)
+	h.SetField(x, 0, 7, false)
+	h.SetField(x, 1, uint64(y), true)
+	h.SetField(x, 2, uint64(z), true)
+	h.SetFwd(y, z)
+
+	var fields []int
+	h.ForEachRef(x, func(i int, v addr.Addr) { fields = append(fields, i) })
+	if len(fields) != 2 || fields[0] != 1 || fields[1] != 2 {
+		t.Fatalf("ForEachRef visited fields %v, want [1 2] in order", fields)
+	}
+
+	var seen []addr.Addr
+	moveY := func(v addr.Addr) (addr.Addr, bool) {
+		seen = append(seen, v)
+		return x, v == y
+	}
+	if n := s.RewriteRefs(moveY); n != 1 || len(seen) != 2 {
+		t.Fatalf("RewriteRefs rewrote %d of %v, want 1 of 2 pointer words", n, seen)
+	}
+	if h.GetField(x, 1) != uint64(x) || h.GetField(x, 2) != uint64(z) || h.GetField(x, 0) != 7 {
+		t.Fatalf("fields after RewriteRefs = %d %d %d", h.GetField(x, 0), h.GetField(x, 1), h.GetField(x, 2))
+	}
+	seen = nil
+	moveZ := func(v addr.Addr) (addr.Addr, bool) {
+		seen = append(seen, v)
+		return x, v == z
+	}
+	if n := s.RewriteFwds(moveZ); n != 1 || len(seen) != 1 || h.Fwd(y) != x {
+		t.Fatalf("RewriteFwds rewrote %d of %v, fwd(y) = %v; want y's forwarding pointer only", n, seen, h.Fwd(y))
+	}
+
+	h.DiscardSegment(s.Meta.ID)
+	if h.Mapped(x) || len(h.Segments()) != 0 {
+		t.Fatal("segment still mapped after DiscardSegment")
+	}
+	if _, ok := h.Canonical(1); !ok {
+		t.Fatal("DiscardSegment touched the canonical map")
+	}
 }
 
 func TestCopyContentsFrom(t *testing.T) {

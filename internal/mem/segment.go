@@ -310,12 +310,34 @@ func (s *Segment) SetRefBit(off int, v bool) {
 	}
 }
 
-// RefWords returns the word offsets marked as pointers in this replica's
-// reference map, in increasing order.
-func (s *Segment) RefWords() []int {
-	var out []int
-	s.refMap.ForEach(func(i int) { out = append(out, i) })
-	return out
+// RewriteRefs offers the value of every word marked as a pointer in this
+// replica's reference map to f, in address order, and stores f's answer
+// wherever f reports a change. It returns the number of words rewritten.
+func (s *Segment) RewriteRefs(f func(v addr.Addr) (addr.Addr, bool)) int {
+	n := 0
+	s.refMap.ForEach(func(off int) {
+		if r, ok := f(addr.Addr(s.words[off])); ok {
+			s.words[off] = uint64(r)
+			n++
+		}
+	})
+	return n
+}
+
+// RewriteFwds does for the forwarding pointers in this replica's object
+// headers what RewriteRefs does for its pointer words.
+func (s *Segment) RewriteFwds(f func(v addr.Addr) (addr.Addr, bool)) int {
+	n := 0
+	s.objMap.ForEach(func(off int) {
+		if s.words[off]&flagForwarded == 0 {
+			return
+		}
+		if r, ok := f(addr.Addr(s.words[off+2])); ok {
+			s.words[off+2] = uint64(r)
+			n++
+		}
+	})
+	return n
 }
 
 // SegImage is a complete serializable image of one segment replica: the
