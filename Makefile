@@ -24,7 +24,7 @@ define newline
 
 endef
 
-.PHONY: all build vet test test-short race chaos chaos-crash bench bench-json bench-json-sim bench-json-tcp bench-ref bench-gate experiments examples cover clean
+.PHONY: all build vet test test-short race chaos chaos-crash bench bench-json bench-json-sim bench-json-tcp bench-ref bench-gate experiments examples cover loc clean
 
 all: build vet test
 
@@ -122,6 +122,10 @@ examples:
 cover:
 	$(GO) test ./internal/... . -coverpkg=./internal/...,. -coverprofile=cover.out
 	$(GO) tool cover -func=cover.out | tail -1
+
+# Non-test Go lines outside bench/: the line budget ROADMAP.md tracks.
+loc:
+	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt bmxd.bench

@@ -51,7 +51,7 @@ func TestBiographyReconstructsOwnershipTransfers(t *testing.T) {
 	if err := obs.DumpJSON(&buf, cl.Observer().Events()); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := obs.ReadEventsNDJSON(&buf)
+	evs, err := obs.ReadEventsNDJSONLoose(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,9 +108,6 @@ type CollectOpts = core.CollectOpts
 // ReclaimStats summarizes a from-space reuse round (§4.5 of the paper).
 type ReclaimStats = core.ReclaimStats
 
-// Costs is the simulated-time cost model for collector work.
-type Costs = core.Costs
-
 // Tx is a transactional section over the weakly consistent DSM (the §10
 // future-work extension): buffered writes, read-your-writes, token-based
 // isolation, RVM durability on nodes with disks. Open one with Node.Begin.
@@ -184,6 +181,3 @@ func RunChaos(cfg ChaosConfig) ChaosReport { return cluster.RunChaos(cfg) }
 
 // RunCrashChaos runs the seeded crash-recovery chaos schedule.
 func RunCrashChaos(cfg CrashChaosConfig) CrashChaosReport { return cluster.RunCrashChaos(cfg) }
-
-// DefaultCosts returns the default relative GC cost model.
-func DefaultCosts() Costs { return core.DefaultCosts() }

@@ -192,7 +192,7 @@ func TestFigure2ForwardingPointerAndLocalUpdate(t *testing.T) {
 	if newAddr == oldAddr {
 		t.Fatal("O2 did not move at N2")
 	}
-	if !heap2.Forwarded(oldAddr) || heap2.Fwd(oldAddr) != newAddr {
+	if !heap2.Forwarded(oldAddr) || heap2.Resolve(oldAddr) != newAddr {
 		t.Fatal("no forwarding pointer left in O2's old header")
 	}
 	// N2's copy of O1 now points at the new O2 ("the update of pointers to

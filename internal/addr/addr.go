@@ -30,9 +30,6 @@ const NilAddr Addr = 0
 // IsNil reports whether a is the null reference.
 func (a Addr) IsNil() bool { return a == NilAddr }
 
-// Aligned reports whether a is word aligned.
-func (a Addr) Aligned() bool { return a%WordBytes == 0 }
-
 // WordOff returns the word offset of a relative to base. It panics if a is
 // below base or misaligned with respect to it, which always indicates
 // library-internal corruption rather than a recoverable condition.

@@ -17,19 +17,6 @@ func TestNilAddr(t *testing.T) {
 	}
 }
 
-func TestAddrAligned(t *testing.T) {
-	for _, tc := range []struct {
-		a    Addr
-		want bool
-	}{
-		{0, true}, {8, true}, {16, true}, {4, false}, {7, false}, {1 << 40, true},
-	} {
-		if got := tc.a.Aligned(); got != tc.want {
-			t.Errorf("Aligned(%v) = %v, want %v", tc.a, got, tc.want)
-		}
-	}
-}
-
 func TestWordOff(t *testing.T) {
 	base := Addr(0x1000)
 	if off := base.AddWords(3).WordOff(base); off != 3 {

@@ -5,7 +5,6 @@ import (
 
 	"bmx/internal/addr"
 	"bmx/internal/cluster"
-	"bmx/internal/core"
 	"bmx/internal/trace"
 )
 
@@ -70,7 +69,7 @@ func TestTokenGCStillCorrect(t *testing.T) {
 }
 
 func TestStrongCollectAll(t *testing.T) {
-	cl := cluster.New(cluster.Config{Nodes: 3, SegWords: 256, Seed: 1, Costs: core.DefaultCosts()})
+	cl := cluster.New(cluster.Config{Nodes: 3, SegWords: 256, Seed: 1})
 	n1 := cl.Node(0)
 	b := n1.NewBunch()
 	g, err := trace.BuildList(n1, b, 12)
@@ -123,10 +122,10 @@ func TestRefCountNoLossIsCorrect(t *testing.T) {
 	if early != 0 || leaks != 0 {
 		t.Fatalf("violations without loss: early=%d leaks=%d", early, leaks)
 	}
-	if !sys.Freed(0, refOID(3)) {
+	if !sys.homes[0].freed[refOID(3)] {
 		t.Fatal("fully dropped object not freed")
 	}
-	if sys.Freed(0, refOID(15)) {
+	if sys.homes[0].freed[refOID(15)] {
 		t.Fatal("referenced object freed")
 	}
 }

@@ -107,11 +107,6 @@ func (sys *RefCountSystem) DropRef(node, home addr.NodeID, o addr.OID) {
 // Deliver drains the message queues.
 func (sys *RefCountSystem) Deliver() { sys.net.Run(0) }
 
-// Freed reports whether o's home has reclaimed it.
-func (sys *RefCountSystem) Freed(home addr.NodeID, o addr.OID) bool {
-	return sys.homes[home].freed[o]
-}
-
 // Audit compares the homes' decisions against ground truth and returns the
 // number of premature frees (object freed while a reference exists) and
 // leaks (object unreferenced but never freed).

@@ -26,7 +26,7 @@ func TestAccessorSweep(t *testing.T) {
 	if n.DSM().ID() != addr.NodeID(0) {
 		t.Fatal("dsm id")
 	}
-	if a, ok := n.Collector().CanonicalAddr(o.OID); !ok || a.IsNil() {
+	if a, ok := n.Collector().Heap().Canonical(o.OID); !ok || a.IsNil() {
 		t.Fatal("canonical addr accessor")
 	}
 	if !n.Collector().IsRoot(o.OID) {
@@ -44,14 +44,18 @@ func TestAccessorSweep(t *testing.T) {
 		t.Fatal("Step should deliver when messages pend")
 	}
 	cl.Run(0)
-	// PendingLocationCount counts queued updates after a collection with a
-	// remote holder.
+	// A collection with a remote holder queues a location update for it,
+	// which a flush then sends.
 	n2 := cl.Node(1)
 	if err := n2.AcquireRead(o); err != nil {
 		t.Fatal(err)
 	}
 	n.CollectBunch(b)
-	if n.Collector().PendingLocationCount() == 0 {
+	flushed := cl.Stats().Get("core.locFlush.msgs")
+	n.mu.Lock()
+	n.col.FlushLocations()
+	n.mu.Unlock()
+	if cl.Stats().Get("core.locFlush.msgs") == flushed {
 		t.Fatal("no pending location updates after GC with a remote holder")
 	}
 	cl.Run(0)

@@ -55,9 +55,9 @@ func (cl *Cluster) CheckInvariants() []string {
 	views := make(map[addr.OID]*view)
 	for _, n := range cl.nodes {
 		for _, b := range cl.dir.Bunches() {
-			for _, o := range n.dsm.ObjectsInBunch(b) {
-				if db := cl.dir.BunchOf(o); db != b {
-					report("bunch: %v is in %v at %v, but the directory says %v", o, b, n.id, db)
+			n.dsm.ForEachObjectInBunch(b, func(o addr.OID) {
+				if info, _ := cl.dir.Object(o); info.Bunch != b {
+					report("bunch: %v is in %v at %v, but the directory says %v", o, b, n.id, info.Bunch)
 				}
 				v := views[o]
 				if v == nil {
@@ -73,7 +73,7 @@ func (cl *Cluster) CheckInvariants() []string {
 				case 1: // ModeRead
 					v.readers = append(v.readers, n.id)
 				}
-			}
+			})
 		}
 	}
 	for o, v := range views {
@@ -91,21 +91,20 @@ func (cl *Cluster) CheckInvariants() []string {
 	for _, n := range cl.nodes {
 		heap := n.col.Heap()
 		// Heap sanity.
-		for _, o := range heap.KnownObjects() {
-			a, _ := heap.Canonical(o)
+		heap.ForEachCanonical(func(o addr.OID, a addr.Addr) {
 			r := heap.Resolve(a)
 			if !heap.Mapped(r) {
 				report("heap: %v canonical %v resolves to unmapped %v at %v", o, a, r, n.id)
-				continue
+				return
 			}
 			if !heap.IsObjectAt(r) {
 				report("heap: %v canonical %v resolves to non-object %v at %v", o, a, r, n.id)
-				continue
+				return
 			}
 			if got := heap.ObjOID(r); got != o {
 				report("heap: %v canonical resolves to header of %v at %v", o, got, n.id)
 			}
-		}
+		})
 		// SSP pairing.
 		for _, b := range n.col.MappedBunches() {
 			t := n.col.Replica(b).Table

@@ -51,8 +51,7 @@ type Config struct {
 	Seed        int64  // RNG seed (fault injection)
 	SendLatency uint64 // simulated ticks per background delivery
 	CallLatency uint64 // simulated ticks per synchronous leg
-	Costs       core.Costs
-	WithDisk    bool // give each node a persistent store + RVM log
+	WithDisk    bool   // give each node a persistent store + RVM log
 	// Store is the per-node backend factory used when persistence is on
 	// (WithDisk, or Store itself non-nil): called once per node. Nil
 	// selects store.NewDisk — the deterministic map-backed mem backend,
@@ -91,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SegWords == 0 {
 		c.SegWords = 256
-	}
-	if c.Costs == (core.Costs{}) {
-		c.Costs = core.DefaultCosts()
 	}
 	return c
 }
@@ -213,7 +209,7 @@ func (cl *Cluster) newNode(id addr.NodeID) *Node {
 	n.tr = &nodeTransport{n: n, inner: cl.net}
 	n.rec = cl.net.Stats().Observer().Recorder(id)
 	heap := mem.NewHeap(cl.dir.Allocator())
-	col := core.NewCollector(id, heap, cl.dir, n.tr, cfg.Costs)
+	col := core.NewCollector(id, heap, cl.dir, n.tr)
 	d := dsm.NewNode(id, n.tr, col, cfg.Nodes)
 	d.SetProtocol(cfg.Consistency)
 	col.SetDSM(d)
@@ -255,20 +251,6 @@ func (cl *Cluster) Observer() *obs.Observer { return cl.net.Stats().Observer() }
 // EnableTracing switches structured event recording on. Histograms always
 // aggregate; the per-node event rings only record while tracing is enabled.
 func (cl *Cluster) EnableTracing() { cl.Observer().Enable() }
-
-// DisableTracing switches event recording off (the rings keep their
-// contents until Reset).
-func (cl *Cluster) DisableTracing() { cl.Observer().Disable() }
-
-// TraceWindow snapshots the retained event window of every node, merged in
-// emission order, and marks the cut with a KSnapshot event.
-func (cl *Cluster) TraceWindow() []obs.Event {
-	evs := cl.Observer().Events()
-	if len(cl.nodes) > 0 {
-		cl.nodes[0].rec.Emit(obs.Event{Kind: obs.KSnapshot, Class: obs.ClassNone})
-	}
-	return evs
-}
 
 // Clock returns the simulated clock (one atomic word).
 func (cl *Cluster) Clock() *transport.Clock { return cl.net.Clock() }
@@ -577,23 +559,40 @@ func (n *Node) mapBunchLocked(b addr.BunchID) error {
 func (n *Node) UnmapBunch(b addr.BunchID) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, o := range n.dsm.ObjectsInBunch(b) {
-		if n.dsm.IsOwner(o) {
-			return fmt.Errorf("cluster: %v still owns %v in %v", n.id, o, b)
+	owned := addr.NilOID // the lowest, so the error names one object every run
+	n.dsm.ForEachObjectInBunch(b, func(o addr.OID) {
+		if n.dsm.IsOwner(o) && (owned == addr.NilOID || o < owned) {
+			owned = o
 		}
+	})
+	if owned != addr.NilOID {
+		return fmt.Errorf("cluster: %v still owns %v in %v", n.id, owned, b)
 	}
-	heap := n.col.Heap()
-	for _, meta := range n.cl.dir.Segments(b) {
-		for _, o := range heap.KnownObjects() {
-			if a, ok := heap.Canonical(o); ok && meta.Contains(a) {
-				heap.DropObject(o)
-				n.dsm.Forget(o)
-			}
-		}
-		heap.UnmapSegment(meta.ID)
-	}
+	n.dropReplica(b, true)
 	n.cl.dir.RemoveReplica(b, n.id)
 	return nil
+}
+
+// dropReplica discards this node's replica of bunch b: the canonical
+// address of every object in the bunch's segments, then the segments
+// themselves. With forget it also drops those objects' protocol state.
+func (n *Node) dropReplica(b addr.BunchID, forget bool) {
+	heap := n.col.Heap()
+	segs := n.cl.dir.Segments(b)
+	heap.ForEachCanonical(func(o addr.OID, a addr.Addr) {
+		for _, meta := range segs {
+			if meta.Contains(a) {
+				heap.DropObject(o)
+				if forget {
+					n.dsm.Forget(o)
+				}
+				return
+			}
+		}
+	})
+	for _, meta := range segs {
+		heap.DiscardSegment(meta.ID)
+	}
 }
 
 // ---- collection driving -------------------------------------------------------

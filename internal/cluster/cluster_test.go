@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"bmx/internal/dsm"
+	"bmx/internal/transport"
 )
 
 func twoNodes(t *testing.T) *Cluster {
@@ -279,12 +281,12 @@ func TestGCNeverAcquiresTokens(t *testing.T) {
 	n2.AcquireWrite(o2)
 
 	st := cl.Stats()
-	tokensBefore := st.SumPrefix("dsm.acquire.") // includes app acquires above
+	tokensBefore := acquireCount(st) // includes app acquires above
 	invalBefore := st.Get("dsm.invalidation.gc")
 	n1.CollectBunch(b)
 	n2.CollectBunch(b)
 	cl.Run(0)
-	if got := st.SumPrefix("dsm.acquire."); got != tokensBefore {
+	if got := acquireCount(st); got != tokensBefore {
 		t.Fatalf("collections performed %d token acquires", got-tokensBefore)
 	}
 	if st.Get("dsm.invalidation.gc") != invalBefore {
@@ -363,4 +365,16 @@ func TestSamePtrThroughMove(t *testing.T) {
 	if v := n.Mode(o); v != dsm.ModeWrite {
 		t.Fatalf("owner mode = %v", v)
 	}
+}
+
+// acquireCount sums every dsm.acquire.* counter: token acquires of any mode
+// and class, local or remote.
+func acquireCount(st *transport.Stats) int64 {
+	var n int64
+	for k, v := range st.Snapshot() {
+		if strings.HasPrefix(k, "dsm.acquire.") {
+			n += v
+		}
+	}
+	return n
 }

@@ -233,7 +233,7 @@ func TestCollectBunchesNoDSMInterference(t *testing.T) {
 	}
 
 	st := cl.Stats()
-	if got := st.SumPrefix("dsm.acquire.r.gc") + st.SumPrefix("dsm.acquire.w.gc"); got != 0 {
+	if got := st.Get("dsm.acquire.r.gc") + st.Get("dsm.acquire.w.gc"); got != 0 {
 		t.Errorf("collections acquired %d DSM tokens; the paper's claim requires 0", got)
 	}
 	if got := st.Get("dsm.invalidation.gc"); got != 0 {

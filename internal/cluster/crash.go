@@ -89,9 +89,7 @@ func (n *Node) KillRestart(b addr.BunchID) error {
 		func() {
 			peer.mu.Lock()
 			defer peer.mu.Unlock()
-			for _, o := range peer.dsm.ObjectsInBunch(b) {
-				peer.dsm.Forget(o)
-			}
+			peer.dsm.ForgetBunch(b)
 		}()
 	}
 	return n.RecoverBunch(b)

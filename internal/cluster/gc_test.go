@@ -371,10 +371,11 @@ func TestFromSpaceReclaimBatch(t *testing.T) {
 	// Two collections: the allocation segment and then the first to-space
 	// both become from-space, and o1's first header forwards into the
 	// second segment, whose header forwards on into to-space.
-	for i := 0; i < 2; i++ {
-		n0.CollectBunch(b)
-		cl.Run(0)
-	}
+	n0.CollectBunch(b)
+	cl.Run(0)
+	mid, _ := heap.Canonical(o1.OID)
+	n0.CollectBunch(b)
+	cl.Run(0)
 	batch := n0.Collector().FromSpaceSegments(b)
 	if len(batch) < 2 {
 		t.Fatalf("from-space batch = %v, want at least two segments", batch)
@@ -383,11 +384,10 @@ func TestFromSpaceReclaimBatch(t *testing.T) {
 		id, ok := heap.Allocator().SegIndex(a)
 		return ok && slices.Contains(batch, id)
 	}
-	mid := heap.Fwd(first)
 	chained := doomed(first) && doomed(mid) && heap.SegAt(first) != heap.SegAt(mid) &&
-		heap.Forwarded(mid) && !doomed(heap.Fwd(mid))
+		heap.Forwarded(first) && heap.Forwarded(mid) && !doomed(heap.Resolve(mid))
 	if !chained {
-		t.Fatalf("want a chain doomed %v -> other doomed %v -> to-space, got -> %v", first, mid, heap.Fwd(mid))
+		t.Fatalf("want a chain doomed %v -> other doomed %v -> to-space, got -> %v", first, mid, heap.Resolve(mid))
 	}
 
 	// Across a partition the round aborts and the whole batch is requeued.
@@ -649,6 +649,80 @@ func TestUnmapBunch(t *testing.T) {
 	}
 	if cl.Directory().HasReplica(b, n2.ID()) {
 		t.Fatal("directory still lists dropped replica")
+	}
+}
+
+// strayCanonicals returns the objects whose canonical address at n lies in a
+// segment of bunch b that n does not map.
+func strayCanonicals(n *Node, b addr.BunchID) []addr.OID {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	heap := n.col.Heap()
+	segs := n.cl.dir.Segments(b)
+	var out []addr.OID
+	heap.ForEachCanonical(func(o addr.OID, a addr.Addr) {
+		for _, meta := range segs {
+			if meta.Contains(a) && heap.Seg(meta.ID) == nil {
+				out = append(out, o)
+			}
+		}
+	})
+	return out
+}
+
+// TestDroppedReplicaLeavesNoCanonicalAddress pins what dropping a bunch's
+// replica must forget: after UnmapBunch, and after Crash and then
+// RecoverBunch, no canonical address points into a segment of the bunch the
+// node does not map. A stale one would resolve into a replica the node no
+// longer has.
+func TestDroppedReplicaLeavesNoCanonicalAddress(t *testing.T) {
+	cl := New(Config{Nodes: 2, SegWords: 64, Seed: 1, WithDisk: true})
+	n1, n2 := cl.Node(0), cl.Node(1)
+	b := n1.NewBunch()
+	var objs []Ref
+	for i := 0; i < 12; i++ { // more than one segment's worth
+		o := n1.MustAlloc(b, 4)
+		n1.AddRoot(o)
+		n1.WriteWord(o, 0, uint64(i))
+		objs = append(objs, o)
+	}
+	if err := n2.MapBunch(b); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range objs {
+		if err := n2.AcquireRead(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n2.UnmapBunch(b); err != nil {
+		t.Fatal(err)
+	}
+	if stray := strayCanonicals(n2, b); len(stray) != 0 {
+		t.Fatalf("after UnmapBunch, canonical addresses into unmapped segments: %v", stray)
+	}
+
+	if err := n1.Checkpoint(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := n1.Crash(b); err != nil {
+		t.Fatal(err)
+	}
+	if stray := strayCanonicals(n1, b); len(stray) != 0 {
+		t.Fatalf("after Crash, canonical addresses into unmapped segments: %v", stray)
+	}
+	if err := n1.RecoverBunch(b); err != nil {
+		t.Fatal(err)
+	}
+	if stray := strayCanonicals(n1, b); len(stray) != 0 {
+		t.Fatalf("after RecoverBunch, canonical addresses into unmapped segments: %v", stray)
+	}
+	for i, o := range objs {
+		if v, err := n1.ReadWord(o, 0); err != nil || v != uint64(i) {
+			t.Fatalf("%v after recovery = %d, %v; want %d", o, v, err, i)
+		}
+	}
+	if bad := cl.CheckInvariants(); len(bad) != 0 {
+		t.Fatalf("invariants: %v", bad)
 	}
 }
 

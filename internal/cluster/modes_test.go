@@ -76,8 +76,8 @@ func TestStrictProtocolDistributedGC(t *testing.T) {
 	if _, ok := n2.Collector().Heap().Canonical(tgt.OID); ok {
 		t.Fatal("dead target survived under strict protocol")
 	}
-	if got := cl.Stats().SumPrefix("dsm.acquire.r.gc") +
-		cl.Stats().SumPrefix("dsm.acquire.w.gc"); got != 0 {
+	if got := cl.Stats().Get("dsm.acquire.r.gc") +
+		cl.Stats().Get("dsm.acquire.w.gc"); got != 0 {
 		t.Fatalf("collector acquired %d tokens under strict protocol", got)
 	}
 }
@@ -128,7 +128,7 @@ func TestSegmentGrainGCUnchanged(t *testing.T) {
 	if _, ok := n1.Collector().Heap().Canonical(dead.OID); ok {
 		t.Fatal("dead sibling survived the settle rounds")
 	}
-	if got := cl.Stats().SumPrefix("dsm.acquire.w.gc"); got != 0 {
+	if got := cl.Stats().Get("dsm.acquire.w.gc"); got != 0 {
 		t.Fatalf("collector acquired %d tokens under segment grain", got)
 	}
 }

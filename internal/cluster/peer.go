@@ -31,7 +31,6 @@ type PeerConfig struct {
 	Peers []string
 
 	SegWords    int // segment size in words; default 256
-	Costs       core.Costs
 	Consistency dsm.Protocol
 	Seed        int64
 }
@@ -62,7 +61,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		return nil, err
 	}
 	cl := &Cluster{
-		cfg: Config{Nodes: len(all), SegWords: cfg.SegWords, Seed: cfg.Seed, Costs: cfg.Costs,
+		cfg: Config{Nodes: len(all), SegWords: cfg.SegWords, Seed: cfg.Seed,
 			Consistency: cfg.Consistency}.withDefaults(),
 		net:  tr,
 		heat: heat.Of(tr.Stats().Observer()),

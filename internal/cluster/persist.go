@@ -176,11 +176,11 @@ func (n *Node) Checkpoint(b addr.BunchID) error {
 	// such corpses dead once the truncation below discards their death
 	// records.
 	var liveOIDs []addr.OID
-	for _, o := range heap.KnownObjects() {
+	heap.ForEachCanonical(func(o addr.OID, _ addr.Addr) {
 		if n.col.BunchOf(o) == b {
 			liveOIDs = append(liveOIDs, o)
 		}
-	}
+	})
 	slices.Sort(liveOIDs)
 	rvm.WriteLiveSet(n.disk, b, liveOIDs)
 	// Remove files of segments the bunch no longer has (reclaimed
@@ -220,18 +220,13 @@ func (n *Node) Crash(b addr.BunchID) error {
 	}
 	n.disk.Crash()
 	n.openTx = nil
-	heap := n.col.Heap()
-	for _, meta := range n.cl.dir.Segments(b) {
-		heap.UnmapSegment(meta.ID)
-	}
+	n.dropReplica(b, false)
 	// The collector's cached allocation segment points at a replica the
-	// unmap just orphaned; allocating through it would create objects the
+	// drop just discarded; allocating through it would create objects the
 	// heap (and the redo log) can never see. Unsent location manifests die
 	// with the process as well.
 	n.col.CrashBunch(b)
-	for _, o := range n.dsm.ObjectsInBunch(b) {
-		n.dsm.Forget(o)
-	}
+	n.dsm.ForgetBunch(b)
 	return nil
 }
 

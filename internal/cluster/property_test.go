@@ -433,8 +433,9 @@ func (m *model) checkLiveness() {
 							}
 						}
 					}
+					info, _ := m.cl.Directory().Object(oid)
 					m.t.Logf("SKIPDBG node %d: %v dirBunch=%v canonical=%v seg=%v segBunch=%v inBunchSegs=%v mapped=%v",
-						i, oid, m.cl.Directory().BunchOf(oid), can, meta.ID, segB, inBunchList,
+						i, oid, info.Bunch, can, meta.ID, segB, inBunchList,
 						col.Heap().Mapped(can))
 				}
 				for j := 0; j < m.cl.Nodes(); j++ {
@@ -468,14 +469,10 @@ func (m *model) checkLiveness() {
 				// Who references it locally?
 				col := m.cl.Node(i).Collector()
 				heap := col.Heap()
-				for _, src := range heap.KnownObjects() {
-					sa, ok := heap.Canonical(src)
-					if !ok {
-						continue
-					}
+				heap.ForEachCanonical(func(src addr.OID, sa addr.Addr) {
 					sa = heap.Resolve(sa)
 					if !heap.Mapped(sa) || !heap.IsObjectAt(sa) {
-						continue
+						return
 					}
 					heap.ForEachRef(sa, func(f int, v addr.Addr) {
 						if v.IsNil() {
@@ -486,7 +483,7 @@ func (m *model) checkLiveness() {
 								i, src, f, oid, reach[src], exempt[src])
 						}
 					})
-				}
+				})
 				m.t.Fatalf("LIVENESS: unreachable acyclic %v still present at node %d", oid, i)
 			}
 		}
@@ -639,8 +636,8 @@ func runModelCfg(t *testing.T, cfg modelCfg) {
 
 	// The meta-claim: whatever happened above, the collector never touched
 	// a token.
-	if got := m.cl.Stats().SumPrefix("dsm.acquire.r.gc") +
-		m.cl.Stats().SumPrefix("dsm.acquire.w.gc"); got != 0 {
+	if got := m.cl.Stats().Get("dsm.acquire.r.gc") +
+		m.cl.Stats().Get("dsm.acquire.w.gc"); got != 0 {
 		t.Fatalf("collector acquired %d tokens during randomized run", got)
 	}
 	if got := m.cl.Stats().Get("dsm.invalidation.gc"); got != 0 {

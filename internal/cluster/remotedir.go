@@ -112,8 +112,6 @@ func serveDir(d *core.Directory, m transport.Msg) (any, int, error) {
 		d.RegisterObject(req.Info)
 	case "dir.object":
 		rep.Info, rep.Ok = d.Object(req.O)
-	case "dir.bunchOf":
-		rep.B = d.BunchOf(req.O)
 	case "dir.segmentPopulation":
 		rep.OIDs = d.SegmentPopulation(req.A)
 	case "dir.setOwnerHint":
@@ -239,10 +237,6 @@ func (rd *remoteDir) RegisterObject(info core.ObjInfo) {
 func (rd *remoteDir) Object(o addr.OID) (core.ObjInfo, bool) {
 	rep := rd.call("dir.object", dirReq{O: o})
 	return rep.Info, rep.Ok
-}
-
-func (rd *remoteDir) BunchOf(o addr.OID) addr.BunchID {
-	return rd.call("dir.bunchOf", dirReq{O: o}).B
 }
 
 func (rd *remoteDir) SegmentPopulation(a addr.Addr) []addr.OID {

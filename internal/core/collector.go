@@ -12,20 +12,15 @@ import (
 	"bmx/internal/transport"
 )
 
-// Costs is the simulated-time cost model charged to the cluster clock by
-// collector work, making pause and overhead measurements reproducible.
-type Costs struct {
-	RootTick     uint64 // per root snapshot entry (flip pause 1)
-	ScanWordTick uint64 // per word scanned
-	CopyWordTick uint64 // per word copied
-	LogTick      uint64 // per mutation-log entry replayed (flip pause 2)
-}
-
-// DefaultCosts is a plausible relative cost model: copying a word costs
-// twice a scan touch.
-func DefaultCosts() Costs {
-	return Costs{RootTick: 1, ScanWordTick: 1, CopyWordTick: 2, LogTick: 2}
-}
+// The simulated-time cost model charged to the cluster clock by collector
+// work, making pause and overhead measurements reproducible. It is a
+// plausible relative model: copying a word costs twice a scan touch.
+const (
+	rootTick     = 1 // per root snapshot entry (flip pause 1)
+	scanWordTick = 1 // per word scanned
+	copyWordTick = 2 // per word copied
+	logTick      = 2 // per mutation-log entry replayed (flip pause 2)
+)
 
 // Replica is one node's GC state for one mapped bunch: the stub/scion
 // table, the table generation counter and the local allocation segments.
@@ -69,12 +64,11 @@ func newReplica(b addr.BunchID) *Replica {
 // cluster object-op lock → node lock → shared services (directory and
 // allocator, transport stats, observer, network), each internally locked.
 type Collector struct {
-	node  addr.NodeID
-	heap  *mem.Heap
-	dir   Dir
-	net   transport.Transport
-	costs Costs
-	dsm   *dsm.Node
+	node addr.NodeID
+	heap *mem.Heap
+	dir  Dir
+	net  transport.Transport
+	dsm  *dsm.Node
 
 	reps        map[addr.BunchID]*Replica
 	mappedCache []addr.BunchID // sorted keys of reps; nil until next asked for
@@ -122,7 +116,7 @@ var gcPhases = []string{"roots", "trace", "copy", "fixup", "flip", "reclaim", "t
 
 // NewCollector creates node's collector. SetDSM must be called before any
 // collection or hook activity.
-func NewCollector(node addr.NodeID, heap *mem.Heap, dir Dir, net transport.Transport, costs Costs) *Collector {
+func NewCollector(node addr.NodeID, heap *mem.Heap, dir Dir, net transport.Transport) *Collector {
 	o := net.Stats().Observer()
 	phases := make(map[string]*obs.Histogram, len(gcPhases))
 	for _, p := range gcPhases {
@@ -133,7 +127,6 @@ func NewCollector(node addr.NodeID, heap *mem.Heap, dir Dir, net transport.Trans
 		heap:       heap,
 		dir:        dir,
 		net:        net,
-		costs:      costs,
 		reps:       make(map[addr.BunchID]*Replica),
 		roots:      make(map[addr.OID]int),
 		recvGen:    make(map[tableKey]uint64),
@@ -287,11 +280,6 @@ func (c *Collector) Alloc(b addr.BunchID, size int) (addr.OID, error) {
 	c.stats().Add("core.alloc.objects", 1)
 	c.stats().Add("core.alloc.words", int64(size+mem.HeaderWords))
 	return oid, nil
-}
-
-// CanonicalAddr returns this node's canonical address for o.
-func (c *Collector) CanonicalAddr(o addr.OID) (addr.Addr, bool) {
-	return c.heap.Canonical(o)
 }
 
 // OIDAt identifies the object a reference value denotes: through local
@@ -476,16 +464,6 @@ func (c *Collector) queueLocation(o addr.OID, b addr.BunchID, newAddr addr.Addr,
 // LocationEpoch returns the relocation epoch this node has applied (or, at
 // the owner, produced) for o.
 func (c *Collector) LocationEpoch(o addr.OID) uint64 { return c.locEpoch[o] }
-
-// PendingLocationCount returns the number of queued (peer, object) location
-// updates awaiting piggyback or flush.
-func (c *Collector) PendingLocationCount() int {
-	n := 0
-	for _, q := range c.pending {
-		n += len(q)
-	}
-	return n
-}
 
 // FlushLocations pushes all queued location updates as explicit background
 // GC messages instead of waiting for consistency traffic to carry them.

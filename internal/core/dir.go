@@ -37,7 +37,6 @@ type Dir interface {
 	NewOID() addr.OID
 	RegisterObject(info ObjInfo)
 	Object(o addr.OID) (ObjInfo, bool)
-	BunchOf(o addr.OID) addr.BunchID
 	SegmentPopulation(a addr.Addr) []addr.OID
 	SetOwnerHint(o addr.OID, n addr.NodeID)
 	Locate(o addr.OID) (addr.BunchID, addr.NodeID)

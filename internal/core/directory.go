@@ -295,17 +295,6 @@ func (d *Directory) Object(o addr.OID) (ObjInfo, bool) {
 	return info, ok
 }
 
-// BunchOf returns the bunch an object was allocated in (NoBunch if
-// unknown).
-func (d *Directory) BunchOf(o addr.OID) addr.BunchID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if info, ok := d.objects[o]; ok {
-		return info.Bunch
-	}
-	return addr.NoBunch
-}
-
 // SegmentPopulation returns the objects allocated in the segment containing
 // a — the unit that shares one token under segment-grain consistency.
 func (d *Directory) SegmentPopulation(a addr.Addr) []addr.OID {

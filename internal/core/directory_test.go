@@ -73,13 +73,10 @@ func TestDirectoryObjects(t *testing.T) {
 	oid := d.NewOID()
 	d.RegisterObject(ObjInfo{OID: oid, Bunch: b, Size: 4, AllocNode: 1, AllocAddr: m.Base})
 	info, ok := d.Object(oid)
-	if !ok || info.Size != 4 || info.AllocNode != 1 {
+	if !ok || info.Size != 4 || info.AllocNode != 1 || info.Bunch != b {
 		t.Fatalf("object = %+v, %v", info, ok)
 	}
-	if d.BunchOf(oid) != b {
-		t.Fatalf("BunchOf = %v", d.BunchOf(oid))
-	}
-	if d.BunchOf(999) != addr.NoBunch {
+	if info, ok := d.Object(999); ok || info.Bunch != addr.NoBunch {
 		t.Fatal("unknown oid must map to NoBunch")
 	}
 	// Allocation is also a placement.

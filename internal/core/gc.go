@@ -202,7 +202,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		weakRoots = append(weakRoots, rep.Table.IntraScionRootOIDs()...)
 	}
 	st.RootCount = len(strongRoots) + len(weakRoots)
-	c.net.Clock().Advance(c.costs.RootTick * uint64(st.RootCount))
+	c.net.Clock().Advance(rootTick * uint64(st.RootCount))
 	st.PauseRootTicks = pause1.Elapsed()
 	c.phaseHists["roots"].Observe(int64(st.PauseRootTicks))
 	c.rec.Emit(obs.Event{Kind: obs.KGCRoots, Class: obs.ClassGC, Flags: gfl,
@@ -301,7 +301,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 				revive = append(revive, o)
 			}
 			replayed++
-			c.net.Clock().Advance(c.costs.LogTick)
+			c.net.Clock().Advance(logTick)
 		}
 	}
 	if len(revive) > 0 {
@@ -418,10 +418,10 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		}
 	}
 	st.TotalTicks = total.Elapsed()
-	st.CPUTicks = c.costs.RootTick*uint64(st.RootCount) +
-		c.costs.ScanWordTick*uint64(st.ScannedWords) +
-		c.costs.CopyWordTick*uint64(st.CopiedWords) +
-		c.costs.LogTick*uint64(replayed)
+	st.CPUTicks = rootTick*uint64(st.RootCount) +
+		scanWordTick*uint64(st.ScannedWords) +
+		copyWordTick*uint64(st.CopiedWords) +
+		logTick*uint64(replayed)
 	c.rec.Emit(obs.Event{Kind: obs.KGCDone, Class: obs.ClassGC, Flags: gfl,
 		A: int64(st.Dead), B: int64(st.TotalTicks)})
 	c.stats().Add("core.gc.runs", 1)
@@ -524,7 +524,7 @@ func (c *Collector) traceImpl(set map[addr.BunchID]bool, roots []addr.OID, stren
 		size := c.heap.ObjSize(a)
 		words += size
 		if !quiet {
-			c.net.Clock().Advance(c.costs.ScanWordTick * uint64(size))
+			c.net.Clock().Advance(scanWordTick * uint64(size))
 		}
 		c.heap.ForEachRef(a, func(_ int, v addr.Addr) {
 			if v.IsNil() {

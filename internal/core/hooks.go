@@ -418,5 +418,6 @@ func (c *Collector) BunchOf(o addr.OID) addr.BunchID {
 	if b := c.dsm.KnownBunch(o); b != addr.NoBunch {
 		return b
 	}
-	return c.dir.BunchOf(o)
+	info, _ := c.dir.Object(o) // the zero ObjInfo is in NoBunch
+	return info.Bunch
 }

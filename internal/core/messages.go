@@ -227,7 +227,7 @@ func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
 	c.dir.RecordPlacement(to, o)
 	c.locEpoch[o]++
 	ep := c.locEpoch[o]
-	c.net.Clock().Advance(c.costs.CopyWordTick * uint64(size+mem.HeaderWords))
+	c.net.Clock().Advance(copyWordTick * uint64(size+mem.HeaderWords))
 	c.queueLocation(o, b, to, size)
 	c.stats().Add("core.gc.copied", 1)
 	c.stats().Add("core.gc.copiedWords", int64(size+mem.HeaderWords))

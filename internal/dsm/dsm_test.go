@@ -39,6 +39,14 @@ type fakeHooks struct {
 	onOwned       func(addr.OID)
 }
 
+// copySetOf returns the nodes n granted read tokens to for o.
+func copySetOf(n *Node, o addr.OID) []addr.NodeID {
+	if st := n.objs[o]; st != nil {
+		return st.CopySet
+	}
+	return nil
+}
+
 func newFakeEnv(t *testing.T, n int) *fakeEnv {
 	t.Helper()
 	env := &fakeEnv{
@@ -182,7 +190,7 @@ func TestReadAcquireFromOwner(t *testing.T) {
 	if n1.OwnerPtrOf(1) != 0 {
 		t.Fatalf("ownerPtr at N2 = %v, want N1", n1.OwnerPtrOf(1))
 	}
-	if cs := n0.CopySetOf(1); len(cs) != 1 || cs[0] != 1 {
+	if cs := copySetOf(n0, 1); len(cs) != 1 || cs[0] != 1 {
 		t.Fatalf("owner copy-set = %v", cs)
 	}
 	if e := n0.EnteringOf(1); len(e) != 1 || e[0] != 1 {
@@ -244,7 +252,7 @@ func TestWriteAcquireInvalidatesReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cs := env.nodes[1].CopySetOf(1); len(cs) != 1 || cs[0] != 2 {
+	if cs := copySetOf(env.nodes[1], 1); len(cs) != 1 || cs[0] != 2 {
 		t.Fatalf("distributed copy-set at N2 = %v", cs)
 	}
 	// Now N1 upgrades to write: every reader must be invalidated
@@ -300,11 +308,11 @@ func TestReadFromReadHolder(t *testing.T) {
 	if env.nodes[2].ModeOf(1) != ModeRead {
 		t.Fatal("read from read-holder failed")
 	}
-	if cs := env.nodes[1].CopySetOf(1); len(cs) != 1 || cs[0] != 2 {
+	if cs := copySetOf(env.nodes[1], 1); len(cs) != 1 || cs[0] != 2 {
 		t.Fatalf("N2 copy-set = %v, want [N3]", cs)
 	}
 	// The owner's copy-set does not contain N3: copy-sets are distributed.
-	if cs := env.nodes[0].CopySetOf(1); len(cs) != 1 || cs[0] != 1 {
+	if cs := copySetOf(env.nodes[0], 1); len(cs) != 1 || cs[0] != 1 {
 		t.Fatalf("owner copy-set = %v, want [N2]", cs)
 	}
 }
@@ -487,8 +495,10 @@ func TestNonOwnedLiveAndEnteringRoots(t *testing.T) {
 	if len(roots) != 1 || roots[0] != 1 {
 		t.Fatalf("EnteringRoots = %v", roots)
 	}
-	if objs := env.nodes[0].ObjectsInBunch(2); len(objs) != 1 || objs[0] != 2 {
-		t.Fatalf("ObjectsInBunch = %v", objs)
+	var objs []addr.OID
+	env.nodes[0].ForEachObjectInBunch(2, func(o addr.OID) { objs = append(objs, o) })
+	if len(objs) != 1 || objs[0] != 2 {
+		t.Fatalf("ForEachObjectInBunch(2) = %v", objs)
 	}
 }
 
@@ -501,6 +511,12 @@ func TestForgetAndKnows(t *testing.T) {
 	env.nodes[0].Forget(1)
 	if env.nodes[0].Knows(1) {
 		t.Fatal("forget failed")
+	}
+	env.newObj(2, 1, 0)
+	env.newObj(3, 2, 0)
+	env.nodes[0].ForgetBunch(1)
+	if env.nodes[0].Knows(2) || !env.nodes[0].Knows(3) {
+		t.Fatal("ForgetBunch(1) must forget bunch 1's objects and only those")
 	}
 }
 

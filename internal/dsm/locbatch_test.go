@@ -104,8 +104,8 @@ func TestCoalescedLocUpdatesEquivalent(t *testing.T) {
 					i+1, o, p.IsOwner(o), p.ModeOf(o), p.OwnerPtrOf(o),
 					c.IsOwner(o), c.ModeOf(o), c.OwnerPtrOf(o))
 			}
-			if fmt.Sprint(p.CopySetOf(o)) != fmt.Sprint(c.CopySetOf(o)) {
-				t.Fatalf("N%d %v copy-set diverged: %v vs %v", i+1, o, p.CopySetOf(o), c.CopySetOf(o))
+			if fmt.Sprint(copySetOf(p, o)) != fmt.Sprint(copySetOf(c, o)) {
+				t.Fatalf("N%d %v copy-set diverged: %v vs %v", i+1, o, copySetOf(p, o), copySetOf(c, o))
 			}
 			if fmt.Sprint(p.EnteringOf(o)) != fmt.Sprint(c.EnteringOf(o)) {
 				t.Fatalf("N%d %v entering diverged: %v vs %v", i+1, o, p.EnteringOf(o), c.EnteringOf(o))

@@ -134,9 +134,6 @@ func NewNode(id addr.NodeID, net transport.Transport, hooks Hooks, clusterSize i
 // traffic; all nodes of a cluster must agree.
 func (n *Node) SetProtocol(p Protocol) { n.protocol = p }
 
-// ProtocolVariant returns the protocol in use.
-func (n *Node) ProtocolVariant() Protocol { return n.protocol }
-
 // ID returns this node's identifier.
 func (n *Node) ID() addr.NodeID { return n.id }
 

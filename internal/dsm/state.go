@@ -251,15 +251,6 @@ func (n *Node) OwnerPtrOf(o addr.OID) addr.NodeID {
 	return st.OwnerPtr
 }
 
-// CopySetOf returns the nodes this node granted read tokens to for o.
-func (n *Node) CopySetOf(o addr.OID) []addr.NodeID {
-	st, ok := n.objs[o]
-	if !ok {
-		return nil
-	}
-	return slices.Clone(st.CopySet)
-}
-
 // EnteringOf returns the nodes whose ownerPtr points at this node for o.
 func (n *Node) EnteringOf(o addr.OID) []addr.NodeID {
 	st, ok := n.objs[o]
@@ -328,15 +319,11 @@ func (n *Node) ForEachObjectInBunch(b addr.BunchID, f func(o addr.OID)) {
 	}
 }
 
-// ObjectsInBunch returns every object of bunch b with local protocol state,
-// sorted.
-func (n *Node) ObjectsInBunch(b addr.BunchID) []addr.OID {
-	var out []addr.OID
+// ForgetBunch drops the local protocol state of every object of bunch b.
+func (n *Node) ForgetBunch(b addr.BunchID) {
 	for o, st := range n.objs {
 		if st.Bunch == b {
-			out = append(out, o)
+			delete(n.objs, o)
 		}
 	}
-	slices.Sort(out)
-	return out
 }

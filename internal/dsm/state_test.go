@@ -124,7 +124,7 @@ func TestProtocolString(t *testing.T) {
 	}
 	env := newFakeEnv(t, 1)
 	env.nodes[0].SetProtocol(ProtocolStrict)
-	if env.nodes[0].ProtocolVariant() != ProtocolStrict {
+	if env.nodes[0].protocol != ProtocolStrict {
 		t.Fatal("variant accessor wrong")
 	}
 }

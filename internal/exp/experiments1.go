@@ -15,7 +15,7 @@ func newCluster(nodes int, loss float64) *cluster.Cluster {
 	return cluster.New(cluster.Config{
 		Nodes: nodes, SegWords: 512, Seed: 1,
 		Faults:      transport.FaultPlan{Default: transport.FaultRates{Drop: loss}},
-		SendLatency: 1, CallLatency: 1, Costs: core.DefaultCosts(),
+		SendLatency: 1, CallLatency: 1,
 	})
 }
 

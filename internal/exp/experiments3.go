@@ -3,7 +3,6 @@ package exp
 import (
 	"bmx/internal/addr"
 	"bmx/internal/cluster"
-	"bmx/internal/core"
 	"bmx/internal/dsm"
 	"bmx/internal/trace"
 )
@@ -26,7 +25,7 @@ func RunA3() Table {
 	}
 	run := func(p dsm.Protocol) []int64 {
 		cl := cluster.New(cluster.Config{
-			Nodes: 3, SegWords: 512, Seed: 1, Consistency: p, Costs: core.DefaultCosts(),
+			Nodes: 3, SegWords: 512, Seed: 1, Consistency: p,
 		})
 		n1 := cl.Node(0)
 		b := n1.NewBunch()
@@ -95,7 +94,6 @@ func RunA4() Table {
 	run := func(coarse bool) []int64 {
 		cl := cluster.New(cluster.Config{
 			Nodes: 2, SegWords: 128, Seed: 1, SegmentGrainTokens: coarse,
-			Costs: core.DefaultCosts(),
 		})
 		n1, n2 := cl.Node(0), cl.Node(1)
 		b := n1.NewBunch()
@@ -160,7 +158,7 @@ func RunA5() Table {
 		Shape: "connected components reclaim the same cycles while scanning fewer objects per collection",
 	}
 	build := func() *cluster.Cluster {
-		cl := cluster.New(cluster.Config{Nodes: 1, SegWords: 512, Costs: core.DefaultCosts()})
+		cl := cluster.New(cluster.Config{Nodes: 1, SegWords: 512})
 		n := cl.Node(0)
 		// Two dead 2-cycles in separate bunch pairs plus a large live
 		// isolated bunch.
@@ -219,7 +217,7 @@ func RunE10() Table {
 	var maxTicks []uint64
 	var totals []uint64
 	for _, k := range []int{1, 4, 16} {
-		cl := cluster.New(cluster.Config{Nodes: 1, SegWords: 512, Seed: 1, Costs: core.DefaultCosts()})
+		cl := cluster.New(cluster.Config{Nodes: 1, SegWords: 512, Seed: 1})
 		n := cl.Node(0)
 		per := totalObjects / k
 		var worst, total uint64

@@ -114,7 +114,7 @@ func TestSpansEndpointServesSpanEvents(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	evs, err := obs.ReadEventsNDJSON(strings.NewReader(body))
+	evs, err := obs.ReadEventsNDJSONLoose(strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("/spans is not parseable NDJSON: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestEventsEndpointServesNDJSON(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	evs, err := obs.ReadEventsNDJSON(strings.NewReader(body))
+	evs, err := obs.ReadEventsNDJSONLoose(strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("/events is not parseable NDJSON: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestEventsEndpointServesNDJSON(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("filter status %d", code)
 	}
-	fevs, err := obs.ReadEventsNDJSON(strings.NewReader(body))
+	fevs, err := obs.ReadEventsNDJSONLoose(strings.NewReader(body))
 	if err != nil || len(fevs) == 0 {
 		t.Fatalf("filtered events: %v, %d", err, len(fevs))
 	}

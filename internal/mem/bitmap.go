@@ -16,9 +16,6 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{n: n, bits: make([]uint64, (n+63)/64)}
 }
 
-// Len returns the number of bits.
-func (b *Bitmap) Len() int { return b.n }
-
 // Set sets bit i.
 func (b *Bitmap) Set(i int) { b.bits[i>>6] |= 1 << (uint(i) & 63) }
 
@@ -27,22 +24,6 @@ func (b *Bitmap) Clear(i int) { b.bits[i>>6] &^= 1 << (uint(i) & 63) }
 
 // Get reports whether bit i is set.
 func (b *Bitmap) Get(i int) bool { return b.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// Count returns the number of set bits.
-func (b *Bitmap) Count() int {
-	n := 0
-	for _, w := range b.bits {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Reset clears every bit.
-func (b *Bitmap) Reset() {
-	for i := range b.bits {
-		b.bits[i] = 0
-	}
-}
 
 // ForEach calls f with the index of every set bit, in increasing order.
 func (b *Bitmap) ForEach(f func(i int)) {

@@ -49,25 +49,9 @@ func (h *Heap) MapSegment(m *SegmentMeta) *Segment {
 	return s
 }
 
-// UnmapSegment drops the local replica of segment id and forgets the
-// canonical addresses that pointed into it.
-func (h *Heap) UnmapSegment(id addr.SegID) {
-	s := h.Seg(id)
-	if s == nil {
-		return
-	}
-	for oid, a := range h.objs {
-		if s.Contains(a) {
-			delete(h.objs, oid)
-		}
-	}
-	h.segs[id] = nil
-}
-
 // DiscardSegment drops the local replica of segment id without looking at
 // the canonical addresses: the caller has already forgotten every one that
-// pointed into it. It spares a reclaim round UnmapSegment's scan of every
-// known object per segment.
+// pointed into it (DropObject).
 func (h *Heap) DiscardSegment(id addr.SegID) {
 	if int(id) < len(h.segs) {
 		h.segs[id] = nil
@@ -204,17 +188,6 @@ func (h *Heap) ObjOID(a addr.Addr) addr.OID { return addr.OID(h.Word(a.AddWords(
 // its header holds a forwarding pointer (§4.2).
 func (h *Heap) Forwarded(a addr.Addr) bool { return h.Word(a)&flagForwarded != 0 }
 
-// Fwd returns the forwarding pointer of the object headed at a (nil if the
-// object has not been copied).
-func (h *Heap) Fwd(a addr.Addr) addr.Addr {
-	s := h.mustSeg(a)
-	off := a.WordOff(s.Meta.Base)
-	if s.words[off]&flagForwarded == 0 {
-		return addr.NilAddr
-	}
-	return addr.Addr(s.words[off+2])
-}
-
 // SetFwd installs a forwarding pointer in the header of the object at a.
 // This modification is strictly local and never requires a token (§4.2).
 func (h *Heap) SetFwd(a, to addr.Addr) {
@@ -334,12 +307,6 @@ func (h *Heap) CopyObject(src, dst addr.Addr) {
 	}
 }
 
-// ObjectBytes returns the simulated wire size in bytes of the object at a
-// (header plus data), used for message accounting.
-func (h *Heap) ObjectBytes(a addr.Addr) int {
-	return (HeaderWords + h.ObjSize(a)) * addr.WordBytes
-}
-
 // ---- Canonical addresses -------------------------------------------------
 
 // Canonical returns this node's canonical address for oid.
@@ -366,15 +333,6 @@ func (h *Heap) ForEachCanonical(f func(o addr.OID, a addr.Addr)) {
 	for o, a := range h.objs {
 		f(o, a)
 	}
-}
-
-// KnownObjects returns every OID with a canonical address on this node.
-func (h *Heap) KnownObjects() []addr.OID {
-	out := make([]addr.OID, 0, len(h.objs))
-	for oid := range h.objs {
-		out = append(out, oid)
-	}
-	return out
 }
 
 // OIDAt resolves the address a (following forwarding pointers) and returns

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -41,20 +42,6 @@ func TestAllocatorLookup(t *testing.T) {
 	}
 	if a.Lookup(m2.Limit()) != nil {
 		t.Fatal("Lookup past last segment should be nil")
-	}
-}
-
-func TestAllocatorBunchSegments(t *testing.T) {
-	a := NewAllocator(testSegWords)
-	a.NewSegment(1)
-	a.NewSegment(2)
-	a.NewSegment(1)
-	segs := a.BunchSegments(1)
-	if len(segs) != 2 {
-		t.Fatalf("bunch 1 has %d segments, want 2", len(segs))
-	}
-	if segs[0].ID != 0 || segs[1].ID != 2 {
-		t.Fatalf("wrong segments: %v %v", segs[0].ID, segs[1].ID)
 	}
 }
 
@@ -156,6 +143,10 @@ func TestFieldBoundsPanics(t *testing.T) {
 	}
 }
 
+// fwd returns the forwarding pointer the header at a holds in its third
+// word.
+func fwd(h *Heap, a addr.Addr) addr.Addr { return addr.Addr(h.Word(a.AddWords(2))) }
+
 func TestForwarding(t *testing.T) {
 	a, h := newTestHeap()
 	s := h.MapSegment(a.NewSegment(1))
@@ -165,8 +156,8 @@ func TestForwarding(t *testing.T) {
 	if !h.Forwarded(src) {
 		t.Fatal("not forwarded")
 	}
-	if h.Fwd(src) != dst {
-		t.Fatalf("fwd = %v, want %v", h.Fwd(src), dst)
+	if fwd(h, src) != dst {
+		t.Fatalf("fwd = %v, want %v", fwd(h, src), dst)
 	}
 	if h.Resolve(src) != dst {
 		t.Fatalf("resolve = %v", h.Resolve(src))
@@ -265,21 +256,6 @@ func TestMapSegmentIdempotent(t *testing.T) {
 	}
 }
 
-func TestUnmapSegment(t *testing.T) {
-	a, h := newTestHeap()
-	m := a.NewSegment(1)
-	s := h.MapSegment(m)
-	oa, _ := h.Alloc(s, 1, 1)
-	h.UnmapSegment(m.ID)
-	if h.Mapped(oa) {
-		t.Fatal("still mapped")
-	}
-	if _, ok := h.Canonical(1); ok {
-		t.Fatal("canonical address survived unmap")
-	}
-	h.UnmapSegment(m.ID) // idempotent
-}
-
 // TestRewriteWalks pins the segment-direct walks: every pointer word and
 // every forwarding pointer of a replica is offered, scalars and plain
 // headers are not, and only the words the callback changes are written.
@@ -316,8 +292,8 @@ func TestRewriteWalks(t *testing.T) {
 		seen = append(seen, v)
 		return x, v == z
 	}
-	if n := s.RewriteFwds(moveZ); n != 1 || len(seen) != 1 || h.Fwd(y) != x {
-		t.Fatalf("RewriteFwds rewrote %d of %v, fwd(y) = %v; want y's forwarding pointer only", n, seen, h.Fwd(y))
+	if n := s.RewriteFwds(moveZ); n != 1 || len(seen) != 1 || fwd(h, y) != x {
+		t.Fatalf("RewriteFwds rewrote %d of %v, fwd(y) = %v; want y's forwarding pointer only", n, seen, fwd(h, y))
 	}
 
 	h.DiscardSegment(s.Meta.ID)
@@ -339,7 +315,7 @@ func TestCopyContentsFrom(t *testing.T) {
 	h1.SetField(oa, 1, 77, true)
 
 	s2 := h2.MapSegment(m)
-	s2.CopyContentsFrom(s1)
+	s2.Import(s1.Export())
 	if !h2.IsObjectAt(oa) || h2.GetField(oa, 0) != 99 || !h2.IsRefField(oa, 1) {
 		t.Fatal("replica copy incomplete")
 	}
@@ -358,7 +334,7 @@ func TestCopyContentsAcrossSegmentsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	s1.CopyContentsFrom(s2)
+	s1.Import(s2.Export())
 }
 
 func TestOIDAt(t *testing.T) {
@@ -380,9 +356,9 @@ func TestSnapshotRestore(t *testing.T) {
 	s := h.MapSegment(a.NewSegment(1))
 	oa, _ := h.Alloc(s, 1, 1)
 	h.SetField(oa, 0, 123, false)
-	snap := s.Snapshot()
+	snap := s.Export()
 	h.SetField(oa, 0, 456, false)
-	s.Restore(snap)
+	s.Import(snap)
 	if h.GetField(oa, 0) != 123 {
 		t.Fatal("restore failed")
 	}
@@ -393,28 +369,23 @@ func TestKnownObjectsAndDrop(t *testing.T) {
 	s := h.MapSegment(a.NewSegment(1))
 	h.Alloc(s, 1, 1)
 	h.Alloc(s, 2, 1)
-	if len(h.KnownObjects()) != 2 {
-		t.Fatalf("known = %v", h.KnownObjects())
+	if len(h.objs) != 2 {
+		t.Fatalf("known = %v", h.objs)
 	}
-	h.DropObject(1)
-	if len(h.KnownObjects()) != 1 {
+	h.ForEachCanonical(func(o addr.OID, _ addr.Addr) {
+		if o == 1 {
+			h.DropObject(o)
+		}
+	})
+	if _, ok := h.Canonical(1); ok || len(h.objs) != 1 {
 		t.Fatal("drop failed")
-	}
-}
-
-func TestObjectBytes(t *testing.T) {
-	a, h := newTestHeap()
-	s := h.MapSegment(a.NewSegment(1))
-	oa, _ := h.Alloc(s, 1, 4)
-	if got := h.ObjectBytes(oa); got != (HeaderWords+4)*addr.WordBytes {
-		t.Fatalf("ObjectBytes = %d", got)
 	}
 }
 
 func TestBitmapBasics(t *testing.T) {
 	b := NewBitmap(130)
-	if b.Len() != 130 {
-		t.Fatalf("Len = %d", b.Len())
+	if b.n != 130 {
+		t.Fatalf("Len = %d", b.n)
 	}
 	b.Set(0)
 	b.Set(64)
@@ -422,8 +393,8 @@ func TestBitmapBasics(t *testing.T) {
 	if !b.Get(0) || !b.Get(64) || !b.Get(129) || b.Get(1) {
 		t.Fatal("Get wrong")
 	}
-	if b.Count() != 3 {
-		t.Fatalf("Count = %d", b.Count())
+	if count(b) != 3 {
+		t.Fatalf("Count = %d", count(b))
 	}
 	var got []int
 	b.ForEach(func(i int) { got = append(got, i) })
@@ -431,13 +402,18 @@ func TestBitmapBasics(t *testing.T) {
 		t.Fatalf("ForEach = %v", got)
 	}
 	b.Clear(64)
-	if b.Get(64) || b.Count() != 2 {
+	if b.Get(64) || count(b) != 2 {
 		t.Fatal("Clear wrong")
 	}
-	b.Reset()
-	if b.Count() != 0 {
-		t.Fatal("Reset wrong")
+}
+
+// count returns the number of set bits in b.
+func count(b *Bitmap) int {
+	n := 0
+	for _, w := range b.bits {
+		n += bits.OnesCount64(w)
 	}
+	return n
 }
 
 func TestBitmapProperty(t *testing.T) {
@@ -460,7 +436,7 @@ func TestBitmapProperty(t *testing.T) {
 			prev = i
 			n++
 		})
-		return ok && n == len(want) && b.Count() == len(want)
+		return ok && n == len(want) && count(b) == len(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

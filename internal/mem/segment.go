@@ -66,7 +66,6 @@ type Allocator struct {
 	segWords int
 	metas    []*SegmentMeta
 	free     []addr.SegID
-	recycled int
 	// resolver, when set, makes this allocator a sparse mirror of a remote
 	// authority: a Meta/Lookup miss invokes it (with no allocator lock
 	// held — it may block on the network) and adopts whatever descriptor
@@ -99,7 +98,6 @@ func (a *Allocator) NewSegment(b addr.BunchID) *SegmentMeta {
 		m := a.metas[id]
 		m.Bunch = b
 		m.Gen++
-		a.recycled++
 		return m
 	}
 	id := addr.SegID(len(a.metas))
@@ -124,13 +122,6 @@ func (a *Allocator) Free(id addr.SegID) {
 	}
 	a.metas[id].Bunch = addr.NoBunch
 	a.free = append(a.free, id)
-}
-
-// Recycled reports how many segment allocations reused a freed range.
-func (a *Allocator) Recycled() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.recycled
 }
 
 // Meta returns the descriptor of segment id, or nil if never allocated.
@@ -229,20 +220,6 @@ func segIndex(x addr.Addr, segWords int) (addr.SegID, bool) {
 	return addr.SegID(int(uint64(x-SegBase) / uint64(segWords*addr.WordBytes))), true
 }
 
-// BunchSegments returns the descriptors of every segment belonging to bunch
-// b, in allocation order.
-func (a *Allocator) BunchSegments(b addr.BunchID) []*SegmentMeta {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out []*SegmentMeta
-	for _, m := range a.metas {
-		if m != nil && m.Bunch == b {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Segment is one node's replica of a segment: the word contents plus the
 // object-map and reference-map bit arrays of §8 (one bit per word: a set
 // object-map bit marks an object header; a set reference-map bit marks a
@@ -293,11 +270,6 @@ func (s *Segment) Objects() []addr.Addr {
 func (s *Segment) ForEachObject(f func(a addr.Addr)) {
 	base := s.Meta.Base
 	s.objMap.ForEach(func(i int) { f(base.AddWords(i)) })
-}
-
-// RefBit reports whether word offset off is marked as a pointer.
-func (s *Segment) RefBit(off int) bool {
-	return s.refMap.Get(off)
 }
 
 // SetRefBit marks or clears word offset off in the reference map (used by
@@ -392,30 +364,4 @@ func (s *Segment) Import(img SegImage) {
 	copy(s.objMap.bits, img.ObjBits)
 	copy(s.refMap.bits, img.RefBits)
 	s.allocOff = img.AllocOff
-}
-
-// CopyContentsFrom overwrites this replica's words and maps with those of
-// src, which must describe the same segment. It is used when a node maps an
-// existing bunch and receives the current replica image.
-func (s *Segment) CopyContentsFrom(src *Segment) {
-	if src.Meta.ID != s.Meta.ID {
-		panic(fmt.Sprintf("mem: copying contents across segments %v -> %v", src.Meta.ID, s.Meta.ID))
-	}
-	s.Import(src.Export())
-}
-
-// Snapshot returns a copy of the raw words (used by the persistence layer).
-func (s *Segment) Snapshot() []uint64 {
-	out := make([]uint64, len(s.words))
-	copy(out, s.words)
-	return out
-}
-
-// Restore overwrites the raw words from a snapshot and rebuilds nothing:
-// object and reference maps are restored separately by the recovery layer.
-func (s *Segment) Restore(words []uint64) {
-	if len(words) != len(s.words) {
-		panic(fmt.Sprintf("mem: restore size %d into segment of %d words", len(words), len(s.words)))
-	}
-	copy(s.words, words)
 }

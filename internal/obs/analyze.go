@@ -10,7 +10,7 @@ import (
 
 // Offline trace analysis: the library half of cmd/bmxstat. Everything here
 // works on a plain []Event, whether it came from a live Observer or was read
-// back from an NDJSON dump with ReadEventsNDJSON.
+// back from an NDJSON dump with ReadEventsNDJSONLoose.
 
 func modeName(a int64) string {
 	switch a {

@@ -70,7 +70,6 @@ const (
 
 	// Cluster assembly (internal/cluster).
 	KMapBunch // bunch replica adopted here: From=serving node, A=bunch, B=segments fetched
-	KSnapshot // observer snapshot taken (marks where a dump was cut)
 	KFatal    // fatal protocol error; the flight-recorder window was dumped
 
 	// Causal span tracing (see span.go). Span events carry the span identity
@@ -113,7 +112,6 @@ var kindNames = [...]string{
 	KScionClean:    "gc.scionClean",
 	KReclaimSeg:    "gc.reclaimSeg",
 	KMapBunch:      "cl.mapBunch",
-	KSnapshot:      "cl.snapshot",
 	KFatal:         "fatal",
 	KSpanBegin:     "span.begin",
 	KSpanEnd:       "span.end",

@@ -80,16 +80,6 @@ func (t *Table) Enable() {
 	}
 }
 
-// Disable turns accounting off (accumulated cells are kept).
-func (t *Table) Disable() {
-	if t != nil {
-		t.enabled.Store(false)
-	}
-}
-
-// Enabled reports whether accesses are being recorded.
-func (t *Table) Enabled() bool { return t != nil && t.enabled.Load() }
-
 func (t *Table) cellLocked(by addr.NodeID, o addr.OID, b addr.BunchID) *cell {
 	if t.cells == nil {
 		t.cells = make(map[cellKey]*cell)
@@ -161,25 +151,5 @@ func (t *Table) NoteOwner(o addr.OID, owner addr.NodeID) {
 	if m, ok := t.owners[o]; !ok || tick >= m.tick {
 		t.owners[o] = ownerMark{node: owner, tick: tick}
 	}
-	t.mu.Unlock()
-}
-
-// Len returns the number of (object, node) cells.
-func (t *Table) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.cells)
-}
-
-// Reset drops every cell and ownership mark (the enable flag survives).
-func (t *Table) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.cells, t.owners = nil, nil
 	t.mu.Unlock()
 }

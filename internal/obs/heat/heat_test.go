@@ -29,13 +29,13 @@ func TestDisabledPathIsNoOp(t *testing.T) {
 	tb.NoteWrite(1, 10, 1)
 	tb.NoteAcquire(1, 10, 1, true, 3)
 	tb.NoteOwner(10, 1)
-	if tb.Len() != 0 || len(tb.Snapshot()) != 0 {
-		t.Fatalf("disabled table accumulated state: len=%d", tb.Len())
+	if len(tb.cells) != 0 || len(tb.Snapshot()) != 0 {
+		t.Fatalf("disabled table accumulated state: len=%d", len(tb.cells))
 	}
 	// A nil observer yields a detached table; everything must still be safe.
 	var nilT *Table = Of(nil)
 	nilT.NoteWrite(1, 10, 1)
-	if nilT.Enabled() {
+	if nilT != nil && nilT.enabled.Load() {
 		t.Fatal("detached table claims to be enabled")
 	}
 }

@@ -323,7 +323,7 @@ func TestSamplerRace(t *testing.T) {
 	if final.Hists["hammer.lat"].Count != mutators*20000 {
 		t.Fatalf("final hammer.lat count = %d", final.Hists["hammer.lat"].Count)
 	}
-	if n := s.Len(); n == 0 || n > 64 {
+	if n := s.n; n == 0 || n > 64 {
 		t.Fatalf("ring len = %d", n)
 	}
 }

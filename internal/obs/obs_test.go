@@ -16,7 +16,7 @@ func TestDisabledRecorderKeepsNothing(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Emit(Event{Kind: KSend})
 	}
-	if got := r.Total(); got != 0 {
+	if got := r.total; got != 0 {
 		t.Fatalf("disabled recorder kept %d events", got)
 	}
 	if w := r.Window(); w != nil {
@@ -44,8 +44,8 @@ func TestRingKeepsTheRecentWindow(t *testing.T) {
 			t.Errorf("window[%d].Node = %v, want N3", i, e.Node)
 		}
 	}
-	if r.Total() != 20 {
-		t.Errorf("Total = %d, want 20", r.Total())
+	if r.total != 20 {
+		t.Errorf("Total = %d, want 20", r.total)
 	}
 }
 

@@ -65,15 +65,9 @@ func (o *Observer) SetStrict(on bool) {
 	}
 }
 
-// Strict reports whether the debug asserts are armed.
-func (o *Observer) Strict() bool { return o != nil && o.strict.Load() }
-
 // Enable turns event recording on. Instrumentation is always compiled in;
 // this flips the one atomic every fast path checks.
 func (o *Observer) Enable() { o.enabled.Store(true) }
-
-// Disable turns event recording off (retained windows are kept).
-func (o *Observer) Disable() { o.enabled.Store(false) }
 
 // Enabled reports whether events are being recorded.
 func (o *Observer) Enabled() bool { return o != nil && o.enabled.Load() }
@@ -203,32 +197,6 @@ func (o *Observer) Events() []Event {
 	}
 	slices.SortFunc(out, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
-}
-
-// NodeWindow returns node id's retained window (nil if the node never
-// recorded).
-func (o *Observer) NodeWindow(id addr.NodeID) []Event {
-	o.mu.Lock()
-	r := o.recs[id]
-	o.mu.Unlock()
-	if r == nil {
-		return nil
-	}
-	return r.Window()
-}
-
-// Reset drops every retained window and histogram (the enable flag and
-// critical-section depths are untouched).
-func (o *Observer) Reset() {
-	for _, r := range o.recorders() {
-		r.reset()
-	}
-	o.mu.Lock()
-	o.hists = make(map[string]*Histogram)
-	o.mu.Unlock()
-	for i := range o.spanHists {
-		o.spanHists[i].Store(nil)
-	}
 }
 
 // SetFatalSink directs fatal flight-recorder dumps to w (default: stderr).

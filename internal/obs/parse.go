@@ -122,21 +122,3 @@ func ReadEventsNDJSONLoose(r io.Reader) ([]Event, error) {
 	}
 	return out, sc.Err()
 }
-
-// ReadEventsNDJSON parses a DumpJSON trace back into events, in file order.
-func ReadEventsNDJSON(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for dec.More() {
-		var j eventJSON
-		if err := dec.Decode(&j); err != nil {
-			return out, fmt.Errorf("event %d: %w", len(out), err)
-		}
-		e, err := fromJSON(j)
-		if err != nil {
-			return out, fmt.Errorf("event %d: %w", len(out), err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}

@@ -38,9 +38,6 @@ type Recorder struct {
 	spanGids []int64
 }
 
-// Node returns the recorder's node.
-func (r *Recorder) Node() addr.NodeID { return r.node }
-
 // EnterCritical marks the start of an application critical-path section on
 // this node; events emitted until the matching ExitCritical carry
 // FlagCritical, whatever layer emits them through this recorder (a node
@@ -61,10 +58,6 @@ func (r *Recorder) ExitCritical() {
 		r.crit.Add(-1)
 	}
 }
-
-// InCritical reports whether the node is currently on the application's
-// critical path.
-func (r *Recorder) InCritical() bool { return r != nil && r.crit.Load() > 0 }
 
 // Emit records e, stamping its sequence number, simulated tick, node and
 // critical-path flag. It is a no-op (one atomic load) while recording is
@@ -95,14 +88,6 @@ func (r *Recorder) Emit(e Event) {
 	r.mu.Unlock()
 }
 
-// Total returns the number of events ever emitted at this node (including
-// those already overwritten).
-func (r *Recorder) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // Window returns the retained events in emission order (oldest first). The
 // slice is a copy; the recorder keeps running.
 func (r *Recorder) Window() []Event {
@@ -122,13 +107,4 @@ func (r *Recorder) Window() []Event {
 	out = append(out, r.buf[start:]...)
 	out = append(out, r.buf[:start]...)
 	return out
-}
-
-// reset drops the retained events (the critical-section depth survives; it
-// describes the present, not the past).
-func (r *Recorder) reset() {
-	r.mu.Lock()
-	r.buf = nil
-	r.total = 0
-	r.mu.Unlock()
 }

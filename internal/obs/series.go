@@ -119,16 +119,6 @@ func (s *Sampler) push(p Sample) {
 	s.start = (s.start + 1) % s.capacity
 }
 
-// Len returns the number of retained samples.
-func (s *Sampler) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
 // Samples returns the retained window, oldest first.
 func (s *Sampler) Samples() []Sample {
 	if s == nil {

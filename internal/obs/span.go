@@ -116,17 +116,6 @@ func (op SpanOp) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// IsMutator reports whether the op is a mutator entry point — the spans
-// whose subtrees constitute the application's critical path for the
-// paper's §4.4 claim.
-func (op SpanOp) IsMutator() bool {
-	switch op {
-	case OpAlloc, OpAcquireR, OpAcquireW, OpWriteRef, OpWriteWord, OpMapBunch:
-		return true
-	}
-	return false
-}
-
 // ServeOpOf maps a wire-message kind string onto the serve.* span op for
 // the span that times its service.
 func ServeOpOf(kind string) SpanOp {
@@ -172,9 +161,6 @@ type SpanScope struct {
 	oid   addr.OID
 	start uint64
 }
-
-// Context returns the span's identity (zero while tracing is off).
-func (s SpanScope) Context() SpanContext { return s.sc }
 
 // End closes the span: pops it from the recorder's current-span stack,
 // emits the span.end event carrying the elapsed simulated ticks, and

@@ -73,20 +73,6 @@ func (t *SpanTrace) Complete() bool {
 	return true
 }
 
-// Nodes returns the distinct nodes the trace touched.
-func (t *SpanTrace) Nodes() []addr.NodeID {
-	seen := map[addr.NodeID]bool{}
-	for _, s := range t.Spans {
-		seen[s.Node] = true
-	}
-	out := make([]addr.NodeID, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // walk visits every span of the trace depth-first, roots first.
 func (t *SpanTrace) walk(f func(*Span)) {
 	var rec func(*Span)

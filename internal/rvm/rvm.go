@@ -209,9 +209,6 @@ type Tx struct {
 	done bool
 }
 
-// ID returns the transaction identifier.
-func (tx *Tx) ID() uint64 { return tx.id }
-
 // SetRange records that words were written at word offset off of segment
 // seg, whose range is currently on tenancy generation gen.
 func (tx *Tx) SetRange(seg addr.SegID, gen uint32, off int, words []uint64) {
@@ -285,15 +282,10 @@ func (tx *Tx) Commit() {
 	}
 }
 
-// WriteNoSync appends the transaction's records and commit marker to the log
-// WITHOUT forcing it to disk. It exists to demonstrate what recovery does
-// when a crash intervenes before the force (the transaction must vanish).
-func (tx *Tx) WriteNoSync() { tx.seal("WriteNoSync") }
-
 // Abort discards the transaction.
 func (tx *Tx) Abort() { tx.done = true }
 
-// ---- Segment checkpoint files ---------------------------------------------
+// ---- Segment images (words + object-map + reference-map) ------------------
 
 // writeAtomic installs data at name crash-atomically: write-new, sync,
 // swap, force. A crash at any point leaves either the old contents or the
@@ -306,35 +298,6 @@ func writeAtomic(st store.Store, name string, data []byte) {
 	st.Rename(tmp, name)
 	st.Sync(name)
 }
-
-// SegmentFile is the disk name backing segment id (§8: each segment is
-// associated with a file).
-func SegmentFile(id addr.SegID) string { return fmt.Sprintf("seg-%d", uint32(id)) }
-
-// WriteSegment checkpoints a segment image to its backing file,
-// crash-atomically.
-func WriteSegment(st store.Store, id addr.SegID, words []uint64) {
-	buf := make([]byte, 8*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], w)
-	}
-	writeAtomic(st, SegmentFile(id), buf)
-}
-
-// ReadSegment loads a segment image from its backing file.
-func ReadSegment(st store.Store, id addr.SegID) ([]uint64, bool) {
-	data, ok := st.Read(SegmentFile(id))
-	if !ok || len(data)%8 != 0 {
-		return nil, false
-	}
-	words := make([]uint64, len(data)/8)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(data[8*i:])
-	}
-	return words, true
-}
-
-// ---- Full segment images (words + object-map + reference-map) -------------
 
 // ImageFile is the disk name backing the full image of segment id.
 func ImageFile(id addr.SegID) string { return fmt.Sprintf("segimg-%d", uint32(id)) }

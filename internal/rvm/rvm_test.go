@@ -73,7 +73,7 @@ func TestUncommittedInvisible(t *testing.T) {
 	l := NewLog(d, "log")
 	tx := l.Begin()
 	tx.SetRange(1, 0, 0, []uint64{42})
-	tx.WriteNoSync() // written to the page cache, never forced
+	tx.seal("test") // written to the page cache, never forced
 
 	d.Crash()
 	if recs := NewLog(d, "log").Recover(); len(recs) != 0 {
@@ -173,21 +173,20 @@ func TestTxIDsUnique(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	a, b := l.Begin(), l.Begin()
-	if a.ID() == b.ID() {
+	if a.id == b.id {
 		t.Fatal("duplicate tx ids")
 	}
 }
 
 func TestSegmentFileRoundTrip(t *testing.T) {
 	d := store.NewDisk()
-	words := []uint64{5, 6, 7, 1 << 60}
-	WriteSegment(d, 9, words)
-	d.Crash() // WriteSegment syncs, so the image survives
-	got, ok := ReadSegment(d, 9)
-	if !ok || len(got) != 4 || got[3] != 1<<60 {
-		t.Fatalf("ReadSegment = %v, %v", got, ok)
+	WriteImage(d, mem.SegImage{ID: 9, Words: []uint64{5, 6, 7, 1 << 60}})
+	d.Crash() // WriteImage syncs, so the image survives
+	got, ok := ReadImage(d, 9)
+	if !ok || len(got.Words) != 4 || got.Words[3] != 1<<60 {
+		t.Fatalf("ReadImage = %v, %v", got, ok)
 	}
-	if _, ok := ReadSegment(d, addr.SegID(1234)); ok {
+	if _, ok := ReadImage(d, addr.SegID(1234)); ok {
 		t.Fatal("missing segment should not read")
 	}
 }
@@ -209,7 +208,7 @@ func TestCrashMidSequenceKeepsPrefix(t *testing.T) {
 	t1.Commit()
 	t2 := l.Begin()
 	t2.SetRange(0, 0, 1, []uint64{2})
-	t2.WriteNoSync()
+	t2.seal("test") // appended, never forced
 	d.Crash()
 	recs := l.Recover()
 	if len(recs) != 1 || recs[0].Words[0] != 1 {

@@ -282,9 +282,6 @@ func TestStatsBasics(t *testing.T) {
 	if s.Get("a.b") != 5 {
 		t.Fatalf("Get = %d", s.Get("a.b"))
 	}
-	if s.SumPrefix("a.") != 6 {
-		t.Fatalf("SumPrefix = %d", s.SumPrefix("a."))
-	}
 	snap := s.Snapshot()
 	s.Add("a.b", 1)
 	if snap["a.b"] != 5 {

@@ -243,16 +243,6 @@ func (t *Table) IntraScionList() []IntraScion {
 	return out
 }
 
-// ScionRootOIDs returns the set of objects kept alive by inter-bunch scions
-// (strong GC roots) in this table.
-func (t *Table) ScionRootOIDs() []addr.OID {
-	set := make(map[addr.OID]bool)
-	for _, s := range t.InterScions {
-		set[s.TargetOID] = true
-	}
-	return sortedOIDs(set)
-}
-
 // IntraScionRootOIDs returns the set of objects kept alive by intra-bunch
 // scions (weak GC roots, §6.2) in this table.
 func (t *Table) IntraScionRootOIDs() []addr.OID {

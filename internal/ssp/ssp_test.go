@@ -78,17 +78,6 @@ func TestListsDeterministic(t *testing.T) {
 	}
 }
 
-func TestScionRootOIDs(t *testing.T) {
-	tb := NewTable(2)
-	tb.AddInterScion(InterScion{TargetOID: 5, SrcOID: 1, SrcNode: 0})
-	tb.AddInterScion(InterScion{TargetOID: 5, SrcOID: 2, SrcNode: 1}) // same target
-	tb.AddInterScion(InterScion{TargetOID: 3, SrcOID: 9, SrcNode: 2})
-	roots := tb.ScionRootOIDs()
-	if len(roots) != 2 || roots[0] != 3 || roots[1] != 5 {
-		t.Fatalf("roots = %v", roots)
-	}
-}
-
 func TestIntraScionRootOIDs(t *testing.T) {
 	tb := NewTable(1)
 	tb.AddIntraScion(IntraScion{OID: 8, NewOwner: 0})
@@ -129,16 +118,17 @@ func TestTableMsgWireBytes(t *testing.T) {
 }
 
 func TestRootsProperty(t *testing.T) {
-	// Every scion's target appears in the root set; no extras.
+	// Every intra-bunch scion's object appears in the weak root set; no
+	// extras.
 	f := func(targets []uint8) bool {
 		tb := NewTable(1)
 		want := map[addr.OID]bool{}
 		for i, tg := range targets {
 			o := addr.OID(tg%16 + 1)
-			tb.AddInterScion(InterScion{TargetOID: o, SrcOID: addr.OID(i + 100), SrcNode: addr.NodeID(i % 3)})
+			tb.AddIntraScion(IntraScion{OID: o, NewOwner: addr.NodeID(i % 3)})
 			want[o] = true
 		}
-		roots := tb.ScionRootOIDs()
+		roots := tb.IntraScionRootOIDs()
 		if len(roots) != len(want) {
 			return false
 		}

@@ -298,7 +298,7 @@ func TestLSMCompaction(t *testing.T) {
 		s.Write(fmt.Sprintf("f%d", i%7), []byte(fmt.Sprintf("v%d", i)))
 	}
 	s.Sync("f0")
-	if s.Compactions() == 0 {
+	if s.compactions == 0 {
 		t.Fatal("no compaction after exceeding threshold")
 	}
 	s.Crash()
@@ -341,8 +341,5 @@ func TestMeasureCounters(t *testing.T) {
 	}
 	if c.m["store.syncs"] != 1 || c.m["store.writes"] != 2 || c.m["store.reads"] != 1 {
 		t.Fatalf("counters = %v", c.m)
-	}
-	if s.Unwrap() == nil {
-		t.Fatal("Unwrap nil")
 	}
 }

@@ -212,14 +212,6 @@ func (s *LSM) Stats() (written, synced, syncs int64) {
 	return s.bytesWritten, s.bytesSynced, s.syncs
 }
 
-// Compactions returns how many times the log has been folded into a
-// snapshot.
-func (s *LSM) Compactions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactions
-}
-
 // String summarizes the store for debugging.
 func (s *LSM) String() string {
 	s.mu.Lock()

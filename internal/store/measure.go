@@ -47,9 +47,6 @@ func Measure(inner Store, c Counter, o *obs.Observer) *Measured {
 	}
 }
 
-// Unwrap returns the decorated Store.
-func (m *Measured) Unwrap() Store { return m.inner }
-
 func (m *Measured) add(name string, d int64) {
 	if m.c != nil {
 		m.c.Add(name, d)

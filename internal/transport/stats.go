@@ -19,7 +19,7 @@ import (
 // copy-on-write table. After that an Add is a read of an immutable map plus
 // one atomic add: it takes no mutex and writes no map. Every entry point is
 // safe while the cluster runs, but readings are atomic per counter only:
-// Snapshot and SumPrefix load the cells one by one, so concurrent Adds may
+// Snapshot loads the cells one by one, so concurrent Adds may
 // land in some counters and not yet in others.
 //
 // Every Stats also carries the cluster's obs.Observer — the structured
@@ -60,17 +60,6 @@ func (s *Stats) Get(name string) int64 {
 		return c.Load()
 	}
 	return 0
-}
-
-// SumPrefix returns the sum of all counters whose name starts with prefix.
-func (s *Stats) SumPrefix(prefix string) int64 {
-	var sum int64
-	for k, c := range s.cells.all() {
-		if strings.HasPrefix(k, prefix) {
-			sum += c.Load()
-		}
-	}
-	return sum
 }
 
 // Snapshot returns a copy of all counters, each read atomically on its own

@@ -27,14 +27,12 @@ func TestStatsConcurrentHammer(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				s.Add("stable.total", 1)
 				s.Add("volatile.a", 2)
-				switch i % 4 {
+				switch i % 3 {
 				case 0:
 					_ = s.Get("stable.total")
 				case 1:
-					_ = s.SumPrefix("volatile.")
-				case 2:
 					_ = s.Snapshot()
-				case 3:
+				case 2:
 					_ = s.String()
 				}
 				if w == 0 && i%100 == 99 {
@@ -53,9 +51,6 @@ func TestStatsConcurrentHammer(t *testing.T) {
 	if got := s.Get("final.marker"); got != 7 {
 		t.Fatalf("final.marker = %d, want 7", got)
 	}
-	if got := s.SumPrefix("final."); got != 7 {
-		t.Fatalf(`SumPrefix("final.") = %d, want 7`, got)
-	}
 }
 
 // TestStatsSnapshotListsTouchedNamesOnly pins what registration on first
@@ -67,7 +62,6 @@ func TestStatsSnapshotListsTouchedNamesOnly(t *testing.T) {
 	s.Add("touched.zero", 0)
 	s.Add("touched.one", 1)
 	_ = s.Get("read.only")
-	_ = s.SumPrefix("read.")
 	snap := s.Snapshot()
 	if v, ok := snap["touched.zero"]; !ok || v != 0 {
 		t.Fatalf("touched.zero = %d, %v; want listed at 0", v, ok)
