@@ -88,8 +88,13 @@ func main() {
 			f := rng.Intn(outDegree)
 			if rng.Intn(10) < 7 {
 				check(editor.WriteRef(p, f, bmx.Nil))
-			} else {
-				check(editor.WriteRef(p, f, pages[rng.Intn(docs)]))
+			} else if j := rng.Intn(docs); bookmarked[j] {
+				// A re-link opens its target too: a node can only store
+				// the address of an object it holds, and the editor's
+				// own collections drop the replicas it holds no root for.
+				check(editor.AcquireRead(pages[j]))
+				check(editor.WriteRef(p, f, pages[j]))
+				editor.Release(pages[j])
 			}
 		}
 		// The index shrinks: a few pages lose their bookmark each round.

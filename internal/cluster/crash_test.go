@@ -225,3 +225,75 @@ func TestCrashBeforeSyncLosesUnsynced(t *testing.T) {
 		t.Fatalf("recovered field 0 = %d, want pre-crash durable value 1", got)
 	}
 }
+
+// TestSelfReclaimWaitsForDurableFlip pins where a collection reuses its
+// from-space (§4.5): at its start, so the segments it frees were emptied by
+// a flip whose durability barrier has already run. A crash before this
+// collection's own log force must still recover every durable object at
+// home with its durable value, although the from-space behind that value's
+// older copies is gone.
+func TestSelfReclaimWaitsForDurableFlip(t *testing.T) {
+	cl := New(Config{Nodes: 2, SegWords: 64, WithDisk: true, GroupCommit: true})
+	home, peer := cl.Node(0), cl.Node(1)
+	b := home.NewBunch()
+	refs := make([]Ref, 8)
+	for i := range refs {
+		refs[i] = home.MustAlloc(b, 4)
+		home.AddRoot(refs[i])
+	}
+	if err := peer.MapBunch(b); err != nil {
+		t.Fatal(err)
+	}
+	write := func(base uint64) {
+		for i, r := range refs {
+			if err := home.AcquireWrite(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := home.WriteWord(r, 0, base+uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			home.Release(r)
+		}
+	}
+	// Two collections put the allocation segment and the first to-space
+	// on the from-space list: two segments, the reuse trigger for a live
+	// set that fits in one. The second flip's barrier makes the 200s
+	// durable in the second to-space.
+	write(100)
+	home.CollectBunch(b)
+	cl.Run(0)
+	for _, r := range refs {
+		if err := peer.AcquireRead(r); err != nil {
+			t.Fatal(err)
+		}
+		peer.Release(r)
+	}
+	write(200)
+	home.CollectBunch(b)
+	cl.Run(0)
+	write(300) // never durable: the next barrier is skipped
+
+	home.ArmFlipCrash(CrashBeforeFlipSync)
+	before := cl.Stats().Get("core.reclaim.segments")
+	home.CollectBunch(b)
+	if cl.Stats().Get("core.reclaim.segments") == before {
+		t.Fatal("the armed collection did not start by reclaiming from-space")
+	}
+	if !home.FlipCrashFired() {
+		t.Fatal("armed crash did not fire")
+	}
+	if err := home.KillRestart(b); err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(0)
+	for i, r := range refs {
+		if err := home.AcquireRead(r); err != nil {
+			t.Fatalf("object %d lost at home: %v", i, err)
+		}
+		got, err := home.ReadWord(r, 0)
+		home.Release(r)
+		if err != nil || got != 200+uint64(i) {
+			t.Fatalf("object %d recovered %d (%v), want durable value %d", i, got, err, 200+i)
+		}
+	}
+}

@@ -495,6 +495,107 @@ func TestCopyOverflowSegmentsAreReclaimed(t *testing.T) {
 	}
 }
 
+// TestEveryNodeReclaimsItsOwnFromSpace pins the §4.5 reuse trigger in the
+// collector: with no explicit ReclaimFromSpace, every node that collects a
+// shared bunch under churn reuses its own from-space, so the segments each
+// node maps stop growing, and no rooted object loses its value.
+func TestEveryNodeReclaimsItsOwnFromSpace(t *testing.T) {
+	const nodes, perNode, churn, rounds = 4, 12, 4, 40
+	cl := New(Config{Nodes: nodes, SegWords: 64, Seed: 1})
+	b := cl.Node(0).NewBunch()
+	for i := 1; i < nodes; i++ {
+		if err := cl.Node(i).MapBunch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type slot struct {
+		ref Ref
+		val uint64
+	}
+	var next uint64
+	write := func(n *Node, s *slot) {
+		next++
+		if err := n.AcquireWrite(s.ref); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.WriteWord(s.ref, 0, next); err != nil {
+			t.Fatal(err)
+		}
+		n.Release(s.ref)
+		s.val = next
+	}
+	fresh := func(n *Node) slot {
+		s := slot{ref: n.MustAlloc(b, 4)}
+		n.AddRoot(s.ref)
+		write(n, &s)
+		return s
+	}
+	slots := make([][]slot, nodes)
+	for i := range slots {
+		for range perNode {
+			slots[i] = append(slots[i], fresh(cl.Node(i)))
+		}
+	}
+
+	reclaimed := make([]int64, nodes)
+	mappedAt10 := make([]int, nodes)
+	for k := 1; k <= rounds; k++ {
+		for i := range nodes {
+			n := cl.Node(i)
+			for j := range churn {
+				s := &slots[i][(k*churn+j)%perNode]
+				n.RemoveRoot(s.ref)
+				*s = fresh(n)
+			}
+			// Read a neighbour's object and rewrite one of its own, so
+			// replicas and ownership cross nodes between collections.
+			peer := slots[(i+1)%nodes][k%perNode].ref
+			if err := n.AcquireRead(peer); err != nil {
+				t.Fatal(err)
+			}
+			n.Release(peer)
+			write(n, &slots[i][(k+1)%perNode])
+
+			before := cl.Stats().Get("core.reclaim.segments")
+			n.CollectBunch(b)
+			reclaimed[i] += cl.Stats().Get("core.reclaim.segments") - before
+			cl.Run(0)
+		}
+		for i := range nodes {
+			mapped := len(cl.Node(i).Collector().Heap().Segments())
+			switch k {
+			case 10:
+				mappedAt10[i] = mapped
+			case rounds:
+				if mapped > mappedAt10[i] {
+					t.Errorf("node %d maps %d segments after collection %d, up from %d after collection 10",
+						i, mapped, k, mappedAt10[i])
+				}
+			}
+		}
+	}
+	for i, r := range reclaimed {
+		if r == 0 {
+			t.Errorf("node %d never reclaimed a from-space segment", i)
+		}
+	}
+	for i := range slots {
+		n := cl.Node(i)
+		for _, s := range slots[i] {
+			if err := n.AcquireRead(s.ref); err != nil {
+				t.Fatalf("node %d: %v", i, err)
+			}
+			if v, err := n.ReadWord(s.ref, 0); err != nil || v != s.val {
+				t.Fatalf("node %d: %v holds %d (%v), want %d", i, s.ref, v, err, s.val)
+			}
+			n.Release(s.ref)
+		}
+	}
+	if vs := cl.CheckInvariants(); len(vs) != 0 {
+		t.Fatalf("invariants violated: %v", vs)
+	}
+}
+
 func TestTablesTolerateLoss(t *testing.T) {
 	// Table messages are idempotent snapshots: with 40% background loss,
 	// repeated collection rounds still reclaim distributed garbage and

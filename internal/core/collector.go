@@ -40,8 +40,11 @@ type Replica struct {
 	// fromSegs are locally created segments superseded by the last
 	// collection, eligible for the §4.5 reuse protocol.
 	fromSegs []addr.SegID
-	gcActive bool
-	writeLog map[addr.OID]bool
+	// copiedWords is what the last collection of the bunch copied at this
+	// node, headers included: the §4.5 reuse trigger's yardstick.
+	copiedWords int
+	gcActive    bool
+	writeLog    map[addr.OID]bool
 }
 
 func newReplica(b addr.BunchID) *Replica {
@@ -445,10 +448,11 @@ func (c *Collector) NoteWrite(o addr.OID) {
 // ---- Pending location updates (§4.4) ---------------------------------------
 
 // queueLocation records that o now lives at newAddr, to be told to every
-// other node holding a replica of the bunch — lazily, by piggybacking.
-func (c *Collector) queueLocation(o addr.OID, b addr.BunchID, newAddr addr.Addr, size int) {
+// other holder of the bunch — lazily, by piggybacking. holders is the
+// bunch's c.dir.Holders(b), which the caller looks up.
+func (c *Collector) queueLocation(o addr.OID, b addr.BunchID, newAddr addr.Addr, size int, holders []addr.NodeID) {
 	man := dsm.Manifest{OID: o, Addr: newAddr, Size: size, Bunch: b, Epoch: c.locEpoch[o]}
-	for _, peer := range c.dir.Holders(b) {
+	for _, peer := range holders {
 		if peer == c.node {
 			continue
 		}

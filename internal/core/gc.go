@@ -118,7 +118,24 @@ func (c *Collector) CollectBunches(bunches []addr.BunchID) CollectStats {
 	return total
 }
 
+// reuseFactor sets the §4.5 trigger: a node reuses a bunch's from-space
+// once it holds reuseFactor times what the bunch's last collection copied
+// there, and never less than reuseFactor segments.
+const reuseFactor = 2
+
 func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool) CollectStats {
+	// ---- From-space reuse (§4.5), before this collection starts ---------
+	// The paper reuses a from-space segment once the to-space fills. Only
+	// segments emptied by an earlier collection are candidates, and that
+	// collection's flip has passed its durability barrier, so no crash
+	// recovery can need them. Reusing at the end of a collection instead
+	// would free them before that collection's own barrier.
+	for _, b := range bunches {
+		if rep := c.Replica(b); c.fromSpaceFull(rep) {
+			c.ReclaimFromSpace(b)
+		}
+	}
+
 	total := transport.StartWatch(c.net.Clock())
 	var st CollectStats
 	st.Bunches = len(bunches)
@@ -156,6 +173,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		}
 		fromCandidates[b] = rep.ownSegs
 		rep.ownSegs = nil
+		rep.copiedWords = 0
 		// Fresh to-space: mutator allocations during the collection
 		// land there and survive this cycle unconditionally.
 		rep.allocSeg = c.newAllocSeg(b)
@@ -254,6 +272,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	// ---- Copy phase: only locally-owned live objects move (§4.2) --------
 	copyWatch := transport.StartWatch(c.net.Clock())
 	var copied []addr.OID
+	holders := make(map[addr.BunchID][]addr.NodeID, len(bunches))
 	for _, o := range sortedLiveOIDs(live) {
 		if !c.dsm.IsOwner(o) {
 			continue
@@ -266,10 +285,11 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		if meta == nil || !oldSegs[meta.ID] {
 			continue // already in to-space (e.g. allocated during this GC)
 		}
-		if man, moved := c.moveOwnedObject(o); moved {
+		if man, moved := c.moveOwnedObject(o, holders); moved {
 			copied = append(copied, o)
 			st.Copied++
 			st.CopiedWords += man.Size + mem.HeaderWords
+			c.Replica(man.Bunch).copiedWords += man.Size + mem.HeaderWords
 			c.copyHist.Observe(int64(man.Size))
 			c.rec.Emit(obs.Event{Kind: obs.KGCCopy, Class: obs.ClassGC,
 				Flags: gfl | obs.FlagOwned, OID: o, A: int64(man.Size)})

@@ -320,12 +320,20 @@ func (c *Collector) OnOwnershipAcquired(o addr.OID) {
 // TakePendingManifests drains the location updates queued for peer so they
 // ride as piggyback on an outgoing consistency message (§4.4).
 func (c *Collector) TakePendingManifests(peer addr.NodeID) []dsm.Manifest {
+	ms := c.takePending(peer)
+	if len(ms) > 0 {
+		c.stats().Add("core.loc.piggybacked", int64(len(ms)))
+	}
+	return ms
+}
+
+// takePending drains the location updates queued for peer, sorted.
+func (c *Collector) takePending(peer addr.NodeID) []dsm.Manifest {
 	q := c.pending[peer]
 	if len(q) == 0 {
 		return nil
 	}
 	delete(c.pending, peer)
-	c.stats().Add("core.loc.piggybacked", int64(len(q)))
 	return manifestList(q)
 }
 
@@ -404,7 +412,7 @@ func (c *Collector) Reestablish(o addr.OID) bool {
 	// Supersede every location manifest in flight: a delayed older address
 	// must not move the resurrected object backward at any holder.
 	c.locEpoch[o]++
-	c.queueLocation(o, info.Bunch, a, c.heap.ObjSize(a))
+	c.queueLocation(o, info.Bunch, a, c.heap.ObjSize(a), c.dir.Holders(info.Bunch))
 	c.stats().Add("core.reestablished", 1)
 	return true
 }

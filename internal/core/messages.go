@@ -166,7 +166,7 @@ func (c *Collector) serveCopyOut(req CopyOutReq) CopyOutReply {
 			rep.NotOwned[o] = c.dsm.OwnerPtrOf(o)
 			continue
 		}
-		if man, ok := c.moveOwnedObject(o); ok {
+		if man, ok := c.moveOwnedObject(o, nil); ok {
 			rep.Manifests = append(rep.Manifests, man)
 		} else {
 			rep.NotOwned[o] = addr.NoNode
@@ -189,8 +189,9 @@ func (c *Collector) serveCopyOut(req CopyOutReq) CopyOutReply {
 // segment of its bunch, installs the forwarding pointer, and queues location
 // updates for every other replica holder. It is the one copying primitive:
 // the bunch collector's copy phase, the copy-out service and segment
-// evacuation all move objects through it.
-func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
+// evacuation all move objects through it. holders memoizes c.dir.Holders
+// per bunch across the calls of one copy phase; nil looks them up per call.
+func (c *Collector) moveOwnedObject(o addr.OID, holders map[addr.BunchID][]addr.NodeID) (dsm.Manifest, bool) {
 	old, ok := c.heap.Canonical(o)
 	if !ok || !c.heap.Mapped(old) || !c.heap.IsObjectAt(old) {
 		return dsm.Manifest{}, false
@@ -228,7 +229,14 @@ func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
 	c.locEpoch[o]++
 	ep := c.locEpoch[o]
 	c.net.Clock().Advance(copyWordTick * uint64(size+mem.HeaderWords))
-	c.queueLocation(o, b, to, size)
+	hs, ok := holders[b]
+	if !ok {
+		hs = c.dir.Holders(b)
+		if holders != nil {
+			holders[b] = hs
+		}
+	}
+	c.queueLocation(o, b, to, size, hs)
 	c.stats().Add("core.gc.copied", 1)
 	c.stats().Add("core.gc.copiedWords", int64(size+mem.HeaderWords))
 	return dsm.Manifest{OID: o, Addr: to, Size: size, Bunch: b, Epoch: ep}, true
@@ -286,7 +294,7 @@ func (c *Collector) evacuate(segs []addr.SegID) {
 		}
 	}
 	for _, o := range mine {
-		c.moveOwnedObject(o)
+		c.moveOwnedObject(o, nil)
 	}
 	c.requestCopyOut(theirs)
 }
@@ -328,7 +336,7 @@ func (c *Collector) requestCopyOut(oids []addr.OID) {
 		for _, t := range targets {
 			if t.node == c.node {
 				for _, o := range t.oids {
-					c.moveOwnedObject(o)
+					c.moveOwnedObject(o, nil)
 				}
 				continue
 			}

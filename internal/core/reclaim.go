@@ -41,12 +41,7 @@ func (c *Collector) ReclaimFromSpace(b addr.BunchID) ReclaimStats {
 	if !ok {
 		return ReclaimStats{}
 	}
-	var ids []addr.SegID
-	for _, id := range rep.fromSegs {
-		if s := c.heap.Seg(id); s != nil && s != rep.allocSeg {
-			ids = append(ids, id)
-		}
-	}
+	ids := c.fromSpace(rep)
 	rep.fromSegs = nil
 	if len(ids) == 0 {
 		return ReclaimStats{}
@@ -89,7 +84,9 @@ func (c *Collector) ReclaimFromSpace(b addr.BunchID) ReclaimStats {
 		if peer == c.node {
 			continue
 		}
-		all := append(append([]dsm.Manifest(nil), mans...), c.TakePendingManifests(peer)...)
+		// The peer's queued location updates ride along, but on a GC
+		// message: they are not consistency-traffic piggyback (§4.4).
+		all := append(append([]dsm.Manifest(nil), mans...), c.takePending(peer)...)
 		bytes := 16 + 4*len(ids)
 		for _, m := range all {
 			bytes += m.WireBytes()
@@ -124,6 +121,27 @@ func (c *Collector) ReclaimFromSpace(b addr.BunchID) ReclaimStats {
 		c.rec.Emit(obs.Event{Kind: obs.KReclaimSeg, Class: obs.ClassGC, A: int64(words)})
 	}
 	return st
+}
+
+// fromSpace lists rep's from-space segments still mapped here, bar the
+// current allocation segment.
+func (c *Collector) fromSpace(rep *Replica) []addr.SegID {
+	var ids []addr.SegID
+	for _, id := range rep.fromSegs {
+		if s := c.heap.Seg(id); s != nil && s != rep.allocSeg {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// fromSpaceFull reports whether rep's from-space has reached the reuse
+// trigger (reuseFactor): counted in words, so seeded runs reuse at the
+// same points.
+func (c *Collector) fromSpaceFull(rep *Replica) bool {
+	seg := c.heap.Allocator().SegWords()
+	held := seg * len(c.fromSpace(rep))
+	return held >= reuseFactor*max(rep.copiedWords, seg)
 }
 
 // FromSpaceSegments reports the segments of b awaiting the reuse protocol.
