@@ -238,10 +238,10 @@ func TestAddressRecycling(t *testing.T) {
 	if recycledRanges(cl) == before {
 		t.Fatal("freed segment never recycled")
 	}
-	// The ledger must not map the recycled range to the OLD object any
-	// more (it may map to the new tenant, which is correct).
-	if got, ok := cl.Directory().PlacementOID(firstSeg.Base); ok && got == o.OID {
-		t.Fatal("placement ledger still maps a recycled address to the old object")
+	// A stale word into the recycled range must not name the OLD object
+	// any more (it may name the new tenant, which is correct).
+	if _, got := n.Collector().ResolveRef(firstSeg.Base); got == o.OID {
+		t.Fatal("a recycled address still resolves to the old object")
 	}
 	// The original object still works at its post-GC home.
 	if err := n.WriteWord(o, 0, 5); err != nil {
@@ -264,6 +264,90 @@ func recycledRanges(cl *Cluster) int {
 		n += int(alloc.Meta(id).Gen)
 	}
 	return n
+}
+
+// A granted image may hold a pointer word the receiver has no header for:
+// the granter still has the referee at its old address, and the receiver
+// rejected the granter's manifest for it because it already knows a newer
+// location. The grant's manifest for that word still names the object, so
+// the receiver identifies the word by it (invariant 1, §5).
+func TestGrantIdentifiesStaleWordByItsManifest(t *testing.T) {
+	cl := New(Config{Nodes: 3, SegWords: 64})
+	n0, n1, n2 := cl.Node(0), cl.Node(1), cl.Node(2)
+	b := n0.NewBunch()
+	y := n0.MustAlloc(b, 1)
+	n0.AddRoot(y)
+
+	if err := n1.AcquireRead(y); err != nil {
+		t.Fatal(err)
+	}
+	n1.Release(y)
+	x := n1.MustAlloc(n1.NewBunch(), 1)
+	n1.AddRoot(x)
+	if err := n1.WriteRef(x, 0, y); err != nil {
+		t.Fatal(err)
+	}
+
+	// y moves at its owner; n1 still holds x.0 at y's old address.
+	oldY := mustCanonical(t, n0, y)
+	n0.CollectBunch(b)
+	if mustCanonical(t, n0, y) == oldY {
+		t.Fatal("the collection did not move y")
+	}
+
+	// n2 learns y's new location first, then receives x from n1.
+	if err := n2.AcquireRead(y); err != nil {
+		t.Fatal(err)
+	}
+	n2.Release(y)
+	if err := n2.AcquireRead(x); err != nil {
+		t.Fatal(err)
+	}
+	got, err := n2.ReadRef(x, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != y {
+		t.Fatalf("x.0 = %v at n2, want %v", got, y)
+	}
+}
+
+// A granter may have reclaimed its own replica of a referee — a non-owned
+// object its collection of the referee's bunch found dead locally — while
+// an object it grants still points at it. Its header still identifies the
+// word, so the grant ships a manifest for it and the receiver can follow
+// the reference (invariant 1, §5).
+func TestGrantShipsManifestOfLocallyReclaimedReferee(t *testing.T) {
+	cl := New(Config{Nodes: 3, SegWords: 64})
+	n0, n1, n2 := cl.Node(0), cl.Node(1), cl.Node(2)
+	by := n1.NewBunch()
+	y := n1.MustAlloc(by, 1)
+	n1.AddRoot(y)
+
+	x := n0.MustAlloc(n0.NewBunch(), 1)
+	n0.AddRoot(x)
+	if err := n0.AcquireRead(y); err != nil {
+		t.Fatal(err)
+	}
+	n0.Release(y)
+	if err := n0.WriteRef(x, 0, y); err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(0)
+	if st := n0.CollectBunch(by); st.Dead == 0 {
+		t.Fatal("n0's collection of y's bunch reclaimed nothing")
+	}
+
+	if err := n2.AcquireRead(x); err != nil {
+		t.Fatal(err)
+	}
+	got, err := n2.ReadRef(x, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != y {
+		t.Fatalf("x.0 = %v at n2, want %v", got, y)
+	}
 }
 
 func mustCanonical(t *testing.T, n *Node, r Ref) addr.Addr {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"maps"
 	"net"
 	"strings"
 	"testing"
@@ -38,6 +39,13 @@ func reserveAddrs(t *testing.T, n int) []string {
 // waits for the mesh.
 func startPeers(t *testing.T, addrs []string) []*Peer {
 	t.Helper()
+	return startPeersSeg(t, addrs, 0)
+}
+
+// startPeersSeg is startPeers with segments of segWords words (0: the
+// default).
+func startPeersSeg(t *testing.T, addrs []string, segWords int) []*Peer {
+	t.Helper()
 	peers := make([]*Peer, len(addrs))
 	for i, a := range addrs {
 		var others []string
@@ -46,7 +54,7 @@ func startPeers(t *testing.T, addrs []string) []*Peer {
 				others = append(others, b)
 			}
 		}
-		p, err := NewPeer(PeerConfig{Listen: a, Peers: others, Seed: int64(i)})
+		p, err := NewPeer(PeerConfig{Listen: a, Peers: others, Seed: int64(i), SegWords: segWords})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,4 +377,43 @@ func TestClosedPeerOwnerHintIsNoOp(t *testing.T) {
 	if _, h := seed.cl.dir.Locate(o.OID); h != seed.ID() {
 		t.Fatalf("hint = %v after a send from a closed peer, want the allocation site %v", h, seed.ID())
 	}
+}
+
+// A follower's collection of a bunch it created makes a fixed number of
+// directory calls, however many objects it copies: a copied object's new
+// address is the follower's own business (its headers and the manifests
+// it ships), not the seed's.
+func TestPeerCollectionCopiesWithoutDirectoryCalls(t *testing.T) {
+	small, large := collectionDirCalls(t, 60), collectionDirCalls(t, 120)
+	if !maps.Equal(small, large) {
+		t.Errorf("directory calls of one collection: %v copying 60 objects, %v copying 120; want the same", small, large)
+	}
+}
+
+// collectionDirCalls starts three peers, has a follower root n objects in a
+// bunch of its own and collect it, and returns the synchronous directory
+// calls the collection sent, by kind. Segments hold 1024 words, so the
+// bunch and its to-space take one segment each at either size.
+func collectionDirCalls(t *testing.T, n int) map[string]int64 {
+	t.Helper()
+	peers := startPeersSeg(t, reserveAddrs(t, 3), 1024)
+	f := peers[0]
+	if f.IsSeed() {
+		f = peers[1]
+	}
+	b := f.Node().NewBunch()
+	for i := 0; i < n; i++ {
+		f.Node().AddRoot(f.Node().MustAlloc(b, 1))
+	}
+	before := dirTraffic(peers)
+	if st := f.Node().CollectBunch(b); st.Copied != n {
+		t.Fatalf("collection copied %d objects, want %d", st.Copied, n)
+	}
+	calls := make(map[string]int64)
+	for k, v := range dirTraffic(peers) {
+		if d := v - before[k]; d != 0 && !strings.HasSuffix(k, ".reply") {
+			calls[k] = d
+		}
+	}
+	return calls
 }

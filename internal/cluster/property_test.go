@@ -251,7 +251,7 @@ func (m *model) checkDangling(ctx string) {
 					return
 				}
 				// Resolution semantics match the mutator's ReadRef:
-				// forwarding pointers, then the tombstone index.
+				// forwarding pointers, then the local headers.
 				r, roid := nd.Collector().ResolveRef(v)
 				if roid.IsNil() {
 					mo := m.objs[oid]
@@ -259,8 +259,6 @@ func (m *model) checkDangling(ctx string) {
 					if f < len(mo.fields) {
 						want = mo.fields[f]
 					}
-					tomb, tok := m.cl.Directory().PlacementOID(v)
-					m.t.Logf("TOMBDBG raw=%v tombstone=%v/%v", v, tomb, tok)
 					seg := m.cl.Directory().Allocator().Lookup(r)
 					segInfo := "outside every segment"
 					if seg != nil {

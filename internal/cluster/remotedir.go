@@ -118,10 +118,6 @@ func serveDir(d *core.Directory, m transport.Msg) (any, int, error) {
 		d.SetOwnerHint(req.O, req.Node)
 	case "dir.locate":
 		rep.B, rep.Node = d.Locate(req.O)
-	case "dir.recordPlacement":
-		d.RecordPlacement(req.A, req.O)
-	case "dir.placementOID":
-		rep.O, rep.Ok = d.PlacementOID(req.A)
 	default:
 		return nil, 0, fmt.Errorf("cluster: unknown dir call %q", m.Kind)
 	}
@@ -257,13 +253,4 @@ func (rd *remoteDir) SetOwnerHint(o addr.OID, n addr.NodeID) {
 func (rd *remoteDir) Locate(o addr.OID) (addr.BunchID, addr.NodeID) {
 	rep := rd.call("dir.locate", dirReq{O: o})
 	return rep.B, rep.Node
-}
-
-func (rd *remoteDir) RecordPlacement(a addr.Addr, o addr.OID) {
-	rd.call("dir.recordPlacement", dirReq{A: a, O: o})
-}
-
-func (rd *remoteDir) PlacementOID(a addr.Addr) (addr.OID, bool) {
-	rep := rd.call("dir.placementOID", dirReq{A: a})
-	return rep.O, rep.Ok
 }

@@ -285,56 +285,13 @@ func (c *Collector) Alloc(b addr.BunchID, size int) (addr.OID, error) {
 	return oid, nil
 }
 
-// OIDAt identifies the object a reference value denotes: through local
-// forwarding pointers and headers first, then through the tombstone index
-// of freed from-space segments.
-func (c *Collector) OIDAt(a addr.Addr) addr.OID {
-	if a.IsNil() {
-		return addr.NilOID
-	}
-	r := c.heap.Resolve(a)
-	if c.heap.Mapped(r) && c.heap.IsObjectAt(r) {
-		return c.heap.ObjOID(r)
-	}
-	if o, ok := c.dir.PlacementOID(r); ok {
-		return o
-	}
-	if o, ok := c.dir.PlacementOID(a); ok {
-		return o
-	}
-	return addr.NilOID
-}
-
 // ResolveRef returns the current local address of whatever reference value
-// a denotes, healing stale words through the tombstone index, and the
-// object's identity. A nil OID means the value is dangling garbage.
+// a denotes, following local forwarding pointers, and the identity of the
+// object headed there. A nil OID means no local header answers for the
+// value: it is dangling garbage here.
 func (c *Collector) ResolveRef(a addr.Addr) (addr.Addr, addr.OID) {
 	r := c.heap.Resolve(a)
-	if c.heap.Mapped(r) && c.heap.IsObjectAt(r) {
-		return r, c.heap.ObjOID(r)
-	}
-	o := c.OIDAt(a)
-	if o.IsNil() {
-		return r, addr.NilOID
-	}
-	if can, ok := c.heap.Canonical(o); ok {
-		can = c.heap.Resolve(can)
-		if c.heap.Mapped(can) && c.heap.IsObjectAt(can) {
-			return can, o
-		}
-	}
-	// The identity is known (placement ledger) even though this node holds
-	// no replica: the reference is valid, the data just lives elsewhere —
-	// the caller's next acquire will fetch it.
-	return r, o
-}
-
-// rememberTombstones records the identities of a freed segment's objects in
-// the cluster directory (the address-recycling ledger).
-func (c *Collector) rememberTombstones(hs []SegHeader) {
-	for _, h := range hs {
-		c.dir.RecordPlacement(h.Old, h.OID)
-	}
+	return r, c.heap.OIDAt(r)
 }
 
 // ---- Write barrier (§3.2) ---------------------------------------------------

@@ -40,8 +40,6 @@ type Dir interface {
 	SegmentPopulation(a addr.Addr) []addr.OID
 	SetOwnerHint(o addr.OID, n addr.NodeID)
 	Locate(o addr.OID) (addr.BunchID, addr.NodeID)
-	RecordPlacement(a addr.Addr, o addr.OID)
-	PlacementOID(a addr.Addr) (addr.OID, bool)
 }
 
 var _ Dir = (*Directory)(nil)

@@ -19,7 +19,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -75,37 +74,18 @@ type Directory struct {
 	// the chains themselves stay authoritative, so a stale hint — any past
 	// owner — is still a sound place to start one.
 	ownerHint map[addr.OID]addr.NodeID
-	// placements maps every address an object has ever been placed at
-	// (its allocation address and each to-space copy) to its identity. In
-	// the real system object headers are part of segment memory and reach
-	// every replica with the pages; in this simulation the directory
-	// carries that knowledge, so a stale word in any replica still
-	// identifies its object even after the segment holding the header was
-	// freed or was never mapped locally. The ledger is kept per segment,
-	// sorted by address, so freeing a segment forgets its range without
-	// touching any other segment's placements.
-	placements map[addr.SegID][]placement
 }
-
-// placement is one ledger entry: an object was placed at an address.
-type placement struct {
-	a addr.Addr
-	o addr.OID
-}
-
-func cmpPlacement(p placement, a addr.Addr) int { return cmp.Compare(p.a, a) }
 
 // NewDirectory creates a directory drawing segments from alloc.
 func NewDirectory(alloc *mem.Allocator) *Directory {
 	return &Directory{
-		alloc:      alloc,
-		bunches:    make(map[addr.BunchID]*bunchInfo),
-		objects:    make(map[addr.OID]ObjInfo),
-		nextBunch:  1,
-		nextOID:    1,
-		segObjs:    make(map[addr.SegID][]addr.OID),
-		ownerHint:  make(map[addr.OID]addr.NodeID),
-		placements: make(map[addr.SegID][]placement),
+		alloc:     alloc,
+		bunches:   make(map[addr.BunchID]*bunchInfo),
+		objects:   make(map[addr.OID]ObjInfo),
+		nextBunch: 1,
+		nextOID:   1,
+		segObjs:   make(map[addr.SegID][]addr.OID),
+		ownerHint: make(map[addr.OID]addr.NodeID),
 	}
 }
 
@@ -233,10 +213,7 @@ func (d *Directory) AddSegment(b addr.BunchID) *mem.SegmentMeta {
 
 // RemoveSegment detaches a reclaimed segment from its bunch and returns its
 // address range to the allocator for recycling (§4.5: "the from-space
-// segment can be fully reused or freed"). The placement ledger forgets the
-// range: a stale word pointing into recycled memory must dangle (to be
-// repaired by invariant 1 at the holder's next acquire), never resolve to
-// whatever object lives there next.
+// segment can be fully reused or freed").
 func (d *Directory) RemoveSegment(b addr.BunchID, id addr.SegID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -247,7 +224,6 @@ func (d *Directory) RemoveSegment(b addr.BunchID, id addr.SegID) {
 		}
 		bi.segs = append(bi.segs[:i], bi.segs[i+1:]...)
 		if d.alloc.Meta(id) != nil {
-			delete(d.placements, id)
 			delete(d.segObjs, id)
 		}
 		d.alloc.Free(id)
@@ -281,7 +257,6 @@ func (d *Directory) RegisterObject(info ObjInfo) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.objects[info.OID] = info
-	d.place(info.AllocAddr, info.OID)
 	if meta := d.alloc.Lookup(info.AllocAddr); meta != nil {
 		d.segObjs[meta.ID] = append(d.segObjs[meta.ID], info.OID)
 	}
@@ -329,44 +304,4 @@ func (d *Directory) Locate(o addr.OID) (addr.BunchID, addr.NodeID) {
 		hint = n
 	}
 	return b, hint
-}
-
-// RecordPlacement records that object o was placed (allocated or copied)
-// at address a.
-func (d *Directory) RecordPlacement(a addr.Addr, o addr.OID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.place(a, o)
-}
-
-// place records a placement in the ledger of a's segment. Only addresses
-// inside the segment region can hold an object. Allocation bumps upward, so
-// the new entry almost always goes at the end. Caller holds d.mu.
-func (d *Directory) place(a addr.Addr, o addr.OID) {
-	id, ok := d.alloc.SegIndex(a)
-	if !ok {
-		return
-	}
-	ps := d.placements[id]
-	i, found := slices.BinarySearchFunc(ps, a, cmpPlacement)
-	if found {
-		ps[i].o = o
-		return
-	}
-	d.placements[id] = slices.Insert(ps, i, placement{a, o})
-}
-
-// PlacementOID returns the object that was placed at a, if any ever was.
-func (d *Directory) PlacementOID(a addr.Addr) (addr.OID, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	id, ok := d.alloc.SegIndex(a)
-	if !ok {
-		return addr.NilOID, false
-	}
-	ps := d.placements[id]
-	if i, found := slices.BinarySearchFunc(ps, a, cmpPlacement); found {
-		return ps[i].o, true
-	}
-	return addr.NilOID, false
 }

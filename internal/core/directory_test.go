@@ -79,11 +79,7 @@ func TestDirectoryObjects(t *testing.T) {
 	if info, ok := d.Object(999); ok || info.Bunch != addr.NoBunch {
 		t.Fatal("unknown oid must map to NoBunch")
 	}
-	// Allocation is also a placement.
-	if got, ok := d.PlacementOID(m.Base); !ok || got != oid {
-		t.Fatalf("placement = %v, %v", got, ok)
-	}
-	// And the segment population lists it.
+	// The segment population lists it.
 	if pop := d.SegmentPopulation(m.Base); len(pop) != 1 || pop[0] != oid {
 		t.Fatalf("population = %v", pop)
 	}
@@ -98,35 +94,6 @@ func TestDirectoryOIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate OID %v", o)
 		}
 		seen[o] = true
-	}
-}
-
-func TestDirectoryPlacements(t *testing.T) {
-	d := newDir()
-	b := d.NewBunch(0)
-	from, to := d.AddSegment(b), d.AddSegment(b)
-	old, moved := from.Base.AddWords(8), to.Base.AddWords(8)
-	d.RecordPlacement(old, 7)
-	d.RecordPlacement(moved, 7) // the object moved
-	if o, ok := d.PlacementOID(old); !ok || o != 7 {
-		t.Fatal("old placement lost")
-	}
-	if o, ok := d.PlacementOID(moved); !ok || o != 7 {
-		t.Fatal("new placement missing")
-	}
-	if _, ok := d.PlacementOID(to.Base); ok {
-		t.Fatal("phantom placement")
-	}
-	if _, ok := d.PlacementOID(0x3000); ok {
-		t.Fatal("phantom placement below the segment region")
-	}
-	// Freeing a segment forgets the placements in its range, and only those.
-	d.RemoveSegment(b, from.ID)
-	if _, ok := d.PlacementOID(old); ok {
-		t.Fatal("placement in a freed segment survived")
-	}
-	if o, ok := d.PlacementOID(moved); !ok || o != 7 {
-		t.Fatal("freeing one segment dropped another's placement")
 	}
 }
 

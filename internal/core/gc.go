@@ -550,7 +550,7 @@ func (c *Collector) traceImpl(set map[addr.BunchID]bool, roots []addr.OID, stren
 			if v.IsNil() {
 				return
 			}
-			t := c.OIDAt(v)
+			t := c.heap.OIDAt(v)
 			if t.IsNil() {
 				if !quiet {
 					c.stats().Add("core.gc.danglingScan", 1)
@@ -579,23 +579,13 @@ func (c *Collector) stubsAllInGroup(o addr.OID, set map[addr.BunchID]bool) bool 
 }
 
 // fixupLocalRefs rewrites the pointer fields of o's local copy through the
-// local forwarding pointers. This modifies objects without any token: the
-// change is address-level only and invisible to the application's
-// consistency contract (§4.4).
+// local forwarding pointers.
 func (c *Collector) fixupLocalRefs(o addr.OID) {
 	a, ok := c.heap.Canonical(o)
 	if !ok || !c.heap.Mapped(a) || !c.heap.IsObjectAt(a) {
 		return
 	}
-	c.heap.ForEachRef(a, func(i int, v addr.Addr) {
-		if v.IsNil() {
-			return
-		}
-		if r, oid := c.ResolveRef(v); !oid.IsNil() && r != v {
-			c.heap.SetField(a, i, uint64(r), true)
-			c.stats().Add("core.gc.refsUpdated", 1)
-		}
-	})
+	c.normalizeRefs(a, "core.gc.refsUpdated")
 }
 
 // knownInBunch lists every object of bunch b this node has any knowledge of
@@ -674,7 +664,7 @@ func (c *Collector) objectStillReferences(src, target addr.OID) bool {
 	}
 	found := false
 	c.heap.ForEachRef(a, func(_ int, v addr.Addr) {
-		found = found || !v.IsNil() && c.OIDAt(v) == target
+		found = found || !v.IsNil() && c.heap.OIDAt(v) == target
 	})
 	return found
 }

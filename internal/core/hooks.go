@@ -41,7 +41,10 @@ func (c *Collector) manifestOf(o addr.OID) (dsm.Manifest, bool) {
 }
 
 // GrantManifests implements invariant 1: when granting o, ship the current
-// locations of o and of every object o directly references.
+// locations of o and of every object o directly references. A referee this
+// node has reclaimed locally (no canonical address) is still identified by
+// its header under the word, and the word's address is what ships: it is
+// the location the granted image names.
 func (c *Collector) GrantManifests(o addr.OID) []dsm.Manifest {
 	var out []dsm.Manifest
 	if m, ok := c.manifestOf(o); ok {
@@ -53,13 +56,19 @@ func (c *Collector) GrantManifests(o addr.OID) []dsm.Manifest {
 	}
 	seen := map[addr.OID]bool{o: true}
 	c.heap.ForEachRef(a, func(_ int, ra addr.Addr) {
-		t := c.OIDAt(ra)
+		r := c.heap.Resolve(ra)
+		t := c.heap.OIDAt(r)
 		if t.IsNil() || seen[t] {
 			return
 		}
 		seen[t] = true
 		if m, ok := c.manifestOf(t); ok {
 			out = append(out, m)
+		} else if _, known := c.heap.Canonical(t); !known {
+			out = append(out, dsm.Manifest{
+				OID: t, Addr: r, Size: c.heap.ObjSize(r), Bunch: c.BunchOf(t),
+				Epoch: c.LocationEpoch(t),
+			})
 		}
 	})
 	return out
@@ -158,7 +167,7 @@ func (c *Collector) ObjectImage(o addr.OID) dsm.ObjectImage {
 	if !c.heap.Mapped(a) || !c.heap.IsObjectAt(a) {
 		return img
 	}
-	c.normalizeRefs(a)
+	c.normalizeRefs(a, "core.loc.refsNormalized")
 	n := c.heap.ObjSize(a)
 	img.Words = make([]uint64, n)
 	img.RefMask = make([]bool, n)
@@ -170,8 +179,8 @@ func (c *Collector) ObjectImage(o addr.OID) dsm.ObjectImage {
 }
 
 // InstallImage overwrites the local replica with a consistent image received
-// with a token grant.
-func (c *Collector) InstallImage(img dsm.ObjectImage, from addr.NodeID) {
+// with a token grant, ms being the grant's manifests.
+func (c *Collector) InstallImage(img dsm.ObjectImage, ms []dsm.Manifest, from addr.NodeID) {
 	if img.Addr.IsNil() {
 		return
 	}
@@ -198,23 +207,48 @@ func (c *Collector) InstallImage(img dsm.ObjectImage, from addr.NodeID) {
 	for i := range img.Words {
 		c.heap.SetField(a, i, img.Words[i], img.RefMask[i])
 	}
+	c.identifyGrantedRefs(a, ms)
 }
 
-// normalizeRefs rewrites the pointer fields of the object at a to the
-// freshest locally known address of each referee: through forwarding
-// pointers, then through the canonical map keyed by the referee's identity.
-func (c *Collector) normalizeRefs(a addr.Addr) {
+// identifyGrantedRefs rewrites each pointer word of the image just installed
+// at a that no local header identifies. The granter normalized the words to
+// its own canonical addresses (ObjectImage) and shipped a manifest for every
+// referee (invariant 1), but this node rejects a manifest older than a
+// location it already knows, and then holds no header at the address the
+// word names. The grant's manifest for that address still says which object
+// the word means, so the word becomes this node's canonical address of that
+// object: a local, address-level update that needs no token (§4.4).
+func (c *Collector) identifyGrantedRefs(a addr.Addr, ms []dsm.Manifest) {
+	c.heap.ForEachRef(a, func(i int, v addr.Addr) {
+		if v.IsNil() || !c.heap.OIDAt(v).IsNil() {
+			return
+		}
+		for _, m := range ms {
+			if m.Addr != v {
+				continue
+			}
+			if can, ok := c.heap.Canonical(m.OID); ok {
+				if r := c.heap.Resolve(can); c.heap.OIDAt(r) == m.OID {
+					c.heap.SetField(a, i, uint64(r), true)
+				}
+			}
+			return
+		}
+	})
+}
+
+// normalizeRefs rewrites the pointer fields of the object at a through the
+// local forwarding pointers, counting each rewrite under counter. This
+// modifies the object without any token: the change is address-level only
+// and invisible to the application's consistency contract (§4.4).
+func (c *Collector) normalizeRefs(a addr.Addr, counter string) {
 	c.heap.ForEachRef(a, func(i int, v addr.Addr) {
 		if v.IsNil() {
 			return
 		}
-		r, oid := c.ResolveRef(v)
-		if oid.IsNil() {
-			return // stale garbage; nothing better known
-		}
-		if r != v {
+		if r, oid := c.ResolveRef(v); !oid.IsNil() && r != v {
 			c.heap.SetField(a, i, uint64(r), true)
-			c.stats().Add("core.loc.refsNormalized", 1)
+			c.stats().Add(counter, 1)
 		}
 	})
 }
@@ -406,7 +440,6 @@ func (c *Collector) Reestablish(o addr.OID) bool {
 		if !ok2 {
 			return false
 		}
-		c.dir.RecordPlacement(a, o)
 	}
 	c.heap.SetCanonical(o, a)
 	// Supersede every location manifest in flight: a delayed older address

@@ -225,7 +225,6 @@ func (c *Collector) moveOwnedObject(o addr.OID, holders map[addr.BunchID][]addr.
 	}
 	c.heap.SetFwd(old, to)
 	c.heap.SetCanonical(o, to)
-	c.dir.RecordPlacement(to, o)
 	c.locEpoch[o]++
 	ep := c.locEpoch[o]
 	c.net.Clock().Advance(copyWordTick * uint64(size+mem.HeaderWords))
@@ -247,7 +246,6 @@ func (c *Collector) moveOwnedObject(o addr.OID, holders map[addr.BunchID][]addr.
 // resident in the doomed batch, rewrite local references into it, and only
 // then unmap the local replicas.
 func (c *Collector) serveAddrChange(msg AddrChangeMsg) {
-	c.rememberTombstones(msg.Headers)
 	c.ApplyManifests(msg.Manifests, msg.From)
 	c.evacuate(msg.Segs)
 	doomed := c.doomedSet(msg.Segs)

@@ -107,7 +107,6 @@ func (c *Collector) ReclaimFromSpace(b addr.BunchID) ReclaimStats {
 	}
 
 	// 3. Free the batch locally and in the directory.
-	c.rememberTombstones(headers)
 	c.rewriteRefsInto(doomed, headerTable(headers))
 	c.dropCanonicalsIn(doomed)
 	st := ReclaimStats{Segments: len(ids)}

@@ -112,7 +112,7 @@ func (h *fakeHooks) ObjectImage(o addr.OID) ObjectImage {
 	return ObjectImage{Manifest: h.manifest(o), Words: h.data[o]}
 }
 
-func (h *fakeHooks) InstallImage(img ObjectImage, from addr.NodeID) {
+func (h *fakeHooks) InstallImage(img ObjectImage, _ []Manifest, from addr.NodeID) {
 	h.data[img.OID] = img.Words
 	h.addrs[img.OID] = img.Addr
 }

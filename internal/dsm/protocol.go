@@ -260,7 +260,7 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 
 	// Invariant 1: addresses become valid before the acquire completes.
 	n.hooks.ApplyManifests(rep.Manifests, rep.Granter)
-	n.hooks.InstallImage(rep.Image, rep.Granter)
+	n.hooks.InstallImage(rep.Image, rep.Manifests, rep.Granter)
 	if rep.Intra != nil {
 		// Invariant 3: the new owner's intra-bunch stub.
 		n.hooks.ApplyIntraSSP(rep.Intra)

@@ -173,8 +173,9 @@ type Hooks interface {
 	// ObjectImage returns o's local contents for shipping with a grant.
 	ObjectImage(o addr.OID) ObjectImage
 	// InstallImage overwrites the local replica of the object with a
-	// consistent image received with a token grant.
-	InstallImage(img ObjectImage, from addr.NodeID)
+	// consistent image received with a token grant; ms are the grant's
+	// manifests, which identify the image's pointer words (invariant 1).
+	InstallImage(img ObjectImage, ms []Manifest, from addr.NodeID)
 	// PrepareOwnershipTransfer runs at the old owner before a write
 	// token is granted: if this node holds inter-bunch or intra-bunch
 	// stubs for o, it creates the local intra-bunch scion (stamped with

@@ -81,18 +81,8 @@ func bucketUpper(b int) int64 {
 	return int64(1)<<b - 1
 }
 
-// bucketLower is the smallest value falling into bucket b.
-func bucketLower(b int) int64 {
-	if b <= 1 {
-		return int64(b)
-	}
-	return int64(1) << (b - 1)
-}
-
 // HistSnapshot is a copy of a histogram's raw state: the full bucket array
-// plus the running aggregates. Snapshots subtract (per-interval
-// distributions for the time-series sampler) and merge (cross-node or
-// cross-run aggregation); both are exact on the bucket counts.
+// plus the running aggregates.
 type HistSnapshot struct {
 	Name    string             `json:"name,omitempty"`
 	Count   int64              `json:"count"`
@@ -113,46 +103,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		Name: h.name, Count: h.count, Sum: h.sum,
 		Min: h.min, Max: h.max, Buckets: h.buckets,
 	}
-}
-
-// Sub returns the distribution of the observations made after prev, an
-// earlier snapshot of the same histogram. Bucket counts and the sum are
-// exact; the extrema of the window are not recoverable from two snapshots,
-// so Min and Max are the bounds of the window's outermost non-empty buckets.
-func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
-	d := HistSnapshot{Name: s.Name, Count: s.Count - prev.Count, Sum: s.Sum - prev.Sum}
-	lo, hi := -1, -1
-	for b := range s.Buckets {
-		c := s.Buckets[b] - prev.Buckets[b]
-		d.Buckets[b] = c
-		if c > 0 {
-			if lo < 0 {
-				lo = b
-			}
-			hi = b
-		}
-	}
-	if hi >= 0 {
-		d.Min, d.Max = bucketLower(lo), bucketUpper(hi)
-	}
-	return d
-}
-
-// Merge returns the combined distribution of two snapshots.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	m := HistSnapshot{Name: s.Name, Count: s.Count + o.Count, Sum: s.Sum + o.Sum}
-	switch {
-	case s.Count == 0:
-		m.Min, m.Max = o.Min, o.Max
-	case o.Count == 0:
-		m.Min, m.Max = s.Min, s.Max
-	default:
-		m.Min, m.Max = min(s.Min, o.Min), max(s.Max, o.Max)
-	}
-	for b := range s.Buckets {
-		m.Buckets[b] = s.Buckets[b] + o.Buckets[b]
-	}
-	return m
 }
 
 // Quantile returns a conservative nearest-rank estimate of the p-quantile:

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math/bits"
 	"sync"
 	"testing"
 )
@@ -49,59 +50,6 @@ func TestSnapshotQuantilesExact(t *testing.T) {
 	}
 }
 
-func TestSnapshotSubIsExact(t *testing.T) {
-	h := &Histogram{name: "sub"}
-	h.Observe(3)
-	h.Observe(200)
-	before := h.Snapshot()
-	h.Observe(5)
-	h.Observe(5)
-	h.Observe(70)
-	d := h.Snapshot().Sub(before)
-	if d.Count != 3 || d.Sum != 80 {
-		t.Fatalf("delta count=%d sum=%d", d.Count, d.Sum)
-	}
-	// 5 lands in bucket 3 (4..7), 70 in bucket 7 (64..127).
-	if d.Buckets[3] != 2 || d.Buckets[7] != 1 {
-		t.Fatalf("delta buckets = %v", d.Buckets)
-	}
-	// Window extrema are bucket bounds: lowest non-empty is bucket 3
-	// (lower 4), highest is bucket 7 (upper 127).
-	if d.Min != 4 || d.Max != 127 {
-		t.Fatalf("delta extrema = %d..%d", d.Min, d.Max)
-	}
-	// The pre-window observations must not leak into the delta.
-	for _, b := range []int{2, 8} {
-		if d.Buckets[b] != 0 {
-			t.Fatalf("bucket %d leaked: %v", b, d.Buckets)
-		}
-	}
-}
-
-func TestSnapshotMerge(t *testing.T) {
-	a := &Histogram{name: "m"}
-	b := &Histogram{name: "m"}
-	a.Observe(2)
-	a.Observe(9)
-	b.Observe(40)
-	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Count != 3 || m.Sum != 51 {
-		t.Fatalf("merged count=%d sum=%d", m.Count, m.Sum)
-	}
-	if m.Min != 2 || m.Max != 40 {
-		t.Fatalf("merged extrema = %d..%d", m.Min, m.Max)
-	}
-	// Merging with an empty side keeps real extrema (zero-count snapshots
-	// must not pull Min to 0).
-	empty := HistSnapshot{}
-	if e := m.Merge(empty); e.Min != 2 || e.Max != 40 || e.Count != 3 {
-		t.Fatalf("merge with empty = %+v", e)
-	}
-	if e := empty.Merge(m); e.Min != 2 || e.Max != 40 {
-		t.Fatalf("empty.Merge = %+v", e)
-	}
-}
-
 func TestCumBucketsMonotone(t *testing.T) {
 	h := &Histogram{name: "cum"}
 	for _, v := range []int64{0, 1, 1, 6, 6, 6, 33, 1000} {
@@ -138,13 +86,15 @@ func TestCumBucketsMonotone(t *testing.T) {
 }
 
 func TestBucketBounds(t *testing.T) {
-	for b := 0; b < histBuckets; b++ {
-		lo, hi := bucketLower(b), bucketUpper(b)
-		if lo > hi {
-			t.Fatalf("bucket %d: lower %d > upper %d", b, lo, hi)
+	// Observe files v under bits.Len64(v): each bucket's upper bound must
+	// land in that bucket, and the next value in the next one.
+	for b := 0; b < 64; b++ {
+		hi := bucketUpper(b)
+		if got := bits.Len64(uint64(hi)); got != b {
+			t.Fatalf("bucket %d: upper %d falls in bucket %d", b, hi, got)
 		}
-		if b > 0 && lo != bucketUpper(b-1)+1 && b < 64 {
-			t.Fatalf("bucket %d: lower %d does not abut previous upper %d", b, lo, bucketUpper(b-1))
+		if b < 63 && bits.Len64(uint64(hi+1)) != b+1 {
+			t.Fatalf("bucket %d: upper %d does not abut bucket %d", b, hi, b+1)
 		}
 	}
 }
