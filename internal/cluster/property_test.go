@@ -32,7 +32,7 @@ type modelObj struct {
 var debugDangling = true
 
 type model struct {
-	t       *testing.T
+	t       testing.TB
 	cl      *Cluster
 	rng     *rand.Rand
 	bunches []addr.BunchID
@@ -50,7 +50,7 @@ type modelCfg struct {
 	segmentGrain bool
 }
 
-func newModel(t *testing.T, cfg modelCfg) *model {
+func newModel(t testing.TB, cfg modelCfg) *model {
 	m := &model{
 		t: t,
 		cl: New(Config{
@@ -262,8 +262,10 @@ func (m *model) checkDangling(ctx string) {
 					seg := m.cl.Directory().Allocator().Lookup(r)
 					segInfo := "outside every segment"
 					if seg != nil {
-						segInfo = fmt.Sprintf("seg %v bunch %v holders %v", seg.ID, seg.Bunch,
-							m.cl.Directory().Holders(seg.Bunch))
+						segInfo = fmt.Sprintf("seg %v bunch %v", seg.ID, seg.Bunch)
+						if seg.Bunch != addr.NoBunch { // a freed segment has none
+							segInfo += fmt.Sprintf(" holders %v", m.cl.Directory().Holders(seg.Bunch))
+						}
 					}
 					tcan, tok := heap.Canonical(want)
 					m.t.Fatalf("%s: DANGLING %v.%d at node %d: raw %v resolves to %v (mapped=%v, %s); "+
@@ -580,7 +582,7 @@ func runModel(t *testing.T, seed int64, nodes, steps int, loss float64) {
 	runModelCfg(t, modelCfg{seed: seed, nodes: nodes, steps: steps, loss: loss})
 }
 
-func runModelCfg(t *testing.T, cfg modelCfg) {
+func runModelCfg(t testing.TB, cfg modelCfg) {
 	t.Helper()
 	m := newModel(t, cfg)
 	steps := cfg.steps
