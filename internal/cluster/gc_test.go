@@ -345,6 +345,62 @@ func TestFromSpaceReclaimWithRemoteOwner(t *testing.T) {
 	}
 }
 
+// TestReclaimResolvesWordToDroppedReplica pins the lazy location path: a
+// node keeps a pointer word whose referee it dropped, so no copy-set tells
+// it where the referee moves. When its §4.5 round would free the header
+// the word names, it asks the owner where the object lives.
+func TestReclaimResolvesWordToDroppedReplica(t *testing.T) {
+	cl := New(Config{Nodes: 3, SegWords: 64, Seed: 1})
+	a, owner, host := cl.Node(0), cl.Node(1), cl.Node(2)
+	b1 := host.NewBunch() // the inter-bunch scion for y lives here
+	b2 := a.NewBunch()
+	y := a.MustAlloc(b1, 1) // y's header lies in a segment a created
+	x := a.MustAlloc(b2, 1)
+	a.AddRoot(x)
+	if err := a.WriteRef(x, 0, y); err != nil {
+		t.Fatal(err)
+	}
+	a.Release(x)
+	if err := owner.AcquireWrite(y); err != nil {
+		t.Fatal(err)
+	}
+	owner.Release(y)
+	owner.AddRoot(y)
+	cl.Run(0)
+
+	// a's collection of b1 drops its replica of y, and its table retires
+	// the owner's entering ownerPtr from a.
+	a.CollectBunch(b1)
+	cl.Run(0)
+	if _, ok := a.Collector().Heap().Canonical(y.OID); ok {
+		t.Fatal("a still holds a replica of y")
+	}
+	if slices.Contains(owner.DSM().ReplicaNodes(y.OID), a.ID()) {
+		t.Fatal("the owner still counts a among y's replica holders")
+	}
+	for range 2 {
+		owner.CollectBunch(b1)
+		cl.Run(0)
+	}
+	if got := cl.Stats().Get("core.gc.copied"); got < 2 {
+		t.Fatalf("objects copied = %d, want y moved twice", got)
+	}
+
+	before := cl.Stats().Get("core.reclaim.segments")
+	a.ReclaimFromSpace(b1)
+	cl.Run(0)
+	if cl.Stats().Get("core.reclaim.segments") == before {
+		t.Fatal("a reclaimed no from-space segment")
+	}
+	got, err := a.ReadRef(x, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != y {
+		t.Fatalf("x.0 = %v after the reclaim, want %v", got, y)
+	}
+}
+
 // TestFromSpaceReclaimBatch reclaims two from-space segments linked by a
 // forwarding chain — o1 was copied from the first into the second and on
 // into to-space — in one round: one gc.addrChange per peer per call, every

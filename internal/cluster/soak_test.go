@@ -39,16 +39,10 @@ func TestSoakMatrix(t *testing.T) {
 }
 
 // sweepKnownDefects lists the model-sweep runs that fail today, by
-// configuration and seed (ROADMAP items 10/11). The list may only shrink: a
-// run outside it that fails is a regression.
-var sweepKnownDefects = map[string]bool{
-	"entry/s2002": true, "strict/s2002": true,
-	"loss/s2003":  true,
-	"loss/s2008":  true,
-	"entry/s2016": true, "strict/s2016": true,
-	"entry/s2018": true, "strict/s2018": true,
-	"loss/s2029": true,
-}
+// configuration and seed, as "entry/s2002" (ROADMAP items 10/11). The list
+// may only shrink: a run outside it that fails is a regression, and a run
+// that passes again leaves it. Every run passes today.
+var sweepKnownDefects = map[string]bool{}
 
 // TestModelSweep runs the randomized model over 50 seeds in three
 // configurations and ratchets the result against sweepKnownDefects.

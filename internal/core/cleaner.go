@@ -98,11 +98,9 @@ func (c *Collector) ApplyTable(msg ssp.TableMsg) {
 	for _, o := range msg.Exiting {
 		ex[o] = true
 	}
-	c.dsm.ForEachObjectInBunch(msg.Bunch, func(o addr.OID) {
-		if !ex[o] && c.dsm.RemoveEnteringUpTo(o, msg.From, msg.Gen) {
-			c.stats().Add("core.cleaner.enteringRemoved", 1)
-		}
-	})
+	if n := c.dsm.RemoveEnteringUpTo(msg.Bunch, msg.From, msg.Gen, ex); n > 0 {
+		c.stats().Add("core.cleaner.enteringRemoved", int64(n))
+	}
 	deriv := make(map[addr.OID]bool, len(msg.Derivative))
 	for _, o := range msg.Derivative {
 		deriv[o] = true

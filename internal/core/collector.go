@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -404,12 +405,14 @@ func (c *Collector) NoteWrite(o addr.OID) {
 
 // ---- Pending location updates (§4.4) ---------------------------------------
 
-// queueLocation records that o now lives at newAddr, to be told to every
-// other holder of the bunch — lazily, by piggybacking. holders is the
-// bunch's c.dir.Holders(b), which the caller looks up.
-func (c *Collector) queueLocation(o addr.OID, b addr.BunchID, newAddr addr.Addr, size int, holders []addr.NodeID) {
+// queueLocation records that o now lives at newAddr, to be told to peers
+// lazily, by piggybacking (§4.4). A move tells o's copy-set and entering
+// ownerPtrs (dsm.Node.ReplicaNodes); grants carry it further (invariant 1),
+// and a §4.5 round asks the owner for the rest (rewriteRefsInto).
+// Reestablish, which rebuilds lost protocol state, tells every holder.
+func (c *Collector) queueLocation(o addr.OID, b addr.BunchID, newAddr addr.Addr, size int, peers []addr.NodeID) {
 	man := dsm.Manifest{OID: o, Addr: newAddr, Size: size, Bunch: b, Epoch: c.locEpoch[o]}
-	for _, peer := range holders {
+	for _, peer := range peers {
 		if peer == c.node {
 			continue
 		}
@@ -463,15 +466,6 @@ func manifestList(q map[addr.OID]dsm.Manifest) []dsm.Manifest {
 	for _, m := range q {
 		out = append(out, m)
 	}
-	slices.SortFunc(out, func(a, b dsm.Manifest) int {
-		switch {
-		case a.OID < b.OID:
-			return -1
-		case a.OID > b.OID:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(out, func(a, b dsm.Manifest) int { return cmp.Compare(a.OID, b.OID) })
 	return out
 }

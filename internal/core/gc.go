@@ -198,6 +198,13 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 			if group && set[sc.SrcBunch] && sc.SrcNode == c.node {
 				continue
 			}
+			if !c.dsm.Knows(sc.TargetOID) {
+				// A scion protects its target through this node's exiting
+				// ownerPtr: route an unknown target at the owner hint.
+				if _, hint := c.dir.Locate(sc.TargetOID); hint != addr.NoNode && hint != c.node {
+					c.dsm.Learn(sc.TargetOID, b, hint)
+				}
+			}
 			strongRoots = append(strongRoots, sc.TargetOID)
 			scionRootsBySrc[sc.SrcNode] = append(scionRootsBySrc[sc.SrcNode], sc.TargetOID)
 		}
@@ -272,7 +279,6 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	// ---- Copy phase: only locally-owned live objects move (§4.2) --------
 	copyWatch := transport.StartWatch(c.net.Clock())
 	var copied []addr.OID
-	holders := make(map[addr.BunchID][]addr.NodeID, len(bunches))
 	for _, o := range sortedLiveOIDs(live) {
 		if !c.dsm.IsOwner(o) {
 			continue
@@ -285,7 +291,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		if meta == nil || !oldSegs[meta.ID] {
 			continue // already in to-space (e.g. allocated during this GC)
 		}
-		if man, moved := c.moveOwnedObject(o, holders); moved {
+		if man, moved := c.moveOwnedObject(o); moved {
 			copied = append(copied, o)
 			st.Copied++
 			st.CopiedWords += man.Size + mem.HeaderWords
@@ -636,6 +642,10 @@ func (c *Collector) rebuildTable(b addr.BunchID, live map[addr.OID]int) map[addr
 	}
 	rep.Table = nt
 
+	scionTargets := make(map[addr.OID]bool, len(nt.InterScions))
+	for _, sc := range nt.InterScions {
+		scionTargets[sc.TargetOID] = true
+	}
 	exiting := make(map[addr.OID]addr.NodeID)
 	for o, s := range live {
 		if s != strongLive || c.BunchOf(o) != b || c.dsm.IsOwner(o) {
@@ -643,8 +653,9 @@ func (c *Collector) rebuildTable(b addr.BunchID, live map[addr.OID]int) map[addr
 		}
 		// Exiting ownerPtrs describe cached *replicas* (§4.3); protocol
 		// state without a local copy (routing bookkeeping recreated by
-		// traffic after a reclaim) must not pin the object remotely.
-		if _, ok := c.heap.Canonical(o); !ok {
+		// traffic after a reclaim) must not pin the object remotely —
+		// unless a scion here or a node routing through here needs it.
+		if _, ok := c.heap.Canonical(o); !ok && !scionTargets[o] && len(c.dsm.EnteringOf(o)) == 0 {
 			continue
 		}
 		if t := c.dsm.OwnerPtrOf(o); t != addr.NoNode {

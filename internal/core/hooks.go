@@ -101,8 +101,10 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 	// Out-of-order protection: background messages from different senders
 	// may deliver an older location after a newer one; applying it would
 	// move the canonical address backward and plant a stale forwarding
-	// pointer over good data.
-	if m.Epoch < c.locEpoch[m.OID] {
+	// pointer over good data. A dropped object has no location to move
+	// backward, and a grant may name it at exactly this address.
+	cur, known := c.heap.Canonical(m.OID)
+	if known && m.Epoch < c.locEpoch[m.OID] {
 		c.stats().Add("core.loc.staleEpoch", 1)
 		return
 	}
@@ -120,7 +122,6 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 			c.Replica(m.Bunch)
 		}
 	}
-	cur, known := c.heap.Canonical(m.OID)
 	if known && cur == m.Addr {
 		return // idempotent re-delivery
 	}
@@ -147,7 +148,11 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 		}
 		c.stats().Add("core.loc.applied", 1)
 	}
-	c.heap.SetCanonical(m.OID, m.Addr)
+	to := m.Addr
+	if r := c.heap.Resolve(to); !known && c.heap.OIDAt(r) == m.OID {
+		to = r // a dropped object's header here already forwards onward
+	}
+	c.heap.SetCanonical(m.OID, to)
 	c.dsm.Learn(m.OID, m.Bunch, from)
 }
 
@@ -237,16 +242,22 @@ func (c *Collector) identifyGrantedRefs(a addr.Addr, ms []dsm.Manifest) {
 	})
 }
 
-// normalizeRefs rewrites the pointer fields of the object at a through the
-// local forwarding pointers, counting each rewrite under counter. This
-// modifies the object without any token: the change is address-level only
-// and invisible to the application's consistency contract (§4.4).
+// normalizeRefs rewrites the pointer fields of the object at a to the
+// canonical addresses of the objects they name (a stale replica may still
+// map an older header than the canonical one, which grants would not
+// identify), counting each rewrite under counter. This modifies the object
+// without any token: the change is address-level only and invisible to the
+// application's consistency contract (§4.4).
 func (c *Collector) normalizeRefs(a addr.Addr, counter string) {
 	c.heap.ForEachRef(a, func(i int, v addr.Addr) {
 		if v.IsNil() {
 			return
 		}
-		if r, oid := c.ResolveRef(v); !oid.IsNil() && r != v {
+		r, oid := c.ResolveRef(v)
+		if can, ok := c.heap.Canonical(oid); ok && c.heap.OIDAt(can) == oid {
+			r = c.heap.Resolve(can)
+		}
+		if !oid.IsNil() && r != v {
 			c.heap.SetField(a, i, uint64(r), true)
 			c.stats().Add(counter, 1)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -98,9 +99,7 @@ func (c *Collector) HandleCall(m transport.Msg) (any, int, error) {
 		}
 		return rep, bytes, nil
 	case KindAddrChange:
-		msg := m.Payload.(AddrChangeMsg)
-		c.serveAddrChange(msg)
-		return nil, 8, nil
+		return nil, 8, c.serveAddrChange(m.Payload.(AddrChangeMsg))
 	default:
 		return nil, 0, fmt.Errorf("core: unknown call kind %q", m.Kind)
 	}
@@ -166,32 +165,23 @@ func (c *Collector) serveCopyOut(req CopyOutReq) CopyOutReply {
 			rep.NotOwned[o] = c.dsm.OwnerPtrOf(o)
 			continue
 		}
-		if man, ok := c.moveOwnedObject(o, nil); ok {
+		if man, ok := c.moveOwnedObject(o); ok {
 			rep.Manifests = append(rep.Manifests, man)
 		} else {
 			rep.NotOwned[o] = addr.NoNode
 		}
 	}
-	slices.SortFunc(rep.Manifests, func(a, b dsm.Manifest) int {
-		switch {
-		case a.OID < b.OID:
-			return -1
-		case a.OID > b.OID:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(rep.Manifests, func(a, b dsm.Manifest) int { return cmp.Compare(a.OID, b.OID) })
 	return rep
 }
 
 // moveOwnedObject copies a locally-owned object into the current allocation
 // segment of its bunch, installs the forwarding pointer, and queues location
-// updates for every other replica holder. It is the one copying primitive:
-// the bunch collector's copy phase, the copy-out service and segment
-// evacuation all move objects through it. holders memoizes c.dir.Holders
-// per bunch across the calls of one copy phase; nil looks them up per call.
-func (c *Collector) moveOwnedObject(o addr.OID, holders map[addr.BunchID][]addr.NodeID) (dsm.Manifest, bool) {
+// updates for the nodes this node's protocol state says hold a replica
+// through it. It is the one copying primitive: the bunch collector's copy
+// phase, the copy-out service and segment evacuation all move objects
+// through it.
+func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
 	old, ok := c.heap.Canonical(o)
 	if !ok || !c.heap.Mapped(old) || !c.heap.IsObjectAt(old) {
 		return dsm.Manifest{}, false
@@ -228,14 +218,7 @@ func (c *Collector) moveOwnedObject(o addr.OID, holders map[addr.BunchID][]addr.
 	c.locEpoch[o]++
 	ep := c.locEpoch[o]
 	c.net.Clock().Advance(copyWordTick * uint64(size+mem.HeaderWords))
-	hs, ok := holders[b]
-	if !ok {
-		hs = c.dir.Holders(b)
-		if holders != nil {
-			holders[b] = hs
-		}
-	}
-	c.queueLocation(o, b, to, size, hs)
+	c.queueLocation(o, b, to, size, c.dsm.ReplicaNodes(o))
 	c.stats().Add("core.gc.copied", 1)
 	c.stats().Add("core.gc.copiedWords", int64(size+mem.HeaderWords))
 	return dsm.Manifest{OID: o, Addr: to, Size: size, Bunch: b, Epoch: ep}, true
@@ -244,17 +227,22 @@ func (c *Collector) moveOwnedObject(o addr.OID, holders map[addr.BunchID][]addr.
 // serveAddrChange participates in another node's from-space reuse round
 // (§4.5): apply the address changes, evacuate any of our own objects still
 // resident in the doomed batch, rewrite local references into it, and only
-// then unmap the local replicas.
-func (c *Collector) serveAddrChange(msg AddrChangeMsg) {
+// then unmap the local replicas. It refuses the round, unmapping nothing,
+// when it could not learn where a referenced object now lives.
+func (c *Collector) serveAddrChange(msg AddrChangeMsg) error {
 	c.ApplyManifests(msg.Manifests, msg.From)
 	c.evacuate(msg.Segs)
 	doomed := c.doomedSet(msg.Segs)
-	c.rewriteRefsInto(doomed, headerTable(msg.Headers))
+	if err := c.rewriteRefsInto(doomed, headerTable(msg.Headers)); err != nil {
+		c.stats().Add("core.reclaim.refused", 1)
+		return err
+	}
 	c.dropCanonicalsIn(doomed)
 	for _, id := range msg.Segs {
 		c.heap.DiscardSegment(id)
 	}
 	c.stats().Add("core.reclaim.participated", 1)
+	return nil
 }
 
 func headerTable(hs []SegHeader) map[addr.Addr]addr.OID {
@@ -292,63 +280,55 @@ func (c *Collector) evacuate(segs []addr.SegID) {
 		}
 	}
 	for _, o := range mine {
-		c.moveOwnedObject(o, nil)
+		c.moveOwnedObject(o)
 	}
 	c.requestCopyOut(theirs)
 }
 
 // requestCopyOut asks the owners of the given objects to copy them into
-// fresh space, following ownership hints for bounded rounds.
-func (c *Collector) requestCopyOut(oids []addr.OID) {
-	type target struct {
-		node addr.NodeID
-		oids []addr.OID
-	}
+// fresh space, following ownership hints for bounded rounds, and applies the
+// new locations they report. A request starts at the object's ownerPtr, or
+// at the directory's owner hint for an object this node has forgotten. It
+// returns the first call that failed.
+func (c *Collector) requestCopyOut(oids []addr.OID) error {
 	pendingOIDs := make(map[addr.OID]addr.NodeID, len(oids))
 	for _, o := range oids {
-		if t := c.dsm.OwnerPtrOf(o); t != addr.NoNode {
+		t := c.dsm.OwnerPtrOf(o)
+		if t == addr.NoNode && !c.dsm.Knows(o) {
+			_, t = c.dir.Locate(o)
+		}
+		if t != addr.NoNode {
 			pendingOIDs[o] = t
 		}
 	}
+	var firstErr error
 	for round := 0; round < 8 && len(pendingOIDs) > 0; round++ {
 		byNode := make(map[addr.NodeID][]addr.OID)
 		for o, t := range pendingOIDs {
 			byNode[t] = append(byNode[t], o)
 		}
-		var targets []target
-		for n, os := range byNode {
-			slices.Sort(os)
-			targets = append(targets, target{n, os})
-		}
-		slices.SortFunc(targets, func(a, b target) int {
-			switch {
-			case a.node < b.node:
-				return -1
-			case a.node > b.node:
-				return 1
-			default:
-				return 0
-			}
-		})
 		next := make(map[addr.OID]addr.NodeID)
-		for _, t := range targets {
-			if t.node == c.node {
-				for _, o := range t.oids {
-					c.moveOwnedObject(o, nil)
+		for _, node := range sortedNodeIDs(byNode) {
+			os := byNode[node]
+			slices.Sort(os)
+			if node == c.node {
+				for _, o := range os {
+					c.moveOwnedObject(o)
 				}
 				continue
 			}
 			raw, err := c.net.Call(transport.Msg{
-				From: c.node, To: t.node, Kind: KindCopyOut, Class: transport.ClassGC,
-				Payload: CopyOutReq{From: c.node, OIDs: t.oids},
-				Bytes:   8 + 8*len(t.oids),
+				From: c.node, To: node, Kind: KindCopyOut, Class: transport.ClassGC,
+				Payload: CopyOutReq{From: c.node, OIDs: os},
+				Bytes:   8 + 8*len(os),
 			})
 			if err != nil {
 				c.stats().Add("core.copyOut.errors", 1)
+				firstErr = cmp.Or(firstErr, err)
 				continue
 			}
 			rep := raw.(CopyOutReply)
-			c.ApplyManifests(rep.Manifests, t.node)
+			c.ApplyManifests(rep.Manifests, node)
 			for o, hint := range rep.NotOwned {
 				if hint != addr.NoNode && hint != c.node {
 					next[o] = hint
@@ -360,6 +340,7 @@ func (c *Collector) requestCopyOut(oids []addr.OID) {
 		}
 		pendingOIDs = next
 	}
+	return firstErr
 }
 
 // rewriteRefsInto rewrites every local pointer word — and every forwarding
@@ -371,25 +352,45 @@ func (c *Collector) requestCopyOut(oids []addr.OID) {
 // own words die with them and are not rewritten. The walk reads each
 // replica's words and bitmaps directly: it visits every pointer word the
 // node holds, so a lookup per word would dominate the round.
-func (c *Collector) rewriteRefsInto(doomed segSet, headers map[addr.Addr]addr.OID) {
+//
+// A word may name an object only through a header, with no canonical
+// address here — typically a reference into a bunch whose replica this node
+// dropped, so no copy-set carried the object's moves here. The owners of
+// such objects are asked where they live (gc.copyOut) and the walk runs
+// again. A lookup call that failed is returned: the round must not unmap.
+func (c *Collector) rewriteRefsInto(doomed segSet, headers map[addr.Addr]addr.OID) error {
+	var lost []addr.OID
 	escape := func(w addr.Addr) (addr.Addr, bool) {
 		if w.IsNil() || !doomed.contains(w) {
 			return w, false
 		}
-		return c.escapeDoomed(doomed, w, headers)
-	}
-	var refs, fwds int
-	c.heap.ForEachSegment(func(s *mem.Segment) {
-		if !doomed.has(s.Meta.ID) {
-			refs += s.RewriteRefs(escape)
-			fwds += s.RewriteFwds(escape)
+		r, o, ok := c.escapeDoomed(doomed, w, headers)
+		if _, known := c.heap.Canonical(o); !ok && !o.IsNil() && !known {
+			lost = append(lost, o)
 		}
-	})
-	if refs > 0 {
-		c.stats().Add("core.reclaim.refsRewritten", int64(refs))
+		return r, ok
 	}
-	if fwds > 0 {
-		c.stats().Add("core.reclaim.fwdsRewritten", int64(fwds))
+	for pass := 0; ; pass++ {
+		var refs, fwds int
+		c.heap.ForEachSegment(func(s *mem.Segment) {
+			if !doomed.has(s.Meta.ID) {
+				refs += s.RewriteRefs(escape)
+				fwds += s.RewriteFwds(escape)
+			}
+		})
+		if refs > 0 {
+			c.stats().Add("core.reclaim.refsRewritten", int64(refs))
+		}
+		if fwds > 0 {
+			c.stats().Add("core.reclaim.fwdsRewritten", int64(fwds))
+		}
+		if len(lost) == 0 || pass > 0 {
+			return nil
+		}
+		slices.Sort(lost)
+		if err := c.requestCopyOut(slices.Compact(lost)); err != nil {
+			return err
+		}
 	}
 }
 
@@ -397,11 +398,11 @@ func (c *Collector) rewriteRefsInto(doomed segSet, headers map[addr.Addr]addr.OI
 // batch) refers to: through the local forwarding pointer when one exists,
 // via the object header under w and the canonical map, or via the
 // initiator's header table — a replica may hold old words for an object
-// whose header it never materialized. Returns false when nothing better
-// than w is known (then w is a reference inside stale garbage).
-func (c *Collector) escapeDoomed(doomed segSet, w addr.Addr, headers map[addr.Addr]addr.OID) (addr.Addr, bool) {
+// whose header it never materialized. It also returns the object it
+// identified, if any. Returns false when nothing better than w is known.
+func (c *Collector) escapeDoomed(doomed segSet, w addr.Addr, headers map[addr.Addr]addr.OID) (addr.Addr, addr.OID, bool) {
 	if r := c.heap.Resolve(w); r != w && !doomed.contains(r) {
-		return r, true
+		return r, addr.NilOID, true
 	}
 	oid := addr.NilOID
 	if c.heap.Mapped(w) && c.heap.IsObjectAt(w) {
@@ -412,12 +413,12 @@ func (c *Collector) escapeDoomed(doomed segSet, w addr.Addr, headers map[addr.Ad
 	if !oid.IsNil() {
 		if can, ok := c.heap.Canonical(oid); ok {
 			if can = c.heap.Resolve(can); can != w && !doomed.contains(can) {
-				return can, true
+				return can, oid, true
 			}
 		}
 	}
 	c.stats().Add("core.reclaim.unresolved", 1)
-	return addr.NilAddr, false
+	return addr.NilAddr, oid, false
 }
 
 // dropCanonicalsIn forgets canonical addresses still inside the batch being

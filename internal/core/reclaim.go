@@ -80,6 +80,11 @@ func (c *Collector) ReclaimFromSpace(b addr.BunchID) ReclaimStats {
 	// ReclaimFromSpace retries. Holders that already processed the round
 	// reprocess it then; evacuation and unmap/remap are idempotent, so the
 	// retry is safe.
+	abort := func() ReclaimStats {
+		c.stats().Add("core.reclaim.aborted", 1)
+		rep.fromSegs = append(rep.fromSegs, ids...)
+		return ReclaimStats{}
+	}
 	for _, peer := range c.dir.Holders(b) {
 		if peer == c.node {
 			continue
@@ -99,15 +104,16 @@ func (c *Collector) ReclaimFromSpace(b addr.BunchID) ReclaimStats {
 			},
 			Bytes: bytes + 16*len(headers),
 		}); err != nil {
-			c.stats().Add("core.reclaim.aborted", 1)
-			rep.fromSegs = append(rep.fromSegs, ids...)
-			return ReclaimStats{}
+			return abort()
 		}
 		c.stats().Add("core.reclaim.rounds", 1)
 	}
 
-	// 3. Free the batch locally and in the directory.
-	c.rewriteRefsInto(doomed, headerTable(headers))
+	// 3. Free the batch locally and in the directory — unless a word here
+	// names an object whose owner could not say where it lives now.
+	if err := c.rewriteRefsInto(doomed, headerTable(headers)); err != nil {
+		return abort()
+	}
 	c.dropCanonicalsIn(doomed)
 	st := ReclaimStats{Segments: len(ids)}
 	for _, id := range ids {

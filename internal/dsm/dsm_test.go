@@ -467,17 +467,20 @@ func TestRemoveEnteringUpTo(t *testing.T) {
 	env.nodes[1].Acquire(1, ModeRead, simnet.ClassApp)
 	n0 := env.nodes[0]
 	// Entry was created at gen 1 (fake hooks); a table of gen 0 is too old.
-	if n0.RemoveEnteringUpTo(1, 1, 0) {
+	if n0.RemoveEnteringUpTo(1, 1, 0, nil) != 0 {
 		t.Fatal("entry newer than table must be preserved")
 	}
-	if !n0.RemoveEnteringUpTo(1, 1, 1) {
+	if n0.RemoveEnteringUpTo(1, 1, 1, map[addr.OID]bool{1: true}) != 0 {
+		t.Fatal("entry the table still names must be preserved")
+	}
+	if n0.RemoveEnteringUpTo(2, 1, 5, nil) != 0 {
+		t.Fatal("another bunch's table should remove nothing")
+	}
+	if n0.RemoveEnteringUpTo(1, 1, 1, nil) != 1 {
 		t.Fatal("entry at gen <= table gen must be removed")
 	}
 	if len(n0.EnteringOf(1)) != 0 {
 		t.Fatal("entry still present")
-	}
-	if n0.RemoveEnteringUpTo(99, 1, 5) {
-		t.Fatal("unknown object should remove nothing")
 	}
 }
 

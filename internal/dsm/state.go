@@ -292,20 +292,35 @@ func (n *Node) NonOwnedLive(b addr.BunchID) map[addr.OID]addr.NodeID {
 	return out
 }
 
-// RemoveEnteringUpTo deletes the entering entry (o, from) if it was created
-// at or before table generation gen; a newer entry is preserved (the table
-// predates the acquire that created it). It reports whether an entry was
-// removed.
-func (n *Node) RemoveEnteringUpTo(o addr.OID, from addr.NodeID, gen uint64) bool {
-	st, ok := n.objs[o]
-	if !ok {
-		return false
+// RemoveEnteringUpTo deletes, for every object of bunch b not in keep,
+// from's entering entry if it was created at or before table generation gen;
+// a newer entry is preserved (the table predates the acquire that created
+// it). It reports how many entries it removed.
+func (n *Node) RemoveEnteringUpTo(b addr.BunchID, from addr.NodeID, gen uint64, keep map[addr.OID]bool) int {
+	removed := 0
+	for o, st := range n.objs {
+		if len(st.Entering) == 0 || st.Bunch != b {
+			continue
+		}
+		if i, found := st.findEntering(from); found && st.Entering[i].Gen <= gen && !keep[o] {
+			st.Entering = slices.Delete(st.Entering, i, i+1)
+			removed++
+		}
 	}
-	if i, found := st.findEntering(from); found && st.Entering[i].Gen <= gen {
-		st.Entering = slices.Delete(st.Entering, i, i+1)
-		return true
+	return removed
+}
+
+// ReplicaNodes lists the nodes o's state says hold a replica through this
+// node, a node possibly twice: the copy-set and the entering ownerPtrs.
+func (n *Node) ReplicaNodes(o addr.OID) []addr.NodeID {
+	var out []addr.NodeID
+	if st, ok := n.objs[o]; ok {
+		out = slices.Clone(st.CopySet)
+		for _, e := range st.Entering {
+			out = append(out, e.Node)
+		}
 	}
-	return false
+	return out
 }
 
 // ForEachObjectInBunch calls f with every object of bunch b with local

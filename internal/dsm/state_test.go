@@ -135,11 +135,11 @@ func TestAddEnteringIdempotent(t *testing.T) {
 	n0 := env.nodes[0]
 	n0.AddEntering(1, 1, 5)
 	n0.AddEntering(1, 1, 9) // re-add must keep the original stamp
-	if !n0.RemoveEnteringUpTo(1, 1, 5) {
+	if n0.RemoveEnteringUpTo(1, 1, 5, nil) != 1 {
 		t.Fatal("entry not removable at its creation gen")
 	}
 	n0.AddEntering(1, 1, 9)
-	if n0.RemoveEnteringUpTo(1, 1, 5) {
+	if n0.RemoveEnteringUpTo(1, 1, 5, nil) != 0 {
 		t.Fatal("entry removed by an older table than its stamp")
 	}
 }
