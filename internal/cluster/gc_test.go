@@ -401,6 +401,67 @@ func TestReclaimResolvesWordToDroppedReplica(t *testing.T) {
 	}
 }
 
+// TestReclaimResolvesWordToDroppedReplicaRefusesWithoutOwner: a participant
+// holding such a word while its owner is unreachable refuses the round
+// before it unmaps anything, and the initiator keeps the batch for a retry.
+func TestReclaimResolvesWordToDroppedReplicaRefusesWithoutOwner(t *testing.T) {
+	cl := New(Config{Nodes: 4, SegWords: 64, Seed: 1})
+	initiator, p, owner, host := cl.Node(0), cl.Node(1), cl.Node(2), cl.Node(3)
+	b1 := host.NewBunch()
+	b2 := p.NewBunch()
+	y := initiator.MustAlloc(b1, 1)
+	initiator.AddRoot(y)
+	x := p.MustAlloc(b2, 1)
+	p.AddRoot(x)
+	if err := p.AcquireRead(y); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteRef(x, 0, y); err != nil {
+		t.Fatal(err)
+	}
+	p.Release(x)
+	if err := owner.AcquireWrite(y); err != nil {
+		t.Fatal(err)
+	}
+	owner.Release(y)
+	owner.AddRoot(y)
+	initiator.RemoveRoot(y)
+	cl.Run(0)
+	// p and the initiator drop their replicas of y; the owner moves it.
+	p.CollectBunch(b1)
+	cl.Run(0)
+	initiator.CollectBunch(b1)
+	cl.Run(0)
+	for _, n := range []*Node{p, initiator} {
+		if _, ok := n.Collector().Heap().Canonical(y.OID); ok {
+			t.Fatalf("node %v still holds a replica of y", n.ID())
+		}
+	}
+	owner.CollectBunch(b1)
+	cl.Run(0)
+
+	cl.Partition(1, 2)
+	initiator.ReclaimFromSpace(b1)
+	if cl.Stats().Get("core.reclaim.refused") == 0 || cl.Stats().Get("core.reclaim.aborted") == 0 {
+		t.Fatal("the round went ahead without the owner's answer")
+	}
+	if len(initiator.Collector().FromSpaceSegments(b1)) == 0 {
+		t.Fatal("the aborted batch left the initiator's from-space")
+	}
+	cl.HealAll()
+	before := cl.Stats().Get("core.reclaim.segments")
+	initiator.ReclaimFromSpace(b1)
+	if cl.Stats().Get("core.reclaim.segments") == before {
+		t.Fatal("the retried round reclaimed nothing")
+	}
+	if err := p.AcquireRead(x); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := p.ReadRef(x, 0); err != nil || got != y {
+		t.Fatalf("x.0 = %v, %v after the retried round, want %v", got, err, y)
+	}
+}
+
 // TestFromSpaceReclaimBatch reclaims two from-space segments linked by a
 // forwarding chain — o1 was copied from the first into the second and on
 // into to-space — in one round: one gc.addrChange per peer per call, every

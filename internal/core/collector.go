@@ -407,8 +407,8 @@ func (c *Collector) NoteWrite(o addr.OID) {
 
 // queueLocation records that o now lives at newAddr, to be told to peers
 // lazily, by piggybacking (§4.4). A move tells o's copy-set and entering
-// ownerPtrs (dsm.Node.ReplicaNodes); grants carry it further (invariant 1),
-// and a §4.5 round asks the owner for the rest (rewriteRefsInto).
+// ownerPtrs (dsm.Node.ReplicaNodes); grants carry it onward (invariants 1
+// and 2), and a §4.5 round asks the owner for the rest (rewriteRefsInto).
 // Reestablish, which rebuilds lost protocol state, tells every holder.
 func (c *Collector) queueLocation(o addr.OID, b addr.BunchID, newAddr addr.Addr, size int, peers []addr.NodeID) {
 	man := dsm.Manifest{OID: o, Addr: newAddr, Size: size, Bunch: b, Epoch: c.locEpoch[o]}

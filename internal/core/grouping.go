@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"bmx/internal/addr"
@@ -65,7 +64,16 @@ func (c *Collector) ConnectedGroups() [][]addr.BunchID {
 		slices.Sort(group)
 		out = append(out, group)
 	}
-	slices.SortFunc(out, func(a, b []addr.BunchID) int { return cmp.Compare(a[0], b[0]) })
+	slices.SortFunc(out, func(a, b []addr.BunchID) int {
+		switch {
+		case a[0] < b[0]:
+			return -1
+		case a[0] > b[0]:
+			return 1
+		default:
+			return 0
+		}
+	})
 	return out
 }
 

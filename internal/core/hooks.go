@@ -149,8 +149,8 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 		c.stats().Add("core.loc.applied", 1)
 	}
 	to := m.Addr
-	if r := c.heap.Resolve(to); !known && c.heap.OIDAt(r) == m.OID {
-		to = r // a dropped object's header here already forwards onward
+	if !known && c.heap.OIDAt(to) == m.OID {
+		to = c.heap.Resolve(to) // a dropped object's header may forward onward
 	}
 	c.heap.SetCanonical(m.OID, to)
 	c.dsm.Learn(m.OID, m.Bunch, from)

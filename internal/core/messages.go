@@ -365,8 +365,10 @@ func (c *Collector) rewriteRefsInto(doomed segSet, headers map[addr.Addr]addr.OI
 			return w, false
 		}
 		r, o, ok := c.escapeDoomed(doomed, w, headers)
-		if _, known := c.heap.Canonical(o); !ok && !o.IsNil() && !known {
-			lost = append(lost, o)
+		if !ok && !o.IsNil() {
+			if _, known := c.heap.Canonical(o); !known {
+				lost = append(lost, o)
+			}
 		}
 		return r, ok
 	}
