@@ -462,6 +462,115 @@ func TestReclaimResolvesWordToDroppedReplicaRefusesWithoutOwner(t *testing.T) {
 	}
 }
 
+// TestAddrChangeSkipsUnheldObjects: a §4.5 round informs the nodes
+// affected by its address changes. A holder that maps the bunch but never
+// held the batch's objects skips their manifests, and ends the round with
+// no canonical address and no protocol state for them.
+func TestAddrChangeSkipsUnheldObjects(t *testing.T) {
+	cl := New(Config{Nodes: 2, SegWords: 64, Seed: 1})
+	n0, n1 := cl.Node(0), cl.Node(1)
+	b := n0.NewBunch()
+	if err := n1.MapBunch(b); err != nil {
+		t.Fatal(err)
+	}
+	var objs []Ref
+	for range 3 {
+		o := n0.MustAlloc(b, 2)
+		n0.AddRoot(o)
+		objs = append(objs, o)
+	}
+	for range 2 {
+		n0.CollectBunch(b)
+		cl.Run(0)
+	}
+	if !slices.Contains(cl.dir.Holders(b), n1.ID()) {
+		t.Fatal("n1 is not a holder of the bunch")
+	}
+	if st := n0.ReclaimFromSpace(b); st.Segments == 0 {
+		t.Fatal("n0 reclaimed no from-space segment")
+	}
+	cl.Run(0)
+	for _, o := range objs {
+		if a, ok := n1.Collector().Heap().Canonical(o.OID); ok {
+			t.Errorf("n1 gained a canonical address %v for %v", a, o.OID)
+		}
+		if n1.DSM().Knows(o.OID) {
+			t.Errorf("n1 gained protocol state for %v", o.OID)
+		}
+	}
+	if cl.Stats().Get("core.reclaim.manifestsSkipped") == 0 {
+		t.Error("core.reclaim.manifestsSkipped = 0, want the unheld objects' manifests skipped")
+	}
+}
+
+// TestAddrChangeLateManifestHighestEpoch: a peer holds a word naming an
+// object only through a header in the batch, with no state for the object,
+// so it skips the object's manifests and consults them only when its
+// rewrite pass finds the word. The round names the object twice: at its
+// current address, and in an older queued update that points inside the
+// batch. The newest wins whatever the order, so the word resolves without a
+// gc.copyOut lookup.
+func TestAddrChangeLateManifestHighestEpoch(t *testing.T) {
+	cl := New(Config{Nodes: 2, SegWords: 64, Seed: 1})
+	owner, p := cl.Node(0), cl.Node(1)
+	b1 := owner.NewBunch()
+	b2 := p.NewBunch()
+	y := owner.MustAlloc(b1, 1)
+	owner.AddRoot(y)
+	x := p.MustAlloc(b2, 1)
+	p.AddRoot(x)
+	if err := p.AcquireRead(y); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteRef(x, 0, y); err != nil {
+		t.Fatal(err)
+	}
+	p.Release(x)
+	p.Release(y)
+	cl.Run(0)
+
+	// The owner moves y once while p holds a replica: the move is queued
+	// for p. The owner's write revokes p's copy (an invalidation carries
+	// no location), p's collection drops what is left of its replica, and
+	// the owner moves y again, telling p nothing more.
+	owner.CollectBunch(b1)
+	cl.Run(0)
+	if err := owner.AcquireWrite(y); err != nil {
+		t.Fatal(err)
+	}
+	owner.Release(y)
+	p.CollectBunch(b1)
+	cl.Run(0)
+	if _, ok := p.Collector().Heap().Canonical(y.OID); ok || p.DSM().Knows(y.OID) {
+		t.Fatal("p still holds state for y")
+	}
+	owner.CollectBunch(b1)
+	cl.Run(0)
+
+	copyOuts := cl.Stats().Get("core.copyOut.msgs")
+	if st := owner.ReclaimFromSpace(b1); st.Segments == 0 {
+		t.Fatal("the owner reclaimed no from-space segment")
+	}
+	cl.Run(0)
+	if got := cl.Stats().Get("core.reclaim.manifestsLate"); got < 1 {
+		t.Fatalf("core.reclaim.manifestsLate = %d, want ≥ 1", got)
+	}
+	if got := cl.Stats().Get("core.copyOut.msgs"); got != copyOuts {
+		t.Fatalf("core.copyOut.msgs rose %d → %d: the late manifest did not place y", copyOuts, got)
+	}
+	got, err := p.ReadRef(x, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != y {
+		t.Fatalf("x.0 = %v after the round, want %v", got, y)
+	}
+	can, _ := owner.Collector().Heap().Canonical(y.OID)
+	if w := addr.Addr(p.Collector().Heap().GetField(mustCanonical(t, p, x), 0)); w != can {
+		t.Fatalf("p's word x.0 = %v, want y's current address %v", w, can)
+	}
+}
+
 // TestFromSpaceReclaimBatch reclaims two from-space segments linked by a
 // forwarding chain — o1 was copied from the first into the second and on
 // into to-space — in one round: one gc.addrChange per peer per call, every

@@ -433,7 +433,7 @@ func (c *Collector) LocationEpoch(o addr.OID) uint64 { return c.locEpoch[o] }
 // GC messages instead of waiting for consistency traffic to carry them.
 // Used by the from-space reuse protocol and by the eager-update ablation.
 func (c *Collector) FlushLocations() {
-	for _, peer := range sortedNodeKeys(c.pending) {
+	for _, peer := range sortedNodeIDs(c.pending) {
 		q := c.pending[peer]
 		if len(q) == 0 {
 			continue
@@ -450,15 +450,6 @@ func (c *Collector) FlushLocations() {
 		})
 		c.stats().Add("core.locFlush.msgs", 1)
 	}
-}
-
-func sortedNodeKeys(m map[addr.NodeID]map[addr.OID]dsm.Manifest) []addr.NodeID {
-	out := make([]addr.NodeID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
 }
 
 func manifestList(q map[addr.OID]dsm.Manifest) []dsm.Manifest {

@@ -140,7 +140,8 @@ func (c *Collector) sendDeadNotices(byManager map[addr.NodeID][]addr.OID) {
 	}
 }
 
-func sortedNodeIDs(m map[addr.NodeID][]addr.OID) []addr.NodeID {
+// sortedNodeIDs lists m's keys in order.
+func sortedNodeIDs[V any](m map[addr.NodeID]V) []addr.NodeID {
 	out := make([]addr.NodeID, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -225,15 +226,26 @@ func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
 }
 
 // serveAddrChange participates in another node's from-space reuse round
-// (§4.5): apply the address changes, evacuate any of our own objects still
-// resident in the doomed batch, rewrite local references into it, and only
-// then unmap the local replicas. It refuses the round, unmapping nothing,
-// when it could not learn where a referenced object now lives.
+// (§4.5): apply the address changes of the objects it holds, evacuate any of
+// our own objects still resident in the doomed batch, rewrite local
+// references into it (consulting the other changes), and only then unmap
+// the local replicas. It refuses the round, unmapping nothing, when it could
+// not learn where a referenced object now lives.
 func (c *Collector) serveAddrChange(msg AddrChangeMsg) error {
-	c.ApplyManifests(msg.Manifests, msg.From)
+	var skipped int64
+	for _, m := range msg.Manifests {
+		if _, ok := c.heap.Canonical(m.OID); ok || c.dsm.Knows(m.OID) {
+			c.applyManifest(m, msg.From)
+		} else {
+			skipped++
+		}
+	}
+	if skipped > 0 {
+		c.stats().Add("core.reclaim.manifestsSkipped", skipped)
+	}
 	c.evacuate(msg.Segs)
 	doomed := c.doomedSet(msg.Segs)
-	if err := c.rewriteRefsInto(doomed, headerTable(msg.Headers)); err != nil {
+	if err := c.rewriteRefsInto(doomed, msg.Headers, msg.Manifests, msg.From); err != nil {
 		c.stats().Add("core.reclaim.refused", 1)
 		return err
 	}
@@ -243,14 +255,6 @@ func (c *Collector) serveAddrChange(msg AddrChangeMsg) error {
 	}
 	c.stats().Add("core.reclaim.participated", 1)
 	return nil
-}
-
-func headerTable(hs []SegHeader) map[addr.Addr]addr.OID {
-	out := make(map[addr.Addr]addr.OID, len(hs))
-	for _, h := range hs {
-		out[h.Old] = h.OID
-	}
-	return out
 }
 
 // evacuate rescues every object whose local canonical address lies in one
@@ -355,18 +359,31 @@ func (c *Collector) requestCopyOut(oids []addr.OID) error {
 //
 // A word may name an object only through a header, with no canonical
 // address here — typically a reference into a bunch whose replica this node
-// dropped, so no copy-set carried the object's moves here. The owners of
-// such objects are asked where they live (gc.copyOut) and the walk runs
-// again. A lookup call that failed is returned: the round must not unmap.
-func (c *Collector) rewriteRefsInto(doomed segSet, headers map[addr.Addr]addr.OID) error {
+// dropped, so no copy-set carried the object's moves here. Such objects
+// take their manifests from late (those serveAddrChange skipped); owners
+// are asked where the rest live (gc.copyOut) and the walk runs again. A
+// lookup call that failed is returned: the round must not unmap.
+func (c *Collector) rewriteRefsInto(doomed segSet, headers []SegHeader, late []dsm.Manifest, from addr.NodeID) error {
+	var table map[addr.Addr]addr.OID // headers, indexed on first use
+	header := func(w addr.Addr) addr.OID {
+		if table == nil {
+			table = make(map[addr.Addr]addr.OID, len(headers))
+			for _, h := range headers {
+				table[h.Old] = h.OID
+			}
+		}
+		return table[w]
+	}
 	var lost []addr.OID
+	var unresolved int64
 	escape := func(w addr.Addr) (addr.Addr, bool) {
 		if w.IsNil() || !doomed.contains(w) {
 			return w, false
 		}
-		r, o, ok := c.escapeDoomed(doomed, w, headers)
-		if !ok && !o.IsNil() {
-			if _, known := c.heap.Canonical(o); !known {
+		r, o, ok := c.escapeDoomed(doomed, w, header)
+		if !ok {
+			unresolved++
+			if _, known := c.heap.Canonical(o); !known && !o.IsNil() {
 				lost = append(lost, o)
 			}
 		}
@@ -374,6 +391,7 @@ func (c *Collector) rewriteRefsInto(doomed segSet, headers map[addr.Addr]addr.OI
 	}
 	for pass := 0; ; pass++ {
 		var refs, fwds int
+		unresolved = 0
 		c.heap.ForEachSegment(func(s *mem.Segment) {
 			if !doomed.has(s.Meta.ID) {
 				refs += s.RewriteRefs(escape)
@@ -387,13 +405,42 @@ func (c *Collector) rewriteRefsInto(doomed segSet, headers map[addr.Addr]addr.OI
 			c.stats().Add("core.reclaim.fwdsRewritten", int64(fwds))
 		}
 		if len(lost) == 0 || pass > 0 {
+			if unresolved > 0 {
+				c.stats().Add("core.reclaim.unresolved", unresolved)
+			}
 			return nil
 		}
 		slices.Sort(lost)
-		if err := c.requestCopyOut(slices.Compact(lost)); err != nil {
+		lost = c.applyLate(doomed, slices.Compact(lost), late, from)
+		if err := c.requestCopyOut(lost); err != nil {
 			return err
 		}
 	}
+}
+
+// applyLate applies to each object of lost (sorted) its highest-epoch
+// manifest in ms — a round may also name it in an older queued update that
+// points inside the batch — and returns those still not placed outside it.
+func (c *Collector) applyLate(doomed segSet, lost []addr.OID, ms []dsm.Manifest, from addr.NodeID) []addr.OID {
+	best := make(map[addr.OID]dsm.Manifest)
+	for _, m := range ms {
+		b, seen := best[m.OID]
+		if _, ok := slices.BinarySearch(lost, m.OID); ok && (!seen || m.Epoch > b.Epoch) {
+			best[m.OID] = m
+		}
+	}
+	for _, o := range lost {
+		if m, ok := best[o]; ok {
+			c.applyManifest(m, from)
+		}
+	}
+	if len(best) > 0 {
+		c.stats().Add("core.reclaim.manifestsLate", int64(len(best)))
+	}
+	return slices.DeleteFunc(lost, func(o addr.OID) bool {
+		can, ok := c.heap.Canonical(o)
+		return ok && !doomed.contains(c.heap.Resolve(can))
+	})
 }
 
 // escapeDoomed finds the current address of whatever w (inside the doomed
@@ -402,15 +449,15 @@ func (c *Collector) rewriteRefsInto(doomed segSet, headers map[addr.Addr]addr.OI
 // initiator's header table — a replica may hold old words for an object
 // whose header it never materialized. It also returns the object it
 // identified, if any. Returns false when nothing better than w is known.
-func (c *Collector) escapeDoomed(doomed segSet, w addr.Addr, headers map[addr.Addr]addr.OID) (addr.Addr, addr.OID, bool) {
+func (c *Collector) escapeDoomed(doomed segSet, w addr.Addr, header func(addr.Addr) addr.OID) (addr.Addr, addr.OID, bool) {
 	if r := c.heap.Resolve(w); r != w && !doomed.contains(r) {
 		return r, addr.NilOID, true
 	}
-	oid := addr.NilOID
+	var oid addr.OID
 	if c.heap.Mapped(w) && c.heap.IsObjectAt(w) {
 		oid = c.heap.ObjOID(w)
-	} else if headers != nil {
-		oid = headers[w]
+	} else {
+		oid = header(w)
 	}
 	if !oid.IsNil() {
 		if can, ok := c.heap.Canonical(oid); ok {
@@ -419,7 +466,6 @@ func (c *Collector) escapeDoomed(doomed segSet, w addr.Addr, headers map[addr.Ad
 			}
 		}
 	}
-	c.stats().Add("core.reclaim.unresolved", 1)
 	return addr.NilAddr, oid, false
 }
 

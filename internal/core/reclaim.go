@@ -23,7 +23,8 @@ type ReclaimStats struct {
 //     out by their owners ("asking the owner nodes to copy those live
 //     objects still allocated in the from-space segment").
 //  2. Every other holder of the bunch gets one address-change message for
-//     the batch, and performs the same evacuation for its own objects,
+//     the batch, applies the changes to the objects it holds (the rest only
+//     for words it finds), performs the same evacuation for its own objects,
 //     rewrites its references into the batch, and unmaps it ("informing all
 //     other nodes affected by the address changes in this segment").
 //  3. Once every reply is in, the segments are freed: no live object and
@@ -111,7 +112,7 @@ func (c *Collector) ReclaimFromSpace(b addr.BunchID) ReclaimStats {
 
 	// 3. Free the batch locally and in the directory — unless a word here
 	// names an object whose owner could not say where it lives now.
-	if err := c.rewriteRefsInto(doomed, headerTable(headers)); err != nil {
+	if err := c.rewriteRefsInto(doomed, headers, nil, c.node); err != nil {
 		return abort()
 	}
 	c.dropCanonicalsIn(doomed)

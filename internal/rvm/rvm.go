@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"bmx/internal/addr"
 	"bmx/internal/mem"
@@ -66,6 +67,8 @@ type Log struct {
 	nextTx  uint64
 	group   bool
 	counter func(name string, d int64)
+	// dirty: a transaction was sealed since the last Barrier or Truncate.
+	dirty atomic.Bool
 }
 
 // NewLog opens (or creates) the log named name on st.
@@ -117,9 +120,14 @@ func (l *Log) Begin() *Tx {
 // Barrier forces everything appended so far — the group-commit durability
 // point. The collector calls this once per collection flip, from its locked
 // flip bracket; after Barrier returns, every transaction committed before
-// it survives any crash. In per-transaction mode it is a harmless extra
-// force.
+// it survives any crash. A barrier with nothing sealed since the last
+// barrier or Truncate syncs nothing and is not counted. In per-transaction
+// mode each Commit forces on its own, so a barrier after commits is a
+// harmless extra force.
 func (l *Log) Barrier() {
+	if !l.dirty.Swap(false) {
+		return
+	}
 	l.st.Sync(l.name)
 	l.count("rvm.log.barriers", 1)
 }
@@ -127,6 +135,7 @@ func (l *Log) Barrier() {
 // Truncate discards the log contents, typically after a checkpoint has made
 // the logged state durable elsewhere.
 func (l *Log) Truncate() {
+	l.dirty.Store(false)
 	l.st.Write(l.name, nil)
 	l.st.Sync(l.name)
 }
@@ -266,6 +275,7 @@ func (tx *Tx) seal(op string) {
 	tx.done = true
 	l := tx.log
 	l.st.Append(l.name, tx.buf)
+	l.dirty.Store(true)
 	l.count("rvm.log.bytes", int64(len(tx.buf)))
 }
 

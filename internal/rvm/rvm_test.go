@@ -250,6 +250,32 @@ func TestGroupCommitBarrierForcesBatch(t *testing.T) {
 	}
 }
 
+// TestBarrierSkipsUnchangedLog: a barrier forces only what was sealed since
+// the last barrier, so in group-commit mode Commit + Barrier + Barrier is
+// one store sync, and only the barrier that synced is counted.
+func TestBarrierSkipsUnchangedLog(t *testing.T) {
+	d := store.NewDisk()
+	l := NewLog(d, "log")
+	l.SetGroupCommit(true)
+	counts := map[string]int64{}
+	l.SetCounter(func(name string, v int64) { counts[name] += v })
+	tx := l.Begin()
+	tx.SetRange(1, 0, 0, []uint64{7})
+	tx.Commit()
+	l.Barrier()
+	l.Barrier()
+	if _, _, syncs := d.Stats(); syncs != 1 {
+		t.Errorf("Commit+Barrier+Barrier cost %d syncs, want 1", syncs)
+	}
+	if counts["rvm.log.barriers"] != 1 {
+		t.Errorf("rvm.log.barriers = %d, want 1", counts["rvm.log.barriers"])
+	}
+	d.Crash()
+	if recs := l.Recover(); len(recs) != 1 {
+		t.Errorf("recovered %d records, want 1", len(recs))
+	}
+}
+
 func TestGroupCommitOneSyncPerBatch(t *testing.T) {
 	// The point of group commit: N transactions cost one force, vs N in
 	// per-transaction mode.
