@@ -26,6 +26,9 @@ import (
 //     deliberately omits their exiting ownerPtrs).
 //   - heap sanity: every canonical address resolves to a header carrying
 //     the object's identity.
+//   - invariant 1 (§5): every pointer word of a consistent copy — an object
+//     the node owns or holds a token for — resolves through the local chain
+//     (Collector.ResolveRef, nothing in hand) to a header.
 //   - bunch agreement: every object a node's DSM state files under a bunch
 //     is in that bunch according to the directory — the premise that lets
 //     Collector.BunchOf answer from local state.
@@ -104,6 +107,20 @@ func (cl *Cluster) CheckInvariants() []string {
 			if got := heap.ObjOID(r); got != o {
 				report("heap: %v canonical resolves to header of %v at %v", o, got, n.id)
 			}
+		})
+		// Invariant 1.
+		heap.ForEachCanonical(func(o addr.OID, a addr.Addr) {
+			if !n.dsm.IsOwner(o) && n.dsm.ModeOf(o) == 0 {
+				return
+			}
+			if a = heap.Resolve(a); !heap.IsObjectAt(a) || heap.ObjOID(a) != o {
+				return // heap sanity reports it
+			}
+			heap.ForEachRef(a, func(f int, w addr.Addr) {
+				if r, _ := n.col.ResolveRef(w, nil); r.IsNil() && !w.IsNil() {
+					report("address: %v.%d at %v names %v, which no header here identifies", o, f, n.id, w)
+				}
+			})
 		})
 		// SSP pairing.
 		for _, b := range n.col.MappedBunches() {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -59,5 +61,17 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("unexpected violation set: %v", bad)
+	}
+
+	// Forge a pointer word naming an unmapped address in the owner's copy.
+	n1.mu.Lock()
+	heap := n1.Collector().Heap()
+	a, _ := heap.Canonical(o.OID)
+	bogus := a.AddWords(1000 * 64)
+	heap.SetField(a, 0, uint64(bogus), true)
+	n1.mu.Unlock()
+	want := fmt.Sprintf("address: %v.0 at %v names %v", o.OID, n1.ID(), bogus)
+	if bad := cl.CheckInvariants(); !slices.ContainsFunc(bad, func(m string) bool { return strings.HasPrefix(m, want) }) {
+		t.Fatalf("checker missed a forged pointer word (want %q): %v", want, bad)
 	}
 }

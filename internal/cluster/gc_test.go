@@ -462,6 +462,60 @@ func TestReclaimResolvesWordToDroppedReplicaRefusesWithoutOwner(t *testing.T) {
 	}
 }
 
+// TestReclaimRefusesWhenEvacuationCopyOutFails: a participant holds a read
+// copy of y headquartered in the batch, and a word of its own names y. Its
+// evacuation asks y's owner to copy y out, across a partition. The word's
+// object is identified but not placed outside the batch, whatever its
+// stale canonical address there says, so the participant asks again and,
+// still cut off, refuses the round rather than strand the word.
+func TestReclaimRefusesWhenEvacuationCopyOutFails(t *testing.T) {
+	cl := New(Config{Nodes: 4, SegWords: 64, Seed: 1})
+	initiator, p, owner, host := cl.Node(0), cl.Node(1), cl.Node(2), cl.Node(3)
+	b1 := host.NewBunch()
+	b2 := p.NewBunch()
+	y := initiator.MustAlloc(b1, 1)
+	initiator.AddRoot(y)
+	if err := owner.AcquireWrite(y); err != nil {
+		t.Fatal(err)
+	}
+	owner.Release(y)
+	owner.AddRoot(y)
+	x := p.MustAlloc(b2, 1)
+	p.AddRoot(x)
+	if err := p.AcquireRead(y); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteRef(x, 0, y); err != nil {
+		t.Fatal(err)
+	}
+	p.Release(x)
+	initiator.RemoveRoot(y)
+	cl.Run(0)
+	initiator.CollectBunch(b1)
+	cl.Run(0)
+	if _, ok := initiator.Collector().Heap().Canonical(y.OID); ok {
+		t.Fatal("the initiator still holds a replica of y")
+	}
+
+	cl.Partition(int(p.ID()), int(owner.ID()))
+	initiator.ReclaimFromSpace(b1)
+	if cl.Stats().Get("core.reclaim.refused") == 0 || cl.Stats().Get("core.reclaim.aborted") == 0 {
+		t.Fatal("the round went ahead without the owner's copy-out")
+	}
+	if len(initiator.Collector().FromSpaceSegments(b1)) == 0 {
+		t.Fatal("the aborted batch left the initiator's from-space")
+	}
+	cl.HealAll()
+	before := cl.Stats().Get("core.reclaim.segments")
+	initiator.ReclaimFromSpace(b1)
+	if cl.Stats().Get("core.reclaim.segments") == before {
+		t.Fatal("the retried round reclaimed nothing")
+	}
+	if got, err := p.ReadRef(x, 0); err != nil || got != y {
+		t.Fatalf("x.0 = %v, %v after the retried round, want %v", got, err, y)
+	}
+}
+
 // TestAddrChangeSkipsUnheldObjects: a §4.5 round informs the nodes
 // affected by its address changes. A holder that maps the bunch but never
 // held the batch's objects skips their manifests, and ends the round with

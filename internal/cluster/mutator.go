@@ -225,7 +225,7 @@ func (n *Node) ReadRef(obj Ref, i int) (Ref, error) {
 	if v.IsNil() {
 		return Nil, nil
 	}
-	_, oid := n.col.ResolveRef(v)
+	oid := heap.OIDAt(v)
 	if oid.IsNil() {
 		return Nil, fmt.Errorf("cluster: dangling reference %v in field %d of %v", v, i, obj)
 	}

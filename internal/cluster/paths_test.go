@@ -240,7 +240,7 @@ func TestAddressRecycling(t *testing.T) {
 	}
 	// A stale word into the recycled range must not name the OLD object
 	// any more (it may name the new tenant, which is correct).
-	if _, got := n.Collector().ResolveRef(firstSeg.Base); got == o.OID {
+	if got := n.Collector().Heap().OIDAt(firstSeg.Base); got == o.OID {
 		t.Fatal("a recycled address still resolves to the old object")
 	}
 	// The original object still works at its post-GC home.

@@ -252,7 +252,7 @@ func (m *model) checkDangling(ctx string) {
 				}
 				// Resolution semantics match the mutator's ReadRef:
 				// forwarding pointers, then the local headers.
-				r, roid := nd.Collector().ResolveRef(v)
+				r, roid := heap.Resolve(v), heap.OIDAt(v)
 				if roid.IsNil() {
 					mo := m.objs[oid]
 					want := addr.NilOID
@@ -478,7 +478,7 @@ func (m *model) checkLiveness() {
 						if v.IsNil() {
 							return
 						}
-						if _, tgt := col.ResolveRef(v); tgt == oid {
+						if tgt := heap.OIDAt(v); tgt == oid {
 							m.t.Logf("PREDDBG node %d: %v.%d -> %v (src reach=%v exempt=%v)",
 								i, src, f, oid, reach[src], exempt[src])
 						}
@@ -569,7 +569,7 @@ func (m *model) deadCycleClosure(reach map[addr.OID]bool) map[addr.OID]bool {
 				if v.IsNil() {
 					return
 				}
-				if _, t := col.ResolveRef(v); !t.IsNil() && !reach[t] {
+				if t := heap.OIDAt(v); !t.IsNil() && !reach[t] {
 					stack = append(stack, t)
 				}
 			})

@@ -286,13 +286,31 @@ func (c *Collector) Alloc(b addr.BunchID, size int) (addr.OID, error) {
 	return oid, nil
 }
 
-// ResolveRef returns the current local address of whatever reference value
-// a denotes, following local forwarding pointers, and the identity of the
-// object headed there. A nil OID means no local header answers for the
-// value: it is dangling garbage here.
-func (c *Collector) ResolveRef(a addr.Addr) (addr.Addr, addr.OID) {
-	r := c.heap.Resolve(a)
-	return r, c.heap.OIDAt(r)
+// ResolveRef is the one resolver of a pointer word w: which object it names
+// here, and where that object lives here now. The chain (DESIGN.md §10):
+// the local header under w, through forwarding pointers; failing that, the
+// identity the message in hand brought for w (inHand: a grant's manifests
+// or a §4.5 round's header table, nil for none); then the object's
+// canonical address, if that heads the object, else the header found. It
+// returns NilAddr with the identity when the object has no address here,
+// and NilOID when nothing identifies w. A §4.5 round goes on where the
+// chain stops: an owner lookup, then refusal (rewriteRefsInto). A reader
+// that needs only the identity stays on the first link, Heap.OIDAt.
+func (c *Collector) ResolveRef(w addr.Addr, inHand func(addr.Addr) addr.OID) (addr.Addr, addr.OID) {
+	r := c.heap.Resolve(w)
+	o := c.heap.OIDAt(r)
+	if o.IsNil() && inHand != nil {
+		o, r = inHand(w), addr.NilAddr
+	}
+	if o.IsNil() {
+		return addr.NilAddr, addr.NilOID
+	}
+	if can, ok := c.heap.Canonical(o); ok {
+		if can = c.heap.Resolve(can); c.heap.IsObjectAt(can) && c.heap.ObjOID(can) == o {
+			return can, o
+		}
+	}
+	return r, o
 }
 
 // ---- Write barrier (§3.2) ---------------------------------------------------

@@ -584,14 +584,14 @@ func (c *Collector) stubsAllInGroup(o addr.OID, set map[addr.BunchID]bool) bool 
 	return true
 }
 
-// fixupLocalRefs rewrites the pointer fields of o's local copy through the
-// local forwarding pointers.
+// fixupLocalRefs rewrites the pointer fields of o's local copy to the
+// current local addresses of their referees, with nothing in hand.
 func (c *Collector) fixupLocalRefs(o addr.OID) {
 	a, ok := c.heap.Canonical(o)
 	if !ok || !c.heap.Mapped(a) || !c.heap.IsObjectAt(a) {
 		return
 	}
-	c.normalizeRefs(a, "core.gc.refsUpdated")
+	c.normalizeRefs(a, "core.gc.refsUpdated", nil)
 }
 
 // knownInBunch lists every object of bunch b this node has any knowledge of

@@ -172,7 +172,7 @@ func (c *Collector) ObjectImage(o addr.OID) dsm.ObjectImage {
 	if !c.heap.Mapped(a) || !c.heap.IsObjectAt(a) {
 		return img
 	}
-	c.normalizeRefs(a, "core.loc.refsNormalized")
+	c.normalizeRefs(a, "core.loc.refsNormalized", nil)
 	n := c.heap.ObjSize(a)
 	img.Words = make([]uint64, n)
 	img.RefMask = make([]bool, n)
@@ -212,52 +212,30 @@ func (c *Collector) InstallImage(img dsm.ObjectImage, ms []dsm.Manifest, from ad
 	for i := range img.Words {
 		c.heap.SetField(a, i, img.Words[i], img.RefMask[i])
 	}
-	c.identifyGrantedRefs(a, ms)
-}
-
-// identifyGrantedRefs rewrites each pointer word of the image just installed
-// at a that no local header identifies. The granter normalized the words to
-// its own canonical addresses (ObjectImage) and shipped a manifest for every
-// referee (invariant 1), but this node rejects a manifest older than a
-// location it already knows, and then holds no header at the address the
-// word names. The grant's manifest for that address still says which object
-// the word means, so the word becomes this node's canonical address of that
-// object: a local, address-level update that needs no token (§4.4).
-func (c *Collector) identifyGrantedRefs(a addr.Addr, ms []dsm.Manifest) {
-	c.heap.ForEachRef(a, func(i int, v addr.Addr) {
-		if v.IsNil() || !c.heap.OIDAt(v).IsNil() {
-			return
-		}
+	// A word no local header identifies (this node rejected its referee's
+	// manifest as older than a location it knows) is identified by the
+	// grant's manifest for that address (invariant 1).
+	c.normalizeRefs(a, "core.loc.refsNormalized", func(w addr.Addr) addr.OID {
 		for _, m := range ms {
-			if m.Addr != v {
-				continue
+			if m.Addr == w {
+				return m.OID
 			}
-			if can, ok := c.heap.Canonical(m.OID); ok {
-				if r := c.heap.Resolve(can); c.heap.OIDAt(r) == m.OID {
-					c.heap.SetField(a, i, uint64(r), true)
-				}
-			}
-			return
 		}
+		return addr.NilOID
 	})
 }
 
-// normalizeRefs rewrites the pointer fields of the object at a to the
-// canonical addresses of the objects they name (a stale replica may still
-// map an older header than the canonical one, which grants would not
-// identify), counting each rewrite under counter. This modifies the object
-// without any token: the change is address-level only and invisible to the
-// application's consistency contract (§4.4).
-func (c *Collector) normalizeRefs(a addr.Addr, counter string) {
-	c.heap.ForEachRef(a, func(i int, v addr.Addr) {
-		if v.IsNil() {
+// normalizeRefs rewrites each pointer field of the object at a to the local
+// address ResolveRef gives it (inHand as there), counting each rewrite under
+// counter: a stale replica may map an older header than the canonical one,
+// which grants would not identify. The change is address-level only, so it
+// needs no token and is invisible to the consistency contract (§4.4).
+func (c *Collector) normalizeRefs(a addr.Addr, counter string, inHand func(addr.Addr) addr.OID) {
+	c.heap.ForEachRef(a, func(i int, w addr.Addr) {
+		if w.IsNil() {
 			return
 		}
-		r, oid := c.ResolveRef(v)
-		if can, ok := c.heap.Canonical(oid); ok && c.heap.OIDAt(can) == oid {
-			r = c.heap.Resolve(can)
-		}
-		if !oid.IsNil() && r != v {
+		if r, _ := c.ResolveRef(w, inHand); !r.IsNil() && r != w {
 			c.heap.SetField(a, i, uint64(r), true)
 			c.stats().Add(counter, 1)
 		}

@@ -286,7 +286,9 @@ func (c *Collector) evacuate(segs []addr.SegID) {
 	for _, o := range mine {
 		c.moveOwnedObject(o)
 	}
-	c.requestCopyOut(theirs)
+	// A failed copy-out leaves the object's canonical address in the batch:
+	// a word naming it asks again in rewriteRefsInto, which refuses on failure.
+	_ = c.requestCopyOut(theirs)
 }
 
 // requestCopyOut asks the owners of the given objects to copy them into
@@ -348,21 +350,23 @@ func (c *Collector) requestCopyOut(oids []addr.OID) error {
 }
 
 // rewriteRefsInto rewrites every local pointer word — and every forwarding
-// pointer — outside the doomed batch that points into it, through the
-// forwarding pointers resident there, so the batch holds no forwarding
-// pointer anybody still needs (§4.5). One pass over the heap serves the
-// whole batch. Without the second pass, a forwarding chain hopping through
-// a doomed segment would dangle once it is unmapped. The doomed segments'
-// own words die with them and are not rewritten. The walk reads each
-// replica's words and bitmaps directly: it visits every pointer word the
-// node holds, so a lookup per word would dominate the round.
+// pointer — outside the doomed batch that points into it, so the batch holds
+// no forwarding pointer anybody still needs (§4.5). One pass over the heap
+// serves the whole batch. Without the second pass, a forwarding chain
+// hopping through a doomed segment would dangle once it is unmapped. The
+// doomed segments' own words die with them and are not rewritten. The walk
+// reads each replica's words and bitmaps directly: it visits every pointer
+// word the node holds, so a lookup per word would dominate the round.
 //
-// A word may name an object only through a header, with no canonical
-// address here — typically a reference into a bunch whose replica this node
-// dropped, so no copy-set carried the object's moves here. Such objects
-// take their manifests from late (those serveAddrChange skipped); owners
-// are asked where the rest live (gc.copyOut) and the walk runs again. A
-// lookup call that failed is returned: the round must not unmap.
+// A word into the batch whose forwarding pointer leads out of it takes that
+// address; any other goes through ResolveRef with the round's header table in
+// hand. A word whose object the chain identifies but does not place outside
+// the batch — no canonical address here, typically a reference into a bunch
+// whose replica this node dropped, or one still inside the batch because an
+// evacuation's copy-out failed — finishes the chain: the object takes its
+// manifest from late (those serveAddrChange skipped), its owner is asked
+// where it lives (gc.copyOut), and the walk runs again. A lookup call that
+// failed is returned: the round must not unmap.
 func (c *Collector) rewriteRefsInto(doomed segSet, headers []SegHeader, late []dsm.Manifest, from addr.NodeID) error {
 	var table map[addr.Addr]addr.OID // headers, indexed on first use
 	header := func(w addr.Addr) addr.OID {
@@ -374,20 +378,24 @@ func (c *Collector) rewriteRefsInto(doomed segSet, headers []SegHeader, late []d
 		}
 		return table[w]
 	}
-	var lost []addr.OID
+	var unplaced []addr.OID
 	var unresolved int64
 	escape := func(w addr.Addr) (addr.Addr, bool) {
 		if w.IsNil() || !doomed.contains(w) {
 			return w, false
 		}
-		r, o, ok := c.escapeDoomed(doomed, w, header)
-		if !ok {
-			unresolved++
-			if _, known := c.heap.Canonical(o); !known && !o.IsNil() {
-				lost = append(lost, o)
-			}
+		if r := c.heap.Resolve(w); r != w && !doomed.contains(r) {
+			return r, true
 		}
-		return r, ok
+		r, o := c.ResolveRef(w, header)
+		if !r.IsNil() && !doomed.contains(r) {
+			return r, true
+		}
+		unresolved++
+		if !o.IsNil() {
+			unplaced = append(unplaced, o)
+		}
+		return w, false
 	}
 	for pass := 0; ; pass++ {
 		var refs, fwds int
@@ -404,32 +412,32 @@ func (c *Collector) rewriteRefsInto(doomed segSet, headers []SegHeader, late []d
 		if fwds > 0 {
 			c.stats().Add("core.reclaim.fwdsRewritten", int64(fwds))
 		}
-		if len(lost) == 0 || pass > 0 {
+		if len(unplaced) == 0 || pass > 0 {
 			if unresolved > 0 {
 				c.stats().Add("core.reclaim.unresolved", unresolved)
 			}
 			return nil
 		}
-		slices.Sort(lost)
-		lost = c.applyLate(doomed, slices.Compact(lost), late, from)
-		if err := c.requestCopyOut(lost); err != nil {
+		slices.Sort(unplaced)
+		unplaced = c.applyLate(doomed, slices.Compact(unplaced), late, from)
+		if err := c.requestCopyOut(unplaced); err != nil {
 			return err
 		}
 	}
 }
 
-// applyLate applies to each object of lost (sorted) its highest-epoch
+// applyLate applies to each object of unplaced (sorted) its highest-epoch
 // manifest in ms — a round may also name it in an older queued update that
 // points inside the batch — and returns those still not placed outside it.
-func (c *Collector) applyLate(doomed segSet, lost []addr.OID, ms []dsm.Manifest, from addr.NodeID) []addr.OID {
+func (c *Collector) applyLate(doomed segSet, unplaced []addr.OID, ms []dsm.Manifest, from addr.NodeID) []addr.OID {
 	best := make(map[addr.OID]dsm.Manifest)
 	for _, m := range ms {
 		b, seen := best[m.OID]
-		if _, ok := slices.BinarySearch(lost, m.OID); ok && (!seen || m.Epoch > b.Epoch) {
+		if _, ok := slices.BinarySearch(unplaced, m.OID); ok && (!seen || m.Epoch > b.Epoch) {
 			best[m.OID] = m
 		}
 	}
-	for _, o := range lost {
+	for _, o := range unplaced {
 		if m, ok := best[o]; ok {
 			c.applyManifest(m, from)
 		}
@@ -437,36 +445,10 @@ func (c *Collector) applyLate(doomed segSet, lost []addr.OID, ms []dsm.Manifest,
 	if len(best) > 0 {
 		c.stats().Add("core.reclaim.manifestsLate", int64(len(best)))
 	}
-	return slices.DeleteFunc(lost, func(o addr.OID) bool {
+	return slices.DeleteFunc(unplaced, func(o addr.OID) bool {
 		can, ok := c.heap.Canonical(o)
 		return ok && !doomed.contains(c.heap.Resolve(can))
 	})
-}
-
-// escapeDoomed finds the current address of whatever w (inside the doomed
-// batch) refers to: through the local forwarding pointer when one exists,
-// via the object header under w and the canonical map, or via the
-// initiator's header table — a replica may hold old words for an object
-// whose header it never materialized. It also returns the object it
-// identified, if any. Returns false when nothing better than w is known.
-func (c *Collector) escapeDoomed(doomed segSet, w addr.Addr, header func(addr.Addr) addr.OID) (addr.Addr, addr.OID, bool) {
-	if r := c.heap.Resolve(w); r != w && !doomed.contains(r) {
-		return r, addr.NilOID, true
-	}
-	var oid addr.OID
-	if c.heap.Mapped(w) && c.heap.IsObjectAt(w) {
-		oid = c.heap.ObjOID(w)
-	} else {
-		oid = header(w)
-	}
-	if !oid.IsNil() {
-		if can, ok := c.heap.Canonical(oid); ok {
-			if can = c.heap.Resolve(can); can != w && !doomed.contains(can) {
-				return can, oid, true
-			}
-		}
-	}
-	return addr.NilAddr, oid, false
 }
 
 // dropCanonicalsIn forgets canonical addresses still inside the batch being
