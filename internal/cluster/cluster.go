@@ -168,6 +168,8 @@ type Node struct {
 	log  *rvm.Log
 	// openTx batches mutations between Sync calls when persistence is on.
 	openTx *rvm.Tx
+	// logWords and logRefs are logObject's reused record buffers.
+	logWords, logRefs []uint64
 	// flipCrash arms a crash at the next collection's durability barrier
 	// (see ArmFlipCrash in crash.go). Guarded by the node lock, like the
 	// rest of the persistence state.

@@ -153,6 +153,72 @@ func TestKillRestartCopiedObject(t *testing.T) {
 	}
 }
 
+// TestKillRestartCopiedRefMap pins that a copied object's reference-map
+// bits reach the log with its words: after collect, crash after the
+// barrier and recover, a reference field still reads as a reference and a
+// word field as a word. The wide object spans more than 64 words, so its
+// logged mask spans two mask words.
+func TestKillRestartCopiedRefMap(t *testing.T) {
+	cl := New(Config{Nodes: 1, SegWords: 256, WithDisk: true, GroupCommit: true})
+	nd := cl.Node(0)
+	b := nd.NewBunch()
+	obj, target, wide := nd.MustAlloc(b, 2), nd.MustAlloc(b, 1), nd.MustAlloc(b, 70)
+	nd.AddRoot(obj)
+	nd.AddRoot(wide)
+	for _, r := range []Ref{obj, wide} {
+		if err := nd.AcquireWrite(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(nd.WriteRef(obj, 0, target))
+	must(nd.WriteWord(obj, 1, 4242))
+	must(nd.WriteWord(wide, 0, 99))
+	must(nd.WriteRef(wide, 60, target)) // word 63: the first mask word's last bit
+	must(nd.WriteRef(wide, 65, obj))    // word 68: in the second mask word
+	if st := nd.CollectBunch(b); st.Copied != 3 {
+		t.Fatalf("collection copied %d objects, want 3", st.Copied)
+	}
+	must(nd.KillRestart(b))
+	cl.Run(0)
+	for _, r := range []Ref{obj, wide} {
+		if err := nd.AcquireRead(r); err != nil {
+			t.Fatalf("recovered object %v not acquirable: %v", r, err)
+		}
+	}
+	refs := []struct {
+		obj   Ref
+		field int
+		want  Ref
+	}{{obj, 0, target}, {wide, 60, target}, {wide, 65, obj}}
+	for _, c := range refs {
+		if got, err := nd.ReadRef(c.obj, c.field); err != nil || got != c.want {
+			t.Errorf("recovered ReadRef(%v, %d) = %v, %v; want %v", c.obj, c.field, got, err, c.want)
+		}
+	}
+	words := []struct {
+		obj   Ref
+		field int
+		want  uint64
+	}{{obj, 1, 4242}, {wide, 0, 99}}
+	for _, c := range words {
+		if got, err := nd.ReadWord(c.obj, c.field); err != nil || got != c.want {
+			t.Errorf("recovered ReadWord(%v, %d) = %d, %v; want %d", c.obj, c.field, got, err, c.want)
+		}
+		if _, err := nd.ReadRef(c.obj, c.field); err == nil {
+			t.Errorf("recovered word field %d of %v reads as a reference", c.field, c.obj)
+		}
+	}
+	if bad := cl.CheckInvariants(); len(bad) != 0 {
+		t.Fatalf("invariants after recovery: %v", bad)
+	}
+}
+
 // TestKillRestartDeadStaysDead pins the death-record path: an object whose
 // reclamation reached the log must not be resurrected by recovery, even
 // though checkpoint images and older header records still describe it.

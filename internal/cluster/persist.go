@@ -20,57 +20,46 @@ import (
 // every segment, whichever space it currently plays, has its own image file.
 
 // logAllocation records a fresh object's header so recovery can rebuild the
-// object map. Called under the cluster lock.
+// object map: recovery materializes the object at the header record's
+// address, and its field values follow as logWrite records when the mutator
+// stores them. Called under the cluster lock.
 func (n *Node) logAllocation(oid addr.OID) {
-	if n.log == nil {
-		return
+	if n.log != nil {
+		n.logObject(n.tx(), oid, true)
 	}
-	n.logHeader(n.tx(), oid)
-}
-
-// logHeader records oid's header words at its current canonical address.
-// Recovery materializes the object there: a header record is how a fresh
-// allocation reaches the redo log (its field values follow as individual
-// logWrite records when the mutator stores them).
-func (n *Node) logHeader(tx *rvm.Tx, oid addr.OID) {
-	heap := n.col.Heap()
-	a, ok := heap.Canonical(oid)
-	if !ok {
-		return
-	}
-	seg := heap.SegAt(a)
-	off := a.WordOff(seg.Meta.Base)
-	hdr := make([]uint64, mem.HeaderWords)
-	for i := range hdr {
-		hdr[i] = heap.Word(a.AddWords(i))
-	}
-	tx.SetRange(seg.Meta.ID, seg.Meta.Gen, off, hdr)
 }
 
 // logObject records oid's complete contents — header, data words and the
-// fields' reference-map bits — at its current canonical address. This is
-// the durable transcript of a GC copy: the object's earlier log records
-// all name its from-space address, so the to-space copy must reach the
-// log whole or a recovery would resolve the canonical address to
-// uninitialized to-space. The record's address IS the object's location;
-// the last header in log order wins.
-func (n *Node) logObject(tx *rvm.Tx, oid addr.OID) {
+// fields' reference-map bits — at its current canonical address, as one
+// range record encoded from the heap through the node's reused buffers;
+// hdrOnly logs the header words alone. A whole object is the durable
+// transcript of a GC copy: the object's earlier log records all name its
+// from-space address, so the to-space copy must reach the log whole or a
+// recovery would resolve the canonical address to uninitialized to-space.
+// The record's address IS the object's location; the last header in log
+// order wins.
+func (n *Node) logObject(tx *rvm.Tx, oid addr.OID, hdrOnly bool) {
 	heap := n.col.Heap()
 	a, ok := heap.Canonical(oid)
 	if !ok {
 		return
 	}
 	seg := heap.SegAt(a)
-	off := a.WordOff(seg.Meta.Base)
-	size := heap.ObjSize(a)
-	words := make([]uint64, mem.HeaderWords+size)
+	words := mem.HeaderWords
+	if !hdrOnly {
+		words += heap.ObjSize(a)
+	}
+	n.logWords = n.logWords[:0]
 	for i := range words {
-		words[i] = heap.Word(a.AddWords(i))
+		n.logWords = append(n.logWords, heap.Word(a.AddWords(i)))
 	}
-	tx.SetRange(seg.Meta.ID, seg.Meta.Gen, off, words)
-	for i := 0; i < size; i++ {
-		tx.SetRefBit(seg.Meta.ID, seg.Meta.Gen, off+mem.HeaderWords+i, heap.IsRefField(a, i))
+	n.logRefs = append(n.logRefs[:0], make([]uint64, (words+63)/64)...)
+	for i := mem.HeaderWords; i < words; i++ {
+		if heap.IsRefField(a, i-mem.HeaderWords) {
+			n.logRefs[i/64] |= 1 << (i % 64)
+		}
 	}
+	tx.SetRange(seg.Meta.ID, seg.Meta.Gen, a.WordOff(seg.Meta.Base), n.logWords, n.logRefs)
 }
 
 // flipBarrier is the collector's durability barrier (§8, O'Toole et al.):
@@ -97,7 +86,7 @@ func (n *Node) flipBarrier(fl core.FlipLog) {
 	if n.openTx != nil || len(fl.Copied) > 0 || len(fl.Dead) > 0 {
 		tx := n.tx()
 		for _, o := range fl.Copied {
-			n.logObject(tx, o)
+			n.logObject(tx, o, false)
 		}
 		for _, o := range fl.Dead {
 			tx.SetDead(o)
@@ -114,8 +103,8 @@ func (n *Node) flipBarrier(fl core.FlipLog) {
 	}
 }
 
-// logWrite records one mutated field, including its reference-map bit.
-// Called under the cluster lock.
+// logWrite records one mutated field and its reference-map bit as one
+// range record. Called under the cluster lock.
 func (n *Node) logWrite(oid addr.OID, objAddr addr.Addr, field int) {
 	if n.log == nil {
 		return
@@ -123,9 +112,11 @@ func (n *Node) logWrite(oid addr.OID, objAddr addr.Addr, field int) {
 	heap := n.col.Heap()
 	fa := heap.DataAddr(objAddr, field)
 	seg := heap.SegAt(fa)
-	off := fa.WordOff(seg.Meta.Base)
-	n.tx().SetRange(seg.Meta.ID, seg.Meta.Gen, off, []uint64{heap.Word(fa)})
-	n.tx().SetRefBit(seg.Meta.ID, seg.Meta.Gen, off, heap.IsRefField(objAddr, field))
+	var ref [1]uint64
+	if heap.IsRefField(objAddr, field) {
+		ref[0] = 1
+	}
+	n.tx().SetRange(seg.Meta.ID, seg.Meta.Gen, fa.WordOff(seg.Meta.Base), []uint64{heap.Word(fa)}, ref[:])
 }
 
 func (n *Node) tx() *rvm.Tx {
@@ -295,10 +286,6 @@ func (n *Node) RecoverBunch(b addr.BunchID) error {
 			continue
 		}
 		seg := heap.MapSegment(meta)
-		if rec.RefBit {
-			seg.SetRefBit(rec.Off, rec.Words[0] != 0)
-			continue
-		}
 		base := seg.Meta.Base.AddWords(rec.Off)
 		for i, w := range rec.Words {
 			heap.SetWord(base.AddWords(i), w)
@@ -330,6 +317,11 @@ func (n *Node) RecoverBunch(b addr.BunchID) error {
 				}
 				heap.SetCanonical(oid, base)
 			}
+		}
+		// The record's reference-map bits land last, over the zeroing
+		// above; header words carry 0 bits.
+		for i := range rec.Words {
+			seg.SetRefBit(rec.Off+i, rec.IsRef(i))
 		}
 	}
 	// Rebuild canonical addresses and protocol state from the headers.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bmx/internal/addr"
+	"bmx/internal/mem"
 )
 
 // Robustness tests for the persistence layer beyond the E9 experiment.
@@ -187,5 +188,40 @@ func TestCheckpointMultipleBunches(t *testing.T) {
 	}
 	if v, _ := n.ReadWord(o2, 0); v != 22 {
 		t.Fatalf("b2 value = %d", v)
+	}
+}
+
+// TestFlipLogsOneRecordPerCopiedObject pins the flip barrier's log volume:
+// a copied object is one range record carrying its words and their
+// reference-map mask, not a range plus a record per field. So a flip that
+// copies N four-field objects adds at most N such records plus the commit
+// markers to rvm.log.bytes.
+func TestFlipLogsOneRecordPerCopiedObject(t *testing.T) {
+	const objects, fields = 20, 4
+	cl := New(Config{Nodes: 1, SegWords: 256, WithDisk: true, GroupCommit: true})
+	n := cl.Node(0)
+	b := n.NewBunch()
+	var prev Ref
+	for i := 0; i < objects; i++ {
+		r := n.MustAlloc(b, fields)
+		n.AddRoot(r)
+		if !prev.IsNil() {
+			if err := n.WriteRef(r, 0, prev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = r
+	}
+	n.Sync()
+	stats := cl.Stats()
+	bytes0, commits0 := stats.Get("rvm.log.bytes"), stats.Get("rvm.log.commits")
+	if st := n.CollectBunch(b); st.Copied != objects {
+		t.Fatalf("collection copied %d objects, want %d", st.Copied, objects)
+	}
+	const record = 9 + 16 + 8*(mem.HeaderWords+fields) + 8 // tag+tx, seg/gen/off/n, words, one mask word
+	bytes, commits := stats.Get("rvm.log.bytes")-bytes0, stats.Get("rvm.log.commits")-commits0
+	if limit := objects*record + 9*commits; bytes > limit {
+		t.Fatalf("flip copying %d %d-field objects logged %d bytes, want at most %d (%d commits)",
+			objects, fields, bytes, limit, commits)
 	}
 }

@@ -279,7 +279,9 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	// ---- Copy phase: only locally-owned live objects move (§4.2) --------
 	copyWatch := transport.StartWatch(c.net.Clock())
 	var copied []addr.OID
-	for _, o := range sortedLiveOIDs(live) {
+	// Copy and fixup both walk this order: live does not change between them.
+	liveOrder := sortedLiveOIDs(live)
+	for _, o := range liveOrder {
 		if !c.dsm.IsOwner(o) {
 			continue
 		}
@@ -305,7 +307,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 
 	// ---- Local reference update (§4.4): no token, strictly local --------
 	fixupWatch := transport.StartWatch(c.net.Clock())
-	for _, o := range sortedLiveOIDs(live) {
+	for _, o := range liveOrder {
 		c.fixupLocalRefs(o)
 	}
 	c.phaseHists["fixup"].Observe(int64(fixupWatch.Elapsed()))

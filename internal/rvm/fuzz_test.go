@@ -25,8 +25,8 @@ func FuzzRecover(f *testing.F) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	tx := l.Begin()
-	tx.SetRange(3, 0, 10, []uint64{1, 2, 3})
-	tx.SetRefBit(3, 0, 10, true)
+	tx.SetRange(3, 0, 10, []uint64{1, 2, 3}, []uint64{0b101})
+	tx.SetRange(3, 0, 20, make([]uint64, 70), []uint64{1 << 63, 0b11})
 	tx.Commit()
 	good, _ := d.Read("log")
 	f.Add(good)
@@ -44,6 +44,9 @@ func FuzzRecover(f *testing.F) {
 		for _, r := range recs {
 			if len(r.Words) > 1<<20 {
 				t.Fatalf("implausible record of %d words from fuzz input", len(r.Words))
+			}
+			if !r.Dead && len(r.Refs) != (len(r.Words)+63)/64 {
+				t.Fatalf("record of %d words has %d mask words", len(r.Words), len(r.Refs))
 			}
 		}
 	})

@@ -2,9 +2,11 @@
 // of Satyanarayanan et al., which the BMX prototype uses for recovery (§2.1,
 // §8): simple redo-log transactions with no nesting, distribution or
 // concurrency control. Modified address ranges of mapped segments are
-// recorded in a transaction; at commit the new values and a commit marker
-// are forced to the log; recovery replays the records of committed
-// transactions, in log order, over the segment files.
+// recorded in a transaction, one record per range; at commit the new values
+// and a commit marker are forced to the log; recovery replays the records
+// of committed transactions, in log order, over the segment files. The
+// reference map is part of the recoverable state (§8), so a range record
+// carries the reference-map bits of the words it logs.
 //
 // Following O'Toole et al. (§8), the collector's from-space and to-space are
 // each backed by a (simulated) file, and changes to mapped segments reach
@@ -31,7 +33,7 @@ import (
 )
 
 // Record is one logged range update: words written at a word offset within a
-// segment.
+// segment, with their reference-map bits.
 type Record struct {
 	Tx  uint64
 	Seg addr.SegID
@@ -42,18 +44,23 @@ type Record struct {
 	Gen   uint32
 	Off   int
 	Words []uint64
-	// RefBit marks a reference-map update record: Words[0] is 0 or 1 and
-	// Off is the word offset whose reference-map bit takes that value.
-	RefBit bool
+	// Refs is the reference-map mask of Words: bit i%64 of Refs[i/64] is
+	// the reference-map bit of word Off+i. It holds ⌈len(Words)/64⌉ words.
+	Refs []uint64
 	// Dead marks an object-reclaim record: OID was garbage and was
 	// reclaimed by a collection flip. Recovery must not resurrect it.
 	Dead bool
 	OID  addr.OID
 }
 
+// IsRef reports the reference-map bit of word Off+i.
+func (r Record) IsRef(i int) bool { return r.Refs[i/64]&(1<<(i%64)) != 0 }
+
+// maskWords is the number of mask words a range of n words carries.
+func maskWords(n int) int { return (n + 63) / 64 }
+
 const (
 	tagRange  byte = 'R'
-	tagRefBit byte = 'B'
 	tagDead   byte = 'D'
 	tagCommit byte = 'C'
 )
@@ -67,6 +74,9 @@ type Log struct {
 	nextTx  uint64
 	group   bool
 	counter func(name string, d int64)
+	// spare is the last sealed transaction's buffer, for the next Begin:
+	// store backends do not retain what Append is given.
+	spare []byte
 	// dirty: a transaction was sealed since the last Barrier or Truncate.
 	dirty atomic.Bool
 }
@@ -113,8 +123,10 @@ func (l *Log) Begin() *Tx {
 	l.mu.Lock()
 	id := l.nextTx
 	l.nextTx++
+	buf := l.spare
+	l.spare = nil
 	l.mu.Unlock()
-	return &Tx{log: l, id: id}
+	return &Tx{log: l, id: id, buf: buf}
 }
 
 // Barrier forces everything appended so far — the group-commit durability
@@ -168,8 +180,8 @@ func (l *Log) Recover() []Record {
 }
 
 // forEachRecord decodes the log's records in order. Every record starts
-// with a tag byte and the transaction ID; a torn or corrupt record ends the
-// scan.
+// with a tag byte and the transaction ID; a torn or corrupt record (a word
+// run or mask that runs past the data) ends the scan.
 func forEachRecord(data []byte, f func(tag byte, r Record)) {
 	le := binary.LittleEndian
 	for len(data) >= 9 {
@@ -184,23 +196,23 @@ func forEachRecord(data []byte, f func(tag byte, r Record)) {
 			}
 			f(tagDead, Record{Tx: tx, Dead: true, OID: addr.OID(le.Uint64(data))})
 			data = data[8:]
-		case tagRange, tagRefBit:
+		case tagRange:
 			if len(data) < 16 {
 				return
 			}
 			seg, gen, off, n := le.Uint32(data), le.Uint32(data[4:]), le.Uint32(data[8:]), le.Uint32(data[12:])
 			data = data[16:]
-			if uint64(n) > uint64(len(data)/8) {
+			if uint64(n)+uint64(maskWords(int(n))) > uint64(len(data)/8) {
 				return // torn or corrupt length: stop at the damage
 			}
-			words := make([]uint64, n)
+			words := make([]uint64, int(n)+maskWords(int(n)))
 			for i := range words {
 				words[i] = le.Uint64(data[8*i:])
 			}
 			data = data[8*len(words):]
 			f(tag, Record{
 				Tx: tx, Seg: addr.SegID(seg), Gen: gen, Off: int(off),
-				Words: words, RefBit: tag == tagRefBit,
+				Words: words[:n:n], Refs: words[n:],
 			})
 		default:
 			return // corrupt log: stop at the damage
@@ -219,20 +231,28 @@ type Tx struct {
 }
 
 // SetRange records that words were written at word offset off of segment
-// seg, whose range is currently on tenancy generation gen.
-func (tx *Tx) SetRange(seg addr.SegID, gen uint32, off int, words []uint64) {
-	tx.record(tagRange, seg, gen, off, words)
-}
-
-// SetRefBit records that the reference-map bit at word offset off of
-// segment seg (tenancy generation gen) now has value v (the reference map
-// is part of the recoverable bunch state, §8).
-func (tx *Tx) SetRefBit(seg addr.SegID, gen uint32, off int, v bool) {
-	w := uint64(0)
-	if v {
-		w = 1
+// seg, whose range is currently on tenancy generation gen, and their
+// reference-map mask refs (bit i%64 of refs[i/64] is word off+i's; nil reads
+// as no references). The record is tag, tx, seg, gen, off, word count, the
+// words, then ⌈len(words)/64⌉ mask words.
+func (tx *Tx) SetRange(seg addr.SegID, gen uint32, off int, words, refs []uint64) {
+	tx.begin(tagRange)
+	le := binary.LittleEndian
+	b := le.AppendUint32(tx.buf, uint32(seg))
+	b = le.AppendUint32(b, gen)
+	b = le.AppendUint32(b, uint32(off))
+	b = le.AppendUint32(b, uint32(len(words)))
+	for _, w := range words {
+		b = le.AppendUint64(b, w)
 	}
-	tx.record(tagRefBit, seg, gen, off, []uint64{w})
+	for i := range maskWords(len(words)) {
+		var m uint64
+		if i < len(refs) {
+			m = refs[i]
+		}
+		b = le.AppendUint64(b, m)
+	}
+	tx.buf = b
 }
 
 // SetDead records that oid was reclaimed as garbage by a collection flip.
@@ -252,19 +272,6 @@ func (tx *Tx) begin(tag byte) {
 	tx.buf = binary.LittleEndian.AppendUint64(append(tx.buf, tag), tx.id)
 }
 
-func (tx *Tx) record(tag byte, seg addr.SegID, gen uint32, off int, words []uint64) {
-	tx.begin(tag)
-	le := binary.LittleEndian
-	b := le.AppendUint32(tx.buf, uint32(seg))
-	b = le.AppendUint32(b, gen)
-	b = le.AppendUint32(b, uint32(off))
-	b = le.AppendUint32(b, uint32(len(words)))
-	for _, w := range words {
-		b = le.AppendUint64(b, w)
-	}
-	tx.buf = b
-}
-
 // seal ends the transaction with its commit marker and appends it to the
 // log, without forcing.
 func (tx *Tx) seal(op string) {
@@ -277,6 +284,9 @@ func (tx *Tx) seal(op string) {
 	l.st.Append(l.name, tx.buf)
 	l.dirty.Store(true)
 	l.count("rvm.log.bytes", int64(len(tx.buf)))
+	l.mu.Lock()
+	l.spare, tx.buf = tx.buf[:0], nil
+	l.mu.Unlock()
 }
 
 // Commit appends the transaction's records and a commit marker to the log.

@@ -2,6 +2,7 @@ package rvm
 
 import (
 	"encoding/hex"
+	"strings"
 	"testing"
 
 	"bmx/internal/addr"
@@ -13,8 +14,8 @@ func TestCommitRecover(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	tx := l.Begin()
-	tx.SetRange(3, 0, 10, []uint64{1, 2, 3})
-	tx.SetRange(3, 0, 20, []uint64{9})
+	tx.SetRange(3, 0, 10, []uint64{1, 2, 3}, nil)
+	tx.SetRange(3, 0, 20, []uint64{9}, nil)
 	tx.Commit()
 
 	d.Crash()
@@ -31,21 +32,27 @@ func TestCommitRecover(t *testing.T) {
 }
 
 // TestLogFormatGolden pins the on-disk record format byte for byte: one
-// transaction holding one record of each kind, then its commit marker. All
-// integers are little-endian; a range or ref-bit record is tag, tx (u64),
-// seg, gen, off, word count (u32 each), then the words (u64 each).
+// transaction holding a short range, a 65-word range whose reference-map
+// mask spans two words, a death record, then its commit marker. All
+// integers are little-endian; a range record is tag, tx (u64), seg, gen,
+// off, word count (u32 each), the words, then ⌈count/64⌉ mask words (u64
+// each), bit i%64 of mask word i/64 being word off+i's reference-map bit.
 func TestLogFormatGolden(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	tx := l.Begin()
-	tx.SetRange(0x0203, 0x04050607, 0x10, []uint64{0x0102030405060708, 9})
-	tx.SetRefBit(0x0203, 0x04050607, 0x11, true)
+	tx.SetRange(0x0203, 0x04050607, 0x10, []uint64{0x0102030405060708, 9}, []uint64{0b10})
+	wide := make([]uint64, 65)
+	for i := range wide {
+		wide[i] = 0x0a
+	}
+	tx.SetRange(0x0203, 0x04050607, 0x20, wide, []uint64{1 | 1<<63, 1})
 	tx.SetDead(addr.OID(0x1122334455667788))
 	tx.Commit()
 	want := "52" + "0100000000000000" + "03020000" + "07060504" + "10000000" + "02000000" +
-		"0807060504030201" + "0900000000000000" +
-		"42" + "0100000000000000" + "03020000" + "07060504" + "11000000" + "01000000" +
-		"0100000000000000" +
+		"0807060504030201" + "0900000000000000" + "0200000000000000" +
+		"52" + "0100000000000000" + "03020000" + "07060504" + "20000000" + "41000000" +
+		strings.Repeat("0a00000000000000", 65) + "0100000000000080" + "0100000000000000" +
 		"44" + "0100000000000000" + "8877665544332211" +
 		"43" + "0100000000000000"
 	got, _ := d.Read("log")
@@ -56,15 +63,62 @@ func TestLogFormatGolden(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("recovered %d records, want 3", len(recs))
 	}
-	if r := recs[0]; r.Seg != 0x0203 || r.Gen != 0x04050607 || r.Off != 0x10 || r.RefBit ||
-		len(r.Words) != 2 || r.Words[0] != 0x0102030405060708 || r.Words[1] != 9 {
+	if r := recs[0]; r.Seg != 0x0203 || r.Gen != 0x04050607 || r.Off != 0x10 ||
+		len(r.Words) != 2 || r.Words[0] != 0x0102030405060708 || r.Words[1] != 9 ||
+		r.IsRef(0) || !r.IsRef(1) {
 		t.Fatalf("range record = %+v", r)
 	}
-	if r := recs[1]; !r.RefBit || r.Off != 0x11 || len(r.Words) != 1 || r.Words[0] != 1 {
-		t.Fatalf("ref-bit record = %+v", r)
+	r := recs[1]
+	if r.Off != 0x20 || len(r.Words) != 65 || r.Words[64] != 0x0a {
+		t.Fatalf("wide range record = %+v", r)
+	}
+	for i := range r.Words {
+		if want := i == 0 || i == 63 || i == 64; r.IsRef(i) != want {
+			t.Fatalf("wide range record: IsRef(%d) = %v, want %v", i, r.IsRef(i), want)
+		}
 	}
 	if r := recs[2]; !r.Dead || r.OID != 0x1122334455667788 {
 		t.Fatalf("dead record = %+v", r)
+	}
+}
+
+// TestTornMaskStopsScan: a range record whose words are whole but whose
+// mask runs past the data is torn, like a short word run, and ends the scan.
+func TestTornMaskStopsScan(t *testing.T) {
+	d := store.NewDisk()
+	l := NewLog(d, "log")
+	tx := l.Begin()
+	tx.SetRange(0, 0, 0, []uint64{1}, nil)
+	tx.Commit()
+	tx = l.Begin()
+	tx.SetRange(0, 0, 1, []uint64{2}, []uint64{1})
+	tx.Commit()
+	all, _ := d.Read("log")
+	d.Write("log", all[:len(all)-9-4]) // drop the commit marker and half the mask
+	d.Sync("log")
+	if recs := l.Recover(); len(recs) != 1 || recs[0].Words[0] != 1 {
+		t.Fatalf("recs = %+v, want only the first transaction's record", recs)
+	}
+}
+
+// TestBeginReusesSealedBuffer: a sealed transaction's buffer goes to the
+// next Begin, and what the first transaction logged is unchanged by the
+// second one overwriting the buffer.
+func TestBeginReusesSealedBuffer(t *testing.T) {
+	d := store.NewDisk()
+	l := NewLog(d, "log")
+	tx := l.Begin()
+	tx.SetRange(0, 0, 0, make([]uint64, 100), nil)
+	tx.Commit()
+	tx2 := l.Begin()
+	if cap(tx2.buf) < 9+16+8*100 {
+		t.Fatalf("next Begin got a buffer of cap %d, want the sealed one", cap(tx2.buf))
+	}
+	tx2.SetRange(0, 0, 0, []uint64{7}, nil)
+	tx2.Commit()
+	recs := l.Recover()
+	if len(recs) != 2 || len(recs[0].Words) != 100 || recs[0].Words[0] != 0 || recs[1].Words[0] != 7 {
+		t.Fatalf("recs = %+v", recs)
 	}
 }
 
@@ -72,7 +126,7 @@ func TestUncommittedInvisible(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	tx := l.Begin()
-	tx.SetRange(1, 0, 0, []uint64{42})
+	tx.SetRange(1, 0, 0, []uint64{42}, nil)
 	tx.seal("test") // written to the page cache, never forced
 
 	d.Crash()
@@ -85,10 +139,10 @@ func TestAbort(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	tx := l.Begin()
-	tx.SetRange(1, 0, 0, []uint64{42})
+	tx.SetRange(1, 0, 0, []uint64{42}, nil)
 	tx.Abort()
 	tx2 := l.Begin()
-	tx2.SetRange(1, 0, 1, []uint64{7})
+	tx2.SetRange(1, 0, 1, []uint64{7}, nil)
 	tx2.Commit()
 	recs := l.Recover()
 	if len(recs) != 1 || recs[0].Words[0] != 7 {
@@ -101,7 +155,7 @@ func TestMultipleTxOrder(t *testing.T) {
 	l := NewLog(d, "log")
 	for i := uint64(1); i <= 3; i++ {
 		tx := l.Begin()
-		tx.SetRange(0, 0, int(i), []uint64{i})
+		tx.SetRange(0, 0, int(i), []uint64{i}, nil)
 		tx.Commit()
 	}
 	recs := l.Recover()
@@ -119,7 +173,7 @@ func TestTornTailIgnored(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	tx := l.Begin()
-	tx.SetRange(0, 0, 0, []uint64{1})
+	tx.SetRange(0, 0, 0, []uint64{1}, nil)
 	tx.Commit()
 	// Simulate a torn write: append garbage that looks like a record start.
 	d.Append("log", []byte{'R', 1, 2, 3})
@@ -134,7 +188,7 @@ func TestCorruptTagStopsScan(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	tx := l.Begin()
-	tx.SetRange(0, 0, 0, []uint64{1})
+	tx.SetRange(0, 0, 0, []uint64{1}, nil)
 	tx.Commit()
 	d.Append("log", []byte{'X', 0, 0, 0, 0, 0, 0, 0, 0})
 	d.Sync("log")
@@ -147,7 +201,7 @@ func TestTruncate(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	tx := l.Begin()
-	tx.SetRange(0, 0, 0, []uint64{1})
+	tx.SetRange(0, 0, 0, []uint64{1}, nil)
 	tx.Commit()
 	l.Truncate()
 	d.Crash()
@@ -166,7 +220,7 @@ func TestFinishedTxPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	tx.SetRange(0, 0, 0, nil)
+	tx.SetRange(0, 0, 0, nil, nil)
 }
 
 func TestTxIDsUnique(t *testing.T) {
@@ -204,10 +258,10 @@ func TestCrashMidSequenceKeepsPrefix(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	t1 := l.Begin()
-	t1.SetRange(0, 0, 0, []uint64{1})
+	t1.SetRange(0, 0, 0, []uint64{1}, nil)
 	t1.Commit()
 	t2 := l.Begin()
-	t2.SetRange(0, 0, 1, []uint64{2})
+	t2.SetRange(0, 0, 1, []uint64{2}, nil)
 	t2.seal("test") // appended, never forced
 	d.Crash()
 	recs := l.Recover()
@@ -221,7 +275,7 @@ func TestGroupCommitNeedsBarrier(t *testing.T) {
 	l := NewLog(d, "log")
 	l.SetGroupCommit(true)
 	tx := l.Begin()
-	tx.SetRange(1, 0, 0, []uint64{42})
+	tx.SetRange(1, 0, 0, []uint64{42}, nil)
 	tx.Commit() // append only: no force in group-commit mode
 	d.Crash()
 	if recs := l.Recover(); len(recs) != 0 {
@@ -235,7 +289,7 @@ func TestGroupCommitBarrierForcesBatch(t *testing.T) {
 	l.SetGroupCommit(true)
 	for i := 0; i < 5; i++ {
 		tx := l.Begin()
-		tx.SetRange(1, 0, i, []uint64{uint64(i)})
+		tx.SetRange(1, 0, i, []uint64{uint64(i)}, nil)
 		tx.Commit()
 	}
 	_, _, syncsBefore := d.Stats()
@@ -260,7 +314,7 @@ func TestBarrierSkipsUnchangedLog(t *testing.T) {
 	counts := map[string]int64{}
 	l.SetCounter(func(name string, v int64) { counts[name] += v })
 	tx := l.Begin()
-	tx.SetRange(1, 0, 0, []uint64{7})
+	tx.SetRange(1, 0, 0, []uint64{7}, nil)
 	tx.Commit()
 	l.Barrier()
 	l.Barrier()
@@ -283,7 +337,7 @@ func TestGroupCommitOneSyncPerBatch(t *testing.T) {
 	l1 := NewLog(perTx, "log")
 	for i := 0; i < 10; i++ {
 		tx := l1.Begin()
-		tx.SetRange(0, 0, i, []uint64{1})
+		tx.SetRange(0, 0, i, []uint64{1}, nil)
 		tx.Commit()
 	}
 	_, _, perTxSyncs := perTx.Stats()
@@ -293,7 +347,7 @@ func TestGroupCommitOneSyncPerBatch(t *testing.T) {
 	l2.SetGroupCommit(true)
 	for i := 0; i < 10; i++ {
 		tx := l2.Begin()
-		tx.SetRange(0, 0, i, []uint64{1})
+		tx.SetRange(0, 0, i, []uint64{1}, nil)
 		tx.Commit()
 	}
 	l2.Barrier()
@@ -307,7 +361,7 @@ func TestDeadRecordRoundTrip(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	tx := l.Begin()
-	tx.SetRange(2, 0, 0, []uint64{7})
+	tx.SetRange(2, 0, 0, []uint64{7}, nil)
 	tx.SetDead(addr.OID(0xdeadbeef))
 	tx.Commit()
 	d.Crash()
@@ -324,7 +378,7 @@ func TestDeadRecordTornTail(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	tx := l.Begin()
-	tx.SetRange(0, 0, 0, []uint64{1})
+	tx.SetRange(0, 0, 0, []uint64{1}, nil)
 	tx.Commit()
 	d.Append("log", []byte{'D', 1, 2}) // torn dead record
 	d.Sync("log")
@@ -339,7 +393,7 @@ func TestLogCounters(t *testing.T) {
 	counts := map[string]int64{}
 	l.SetCounter(func(name string, v int64) { counts[name] += v })
 	tx := l.Begin()
-	tx.SetRange(0, 0, 0, []uint64{1})
+	tx.SetRange(0, 0, 0, []uint64{1}, nil)
 	tx.Commit()
 	l.Barrier()
 	if counts["rvm.log.commits"] != 1 || counts["rvm.log.barriers"] != 1 || counts["rvm.log.bytes"] == 0 {

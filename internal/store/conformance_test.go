@@ -60,6 +60,29 @@ func TestConformanceAppend(t *testing.T) {
 	})
 }
 
+// TestConformanceDoesNotRetainData: Write and Append copy what they are
+// given, so a caller that reuses its buffer afterwards (the redo log hands
+// a sealed transaction's buffer to the next one) changes neither the
+// volatile nor, after Sync, the durable contents.
+func TestConformanceDoesNotRetainData(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s Store) {
+		w, a := []byte("head"), []byte("tail")
+		s.Write("f", w)
+		s.Append("f", a)
+		copy(w, "XXXX")
+		copy(a, "YYYY")
+		if got, _ := s.Read("f"); string(got) != "headtail" {
+			t.Fatalf("Read after reusing the buffers = %q, want headtail", got)
+		}
+		s.Sync("f")
+		copy(w, "ZZZZ")
+		copy(a, "ZZZZ")
+		if got, _ := s.ReadDurable("f"); string(got) != "headtail" {
+			t.Fatalf("ReadDurable after reusing the buffers = %q, want headtail", got)
+		}
+	})
+}
+
 func TestConformanceDurableVsVolatile(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, s Store) {
 		s.Write("f", []byte("old"))

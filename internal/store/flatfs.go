@@ -152,7 +152,7 @@ func (s *FlatFS) Sync(name string) {
 
 // syncDisk writes f's pending bytes to name's file and fsyncs it: at the
 // durable offset for an appended file, over a truncated one for a replaced
-// or never-synced file. It returns the file's durable size.
+// or never-synced file. It returns the number of bytes it wrote.
 func (s *FlatFS) syncDisk(f *diskFile, name string) int64 {
 	flags, off := os.O_WRONLY|os.O_CREATE, f.size
 	if f.replaced || !f.onDisk {
@@ -171,9 +171,10 @@ func (s *FlatFS) syncDisk(f *diskFile, name string) int64 {
 	if err != nil {
 		panic(fmt.Sprintf("store: flatfs sync %s: %v", name, err))
 	}
-	f.size = off + int64(len(f.pending))
+	wrote := int64(len(f.pending))
+	f.size = off + wrote
 	f.onDisk, f.replaced, f.pending = true, false, nil
-	return f.size
+	return wrote
 }
 
 // durable reads f's durable contents from disk.

@@ -68,8 +68,8 @@ func TestFlatFSDirAppendSyncWritesTail(t *testing.T) {
 	if got := fileOnDisk(t, dir, "log"); string(got) != "ABcdef" {
 		t.Fatalf("on disk after tail sync = %q, want ABcdef (prefix untouched, tail of 2 appended)", got)
 	}
-	if _, synced, syncs := s.Stats(); synced != 4+6 || syncs != 2 {
-		t.Fatalf("Stats synced=%d syncs=%d, want 10 and 2 (each sync counts the durable file)", synced, syncs)
+	if _, synced, syncs := s.Stats(); synced != 4+2 || syncs != 2 {
+		t.Fatalf("Stats synced=%d syncs=%d, want 6 and 2 (each sync counts the bytes it wrote)", synced, syncs)
 	}
 }
 

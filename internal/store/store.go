@@ -37,6 +37,8 @@ import (
 // Semantics every backend guarantees:
 //
 //   - Write replaces, Append extends, the volatile contents of name.
+//     Neither retains data after it returns: the caller may reuse or
+//     modify the slice at once.
 //   - Sync(name) makes name's volatile contents durable before returning.
 //     A backend MAY make other files durable too (a shared-log backend
 //     syncs the whole log batch); callers may only rely on name.
