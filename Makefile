@@ -5,12 +5,11 @@ GO ?= go
 # The deterministic simnet envelopes, named once: `bench-json-sim` writes
 # them, `bench-ref` and `bench-gate` (and CI, through make) read them. Each
 # name has its bmxd arguments in <name>_ARGS.
-SIM_BENCHES := BENCH_4 BENCH_6_pertx BENCH_6_flip BENCH_6_flatfs BENCH_6_lsm BENCH_7_simnet BENCH_9_zipf BENCH_9_churn
+SIM_BENCHES := BENCH_4 BENCH_6_pertx BENCH_6_flip BENCH_6_lsm BENCH_7_simnet BENCH_9_zipf BENCH_9_churn
 TREE4 := -nodes 4 -objects 200 -rounds 8 -workload tree -seed 5 -bunches 4
 BENCH_4_ARGS        := $(TREE4)
 BENCH_6_pertx_ARGS  := $(TREE4) -store mem -sync pertx
 BENCH_6_flip_ARGS   := $(TREE4) -store mem -sync flip
-BENCH_6_flatfs_ARGS := $(TREE4) -store flatfs -sync flip
 BENCH_6_lsm_ARGS    := $(TREE4) -store lsm -sync flip
 BENCH_7_simnet_ARGS := -nodes 3 -objects 120 -rounds 8 -workload tree -seed 5
 BENCH_9_zipf_ARGS   := -nodes 3 -objects 150 -rounds 8 -workload zipf -zipf-s 1.2 -seed 5
@@ -54,16 +53,20 @@ chaos:
 # disciplines and every store backend, plus the Go crash suite under the
 # race detector. Each run kills nodes mid-collection on both sides of the
 # flip's log force and audits persistence-by-reachability after restart.
-# The seed-5 run puts flatfs on a real directory, so recovery reads back
-# what its tail writes and fsyncs actually left on disk.
+# The flatfs runs use a fresh real directory, so recovery reads back what
+# their tail writes and fsyncs actually left on disk; the seed-5 one must
+# print byte for byte what the same run on the in-memory store prints.
 chaos-crash:
 	$(GO) test -race -run 'Crash|KillRestart|GroupCommit' ./internal/cluster/ ./internal/store/
 	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 600 -seed 1 -sync pertx
 	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 600 -seed 2 -sync flip
-	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 3 -store flatfs -sync flip
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+		$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 3 -store flatfs -store-dir "$$d" -sync flip
 	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 4 -store lsm -sync flip
 	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-		$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 5 -store flatfs -store-dir "$$d" -sync pertx
+		$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 5 -store flatfs -store-dir "$$d/store" -sync pertx -stats-json > "$$d/flatfs.json"; \
+		s=$$?; cat "$$d/flatfs.json"; [ $$s -eq 0 ] && \
+		$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 5 -store mem -sync pertx -stats-json | diff "$$d/flatfs.json" -
 
 bench:
 	$(GO) test -bench=. -benchmem -run xxx .
@@ -74,8 +77,9 @@ bench:
 # `bmxstat -bench`. BENCH_4 is the tree workload sharded across four bunches,
 # each collected by its own BGC. The BENCH_6 family is the same workload on
 # a persistent store: per-transaction commit vs group commit (syncs-per-flip
-# is the figure that moves), then the flatfs and LSM backends under group
-# commit.
+# is the figure that moves), then the LSM backend under group commit. There
+# is no flatfs envelope: flatfs runs on a real directory and reports exactly
+# what the mem envelope does (`make chaos-crash` checks that).
 # BENCH_7 runs the same tree workload once on the simulated network and
 # once as a real 3-process TCP cluster over loopback, and A/B-diffs them:
 # the paper's accounting figures (msgs/op, piggyback volume, zero collector

@@ -54,7 +54,7 @@ func main() {
 		benchJSON  = flag.String("bench-json", "", "write the run's benchmark summary (quantile trajectories + derived figures) as JSON to this file")
 
 		storeKind = flag.String("store", "", "persistent store backend: mem, flatfs or lsm (empty = no persistence)")
-		storeDir  = flag.String("store-dir", "", "flatfs only: directory for real durable files, one subdirectory per node (empty = simulated durability)")
+		storeDir  = flag.String("store-dir", "", "flatfs only, and required by it: directory for the durable files, one subdirectory per node")
 		syncMode  = flag.String("sync", "pertx", "RVM commit discipline with -store: pertx (force the log every commit) or flip (group commit, one force per collection flip)")
 
 		listen   = flag.String("listen", "", "multi-process mode: serve this node on ADDR (host:port) and cluster with -peers; rank in the sorted address set is the node identity, rank 0 drives")
@@ -368,16 +368,14 @@ func storeConfig(kind, dir string) (bool, func() store.Store, error) {
 	case "mem":
 		return true, nil, nil
 	case "flatfs":
-		// One subdirectory per node so two nodes never share a namespace;
-		// with no -store-dir the flatfs durability is simulated in memory.
+		if dir == "" {
+			return false, nil, fmt.Errorf("-store flatfs needs -store-dir (the in-memory store is -store mem)")
+		}
+		// One subdirectory per node so two nodes never share a namespace.
 		node := 0
 		return true, func() store.Store {
 			node++
-			sub := ""
-			if dir != "" {
-				sub = filepath.Join(dir, fmt.Sprintf("node%d", node))
-			}
-			return store.NewFlatFS(sub)
+			return store.NewFlatFS(filepath.Join(dir, fmt.Sprintf("node%d", node)))
 		}, nil
 	case "lsm":
 		return true, func() store.Store { return store.NewLSM() }, nil

@@ -464,10 +464,13 @@ func runCrashChaos(cl *Cluster, cfg CrashChaosConfig) CrashChaosReport {
 				break
 			}
 			src := livePool[rng.Intn(len(livePool))]
+			// The lowest linked field: a choice of map order would make
+			// the run depend on more than its seed.
 			f := -1
 			for ff := range src.links {
-				f = ff
-				break
+				if f < 0 || ff < f {
+					f = ff
+				}
 			}
 			if f < 0 {
 				break

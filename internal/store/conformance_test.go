@@ -20,7 +20,6 @@ type backend struct {
 func backendTable() []backend {
 	return []backend{
 		{"mem", func(t *testing.T) Store { return NewDisk() }},
-		{"flatfs-sim", func(t *testing.T) Store { return NewFlatFS("") }},
 		{"flatfs-dir", func(t *testing.T) Store { return NewFlatFS(t.TempDir()) }},
 		{"lsm", func(t *testing.T) Store { return NewLSM() }},
 		{"measured", func(t *testing.T) Store { return Measure(NewDisk(), nil, nil) }},
@@ -115,6 +114,23 @@ func TestConformanceCrashRemovesNeverSyncedFile(t *testing.T) {
 		s.Crash()
 		if _, ok := s.Read("tmp"); ok {
 			t.Fatal("never-synced file survived crash")
+		}
+	})
+}
+
+// TestConformanceEmptySyncedFileSurvivesCrash: a file a Sync covered
+// survives a crash even when it holds no bytes, as an empty file on disk
+// does.
+func TestConformanceEmptySyncedFileSurvivesCrash(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s Store) {
+		s.Write("empty", nil)
+		s.Sync("empty")
+		s.Crash()
+		if got, ok := s.Read("empty"); !ok || len(got) != 0 {
+			t.Fatalf("after crash Read = %q, %v; want an empty file", got, ok)
+		}
+		if got, ok := s.ReadDurable("empty"); !ok || len(got) != 0 {
+			t.Fatalf("after crash ReadDurable = %q, %v; want an empty file", got, ok)
 		}
 	})
 }

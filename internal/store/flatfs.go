@@ -11,34 +11,31 @@ import (
 )
 
 // FlatFS is the one-file-per-name backend (the "flatfs" backend, after the
-// flat-filesystem datastores used by content-addressed stores).
+// flat-filesystem datastores used by content-addressed stores), always over
+// a real directory.
 //
-// Without a directory durability is simulated: like Disk, every file keeps
-// a volatile and a durable copy in memory.
-//
-// With a directory the durable half is the file on disk, and memory holds
-// only what was written since that file's last Sync: the appended tail, or
-// the whole new contents after a Write. Sync of an appended file writes the
+// The durable half of a file is the file on disk, and memory holds only
+// what was written since that file's last Sync: the appended tail, or the
+// whole new contents after a Write. Sync of an appended file writes the
 // tail at the durable offset and fsyncs, so a sync costs the tail, not the
 // file; a replaced file is truncated and rewritten. A new FlatFS takes every
 // regular file found in the directory as durable content, which is what
 // makes cross-process recovery real: a bmxd run pointed at the same
 // -store-dir resumes from whatever the previous run forced to disk.
 type FlatFS struct {
-	mu    sync.Mutex
-	dir   string               // "" = simulated durability
-	files map[string]*file     // simulated mode
-	disk  map[string]*diskFile // directory mode
+	mu   sync.Mutex
+	dir  string
+	disk map[string]*diskFile
 	// stats
 	bytesWritten int64
 	bytesSynced  int64
 	syncs        int64
 }
 
-// diskFile is one directory-mode file. Its durable contents are the size
-// bytes of the file on disk (present once onDisk); its volatile contents
-// are those followed by pending, or pending alone when replaced — a Write
-// since the last Sync superseded what is on disk.
+// diskFile is one file. Its durable contents are the size bytes of the
+// file on disk (present once onDisk); its volatile contents are those
+// followed by pending, or pending alone when replaced — a Write since the
+// last Sync superseded what is on disk.
 type diskFile struct {
 	size     int64
 	onDisk   bool
@@ -48,16 +45,16 @@ type diskFile struct {
 
 var _ Store = (*FlatFS)(nil)
 
-// NewFlatFS returns a flatfs store. With dir == "" durability is simulated
-// in memory; otherwise dir is created if needed and existing files in it
-// are the durable state. Errors touching the real filesystem panic — the
-// store layer has no error channel, matching the simulated backends, and a
-// broken store directory is fatal to a node anyway.
+// NewFlatFS returns a flatfs store over dir, created if needed; existing
+// files in it are the durable state. An empty dir and errors touching the
+// real filesystem panic — the store layer has no error channel, matching
+// the in-memory backends, and a broken store directory is fatal to a node
+// anyway.
 func NewFlatFS(dir string) *FlatFS {
-	s := &FlatFS{dir: dir, files: make(map[string]*file)}
 	if dir == "" {
-		return s
+		panic("store: flatfs needs a directory")
 	}
+	s := &FlatFS{dir: dir}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		panic(fmt.Sprintf("store: flatfs %s: %v", dir, err))
 	}
@@ -65,8 +62,8 @@ func NewFlatFS(dir string) *FlatFS {
 	return s
 }
 
-// load rebuilds the directory-mode namespace from the directory: one file
-// per regular file there, durable up to its size, nothing pending.
+// load rebuilds the namespace from the directory: one file per regular
+// file there, durable up to its size, nothing pending.
 func (s *FlatFS) load() {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -85,15 +82,6 @@ func (s *FlatFS) load() {
 	}
 }
 
-func (s *FlatFS) get(name string) *file {
-	f, ok := s.files[name]
-	if !ok {
-		f = &file{}
-		s.files[name] = f
-	}
-	return f
-}
-
 func (s *FlatFS) getDisk(name string) *diskFile {
 	f, ok := s.disk[name]
 	if !ok {
@@ -110,13 +98,9 @@ func (s *FlatFS) Write(name string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.bytesWritten += int64(len(data))
-	if s.dir != "" {
-		f := s.getDisk(name)
-		f.pending = append([]byte(nil), data...)
-		f.replaced = true
-		return
-	}
-	s.get(name).volatile = append([]byte(nil), data...)
+	f := s.getDisk(name)
+	f.pending = append([]byte(nil), data...)
+	f.replaced = true
 }
 
 // Append extends the volatile contents of name.
@@ -124,30 +108,17 @@ func (s *FlatFS) Append(name string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.bytesWritten += int64(len(data))
-	if s.dir != "" {
-		f := s.getDisk(name)
-		f.pending = append(f.pending, data...)
-		return
-	}
-	f := s.get(name)
-	f.volatile = append(f.volatile, data...)
+	f := s.getDisk(name)
+	f.pending = append(f.pending, data...)
 }
 
-// Sync forces the volatile contents of name to the durable half — with a
-// directory, a write of what is pending followed by fsync.
+// Sync forces the volatile contents of name to disk: a write of what is
+// pending followed by fsync.
 func (s *FlatFS) Sync(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.syncs++
-	if s.dir != "" {
-		s.bytesSynced += s.syncDisk(s.getDisk(name), name)
-		return
-	}
-	f := s.get(name)
-	// Reuse the durable buffer: it never escapes (ReadDurable and Crash
-	// copy it), so a sync costs no fresh allocation of the whole file.
-	f.durable = append(f.durable[:0], f.volatile...)
-	s.bytesSynced += int64(len(f.durable))
+	s.bytesSynced += s.syncDisk(s.getDisk(name), name)
 }
 
 // syncDisk writes f's pending bytes to name's file and fsyncs it: at the
@@ -193,49 +164,31 @@ func (s *FlatFS) durable(f *diskFile, name string) []byte {
 func (s *FlatFS) Read(name string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dir != "" {
-		f, ok := s.disk[name]
-		if !ok {
-			return nil, false
-		}
-		if f.replaced {
-			return append([]byte(nil), f.pending...), true
-		}
-		return append(s.durable(f, name), f.pending...), true
-	}
-	f, ok := s.files[name]
+	f, ok := s.disk[name]
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), f.volatile...), true
+	if f.replaced {
+		return append([]byte(nil), f.pending...), true
+	}
+	return append(s.durable(f, name), f.pending...), true
 }
 
 // ReadDurable returns the durable contents of name.
 func (s *FlatFS) ReadDurable(name string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dir != "" {
-		f, ok := s.disk[name]
-		if !ok {
-			return nil, false
-		}
-		return s.durable(f, name), true
-	}
-	f, ok := s.files[name]
+	f, ok := s.disk[name]
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), f.durable...), true
+	return s.durable(f, name), true
 }
 
 // Remove deletes a file, including its on-disk backing if any.
 func (s *FlatFS) Remove(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dir == "" {
-		delete(s.files, name)
-		return
-	}
 	delete(s.disk, name)
 	s.removeFile(name)
 }
@@ -246,18 +199,11 @@ func (s *FlatFS) removeFile(name string) {
 	}
 }
 
-// Rename atomically moves oldName to newName (os.Rename when backed by a
-// real directory), replacing any existing file.
+// Rename atomically moves oldName to newName with os.Rename, replacing any
+// existing file.
 func (s *FlatFS) Rename(oldName, newName string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dir == "" {
-		if f, ok := s.files[oldName]; ok {
-			delete(s.files, oldName)
-			s.files[newName] = f
-		}
-		return
-	}
 	f, ok := s.disk[oldName]
 	if !ok {
 		return
@@ -273,33 +219,20 @@ func (s *FlatFS) Rename(oldName, newName string) {
 	}
 }
 
-// Crash discards every file's volatile contents. With a directory, the
-// namespace is re-read from disk, so what recovery sees is literally what
-// fsync left there.
+// Crash discards every file's volatile contents by re-reading the
+// namespace from disk, so what recovery sees is literally what fsync left
+// there.
 func (s *FlatFS) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dir != "" {
-		s.load()
-		return
-	}
-	for name, f := range s.files {
-		if len(f.durable) == 0 {
-			delete(s.files, name)
-			continue
-		}
-		f.volatile = append([]byte(nil), f.durable...)
-	}
+	s.load()
 }
 
 // Files lists the existing file names, sorted.
 func (s *FlatFS) Files() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.files)+len(s.disk))
-	for n := range s.files {
-		out = append(out, n)
-	}
+	out := make([]string, 0, len(s.disk))
 	for n := range s.disk {
 		out = append(out, n)
 	}
@@ -318,10 +251,6 @@ func (s *FlatFS) Stats() (written, synced, syncs int64) {
 func (s *FlatFS) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mode := "sim"
-	if s.dir != "" {
-		mode = s.dir
-	}
 	return fmt.Sprintf("flatfs{%s, files: %d, written: %dB, synced: %dB}",
-		mode, len(s.files)+len(s.disk), s.bytesWritten, s.bytesSynced)
+		s.dir, len(s.disk), s.bytesWritten, s.bytesSynced)
 }

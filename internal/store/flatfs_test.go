@@ -141,3 +141,14 @@ func TestFlatFSDirRenameUnsyncedSource(t *testing.T) {
 		t.Fatal("never-synced contents survived the crash under the new name")
 	}
 }
+
+// TestFlatFSNeedsDirectory: flatfs has no in-memory mode; Disk is the
+// in-memory store.
+func TestFlatFSNeedsDirectory(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewFlatFS(\"\") did not panic")
+		}
+	}()
+	NewFlatFS("")
+}

@@ -10,16 +10,18 @@
 //
 // Three backends implement the interface:
 //
-//   - Disk (memstore): the original map-backed simulated disk. Fully
-//     deterministic; the default for the chaos harness.
-//   - FlatFS: one file per name. Given a directory the durable content
-//     is the real file — a sync writes only what is pending and fsyncs,
-//     and construction recovers from the directory; without one it
-//     simulates.
-//   - LSM: log-structured — every operation is a record appended to an
-//     active segment; Sync advances a durable watermark over the shared
-//     log (group durability) and compaction folds cold segments into a
-//     snapshot.
+//   - Disk (mem): files in memory. Each holds its durable bytes and the
+//     tail written since its last Sync; a Sync appends the tail (or
+//     replaces the bytes after a Write) and counts only the tail. The
+//     default for the chaos harness.
+//   - FlatFS: the same file shape with the durable half in real files,
+//     one per name in a directory: a Sync writes the tail and fsyncs, and
+//     construction recovers from the directory. Disk and FlatFS give a
+//     node the same observable behaviour and the same counters.
+//   - LSM: log-structured — every operation is a record appended to one
+//     shared log; Sync advances a durable watermark over the whole log
+//     (group durability) and, past a threshold, compaction rewrites the
+//     durable index as a fresh snapshot log.
 //
 // Measure wraps any backend and feeds bytes/syncs/latency into the obs
 // counter/histogram pipeline.
@@ -47,7 +49,14 @@ import (
 //   - Rename atomically moves a file (volatile and durable halves) to a
 //     new name, replacing any existing file — the journaled-FS rename
 //     used for crash-atomic checkpoint swaps.
-//   - Crash discards all volatile state; only durable data survives.
+//   - Remove and Rename are durable by the next Sync of any file at the
+//     latest: Disk and FlatFS apply them at once, LSM logs them and makes
+//     them durable with its next watermark. A caller that needs one to
+//     survive a crash syncs afterwards, as rvm's writeAtomic does with its
+//     trailing Sync.
+//   - Crash discards all volatile state; only durable data survives. A
+//     file a Sync covered survives, even when it was synced empty; a file no
+//     Sync covered does not.
 type Store interface {
 	Write(name string, data []byte)
 	Append(name string, data []byte)
@@ -62,8 +71,10 @@ type Store interface {
 	String() string
 }
 
-// Disk is the map-backed simulated disk (the "mem" backend). All methods
-// are safe for concurrent use.
+// Disk is the map-backed simulated disk (the "mem" backend). Its files
+// have the shape of a directory-mode flatfs file, with the durable half in
+// memory instead of on disk, so a Sync costs what was written since the
+// last one, not the whole file. All methods are safe for concurrent use.
 type Disk struct {
 	mu    sync.Mutex
 	files map[string]*file
@@ -73,9 +84,14 @@ type Disk struct {
 	syncs        int64
 }
 
+// file is one Disk file. Its durable contents are durable (present once
+// synced); its volatile contents are those followed by pending, or pending
+// alone when replaced — a Write since the last Sync superseded them.
 type file struct {
 	durable  []byte
-	volatile []byte
+	pending  []byte
+	replaced bool
+	synced   bool
 }
 
 var _ Store = (*Disk)(nil)
@@ -100,7 +116,8 @@ func (d *Disk) Write(name string, data []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	f := d.get(name)
-	f.volatile = append([]byte(nil), data...)
+	f.pending = append(f.pending[:0], data...)
+	f.replaced = true
 	d.bytesWritten += int64(len(data))
 }
 
@@ -109,18 +126,24 @@ func (d *Disk) Append(name string, data []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	f := d.get(name)
-	f.volatile = append(f.volatile, data...)
+	f.pending = append(f.pending, data...)
 	d.bytesWritten += int64(len(data))
 }
 
-// Sync makes the volatile contents of name durable.
+// Sync makes the volatile contents of name durable: it appends the pending
+// tail to the durable bytes, or replaces them with it, and counts the tail.
 func (d *Disk) Sync(name string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	f := d.get(name)
-	f.durable = append([]byte(nil), f.volatile...)
-	d.bytesSynced += int64(len(f.durable))
+	if f.replaced {
+		f.durable = f.durable[:0]
+	}
+	// Neither buffer escapes (readers get copies), so both are reused.
+	f.durable = append(f.durable, f.pending...)
+	d.bytesSynced += int64(len(f.pending))
 	d.syncs++
+	f.pending, f.replaced, f.synced = f.pending[:0], false, true
 }
 
 // Read returns the current (volatile) contents of name and whether the file
@@ -132,7 +155,11 @@ func (d *Disk) Read(name string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), f.volatile...), true
+	if f.replaced {
+		return append([]byte(nil), f.pending...), true
+	}
+	out := make([]byte, 0, len(f.durable)+len(f.pending))
+	return append(append(out, f.durable...), f.pending...), true
 }
 
 // ReadDurable returns the durable contents of name — what a recovery after a
@@ -167,17 +194,18 @@ func (d *Disk) Rename(oldName, newName string) {
 	d.files[newName] = f
 }
 
-// Crash discards every file's volatile contents, simulating a system
-// failure: only synced data survives. Files never synced disappear.
+// Crash discards every file's pending tail, simulating a system failure:
+// only synced data survives. Files never synced disappear; a file synced
+// empty survives empty.
 func (d *Disk) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for name, f := range d.files {
-		if len(f.durable) == 0 {
+		if !f.synced {
 			delete(d.files, name)
 			continue
 		}
-		f.volatile = append([]byte(nil), f.durable...)
+		f.pending, f.replaced = nil, false
 	}
 }
 

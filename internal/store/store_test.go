@@ -120,6 +120,27 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestSyncCountsTail: a sync counts the tail written since the previous
+// one, or the whole contents after a Write — what a flatfs sync writes.
+func TestSyncCountsTail(t *testing.T) {
+	d := NewDisk()
+	d.Append("log", []byte("abcd"))
+	d.Sync("log")
+	d.Append("log", []byte("ef"))
+	d.Sync("log")
+	if _, synced, _ := d.Stats(); synced != 4+2 {
+		t.Fatalf("synced = %d after a 4-byte and a 2-byte tail, want 6", synced)
+	}
+	d.Write("log", []byte("xyz"))
+	d.Sync("log")
+	if _, synced, _ := d.Stats(); synced != 6+3 {
+		t.Fatalf("synced = %d after replacing with 3 bytes, want 9", synced)
+	}
+	if got, _ := d.ReadDurable("log"); string(got) != "xyz" {
+		t.Fatalf("ReadDurable = %q, want xyz", got)
+	}
+}
+
 func TestConcurrentAccess(t *testing.T) {
 	d := NewDisk()
 	var wg sync.WaitGroup
