@@ -5,14 +5,13 @@ GO ?= go
 # The deterministic simnet envelopes, named once: `bench-json-sim` writes
 # them, `bench-ref` and `bench-gate` (and CI, through make) read them. Each
 # name has its bmxd arguments in <name>_ARGS.
-SIM_BENCHES := BENCH_4 BENCH_6_pertx BENCH_6_flip BENCH_6_lsm BENCH_7_simnet BENCH_9_zipf BENCH_9_churn
+SIM_BENCHES := BENCH_4 BENCH_6_pertx BENCH_6_flip BENCH_7_simnet BENCH_9_zipf BENCH_9_churn
 TREE4 := -nodes 4 -objects 200 -rounds 8 -workload tree -seed 5 -bunches 4
 BENCH_4_ARGS        := $(TREE4)
 BENCH_6_pertx_ARGS  := $(TREE4) -store mem -sync pertx
 BENCH_6_flip_ARGS   := $(TREE4) -store mem -sync flip
-BENCH_6_lsm_ARGS    := $(TREE4) -store lsm -sync flip
 BENCH_7_simnet_ARGS := -nodes 3 -objects 120 -rounds 8 -workload tree -seed 5
-BENCH_9_zipf_ARGS   := -nodes 3 -objects 150 -rounds 8 -workload zipf -zipf-s 1.2 -seed 5
+BENCH_9_zipf_ARGS   := -nodes 3 -objects 150 -rounds 8 -workload zipf -seed 5
 BENCH_9_churn_ARGS  := -nodes 3 -objects 60 -rounds 8 -workload churn-heavy -seed 5
 
 comma := ,
@@ -75,11 +74,11 @@ bench:
 # machine-readable benchmark summaries (quantile trajectories, msgs/op, GC
 # copy and scan volume) that CI uploads as artifacts and A/B-diffs with
 # `bmxstat -bench`. BENCH_4 is the tree workload sharded across four bunches,
-# each collected by its own BGC. The BENCH_6 family is the same workload on
-# a persistent store: per-transaction commit vs group commit (syncs-per-flip
-# is the figure that moves), then the LSM backend under group commit. There
-# is no flatfs envelope: flatfs runs on a real directory and reports exactly
-# what the mem envelope does (`make chaos-crash` checks that).
+# each collected by its own BGC. The BENCH_6 pair is the same workload on
+# the mem store: per-transaction commit vs group commit (syncs-per-flip is
+# the figure that moves). There is no envelope per backend: flatfs reports
+# exactly what mem does and lsm differs only in bytes synced (`make
+# chaos-crash` and TestCrashChaosFlatFS check that).
 # BENCH_7 runs the same tree workload once on the simulated network and
 # once as a real 3-process TCP cluster over loopback, and A/B-diffs them:
 # the paper's accounting figures (msgs/op, piggyback volume, zero collector

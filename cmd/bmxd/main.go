@@ -7,7 +7,7 @@
 //
 // Example:
 //
-//	bmxd -nodes 4 -objects 200 -rounds 20 -workload web -churn 0.2 -loss 0.1
+//	bmxd -nodes 4 -objects 200 -rounds 20 -workload web -loss 0.1
 package main
 
 import (
@@ -26,32 +26,36 @@ import (
 	"bmx/internal/trace"
 )
 
+// Settings every bmxd run uses: the simulated and the multi-process
+// workload drivers collect on this cadence and cut links at this rate, and
+// the chaos soak holds a delayed message this long.
+const (
+	gcEvery    = 2   // rounds between bunch collections (then a §4.5 reuse round per bunch)
+	ggcEvery   = 5   // rounds between group collections at N1
+	churn      = 0.2 // fraction of links cut over a run, spread evenly across its rounds
+	zipfS      = 1.2 // zipf workload's skew exponent (larger = hotter head)
+	delayTicks = 3   // chaos: ticks a delayed message is held
+)
+
 func main() {
 	var (
 		nodes    = flag.Int("nodes", 3, "cluster size")
 		objects  = flag.Int("objects", 100, "objects in the workload graph")
 		rounds   = flag.Int("rounds", 10, "mutate/collect rounds")
 		workload = flag.String("workload", "list", "graph shape: list, tree, web, oo7, zipf (hot-object skew) or churn-heavy (high allocation/death)")
-		zipfS    = flag.Float64("zipf-s", 1.2, "zipf workload: skew exponent (> 1; larger = hotter head)")
 		bunchN   = flag.Int("bunches", 1, "shard the workload graph across this many bunches, each collected by its own BGC")
 		protocol = flag.String("protocol", "entry", "consistency protocol: entry or strict")
 		grain    = flag.String("grain", "object", "token granularity: object or segment")
-		churn    = flag.Float64("churn", 0.2, "fraction of links cut per churn step")
 		loss     = flag.Float64("loss", 0, "background message loss rate")
-		gcEvery  = flag.Int("gc-every", 2, "run BGCs every N rounds")
-		ggcEvery = flag.Int("ggc-every", 5, "run the group collector every N rounds")
-		reclaim  = flag.Bool("reclaim", true, "run the from-space reuse protocol after GCs")
 		seed     = flag.Int64("seed", 1, "workload and loss seed")
-		verbose  = flag.Bool("v", false, "print per-round progress")
 
 		traceOn   = flag.Bool("trace", false, "enable the flight recorder; dump its retained event window and histograms at exit")
 		traceJSON = flag.Bool("trace-json", false, "like -trace, but dump events as newline-delimited JSON")
 		statsJSON = flag.Bool("stats-json", false, "dump the final counters and histogram snapshots as JSON instead of text")
 
-		httpAddr   = flag.String("http", "", "serve live introspection (/metrics, /events, /objects/<oid>, /series, /debug/pprof) on this address, e.g. :8080 or 127.0.0.1:0")
-		httpHold   = flag.Bool("http-hold", false, "after the run, keep the introspection server alive until killed (scrape mode)")
-		seriesJSON = flag.String("series-json", "", "write the per-round time-series samples as NDJSON to this file (- for stdout)")
-		benchJSON  = flag.String("bench-json", "", "write the run's benchmark summary (quantile trajectories + derived figures) as JSON to this file")
+		httpAddr  = flag.String("http", "", "serve live introspection (/metrics, /events, /objects/<oid>, /series, /debug/pprof) on this address, e.g. :8080 or 127.0.0.1:0")
+		httpHold  = flag.Bool("http-hold", false, "after the run, keep the introspection server alive until killed (scrape mode)")
+		benchJSON = flag.String("bench-json", "", "write the run's benchmark summary (quantile trajectories + derived figures) as JSON to this file")
 
 		storeKind = flag.String("store", "", "persistent store backend: mem, flatfs or lsm (empty = no persistence)")
 		storeDir  = flag.String("store-dir", "", "flatfs only, and required by it: directory for the durable files, one subdirectory per node")
@@ -65,13 +69,10 @@ func main() {
 		chaosSteps = flag.Int("chaos-steps", 400, "chaos: workload steps in the fault storm")
 		dup        = flag.Float64("dup", 0, "chaos: message duplication probability")
 		delay      = flag.Float64("delay", 0, "chaos: message delay probability")
-		delayTicks = flag.Uint64("delay-ticks", 3, "chaos: ticks a delayed message is held")
 		partEvery  = flag.Int("partition-every", 40, "chaos: cut a random node pair every N steps (0 = never)")
 		partFor    = flag.Int("partition-for", 12, "chaos: heal each cut after N steps")
 
 		crashChaos = flag.Bool("chaos-crash", false, "run the seeded crash-recovery chaos schedule instead of the workload driver (implies -store mem unless set)")
-		crashEvery = flag.Int("crash-every", 0, "chaos-crash: kill a node mid-collection every N steps (0 = default schedule)")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "chaos-crash: checkpoint a node's home bunch every N steps (0 = default schedule)")
 	)
 	flag.Parse()
 
@@ -84,8 +85,7 @@ func main() {
 		runPeerCluster(peerOpts{
 			listen: *listen, peers: splitPeers(*peersArg),
 			workload: *workload, objects: *objects, rounds: *rounds,
-			gcEvery: *gcEvery, churn: *churn, seed: *seed, traceOut: *traceOut, verbose: *verbose,
-			seriesOut: *seriesJSON, benchOut: *benchJSON,
+			seed: *seed, traceOut: *traceOut, benchOut: *benchJSON,
 		})
 		return
 	}
@@ -128,7 +128,6 @@ func main() {
 	if *crashChaos {
 		runCrashChaosCmd(bmx.CrashChaosConfig{
 			Nodes: *nodes, Steps: *chaosSteps, Seed: *seed,
-			CrashEvery: *crashEvery, CheckpointEvery: *ckptEvery,
 			GroupCommit: groupCommit, Store: factory,
 		}, *statsJSON)
 		return
@@ -136,7 +135,7 @@ func main() {
 	if *chaos {
 		runChaos(chaosOpts{
 			nodes: *nodes, steps: *chaosSteps, seed: *seed, proto: proto,
-			drop: *loss, dup: *dup, delay: *delay, delayTicks: *delayTicks,
+			drop: *loss, dup: *dup, delay: *delay,
 			partEvery: *partEvery, partFor: *partFor,
 			trace: *traceOn, traceJSON: *traceJSON, statsJSON: *statsJSON,
 		})
@@ -155,10 +154,7 @@ func main() {
 		// so the JSON dump carries heat rows for bmxstat -heat.
 		cl.EnableHeat()
 	}
-	intr := introspection{
-		httpAddr: *httpAddr, hold: *httpHold,
-		seriesPath: *seriesJSON, benchPath: *benchJSON,
-	}
+	intr := introspection{httpAddr: *httpAddr, hold: *httpHold, benchPath: *benchJSON}
 	intr.start(cl)
 	n0 := cl.Node(0)
 	switch *workload {
@@ -216,7 +212,7 @@ func main() {
 			// Skewed writes, zero churn: every object stays reachable, so
 			// the hot head keeps bouncing between the rotating mutators and
 			// the heat table shows steady-state skew.
-			if err := trace.MutateZipf(mutator, g, 10, *zipfS, *seed+int64(r)); err != nil {
+			if err := trace.MutateZipf(mutator, g, 10, zipfS, *seed+int64(r)); err != nil {
 				fmt.Fprintln(os.Stderr, "bmxd:", err)
 				os.Exit(1)
 			}
@@ -236,7 +232,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "bmxd:", err)
 				os.Exit(1)
 			}
-			if _, err := trace.Churn(n0, g, *churn/float64(*rounds), *seed+int64(r)); err != nil {
+			if _, err := trace.Churn(n0, g, churn/float64(*rounds), *seed+int64(r)); err != nil {
 				fmt.Fprintln(os.Stderr, "bmxd:", err)
 				os.Exit(1)
 			}
@@ -251,7 +247,7 @@ func main() {
 				n0.Sync()
 			}
 		}
-		if *gcEvery > 0 && r%*gcEvery == 0 {
+		if r%gcEvery == 0 {
 			for i := 0; i < *nodes; i++ {
 				node := cl.Node(i)
 				var st bmx.CollectStats
@@ -262,25 +258,15 @@ func main() {
 				}
 				totalDead += st.Dead
 				gcTotal.Merge(st)
-				if *verbose {
-					fmt.Printf("round %d: BGC at N%d: live %d, dead %d, copied %d, pause %d ticks\n",
-						r, i+1, st.LiveStrong+st.LiveWeak, st.Dead, st.Copied,
-						st.PauseRootTicks+st.PauseFlipTicks)
-				}
 			}
-			if *reclaim {
-				for _, rb := range bunches {
-					cl.Node(0).ReclaimFromSpace(rb)
-				}
+			for _, rb := range bunches {
+				cl.Node(0).ReclaimFromSpace(rb)
 			}
 		}
-		if *ggcEvery > 0 && r%*ggcEvery == 0 {
+		if r%ggcEvery == 0 {
 			st := cl.Node(0).CollectGroup(nil)
 			totalDead += st.Dead
 			gcTotal.Merge(st)
-			if *verbose {
-				fmt.Printf("round %d: GGC at N1: %d bunches, dead %d\n", r, st.Bunches, st.Dead)
-			}
 		}
 		cl.Run(0)
 	}
@@ -408,17 +394,16 @@ func runCrashChaosCmd(cfg bmx.CrashChaosConfig, statsJSON bool) {
 	os.Exit(1)
 }
 
-// introspection bundles the live-readout flags: the HTTP server, the
-// time-series file, and the benchmark summary.
+// introspection bundles the live-readout flags: the HTTP server and the
+// benchmark summary.
 type introspection struct {
-	httpAddr   string
-	hold       bool
-	seriesPath string
-	benchPath  string
+	httpAddr  string
+	hold      bool
+	benchPath string
 }
 
 func (in introspection) enabled() bool {
-	return in.httpAddr != "" || in.seriesPath != "" || in.benchPath != ""
+	return in.httpAddr != "" || in.benchPath != ""
 }
 
 // start attaches the sampler (one sample per Run drain) and, with -http,
@@ -452,7 +437,7 @@ func (in introspection) start(cl *bmx.Cluster) {
 	fmt.Fprintf(os.Stderr, "bmxd: introspection on http://%s/\n", bound)
 }
 
-// finish writes the series and bench artifacts and, with -http-hold, parks
+// finish writes the bench artifact and, with -http-hold, parks
 // the process so the server stays scrapable. rows is the run's (merged, in
 // peer mode) heat table: the bench summary's owner-mismatch figure comes
 // from analyzing it.
@@ -462,22 +447,6 @@ func (in introspection) finish(cl *bmx.Cluster, rows []heat.Row) {
 	}
 	// The final state deserves a sample even if the last round predates it.
 	cl.Sample()
-	if in.seriesPath != "" {
-		w := os.Stdout
-		if in.seriesPath != "-" {
-			f, err := os.Create(in.seriesPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bmxd:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := cl.Sampler().WriteNDJSON(w); err != nil {
-			fmt.Fprintln(os.Stderr, "bmxd:", err)
-			os.Exit(1)
-		}
-	}
 	if in.benchPath != "" {
 		f, err := os.Create(in.benchPath)
 		if err != nil {
@@ -506,7 +475,6 @@ type chaosOpts struct {
 	seed               int64
 	proto              bmx.Protocol
 	drop, dup, delay   float64
-	delayTicks         uint64
 	partEvery, partFor int
 
 	trace, traceJSON, statsJSON bool
@@ -519,13 +487,13 @@ func runChaos(o chaosOpts) {
 	rep := bmx.RunChaos(bmx.ChaosConfig{
 		Nodes: o.nodes, Steps: o.steps, Seed: o.seed, Consistency: o.proto,
 		Faults: bmx.FaultPlan{Default: bmx.FaultRates{
-			Drop: o.drop, Dup: o.dup, Delay: o.delay, DelayTicks: o.delayTicks,
+			Drop: o.drop, Dup: o.dup, Delay: o.delay, DelayTicks: delayTicks,
 		}},
 		PartitionEvery: o.partEvery, PartitionFor: o.partFor,
 		Trace: o.trace,
 	})
 	fmt.Printf("chaos soak: %d nodes, %d steps, seed %d, drop %.0f%%, dup %.0f%%, delay %.0f%% (%d ticks)\n",
-		o.nodes, rep.Steps, o.seed, o.drop*100, o.dup*100, o.delay*100, o.delayTicks)
+		o.nodes, rep.Steps, o.seed, o.drop*100, o.dup*100, o.delay*100, delayTicks)
 	fmt.Printf("ops %d (failed %d, of which partitioned %d), partitions cut %d, collections %d, reclaims %d\n",
 		rep.Ops, rep.OpErrors, rep.PartitionedOps, rep.Partitions, rep.Collections, rep.Reclaims)
 	fmt.Printf("faults injected: duplicated %d, delayed %d, partitioned %d, lost %d\n",

@@ -34,7 +34,8 @@ type ctlMutateReq struct {
 	Round uint64
 }
 
-type ctlAck struct{ N int }
+// ctlAck acknowledges a control command; it carries nothing.
+type ctlAck struct{}
 
 type ctlStatsReply struct{ Counters map[string]int64 }
 
@@ -53,24 +54,19 @@ type peerOpts struct {
 	workload string
 	objects  int
 	rounds   int
-	gcEvery  int
-	churn    float64
 	seed     int64
 	traceOut string
-	verbose  bool
-	// seriesOut/benchOut reuse the simulated driver's -series-json and
-	// -bench-json artifacts; the seed cuts one sample per round, so a TCP
-	// run diffs against a simnet run with bmxstat -bench A -diff B.
-	seriesOut string
-	benchOut  string
+	// benchOut reuses the simulated driver's -bench-json artifact; the seed
+	// cuts one sample per round, so a TCP run diffs against a simnet run
+	// with bmxstat -bench A -diff B.
+	benchOut string
 }
 
 // peerFlags are the flags multi-process mode reads (peerOpts); it takes
 // nothing else from the command line.
 var peerFlags = map[string]bool{
 	"listen": true, "peers": true, "workload": true, "objects": true,
-	"rounds": true, "gc-every": true, "churn": true, "seed": true,
-	"trace-out": true, "v": true, "series-json": true, "bench-json": true,
+	"rounds": true, "seed": true, "trace-out": true, "bench-json": true,
 }
 
 // peerIgnoredFlags names, as "-name", every flag set on the command line
@@ -160,11 +156,11 @@ func followPeerCluster(p *bmx.Peer, o peerOpts) {
 				}
 				n.Release(r)
 			}
-			return ctlAck{N: len(req.OIDs)}, 8, nil
+			return ctlAck{}, 8, nil
 		case "ctl.collect":
-			st := n.CollectBunches(nil)
+			n.CollectBunches(nil)
 			n.FlushLocations()
-			return ctlAck{N: st.Dead}, 8, nil
+			return ctlAck{}, 8, nil
 		case "ctl.stats":
 			return ctlStatsReply{Counters: p.Cluster().Stats().Snapshot()}, 64, nil
 		case "ctl.heat":
@@ -210,7 +206,7 @@ func drivePeerCluster(p *bmx.Peer, o peerOpts) {
 		others = append(others, addr.NodeID(i))
 	}
 
-	intr := introspection{seriesPath: o.seriesOut, benchPath: o.benchOut}
+	intr := introspection{benchPath: o.benchOut}
 	intr.start(p.Cluster())
 
 	b := n.NewBunch()
@@ -264,7 +260,7 @@ func drivePeerCluster(p *bmx.Peer, o peerOpts) {
 		}
 		for _, obj := range g.Objects {
 			if len(edges[obj.OID]) == 0 || edges[obj.OID][0].IsNil() ||
-				rng.Float64() >= o.churn/float64(o.rounds) {
+				rng.Float64() >= churn/float64(o.rounds) {
 				continue
 			}
 			if err := n.AcquireWrite(obj); err != nil {
@@ -288,20 +284,12 @@ func drivePeerCluster(p *bmx.Peer, o peerOpts) {
 			ctlMutateReq{OIDs: oids, Round: lastRound}, 16+8*len(oids)); err != nil {
 			fatalf("bmxd: mutate at node %v: %v", writer, err)
 		}
-		if o.gcEvery > 0 && r%o.gcEvery == 0 {
-			st := n.CollectBunches(nil)
+		if r%gcEvery == 0 {
+			n.CollectBunches(nil)
 			n.FlushLocations()
-			if o.verbose {
-				fmt.Printf("round %d: BGC at seed: live %d, dead %d\n",
-					r, st.LiveStrong+st.LiveWeak, st.Dead)
-			}
 			for _, id := range others {
-				raw, err := p.Control(id, "ctl.collect", ctlAck{}, 8)
-				if err != nil {
+				if _, err := p.Control(id, "ctl.collect", ctlAck{}, 8); err != nil {
 					fatalf("bmxd: collect at node %v: %v", id, err)
-				}
-				if o.verbose {
-					fmt.Printf("round %d: BGC at node %v: dead %d\n", r, id, raw.(ctlAck).N)
 				}
 			}
 		}
@@ -354,7 +342,7 @@ func drivePeerCluster(p *bmx.Peer, o peerOpts) {
 			fmt.Fprintf(os.Stderr, "bmxd: node %v FAILED: %s\n", id, msg)
 		}
 	}
-	if cuts > 0 && o.gcEvery > 0 && deadTotal == 0 {
+	if cuts > 0 && deadTotal == 0 {
 		failures++
 		fmt.Fprintf(os.Stderr, "bmxd: FAILED: %d links cut but no process reclaimed anything\n", cuts)
 	}

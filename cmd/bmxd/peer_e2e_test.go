@@ -101,7 +101,7 @@ func TestThreeProcessClusterConverges(t *testing.T) {
 		p := &proc{addr: a, trace: filepath.Join(dir, fmt.Sprintf("trace-%d.ndjson", i))}
 		p.cmd = exec.CommandContext(ctx, bin,
 			"-listen", a, "-peers", strings.Join(peers, ","),
-			"-workload", "tree", "-objects", "40", "-rounds", "8", "-gc-every", "2",
+			"-workload", "tree", "-objects", "40", "-rounds", "8",
 			"-trace-out", p.trace)
 		p.cmd.Stdout = &p.out
 		p.cmd.Stderr = &p.out

@@ -28,8 +28,8 @@ func init() {
 			return ctlMutateReq{OIDs: transport.ReadUvarints[uint64](r), Round: r.Uvarint()}
 		})
 	transport.RegisterPayload(tagCtlAck,
-		func(dst []byte, a ctlAck) []byte { return transport.AppendVarint(dst, int64(a.N)) },
-		func(r *transport.Reader) ctlAck { return ctlAck{N: r.Int()} })
+		func(dst []byte, _ ctlAck) []byte { return dst },
+		func(*transport.Reader) ctlAck { return ctlAck{} })
 	transport.RegisterPayload(tagCtlStatsReply,
 		func(dst []byte, p ctlStatsReply) []byte {
 			return transport.AppendMap(dst, p.Counters, transport.AppendString, transport.AppendVarint)

@@ -3,20 +3,16 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"bmx/internal/obs"
 )
 
-func refSummary() obs.BenchSummary {
-	return obs.BenchSummary{
+func refSummary() gateFigures {
+	return gateFigures{
 		MsgsPerMutatorOp:   2.0,
 		GCCopyWords:        10000,
+		AcquireTicksP99:    64,
 		SyncsPerFlip:       1.0,
 		RemoteAccessRatio:  0.5,
 		OwnerMismatchCount: 4,
-		Series: map[string]obs.QuantileSeries{
-			acquireTicksSeries: {Final: obs.HistSummary{Count: 100, P99: 64}},
-		},
 	}
 }
 
@@ -39,7 +35,7 @@ func TestGatePassesOnImprovement(t *testing.T) {
 	cur := refSummary()
 	cur.MsgsPerMutatorOp = 1.0
 	cur.GCCopyWords = 100
-	cur.Series[acquireTicksSeries] = obs.QuantileSeries{Final: obs.HistSummary{Count: 100, P99: 16}}
+	cur.AcquireTicksP99 = 16
 	if v := gateViolations(cur, refSummary(), 25); len(v) != 0 {
 		t.Fatalf("an improvement violated the gate: %v", v)
 	}
@@ -48,17 +44,15 @@ func TestGatePassesOnImprovement(t *testing.T) {
 func TestGateTripsOnSyntheticRegressions(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*obs.BenchSummary)
+		mutate func(*gateFigures)
 		metric string
 	}{
-		{"msgs-per-op", func(b *obs.BenchSummary) { b.MsgsPerMutatorOp = 3.0 }, "msgs-per-mutator-op"},
-		{"gc-copy-volume", func(b *obs.BenchSummary) { b.GCCopyWords = 20000 }, "gc-copy-words"},
-		{"acquire-p99", func(b *obs.BenchSummary) {
-			b.Series[acquireTicksSeries] = obs.QuantileSeries{Final: obs.HistSummary{Count: 100, P99: 256}}
-		}, "acquire-ticks-p99"},
-		{"syncs-per-flip", func(b *obs.BenchSummary) { b.SyncsPerFlip = 8.0 }, "syncs-per-flip"},
-		{"locality-ratio", func(b *obs.BenchSummary) { b.RemoteAccessRatio = 0.9 }, "remote-access-ratio"},
-		{"owner-mismatches", func(b *obs.BenchSummary) { b.OwnerMismatchCount = 20 }, "owner-mismatch-count"},
+		{"msgs-per-op", func(b *gateFigures) { b.MsgsPerMutatorOp = 3.0 }, "msgs-per-mutator-op"},
+		{"gc-copy-volume", func(b *gateFigures) { b.GCCopyWords = 20000 }, "gc-copy-words"},
+		{"acquire-p99", func(b *gateFigures) { b.AcquireTicksP99 = 256 }, "acquire-ticks-p99"},
+		{"syncs-per-flip", func(b *gateFigures) { b.SyncsPerFlip = 8.0 }, "syncs-per-flip"},
+		{"locality-ratio", func(b *gateFigures) { b.RemoteAccessRatio = 0.9 }, "remote-access-ratio"},
+		{"owner-mismatches", func(b *gateFigures) { b.OwnerMismatchCount = 20 }, "owner-mismatch-count"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

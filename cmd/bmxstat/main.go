@@ -1,7 +1,7 @@
 // Command bmxstat is the offline trace analyzer: it reads the flight
 // recorder's NDJSON event stream (a `bmxd -trace-json` capture or an
-// /events download) and/or the time-series sampler's NDJSON (`-series-json`
-// or /series), and prints what a run actually did — the hot objects, the
+// /events download) and/or the time-series sampler's NDJSON (a /series
+// download from bmxd -http), and prints what a run actually did — the hot objects, the
 // acquire-path and critical-path breakdowns, the per-phase GC cost, the
 // biography of one object, or an A/B comparison of two runs.
 //
@@ -51,7 +51,7 @@ func open(path string) io.ReadCloser {
 func main() {
 	var (
 		tracePath  = flag.String("trace", "", "event NDJSON to analyze (a bmxd -trace-json capture or an /events download; - for stdin)")
-		seriesPath = flag.String("series", "", "time-series NDJSON to analyze (a bmxd -series-json file or a /series download; - for stdin)")
+		seriesPath = flag.String("series", "", "time-series NDJSON to analyze (a /series download from bmxd -http; - for stdin)")
 		benchPath  = flag.String("bench", "", "benchmark summary JSON to analyze (a bmxd -bench-json artifact; - for stdin)")
 		diffPath   = flag.String("diff", "", "second run to compare against -series (time-series NDJSON) or -bench (summary JSON); prints an A/B comparison")
 		oidFlag    = flag.String("oid", "", "print the biography of this object (accepts 36 or O36)")

@@ -160,9 +160,3 @@ func TestRefCountLossCausesViolations(t *testing.T) {
 }
 
 func refOID(i int) addr.OID { return addr.OID(i) }
-
-func TestRefCountStatsAccessor(t *testing.T) {
-	if NewRefCountSystem(1, 1, 0).Stats() == nil {
-		t.Fatal("stats accessor")
-	}
-}

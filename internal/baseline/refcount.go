@@ -75,9 +75,6 @@ func NewRefCountSystem(n int, seed int64, loss float64) *RefCountSystem {
 	return sys
 }
 
-// Stats exposes the underlying network counters.
-func (sys *RefCountSystem) Stats() *simnet.Stats { return sys.net.Stats() }
-
 // Create registers an object at its home with the creator's reference
 // (count 1).
 func (sys *RefCountSystem) Create(home addr.NodeID, o addr.OID) {

@@ -17,11 +17,9 @@ import (
 // delay, node-pair partitions), after which every fault is healed, the
 // cluster is drained to a fixpoint, and full convergence is audited.
 type ChaosConfig struct {
-	Nodes    int   // cluster size (default 3)
-	Steps    int   // workload steps in the fault storm (default 400)
-	Seed     int64 // seeds both the workload and the fault schedule
-	SegWords int   // segment size in words (default 128)
-	Bunches  int   // bunches created up front (default Nodes)
+	Nodes int   // cluster size (default 3); one bunch per node is created up front
+	Steps int   // workload steps in the fault storm (default 400)
+	Seed  int64 // seeds both the workload and the fault schedule
 
 	// Faults is the storm-phase fault plan. Its partition list is managed
 	// by the driver (see PartitionEvery); its rates apply throughout the
@@ -33,9 +31,6 @@ type ChaosConfig struct {
 	// before the drain.
 	PartitionEvery int
 	PartitionFor   int
-
-	// DrainRounds bounds the post-heal drain-to-fixpoint loop (default 12).
-	DrainRounds int
 
 	// Consistency selects the DSM protocol variant (entry consistency by
 	// default).
@@ -54,20 +49,18 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.Steps <= 0 {
 		c.Steps = 400
 	}
-	if c.SegWords == 0 {
-		c.SegWords = 128
-	}
-	if c.Bunches <= 0 {
-		c.Bunches = c.Nodes
-	}
 	if c.PartitionFor <= 0 {
 		c.PartitionFor = 10
 	}
-	if c.DrainRounds <= 0 {
-		c.DrainRounds = 12
-	}
 	return c
 }
+
+// chaosSegWords is the segment size, in words, of both chaos drivers'
+// clusters (RunChaos and RunCrashChaos).
+const chaosSegWords = 128
+
+// chaosDrainRounds bounds RunChaos's post-heal drain-to-fixpoint loop.
+const chaosDrainRounds = 12
 
 // ChaosReport summarizes a chaos soak. The run converged iff Violations is
 // empty: every invariant audited by Cluster.CheckInvariants holds, every
@@ -118,7 +111,7 @@ func RunChaos(cfg ChaosConfig) ChaosReport {
 	cfg = cfg.withDefaults()
 	cl := New(Config{
 		Nodes:       cfg.Nodes,
-		SegWords:    cfg.SegWords,
+		SegWords:    chaosSegWords,
 		Seed:        cfg.Seed,
 		Consistency: cfg.Consistency,
 	})
@@ -137,15 +130,13 @@ func runChaos(cl *Cluster, cfg ChaosConfig) ChaosReport {
 		cl.EnableTracing()
 	}
 
-	// Fixed topology: Bunches bunches created round-robin across the
-	// nodes; the creator maps each, other nodes adopt replicas as the
-	// workload maps/acquires.
-	bunches := make([]addr.BunchID, cfg.Bunches)
-	mapped := make([][]int, cfg.Bunches) // bunch index -> node indexes mapping it
+	// Fixed topology: one bunch per node, created and mapped by that node;
+	// other nodes adopt replicas as the workload maps/acquires.
+	bunches := make([]addr.BunchID, cfg.Nodes)
+	mapped := make([][]int, cfg.Nodes) // bunch index -> node indexes mapping it
 	for i := range bunches {
-		creator := i % cfg.Nodes
-		bunches[i] = cl.Node(creator).NewBunch()
-		mapped[i] = []int{creator}
+		bunches[i] = cl.Node(i).NewBunch()
+		mapped[i] = []int{i}
 	}
 
 	var objs []*chaosObj
@@ -309,7 +300,7 @@ func runChaos(cl *Cluster, cfg ChaosConfig) ChaosReport {
 			cl.Stats().Get("core.cleaner.intraScionsDeleted") +
 			cl.Stats().Get("core.reclaim.segments")
 	}
-	for d := 0; d < cfg.DrainRounds; d++ {
+	for d := 0; d < chaosDrainRounds; d++ {
 		before := progress()
 		for i := 0; i < cl.Nodes(); i++ {
 			nd := cl.Node(i)

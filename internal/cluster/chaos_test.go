@@ -99,7 +99,7 @@ func TestChaosZeroFaultsDeterministic(t *testing.T) {
 	a := RunChaos(cfg)
 	// Same workload, but the cluster never sees SetFaultPlan before the
 	// run (the non-chaos driver's transport state).
-	cl := New(Config{Nodes: 3, SegWords: 128, Seed: cfg.Seed})
+	cl := New(Config{Nodes: 3, SegWords: chaosSegWords, Seed: cfg.Seed})
 	b := runChaos(cl, cfg)
 
 	if a.ClockTicks != b.ClockTicks {

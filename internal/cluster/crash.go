@@ -97,26 +97,19 @@ func (n *Node) KillRestart(b addr.BunchID) error {
 
 // CrashChaosConfig parametrizes a crash-recovery chaos run.
 type CrashChaosConfig struct {
-	Nodes    int   // cluster size (default 3)
-	Steps    int   // workload steps (default 600)
-	Seed     int64 // seeds the workload and the kill schedule
-	SegWords int   // segment size in words (default 128)
+	Nodes int   // cluster size (default 3)
+	Steps int   // workload steps (default 600)
+	Seed  int64 // seeds the workload and the kill schedule
 
 	// CrashEvery kills a node mid-collection every N steps (default 60),
 	// alternating pseudo-randomly between the two sides of the flip sync.
 	CrashEvery int
-	// CheckpointEvery checkpoints a node's home bunch every N steps
-	// (default 45).
-	CheckpointEvery int
 
 	// GroupCommit selects the RVM commit discipline for every node.
 	GroupCommit bool
 	// Store is the per-node backend factory (nil = the deterministic mem
 	// backend).
 	Store func() store.Store
-
-	// DrainRounds bounds the final drain loop (default 8).
-	DrainRounds int
 }
 
 func (c CrashChaosConfig) withDefaults() CrashChaosConfig {
@@ -126,20 +119,18 @@ func (c CrashChaosConfig) withDefaults() CrashChaosConfig {
 	if c.Steps <= 0 {
 		c.Steps = 600
 	}
-	if c.SegWords == 0 {
-		c.SegWords = 128
-	}
 	if c.CrashEvery <= 0 {
 		c.CrashEvery = 60
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 45
-	}
-	if c.DrainRounds <= 0 {
-		c.DrainRounds = 8
-	}
 	return c
 }
+
+// crashCheckpointEvery is how many steps apart RunCrashChaos checkpoints a
+// node's home bunch.
+const crashCheckpointEvery = 45
+
+// crashDrainRounds bounds RunCrashChaos's final drain loop.
+const crashDrainRounds = 8
 
 // CrashChaosReport summarizes a crash-recovery chaos run. The run passed
 // iff Violations is empty.
@@ -187,7 +178,7 @@ func RunCrashChaos(cfg CrashChaosConfig) CrashChaosReport {
 	cfg = cfg.withDefaults()
 	cl := New(Config{
 		Nodes:       cfg.Nodes,
-		SegWords:    cfg.SegWords,
+		SegWords:    chaosSegWords,
 		Seed:        cfg.Seed,
 		WithDisk:    true,
 		Store:       cfg.Store,
@@ -527,7 +518,7 @@ func runCrashChaos(cl *Cluster, cfg CrashChaosConfig) CrashChaosReport {
 			markDurable(ni)
 			settleDeaths(ni)
 		}
-		if step > 0 && step%cfg.CheckpointEvery == 0 {
+		if step > 0 && step%crashCheckpointEvery == 0 {
 			ci := rng.Intn(cfg.Nodes)
 			if cl.Node(ci).Checkpoint(homes[ci]) == nil {
 				rep.Checkpoints++
@@ -553,7 +544,7 @@ func runCrashChaos(cl *Cluster, cfg CrashChaosConfig) CrashChaosReport {
 	progress := func() int64 {
 		return cl.Stats().Get("core.gc.dead") + cl.Stats().Get("core.reclaim.segments")
 	}
-	for d := 0; d < cfg.DrainRounds; d++ {
+	for d := 0; d < crashDrainRounds; d++ {
 		before := progress()
 		for ni := 0; ni < cfg.Nodes; ni++ {
 			// Every node collects every bunch it may hold content of, not

@@ -7,7 +7,6 @@ import (
 
 	"bmx/internal/addr"
 	"bmx/internal/core"
-	"bmx/internal/dsm"
 	"bmx/internal/mem"
 	"bmx/internal/obs"
 	"bmx/internal/obs/heat"
@@ -22,6 +21,7 @@ import (
 // is your NodeID. The rank-0 process is the seed: it owns the authoritative
 // core.Directory and serves the other processes' "dir.*" messages; everyone
 // else holds a remoteDir proxy. No further coordination is needed to boot.
+// Peers run entry consistency.
 type PeerConfig struct {
 	// Listen is this process's address, exactly as the other processes
 	// name it in their Peers list (the NodeID derivation compares the
@@ -30,9 +30,8 @@ type PeerConfig struct {
 	// Peers are the other processes' listen addresses.
 	Peers []string
 
-	SegWords    int // segment size in words; default 256
-	Consistency dsm.Protocol
-	Seed        int64
+	SegWords int // segment size in words; default 256
+	Seed     int64
 }
 
 // Peer is one process's share of a multi-process cluster: a Cluster holding
@@ -61,8 +60,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		return nil, err
 	}
 	cl := &Cluster{
-		cfg: Config{Nodes: len(all), SegWords: cfg.SegWords, Seed: cfg.Seed,
-			Consistency: cfg.Consistency}.withDefaults(),
+		cfg:  Config{Nodes: len(all), SegWords: cfg.SegWords, Seed: cfg.Seed}.withDefaults(),
 		net:  tr,
 		heat: heat.Of(tr.Stats().Observer()),
 	}

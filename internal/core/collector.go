@@ -159,14 +159,8 @@ func (c *Collector) SetDurabilityBarrier(f func(FlipLog)) { c.durBarrier = f }
 // ownership moves.
 func (c *Collector) SetReplicateInterSSPs(on bool) { c.replicateSSPs = on }
 
-// Node returns the collector's node id.
-func (c *Collector) Node() addr.NodeID { return c.node }
-
 // Heap returns the node's heap.
 func (c *Collector) Heap() *mem.Heap { return c.heap }
-
-// DSM returns the node's protocol engine.
-func (c *Collector) DSM() *dsm.Node { return c.dsm }
 
 func (c *Collector) stats() *transport.Stats { return c.net.Stats() }
 

@@ -551,7 +551,7 @@ func TestTokenConservationProperty(t *testing.T) {
 			}
 			if err := node.Acquire(o, mode, simnet.ClassApp); err != nil {
 				t.Fatalf("seed %d step %d: acquire %v %v at %v: %v",
-					seed, step, o, mode, node.ID(), err)
+					seed, step, o, mode, node.id, err)
 			}
 			env.net.Run(0)
 			checkTokenInvariants(t, env, o, fmt.Sprintf("seed %d step %d", seed, step))

@@ -134,9 +134,6 @@ func NewNode(id addr.NodeID, net transport.Transport, hooks Hooks, clusterSize i
 // traffic; all nodes of a cluster must agree.
 func (n *Node) SetProtocol(p Protocol) { n.protocol = p }
 
-// ID returns this node's identifier.
-func (n *Node) ID() addr.NodeID { return n.id }
-
 func (n *Node) stats() *transport.Stats { return n.net.Stats() }
 
 // Acquire obtains a read or write token for o on behalf of class (the

@@ -244,9 +244,6 @@ func newSegment(m *SegmentMeta) *Segment {
 	}
 }
 
-// Contains reports whether a falls inside this segment.
-func (s *Segment) Contains(a addr.Addr) bool { return s.Meta.Contains(a) }
-
 // FreeWords returns the number of words still available for allocation.
 func (s *Segment) FreeWords() int {
 	return s.Meta.Words - s.allocOff

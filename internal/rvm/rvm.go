@@ -221,8 +221,8 @@ func forEachRecord(data []byte, f func(tag byte, r Record)) {
 }
 
 // Tx is a recoverable transaction. SetRange records new values; Commit
-// forces them to the log; Abort drops them. A transaction that is neither
-// committed nor aborted before a crash has no effect after recovery.
+// forces them to the log. A transaction is aborted by dropping it: one never
+// committed leaves nothing in the log, before a crash or after recovery.
 type Tx struct {
 	log  *Log
 	id   uint64
@@ -301,9 +301,6 @@ func (tx *Tx) Commit() {
 		l.st.Sync(l.name)
 	}
 }
-
-// Abort discards the transaction.
-func (tx *Tx) Abort() { tx.done = true }
 
 // ---- Segment images (words + object-map + reference-map) ------------------
 

@@ -135,12 +135,13 @@ func TestUncommittedInvisible(t *testing.T) {
 	}
 }
 
+// TestAbort: a transaction is aborted by dropping it, and a dropped one
+// leaves nothing for recovery even while later ones commit.
 func TestAbort(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
 	tx := l.Begin()
 	tx.SetRange(1, 0, 0, []uint64{42}, nil)
-	tx.Abort()
 	tx2 := l.Begin()
 	tx2.SetRange(1, 0, 1, []uint64{7}, nil)
 	tx2.Commit()

@@ -30,7 +30,6 @@ type Options struct {
 	// sweeper per transport enforces it, so a call that gets no reply fails
 	// between CallTimeout and CallTimeout plus sweepPeriod after it began.
 	CallTimeout time.Duration
-	DialTimeout time.Duration // per-attempt dial deadline (default 2s)
 	BackoffMin  time.Duration // first reconnect delay (default 25ms)
 	BackoffMax  time.Duration // reconnect delay ceiling (default 1s)
 
@@ -45,9 +44,6 @@ func (o Options) withDefaults() Options {
 	if o.CallTimeout <= 0 {
 		o.CallTimeout = 10 * time.Second
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
 	if o.BackoffMin <= 0 {
 		o.BackoffMin = 25 * time.Millisecond
 	}
@@ -56,6 +52,9 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// dialTimeout is the deadline of one dial attempt.
+const dialTimeout = 2 * time.Second
 
 // sweepPeriod is how often the deadline sweeper looks for calls whose
 // CallTimeout has passed: a tenth of the timeout, at least a millisecond.
@@ -648,7 +647,7 @@ func (t *Transport) dialLoop(peer string) {
 			return
 		default:
 		}
-		nc, err := net.DialTimeout("tcp", peer, t.opts.DialTimeout)
+		nc, err := net.DialTimeout("tcp", peer, dialTimeout)
 		if err != nil {
 			t.stats.Add("tcp.dialError", 1)
 			if !t.sleep(backoff) {

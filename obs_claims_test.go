@@ -205,8 +205,9 @@ func TestTreeSeed5Succeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The exact bmxd driver loop (churn 0.2, gc-every 2, ggc-every 5,
-	// reclaim on). The run is deterministic; it used to die in round 5.
+	// The exact bmxd driver loop (churn 0.2, a BGC every 2 rounds with a
+	// reuse round after it, a GGC every 5). The run is deterministic; it
+	// used to die in round 5.
 	for r := 1; r <= rounds; r++ {
 		mutator := cl.Node(r % nodes)
 		if err := trace.MutateValues(mutator, g, 10, seed+int64(r)); err != nil {
