@@ -46,6 +46,7 @@ func (f fill) String() string { return [...]string{"zero", "empty", "max", "min"
 var (
 	classType = reflect.TypeOf(transport.ClassApp)
 	modeType  = reflect.TypeOf(dsm.ModeInvalid)
+	imageType = reflect.TypeOf(dsm.ObjectImage{})
 )
 
 // sampler builds representative values of one fill.
@@ -56,7 +57,8 @@ type sampler struct {
 }
 
 // sample builds a value of typ, filled as f says. Enumerations take their
-// largest defined value: decoders reject the rest.
+// largest defined value: decoders reject the rest. An object image is
+// fitted to what its decoder accepts (fitImage).
 func sample(t testing.TB, typ reflect.Type, f fill) reflect.Value {
 	return (&sampler{t: t, f: f}).value(typ)
 }
@@ -138,7 +140,22 @@ func (s *sampler) value(typ reflect.Type) reflect.Value {
 	default:
 		s.t.Fatalf("sample: no representative value for %v", typ)
 	}
+	if typ == imageType {
+		fitImage(v.Addr().Interface().(*dsm.ObjectImage))
+	}
 	return v
+}
+
+// fitImage makes a sampled image one the decoder accepts: its size counts
+// its words, and its mask has one word per 64 of them with no bit past the
+// last.
+func fitImage(img *dsm.ObjectImage) {
+	n := len(img.Words)
+	img.Size = n
+	img.Refs = img.Refs[:(n+63)/64]
+	if n%64 != 0 {
+		img.Refs[n/64] &= 1<<(n%64) - 1
+	}
 }
 
 // distinct makes the i-th map key differ from the others.
@@ -261,6 +278,25 @@ func FuzzDecodePayload(f *testing.F) {
 			wire, err := transport.AppendPayload(nil, sample(f, typ, fl).Interface())
 			if err != nil {
 				f.Fatal(err)
+			}
+			f.Add(wire)
+		}
+		if typ.String() == "dsm.acquireReply" {
+			// A grant of a 70-word object: its mask spans two words.
+			reply := sample(f, typ, fillSeq)
+			img := reply.FieldByName("Image").Addr().Interface().(*dsm.ObjectImage)
+			img.Words = make([]uint64, 70)
+			for i := range img.Words {
+				img.Words[i] = uint64(i) << 40
+			}
+			img.Refs = []uint64{1 | 1<<63, 1 | 1<<5}
+			img.Size = len(img.Words)
+			wire, err := transport.AppendPayload(nil, reply.Interface())
+			if err != nil {
+				f.Fatal(err)
+			}
+			if _, err := transport.DecodePayload(wire); err != nil {
+				f.Fatalf("70-word image seed: %v", err)
 			}
 			f.Add(wire)
 		}

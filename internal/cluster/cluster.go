@@ -168,7 +168,7 @@ type Node struct {
 	log  *rvm.Log
 	// openTx batches mutations between Sync calls when persistence is on.
 	openTx *rvm.Tx
-	// logWords and logRefs are logObject's reused record buffers.
+	// logWords and logRefs are logRange's reused record buffers.
 	logWords, logRefs []uint64
 	// flipCrash arms a crash at the next collection's durability barrier
 	// (see ArmFlipCrash in crash.go). Guarded by the node lock, like the

@@ -175,7 +175,7 @@ func (n *Node) WriteRef(obj Ref, i int, target Ref) error {
 	}
 	n.col.NoteWrite(obj.OID)
 	n.cl.heat.NoteWrite(n.id, obj.OID, n.dsm.KnownBunch(obj.OID))
-	n.logWrite(obj.OID, a, i)
+	n.logWrite(a, i)
 	return nil
 }
 
@@ -196,7 +196,7 @@ func (n *Node) WriteWord(obj Ref, i int, v uint64) error {
 	}
 	n.col.NoteWrite(obj.OID)
 	n.cl.heat.NoteWrite(n.id, obj.OID, n.dsm.KnownBunch(obj.OID))
-	n.logWrite(obj.OID, a, i)
+	n.logWrite(a, i)
 	return nil
 }
 

@@ -312,6 +312,45 @@ func TestGrantIdentifiesStaleWordByItsManifest(t *testing.T) {
 	}
 }
 
+// TestWideGrant: a granted image carries its words' reference-map bits as
+// mask words, one per 64 words; a 70-field object's references on both
+// sides of the first mask word's end reach the reader intact.
+func TestWideGrant(t *testing.T) {
+	cl := New(Config{Nodes: 2, Seed: 1})
+	checkWideGrant(t, cl.Node(0), cl.Node(1))
+}
+
+// checkWideGrant has owner build a 70-field object with references at
+// fields 60 and 65 and a scalar between them, move it with a collection,
+// then has reader acquire it and read all three back.
+func checkWideGrant(t *testing.T, owner, reader *Node) {
+	t.Helper()
+	b := owner.NewBunch()
+	x := owner.MustAlloc(b, 70)
+	y, z := owner.MustAlloc(b, 1), owner.MustAlloc(b, 1)
+	owner.AddRoot(x)
+	for _, err := range []error{owner.WriteRef(x, 60, y), owner.WriteRef(x, 65, z), owner.WriteWord(x, 64, 64)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := owner.CollectBunch(b); st.Copied != 3 {
+		t.Fatalf("the owner's collection copied %d objects, want 3", st.Copied)
+	}
+	if err := reader.AcquireRead(x); err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Release(x)
+	for f, want := range map[int]Ref{60: y, 65: z} {
+		if got, err := reader.ReadRef(x, f); err != nil || got != want {
+			t.Fatalf("x.%d at the reader = %v, %v; want %v", f, got, err, want)
+		}
+	}
+	if v, err := reader.ReadWord(x, 64); err != nil || v != 64 {
+		t.Fatalf("x.64 at the reader = %d, %v; want 64", v, err)
+	}
+}
+
 // A granter may have reclaimed its own replica of a referee — a non-owned
 // object its collection of the referee's bunch found dead locally — while
 // an object it grants still points at it. Its header still identifies the

@@ -161,6 +161,18 @@ func TestPeerClusterSharedMutationAndGC(t *testing.T) {
 	}
 }
 
+// TestPeerWideGrant is TestWideGrant over real sockets: the image's
+// two mask words survive the acquireReply codec.
+func TestPeerWideGrant(t *testing.T) {
+	peers := startPeers(t, reserveAddrs(t, 2))
+	seed := seedOf(t, peers)
+	for _, p := range peers {
+		if p != seed {
+			checkWideGrant(t, seed.Node(), p.Node())
+		}
+	}
+}
+
 // The driver-control channel: a ctl call round-trips to a registered
 // handler and an unregistered peer reports a clean error.
 func TestPeerControlChannel(t *testing.T) {

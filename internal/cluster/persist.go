@@ -25,40 +25,31 @@ import (
 // stores them. Called under the cluster lock.
 func (n *Node) logAllocation(oid addr.OID) {
 	if n.log != nil {
-		n.logObject(n.tx(), oid, true)
+		a, _ := n.col.Heap().Canonical(oid) // the allocation just set it
+		n.logRange(n.tx(), a, mem.HeaderWords)
 	}
 }
 
 // logObject records oid's complete contents — header, data words and the
 // fields' reference-map bits — at its current canonical address, as one
-// range record encoded from the heap through the node's reused buffers;
-// hdrOnly logs the header words alone. A whole object is the durable
-// transcript of a GC copy: the object's earlier log records all name its
-// from-space address, so the to-space copy must reach the log whole or a
-// recovery would resolve the canonical address to uninitialized to-space.
-// The record's address IS the object's location; the last header in log
-// order wins.
-func (n *Node) logObject(tx *rvm.Tx, oid addr.OID, hdrOnly bool) {
+// range record. A whole object is the durable transcript of a GC copy: the
+// object's earlier log records all name its from-space address, so the
+// to-space copy must reach the log whole or a recovery would resolve the
+// canonical address to uninitialized to-space. The record's address IS the
+// object's location; the last header in log order wins.
+func (n *Node) logObject(tx *rvm.Tx, oid addr.OID) {
 	heap := n.col.Heap()
-	a, ok := heap.Canonical(oid)
-	if !ok {
-		return
+	if a, ok := heap.Canonical(oid); ok {
+		n.logRange(tx, a, mem.HeaderWords+heap.ObjSize(a))
 	}
+}
+
+// logRange records the words words at a, with their reference-map bits, as
+// one range record read from the heap into the node's reused buffers.
+func (n *Node) logRange(tx *rvm.Tx, a addr.Addr, words int) {
+	heap := n.col.Heap()
 	seg := heap.SegAt(a)
-	words := mem.HeaderWords
-	if !hdrOnly {
-		words += heap.ObjSize(a)
-	}
-	n.logWords = n.logWords[:0]
-	for i := range words {
-		n.logWords = append(n.logWords, heap.Word(a.AddWords(i)))
-	}
-	n.logRefs = append(n.logRefs[:0], make([]uint64, (words+63)/64)...)
-	for i := mem.HeaderWords; i < words; i++ {
-		if heap.IsRefField(a, i-mem.HeaderWords) {
-			n.logRefs[i/64] |= 1 << (i % 64)
-		}
-	}
+	n.logWords, n.logRefs = heap.ReadRange(a, words, n.logWords, n.logRefs)
 	tx.SetRange(seg.Meta.ID, seg.Meta.Gen, a.WordOff(seg.Meta.Base), n.logWords, n.logRefs)
 }
 
@@ -86,7 +77,7 @@ func (n *Node) flipBarrier(fl core.FlipLog) {
 	if n.openTx != nil || len(fl.Copied) > 0 || len(fl.Dead) > 0 {
 		tx := n.tx()
 		for _, o := range fl.Copied {
-			n.logObject(tx, o, false)
+			n.logObject(tx, o)
 		}
 		for _, o := range fl.Dead {
 			tx.SetDead(o)
@@ -105,18 +96,11 @@ func (n *Node) flipBarrier(fl core.FlipLog) {
 
 // logWrite records one mutated field and its reference-map bit as one
 // range record. Called under the cluster lock.
-func (n *Node) logWrite(oid addr.OID, objAddr addr.Addr, field int) {
+func (n *Node) logWrite(objAddr addr.Addr, field int) {
 	if n.log == nil {
 		return
 	}
-	heap := n.col.Heap()
-	fa := heap.DataAddr(objAddr, field)
-	seg := heap.SegAt(fa)
-	var ref [1]uint64
-	if heap.IsRefField(objAddr, field) {
-		ref[0] = 1
-	}
-	n.tx().SetRange(seg.Meta.ID, seg.Meta.Gen, fa.WordOff(seg.Meta.Base), []uint64{heap.Word(fa)}, ref[:])
+	n.logRange(n.tx(), n.col.Heap().DataAddr(objAddr, field), 1)
 }
 
 func (n *Node) tx() *rvm.Tx {
@@ -274,6 +258,7 @@ func (n *Node) RecoverBunch(b addr.BunchID) error {
 	// record truncated away with the log).
 	ckptLive, _ := rvm.ReadLiveSet(n.disk, b)
 	logHeaders := make(map[addr.OID]bool)
+	var zero []uint64 // as long as the largest object replayed; never written
 	for _, rec := range recs {
 		if rec.Dead {
 			continue
@@ -285,11 +270,7 @@ func (n *Node) RecoverBunch(b addr.BunchID) error {
 			// corrupt whatever lives there now.
 			continue
 		}
-		seg := heap.MapSegment(meta)
-		base := seg.Meta.Base.AddWords(rec.Off)
-		for i, w := range rec.Words {
-			heap.SetWord(base.AddWords(i), w)
-		}
+		base := heap.MapSegment(meta).Meta.Base.AddWords(rec.Off)
 		// A logged object header must reappear in the object map at the
 		// record's address — that is where the object lived when the
 		// header was logged, whether by allocation (header only) or by a
@@ -306,23 +287,18 @@ func (n *Node) RecoverBunch(b addr.BunchID) error {
 				// log position: words beyond what it carries are zero (a
 				// header-only record is a fresh allocation). Without this,
 				// records of the range's previous same-bunch tenant —
-				// which replayed above, earlier in the log — would bleed
-				// into fields the new tenant never wrote.
-				for i := 0; i < info.Size; i++ {
-					heap.SetWord(base.AddWords(mem.HeaderWords+i), 0)
-					seg.SetRefBit(rec.Off+mem.HeaderWords+i, false)
+				// which replayed earlier in the log — would bleed into
+				// fields the new tenant never wrote.
+				if len(zero) < info.Size {
+					zero = make([]uint64, info.Size)
 				}
-				for i, w := range rec.Words {
-					heap.SetWord(base.AddWords(i), w)
-				}
+				heap.WriteRange(base.AddWords(mem.HeaderWords), zero[:info.Size], zero)
 				heap.SetCanonical(oid, base)
 			}
 		}
-		// The record's reference-map bits land last, over the zeroing
-		// above; header words carry 0 bits.
-		for i := range rec.Words {
-			seg.SetRefBit(rec.Off+i, rec.IsRef(i))
-		}
+		// The record's words and reference-map bits land last, over the
+		// zeroing above; header words carry 0 bits.
+		heap.WriteRange(base, rec.Words, rec.Refs)
 	}
 	// Rebuild canonical addresses and protocol state from the headers.
 	// Objects whose death was logged are dropped, not registered: the

@@ -443,7 +443,8 @@ func (c *Collector) LocationEpoch(o addr.OID) uint64 { return c.locEpoch[o] }
 
 // FlushLocations pushes all queued location updates as explicit background
 // GC messages instead of waiting for consistency traffic to carry them.
-// Used by the from-space reuse protocol and by the eager-update ablation.
+// Callers: bmxd's peer driver, experiments E3 and A2. A §4.5 round sends a
+// peer's queued updates inside its gc.addrChange instead (takePending).
 func (c *Collector) FlushLocations() {
 	for _, peer := range sortedNodeIDs(c.pending) {
 		q := c.pending[peer]

@@ -173,13 +173,7 @@ func (c *Collector) ObjectImage(o addr.OID) dsm.ObjectImage {
 		return img
 	}
 	c.normalizeRefs(a, "core.loc.refsNormalized", nil)
-	n := c.heap.ObjSize(a)
-	img.Words = make([]uint64, n)
-	img.RefMask = make([]bool, n)
-	for i := 0; i < n; i++ {
-		img.Words[i] = c.heap.GetField(a, i)
-		img.RefMask[i] = c.heap.IsRefField(a, i)
-	}
+	img.Words, img.Refs = c.heap.ReadRange(c.heap.DataAddr(a, 0), c.heap.ObjSize(a), nil, nil)
 	return img
 }
 
@@ -209,9 +203,7 @@ func (c *Collector) InstallImage(img dsm.ObjectImage, ms []dsm.Manifest, from ad
 	if c.heap.Forwarded(a) {
 		c.heap.ClearFwd(a)
 	}
-	for i := range img.Words {
-		c.heap.SetField(a, i, img.Words[i], img.RefMask[i])
-	}
+	c.heap.WriteRange(c.heap.DataAddr(a, 0), img.Words, img.Refs)
 	// A word no local header identifies (this node rejected its referee's
 	// manifest as older than a location it knows) is identified by the
 	// grant's manifest for that address (invariant 1).

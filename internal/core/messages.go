@@ -179,9 +179,9 @@ func (c *Collector) serveCopyOut(req CopyOutReq) CopyOutReply {
 // moveOwnedObject copies a locally-owned object into the current allocation
 // segment of its bunch, installs the forwarding pointer, and queues location
 // updates for the nodes this node's protocol state says hold a replica
-// through it. It is the one copying primitive: the bunch collector's copy
-// phase, the copy-out service and segment evacuation all move objects
-// through it.
+// through it. The bunch collector's copy phase, the copy-out service and
+// segment evacuation all move objects through it; the words and
+// reference-map bits move through Heap.CopyObject.
 func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
 	old, ok := c.heap.Canonical(o)
 	if !ok || !c.heap.Mapped(old) || !c.heap.IsObjectAt(old) {
@@ -211,9 +211,7 @@ func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
 	if !allocOK {
 		return dsm.Manifest{}, false
 	}
-	for i := 0; i < size; i++ {
-		c.heap.SetField(to, i, c.heap.GetField(old, i), c.heap.IsRefField(old, i))
-	}
+	c.heap.CopyObject(old, to)
 	c.heap.SetFwd(old, to)
 	c.heap.SetCanonical(o, to)
 	c.locEpoch[o]++

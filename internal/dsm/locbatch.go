@@ -16,7 +16,8 @@ import (
 // updates were produced in.
 
 // KindLocBatch carries every location update one node owes another at a
-// flush boundary. It is the only location-update message on the wire.
+// flush boundary of the consistency protocol; the collector's gc.locFlush
+// and gc.addrChange (package core) carry location updates too.
 const KindLocBatch = "dsm.locBatch"
 
 // LocMsg is one batch entry: the location updates for O pushed down the

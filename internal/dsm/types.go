@@ -112,11 +112,13 @@ type Manifest struct {
 func (m Manifest) WireBytes() int { return 32 }
 
 // ObjectImage is an object's consistent contents as shipped with a token
-// grant: the manifest plus data words and the reference map.
+// grant: the manifest plus data words and their reference-map bits. Refs
+// is laid out as mem.Heap.ReadRange returns it and as the redo log stores
+// it: bit i%64 of Refs[i/64] is word i's bit, in ⌈len(Words)/64⌉ words.
 type ObjectImage struct {
 	Manifest
-	Words   []uint64
-	RefMask []bool
+	Words []uint64
+	Refs  []uint64
 }
 
 // WireBytes is the simulated encoded size of the image.

@@ -85,7 +85,7 @@ func readAcquireReq(r *transport.Reader) acquireReq {
 func appendAcquireReply(dst []byte, p acquireReply) []byte {
 	dst = appendManifest(dst, p.Image.Manifest)
 	dst = transport.AppendUvarints(dst, p.Image.Words)
-	dst = transport.AppendSlice(dst, p.Image.RefMask, transport.AppendBool)
+	dst = transport.AppendUvarints(dst, p.Image.Refs)
 	dst = AppendManifests(dst, p.Manifests)
 	if dst = transport.AppendBool(dst, p.Intra != nil); p.Intra != nil {
 		dst = appendIntraSSPReq(dst, *p.Intra)
@@ -99,7 +99,13 @@ func readAcquireReply(r *transport.Reader) acquireReply {
 	var p acquireReply
 	p.Image.Manifest = readManifest(r)
 	p.Image.Words = transport.ReadUvarints[uint64](r)
-	p.Image.RefMask = transport.ReadSlice(r, 1, (*transport.Reader).Bool)
+	p.Image.Refs = transport.ReadUvarints[uint64](r)
+	// The installer writes the whole object's words and mask as one range.
+	if n := len(p.Image.Words); n != 0 && n != p.Image.Size ||
+		len(p.Image.Refs) != (n+63)/64 ||
+		n%64 != 0 && p.Image.Refs[n/64]>>(n%64) != 0 {
+		r.Invalid("image words, size and mask disagree")
+	}
 	p.Manifests = ReadManifests(r)
 	if r.Bool() {
 		intra := readIntraSSPReq(r)

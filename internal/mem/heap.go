@@ -113,10 +113,23 @@ func (h *Heap) Word(a addr.Addr) uint64 {
 	return s.words[a.WordOff(s.Meta.Base)]
 }
 
-// SetWord writes the word at address a. The address must be mapped.
-func (h *Heap) SetWord(a addr.Addr, v uint64) {
+// ReadRange reads the n words at address a, and their reference-map bits as
+// mask words laid out as Bitmap says, into the storage of words and mask,
+// and returns both. The range must lie in one mapped segment.
+func (h *Heap) ReadRange(a addr.Addr, n int, words, mask []uint64) ([]uint64, []uint64) {
 	s := h.mustSeg(a)
-	s.words[a.WordOff(s.Meta.Base)] = v
+	off := a.WordOff(s.Meta.Base)
+	return append(words[:0], s.words[off:off+n]...), s.refMap.extract(mask[:0], off, n)
+}
+
+// WriteRange writes words at address a and their reference-map bits from
+// mask, laid out as ReadRange returns them. The range must lie in one
+// mapped segment.
+func (h *Heap) WriteRange(a addr.Addr, words, mask []uint64) {
+	s := h.mustSeg(a)
+	off := a.WordOff(s.Meta.Base)
+	copy(s.words[off:off+len(words)], words)
+	s.refMap.store(off, len(words), mask)
 }
 
 // ---- Object layout -------------------------------------------------------
@@ -167,6 +180,7 @@ func writeHeader(s *Segment, a addr.Addr, oid addr.OID, dataWords int) {
 	s.words[off+1] = uint64(oid)
 	s.words[off+2] = 0
 	s.objMap.Set(off)
+	s.refMap.store(off, HeaderWords, []uint64{0}) // a header word is never a pointer
 }
 
 // IsObjectAt reports whether a mapped object header exists at address a.
@@ -279,32 +293,24 @@ func (h *Heap) ForEachRef(a addr.Addr, f func(i int, v addr.Addr)) {
 	s := h.mustSeg(a)
 	hdr := a.WordOff(s.Meta.Base)
 	data := hdr + HeaderWords
-	size := int(uint32(s.words[hdr]))
-	for i := 0; i < size; i++ {
-		if s.refMap.Get(data + i) {
-			f(i, addr.Addr(s.words[data+i]))
-		}
-	}
+	s.refMap.forRange(data, data+int(uint32(s.words[hdr])), func(off int) {
+		f(off-data, addr.Addr(s.words[off]))
+	})
 }
 
 // CopyObject copies the object headed at src to dst: header (fresh, not
 // forwarded), data words and reference-map bits. Both addresses must be
-// mapped (possibly in the same segment), dst typically in to-space.
+// mapped (possibly in the same segment), dst typically in to-space. It is
+// the one primitive that moves an object inside a heap.
 func (h *Heap) CopyObject(src, dst addr.Addr) {
 	ss, ds := h.mustSeg(src), h.mustSeg(dst)
 	hdr := src.WordOff(ss.Meta.Base)
 	size := int(uint32(ss.words[hdr]))
 	materialize(ds, dst, addr.OID(ss.words[hdr+1]), size)
-	doff := dst.WordOff(ds.Meta.Base)
-	for i := 0; i < size; i++ {
-		from, to := hdr+HeaderWords+i, doff+HeaderWords+i
-		ds.words[to] = ss.words[from]
-		if ss.refMap.Get(from) {
-			ds.refMap.Set(to)
-		} else {
-			ds.refMap.Clear(to)
-		}
-	}
+	from, to := hdr+HeaderWords, dst.WordOff(ds.Meta.Base)+HeaderWords
+	copy(ds.words[to:to+size], ss.words[from:from+size])
+	var mask [4]uint64 // an object of up to 256 words moves its bits without allocating
+	ds.refMap.store(to, size, ss.refMap.extract(mask[:0], from, size))
 }
 
 // ---- Canonical addresses -------------------------------------------------

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,6 +126,58 @@ func TestFieldsAndRefMap(t *testing.T) {
 	if len(refs) != 0 {
 		t.Fatalf("refs = %v", refs)
 	}
+
+	// A wide object's pointer fields straddle a mask word. ForEachRef
+	// visits exactly them, in order, reading each value just before f
+	// sees it: f may rewrite a later field, or its own, through SetField.
+	h = NewHeap(NewAllocator(wideSegWords))
+	w := newWide(h, h.MapSegment(h.Allocator().NewSegment(1)), 1)
+	var got []int
+	h.ForEachRef(w, func(i int, v addr.Addr) {
+		got = append(got, i)
+		want := addr.Addr(wideValue(i))
+		switch i {
+		case 63:
+			want = 777
+		case 60:
+			h.SetField(w, 63, 777, true)
+		case 64:
+			h.SetField(w, 64, 5, false)
+		}
+		if v != want {
+			t.Errorf("ForEachRef gave field %d value %d, want %d", i, v, want)
+		}
+	})
+	if !slices.Equal(got, wideRefs) {
+		t.Fatalf("ForEachRef visited fields %v, want %v", got, wideRefs)
+	}
+	if h.IsRefField(w, 64) || h.GetField(w, 64) != 5 || !h.IsRefField(w, 63) {
+		t.Fatal("SetField inside ForEachRef did not stick")
+	}
+}
+
+// wideSegWords fits three wide objects to a segment.
+const wideSegWords = 256
+
+// wideFields is the size of a wide object, whose reference bits span two
+// mask words; wideRefs are its pointer fields, on both sides of the boundary.
+const wideFields = 70
+
+var wideRefs = []int{0, 60, 63, 64, 65, 69}
+
+func wideValue(i int) uint64 { return uint64(1000 + i) }
+
+// newWide allocates a wideFields-field object in s whose field i holds
+// wideValue(i), a pointer exactly at the wideRefs fields.
+func newWide(h *Heap, s *Segment, oid addr.OID) addr.Addr {
+	a, ok := h.Alloc(s, oid, wideFields)
+	if !ok {
+		panic("wide object does not fit")
+	}
+	for i := 0; i < wideFields; i++ {
+		h.SetField(a, i, wideValue(i), slices.Contains(wideRefs, i))
+	}
+	return a
 }
 
 func TestFieldBoundsPanics(t *testing.T) {
@@ -220,25 +273,46 @@ func TestMaterialize(t *testing.T) {
 }
 
 func TestCopyObject(t *testing.T) {
-	a, h := newTestHeap()
+	a := NewAllocator(wideSegWords)
+	h := NewHeap(a)
 	s := h.MapSegment(a.NewSegment(1))
-	src, _ := h.Alloc(s, 1, 3)
-	h.SetField(src, 0, 11, false)
-	h.SetField(src, 1, 22, true)
-	h.SetField(src, 2, 33, false)
-	dst := s.Meta.Base.AddWords(30)
-	h.CopyObject(src, dst)
-	if h.ObjOID(dst) != 1 || h.ObjSize(dst) != 3 {
-		t.Fatal("copy header wrong")
+	other := h.MapSegment(a.NewSegment(1))
+	src := newWide(h, s, 1)
+	// Destinations whose data start differs from the source's mod 64:
+	// later in the same segment, and early in another one.
+	for _, dst := range []addr.Addr{s.Meta.Base.AddWords(100), other.Meta.Base.AddWords(7)} {
+		ds := h.SegAt(dst)
+		lo, hi := dst.WordOff(ds.Meta.Base), dst.WordOff(ds.Meta.Base)+HeaderWords+wideFields
+		ds.refMap.Set(lo - 1) // neighbours, which the copy must leave alone
+		ds.refMap.Set(hi)
+		ds.refMap.Set(lo + HeaderWords + 1) // a stale bit under a scalar field
+		h.CopyObject(src, dst)
+		if h.ObjOID(dst) != 1 || h.ObjSize(dst) != wideFields || h.Forwarded(dst) {
+			t.Fatalf("copy at %v: header wrong", dst)
+		}
+		for i := 0; i < wideFields; i++ {
+			if h.GetField(dst, i) != wideValue(i) || h.IsRefField(dst, i) != slices.Contains(wideRefs, i) {
+				t.Fatalf("copy at %v: field %d = %d ref %v", dst, i, h.GetField(dst, i), h.IsRefField(dst, i))
+			}
+		}
+		if !ds.refMap.Get(lo-1) || !ds.refMap.Get(hi) {
+			t.Fatalf("copy at %v changed a neighbouring reference bit", dst)
+		}
 	}
-	if h.GetField(dst, 0) != 11 || h.GetField(dst, 1) != 22 || h.GetField(dst, 2) != 33 {
-		t.Fatal("copy data wrong")
+
+	// A range read gives the redo log's layout, and a range write of it
+	// elsewhere rebuilds the same fields (the grant image's path).
+	words, mask := h.ReadRange(h.DataAddr(src, 0), wideFields, nil, nil)
+	if len(words) != wideFields || !slices.Equal(mask, []uint64{1 | 1<<60 | 1<<63, 1 | 1<<1 | 1<<5}) {
+		t.Fatalf("ReadRange gave %d words, mask %x", len(words), mask)
 	}
-	if h.IsRefField(dst, 0) || !h.IsRefField(dst, 1) {
-		t.Fatal("copy ref map wrong")
-	}
-	if h.Forwarded(dst) {
-		t.Fatal("copy must not inherit forwarded flag")
+	dst := other.Meta.Base.AddWords(150)
+	h.Materialize(dst, 1, wideFields)
+	h.WriteRange(h.DataAddr(dst, 0), words, mask)
+	for i := 0; i < wideFields; i++ {
+		if h.GetField(dst, i) != wideValue(i) || h.IsRefField(dst, i) != slices.Contains(wideRefs, i) {
+			t.Fatalf("range write: field %d = %d ref %v", i, h.GetField(dst, i), h.IsRefField(dst, i))
+		}
 	}
 }
 
@@ -439,6 +513,47 @@ func TestBitmapProperty(t *testing.T) {
 		return ok && n == len(want) && count(b) == len(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A range walk, extract and store agree with bit-by-bit Get on
+	// ranges that start and end mid-word, and touch no bit outside.
+	const size = 512
+	g := func(idxs []uint16, lo16, n16, dlo16 uint16) bool {
+		b, d := NewBitmap(size), NewBitmap(size)
+		for _, i := range idxs {
+			b.Set(int(i) % size)
+			d.Set(int(i*7) % size)
+		}
+		lo, n := int(lo16)%size, int(n16)%size
+		n = min(n, size-lo)
+		dlo := min(int(dlo16)%size, size-n)
+		var walked []int
+		b.forRange(lo, lo+n, func(i int) { walked = append(walked, i) })
+		var want []int
+		for i := lo; i < lo+n; i++ {
+			if b.Get(i) {
+				want = append(want, i)
+			}
+		}
+		mask := b.extract(nil, lo, n)
+		if !slices.Equal(walked, want) || len(mask) != (n+63)/64 {
+			return false
+		}
+		before := &Bitmap{n: size, bits: slices.Clone(d.bits)}
+		d.store(dlo, n, mask)
+		for i := 0; i < size; i++ {
+			wantBit := before.Get(i)
+			if i >= dlo && i < dlo+n {
+				wantBit = b.Get(lo + i - dlo)
+			}
+			if d.Get(i) != wantBit {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(g, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -258,25 +258,8 @@ func (s *Segment) UsedWords() int {
 // replica, in address order.
 func (s *Segment) Objects() []addr.Addr {
 	var out []addr.Addr
-	s.ForEachObject(func(a addr.Addr) { out = append(out, a) })
+	s.objMap.ForEach(func(i int) { out = append(out, s.Meta.Base.AddWords(i)) })
 	return out
-}
-
-// ForEachObject calls f with the header address of every object
-// materialized in this replica, in address order, without building a list.
-func (s *Segment) ForEachObject(f func(a addr.Addr)) {
-	base := s.Meta.Base
-	s.objMap.ForEach(func(i int) { f(base.AddWords(i)) })
-}
-
-// SetRefBit marks or clears word offset off in the reference map (used by
-// recovery when replaying logged mutations).
-func (s *Segment) SetRefBit(off int, v bool) {
-	if v {
-		s.refMap.Set(off)
-	} else {
-		s.refMap.Clear(off)
-	}
 }
 
 // RewriteRefs offers the value of every word marked as a pointer in this

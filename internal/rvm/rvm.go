@@ -53,9 +53,6 @@ type Record struct {
 	OID  addr.OID
 }
 
-// IsRef reports the reference-map bit of word Off+i.
-func (r Record) IsRef(i int) bool { return r.Refs[i/64]&(1<<(i%64)) != 0 }
-
 // maskWords is the number of mask words a range of n words carries.
 func maskWords(n int) int { return (n + 63) / 64 }
 

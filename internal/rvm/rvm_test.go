@@ -65,17 +65,15 @@ func TestLogFormatGolden(t *testing.T) {
 	}
 	if r := recs[0]; r.Seg != 0x0203 || r.Gen != 0x04050607 || r.Off != 0x10 ||
 		len(r.Words) != 2 || r.Words[0] != 0x0102030405060708 || r.Words[1] != 9 ||
-		r.IsRef(0) || !r.IsRef(1) {
+		len(r.Refs) != 1 || r.Refs[0] != 2 {
 		t.Fatalf("range record = %+v", r)
 	}
 	r := recs[1]
 	if r.Off != 0x20 || len(r.Words) != 65 || r.Words[64] != 0x0a {
 		t.Fatalf("wide range record = %+v", r)
 	}
-	for i := range r.Words {
-		if want := i == 0 || i == 63 || i == 64; r.IsRef(i) != want {
-			t.Fatalf("wide range record: IsRef(%d) = %v, want %v", i, r.IsRef(i), want)
-		}
+	if len(r.Refs) != 2 || r.Refs[0] != 1|1<<63 || r.Refs[1] != 1 {
+		t.Fatalf("wide range record: mask %x, want bits 0, 63 and 64", r.Refs)
 	}
 	if r := recs[2]; !r.Dead || r.OID != 0x1122334455667788 {
 		t.Fatalf("dead record = %+v", r)
