@@ -291,14 +291,15 @@ func main() {
 	fmt.Printf("GC work: %d cpu ticks\n", gcTotal.CPUTicks)
 	fmt.Println()
 	dumpStats(cl, *statsJSON)
-	dumpTrace(cl.Observer(), *traceOn, *traceJSON, cl.Heat().Snapshot())
+	rows := cl.Heat()
+	dumpTrace(cl.Observer(), *traceOn, *traceJSON, rows)
 
 	if st.Get("dsm.acquire.r.gc")+st.Get("dsm.acquire.w.gc") != 0 ||
 		st.Get("dsm.invalidation.gc") != 0 {
 		fmt.Fprintln(os.Stderr, "bmxd: COLLECTOR INTERFERED WITH THE CONSISTENCY PROTOCOL")
 		os.Exit(1)
 	}
-	intr.finish(cl, cl.Heat().Snapshot())
+	intr.finish(cl, rows)
 }
 
 // buildGraph builds one workload shard of roughly `objects` objects in
@@ -427,7 +428,7 @@ func (in introspection) start(cl *bmx.Cluster) {
 		Counters: cl.Stats().Snapshot,
 		Observer: cl.Observer(),
 		Sampler:  cl.Sampler(),
-		Heat:     cl.Heat().Snapshot,
+		Heat:     cl.Heat,
 	}
 	bound, err := srv.Serve(in.httpAddr)
 	if err != nil {
@@ -438,8 +439,8 @@ func (in introspection) start(cl *bmx.Cluster) {
 }
 
 // finish writes the bench artifact and, with -http-hold, parks
-// the process so the server stays scrapable. rows is the run's (merged, in
-// peer mode) heat table: the bench summary's owner-mismatch figure comes
+// the process so the server stays scrapable. rows is the run's merged heat
+// table: the bench summary's owner-mismatch figure comes
 // from analyzing it.
 func (in introspection) finish(cl *bmx.Cluster, rows []heat.Row) {
 	if !in.enabled() {

@@ -164,7 +164,7 @@ func followPeerCluster(p *bmx.Peer, o peerOpts) {
 		case "ctl.stats":
 			return ctlStatsReply{Counters: p.Cluster().Stats().Snapshot()}, 64, nil
 		case "ctl.heat":
-			rows := p.Cluster().Heat().Snapshot()
+			rows := p.Cluster().Heat()
 			return ctlHeatReply{Rows: rows}, 16 + 64*len(rows), nil
 		case "ctl.shutdown":
 			// Reply first, then exit: the reply leaves on the conn's write
@@ -350,7 +350,7 @@ func drivePeerCluster(p *bmx.Peer, o peerOpts) {
 	// Harvest every process's heat table before shutting them down; the
 	// merge resolves each object's owner by the highest Lamport tick, the
 	// same rule bmxstat -heat applies to trace files.
-	heatParts := [][]heat.Row{p.Cluster().Heat().Snapshot()}
+	heatParts := [][]heat.Row{p.Cluster().Heat()}
 	for _, id := range others {
 		raw, err := p.Control(id, "ctl.heat", ctlAck{}, 8)
 		if err != nil {
@@ -431,7 +431,7 @@ func writePeerTrace(p *bmx.Peer, path string) {
 	if err := obs.DumpJSON(f, p.Cluster().Observer().Events()); err != nil {
 		fatalf("bmxd: %v", err)
 	}
-	if err := heat.WriteRowsNDJSON(f, p.Cluster().Heat().Snapshot()); err != nil {
+	if err := heat.WriteRowsNDJSON(f, p.Cluster().Heat()); err != nil {
 		fatalf("bmxd: %v", err)
 	}
 }

@@ -2,11 +2,13 @@ package bmx_test
 
 // Heatmap acceptance tests: the cluster-wide access-locality table driven
 // through the public facade. The determinism pin freezes the heat table's
-// serialization on simnet — same seed, byte-identical NDJSON — and the
-// hammer runs the zipf mutators concurrently with GC workers under -race.
+// serialization on simnet — same seed, byte-identical NDJSON — the golden
+// pin freezes its content, and the hammer runs the zipf mutators
+// concurrently with GC workers under -race.
 
 import (
 	"bytes"
+	"os"
 	"sync"
 	"testing"
 
@@ -16,8 +18,9 @@ import (
 )
 
 // driveHeatRun is one fixed-seed simnet run with heat accounting on:
-// rotating mutators write a zipf-skewed head, collections run on cadence,
-// and the heat table decays once per round — the bmxd driver in miniature.
+// rotating mutators write a zipf-skewed head and collections run on
+// cadence — the bmxd driver in miniature. It returns the nodes' tables
+// merged.
 func driveHeatRun(t *testing.T, seed int64) []heat.Row {
 	t.Helper()
 	cl := bmx.New(bmx.Config{Nodes: 3, SegWords: 256, Seed: seed, SendLatency: 1, CallLatency: 1})
@@ -43,7 +46,7 @@ func driveHeatRun(t *testing.T, seed int64) []heat.Row {
 		}
 		cl.Run(0)
 	}
-	return cl.Heat().Snapshot()
+	return cl.Heat()
 }
 
 func TestHeatTableDeterministicUnderSeed(t *testing.T) {
@@ -66,6 +69,54 @@ func TestHeatTableDeterministicUnderSeed(t *testing.T) {
 		return bytes.Equal(a.Bytes(), cb.Bytes())
 	}() {
 		t.Fatal("different seeds produced identical heat tables")
+	}
+}
+
+// TestHeatRowsMatchGolden is the equality pin of the per-node tables: the
+// merged rows of the seed-5 run must equal, byte for byte, the rows the
+// cluster produced when every node wrote into one shared table
+// (testdata/heat_seed5.ndjson was recorded from that design): counters,
+// bunches, owners and owner ticks all match.
+func TestHeatRowsMatchGolden(t *testing.T) {
+	var got bytes.Buffer
+	if err := heat.WriteRowsNDJSON(&got, driveHeatRun(t, 5)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/heat_seed5.ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("merged heat rows differ from testdata/heat_seed5.ndjson:\n%s", got.String())
+	}
+}
+
+// TestHeatSupersededAllocationMarkIsNoRow pins the merge of per-node
+// tables where the seeded run cannot: node 0 allocates an object it never
+// touches, so its table holds only an ownership mark, and node 1 then
+// takes the write token. One table holding both nodes' notes keeps one
+// row, node 1's, and so must the merge: node 0's superseded mark adds no
+// empty row.
+func TestHeatSupersededAllocationMarkIsNoRow(t *testing.T) {
+	cl := bmx.New(bmx.Config{Nodes: 2, SegWords: 64, SendLatency: 1, CallLatency: 1})
+	cl.EnableHeat()
+	n0, n1 := cl.Node(0), cl.Node(1)
+	b := n0.NewBunch()
+	o := n0.MustAlloc(b, 2)
+	n0.AddRoot(o)
+	if err := n1.MapBunch(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := n1.AcquireWrite(o); err != nil {
+		t.Fatal(err)
+	}
+	n1.Release(o)
+	rows := cl.Heat()
+	if len(rows) != 1 {
+		t.Fatalf("got %d rows, want node 1's alone: %+v", len(rows), rows)
+	}
+	if r := rows[0]; r.Node != 1 || r.Acquires != 1 || r.Owner == nil || *r.Owner != 1 {
+		t.Fatalf("row wrong: %+v", r)
 	}
 }
 
@@ -157,7 +208,7 @@ func TestHeatCountersUnderConcurrentMutatorsAndGC(t *testing.T) {
 	drain.Wait()
 	cl.RunConcurrent(0)
 
-	rows := cl.Heat().Snapshot()
+	rows := cl.Heat()
 	var writes uint64
 	for _, r := range rows {
 		writes += r.Writes

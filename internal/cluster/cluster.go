@@ -131,10 +131,6 @@ type Cluster struct {
 	// histogram summaries) after every Run drain. Set once before the
 	// cluster starts running; the Sampler itself is internally locked.
 	sampler *obs.Sampler
-	// heat is the access-locality table riding the transport's observer,
-	// cached here so mutator entry points attribute reads and writes with
-	// one atomic load while it is disabled.
-	heat *heat.Table
 	// ctl is the driver's handler for "ctl.*" calls (see Peer.SetControl);
 	// nil until one is installed.
 	ctl atomic.Pointer[transport.CallHandler]
@@ -163,6 +159,9 @@ type Node struct {
 	// on. Nil-safe; the depth is tracked even while tracing is disabled (see
 	// obs.Recorder.EnterCritical).
 	rec *obs.Recorder
+	// heat is this node's access-locality table, shared with its DSM
+	// engine and guarded by mu like the rest of the node's state.
+	heat *heat.Table
 
 	disk store.Store
 	log  *rvm.Log
@@ -190,7 +189,7 @@ func New(cfg Config) *Cluster {
 	if !cfg.Faults.Zero() {
 		net.SetFaultPlan(cfg.Faults)
 	}
-	cl := &Cluster{cfg: cfg, net: net, heat: heat.Of(net.Stats().Observer())}
+	cl := &Cluster{cfg: cfg, net: net}
 	cl.dir = core.NewDirectory(mem.NewAllocator(cfg.SegWords))
 	for i := 0; i < cfg.Nodes; i++ {
 		cl.newNode(addr.NodeID(i))
@@ -201,18 +200,19 @@ func New(cfg Config) *Cluster {
 // newNode assembles one site over the cluster's transport and directory —
 // the single construction path of both deployments: New calls it once per
 // simulated node, NewPeer once per process. A node is its transport wrapper,
-// flight recorder, heap, collector and DSM engine, plus a store, an RVM log
-// and the flip's durability barrier when the configuration asks for
-// persistence. Its handlers are registered last, so no message reaches a
-// half-built node.
+// flight recorder, heat table, heap, collector and DSM engine, plus a store,
+// an RVM log and the flip's durability barrier when the configuration asks
+// for persistence. Its handlers are registered last, so no message reaches
+// a half-built node.
 func (cl *Cluster) newNode(id addr.NodeID) *Node {
 	cfg := cl.cfg
 	n := &Node{cl: cl, id: id}
 	n.tr = &nodeTransport{n: n, inner: cl.net}
 	n.rec = cl.net.Stats().Observer().Recorder(id)
+	n.heat = heat.New(id, cl.net.Clock().Now)
 	heap := mem.NewHeap(cl.dir.Allocator())
 	col := core.NewCollector(id, heap, cl.dir, n.tr)
-	d := dsm.NewNode(id, n.tr, col, cfg.Nodes)
+	d := dsm.NewNode(id, n.tr, col, cfg.Nodes, n.heat)
 	d.SetProtocol(cfg.Consistency)
 	col.SetDSM(d)
 	n.col, n.dsm = col, d
@@ -274,13 +274,31 @@ func (cl *Cluster) EnableSampling(capacity int) *obs.Sampler {
 func (cl *Cluster) Sampler() *obs.Sampler { return cl.sampler }
 
 // EnableHeat switches access-locality accounting on: from here every read,
-// write and acquire is attributed per (object, requesting node) in the heat
-// table.
-func (cl *Cluster) EnableHeat() { cl.heat.Enable() }
+// write and acquire is attributed per (object, requesting node) in the
+// requesting node's heat table.
+func (cl *Cluster) EnableHeat() {
+	for _, n := range cl.nodes {
+		n.heat.Enable()
+	}
+}
 
-// Heat returns the cluster's access-locality table (always non-nil; inert
-// until EnableHeat).
-func (cl *Cluster) Heat() *heat.Table { return cl.heat }
+// Heat returns the cluster's access-locality rows: every node's table,
+// snapshotted under its node lock and combined by heat.Merge, the merge a
+// multi-process cluster uses for its processes' tables. Empty until
+// EnableHeat.
+func (cl *Cluster) Heat() []heat.Row {
+	parts := make([][]heat.Row, len(cl.nodes))
+	for i, n := range cl.nodes {
+		parts[i] = n.heatSnapshot()
+	}
+	return heat.Merge(parts...)
+}
+
+func (n *Node) heatSnapshot() []heat.Row {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.heat.Snapshot()
+}
 
 // Sample cuts one time-series point at the current simulated tick. No-op
 // until EnableSampling.

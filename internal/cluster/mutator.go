@@ -174,7 +174,9 @@ func (n *Node) WriteRef(obj Ref, i int, target Ref) error {
 		return err
 	}
 	n.col.NoteWrite(obj.OID)
-	n.cl.heat.NoteWrite(n.id, obj.OID, n.dsm.KnownBunch(obj.OID))
+	if n.heat.Enabled() {
+		n.heat.NoteWrite(obj.OID, n.dsm.KnownBunch(obj.OID))
+	}
 	n.logWrite(a, i)
 	return nil
 }
@@ -195,7 +197,9 @@ func (n *Node) WriteWord(obj Ref, i int, v uint64) error {
 		return err // unreachable: a nil target needs no SSP
 	}
 	n.col.NoteWrite(obj.OID)
-	n.cl.heat.NoteWrite(n.id, obj.OID, n.dsm.KnownBunch(obj.OID))
+	if n.heat.Enabled() {
+		n.heat.NoteWrite(obj.OID, n.dsm.KnownBunch(obj.OID))
+	}
 	n.logWrite(a, i)
 	return nil
 }
@@ -212,7 +216,9 @@ func (n *Node) ReadRef(obj Ref, i int) (Ref, error) {
 	if err != nil {
 		return Nil, err
 	}
-	n.cl.heat.NoteRead(n.id, obj.OID, n.dsm.KnownBunch(obj.OID))
+	if n.heat.Enabled() {
+		n.heat.NoteRead(obj.OID, n.dsm.KnownBunch(obj.OID))
+	}
 	heap := n.col.Heap()
 	if !heap.IsRefField(a, i) {
 		v := heap.GetField(a, i)
@@ -243,7 +249,9 @@ func (n *Node) ReadWord(obj Ref, i int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	n.cl.heat.NoteRead(n.id, obj.OID, n.dsm.KnownBunch(obj.OID))
+	if n.heat.Enabled() {
+		n.heat.NoteRead(obj.OID, n.dsm.KnownBunch(obj.OID))
+	}
 	return n.col.Heap().GetField(a, i), nil
 }
 

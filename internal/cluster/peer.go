@@ -9,7 +9,6 @@ import (
 	"bmx/internal/core"
 	"bmx/internal/mem"
 	"bmx/internal/obs"
-	"bmx/internal/obs/heat"
 	"bmx/internal/transport"
 	"bmx/internal/transport/tcp"
 )
@@ -60,9 +59,8 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		return nil, err
 	}
 	cl := &Cluster{
-		cfg:  Config{Nodes: len(all), SegWords: cfg.SegWords, Seed: cfg.Seed}.withDefaults(),
-		net:  tr,
-		heat: heat.Of(tr.Stats().Observer()),
+		cfg: Config{Nodes: len(all), SegWords: cfg.SegWords, Seed: cfg.Seed}.withDefaults(),
+		net: tr,
 	}
 	if id == 0 {
 		cl.dir = core.NewDirectory(mem.NewAllocator(cl.cfg.SegWords))

@@ -1,15 +1,10 @@
 package core
 
 import (
-	"fmt"
-
 	"bmx/internal/addr"
 	"bmx/internal/obs"
 	"bmx/internal/ssp"
 )
-
-// debugCleaner enables verbose cleaner diagnostics (tests only).
-var debugCleaner = false
 
 // tableKey identifies one stream of reachability tables: one sender, one
 // source bunch.
@@ -75,10 +70,6 @@ func (c *Collector) ApplyTable(msg ssp.TableMsg) {
 	if c.HasReplica(msg.Bunch) {
 		rep := c.Replica(msg.Bunch)
 		for key, sc := range rep.Table.IntraScions {
-			if debugCleaner && sc.NewOwner == msg.From {
-				fmt.Printf("CLEANDBG node %v: intra scion %v createdGen=%d msg.Gen=%d present=%v\n",
-					c.node, sc, sc.CreatedGen, msg.Gen, presentIntra[key])
-			}
 			if sc.NewOwner == msg.From && sc.CreatedGen <= msg.Gen && !presentIntra[key] {
 				delete(rep.Table.IntraScions, key)
 				deleted++

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bmx/internal/addr"
+	"bmx/internal/obs/heat"
 	"bmx/internal/simnet"
 )
 
@@ -70,7 +71,7 @@ func newFakeEnv(t *testing.T, n int) *fakeEnv {
 			stubsFor: make(map[addr.OID]bool),
 			pending:  make(map[addr.NodeID][]Manifest),
 		}
-		nd := NewNode(id, env.net, h, n)
+		nd := NewNode(id, env.net, h, n, heat.New(id, env.net.Clock().Now))
 		env.hooks[id] = h
 		env.nodes[id] = nd
 		env.net.Register(id, nd.HandleAsync, nd.HandleCall)

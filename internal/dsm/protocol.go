@@ -98,9 +98,9 @@ type Node struct {
 	acquireHops  *obs.Histogram
 	acquireTicks *obs.Histogram
 	piggyHist    *obs.Histogram
-	// heat is the access-locality table riding the same observer; every
-	// acquire and ownership transition is attributed there (one atomic
-	// load while the table is disabled).
+	// heat is this node's access-locality table; every acquire and
+	// ownership transition is attributed there (one atomic load while the
+	// table is disabled).
 	heat *heat.Table
 
 	// outbox holds the invariant-2 location updates queued since the last
@@ -113,7 +113,8 @@ type Node struct {
 
 // NewNode creates the protocol engine for node id. The caller is responsible
 // for routing "dsm.*" messages from the network to HandleCall/HandleAsync.
-func NewNode(id addr.NodeID, net transport.Transport, hooks Hooks, clusterSize int) *Node {
+// ht is the node's access-locality table.
+func NewNode(id addr.NodeID, net transport.Transport, hooks Hooks, clusterSize int, ht *heat.Table) *Node {
 	o := net.Stats().Observer()
 	return &Node{
 		id:           id,
@@ -126,7 +127,7 @@ func NewNode(id addr.NodeID, net transport.Transport, hooks Hooks, clusterSize i
 		acquireHops:  o.Hist("dsm.acquire.hops"),
 		acquireTicks: o.Hist("dsm.acquire.ticks"),
 		piggyHist:    o.Hist("net.piggyback.bytes"),
-		heat:         heat.Of(o),
+		heat:         ht,
 	}
 }
 
@@ -153,13 +154,13 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 	// caches read tokens at non-owners, so its reads always revalidate.
 	if mode == ModeRead && st.Mode >= ModeRead && (n.protocol == ProtocolEntry || st.Owner) {
 		n.stats().Add("dsm.acquire.local", 1)
-		n.heat.NoteAcquire(n.id, o, st.Bunch, false, 0)
+		n.heat.NoteAcquire(o, st.Bunch, false, 0)
 		n.rec.Emit(obs.Event{Kind: obs.KAcquireLocal, Class: obs.Class(class), OID: o, A: int64(mode)})
 		return nil
 	}
 	if st.Owner {
 		n.stats().Add("dsm.acquire.local", 1)
-		n.heat.NoteAcquire(n.id, o, st.Bunch, false, 0)
+		n.heat.NoteAcquire(o, st.Bunch, false, 0)
 		n.rec.Emit(obs.Event{Kind: obs.KAcquireLocal, Class: obs.Class(class), OID: o, A: int64(mode)})
 		if mode == ModeWrite {
 			// Upgrading owner: revoke outstanding read tokens. If a reader
@@ -275,7 +276,7 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 			}
 		}
 		n.rec.Emit(obs.Event{Kind: obs.KOwnerTransfer, Class: obs.Class(class), OID: o, From: rep.Granter, To: n.id})
-		n.heat.NoteOwner(o, n.id)
+		n.heat.NoteOwner(o)
 		n.hooks.OnOwnershipAcquired(o)
 	} else {
 		st.Mode = ModeRead
@@ -285,7 +286,7 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 
 	elapsed := watch.Elapsed()
 	n.stats().Add("dsm.acquire.remote", 1)
-	n.heat.NoteAcquire(n.id, o, st.Bunch, true, rep.Hops)
+	n.heat.NoteAcquire(o, st.Bunch, true, rep.Hops)
 	n.acquireHops.Observe(int64(rep.Hops))
 	n.acquireTicks.Observe(int64(elapsed))
 	n.rec.Emit(obs.Event{Kind: obs.KAcquireDone, Class: obs.Class(class), OID: o, A: int64(mode), B: int64(elapsed)})
@@ -606,7 +607,7 @@ func (n *Node) reestablish(o addr.OID, st *ObjState, mode Mode, class transport.
 	st.CopySet = nil
 	n.stats().Add("dsm.reestablished", 1)
 	n.rec.Emit(obs.Event{Kind: obs.KReestablish, Class: obs.Class(class), OID: o, A: int64(mode)})
-	n.heat.NoteOwner(o, n.id)
+	n.heat.NoteOwner(o)
 	n.hooks.OnOwnershipAcquired(o)
 	return true
 }

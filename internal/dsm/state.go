@@ -129,7 +129,7 @@ func (n *Node) RegisterNew(o addr.OID, b addr.BunchID) {
 	st.Mode = ModeWrite
 	st.Owner = true
 	n.objs[o] = st
-	n.heat.NoteOwner(o, n.id)
+	n.heat.NoteOwner(o)
 }
 
 // KnownBunch returns the bunch recorded for o, or addr.NoBunch when the

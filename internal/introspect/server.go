@@ -29,8 +29,9 @@ type Server struct {
 	Counters func() map[string]int64
 	Observer *obs.Observer
 	Sampler  *obs.Sampler
-	// Heat snapshots the access-locality table (heat.Table.Snapshot); nil
-	// or an empty snapshot serves an empty /heat and no locality gauges.
+	// Heat returns the access-locality rows (Cluster.Heat: the nodes'
+	// tables merged); nil or no rows serves an empty /heat and no locality
+	// gauges.
 	Heat func() []heat.Row
 }
 

@@ -7,56 +7,37 @@ import (
 	"testing"
 
 	"bmx/internal/addr"
-	"bmx/internal/obs"
 )
 
-// table builds an enabled heat table on a fresh observer whose Lamport
-// clock the test controls.
-func table(t *testing.T) (*Table, *uint64) {
-	t.Helper()
-	o := obs.NewObserver()
+// table builds node's enabled heat table on a Lamport clock the test
+// controls.
+func table(node addr.NodeID) (*Table, *uint64) {
 	tick := new(uint64)
-	o.SetTickSource(func() uint64 { return *tick })
-	tb := Of(o)
+	tb := New(node, func() uint64 { return *tick })
 	tb.Enable()
 	return tb, tick
 }
 
 func TestDisabledPathIsNoOp(t *testing.T) {
-	o := obs.NewObserver()
-	tb := Of(o) // never enabled
-	tb.NoteRead(1, 10, 1)
-	tb.NoteWrite(1, 10, 1)
-	tb.NoteAcquire(1, 10, 1, true, 3)
-	tb.NoteOwner(10, 1)
-	if len(tb.cells) != 0 || len(tb.Snapshot()) != 0 {
-		t.Fatalf("disabled table accumulated state: len=%d", len(tb.cells))
-	}
-	// A nil observer yields a detached table; everything must still be safe.
-	var nilT *Table = Of(nil)
-	nilT.NoteWrite(1, 10, 1)
-	if nilT != nil && nilT.enabled.Load() {
-		t.Fatal("detached table claims to be enabled")
-	}
-}
-
-func TestOfSharesOneTablePerObserver(t *testing.T) {
-	o := obs.NewObserver()
-	a, b := Of(o), Of(o)
-	if a != b {
-		t.Fatal("two Of calls on one observer returned distinct tables")
+	tb := New(1, func() uint64 { return 0 }) // never enabled
+	tb.NoteRead(10, 1)
+	tb.NoteWrite(10, 1)
+	tb.NoteAcquire(10, 1, true, 3)
+	tb.NoteOwner(10)
+	if len(tb.cells) != 0 || len(tb.owners) != 0 || len(tb.Snapshot()) != 0 {
+		t.Fatalf("disabled table accumulated state: %d cells, %d marks", len(tb.cells), len(tb.owners))
 	}
 }
 
 func TestCountersAccumulate(t *testing.T) {
-	tb, tick := table(t)
+	tb, tick := table(1)
 	*tick = 7
-	tb.NoteRead(1, 10, 2)
-	tb.NoteRead(1, 10, 2)
-	tb.NoteWrite(1, 10, 2)
-	tb.NoteAcquire(1, 10, 2, false, 0)
-	tb.NoteAcquire(1, 10, 2, true, 3)
-	tb.NoteOwner(10, 1)
+	tb.NoteRead(10, 2)
+	tb.NoteRead(10, 2)
+	tb.NoteWrite(10, 2)
+	tb.NoteAcquire(10, 2, false, 0)
+	tb.NoteAcquire(10, 2, true, 3)
+	tb.NoteOwner(10)
 	rows := tb.Snapshot()
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows, want 1", len(rows))
@@ -74,40 +55,54 @@ func TestCountersAccumulate(t *testing.T) {
 }
 
 func TestSnapshotSortedAndDeterministic(t *testing.T) {
-	tb, tick := table(t)
-	// Insert in scrambled order; Snapshot must come out (OID, node)-sorted
-	// and byte-identical across calls.
+	// Three nodes note in scrambled order; each snapshot, and the merge of
+	// all three, must come out (OID, node)-sorted and byte-identical across
+	// calls.
+	tables := map[addr.NodeID]*Table{}
+	var ticks []*uint64
+	for _, n := range []addr.NodeID{0, 1, 2} {
+		tb, tick := table(n)
+		tables[n] = tb
+		ticks = append(ticks, tick)
+	}
 	for _, c := range []struct {
 		node addr.NodeID
 		oid  addr.OID
 	}{{2, 30}, {0, 11}, {1, 30}, {2, 11}, {0, 30}} {
-		tb.NoteWrite(c.node, c.oid, 1)
+		tables[c.node].NoteWrite(c.oid, 1)
 	}
-	*tick = 5
-	tb.NoteOwner(30, 2)
+	*ticks[2] = 5
+	tables[2].NoteOwner(30)
+	merged := func() []Row {
+		return Merge(tables[0].Snapshot(), tables[1].Snapshot(), tables[2].Snapshot())
+	}
 	var a, b bytes.Buffer
-	if err := WriteRowsNDJSON(&a, tb.Snapshot()); err != nil {
+	if err := WriteRowsNDJSON(&a, merged()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteRowsNDJSON(&b, tb.Snapshot()); err != nil {
+	if err := WriteRowsNDJSON(&b, merged()); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
-		t.Fatalf("two snapshots of one table differ:\n%s\nvs\n%s", a.String(), b.String())
+		t.Fatalf("two merges of one set of tables differ:\n%s\nvs\n%s", a.String(), b.String())
 	}
-	rows := tb.Snapshot()
-	for i := 1; i < len(rows); i++ {
-		p, q := rows[i-1], rows[i]
-		if p.OID > q.OID || (p.OID == q.OID && p.Node >= q.Node) {
-			t.Fatalf("rows not sorted at %d: %+v then %+v", i, p, q)
+	for _, rows := range [][]Row{tables[0].Snapshot(), tables[2].Snapshot(), merged()} {
+		for i := 1; i < len(rows); i++ {
+			p, q := rows[i-1], rows[i]
+			if p.OID > q.OID || (p.OID == q.OID && p.Node >= q.Node) {
+				t.Fatalf("rows not sorted at %d: %+v then %+v", i, p, q)
+			}
 		}
+	}
+	if rows := merged(); len(rows) != 5 {
+		t.Fatalf("merged %d rows, want one per (object, node) cell, 5", len(rows))
 	}
 }
 
 func TestOwnerOnlyMarkSurvivesSnapshot(t *testing.T) {
-	tb, tick := table(t)
+	tb, tick := table(3)
 	*tick = 9
-	tb.NoteOwner(42, 3) // no cell for (42, 3)
+	tb.NoteOwner(42) // no cell for (42, 3)
 	rows := tb.Snapshot()
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows, want the bare owner row", len(rows))
@@ -119,12 +114,13 @@ func TestOwnerOnlyMarkSurvivesSnapshot(t *testing.T) {
 }
 
 func TestWireRoundTripThroughMixedStream(t *testing.T) {
-	tb, tick := table(t)
-	tb.NoteWrite(0, 10, 1)
-	tb.NoteAcquire(1, 10, 1, true, 2)
+	t0, _ := table(0)
+	t1, tick := table(1)
+	t0.NoteWrite(10, 1)
+	t1.NoteAcquire(10, 1, true, 2)
 	*tick = 3
-	tb.NoteOwner(10, 1)
-	want := tb.Snapshot()
+	t1.NoteOwner(10)
+	want := Merge(t0.Snapshot(), t1.Snapshot())
 
 	var buf bytes.Buffer
 	// Heat rows cohabit a stream with event lines and report text; the
@@ -176,7 +172,7 @@ func TestMergeSumsCellsAndResolvesOwnerByTick(t *testing.T) {
 		t.Fatalf("cell (10,1) wrong: %+v", n1)
 	}
 
-	// Equal ticks: the later-merged mark wins (>=), matching the in-table rule.
+	// Equal ticks: the later-merged mark wins (>=).
 	tie := Merge(
 		[]Row{{Heat: 1, OID: 7, Node: 0, Owner: own(0), OwnerTick: 5}},
 		[]Row{{Heat: 1, OID: 7, Node: 1, Owner: own(1), OwnerTick: 5}},
@@ -185,6 +181,24 @@ func TestMergeSumsCellsAndResolvesOwnerByTick(t *testing.T) {
 		if *r.Owner != 1 {
 			t.Fatalf("tie not broken toward the later mark: %+v", r)
 		}
+	}
+}
+
+// TestMergeDropsSupersededOwnerMark pins that a bare ownership mark makes
+// no cell: node 0's mark for O7, superseded by node 1's later one, must not
+// come out as an all-zero (O7, N0) row. One table holding both notes
+// emits one row, so the merge of per-node tables must too.
+func TestMergeDropsSupersededOwnerMark(t *testing.T) {
+	own := func(n int32) *int32 { return &n }
+	merged := Merge(
+		[]Row{{Heat: 1, OID: 7, Node: 0, Owner: own(0), OwnerTick: 5}},
+		[]Row{{Heat: 1, OID: 7, Bunch: 1, Node: 1, Reads: 1, Owner: own(1), OwnerTick: 9}},
+	)
+	if len(merged) != 1 {
+		t.Fatalf("got %d rows, want the one (O7, N1) cell: %+v", len(merged), merged)
+	}
+	if r := merged[0]; r.Node != 1 || r.Reads != 1 || r.Owner == nil || *r.Owner != 1 || r.OwnerTick != 9 {
+		t.Fatalf("merged row wrong: %+v", r)
 	}
 }
 
@@ -243,45 +257,63 @@ func TestAnalyzeRanksMismatchesByWastedHops(t *testing.T) {
 	}
 }
 
-// TestConcurrentNotesUnderRace is the -race hammer: many mutator
-// goroutines pounding one table while a reader cuts snapshots. Correctness
-// of the totals is asserted; the data-race detector asserts the rest.
+// TestConcurrentNotesUnderRace is the -race hammer for the locking rule:
+// a table has no lock, so every note and every snapshot takes its node's
+// lock. Two mutator goroutines per node pound that node's table while a
+// reader merges snapshots, like Cluster.Heat under /heat. Correctness of
+// the totals is asserted; the data-race detector asserts the rest.
 func TestConcurrentNotesUnderRace(t *testing.T) {
-	tb, _ := table(t)
 	const (
+		nodes   = 4
 		workers = 8
 		perG    = 500
 	)
+	var locks [nodes]sync.Mutex
+	var tables [nodes]*Table
+	for n := range tables {
+		tables[n], _ = table(addr.NodeID(n))
+	}
+	merged := func() []Row {
+		parts := make([][]Row, nodes)
+		for n := range tables {
+			locks[n].Lock()
+			parts[n] = tables[n].Snapshot()
+			locks[n].Unlock()
+		}
+		return Merge(parts...)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(id addr.NodeID) {
+		go func(n int) {
 			defer wg.Done()
+			tb := tables[n]
 			for i := 0; i < perG; i++ {
 				oid := addr.OID(1 + i%17)
-				tb.NoteWrite(id, oid, 1)
-				tb.NoteRead(id, oid, 1)
-				tb.NoteAcquire(id, oid, 1, i%3 == 0, i%5)
+				locks[n].Lock()
+				tb.NoteWrite(oid, 1)
+				tb.NoteRead(oid, 1)
+				tb.NoteAcquire(oid, 1, i%3 == 0, i%5)
 				if i%50 == 0 {
-					tb.NoteOwner(oid, id)
+					tb.NoteOwner(oid)
 				}
+				locks[n].Unlock()
 			}
-		}(addr.NodeID(w % 4))
+		}(w % nodes)
 	}
-	// A snapshot reader runs against the mutators, like /heat does.
 	var snapWG sync.WaitGroup
 	snapWG.Add(1)
 	go func() {
 		defer snapWG.Done()
 		for i := 0; i < 200; i++ {
-			_ = tb.Snapshot()
+			_ = merged()
 		}
 	}()
 	wg.Wait()
 	snapWG.Wait()
 
 	var writes, reads, acquires uint64
-	for _, r := range tb.Snapshot() {
+	for _, r := range merged() {
 		writes += r.Writes
 		reads += r.Reads
 		acquires += r.Acquires
@@ -294,8 +326,8 @@ func TestConcurrentNotesUnderRace(t *testing.T) {
 }
 
 func TestVersionMarkerOnEveryRow(t *testing.T) {
-	tb, _ := table(t)
-	tb.NoteWrite(0, 1, 1)
+	tb, _ := table(0)
+	tb.NoteWrite(1, 1)
 	var buf bytes.Buffer
 	if err := WriteRowsNDJSON(&buf, tb.Snapshot()); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ type Row struct {
 
 	// Owner/OwnerTick carry the emitting table's ownership mark for OID.
 	// OwnerTick is the Lamport tick of the transition; merging keeps the
-	// highest tick, which is how N per-process tables agree on the current
+	// highest tick, which is how N per-node tables agree on the current
 	// owner without ever exchanging ownership state.
 	Owner     *int32 `json:"owner,omitempty"`
 	OwnerTick uint64 `json:"ownerTick,omitempty"`
@@ -40,39 +40,42 @@ type Row struct {
 // rowVersion is the format marker value every emitted row carries.
 const rowVersion = 1
 
-// Snapshot renders the table as rows sorted by (OID, node) — a
-// deterministic serialization: same seed, same run, byte-identical rows.
+// Snapshot renders the table as rows sorted by OID — a deterministic
+// serialization: same seed, same run, byte-identical rows. Call it under
+// the node lock.
 func (t *Table) Snapshot() []Row {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rows := make([]Row, 0, len(t.cells))
-	for k, c := range t.cells {
+	for o, c := range t.cells {
 		r := Row{
-			Heat: rowVersion, OID: uint64(k.oid), Bunch: uint32(c.bunch), Node: int32(k.node),
+			Heat: rowVersion, OID: uint64(o), Bunch: uint32(c.bunch), Node: int32(t.node),
 			Reads: c.reads, Writes: c.writes, Acquires: c.acquires,
 			Remote: c.remote, Hops: c.hops,
 		}
-		if m, ok := t.owners[k.oid]; ok {
-			owner := int32(m.node)
-			r.Owner, r.OwnerTick = &owner, m.tick
+		if tick, ok := t.owners[o]; ok {
+			r.mark(int32(t.node), tick)
 		}
 		rows = append(rows, r)
 	}
-	// An ownership mark for an object no node has (yet) accessed still
-	// matters to the mismatch analysis: emit it as a bare row.
-	for o, m := range t.owners {
-		if _, ok := t.cells[cellKey{oid: o, node: m.node}]; ok {
-			continue
+	// An ownership mark for an object the node has not (yet) accessed
+	// still matters to the mismatch analysis: emit it as a bare row.
+	for o, tick := range t.owners {
+		if _, ok := t.cells[o]; !ok {
+			rows = append(rows, bareRow(o, int32(t.node), tick))
 		}
-		owner := int32(m.node)
-		rows = append(rows, Row{Heat: rowVersion, OID: uint64(o), Node: int32(m.node),
-			Owner: &owner, OwnerTick: m.tick})
 	}
 	sortRows(rows)
 	return rows
+}
+
+// mark sets r's ownership mark.
+func (r *Row) mark(owner int32, tick uint64) { r.Owner, r.OwnerTick = &owner, tick }
+
+// bareRow is an ownership mark with no counters: the owner's row for an
+// object it holds but has not accessed.
+func bareRow(o addr.OID, owner int32, tick uint64) Row {
+	r := Row{Heat: rowVersion, OID: uint64(o), Node: owner}
+	r.mark(owner, tick)
+	return r
 }
 
 func sortRows(rows []Row) {
@@ -84,22 +87,36 @@ func sortRows(rows []Row) {
 	})
 }
 
-// Merge combines rows from any number of tables (the per-process captures
-// of a multi-process run) into one cluster-wide table: counters sum per
-// (object, node) cell, and each object's owner resolves to the mark with
-// the highest Lamport tick — the merge-by-Lamport-order rule the ctl.heat
-// harvest and bmxstat's multi-file mode share. Output is Snapshot-sorted.
+// Merge combines rows from any number of tables (the per-node tables of
+// one process, or the captures of a multi-process run) into one
+// cluster-wide table: counters sum per (object, node) cell, and each
+// object's owner resolves to the mark with the highest Lamport tick, a tie
+// going to the later part. A row with no counters is a bare ownership mark
+// and makes no cell: a node's superseded mark must not come out as a row.
+// Cluster.Heat, the ctl.heat harvest and bmxstat's multi-file mode share
+// this rule. Output is Snapshot-sorted.
 func Merge(parts ...[]Row) []Row {
+	type cellKey struct {
+		oid  uint64
+		node int32
+	}
 	type ownerOf struct {
 		node int32
 		tick uint64
-		ok   bool
 	}
 	cells := make(map[cellKey]*Row)
-	owners := make(map[addr.OID]ownerOf)
+	owners := make(map[uint64]ownerOf)
 	for _, rows := range parts {
 		for _, r := range rows {
-			k := cellKey{oid: addr.OID(r.OID), node: addr.NodeID(r.Node)}
+			if r.Owner != nil {
+				if o, ok := owners[r.OID]; !ok || r.OwnerTick >= o.tick {
+					owners[r.OID] = ownerOf{node: *r.Owner, tick: r.OwnerTick}
+				}
+			}
+			if r.Reads|r.Writes|r.Acquires|r.Remote|r.Hops == 0 {
+				continue
+			}
+			k := cellKey{oid: r.OID, node: r.Node}
 			c, ok := cells[k]
 			if !ok {
 				c = &Row{Heat: rowVersion, OID: r.OID, Node: r.Node}
@@ -113,31 +130,21 @@ func Merge(parts ...[]Row) []Row {
 			c.Acquires += r.Acquires
 			c.Remote += r.Remote
 			c.Hops += r.Hops
-			if r.Owner != nil {
-				o := owners[addr.OID(r.OID)]
-				if !o.ok || r.OwnerTick >= o.tick {
-					owners[addr.OID(r.OID)] = ownerOf{node: *r.Owner, tick: r.OwnerTick, ok: true}
-				}
-			}
 		}
 	}
 	out := make([]Row, 0, len(cells))
 	for _, c := range cells {
 		r := *c
-		if o, ok := owners[addr.OID(r.OID)]; ok {
-			owner := o.node
-			r.Owner, r.OwnerTick = &owner, o.tick
+		if o, ok := owners[r.OID]; ok {
+			r.mark(o.node, o.tick)
 		}
 		out = append(out, r)
 	}
-	// Re-add owner-only marks whose (oid, owner) cell vanished in no part.
+	// The winning mark of an object its owner never accessed is a bare row.
 	for oid, o := range owners {
-		if _, ok := cells[cellKey{oid: oid, node: addr.NodeID(o.node)}]; ok {
-			continue
+		if _, ok := cells[cellKey{oid: oid, node: o.node}]; !ok {
+			out = append(out, bareRow(addr.OID(oid), o.node, o.tick))
 		}
-		owner := o.node
-		out = append(out, Row{Heat: rowVersion, OID: uint64(oid), Node: o.node,
-			Owner: &owner, OwnerTick: o.tick})
 	}
 	sortRows(out)
 	return out

@@ -31,7 +31,6 @@ type Observer struct {
 	mu    sync.Mutex
 	recs  map[addr.NodeID]*Recorder
 	hists map[string]*Histogram
-	aux   map[string]any
 	ring  int
 	fatal io.Writer
 
@@ -81,35 +80,6 @@ func (o *Observer) now() uint64 {
 		return (*f)()
 	}
 	return 0
-}
-
-// Now exposes the current Lamport/simulated tick to layers riding the
-// observer (the heat table stamps ownership marks with it). Zero when no
-// tick source is installed.
-func (o *Observer) Now() uint64 {
-	if o == nil {
-		return 0
-	}
-	return o.now()
-}
-
-// Aux returns the attachment registered under key, creating it with mk on
-// first use. It is how optional layers (the heat table) ride the one
-// Observer every transport already carries without obs importing them —
-// the same no-constructor-churn contract as Stats().Observer(). mk runs
-// under the observer lock and must not re-enter it.
-func (o *Observer) Aux(key string, mk func() any) any {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.aux == nil {
-		o.aux = make(map[string]any)
-	}
-	v, ok := o.aux[key]
-	if !ok {
-		v = mk()
-		o.aux[key] = v
-	}
-	return v
 }
 
 // SetRingSize sets the per-node window size for rings not yet allocated

@@ -126,15 +126,16 @@ func TestOneWayToBuildANode(t *testing.T) {
 }
 
 // TestNodeLocalStateCarriesNoLock is the lock census: the collector, the
-// protocol engine and the heap are node-local state, owned outright by the
-// node lock in internal/cluster, so none of their files may import sync. A
-// second lock under the node lock buys no concurrency — nothing reaches
-// this state without the node lock — and costs every mutator operation.
+// protocol engine, the heap and the heat table are node-local state, owned
+// outright by the node lock in internal/cluster, so none of their files may
+// import sync. A second lock under the node lock buys no concurrency —
+// nothing reaches this state without the node lock — and costs every
+// mutator operation.
 // The cluster-wide directory (core/directory.go) and the segment allocator
 // (mem/segment.go) are shared by every node and keep their own locks.
 func TestNodeLocalStateCarriesNoLock(t *testing.T) {
 	files := append(sourceFiles(t, "../core"), sourceFiles(t, "../dsm")...)
-	files = append(files, filepath.Join("..", "mem", "heap.go"))
+	files = append(files, filepath.Join("..", "mem", "heap.go"), filepath.Join("..", "obs", "heat", "heat.go"))
 	for _, path := range files {
 		if path == filepath.Join("..", "core", "directory.go") {
 			continue
