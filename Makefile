@@ -22,7 +22,7 @@ define newline
 
 endef
 
-.PHONY: all build vet test test-short race chaos chaos-crash bench bench-json bench-json-sim bench-json-tcp bench-ref bench-gate experiments examples cover loc clean
+.PHONY: all build vet test test-short race chaos chaos-crash bench profile-gc bench-json bench-json-sim bench-json-tcp bench-ref bench-gate experiments examples cover loc clean
 
 all: build vet test
 
@@ -69,6 +69,13 @@ chaos-crash:
 
 bench:
 	$(GO) test -bench=. -benchmem -run xxx .
+
+# CPU profile of the collector alone: BenchmarkCollectChurn runs gc_persist's
+# collection rounds without mutator traffic or a store. Writes gc.prof (and
+# the bmx.test binary pprof reads it with) and prints the profile's top.
+profile-gc:
+	$(GO) test -run '^$$' -bench CollectChurn -benchtime 400x -cpuprofile gc.prof -o bmx.test .
+	$(GO) tool pprof -top -nodecount 40 bmx.test gc.prof
 
 # Representative workload runs with the time-series sampler on; emit the
 # machine-readable benchmark summaries (quantile trajectories, msgs/op, GC
@@ -131,5 +138,5 @@ loc:
 	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bmxd.bench
+	rm -f cover.out test_output.txt bench_output.txt bmxd.bench gc.prof bmx.test
 	rm -f $(filter-out BENCH_REF.json,$(wildcard BENCH_*.json))

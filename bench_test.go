@@ -192,7 +192,7 @@ func BenchmarkE5_LossyReclamation(b *testing.B) {
 					n1.CollectBunch(b1)
 					n2.CollectBunch(b2)
 					cl.Run(0)
-					if _, present := n2.Collector().Heap().Canonical(tgt.OID); !present {
+					if _, present := n2.DSM().Canonical(tgt.OID); !present {
 						break
 					}
 				}
@@ -246,7 +246,7 @@ func BenchmarkE6_ChainReclaim(b *testing.B) {
 						}
 						cl.Run(0)
 					}
-					if _, present := owners[L].Collector().Heap().Canonical(objs[L].OID); !present {
+					if _, present := owners[L].DSM().Canonical(objs[L].OID); !present {
 						break
 					}
 				}
@@ -526,4 +526,50 @@ func BenchmarkParallelRunConcurrent(b *testing.B) {
 			cl.RunConcurrent(0)
 		}
 	})
+}
+
+// BenchmarkCollectChurn is the collector alone in gc_persist's shape: four
+// nodes holding 2 500 rooted four-word objects each in one shared bunch.
+// An iteration is one collection round at the next node in rotation: it
+// unroots 50 of its objects, allocates 50 fresh rooted ones, collects the
+// bunch, reuses its from-space every 8th round, and the cluster delivers the
+// background traffic. There is no mutator traffic and no store, so the
+// number is the collector's own (`make profile-gc` profiles it).
+func BenchmarkCollectChurn(b *testing.B) {
+	const nodes, perNode, churn, words = 4, 2500, 50, 4
+	cl := bmx.New(bmx.Config{Nodes: nodes, Seed: 12})
+	bu := cl.Node(0).NewBunch()
+	slots := make([][]bmx.Ref, nodes)
+	for i := range slots {
+		n := cl.Node(i)
+		if i > 0 {
+			if err := n.MapBunch(bu); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for range perNode {
+			r := n.MustAlloc(bu, words)
+			n.AddRoot(r)
+			slots[i] = append(slots[i], r)
+		}
+	}
+	cl.Run(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		i := k % nodes
+		n := cl.Node(i)
+		first := k / nodes * churn % perNode
+		for j := range churn {
+			s := (first + j) % perNode
+			n.RemoveRoot(slots[i][s])
+			slots[i][s] = n.MustAlloc(bu, words)
+			n.AddRoot(slots[i][s])
+		}
+		n.CollectBunch(bu)
+		if k%8 == 7 {
+			n.ReclaimFromSpace(bu)
+		}
+		cl.Run(0)
+	}
 }

@@ -57,7 +57,7 @@ func ExampleNode_CollectBunch() {
 		}
 		cl.Run(0)
 	}
-	_, present := n2.Collector().Heap().Canonical(tgt.OID)
+	_, present := n2.DSM().Canonical(tgt.OID)
 	fmt.Println("target still present:", present)
 	// Output:
 	// target still present: false
@@ -99,7 +99,7 @@ func ExampleNode_CollectGroup() {
 	n.CollectBunch(b1)
 	n.CollectBunch(b2)
 	cl.Run(0)
-	_, survived := n.Collector().Heap().Canonical(x.OID)
+	_, survived := n.DSM().Canonical(x.OID)
 	fmt.Println("after BGCs, cycle present:", survived)
 
 	st := n.CollectGroup(nil)

@@ -78,7 +78,7 @@ func main() {
 }
 
 func present(n *bmx.Node, r bmx.Ref) bool {
-	_, ok := n.Collector().Heap().Canonical(r.OID)
+	_, ok := n.DSM().Canonical(r.OID)
 	return ok
 }
 

@@ -122,7 +122,7 @@ func main() {
 	// Survey the end state.
 	present := 0
 	for _, p := range pages {
-		if _, ok := home.Collector().Heap().Canonical(p.OID); ok {
+		if _, ok := home.DSM().Canonical(p.OID); ok {
 			present++
 		}
 	}

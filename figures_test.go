@@ -132,7 +132,7 @@ func TestFigure1StubKeepsO3AliveAtN2(t *testing.T) {
 		n2.CollectBunch(b1)
 		cl.Run(0)
 	}
-	if _, ok := n2.Collector().Heap().Canonical(o3.OID); !ok {
+	if _, ok := n2.DSM().Canonical(o3.OID); !ok {
 		t.Fatal("O3 reclaimed at N2 while its inter-bunch stub is still needed")
 	}
 }
@@ -183,12 +183,12 @@ func TestFigure2ForwardingPointerAndLocalUpdate(t *testing.T) {
 	cl, b, o1, o2, _ := figure2(t)
 	n1, n2 := cl.Node(0), cl.Node(1)
 	heap2 := n2.Collector().Heap()
-	oldAddr, _ := heap2.Canonical(o2.OID)
+	oldAddr, _ := n2.DSM().Canonical(o2.OID)
 
 	n2.CollectBunch(b)
 
 	// A forwarding pointer was written into O2's from-space header at N2.
-	newAddr, _ := heap2.Canonical(o2.OID)
+	newAddr, _ := n2.DSM().Canonical(o2.OID)
 	if newAddr == oldAddr {
 		t.Fatal("O2 did not move at N2")
 	}
@@ -197,14 +197,13 @@ func TestFigure2ForwardingPointerAndLocalUpdate(t *testing.T) {
 	}
 	// N2's copy of O1 now points at the new O2 ("the update of pointers to
 	// O2"); this happened WITHOUT acquiring O1's write token.
-	a1, _ := heap2.Canonical(o1.OID)
+	a1, _ := n2.DSM().Canonical(o1.OID)
 	if got := bmx.Addr(heap2.GetField(a1, 0)); got != newAddr {
 		t.Fatalf("O1.0 at N2 = %v, want updated %v", got, newAddr)
 	}
 	// N1 has not been informed: its canonical O2 address is still the old
 	// one — "Node N1 has not yet been informed of O2's new address".
-	heap1 := n1.Collector().Heap()
-	if got, _ := heap1.Canonical(o2.OID); got != oldAddr {
+	if got, _ := n1.DSM().Canonical(o2.OID); got != oldAddr {
 		t.Fatalf("O2 at N1 = %v, want still %v", got, oldAddr)
 	}
 	// Yet the mutator at N1 continues to work correctly.
@@ -220,7 +219,7 @@ func TestFigure2LazyUpdateViaPiggyback(t *testing.T) {
 	cl, b, _, o2, o3 := figure2(t)
 	n1, n2 := cl.Node(0), cl.Node(1)
 	n2.CollectBunch(b)
-	newAddr, _ := n2.Collector().Heap().Canonical(o2.OID)
+	newAddr, _ := n2.DSM().Canonical(o2.OID)
 
 	// "O2's new address can be sent from N2 to N1 in a message due to the
 	// consistency protocol": N1 acquires O2 (owner is N2) and receives the
@@ -232,7 +231,7 @@ func TestFigure2LazyUpdateViaPiggyback(t *testing.T) {
 	if got := cl.Stats().Get("msg.sent.gc"); got != gcMsgsBefore {
 		t.Fatalf("location update used %d extra GC messages, want 0", got-gcMsgsBefore)
 	}
-	if got, _ := n1.Collector().Heap().Canonical(o2.OID); got != newAddr {
+	if got, _ := n1.DSM().Canonical(o2.OID); got != newAddr {
 		t.Fatalf("O2 at N1 = %v after sync, want %v", got, newAddr)
 	}
 	// O2's content (the reference to O3) arrived intact.
@@ -274,7 +273,7 @@ func addressesValid(t *testing.T, n *bmx.Node, o1, o2 bmx.Ref) {
 	t.Helper()
 	heap := n.Collector().Heap()
 	for _, o := range []bmx.Ref{o1, o2} {
-		a, ok := heap.Canonical(o.OID)
+		a, ok := n.DSM().Canonical(o.OID)
 		if !ok || !heap.Mapped(heap.Resolve(a)) {
 			t.Fatalf("%v at node %v: canonical %v (present %v) does not resolve to a mapped address", o.OID, n.ID(), a, ok)
 		}
@@ -307,12 +306,12 @@ func TestFigure3CaseB_AcquiredObjectCopiedAtGranter(t *testing.T) {
 	cl, b, o1, o2 := figure3(t)
 	n1, n2 := cl.Node(0), cl.Node(1)
 	n1.CollectBunch(b)
-	newAddr, _ := n1.Collector().Heap().Canonical(o1.OID)
+	newAddr, _ := n1.DSM().Canonical(o1.OID)
 
 	if err := n2.AcquireWrite(o1); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := n2.Collector().Heap().Canonical(o1.OID); got != newAddr {
+	if got, _ := n2.DSM().Canonical(o1.OID); got != newAddr {
 		t.Fatalf("O1 at N2 = %v, want granter's to-space address %v", got, newAddr)
 	}
 	addressesValid(t, n2, o1, o2)
@@ -327,12 +326,12 @@ func TestFigure3CaseC_ReferencedObjectCopiedAtGranter(t *testing.T) {
 	cl, b, o1, o2 := figure3(t)
 	n1, n2 := cl.Node(0), cl.Node(1)
 	n1.CollectBunch(b)
-	newO2, _ := n1.Collector().Heap().Canonical(o2.OID)
+	newO2, _ := n1.DSM().Canonical(o2.OID)
 
 	if err := n2.AcquireWrite(o1); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := n2.Collector().Heap().Canonical(o2.OID); got != newO2 {
+	if got, _ := n2.DSM().Canonical(o2.OID); got != newO2 {
 		t.Fatalf("O2 at N2 = %v, want %v (invariant 1 covers referenced objects)", got, newO2)
 	}
 	addressesValid(t, n2, o1, o2)
@@ -354,14 +353,14 @@ func TestFigure3CaseD_ReferencedObjectCopiedAtAcquirer(t *testing.T) {
 		t.Fatal(err)
 	}
 	n2.CollectBunch(b) // copies O2 at N2
-	newO2, _ := n2.Collector().Heap().Canonical(o2.OID)
+	newO2, _ := n2.DSM().Canonical(o2.OID)
 
 	if err := n2.AcquireWrite(o1); err != nil { // token + valid O1 from N1
 		t.Fatal(err)
 	}
 	addressesValid(t, n2, o1, o2)
 	heap2 := n2.Collector().Heap()
-	a1, _ := heap2.Canonical(o1.OID)
+	a1, _ := n2.DSM().Canonical(o1.OID)
 	raw := bmx.Addr(heap2.GetField(a1, 0))
 	if heap2.Resolve(raw) != newO2 {
 		t.Fatalf("O1.0 at N2 resolves to %v, want N2's to-space copy %v", heap2.Resolve(raw), newO2)
@@ -417,7 +416,7 @@ func TestFigure4DeletionChain(t *testing.T) {
 	// scion), which breaks the replica cycle. O1 stays alive at N3.
 	n3.CollectBunch(b)
 	cl.Run(0)
-	if _, ok := n3.Collector().Heap().Canonical(o1.OID); !ok {
+	if _, ok := n3.DSM().Canonical(o1.OID); !ok {
 		t.Fatal("O1 reclaimed at N3 while the intra-bunch scion protects it")
 	}
 	// The cleaner at N2 dropped the entering ownerPtr from N3...
@@ -431,7 +430,7 @@ func TestFigure4DeletionChain(t *testing.T) {
 	// originates at N1.
 	n2.CollectBunch(b)
 	cl.Run(0)
-	if _, ok := n2.Collector().Heap().Canonical(o1.OID); !ok {
+	if _, ok := n2.DSM().Canonical(o1.OID); !ok {
 		t.Fatal("O1 reclaimed at N2 while N1 still references it")
 	}
 
@@ -440,7 +439,7 @@ func TestFigure4DeletionChain(t *testing.T) {
 	n1.RemoveRoot(o1)
 	n1.CollectBunch(b)
 	cl.Run(0)
-	if _, ok := n1.Collector().Heap().Canonical(o1.OID); ok {
+	if _, ok := n1.DSM().Canonical(o1.OID); ok {
 		t.Fatal("O1 still present at N1")
 	}
 
@@ -448,7 +447,7 @@ func TestFigure4DeletionChain(t *testing.T) {
 	// intra-bunch stub to N3 drops out of the new table.
 	n2.CollectBunch(b)
 	cl.Run(0)
-	if _, ok := n2.Collector().Heap().Canonical(o1.OID); ok {
+	if _, ok := n2.DSM().Canonical(o1.OID); ok {
 		t.Fatal("O1 still present at N2 after N1's table arrived")
 	}
 	if got := n2.Collector().Replica(b).Table.IntraStubList(); len(got) != 0 {
@@ -462,7 +461,7 @@ func TestFigure4DeletionChain(t *testing.T) {
 	}
 	n3.CollectBunch(b)
 	cl.Run(0)
-	if _, ok := n3.Collector().Heap().Canonical(o1.OID); ok {
+	if _, ok := n3.DSM().Canonical(o1.OID); ok {
 		t.Fatal("O1 still present at N3 at the end of the deletion chain")
 	}
 }

@@ -20,10 +20,10 @@ func TestAccessorSweep(t *testing.T) {
 	if n.DSM() == nil {
 		t.Fatal("dsm accessor")
 	}
-	if a, ok := n.Collector().Heap().Canonical(o.OID); !ok || a.IsNil() {
+	if a, ok := n.DSM().Canonical(o.OID); !ok || a.IsNil() {
 		t.Fatal("canonical addr accessor")
 	}
-	if !n.Collector().IsRoot(o.OID) {
+	if !n.DSM().IsRoot(o.OID) {
 		t.Fatal("IsRoot")
 	}
 	if n.Collector().Heap().Allocator() == nil {

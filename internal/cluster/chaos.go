@@ -375,7 +375,7 @@ func routeState(cl *Cluster, oid addr.OID) string {
 	s := fmt.Sprintf("hint=%v", hint)
 	for i := 0; i < cl.Nodes(); i++ {
 		nd := cl.Node(i)
-		_, has := nd.Collector().Heap().Canonical(oid)
+		_, has := nd.DSM().Canonical(oid)
 		s += fmt.Sprintf("; n%d{owner=%v ptr=%v mode=%v replica=%v}",
 			i, nd.DSM().IsOwner(oid), nd.DSM().OwnerPtrOf(oid), nd.Mode(Ref{OID: oid}), has)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bmx/internal/addr"
+	"bmx/internal/mem"
 )
 
 // CheckInvariants audits the cluster-wide protocol and GC invariants
@@ -58,7 +59,8 @@ func (cl *Cluster) CheckInvariants() []string {
 	views := make(map[addr.OID]*view)
 	for _, n := range cl.nodes {
 		for _, b := range cl.dir.Bunches() {
-			n.dsm.ForEachObjectInBunch(b, func(o addr.OID) {
+			for _, r := range n.dsm.Members(b) {
+				o := r.OID()
 				if info, _ := cl.dir.Object(o); info.Bunch != b {
 					report("bunch: %v is in %v at %v, but the directory says %v", o, b, n.id, info.Bunch)
 				}
@@ -76,7 +78,7 @@ func (cl *Cluster) CheckInvariants() []string {
 				case 1: // ModeRead
 					v.readers = append(v.readers, n.id)
 				}
-			})
+			}
 		}
 	}
 	for o, v := range views {
@@ -93,8 +95,22 @@ func (cl *Cluster) CheckInvariants() []string {
 
 	for _, n := range cl.nodes {
 		heap := n.col.Heap()
+		for _, msg := range n.dsm.AuditIndexes() {
+			report("index: %s at %v", msg, n.id)
+		}
 		// Heap sanity.
-		heap.ForEachCanonical(func(o addr.OID, a addr.Addr) {
+		heap.ForEachSegment(func(s *mem.Segment) {
+			fwds := 0
+			for _, a := range s.Objects() {
+				if heap.Forwarded(a) {
+					fwds++
+				}
+			}
+			if got := s.ForwardedHeaders(); got != fwds {
+				report("heap: %v counts %d forwarded headers at %v, holds %d", s.Meta.ID, got, n.id, fwds)
+			}
+		})
+		n.dsm.ForEachCanonical(func(o addr.OID, a addr.Addr) {
 			r := heap.Resolve(a)
 			if !heap.Mapped(r) {
 				report("heap: %v canonical %v resolves to unmapped %v at %v", o, a, r, n.id)
@@ -109,7 +125,7 @@ func (cl *Cluster) CheckInvariants() []string {
 			}
 		})
 		// Invariant 1.
-		heap.ForEachCanonical(func(o addr.OID, a addr.Addr) {
+		n.dsm.ForEachCanonical(func(o addr.OID, a addr.Addr) {
 			if !n.dsm.IsOwner(o) && n.dsm.ModeOf(o) == 0 {
 				return
 			}
@@ -167,10 +183,10 @@ func (cl *Cluster) CheckInvariants() []string {
 		// their protection flows through the intra-bunch SSP chain).
 		for _, b := range n.col.MappedBunches() {
 			for o, target := range n.dsm.NonOwnedLive(b) {
-				if !n.col.IsRoot(o) {
+				if !n.dsm.IsRoot(o) {
 					continue
 				}
-				if _, hasReplica := heap.Canonical(o); !hasReplica {
+				if _, hasReplica := n.dsm.Canonical(o); !hasReplica {
 					// Routing bookkeeping without a replica needs no
 					// entering entry (it appears in no exiting list).
 					continue

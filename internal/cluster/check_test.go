@@ -66,7 +66,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	// Forge a pointer word naming an unmapped address in the owner's copy.
 	n1.mu.Lock()
 	heap := n1.Collector().Heap()
-	a, _ := heap.Canonical(o.OID)
+	a, _ := n1.DSM().Canonical(o.OID)
 	bogus := a.AddWords(1000 * 64)
 	heap.SetField(a, 0, uint64(bogus), true)
 	n1.mu.Unlock()

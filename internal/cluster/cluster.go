@@ -559,11 +559,10 @@ func (n *Node) mapBunchLocked(b addr.BunchID) error {
 				continue
 			}
 			oid := heap.ObjOID(a)
-			if _, known := heap.Canonical(oid); known {
+			if _, known := n.dsm.Canonical(oid); known {
 				continue
 			}
-			heap.SetCanonical(oid, a)
-			n.dsm.Learn(oid, b, src)
+			n.dsm.Learn(oid, b, src).SetCanonical(a)
 		}
 	}
 	n.cl.dir.AddReplica(b, n.id)
@@ -579,14 +578,10 @@ func (n *Node) mapBunchLocked(b addr.BunchID) error {
 func (n *Node) UnmapBunch(b addr.BunchID) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	owned := addr.NilOID // the lowest, so the error names one object every run
-	n.dsm.ForEachObjectInBunch(b, func(o addr.OID) {
-		if n.dsm.IsOwner(o) && (owned == addr.NilOID || o < owned) {
-			owned = o
+	for _, r := range n.dsm.Members(b) { // in OID order: the error names the lowest
+		if r.IsOwner() {
+			return fmt.Errorf("cluster: %v still owns %v in %v", n.id, r.OID(), b)
 		}
-	})
-	if owned != addr.NilOID {
-		return fmt.Errorf("cluster: %v still owns %v in %v", n.id, owned, b)
 	}
 	n.dropReplica(b, true)
 	n.cl.dir.RemoveReplica(b, n.id)
@@ -599,10 +594,10 @@ func (n *Node) UnmapBunch(b addr.BunchID) error {
 func (n *Node) dropReplica(b addr.BunchID, forget bool) {
 	heap := n.col.Heap()
 	segs := n.cl.dir.Segments(b)
-	heap.ForEachCanonical(func(o addr.OID, a addr.Addr) {
+	n.dsm.ForEachCanonical(func(o addr.OID, a addr.Addr) {
 		for _, meta := range segs {
 			if meta.Contains(a) {
-				heap.DropObject(o)
+				n.dsm.DropCanonical(o)
 				if forget {
 					n.dsm.Forget(o)
 				}

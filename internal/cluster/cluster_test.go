@@ -351,9 +351,9 @@ func TestSamePtrThroughMove(t *testing.T) {
 	b := n.NewBunch()
 	o := n.MustAlloc(b, 1)
 	n.AddRoot(o)
-	before, _ := n.Collector().Heap().Canonical(o.OID)
+	before, _ := n.DSM().Canonical(o.OID)
 	n.CollectBunch(b)
-	after, _ := n.Collector().Heap().Canonical(o.OID)
+	after, _ := n.DSM().Canonical(o.OID)
 	if before == after {
 		t.Fatal("GC did not move the object (test needs a move)")
 	}

@@ -17,7 +17,7 @@ func locationEpochs(n *Node, objs []Ref) []uint64 {
 	defer n.mu.Unlock()
 	out := make([]uint64, len(objs))
 	for i, r := range objs {
-		out[i] = n.col.LocationEpoch(r.OID)
+		out[i] = n.dsm.Epoch(r.OID)
 	}
 	return out
 }

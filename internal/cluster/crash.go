@@ -226,10 +226,10 @@ func runCrashChaos(cl *Cluster, cfg CrashChaosConfig) CrashChaosReport {
 	// whose durability barrier ran in full: any retired object the flip
 	// reclaimed has its death durably logged now.
 	settleDeaths := func(ni int) {
-		heap := cl.Node(ni).Collector().Heap()
+		nd := cl.Node(ni)
 		for _, o := range byHome[ni] {
 			if o.retired && !o.deadDur {
-				if _, present := heap.Canonical(o.ref.OID); !present {
+				if _, present := nd.dsm.Canonical(o.ref.OID); !present {
 					o.deadDur = true
 				}
 			}
@@ -262,16 +262,15 @@ func runCrashChaos(cl *Cluster, cfg CrashChaosConfig) CrashChaosReport {
 	// driver's durable ground truth, appending violations.
 	auditNode := func(ni int, when string) {
 		nd := cl.Node(ni)
-		heap := nd.Collector().Heap()
 		reach := reachable()
 		for _, o := range byHome[ni] {
 			if o.deadDur {
 				// No resurrected garbage: a durably logged death is
-				// final. The check inspects the heap directly — an
+				// final. The check inspects the record directly — an
 				// acquire would legitimately fault a live object back in
 				// via the reestablishment path, and residual protocol
 				// bookkeeping is CheckInvariants' concern.
-				if _, present := heap.Canonical(o.ref.OID); present {
+				if _, present := nd.dsm.Canonical(o.ref.OID); present {
 					rep.Violations = append(rep.Violations, fmt.Sprintf(
 						"crash-chaos %s: node %d resurrected reclaimed object %v", when, ni, o.ref))
 				}
@@ -577,7 +576,7 @@ func runCrashChaos(cl *Cluster, cfg CrashChaosConfig) CrashChaosReport {
 	finalReach := reachable()
 	for _, o := range objs {
 		if o.retired && !o.shared && !o.deadDur && !finalReach[o] {
-			if _, present := cl.Node(o.home).Collector().Heap().Canonical(o.ref.OID); present {
+			if _, present := cl.Node(o.home).DSM().Canonical(o.ref.OID); present {
 				rep.Violations = append(rep.Violations, fmt.Sprintf(
 					"crash-chaos final: retired object %v still present at node %d after drain",
 					o.ref, o.home))

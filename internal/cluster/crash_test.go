@@ -273,7 +273,7 @@ func TestKillRestartDeadStaysDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Run(0)
-	if _, present := nd.Collector().Heap().Canonical(r.OID); present {
+	if _, present := nd.DSM().Canonical(r.OID); present {
 		t.Fatalf("reclaimed object %v resurrected by recovery", r)
 	}
 }

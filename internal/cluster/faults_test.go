@@ -51,7 +51,7 @@ func sspFingerprint(cl *Cluster, oids []addr.OID) string {
 			fmt.Fprintf(&sb, " bunch %v\n%s\n", b, strings.Join(lines, "\n"))
 		}
 		for _, o := range oids {
-			_, ok := col.Heap().Canonical(o)
+			_, ok := cl.Node(i).DSM().Canonical(o)
 			fmt.Fprintf(&sb, " resident %v=%v\n", o, ok)
 		}
 	}
@@ -128,10 +128,10 @@ func TestDupDeliveryIdempotent(t *testing.T) {
 	}
 	// In both runs the dead branch is gone and the live one intact.
 	n2 := duped.Node(1)
-	if _, ok := n2.Collector().Heap().Canonical(dupOIDs[2]); ok {
+	if _, ok := n2.DSM().Canonical(dupOIDs[2]); ok {
 		t.Error("dead object survived under duplication")
 	}
-	if _, ok := n2.Collector().Heap().Canonical(dupOIDs[1]); !ok {
+	if _, ok := n2.DSM().Canonical(dupOIDs[1]); !ok {
 		t.Error("live object lost under duplication")
 	}
 }
@@ -163,7 +163,7 @@ func TestCleanerLossGapSafety(t *testing.T) {
 			// through, safety holds: the live target's scion and replica
 			// survive every gap.
 			settle(cl, 10)
-			if _, ok := n2.Collector().Heap().Canonical(live.OID); !ok {
+			if _, ok := n2.DSM().Canonical(live.OID); !ok {
 				t.Fatal("live object over-reclaimed under loss — mid-stream gap unsafe")
 			}
 
@@ -171,7 +171,7 @@ func TestCleanerLossGapSafety(t *testing.T) {
 			// reclaimed and its scion never resurrects.
 			setLoss(cl, 0)
 			settle(cl, 4)
-			if _, ok := n2.Collector().Heap().Canonical(dead.OID); ok {
+			if _, ok := n2.DSM().Canonical(dead.OID); ok {
 				t.Fatal("dead object survived after the channel healed")
 			}
 			for k := range n2.Collector().Replica(b2).Table.InterScions {
@@ -179,7 +179,7 @@ func TestCleanerLossGapSafety(t *testing.T) {
 					t.Fatalf("scion for dead reference resurrected: %v", k)
 				}
 			}
-			if _, ok := n2.Collector().Heap().Canonical(live.OID); !ok {
+			if _, ok := n2.DSM().Canonical(live.OID); !ok {
 				t.Fatal("live object lost after heal")
 			}
 			if vs := cl.CheckInvariants(); len(vs) != 0 {
@@ -274,7 +274,7 @@ func TestPartitionHealConvergence(t *testing.T) {
 	}
 	cl.Run(0)
 	settle(cl, 3)
-	if _, ok := n1.Collector().Heap().Canonical(z.OID); ok {
+	if _, ok := n1.DSM().Canonical(z.OID); ok {
 		t.Fatal("dead branch not reclaimed after heal")
 	}
 	if vs := cl.CheckInvariants(); len(vs) != 0 {

@@ -42,7 +42,7 @@ func TestDistributedAcyclicGarbage(t *testing.T) {
 
 	// While rooted, nothing dies.
 	settle(cl, 2)
-	if _, ok := n2.Collector().Heap().Canonical(bObj.OID); !ok {
+	if _, ok := n2.DSM().Canonical(bObj.OID); !ok {
 		t.Fatal("live target collected at its home node")
 	}
 
@@ -50,13 +50,13 @@ func TestDistributedAcyclicGarbage(t *testing.T) {
 	// table, the cleaner at N2 deletes the scion, and b dies at N2.
 	n1.RemoveRoot(a)
 	settle(cl, 3)
-	if _, ok := n1.Collector().Heap().Canonical(a.OID); ok {
+	if _, ok := n1.DSM().Canonical(a.OID); ok {
 		t.Fatal("a still present at N1")
 	}
 	if len(n2.Collector().Replica(b2).Table.InterScions) != 0 {
 		t.Fatal("scion for dead reference not cleaned")
 	}
-	if _, ok := n2.Collector().Heap().Canonical(bObj.OID); ok {
+	if _, ok := n2.DSM().Canonical(bObj.OID); ok {
 		t.Fatal("b still present at N2 after scion cleaning")
 	}
 }
@@ -78,7 +78,7 @@ func TestScionKeepsRemoteObjectAlive(t *testing.T) {
 		n2.CollectBunch(b2)
 		cl.Run(0)
 	}
-	if _, ok := n2.Collector().Heap().Canonical(tgt.OID); !ok {
+	if _, ok := n2.DSM().Canonical(tgt.OID); !ok {
 		t.Fatal("scion failed to keep the target alive")
 	}
 }
@@ -99,13 +99,13 @@ func TestEnteringOwnerPtrKeepsOwnerReplicaAlive(t *testing.T) {
 	// Collect at N2 (owner, no local root): object must survive via the
 	// entering ownerPtr from N1.
 	settle(cl, 2)
-	if _, ok := n2.Collector().Heap().Canonical(o.OID); !ok {
+	if _, ok := n2.DSM().Canonical(o.OID); !ok {
 		t.Fatal("owner's replica died while a remote replica still points at it")
 	}
 	// N1 drops its root; after tables propagate, N2 may reclaim.
 	n1.RemoveRoot(o)
 	settle(cl, 3)
-	if _, ok := n2.Collector().Heap().Canonical(o.OID); ok {
+	if _, ok := n2.DSM().Canonical(o.OID); ok {
 		t.Fatal("object survived at owner after the last reference died")
 	}
 }
@@ -155,7 +155,7 @@ func TestIntraBunchSSPChainFigure4(t *testing.T) {
 	// While N1's root lives, O1 survives everywhere (N3 via intra scion).
 	settle(cl, 3)
 	for i, n := range []*Node{n1, n2, n3} {
-		if _, ok := n.Collector().Heap().Canonical(o1.OID); !ok {
+		if _, ok := n.DSM().Canonical(o1.OID); !ok {
 			t.Fatalf("O1 prematurely dead at N%d", i+1)
 		}
 	}
@@ -166,7 +166,7 @@ func TestIntraBunchSSPChainFigure4(t *testing.T) {
 	n1.RemoveRoot(o1)
 	settle(cl, 4)
 	for i, n := range []*Node{n1, n2, n3} {
-		if _, ok := n.Collector().Heap().Canonical(o1.OID); ok {
+		if _, ok := n.DSM().Canonical(o1.OID); ok {
 			t.Fatalf("O1 still present at N%d after deletion chain", i+1)
 		}
 	}
@@ -177,7 +177,7 @@ func TestIntraBunchSSPChainFigure4(t *testing.T) {
 	// too once its own root goes.
 	n1.RemoveRoot(other)
 	settle(cl, 3)
-	if _, ok := n1.Collector().Heap().Canonical(other.OID); ok {
+	if _, ok := n1.DSM().Canonical(other.OID); ok {
 		t.Fatal("inter-bunch target not reclaimed after chain unwound")
 	}
 }
@@ -201,7 +201,7 @@ func TestGGCCollectsInterBunchCycle(t *testing.T) {
 		n.CollectBunch(b2)
 		cl.Run(0)
 	}
-	if _, ok := n.Collector().Heap().Canonical(x.OID); !ok {
+	if _, ok := n.DSM().Canonical(x.OID); !ok {
 		t.Fatal("BGC alone should NOT reclaim the cycle (scions are roots)")
 	}
 
@@ -210,10 +210,10 @@ func TestGGCCollectsInterBunchCycle(t *testing.T) {
 	if st.Dead != 2 {
 		t.Fatalf("GGC reclaimed %d objects, want 2", st.Dead)
 	}
-	if _, ok := n.Collector().Heap().Canonical(x.OID); ok {
+	if _, ok := n.DSM().Canonical(x.OID); ok {
 		t.Fatal("cycle member x survived the GGC")
 	}
-	if _, ok := n.Collector().Heap().Canonical(y.OID); ok {
+	if _, ok := n.DSM().Canonical(y.OID); ok {
 		t.Fatal("cycle member y survived the GGC")
 	}
 }
@@ -229,10 +229,10 @@ func TestGGCKeepsLiveCycle(t *testing.T) {
 	n.WriteRef(y, 0, x)
 	n.AddRoot(x)
 	n.CollectGroup(nil)
-	if _, ok := n.Collector().Heap().Canonical(x.OID); !ok {
+	if _, ok := n.DSM().Canonical(x.OID); !ok {
 		t.Fatal("live cycle reclaimed")
 	}
-	if _, ok := n.Collector().Heap().Canonical(y.OID); !ok {
+	if _, ok := n.DSM().Canonical(y.OID); !ok {
 		t.Fatal("live cycle member reclaimed")
 	}
 }
@@ -262,7 +262,7 @@ func TestGGCRespectsRemoteStubs(t *testing.T) {
 	// y's scion from N2's stub must stay a root.
 	n1.CollectGroup(nil)
 	cl.Run(0)
-	if _, ok := n1.Collector().Heap().Canonical(y.OID); !ok {
+	if _, ok := n1.DSM().Canonical(y.OID); !ok {
 		t.Fatal("GGC collected an object still referenced by a remote stub")
 	}
 }
@@ -372,7 +372,7 @@ func TestReclaimResolvesWordToDroppedReplica(t *testing.T) {
 	// the owner's entering ownerPtr from a.
 	a.CollectBunch(b1)
 	cl.Run(0)
-	if _, ok := a.Collector().Heap().Canonical(y.OID); ok {
+	if _, ok := a.DSM().Canonical(y.OID); ok {
 		t.Fatal("a still holds a replica of y")
 	}
 	if slices.Contains(owner.DSM().ReplicaNodes(y.OID), a.ID()) {
@@ -433,7 +433,7 @@ func TestReclaimResolvesWordToDroppedReplicaRefusesWithoutOwner(t *testing.T) {
 	initiator.CollectBunch(b1)
 	cl.Run(0)
 	for _, n := range []*Node{p, initiator} {
-		if _, ok := n.Collector().Heap().Canonical(y.OID); ok {
+		if _, ok := n.DSM().Canonical(y.OID); ok {
 			t.Fatalf("node %v still holds a replica of y", n.ID())
 		}
 	}
@@ -493,7 +493,7 @@ func TestReclaimRefusesWhenEvacuationCopyOutFails(t *testing.T) {
 	cl.Run(0)
 	initiator.CollectBunch(b1)
 	cl.Run(0)
-	if _, ok := initiator.Collector().Heap().Canonical(y.OID); ok {
+	if _, ok := initiator.DSM().Canonical(y.OID); ok {
 		t.Fatal("the initiator still holds a replica of y")
 	}
 
@@ -545,7 +545,7 @@ func TestAddrChangeSkipsUnheldObjects(t *testing.T) {
 	}
 	cl.Run(0)
 	for _, o := range objs {
-		if a, ok := n1.Collector().Heap().Canonical(o.OID); ok {
+		if a, ok := n1.DSM().Canonical(o.OID); ok {
 			t.Errorf("n1 gained a canonical address %v for %v", a, o.OID)
 		}
 		if n1.DSM().Knows(o.OID) {
@@ -595,7 +595,7 @@ func TestAddrChangeLateManifestHighestEpoch(t *testing.T) {
 	owner.Release(y)
 	p.CollectBunch(b1)
 	cl.Run(0)
-	if _, ok := p.Collector().Heap().Canonical(y.OID); ok || p.DSM().Knows(y.OID) {
+	if _, ok := p.DSM().Canonical(y.OID); ok || p.DSM().Knows(y.OID) {
 		t.Fatal("p still holds state for y")
 	}
 	owner.CollectBunch(b1)
@@ -619,7 +619,7 @@ func TestAddrChangeLateManifestHighestEpoch(t *testing.T) {
 	if got != y {
 		t.Fatalf("x.0 = %v after the round, want %v", got, y)
 	}
-	can, _ := owner.Collector().Heap().Canonical(y.OID)
+	can, _ := owner.DSM().Canonical(y.OID)
 	if w := addr.Addr(p.Collector().Heap().GetField(mustCanonical(t, p, x), 0)); w != can {
 		t.Fatalf("p's word x.0 = %v, want y's current address %v", w, can)
 	}
@@ -646,14 +646,14 @@ func TestFromSpaceReclaimBatch(t *testing.T) {
 		n.AddRoot(o1)
 	}
 	heap := n0.Collector().Heap()
-	first, _ := heap.Canonical(o1.OID)
+	first, _ := n0.DSM().Canonical(o1.OID)
 
 	// Two collections: the allocation segment and then the first to-space
 	// both become from-space, and o1's first header forwards into the
 	// second segment, whose header forwards on into to-space.
 	n0.CollectBunch(b)
 	cl.Run(0)
-	mid, _ := heap.Canonical(o1.OID)
+	mid, _ := n0.DSM().Canonical(o1.OID)
 	n0.CollectBunch(b)
 	cl.Run(0)
 	batch := n0.Collector().FromSpaceSegments(b)
@@ -702,7 +702,7 @@ func TestFromSpaceReclaimBatch(t *testing.T) {
 		}
 		// The replica's own word, before any acquire refreshes it, must
 		// already have been rewritten out of the freed batch.
-		if can, ok := h.Canonical(o1.OID); ok && h.IsObjectAt(can) {
+		if can, ok := n.DSM().Canonical(o1.OID); ok && h.IsObjectAt(can) {
 			if w := addr.Addr(h.GetField(can, 0)); doomed(w) {
 				t.Fatalf("node %v: o1[0] = %v still points into the freed batch", n.ID(), w)
 			}
@@ -899,10 +899,10 @@ func TestTablesTolerateLoss(t *testing.T) {
 	n1.WriteRef(src, 1, Nil)
 	settle(cl, 8) // enough rounds that some tables get through
 
-	if _, ok := n2.Collector().Heap().Canonical(dead.OID); ok {
+	if _, ok := n2.DSM().Canonical(dead.OID); ok {
 		t.Fatal("dead object survived repeated rounds under loss")
 	}
-	if _, ok := n2.Collector().Heap().Canonical(live.OID); !ok {
+	if _, ok := n2.DSM().Canonical(live.OID); !ok {
 		t.Fatal("live object lost under message loss — SAFETY violation")
 	}
 }
@@ -1041,7 +1041,7 @@ func strayCanonicals(n *Node, b addr.BunchID) []addr.OID {
 	heap := n.col.Heap()
 	segs := n.cl.dir.Segments(b)
 	var out []addr.OID
-	heap.ForEachCanonical(func(o addr.OID, a addr.Addr) {
+	n.dsm.ForEachCanonical(func(o addr.OID, a addr.Addr) {
 		for _, meta := range segs {
 			if meta.Contains(a) && heap.Seg(meta.ID) == nil {
 				out = append(out, o)
@@ -1137,7 +1137,7 @@ func TestCoMappedCrossNodeCycle(t *testing.T) {
 		cl.Run(0)
 	}
 	has := func(n *Node, r Ref) bool {
-		_, ok := n.Collector().Heap().Canonical(r.OID)
+		_, ok := n.DSM().Canonical(r.OID)
 		return ok
 	}
 	if !has(n1, x) || !has(n2, y) {

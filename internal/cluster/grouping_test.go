@@ -54,11 +54,11 @@ func TestCollectConnectedGroupsReclaimsCycles(t *testing.T) {
 		t.Fatalf("dead = %d, want both cycles (4 objects)", st.Dead)
 	}
 	for _, o := range []Ref{a1, b1, a2, b2} {
-		if _, ok := n.Collector().Heap().Canonical(o.OID); ok {
+		if _, ok := n.DSM().Canonical(o.OID); ok {
 			t.Fatalf("cycle member %v survived", o)
 		}
 	}
-	if _, ok := n.Collector().Heap().Canonical(keep.OID); !ok {
+	if _, ok := n.DSM().Canonical(keep.OID); !ok {
 		t.Fatal("isolated live object reclaimed")
 	}
 }

@@ -68,12 +68,12 @@ func TestStrictProtocolDistributedGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(cl, 2)
-	if _, ok := n2.Collector().Heap().Canonical(tgt.OID); !ok {
+	if _, ok := n2.DSM().Canonical(tgt.OID); !ok {
 		t.Fatal("live target reclaimed under strict protocol")
 	}
 	n1.RemoveRoot(src)
 	settle(cl, 3)
-	if _, ok := n2.Collector().Heap().Canonical(tgt.OID); ok {
+	if _, ok := n2.DSM().Canonical(tgt.OID); ok {
 		t.Fatal("dead target survived under strict protocol")
 	}
 	if got := cl.Stats().Get("dsm.acquire.r.gc") +
@@ -125,7 +125,7 @@ func TestSegmentGrainGCUnchanged(t *testing.T) {
 		t.Fatalf("dead = %d on the first pass, want 0 (pinned by the coarse remote cache)", st.Dead)
 	}
 	settle(cl, 2)
-	if _, ok := n1.Collector().Heap().Canonical(dead.OID); ok {
+	if _, ok := n1.DSM().Canonical(dead.OID); ok {
 		t.Fatal("dead sibling survived the settle rounds")
 	}
 	if got := cl.Stats().Get("dsm.acquire.w.gc"); got != 0 {

@@ -59,14 +59,14 @@ func (n *Node) MustAlloc(b addr.BunchID, size int) Ref {
 func (n *Node) AddRoot(r Ref) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.col.AddRoot(r.OID)
+	n.dsm.AddRoot(r.OID)
 }
 
 // RemoveRoot drops one stack reference to r.
 func (n *Node) RemoveRoot(r Ref) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.col.RemoveRoot(r.OID)
+	n.dsm.RemoveRoot(r.OID)
 }
 
 // AcquireRead obtains a read token for r (§2.2). On return the local copy is
@@ -150,12 +150,12 @@ func (n *Node) WriteRef(obj Ref, i int, target Ref) error {
 	var ta addr.Addr
 	if !target.IsNil() {
 		var ok bool
-		ta, ok = heap.Canonical(target.OID)
+		ta, ok = n.dsm.Canonical(target.OID)
 		if !ok {
 			return fmt.Errorf("cluster: %v holds no address for %v", n.id, target)
 		}
 	}
-	a, err := n.writableAddr(obj)
+	r, a, err := n.tokenAddr(obj, dsm.ModeWrite)
 	if err != nil {
 		return err
 	}
@@ -168,14 +168,14 @@ func (n *Node) WriteRef(obj Ref, i int, target Ref) error {
 		// failure — the caller retries after the fault heals. The address is
 		// re-resolved: the barrier's scion-message releases the node lock
 		// while it waits, and a collection may have moved the object.
-		if a2, err2 := n.writableAddr(obj); err2 == nil {
+		if _, a2, err2 := n.tokenAddr(obj, dsm.ModeWrite); err2 == nil {
 			heap.SetField(a2, i, oldWord, oldRef)
 		}
 		return err
 	}
-	n.col.NoteWrite(obj.OID)
+	n.col.NoteWrite(r.Bunch(), obj.OID)
 	if n.heat.Enabled() {
-		n.heat.NoteWrite(obj.OID, n.dsm.KnownBunch(obj.OID))
+		n.heat.NoteWrite(obj.OID, r.Bunch())
 	}
 	n.logWrite(a, i)
 	return nil
@@ -188,7 +188,7 @@ func (n *Node) WriteWord(obj Ref, i int, v uint64) error {
 	defer n.rec.ExitCritical()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	a, err := n.writableAddr(obj)
+	r, a, err := n.tokenAddr(obj, dsm.ModeWrite)
 	if err != nil {
 		return err
 	}
@@ -196,9 +196,9 @@ func (n *Node) WriteWord(obj Ref, i int, v uint64) error {
 	if err := n.col.WriteBarrier(obj.OID, addr.NilOID); err != nil {
 		return err // unreachable: a nil target needs no SSP
 	}
-	n.col.NoteWrite(obj.OID)
+	n.col.NoteWrite(r.Bunch(), obj.OID)
 	if n.heat.Enabled() {
-		n.heat.NoteWrite(obj.OID, n.dsm.KnownBunch(obj.OID))
+		n.heat.NoteWrite(obj.OID, r.Bunch())
 	}
 	n.logWrite(a, i)
 	return nil
@@ -212,12 +212,12 @@ func (n *Node) ReadRef(obj Ref, i int) (Ref, error) {
 	defer n.rec.ExitCritical()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	a, err := n.readableAddr(obj)
+	r, a, err := n.tokenAddr(obj, dsm.ModeRead)
 	if err != nil {
 		return Nil, err
 	}
 	if n.heat.Enabled() {
-		n.heat.NoteRead(obj.OID, n.dsm.KnownBunch(obj.OID))
+		n.heat.NoteRead(obj.OID, r.Bunch())
 	}
 	heap := n.col.Heap()
 	if !heap.IsRefField(a, i) {
@@ -245,12 +245,12 @@ func (n *Node) ReadWord(obj Ref, i int) (uint64, error) {
 	defer n.rec.ExitCritical()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	a, err := n.readableAddr(obj)
+	r, a, err := n.tokenAddr(obj, dsm.ModeRead)
 	if err != nil {
 		return 0, err
 	}
 	if n.heat.Enabled() {
-		n.heat.NoteRead(obj.OID, n.dsm.KnownBunch(obj.OID))
+		n.heat.NoteRead(obj.OID, r.Bunch())
 	}
 	return n.col.Heap().GetField(a, i), nil
 }
@@ -264,7 +264,7 @@ func (n *Node) SamePtr(x, y Ref) bool { return x.OID == y.OID }
 func (n *Node) Size(obj Ref) (int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	a, ok := n.col.Heap().Canonical(obj.OID)
+	a, ok := n.dsm.Canonical(obj.OID)
 	if !ok || !n.col.Heap().Mapped(a) {
 		return 0, fmt.Errorf("cluster: %v not present at %v", obj, n.id)
 	}
@@ -286,29 +286,26 @@ func (n *Node) IsOwner(obj Ref) bool {
 	return n.dsm.IsOwner(obj.OID)
 }
 
-func (n *Node) writableAddr(obj Ref) (addr.Addr, error) {
-	if n.dsm.ModeOf(obj.OID) != dsm.ModeWrite {
-		return addr.NilAddr, fmt.Errorf("cluster: %v writes %v without the write token", n.id, obj)
+// tokenAddr returns obj's record and its present local address, provided
+// this node holds at least the need token for it: one record lookup per
+// mutator operation.
+func (n *Node) tokenAddr(obj Ref, need dsm.Mode) (*dsm.Record, addr.Addr, error) {
+	r := n.dsm.Record(obj.OID)
+	switch {
+	case r.Mode() >= need:
+	case need == dsm.ModeWrite:
+		return nil, addr.NilAddr, fmt.Errorf("cluster: %v writes %v without the write token", n.id, obj)
+	default:
+		return nil, addr.NilAddr, fmt.Errorf("cluster: %v reads %v without a token", n.id, obj)
 	}
-	return n.presentAddr(obj)
-}
-
-func (n *Node) readableAddr(obj Ref) (addr.Addr, error) {
-	if n.dsm.ModeOf(obj.OID) < dsm.ModeRead {
-		return addr.NilAddr, fmt.Errorf("cluster: %v reads %v without a token", n.id, obj)
-	}
-	return n.presentAddr(obj)
-}
-
-func (n *Node) presentAddr(obj Ref) (addr.Addr, error) {
 	heap := n.col.Heap()
-	a, ok := heap.Canonical(obj.OID)
+	a, ok := r.Canonical()
 	if !ok {
-		return addr.NilAddr, fmt.Errorf("cluster: %v holds no address for %v", n.id, obj)
+		return nil, addr.NilAddr, fmt.Errorf("cluster: %v holds no address for %v", n.id, obj)
 	}
 	a = heap.Resolve(a)
 	if !heap.Mapped(a) || !heap.IsObjectAt(a) {
-		return addr.NilAddr, fmt.Errorf("cluster: %v at %v is not materialized on %v", obj, a, n.id)
+		return nil, addr.NilAddr, fmt.Errorf("cluster: %v at %v is not materialized on %v", obj, a, n.id)
 	}
-	return a, nil
+	return r, a, nil
 }

@@ -88,7 +88,7 @@ func TestScionHostFallback(t *testing.T) {
 		n2.CollectBunch(bT)
 		cl.Run(0)
 	}
-	if _, ok := n2.Collector().Heap().Canonical(tgt.OID); !ok {
+	if _, ok := n2.DSM().Canonical(tgt.OID); !ok {
 		t.Fatal("target reclaimed despite its scion")
 	}
 }
@@ -391,7 +391,7 @@ func TestGrantShipsManifestOfLocallyReclaimedReferee(t *testing.T) {
 
 func mustCanonical(t *testing.T, n *Node, r Ref) addr.Addr {
 	t.Helper()
-	a, ok := n.Collector().Heap().Canonical(r.OID)
+	a, ok := n.DSM().Canonical(r.OID)
 	if !ok {
 		t.Fatalf("no canonical for %v", r)
 	}

@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"bmx/internal/addr"
 	"bmx/internal/core"
+	"bmx/internal/dsm"
 	"bmx/internal/mem"
 	"bmx/internal/rvm"
 )
@@ -25,22 +25,21 @@ import (
 // stores them. Called under the cluster lock.
 func (n *Node) logAllocation(oid addr.OID) {
 	if n.log != nil {
-		a, _ := n.col.Heap().Canonical(oid) // the allocation just set it
+		a, _ := n.dsm.Canonical(oid) // the allocation just set it
 		n.logRange(n.tx(), a, mem.HeaderWords)
 	}
 }
 
-// logObject records oid's complete contents — header, data words and the
+// logObject records r's object's complete contents — header, data words and the
 // fields' reference-map bits — at its current canonical address, as one
 // range record. A whole object is the durable transcript of a GC copy: the
 // object's earlier log records all name its from-space address, so the
 // to-space copy must reach the log whole or a recovery would resolve the
 // canonical address to uninitialized to-space. The record's address IS the
 // object's location; the last header in log order wins.
-func (n *Node) logObject(tx *rvm.Tx, oid addr.OID) {
-	heap := n.col.Heap()
-	if a, ok := heap.Canonical(oid); ok {
-		n.logRange(tx, a, mem.HeaderWords+heap.ObjSize(a))
+func (n *Node) logObject(tx *rvm.Tx, r *dsm.Record) {
+	if a, ok := r.Canonical(); ok {
+		n.logRange(tx, a, mem.HeaderWords+n.col.Heap().ObjSize(a))
 	}
 }
 
@@ -76,8 +75,8 @@ func (n *Node) flipBarrier(fl core.FlipLog) {
 	}
 	if n.openTx != nil || len(fl.Copied) > 0 || len(fl.Dead) > 0 {
 		tx := n.tx()
-		for _, o := range fl.Copied {
-			n.logObject(tx, o)
+		for _, r := range fl.Copied {
+			n.logObject(tx, r)
 		}
 		for _, o := range fl.Dead {
 			tx.SetDead(o)
@@ -151,12 +150,11 @@ func (n *Node) Checkpoint(b addr.BunchID) error {
 	// such corpses dead once the truncation below discards their death
 	// records.
 	var liveOIDs []addr.OID
-	heap.ForEachCanonical(func(o addr.OID, _ addr.Addr) {
-		if n.col.BunchOf(o) == b {
-			liveOIDs = append(liveOIDs, o)
+	for _, r := range n.dsm.Members(b) {
+		if _, ok := r.Canonical(); ok {
+			liveOIDs = append(liveOIDs, r.OID())
 		}
-	})
-	slices.Sort(liveOIDs)
+	}
 	rvm.WriteLiveSet(n.disk, b, liveOIDs)
 	// Remove files of segments the bunch no longer has (reclaimed
 	// from-space): address recycling reaches secondary storage too (§1).
@@ -293,16 +291,19 @@ func (n *Node) RecoverBunch(b addr.BunchID) error {
 					zero = make([]uint64, info.Size)
 				}
 				heap.WriteRange(base.AddWords(mem.HeaderWords), zero[:info.Size], zero)
-				heap.SetCanonical(oid, base)
+				n.dsm.SetCanonical(oid, info.Bunch, base)
 			}
 		}
 		// The record's words and reference-map bits land last, over the
 		// zeroing above; header words carry 0 bits.
 		heap.WriteRange(base, rec.Words, rec.Refs)
 	}
-	// Rebuild canonical addresses and protocol state from the headers.
-	// Objects whose death was logged are dropped, not registered: the
-	// collector reclaimed them before the crash, and recovery must agree.
+	// Rebuild canonical addresses and protocol state from the headers: the
+	// recovering node owns what it recovers, matching the one-process-per-
+	// node prototype simplification of §8. Objects whose death was logged
+	// are dropped, not registered: the collector reclaimed them before the
+	// crash, and recovery must agree. An object registers at the header its
+	// canonical address names; no later header changes that address.
 	for _, meta := range n.cl.dir.Segments(b) {
 		seg := heap.Seg(meta.ID)
 		if seg == nil {
@@ -313,42 +314,21 @@ func (n *Node) RecoverBunch(b addr.BunchID) error {
 				continue
 			}
 			oid := heap.ObjOID(a)
-			_, known := heap.Canonical(oid)
 			// A header vouched for by neither the checkpoint live-set nor
 			// the replayed log suffix is a corpse: the object died before
 			// the last checkpoint (its death record was truncated away,
 			// but the bytes survived in a from-space image). It gets the
 			// same treatment as a logged death.
 			if dead[oid] || (!ckptLive[oid] && !logHeaders[oid]) {
-				if !known {
-					heap.SetCanonical(oid, a)
-				}
-				heap.DropObject(oid)
+				n.dsm.DropCanonical(oid)
 				continue
 			}
-			if known {
-				continue
+			can, known := n.dsm.Canonical(oid)
+			if !known {
+				can = a
+				n.dsm.SetCanonical(oid, n.col.BunchOf(oid), a)
 			}
-			heap.SetCanonical(oid, a)
-		}
-	}
-	// Registration runs after every segment settled its canonical
-	// addresses (the recovering node owns what it recovers, matching the
-	// one-process-per-node prototype simplification of §8).
-	for _, meta := range n.cl.dir.Segments(b) {
-		seg := heap.Seg(meta.ID)
-		if seg == nil {
-			continue
-		}
-		for _, a := range seg.Objects() {
-			if heap.Forwarded(a) {
-				continue
-			}
-			oid := heap.ObjOID(a)
-			if can, ok := heap.Canonical(oid); !ok || can != a {
-				continue
-			}
-			if !n.dsm.Knows(oid) {
+			if can == a && !n.dsm.Knows(oid) {
 				n.dsm.RegisterNew(oid, b)
 			}
 		}

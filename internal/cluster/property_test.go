@@ -231,7 +231,7 @@ func (m *model) checkDangling(ctx string) {
 			if nd.Mode(Ref{OID: oid}) < 1 && !nd.DSM().IsOwner(oid) {
 				continue
 			}
-			a, ok := heap.Canonical(oid)
+			a, ok := nd.DSM().Canonical(oid)
 			if !ok {
 				continue
 			}
@@ -267,7 +267,7 @@ func (m *model) checkDangling(ctx string) {
 							segInfo += fmt.Sprintf(" holders %v", m.cl.Directory().Holders(seg.Bunch))
 						}
 					}
-					tcan, tok := heap.Canonical(want)
+					tcan, tok := nd.DSM().Canonical(want)
 					m.t.Fatalf("%s: DANGLING %v.%d at node %d: raw %v resolves to %v (mapped=%v, %s); "+
 						"model target %v (canonical here %v/%v, mode %v, owner %v); src mode %v owner %v",
 						ctx, addr.OID(oid), f, i, v, r, heap.Mapped(r), segInfo,
@@ -288,7 +288,7 @@ func (m *model) checkSafety() {
 		mo := m.objs[oid]
 		anywhere := false
 		for i := 0; i < m.cl.Nodes(); i++ {
-			if _, ok := m.cl.Node(i).Collector().Heap().Canonical(oid); ok {
+			if _, ok := m.cl.Node(i).DSM().Canonical(oid); ok {
 				anywhere = true
 				break
 			}
@@ -327,7 +327,7 @@ func (m *model) verifyContents() {
 				for i := 0; i < m.cl.Nodes(); i++ {
 					nd := m.cl.Node(i)
 					h := nd.Collector().Heap()
-					can, ok := h.Canonical(mo.ref.OID)
+					can, ok := nd.DSM().Canonical(mo.ref.OID)
 					res := can
 					word := uint64(0)
 					if ok && h.Mapped(res) {
@@ -367,11 +367,11 @@ func (m *model) drain(rounds int) {
 func (m *model) dumpObj(oid addr.OID) {
 	for j := 0; j < m.cl.Nodes(); j++ {
 		nd := m.cl.Node(j)
-		can, cok := nd.Collector().Heap().Canonical(oid)
+		can, cok := nd.DSM().Canonical(oid)
 		m.t.Logf("OBJDBG node %d: canonical=%v/%v mode=%v owner=%v routing=%v ownerPtr=%v entering=%v rooted=%v",
 			j, can, cok, nd.Mode(Ref{OID: oid}), nd.DSM().IsOwner(oid),
 			nd.DSM().IsRoutingOnly(oid), nd.DSM().OwnerPtrOf(oid),
-			nd.DSM().EnteringOf(oid), nd.Collector().IsRoot(oid))
+			nd.DSM().EnteringOf(oid), nd.DSM().IsRoot(oid))
 	}
 }
 
@@ -385,7 +385,7 @@ func (m *model) syncReplicas() {
 		}
 		for i := 0; i < m.cl.Nodes(); i++ {
 			nd := m.cl.Node(i)
-			if _, ok := nd.Collector().Heap().Canonical(oid); !ok {
+			if _, ok := nd.DSM().Canonical(oid); !ok {
 				continue
 			}
 			if err := nd.AcquireRead(m.objs[oid].ref); err != nil {
@@ -410,7 +410,7 @@ func (m *model) checkLiveness() {
 			continue
 		}
 		for i := 0; i < m.cl.Nodes(); i++ {
-			if _, ok := m.cl.Node(i).Collector().Heap().Canonical(oid); ok {
+			if _, ok := m.cl.Node(i).DSM().Canonical(oid); ok {
 				nd := m.cl.Node(i)
 				for _, b := range nd.Collector().MappedBunches() {
 					for _, lo := range nd.Collector().LiveOIDs(b) {
@@ -421,7 +421,7 @@ func (m *model) checkLiveness() {
 				}
 				{
 					col := nd.Collector()
-					can, _ := col.Heap().Canonical(oid)
+					can, _ := nd.DSM().Canonical(oid)
 					meta := m.cl.Directory().Allocator().Lookup(can)
 					segB := addr.NoBunch
 					inBunchList := false
@@ -460,16 +460,16 @@ func (m *model) checkLiveness() {
 							}
 						}
 					}
-					can, cok := col.Heap().Canonical(oid)
+					can, cok := nd.DSM().Canonical(oid)
 					m.t.Logf("LEAKDBG node %d: canonical=%v/%v mode=%v owner=%v routing=%v ownerPtr=%v entering=%v rooted=%v ssp=%v",
 						j, can, cok, nd.Mode(Ref{OID: oid}), nd.DSM().IsOwner(oid),
 						nd.DSM().IsRoutingOnly(oid), nd.DSM().OwnerPtrOf(oid),
-						nd.DSM().EnteringOf(oid), col.IsRoot(oid), scions)
+						nd.DSM().EnteringOf(oid), nd.DSM().IsRoot(oid), scions)
 				}
 				// Who references it locally?
 				col := m.cl.Node(i).Collector()
 				heap := col.Heap()
-				heap.ForEachCanonical(func(src addr.OID, sa addr.Addr) {
+				m.cl.Node(i).DSM().ForEachCanonical(func(src addr.OID, sa addr.Addr) {
 					sa = heap.Resolve(sa)
 					if !heap.Mapped(sa) || !heap.IsObjectAt(sa) {
 						return
@@ -557,7 +557,7 @@ func (m *model) deadCycleClosure(reach map[addr.OID]bool) map[addr.OID]bool {
 		for i := 0; i < m.cl.Nodes(); i++ {
 			col := m.cl.Node(i).Collector()
 			heap := col.Heap()
-			a, ok := heap.Canonical(addr.OID(o))
+			a, ok := m.cl.Node(i).DSM().Canonical(addr.OID(o))
 			if !ok {
 				continue
 			}
@@ -675,7 +675,7 @@ func TestRandomizedFourNodes(t *testing.T) {
 func (m *model) debugField(mo *modelObj, f int, want addr.OID) {
 	prober := m.cl.Node(0)
 	heap := prober.Collector().Heap()
-	a, _ := heap.Canonical(mo.ref.OID)
+	a, _ := prober.DSM().Canonical(mo.ref.OID)
 	a = heap.Resolve(a)
 	raw := addr.Addr(heap.GetField(a, f))
 	m.t.Logf("DEBUG src %v at %v field %d raw=%v resolve=%v mapped=%v",
@@ -683,11 +683,11 @@ func (m *model) debugField(mo *modelObj, f int, want addr.OID) {
 	m.t.Logf("DEBUG model target=%v reachable=%v", want, m.reachable()[want])
 	for i := 0; i < m.cl.Nodes(); i++ {
 		nd := m.cl.Node(i)
-		can, ok := nd.Collector().Heap().Canonical(want)
+		can, ok := nd.DSM().Canonical(want)
 		m.t.Logf("DEBUG node %d: target canonical=%v(%v) mode=%v owner=%v routing=%v ownerPtr=%v entering=%v",
 			i, can, ok, nd.Mode(Ref{OID: want}), nd.DSM().IsOwner(want),
 			nd.DSM().IsRoutingOnly(want), nd.DSM().OwnerPtrOf(want), nd.DSM().EnteringOf(want))
-		scan, sok := nd.Collector().Heap().Canonical(mo.ref.OID)
+		scan, sok := nd.DSM().Canonical(mo.ref.OID)
 		m.t.Logf("DEBUG node %d: src canonical=%v(%v) mode=%v owner=%v",
 			i, scan, sok, nd.Mode(mo.ref), nd.DSM().IsOwner(mo.ref.OID))
 	}

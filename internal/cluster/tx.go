@@ -57,7 +57,7 @@ func (tx *Tx) pin(r Ref, mode dsm.Mode) error {
 	tx.n.mu.Lock()
 	defer tx.n.mu.Unlock()
 	if !tx.seen[r.OID] {
-		tx.n.col.AddRoot(r.OID)
+		tx.n.dsm.AddRoot(r.OID)
 		tx.seen[r.OID] = true
 		tx.pinned = append(tx.pinned, r)
 	}

@@ -97,7 +97,8 @@ func (c *Collector) ApplyTable(msg ssp.TableMsg) {
 		deriv[o] = true
 	}
 	for _, o := range msg.Exiting {
-		if _, ok := c.heap.Canonical(o); ok || c.dsm.Knows(o) {
+		r := c.dsm.Record(o)
+		if _, ok := r.Canonical(); ok || r.Known() {
 			c.dsm.AddEntering(o, msg.From, msg.Gen)
 			c.dsm.SetEnteringDerivative(o, msg.From, deriv[o])
 		} else {

@@ -63,10 +63,12 @@ func newReplica(b addr.BunchID) *Replica {
 // token.
 //
 // The collector has no lock of its own: every method runs under its node's
-// lock (cluster.Node), which owns all node-local state — replicas, roots,
-// pending location updates and the heap. Lock order (outermost first):
-// cluster object-op lock → node lock → shared services (directory and
-// allocator, transport stats, observer, network), each internally locked.
+// lock (cluster.Node), which owns all node-local state — replicas, pending
+// location updates, the heap and the protocol engine's object records
+// (which carry each object's canonical address and mutator roots). Lock
+// order (outermost first): cluster object-op lock → node lock → shared
+// services (directory and allocator, transport stats, observer, network),
+// each internally locked.
 type Collector struct {
 	node addr.NodeID
 	heap *mem.Heap
@@ -77,7 +79,6 @@ type Collector struct {
 	reps        map[addr.BunchID]*Replica
 	mappedCache []addr.BunchID // sorted keys of reps; nil until next asked for
 
-	roots   map[addr.OID]int    // mutator root handles (stack refs), with counts
 	recvGen map[tableKey]uint64 // scion cleaner: highest table gen per (sender, bunch)
 	// replicateSSPs switches invariant 3 to the A1 ablation: replicate
 	// inter-bunch SSPs on ownership transfer instead of creating
@@ -87,9 +88,6 @@ type Collector struct {
 	// pending holds location updates queued per peer, awaiting a
 	// consistency message to ride on, or a background flush (§4.4).
 	pending map[addr.NodeID]map[addr.OID]dsm.Manifest
-	// locEpoch is the relocation epoch this node has applied (or, at the
-	// owner, produced) for each object; see dsm.Manifest.Epoch.
-	locEpoch map[addr.OID]uint64
 
 	// Flight-recorder plumbing, cached from the transport's observer.
 	rec        *obs.Recorder
@@ -108,10 +106,11 @@ type Collector struct {
 // FlipLog describes what one collection flip changed, for the durability
 // barrier: which owned objects were copied into to-space and which objects
 // were reclaimed as dead. Both slices are in deterministic (sorted-trace)
-// order.
+// order; Copied holds the copied objects' records, so the barrier reads
+// their to-space addresses without a lookup.
 type FlipLog struct {
 	Bunches []addr.BunchID
-	Copied  []addr.OID
+	Copied  []*dsm.Record
 	Dead    []addr.OID
 }
 
@@ -132,10 +131,8 @@ func NewCollector(node addr.NodeID, heap *mem.Heap, dir Dir, net transport.Trans
 		dir:        dir,
 		net:        net,
 		reps:       make(map[addr.BunchID]*Replica),
-		roots:      make(map[addr.OID]int),
 		recvGen:    make(map[tableKey]uint64),
 		pending:    make(map[addr.NodeID]map[addr.OID]dsm.Manifest),
-		locEpoch:   make(map[addr.OID]uint64),
 		rec:        o.Recorder(node),
 		copyHist:   o.Hist("gc.copy.words"),
 		scanHist:   o.Hist("gc.scan.objects"),
@@ -222,34 +219,6 @@ func (c *Collector) MappedBunches() []addr.BunchID {
 	return c.mappedCache
 }
 
-// ---- Roots -----------------------------------------------------------------
-
-// AddRoot registers a mutator stack reference to o. Roots are counted so
-// that nested handles release correctly.
-func (c *Collector) AddRoot(o addr.OID) { c.roots[o]++ }
-
-// RemoveRoot drops one mutator stack reference to o.
-func (c *Collector) RemoveRoot(o addr.OID) {
-	if c.roots[o] <= 1 {
-		delete(c.roots, o)
-	} else {
-		c.roots[o]--
-	}
-}
-
-// RootOIDs returns the current mutator roots, sorted.
-func (c *Collector) RootOIDs() []addr.OID {
-	out := make([]addr.OID, 0, len(c.roots))
-	for o := range c.roots {
-		out = append(out, o)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// IsRoot reports whether o is currently a mutator root on this node.
-func (c *Collector) IsRoot(o addr.OID) bool { return c.roots[o] > 0 }
-
 // ---- Allocation -------------------------------------------------------------
 
 // Alloc allocates a fresh object of size data words in bunch b on this node,
@@ -275,6 +244,7 @@ func (c *Collector) Alloc(b addr.BunchID, size int) (addr.OID, error) {
 	// (Directory.Locate falls back to AllocNode), so none is set here.
 	c.dir.RegisterObject(ObjInfo{OID: oid, Bunch: b, Size: size, AllocNode: c.node, AllocAddr: a})
 	c.dsm.RegisterNew(oid, b)
+	c.dsm.SetCanonical(oid, b, a)
 	c.stats().Add("core.alloc.objects", 1)
 	c.stats().Add("core.alloc.words", int64(size+mem.HeaderWords))
 	return oid, nil
@@ -299,7 +269,7 @@ func (c *Collector) ResolveRef(w addr.Addr, inHand func(addr.Addr) addr.OID) (ad
 	if o.IsNil() {
 		return addr.NilAddr, addr.NilOID
 	}
-	if can, ok := c.heap.Canonical(o); ok {
+	if can, ok := c.dsm.Canonical(o); ok {
 		if can = c.heap.Resolve(can); c.heap.IsObjectAt(can) && c.heap.ObjOID(can) == o {
 			return can, o
 		}
@@ -405,25 +375,23 @@ func (c *Collector) scionHosts(tb addr.BunchID) []addr.NodeID {
 	return hosts
 }
 
-// NoteWrite records a mutation for the concurrent collector's log (O'Toole:
-// writes during the collection are replayed at the flip). The writer holds
-// o's write token, so the node's DSM state knows o's bunch: no directory
-// lookup is needed.
-func (c *Collector) NoteWrite(o addr.OID) {
-	if rep, ok := c.reps[c.dsm.KnownBunch(o)]; ok && rep.gcActive {
+// NoteWrite records a mutation of o, in bunch b, for the concurrent
+// collector's log (O'Toole: writes during the collection are replayed at
+// the flip).
+func (c *Collector) NoteWrite(b addr.BunchID, o addr.OID) {
+	if rep, ok := c.reps[b]; ok && rep.gcActive {
 		rep.writeLog[o] = true
 	}
 }
 
 // ---- Pending location updates (§4.4) ---------------------------------------
 
-// queueLocation records that o now lives at newAddr, to be told to peers
-// lazily, by piggybacking (§4.4). A move tells o's copy-set and entering
+// queueLocation records man, an object's new location, to be told to peers
+// lazily, by piggybacking (§4.4). A move tells its copy-set and entering
 // ownerPtrs (dsm.Node.ReplicaNodes); grants carry it onward (invariants 1
 // and 2), and a §4.5 round asks the owner for the rest (rewriteRefsInto).
 // Reestablish, which rebuilds lost protocol state, tells every holder.
-func (c *Collector) queueLocation(o addr.OID, b addr.BunchID, newAddr addr.Addr, size int, peers []addr.NodeID) {
-	man := dsm.Manifest{OID: o, Addr: newAddr, Size: size, Bunch: b, Epoch: c.locEpoch[o]}
+func (c *Collector) queueLocation(man dsm.Manifest, peers []addr.NodeID) {
 	for _, peer := range peers {
 		if peer == c.node {
 			continue
@@ -433,13 +401,9 @@ func (c *Collector) queueLocation(o addr.OID, b addr.BunchID, newAddr addr.Addr,
 			q = make(map[addr.OID]dsm.Manifest)
 			c.pending[peer] = q
 		}
-		q[o] = man // newer location supersedes older pending one
+		q[man.OID] = man // newer location supersedes older pending one
 	}
 }
-
-// LocationEpoch returns the relocation epoch this node has applied (or, at
-// the owner, produced) for o.
-func (c *Collector) LocationEpoch(o addr.OID) uint64 { return c.locEpoch[o] }
 
 // FlushLocations pushes all queued location updates as explicit background
 // GC messages instead of waiting for consistency traffic to carry them.

@@ -29,13 +29,14 @@ import (
 
 // ObjInfo is the directory's record of one object: where it was allocated
 // and by whom. The allocation site is the first owner and therefore a valid
-// starting point for any ownerPtr chain.
+// starting point for any ownerPtr chain. The directory keeps one per object
+// ever allocated, so the two 32-bit fields share a word.
 type ObjInfo struct {
 	OID       addr.OID
-	Bunch     addr.BunchID
-	Size      int
-	AllocNode addr.NodeID
 	AllocAddr addr.Addr
+	Size      int
+	Bunch     addr.BunchID
+	AllocNode addr.NodeID
 }
 
 type bunchInfo struct {

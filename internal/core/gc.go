@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
 	"bmx/internal/addr"
+	"bmx/internal/dsm"
 	"bmx/internal/mem"
 	"bmx/internal/obs"
 	"bmx/internal/ssp"
@@ -184,10 +186,10 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	pause1 := transport.StartWatch(c.net.Clock())
 	for _, b := range bunches {
 		rep := c.Replica(b)
-		for _, o := range c.RootOIDs() {
-			if c.BunchOf(o) == b {
-				strongRoots = append(strongRoots, o)
-				plainStrong = append(plainStrong, o)
+		for _, r := range c.dsm.Members(b) {
+			if r.IsRoot() {
+				strongRoots = append(strongRoots, r.OID())
+				plainStrong = append(plainStrong, r.OID())
 			}
 		}
 		for _, sc := range rep.Table.InterScionList() {
@@ -278,14 +280,14 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 
 	// ---- Copy phase: only locally-owned live objects move (§4.2) --------
 	copyWatch := transport.StartWatch(c.net.Clock())
-	var copied []addr.OID
+	var copied []*dsm.Record
 	// Copy and fixup both walk this order: live does not change between them.
-	liveOrder := sortedLiveOIDs(live)
-	for _, o := range liveOrder {
-		if !c.dsm.IsOwner(o) {
+	liveOrder := c.liveRecords(bunches, live)
+	for _, r := range liveOrder {
+		if !r.IsOwner() {
 			continue
 		}
-		can, ok := c.heap.Canonical(o)
+		can, ok := r.Canonical()
 		if !ok {
 			continue
 		}
@@ -293,8 +295,9 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		if meta == nil || !oldSegs[meta.ID] {
 			continue // already in to-space (e.g. allocated during this GC)
 		}
-		if man, moved := c.moveOwnedObject(o); moved {
-			copied = append(copied, o)
+		o := r.OID()
+		if man, moved := c.moveOwnedObject(r); moved {
+			copied = append(copied, r)
 			st.Copied++
 			st.CopiedWords += man.Size + mem.HeaderWords
 			c.Replica(man.Bunch).copiedWords += man.Size + mem.HeaderWords
@@ -307,8 +310,8 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 
 	// ---- Local reference update (§4.4): no token, strictly local --------
 	fixupWatch := transport.StartWatch(c.net.Clock())
-	for _, o := range liveOrder {
-		c.fixupLocalRefs(o)
+	for _, r := range liveOrder {
+		c.fixupLocalRefs(r.OID())
 	}
 	c.phaseHists["fixup"].Observe(int64(fixupWatch.Elapsed()))
 
@@ -349,11 +352,15 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	deadByManager := make(map[addr.NodeID][]addr.OID)
 	var deadOIDs []addr.OID
 	for _, b := range bunches {
-		for _, o := range c.knownInBunch(b) {
-			if live[o] != notLive {
+		// Every record of the bunch with protocol state or a canonical
+		// address; the walk frees records but creates none.
+		for _, r := range c.dsm.Members(b) {
+			o := r.OID()
+			can, hasCanon := r.Canonical()
+			if !r.Known() && !hasCanon || live[o] != notLive {
 				continue
 			}
-			if c.IsRoot(o) {
+			if r.IsRoot() {
 				// Became a mutator root after the snapshot (a handle
 				// taken by the DuringTrace mutator); the next collection
 				// decides its fate.
@@ -363,12 +370,12 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 				// Already just a forwarding stub at the manager — but a
 				// late manifest may have re-attached a canonical address;
 				// shed it, or the stub would read as a present replica.
-				if _, ok := c.heap.Canonical(o); ok {
-					c.heap.DropObject(o)
+				if hasCanon {
+					c.dsm.DropCanonical(o)
 				}
 				continue
 			}
-			if can, ok := c.heap.Canonical(o); ok {
+			if hasCanon {
 				if meta := c.dir.Allocator().Lookup(can); meta != nil && !oldSegs[meta.ID] {
 					continue // allocated during this collection; not traced, not dead
 				}
@@ -378,13 +385,14 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 				manager = info.AllocNode
 			}
 			rfl := gfl
-			if c.dsm.IsOwner(o) {
+			owned := r.IsOwner()
+			if owned {
 				rfl |= obs.FlagOwned
 			}
 			c.rec.Emit(obs.Event{Kind: obs.KGCReclaim, Class: obs.ClassGC, Flags: rfl, OID: o})
-			c.heap.DropObject(o)
+			c.dsm.DropCanonical(o)
 			switch {
-			case c.dsm.IsOwner(o):
+			case owned:
 				// The owner reclaims last: no entering ownerPtrs, no
 				// roots, no scions — the object is globally dead. Tell
 				// the manager to drop its forwarding stub. The directory
@@ -467,9 +475,9 @@ func (c *Collector) LiveOIDs(b addr.BunchID) []addr.OID {
 	rep := c.Replica(b)
 	set := map[addr.BunchID]bool{b: true}
 	var strong []addr.OID
-	for _, o := range c.RootOIDs() {
-		if c.BunchOf(o) == b {
-			strong = append(strong, o)
+	for _, r := range c.dsm.Members(b) {
+		if r.IsRoot() {
+			strong = append(strong, r.OID())
 		}
 	}
 	for _, sc := range rep.Table.InterScionList() {
@@ -531,11 +539,12 @@ func (c *Collector) traceImpl(set map[addr.BunchID]bool, roots []addr.OID, stren
 		if o.IsNil() || live[o] >= strength {
 			continue
 		}
-		if !set[c.BunchOf(o)] {
+		r := c.dsm.Record(o)
+		if !set[c.bunchOf(r, o)] {
 			continue // cross-bunch edges are represented by SSPs, not traced
 		}
 		live[o] = strength
-		a, ok := c.heap.Canonical(o)
+		a, ok := r.Canonical()
 		if !ok {
 			if !quiet {
 				c.stats().Add("core.gc.rootUnknown", 1)
@@ -589,26 +598,11 @@ func (c *Collector) stubsAllInGroup(o addr.OID, set map[addr.BunchID]bool) bool 
 // fixupLocalRefs rewrites the pointer fields of o's local copy to the
 // current local addresses of their referees, with nothing in hand.
 func (c *Collector) fixupLocalRefs(o addr.OID) {
-	a, ok := c.heap.Canonical(o)
+	a, ok := c.dsm.Canonical(o)
 	if !ok || !c.heap.Mapped(a) || !c.heap.IsObjectAt(a) {
 		return
 	}
 	c.normalizeRefs(a, "core.gc.refsUpdated", nil)
-}
-
-// knownInBunch lists every object of bunch b this node has any knowledge of
-// (protocol state or a canonical address), sorted.
-func (c *Collector) knownInBunch(b addr.BunchID) []addr.OID {
-	var out []addr.OID
-	c.dsm.ForEachObjectInBunch(b, func(o addr.OID) { out = append(out, o) })
-	c.heap.ForEachCanonical(func(o addr.OID, _ addr.Addr) {
-		// An object whose protocol state names b is already listed.
-		if c.dsm.KnownBunch(o) != b && c.BunchOf(o) == b {
-			out = append(out, o)
-		}
-	})
-	slices.Sort(out)
-	return out
 }
 
 // rebuildTable reconstructs bunch b's stub table from the trace results
@@ -650,17 +644,18 @@ func (c *Collector) rebuildTable(b addr.BunchID, live map[addr.OID]int) map[addr
 	}
 	exiting := make(map[addr.OID]addr.NodeID)
 	for o, s := range live {
-		if s != strongLive || c.BunchOf(o) != b || c.dsm.IsOwner(o) {
+		r := c.dsm.Record(o)
+		if s != strongLive || c.bunchOf(r, o) != b || r.IsOwner() {
 			continue
 		}
 		// Exiting ownerPtrs describe cached *replicas* (§4.3); protocol
 		// state without a local copy (routing bookkeeping recreated by
 		// traffic after a reclaim) must not pin the object remotely —
 		// unless a scion here or a node routing through here needs it.
-		if _, ok := c.heap.Canonical(o); !ok && !scionTargets[o] && len(c.dsm.EnteringOf(o)) == 0 {
+		if _, ok := r.Canonical(); !ok && !scionTargets[o] && !r.HasEntering() {
 			continue
 		}
-		if t := c.dsm.OwnerPtrOf(o); t != addr.NoNode {
+		if t := r.OwnerPtr(); t != addr.NoNode {
 			exiting[o] = t
 		}
 	}
@@ -671,7 +666,7 @@ func (c *Collector) rebuildTable(b addr.BunchID, live map[addr.OID]int) map[addr
 // to target (§4.3: a stub is dropped when the local object no longer
 // includes the inter-bunch reference).
 func (c *Collector) objectStillReferences(src, target addr.OID) bool {
-	a, ok := c.heap.Canonical(src)
+	a, ok := c.dsm.Canonical(src)
 	if !ok || !c.heap.Mapped(a) || !c.heap.IsObjectAt(a) {
 		return false
 	}
@@ -746,6 +741,25 @@ func (c *Collector) sendTables(b addr.BunchID, oldTable *ssp.Table, exiting map[
 		c.stats().Add("core.tables.sent", 1)
 	}
 	c.rec.Emit(obs.Event{Kind: obs.KGCTables, Class: obs.ClassGC, A: int64(len(order))})
+}
+
+// liveRecords lists the records of the collected bunches the trace found
+// live, in OID order. Each member list is in OID order already, so only a
+// group of several bunches is sorted. A live object without a record here
+// has neither a copy to move nor words to fix, so it is not listed.
+func (c *Collector) liveRecords(bunches []addr.BunchID, live map[addr.OID]int) []*dsm.Record {
+	out := make([]*dsm.Record, 0, len(live))
+	for _, b := range bunches {
+		for _, r := range c.dsm.Members(b) {
+			if live[r.OID()] != notLive {
+				out = append(out, r)
+			}
+		}
+	}
+	if len(bunches) > 1 {
+		slices.SortFunc(out, func(a, b *dsm.Record) int { return cmp.Compare(a.OID(), b.OID()) })
+	}
+	return out
 }
 
 func sortedLiveOIDs(live map[addr.OID]int) []addr.OID {

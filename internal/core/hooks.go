@@ -14,13 +14,14 @@ import (
 
 var _ dsm.Hooks = (*Collector)(nil)
 
-// manifestOf builds this node's current manifest for o (its local canonical
-// address), or false if the object is unknown here.
-func (c *Collector) manifestOf(o addr.OID) (dsm.Manifest, bool) {
-	a, ok := c.heap.Canonical(o)
+// manifestOf builds this node's current manifest for the object of record r
+// (its local canonical address), or false if it has none here.
+func (c *Collector) manifestOf(r *dsm.Record) (dsm.Manifest, bool) {
+	a, ok := r.Canonical()
 	if !ok {
 		return dsm.Manifest{}, false
 	}
+	o := r.OID()
 	size := 0
 	if c.heap.Mapped(a) && c.heap.IsObjectAt(a) {
 		if c.heap.ObjOID(a) != o {
@@ -35,8 +36,8 @@ func (c *Collector) manifestOf(o addr.OID) (dsm.Manifest, bool) {
 		size = info.Size
 	}
 	return dsm.Manifest{
-		OID: o, Addr: a, Size: size, Bunch: c.BunchOf(o),
-		Epoch: c.LocationEpoch(o),
+		OID: o, Addr: a, Size: size, Bunch: r.Bunch(),
+		Epoch: r.Epoch(),
 	}, true
 }
 
@@ -47,10 +48,11 @@ func (c *Collector) manifestOf(o addr.OID) (dsm.Manifest, bool) {
 // the location the granted image names.
 func (c *Collector) GrantManifests(o addr.OID) []dsm.Manifest {
 	var out []dsm.Manifest
-	if m, ok := c.manifestOf(o); ok {
+	r := c.dsm.Record(o)
+	if m, ok := c.manifestOf(r); ok {
 		out = append(out, m)
 	}
-	a, ok := c.heap.Canonical(o)
+	a, ok := r.Canonical()
 	if !ok || !c.heap.Mapped(a) || !c.heap.IsObjectAt(a) {
 		return out
 	}
@@ -62,12 +64,13 @@ func (c *Collector) GrantManifests(o addr.OID) []dsm.Manifest {
 			return
 		}
 		seen[t] = true
-		if m, ok := c.manifestOf(t); ok {
+		rt := c.dsm.Record(t)
+		if m, ok := c.manifestOf(rt); ok {
 			out = append(out, m)
-		} else if _, known := c.heap.Canonical(t); !known {
+		} else if _, known := rt.Canonical(); !known {
 			out = append(out, dsm.Manifest{
-				OID: t, Addr: r, Size: c.heap.ObjSize(r), Bunch: c.BunchOf(t),
-				Epoch: c.LocationEpoch(t),
+				OID: t, Addr: r, Size: c.heap.ObjSize(r), Bunch: c.bunchOf(rt, t),
+				Epoch: c.dsm.Epoch(t),
 			})
 		}
 	})
@@ -82,11 +85,13 @@ func (c *Collector) GrantManifests(o addr.OID) []dsm.Manifest {
 // references are updated accordingly without requiring any token").
 func (c *Collector) ApplyManifests(ms []dsm.Manifest, from addr.NodeID) {
 	for _, m := range ms {
-		c.applyManifest(m, from)
+		c.applyManifest(c.dsm.Record(m.OID), m, from)
 	}
 }
 
-func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
+// applyManifest applies one manifest to the object's record r (nil when
+// the node has none).
+func (c *Collector) applyManifest(r *dsm.Record, m dsm.Manifest, from addr.NodeID) {
 	meta := c.dir.Allocator().Lookup(m.Addr)
 	if meta == nil {
 		c.stats().Add("core.loc.badAddr", 1)
@@ -95,7 +100,7 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 	// The owner's location for an object it owns is authoritative; a
 	// foreign manifest must not move it (only the owner copies an object,
 	// §4.2).
-	if c.dsm.IsOwner(m.OID) {
+	if r.IsOwner() {
 		return
 	}
 	// Out-of-order protection: background messages from different senders
@@ -103,12 +108,16 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 	// move the canonical address backward and plant a stale forwarding
 	// pointer over good data. A dropped object has no location to move
 	// backward, and a grant may name it at exactly this address.
-	cur, known := c.heap.Canonical(m.OID)
-	if known && m.Epoch < c.locEpoch[m.OID] {
+	cur, known := r.Canonical()
+	if known && m.Epoch < r.Epoch() {
 		c.stats().Add("core.loc.staleEpoch", 1)
 		return
 	}
-	c.locEpoch[m.OID] = m.Epoch
+	if r != nil {
+		r.SetEpoch(m.Epoch)
+	} else {
+		c.dsm.SetEpoch(m.OID, m.Epoch)
+	}
 	if !c.heap.Mapped(m.Addr) {
 		c.heap.MapSegment(meta)
 		// Holding part of the bunch makes this node an interested party
@@ -152,8 +161,7 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 	if !known && c.heap.OIDAt(to) == m.OID {
 		to = c.heap.Resolve(to) // a dropped object's header may forward onward
 	}
-	c.heap.SetCanonical(m.OID, to)
-	c.dsm.Learn(m.OID, m.Bunch, from)
+	c.dsm.Learn(m.OID, m.Bunch, from).SetCanonical(to)
 }
 
 // ObjectImage ships o's local contents with a token grant. The copy's
@@ -163,7 +171,7 @@ func (c *Collector) applyManifest(m dsm.Manifest, from addr.NodeID) {
 // the accompanying manifests are applied; a stale address might resolve
 // only through headers the granter happens to still map.
 func (c *Collector) ObjectImage(o addr.OID) dsm.ObjectImage {
-	man, ok := c.manifestOf(o)
+	man, ok := c.manifestOf(c.dsm.Record(o))
 	if !ok {
 		return dsm.ObjectImage{Manifest: dsm.Manifest{OID: o}}
 	}
@@ -183,8 +191,8 @@ func (c *Collector) InstallImage(img dsm.ObjectImage, ms []dsm.Manifest, from ad
 	if img.Addr.IsNil() {
 		return
 	}
-	c.applyManifest(img.Manifest, from)
-	a, ok := c.heap.Canonical(img.OID)
+	c.applyManifest(c.dsm.Record(img.OID), img.Manifest, from)
+	a, ok := c.dsm.Canonical(img.OID)
 	if !ok || !c.heap.Mapped(a) {
 		return
 	}
@@ -406,7 +414,7 @@ func (c *Collector) Reestablish(o addr.OID) bool {
 	if !c.dir.HasReplica(info.Bunch, c.node) {
 		c.dir.AddInterested(info.Bunch, c.node)
 	}
-	a, live := c.heap.Canonical(o)
+	a, live := c.dsm.Canonical(o)
 	if live {
 		a = c.heap.Resolve(a)
 		live = c.heap.Mapped(a) && c.heap.IsObjectAt(a) && c.heap.ObjOID(a) == o
@@ -422,23 +430,26 @@ func (c *Collector) Reestablish(o addr.OID) bool {
 			return false
 		}
 	}
-	c.heap.SetCanonical(o, a)
+	r := c.dsm.SetCanonical(o, info.Bunch, a)
 	// Supersede every location manifest in flight: a delayed older address
 	// must not move the resurrected object backward at any holder.
-	c.locEpoch[o]++
-	c.queueLocation(o, info.Bunch, a, c.heap.ObjSize(a), c.dir.Holders(info.Bunch))
+	c.queueLocation(dsm.Manifest{OID: o, Addr: a, Size: c.heap.ObjSize(a), Bunch: info.Bunch,
+		Epoch: r.BumpEpoch()}, c.dir.Holders(info.Bunch))
 	c.stats().Add("core.reestablished", 1)
 	return true
 }
 
 // BunchOf maps an object to its bunch. An object's bunch never changes, and
-// every way this node comes to hold protocol state for an object —
-// allocation, a manifest, first contact — records it, so the DSM state
-// answers; only an object this node has never tracked costs a directory
-// lookup (Cluster.CheckInvariants pins the two answers equal).
-func (c *Collector) BunchOf(o addr.OID) addr.BunchID {
-	if b := c.dsm.KnownBunch(o); b != addr.NoBunch {
-		return b
+// every way this node comes to keep a record of an object — allocation, a
+// manifest, first contact, a root — records it, so the record answers; only
+// an object this node keeps no record of costs a directory lookup
+// (Cluster.CheckInvariants pins the two answers equal).
+func (c *Collector) BunchOf(o addr.OID) addr.BunchID { return c.bunchOf(c.dsm.Record(o), o) }
+
+// bunchOf is BunchOf with o's record (nil when the node has none) in hand.
+func (c *Collector) bunchOf(r *dsm.Record, o addr.OID) addr.BunchID {
+	if r != nil {
+		return r.Bunch()
 	}
 	info, _ := c.dir.Object(o) // the zero ObjInfo is in NoBunch
 	return info.Bunch

@@ -117,8 +117,8 @@ func (c *Collector) HandleAsync(m transport.Msg) {
 		msg := m.Payload.(DeadNoticeMsg)
 		for _, o := range msg.OIDs {
 			if c.dsm.IsRoutingOnly(o) {
+				c.dsm.DropCanonical(o)
 				c.dsm.Forget(o)
-				c.heap.DropObject(o)
 				c.stats().Add("core.gc.routingStubsDropped", 1)
 			}
 		}
@@ -162,11 +162,12 @@ func (c *Collector) installScion(s ssp.InterScion) {
 func (c *Collector) serveCopyOut(req CopyOutReq) CopyOutReply {
 	rep := CopyOutReply{NotOwned: make(map[addr.OID]addr.NodeID)}
 	for _, o := range req.OIDs {
-		if !c.dsm.IsOwner(o) {
-			rep.NotOwned[o] = c.dsm.OwnerPtrOf(o)
+		r := c.dsm.Record(o)
+		if !r.IsOwner() {
+			rep.NotOwned[o] = r.OwnerPtr()
 			continue
 		}
-		if man, ok := c.moveOwnedObject(o); ok {
+		if man, ok := c.moveOwnedObject(r); ok {
 			rep.Manifests = append(rep.Manifests, man)
 		} else {
 			rep.NotOwned[o] = addr.NoNode
@@ -181,9 +182,10 @@ func (c *Collector) serveCopyOut(req CopyOutReq) CopyOutReply {
 // updates for the nodes this node's protocol state says hold a replica
 // through it. The bunch collector's copy phase, the copy-out service and
 // segment evacuation all move objects through it; the words and
-// reference-map bits move through Heap.CopyObject.
-func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
-	old, ok := c.heap.Canonical(o)
+// reference-map bits move through Heap.CopyObject. r is the object's record.
+func (c *Collector) moveOwnedObject(r *dsm.Record) (dsm.Manifest, bool) {
+	o := r.OID()
+	old, ok := r.Canonical()
 	if !ok || !c.heap.Mapped(old) || !c.heap.IsObjectAt(old) {
 		return dsm.Manifest{}, false
 	}
@@ -198,10 +200,9 @@ func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
 	}
 	if c.heap.Forwarded(old) {
 		// Already moved; report the current location.
-		man, ok := c.manifestOf(o)
-		return man, ok
+		return c.manifestOf(r)
 	}
-	b := c.BunchOf(o)
+	b := r.Bunch()
 	rep := c.Replica(b)
 	size := c.heap.ObjSize(old)
 	if rep.allocSeg == nil || rep.allocSeg.FreeWords() < size+mem.HeaderWords {
@@ -213,14 +214,13 @@ func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
 	}
 	c.heap.CopyObject(old, to)
 	c.heap.SetFwd(old, to)
-	c.heap.SetCanonical(o, to)
-	c.locEpoch[o]++
-	ep := c.locEpoch[o]
+	r.SetCanonical(to)
+	man := dsm.Manifest{OID: o, Addr: to, Size: size, Bunch: b, Epoch: r.BumpEpoch()}
 	c.net.Clock().Advance(copyWordTick * uint64(size+mem.HeaderWords))
-	c.queueLocation(o, b, to, size, c.dsm.ReplicaNodes(o))
+	c.queueLocation(man, r.ReplicaNodes())
 	c.stats().Add("core.gc.copied", 1)
 	c.stats().Add("core.gc.copiedWords", int64(size+mem.HeaderWords))
-	return dsm.Manifest{OID: o, Addr: to, Size: size, Bunch: b, Epoch: ep}, true
+	return man, true
 }
 
 // serveAddrChange participates in another node's from-space reuse round
@@ -232,8 +232,9 @@ func (c *Collector) moveOwnedObject(o addr.OID) (dsm.Manifest, bool) {
 func (c *Collector) serveAddrChange(msg AddrChangeMsg) error {
 	var skipped int64
 	for _, m := range msg.Manifests {
-		if _, ok := c.heap.Canonical(m.OID); ok || c.dsm.Knows(m.OID) {
-			c.applyManifest(m, msg.From)
+		r := c.dsm.Record(m.OID)
+		if _, ok := r.Canonical(); ok || r.Known() {
+			c.applyManifest(r, m, msg.From)
 		} else {
 			skipped++
 		}
@@ -259,7 +260,8 @@ func (c *Collector) serveAddrChange(msg AddrChangeMsg) error {
 // of the given segments: owned objects are moved locally; non-owned ones
 // are copied out by their owners, one request per owner for the batch.
 func (c *Collector) evacuate(segs []addr.SegID) {
-	var mine, theirs []addr.OID
+	var mine []*dsm.Record
+	var theirs []addr.OID
 	for _, id := range segs {
 		s := c.heap.Seg(id)
 		if s == nil {
@@ -269,20 +271,19 @@ func (c *Collector) evacuate(segs []addr.SegID) {
 			if c.heap.Forwarded(a) {
 				continue
 			}
-			o := c.heap.ObjOID(a)
-			can, ok := c.heap.Canonical(o)
-			if !ok || can != a {
+			r := c.dsm.Record(c.heap.ObjOID(a))
+			if can, ok := r.Canonical(); !ok || can != a {
 				continue // dead here, or already relocated
 			}
-			if c.dsm.IsOwner(o) {
-				mine = append(mine, o)
-			} else if c.dsm.Knows(o) {
-				theirs = append(theirs, o)
+			if r.IsOwner() {
+				mine = append(mine, r)
+			} else if r.Known() {
+				theirs = append(theirs, r.OID())
 			}
 		}
 	}
-	for _, o := range mine {
-		c.moveOwnedObject(o)
+	for _, r := range mine {
+		c.moveOwnedObject(r)
 	}
 	// A failed copy-out leaves the object's canonical address in the batch:
 	// a word naming it asks again in rewriteRefsInto, which refuses on failure.
@@ -317,7 +318,9 @@ func (c *Collector) requestCopyOut(oids []addr.OID) error {
 			slices.Sort(os)
 			if node == c.node {
 				for _, o := range os {
-					c.moveOwnedObject(o)
+					if r := c.dsm.Record(o); r != nil {
+						c.moveOwnedObject(r)
+					}
 				}
 				continue
 			}
@@ -437,26 +440,28 @@ func (c *Collector) applyLate(doomed segSet, unplaced []addr.OID, ms []dsm.Manif
 	}
 	for _, o := range unplaced {
 		if m, ok := best[o]; ok {
-			c.applyManifest(m, from)
+			c.applyManifest(c.dsm.Record(o), m, from)
 		}
 	}
 	if len(best) > 0 {
 		c.stats().Add("core.reclaim.manifestsLate", int64(len(best)))
 	}
 	return slices.DeleteFunc(unplaced, func(o addr.OID) bool {
-		can, ok := c.heap.Canonical(o)
+		can, ok := c.dsm.Canonical(o)
 		return ok && !doomed.contains(c.heap.Resolve(can))
 	})
 }
 
 // dropCanonicalsIn forgets canonical addresses still inside the batch being
-// reclaimed. Anything still there is stale: live objects were evacuated.
+// reclaimed. Anything still there is stale: live objects were evacuated. It
+// walks every record with a canonical address, not just the batch's bunch:
+// a stale one may name a recycled segment its own bunch no longer holds.
 func (c *Collector) dropCanonicalsIn(doomed segSet) {
-	c.heap.ForEachCanonical(func(o addr.OID, a addr.Addr) {
+	c.dsm.ForEachCanonical(func(o addr.OID, a addr.Addr) {
 		if !doomed.contains(a) {
 			return
 		}
-		c.heap.DropObject(o)
+		c.dsm.DropCanonical(o)
 		if c.heap.IsObjectAt(a) && c.heap.ObjOID(a) != o {
 			// The address was reused under a stale canonical: only the
 			// pointer is bogus, the protocol state (ownership, copy-set,

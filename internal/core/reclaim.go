@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"bmx/internal/addr"
 	"bmx/internal/dsm"
 	"bmx/internal/mem"
@@ -56,20 +58,25 @@ func (c *Collector) ReclaimFromSpace(b addr.BunchID) ReclaimStats {
 	// object allocated in the batch (the initiator created these segments,
 	// so its object maps are complete), plus the header table receivers
 	// need to rewrite words they cannot resolve locally.
-	var mans []dsm.Manifest
-	var headers []SegHeader
-	sent := make(map[addr.OID]bool)
+	n := 0
+	for _, id := range ids {
+		n += c.heap.Seg(id).ObjectCount()
+	}
+	headers := make([]SegHeader, 0, n)
 	for _, id := range ids {
 		for _, a := range c.heap.Seg(id).Objects() {
-			o := c.heap.ObjOID(a)
-			headers = append(headers, SegHeader{Old: a, OID: o})
-			if sent[o] {
-				continue
-			}
-			if m, ok := c.manifestOf(o); ok && m.Addr != a && !doomed.contains(m.Addr) {
-				mans = append(mans, m)
-				sent[o] = true
-			}
+			headers = append(headers, SegHeader{Old: a, OID: c.heap.ObjOID(a)})
+		}
+	}
+	mans := make([]dsm.Manifest, 0, n)
+	sent := make(map[addr.OID]bool, n)
+	for _, h := range headers {
+		if sent[h.OID] {
+			continue
+		}
+		if m, ok := c.manifestOf(c.dsm.Record(h.OID)); ok && m.Addr != h.Old && !doomed.contains(m.Addr) {
+			mans = append(mans, m)
+			sent[h.OID] = true
 		}
 	}
 
@@ -92,7 +99,8 @@ func (c *Collector) ReclaimFromSpace(b addr.BunchID) ReclaimStats {
 		}
 		// The peer's queued location updates ride along, but on a GC
 		// message: they are not consistency-traffic piggyback (§4.4).
-		all := append(append([]dsm.Manifest(nil), mans...), c.takePending(peer)...)
+		// Receivers only read the list, so peers with none share mans.
+		all := append(slices.Clip(mans), c.takePending(peer)...)
 		bytes := 16 + 4*len(ids)
 		for _, m := range all {
 			bytes += m.WireBytes()

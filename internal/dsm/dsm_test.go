@@ -42,7 +42,7 @@ type fakeHooks struct {
 
 // copySetOf returns the nodes n granted read tokens to for o.
 func copySetOf(n *Node, o addr.OID) []addr.NodeID {
-	if st := n.objs[o]; st != nil {
+	if st := n.stateOf(o); st != nil {
 		return st.CopySet
 	}
 	return nil
@@ -373,7 +373,7 @@ func TestLocUpdateForwardedDownCopySet(t *testing.T) {
 
 	// Owner moves O2 (simulating a BGC move) and N2 re-acquires O1.
 	env.hooks[0].addrs[2] = 0x9999
-	env.nodes[1].objs[1].Mode = ModeInvalid // force a real re-acquire
+	env.nodes[1].objs[1].st.Mode = ModeInvalid // force a real re-acquire
 	before := len(env.hooks[2].applied)
 	env.nodes[1].Acquire(1, ModeRead, simnet.ClassApp)
 	env.net.Run(0) // deliver the async copy-set forwards
@@ -426,9 +426,9 @@ func TestHopLimitOnCorruptChain(t *testing.T) {
 	env := newFakeEnv(t, 2)
 	env.newObj(1, 1, 0)
 	// Corrupt the state to create an ownerPtr cycle N1 <-> N2.
-	env.nodes[0].objs[1].Owner = false
-	env.nodes[0].objs[1].Mode = ModeInvalid
-	env.nodes[0].objs[1].OwnerPtr = 1
+	env.nodes[0].objs[1].st.Owner = false
+	env.nodes[0].objs[1].st.Mode = ModeInvalid
+	env.nodes[0].objs[1].st.OwnerPtr = 1
 	env.nodes[1].Learn(1, 1, 0)
 	if err := env.nodes[1].Acquire(1, ModeWrite, simnet.ClassApp); err == nil {
 		t.Fatal("expected hop-limit error on cyclic chain")
@@ -499,10 +499,8 @@ func TestNonOwnedLiveAndEnteringRoots(t *testing.T) {
 	if len(roots) != 1 || roots[0] != 1 {
 		t.Fatalf("EnteringRoots = %v", roots)
 	}
-	var objs []addr.OID
-	env.nodes[0].ForEachObjectInBunch(2, func(o addr.OID) { objs = append(objs, o) })
-	if len(objs) != 1 || objs[0] != 2 {
-		t.Fatalf("ForEachObjectInBunch(2) = %v", objs)
+	if objs := env.nodes[0].Members(2); len(objs) != 1 || objs[0].OID() != 2 {
+		t.Fatalf("Members(2) = %v", objs)
 	}
 }
 
@@ -564,8 +562,8 @@ func checkTokenInvariants(t *testing.T, env *fakeEnv, o addr.OID, ctx string) {
 	t.Helper()
 	owners, writers, readers := 0, 0, 0
 	for _, n := range env.nodes {
-		st, ok := n.objs[o]
-		if !ok {
+		st := n.stateOf(o)
+		if st == nil {
 			continue
 		}
 		if st.Owner {

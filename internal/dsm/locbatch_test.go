@@ -35,8 +35,8 @@ func buildCopySetEnv(t *testing.T) *fakeEnv {
 	// The owner moves O3 (a BGC move); N1 re-acquires O1 and O2, receives
 	// the O3 manifest in each grant, and must push it down both copy-sets.
 	env.hooks[0].addrs[3] = 0x9999
-	env.nodes[1].objs[1].Mode = ModeInvalid
-	env.nodes[1].objs[2].Mode = ModeInvalid
+	env.nodes[1].objs[1].st.Mode = ModeInvalid
+	env.nodes[1].objs[2].st.Mode = ModeInvalid
 	env.nodes[1].Acquire(1, ModeRead, simnet.ClassApp)
 	env.nodes[1].Acquire(2, ModeRead, simnet.ClassApp)
 	env.net.Run(0)
@@ -153,7 +153,7 @@ func TestCoalescedRandomSoakInvariants(t *testing.T) {
 func TestTakeCopySetScratchReuse(t *testing.T) {
 	env := newFakeEnv(t, 1)
 	n := env.nodes[0]
-	st := newObjState(1)
+	st := &ObjState{Bunch: 1}
 	for _, id := range []addr.NodeID{3, 1, 2} {
 		st.addCopy(id)
 	}

@@ -82,12 +82,21 @@ type invalidateReq struct {
 	Class transport.Class
 }
 
-// Node is one site's DSM protocol engine.
+// Node is one site's DSM protocol engine. It also keeps the site's object
+// records: the protocol state of each object beside the collector's
+// canonical address, location epoch and root count (record.go).
 type Node struct {
-	id       addr.NodeID
-	net      transport.Transport
-	hooks    Hooks
-	objs     map[addr.OID]*ObjState
+	id    addr.NodeID
+	net   transport.Transport
+	hooks Hooks
+	// objs holds one record per object the node knows (record.go);
+	// bunches lists them per bunch and entering indexes their entering
+	// ownerPtrs by (bunch, sender). retired keeps the location epochs of
+	// objects whose record was freed: an epoch must never go backward.
+	objs     map[addr.OID]*Record
+	bunches  map[addr.BunchID]*members
+	entering map[enterKey]map[addr.OID]*ObjState
+	retired  map[addr.OID]uint64
 	protocol Protocol
 
 	maxHops int
@@ -120,7 +129,10 @@ func NewNode(id addr.NodeID, net transport.Transport, hooks Hooks, clusterSize i
 		id:           id,
 		net:          net,
 		hooks:        hooks,
-		objs:         make(map[addr.OID]*ObjState),
+		objs:         make(map[addr.OID]*Record),
+		bunches:      make(map[addr.BunchID]*members),
+		entering:     make(map[enterKey]map[addr.OID]*ObjState),
+		retired:      make(map[addr.OID]uint64),
 		outbox:       make(map[addr.NodeID]*locBatch),
 		maxHops:      2*clusterSize + 4,
 		rec:          o.Recorder(id),
@@ -272,7 +284,7 @@ func (n *Node) Acquire(o addr.OID, mode Mode, class transport.Class) error {
 		st.CopySet = nil
 		for _, pe := range rep.Path {
 			if pe.Node != n.id {
-				st.setEntering(pe.Node, pe.Gen)
+				n.setEntering(st, pe.Node, pe.Gen)
 			}
 		}
 		n.rec.Emit(obs.Event{Kind: obs.KOwnerTransfer, Class: obs.Class(class), OID: o, From: rep.Granter, To: n.id})
@@ -305,7 +317,7 @@ func (n *Node) Release(o addr.OID) {
 	n.stats().Add("dsm.release", 1)
 	n.rec.Emit(obs.Event{Kind: obs.KRelease, Class: obs.ClassApp, OID: o})
 	if n.protocol == ProtocolStrict {
-		if st, ok := n.objs[o]; ok && !st.Owner && st.Mode == ModeRead {
+		if st := n.stateOf(o); st != nil && !st.Owner && st.Mode == ModeRead {
 			st.Mode = ModeInvalid
 		}
 	}
@@ -481,7 +493,7 @@ func (n *Node) grantAsOwner(req acquireReq, st *ObjState) (acquireReply, error) 
 	st.CopySet = nil
 	// The requester now owns the object, so its replica no longer points
 	// here: any entering entry recorded for it is obsolete.
-	st.dropEntering(req.Requester)
+	n.dropEntering(st, req.Requester)
 	n.stats().Add("dsm.grant.write", 1)
 	return rep, nil
 }
@@ -492,7 +504,7 @@ func (n *Node) grantRead(req acquireReq, st *ObjState) acquireReply {
 	// protocol removes is caching ACROSS critical sections (Release drops
 	// the token), not the invalidation machinery.
 	st.addCopy(req.Requester)
-	st.setEntering(req.Requester, req.RequesterGen)
+	n.setEntering(st, req.Requester, req.RequesterGen)
 	n.stats().Add("dsm.grant.read", 1)
 	n.rec.Emit(obs.Event{Kind: obs.KAcquireGrant, Class: obs.Class(req.Class), OID: req.O,
 		From: req.Requester, To: n.id, A: int64(req.Mode), B: int64(req.Hops)})
@@ -520,7 +532,7 @@ func (n *Node) recordManifestEntering(ms []Manifest, req acquireReq) {
 		}
 		st := n.state(m.OID)
 		if !st.hasEntering(req.Requester) {
-			st.setEntering(req.Requester, req.RequesterGen)
+			n.setEntering(st, req.Requester, req.RequesterGen)
 		}
 	}
 }
@@ -628,8 +640,8 @@ func (n *Node) forwardManifests(o addr.OID, ms []Manifest) {
 	if len(ms) == 0 {
 		return
 	}
-	st, ok := n.objs[o]
-	if !ok || len(st.CopySet) == 0 {
+	st := n.stateOf(o)
+	if st == nil || len(st.CopySet) == 0 {
 		return
 	}
 	pb := 0

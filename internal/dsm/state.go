@@ -10,14 +10,20 @@ import (
 // ObjState is one node's protocol state for one object.
 type ObjState struct {
 	Bunch addr.BunchID
-	Mode  Mode
-	// Owner marks the node currently holding the object's write token, or
-	// the node that last held it (§2.2).
-	Owner bool
 	// OwnerPtr is the forwarding pointer toward the owner, valid when
 	// !Owner (§2.2: "a forwarding pointer mechanism indicating which node
 	// is the current object's owner").
 	OwnerPtr addr.NodeID
+	Mode     Mode
+	// Owner marks the node currently holding the object's write token, or
+	// the node that last held it (§2.2).
+	Owner bool
+	// RoutingOnly marks a forwarding stub kept at the object's allocation
+	// site (its manager, in Li's terminology) after the local replica was
+	// reclaimed: the site anchors every ownerPtr chain, so it must keep
+	// routing until the owner reports the object globally dead. A
+	// routing-only entry contributes nothing to exiting lists.
+	RoutingOnly bool
 	// CopySet lists, ascending, the nodes this node granted a read token
 	// to; copy-sets are distributed among the granters, forming a tree
 	// rooted at the owner (§2.2).
@@ -27,34 +33,28 @@ type ObjState struct {
 	// collector and the list of nodes whose references must eventually be
 	// updated (§4.5); the scion cleaner retires them using table messages
 	// (§6).
+	//
+	// Copy-set and entering list are small sorted slices, nil until their
+	// first insert: most objects a node knows never gain a reader or an
+	// entering ownerPtr, and one that does rarely has more than a few.
 	Entering []EnteringPtr
-	// RoutingOnly marks a forwarding stub kept at the object's allocation
-	// site (its manager, in Li's terminology) after the local replica was
-	// reclaimed: the site anchors every ownerPtr chain, so it must keep
-	// routing until the owner reports the object globally dead. A
-	// routing-only entry contributes nothing to exiting lists.
-	RoutingOnly bool
+	// rec is the record holding the state, nil while that record has no
+	// state or once the state is detached (forgotten): only attached state
+	// is indexed.
+	rec *Record
 }
 
 // EnteringPtr is one entering ownerPtr: a node whose replica's ownerPtr
 // points here.
 type EnteringPtr struct {
-	Node addr.NodeID
 	// Gen is the sender-side table generation when the entry was created.
-	Gen uint64
+	Gen  uint64
+	Node addr.NodeID
 	// Derivative marks an entry whose sender reported its replica as live
 	// only through scions this node itself created (TableMsg.Derivative). A
 	// group collection covering the sustaining stubs may discount such
 	// entries as roots; everything else treats them like ordinary entries.
 	Derivative bool
-}
-
-// newObjState returns an invalid-mode state with no route. Copy-set and
-// entering list are small sorted slices, nil until their first insert:
-// most objects a node knows never gain a reader or an entering ownerPtr,
-// and an object that does rarely has more than a few.
-func newObjState(b addr.BunchID) *ObjState {
-	return &ObjState{Bunch: b, Mode: ModeInvalid, OwnerPtr: addr.NoNode}
 }
 
 // addCopy records a read token granted to id.
@@ -86,89 +86,93 @@ func (st *ObjState) hasEntering(from addr.NodeID) bool {
 }
 
 // setEntering records (or restamps) from's entering ownerPtr as an
-// ordinary root: a fresh entry is never derivative.
-func (st *ObjState) setEntering(from addr.NodeID, gen uint64) {
+// ordinary root: a fresh entry is never derivative. It reports whether the
+// entry is new. Node.setEntering also indexes it.
+func (st *ObjState) setEntering(from addr.NodeID, gen uint64) bool {
 	e := EnteringPtr{Node: from, Gen: gen}
-	if i, found := st.findEntering(from); found {
+	i, found := st.findEntering(from)
+	if found {
 		st.Entering[i] = e
 	} else {
 		st.Entering = slices.Insert(st.Entering, i, e)
 	}
+	return !found
 }
 
-// dropEntering removes from's entering entry.
-func (st *ObjState) dropEntering(from addr.NodeID) {
-	if i, found := st.findEntering(from); found {
+// dropEntering removes from's entering entry and reports whether there was
+// one. Node.dropEntering also unindexes it.
+func (st *ObjState) dropEntering(from addr.NodeID) bool {
+	i, found := st.findEntering(from)
+	if found {
 		st.Entering = slices.Delete(st.Entering, i, i+1)
 	}
+	return found
 }
 
 // state returns the node's state for o, creating an invalid-mode entry
-// routed at the directory's owner hint if the object was never seen.
+// routed at the directory's owner hint if the node has none.
 func (n *Node) state(o addr.OID) *ObjState {
-	if st, ok := n.objs[o]; ok {
-		return st
+	if r, ok := n.objs[o]; ok && r.Known() {
+		return &r.st
 	}
 	b, hint := n.hooks.Locate(o)
-	st := newObjState(b)
+	st := n.attach(o, b)
 	st.OwnerPtr = hint
-	n.objs[o] = st
 	return st
 }
 
-// Knows reports whether the node has any protocol state for o.
-func (n *Node) Knows(o addr.OID) bool {
-	_, ok := n.objs[o]
-	return ok
+// stateOf returns o's protocol state, or nil. Unlike state it never
+// creates any.
+func (n *Node) stateOf(o addr.OID) *ObjState {
+	if r, ok := n.objs[o]; ok && r.Known() {
+		return &r.st
+	}
+	return nil
 }
+
+// Knows reports whether the node has any protocol state for o.
+func (n *Node) Knows(o addr.OID) bool { return n.objs[o].Known() }
 
 // RegisterNew records a freshly allocated object: the allocating node owns
 // it and holds its write token.
 func (n *Node) RegisterNew(o addr.OID, b addr.BunchID) {
-	st := newObjState(b)
+	st := n.attach(o, b)
 	st.Mode = ModeWrite
 	st.Owner = true
-	n.objs[o] = st
 	n.heat.NoteOwner(o)
-}
-
-// KnownBunch returns the bunch recorded for o, or addr.NoBunch when the
-// node has no protocol state for it — unlike state(o) it never creates an
-// entry, so observability layers can ask freely.
-func (n *Node) KnownBunch(o addr.OID) addr.BunchID {
-	if st, ok := n.objs[o]; ok {
-		return st.Bunch
-	}
-	return addr.NoBunch
 }
 
 // Learn records that o exists (from a manifest), with hint as the first
 // guess for the ownerPtr chain. Existing state is left untouched — except a
 // broken route (an ownerPtr pointing nowhere or at this node itself, as a
 // state recreated from the local allocation-site hint after a reclaim has),
-// which the fresher hint repairs.
-func (n *Node) Learn(o addr.OID, b addr.BunchID, hint addr.NodeID) {
-	if st, ok := n.objs[o]; ok {
+// which the fresher hint repairs. It returns o's record.
+func (n *Node) Learn(o addr.OID, b addr.BunchID, hint addr.NodeID) *Record {
+	if st := n.stateOf(o); st != nil {
 		if !st.Owner && (st.OwnerPtr == addr.NoNode || st.OwnerPtr == n.id) &&
 			hint != addr.NoNode && hint != n.id {
 			st.OwnerPtr = hint
 		}
-		return
+		return st.rec
 	}
-	st := newObjState(b)
+	st := n.attach(o, b)
 	st.OwnerPtr = hint
-	n.objs[o] = st
+	return st.rec
 }
 
 // Forget drops all protocol state for o (the local replica was reclaimed).
-func (n *Node) Forget(o addr.OID) { delete(n.objs, o) }
+func (n *Node) Forget(o addr.OID) {
+	if r, ok := n.objs[o]; ok && r.Known() {
+		n.detach(r)
+	}
+}
 
 // DemoteToRouting turns o's state into a pure forwarding stub at the
 // allocation site: the replica is gone but the ownerPtr chain must remain
 // anchored here. Reports false if the node has no state or is the owner.
 func (n *Node) DemoteToRouting(o addr.OID) bool {
-	st, ok := n.objs[o]
-	if !ok || st.Owner || st.OwnerPtr == addr.NoNode {
+	st := n.stateOf(o)
+	if st == nil || st.Owner || st.OwnerPtr == addr.NoNode {
 		return false
 	}
 	st.RoutingOnly = true
@@ -179,8 +183,8 @@ func (n *Node) DemoteToRouting(o addr.OID) bool {
 
 // IsRoutingOnly reports whether o's local state is a pure forwarding stub.
 func (n *Node) IsRoutingOnly(o addr.OID) bool {
-	st, ok := n.objs[o]
-	return ok && st.RoutingOnly
+	st := n.stateOf(o)
+	return st != nil && st.RoutingOnly
 }
 
 // AddEntering records that from's replica of o has an ownerPtr pointing at
@@ -193,7 +197,7 @@ func (n *Node) AddEntering(o addr.OID, from addr.NodeID, gen uint64) {
 	if !st.hasEntering(from) {
 		// A fresh entry starts as an ordinary root; only the sender's next
 		// table may mark it derivative.
-		st.setEntering(from, gen)
+		n.setEntering(st, from, gen)
 	}
 }
 
@@ -201,8 +205,8 @@ func (n *Node) AddEntering(o addr.OID, from addr.NodeID, gen uint64) {
 // reported its replica of o as live only through scions created on this
 // node's behalf. No-op when the entering entry does not exist.
 func (n *Node) SetEnteringDerivative(o addr.OID, from addr.NodeID, derivative bool) {
-	st, ok := n.objs[o]
-	if !ok {
+	st := n.stateOf(o)
+	if st == nil {
 		return
 	}
 	if i, found := st.findEntering(from); found {
@@ -215,8 +219,8 @@ func (n *Node) SetEnteringDerivative(o addr.OID, from addr.NodeID, derivative bo
 // routing through this node is held live solely by scions this node's own
 // stubs sustain.
 func (n *Node) EnteringAllDerivative(o addr.OID) bool {
-	st, ok := n.objs[o]
-	if !ok || len(st.Entering) == 0 {
+	st := n.stateOf(o)
+	if st == nil || len(st.Entering) == 0 {
 		return false
 	}
 	for _, e := range st.Entering {
@@ -228,33 +232,19 @@ func (n *Node) EnteringAllDerivative(o addr.OID) bool {
 }
 
 // ModeOf returns the node's token mode for o.
-func (n *Node) ModeOf(o addr.OID) Mode {
-	if st, ok := n.objs[o]; ok {
-		return st.Mode
-	}
-	return ModeInvalid
-}
+func (n *Node) ModeOf(o addr.OID) Mode { return n.objs[o].Mode() }
 
 // IsOwner reports whether this node is o's owner.
-func (n *Node) IsOwner(o addr.OID) bool {
-	st, ok := n.objs[o]
-	return ok && st.Owner
-}
+func (n *Node) IsOwner(o addr.OID) bool { return n.objs[o].IsOwner() }
 
 // OwnerPtrOf returns the node this replica's ownerPtr points at, or NoNode
 // for owned or unknown objects.
-func (n *Node) OwnerPtrOf(o addr.OID) addr.NodeID {
-	st, ok := n.objs[o]
-	if !ok || st.Owner {
-		return addr.NoNode
-	}
-	return st.OwnerPtr
-}
+func (n *Node) OwnerPtrOf(o addr.OID) addr.NodeID { return n.objs[o].OwnerPtr() }
 
 // EnteringOf returns the nodes whose ownerPtr points at this node for o.
 func (n *Node) EnteringOf(o addr.OID) []addr.NodeID {
-	st, ok := n.objs[o]
-	if !ok {
+	st := n.stateOf(o)
+	if st == nil {
 		return nil
 	}
 	out := make([]addr.NodeID, 0, len(st.Entering))
@@ -265,16 +255,15 @@ func (n *Node) EnteringOf(o addr.OID) []addr.NodeID {
 }
 
 // EnteringRoots returns every object of bunch b with at least one entering
-// ownerPtr at this node; such objects are roots of the local bunch
-// collector (§4.1).
+// ownerPtr at this node, in OID order; such objects are roots of the local
+// bunch collector (§4.1).
 func (n *Node) EnteringRoots(b addr.BunchID) []addr.OID {
 	var out []addr.OID
-	for o, st := range n.objs {
-		if st.Bunch == b && len(st.Entering) > 0 {
-			out = append(out, o)
+	for _, r := range n.Members(b) {
+		if r.HasEntering() {
+			out = append(out, r.oid)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -284,9 +273,9 @@ func (n *Node) EnteringRoots(b addr.BunchID) []addr.OID {
 // excluded: they hold no replica to keep alive.
 func (n *Node) NonOwnedLive(b addr.BunchID) map[addr.OID]addr.NodeID {
 	out := make(map[addr.OID]addr.NodeID)
-	for o, st := range n.objs {
-		if st.Bunch == b && !st.Owner && !st.RoutingOnly && st.OwnerPtr != addr.NoNode {
-			out[o] = st.OwnerPtr
+	for _, r := range n.Members(b) {
+		if st := &r.st; r.Known() && !st.Owner && !st.RoutingOnly && st.OwnerPtr != addr.NoNode {
+			out[r.oid] = st.OwnerPtr
 		}
 	}
 	return out
@@ -295,50 +284,34 @@ func (n *Node) NonOwnedLive(b addr.BunchID) map[addr.OID]addr.NodeID {
 // RemoveEnteringUpTo deletes, for every object of bunch b not in keep,
 // from's entering entry if it was created at or before table generation gen;
 // a newer entry is preserved (the table predates the acquire that created
-// it). It reports how many entries it removed.
+// it). It visits only the entering index's (b, from) entries, and reports
+// how many entries it removed.
 func (n *Node) RemoveEnteringUpTo(b addr.BunchID, from addr.NodeID, gen uint64, keep map[addr.OID]bool) int {
+	k := enterKey{b, from}
+	set := n.entering[k]
 	removed := 0
-	for o, st := range n.objs {
-		if len(st.Entering) == 0 || st.Bunch != b {
-			continue
-		}
+	for o, st := range set {
 		if i, found := st.findEntering(from); found && st.Entering[i].Gen <= gen && !keep[o] {
 			st.Entering = slices.Delete(st.Entering, i, i+1)
+			delete(set, o)
 			removed++
 		}
+	}
+	if len(set) == 0 {
+		delete(n.entering, k)
 	}
 	return removed
 }
 
 // ReplicaNodes lists the nodes o's state says hold a replica through this
 // node, a node possibly twice: the copy-set and the entering ownerPtrs.
-func (n *Node) ReplicaNodes(o addr.OID) []addr.NodeID {
-	var out []addr.NodeID
-	if st, ok := n.objs[o]; ok {
-		out = slices.Clone(st.CopySet)
-		for _, e := range st.Entering {
-			out = append(out, e.Node)
-		}
-	}
-	return out
-}
-
-// ForEachObjectInBunch calls f with every object of bunch b with local
-// protocol state, in no particular order. f must not create or forget
-// protocol state.
-func (n *Node) ForEachObjectInBunch(b addr.BunchID, f func(o addr.OID)) {
-	for o, st := range n.objs {
-		if st.Bunch == b {
-			f(o)
-		}
-	}
-}
+func (n *Node) ReplicaNodes(o addr.OID) []addr.NodeID { return n.objs[o].ReplicaNodes() }
 
 // ForgetBunch drops the local protocol state of every object of bunch b.
 func (n *Node) ForgetBunch(b addr.BunchID) {
-	for o, st := range n.objs {
-		if st.Bunch == b {
-			delete(n.objs, o)
+	for _, r := range n.Members(b) {
+		if r.Known() {
+			n.detach(r)
 		}
 	}
 }

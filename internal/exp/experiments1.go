@@ -363,7 +363,7 @@ func RunE5() Table {
 func countPresent(nd *cluster.Node, objs []cluster.Ref) int {
 	n := 0
 	for _, o := range objs {
-		if _, ok := nd.Collector().Heap().Canonical(o.OID); ok {
+		if _, ok := nd.DSM().Canonical(o.OID); ok {
 			n++
 		}
 	}

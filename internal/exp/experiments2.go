@@ -66,7 +66,7 @@ func RunE6() Table {
 			settle(cl, 1)
 			gone := true
 			for i, o := range objs {
-				if _, present := cl.Node(i % nodes).Collector().Heap().Canonical(o.OID); present {
+				if _, present := cl.Node(i % nodes).DSM().Canonical(o.OID); present {
 					gone = false
 					break
 				}
@@ -77,7 +77,7 @@ func RunE6() Table {
 		}
 		reclaimed := 0
 		for i, o := range objs {
-			if _, present := cl.Node(i % nodes).Collector().Heap().Canonical(o.OID); !present {
+			if _, present := cl.Node(i % nodes).DSM().Canonical(o.OID); !present {
 				reclaimed++
 			}
 		}
@@ -397,8 +397,8 @@ func RunA2() Table {
 func staleCount(a, b *cluster.Node, g trace.Graph) int {
 	n := 0
 	for _, o := range g.Objects {
-		ca, oka := a.Collector().Heap().Canonical(o.OID)
-		cb, okb := b.Collector().Heap().Canonical(o.OID)
+		ca, oka := a.DSM().Canonical(o.OID)
+		cb, okb := b.DSM().Canonical(o.OID)
 		if oka && okb && ca != cb {
 			n++
 		}

@@ -29,6 +29,15 @@ func (b *Bitmap) Clear(i int) { b.bits[i>>6] &^= 1 << (uint(i) & 63) }
 // Get reports whether bit i is set.
 func (b *Bitmap) Get(i int) bool { return b.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 
+// Count returns the number of set bits.
+func (b *Bitmap) Count() int {
+	n := 0
+	for _, w := range b.bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // ForEach calls f with the index of every set bit, in increasing order.
 func (b *Bitmap) ForEach(f func(i int)) { b.forRange(0, b.n, f) }
 

@@ -6,11 +6,10 @@ import (
 	"bmx/internal/addr"
 )
 
-// Heap is one node's view of the shared address space: the set of segment
-// replicas this node has mapped, plus the node-local canonical address of
-// every object the node knows about. Canonical addresses legitimately differ
-// across nodes between a bunch collection and the propagation of the
-// location updates — that transient divergence is the heart of the paper.
+// Heap is one node's view of the shared address space: the segment replicas
+// this node has mapped, their words and their object and reference maps. It
+// keeps nothing per object: an object's node-local canonical address lives
+// in the node's object record (dsm.Record), beside its protocol state.
 //
 // A Heap and its Segments carry no lock: they are node-local state, touched
 // only under the owning node's lock (cluster.Node) or while the cluster is
@@ -21,16 +20,10 @@ type Heap struct {
 	// IDs are dense (the allocator numbers them in order and recycles freed
 	// ones), so the table stays as long as the cluster's peak segment count.
 	segs []*Segment
-	objs map[addr.OID]addr.Addr // node-local canonical header address
 }
 
 // NewHeap creates an empty heap drawing segment metadata from alloc.
-func NewHeap(alloc *Allocator) *Heap {
-	return &Heap{
-		alloc: alloc,
-		objs:  make(map[addr.OID]addr.Addr),
-	}
-}
+func NewHeap(alloc *Allocator) *Heap { return &Heap{alloc: alloc} }
 
 // Allocator returns the cluster allocator this heap draws from.
 func (h *Heap) Allocator() *Allocator { return h.alloc }
@@ -49,9 +42,8 @@ func (h *Heap) MapSegment(m *SegmentMeta) *Segment {
 	return s
 }
 
-// DiscardSegment drops the local replica of segment id without looking at
-// the canonical addresses: the caller has already forgotten every one that
-// pointed into it (DropObject).
+// DiscardSegment drops the local replica of segment id. The caller has
+// already forgotten every canonical address that pointed into it.
 func (h *Heap) DiscardSegment(id addr.SegID) {
 	if int(id) < len(h.segs) {
 		h.segs[id] = nil
@@ -130,14 +122,14 @@ func (h *Heap) WriteRange(a addr.Addr, words, mask []uint64) {
 	off := a.WordOff(s.Meta.Base)
 	copy(s.words[off:off+len(words)], words)
 	s.refMap.store(off, len(words), mask)
+	s.markFwds(off, off+len(words)) // a range may cover headers (recovery)
 }
 
 // ---- Object layout -------------------------------------------------------
 
 // Alloc bump-allocates an object of dataWords words with identity oid inside
-// segment s, writing its header and object-map bit, and records its
-// canonical address. It returns the header address, or false if the segment
-// lacks space.
+// segment s, writing its header and object-map bit. It returns the header
+// address, or false if the segment lacks space.
 func (h *Heap) Alloc(s *Segment, oid addr.OID, dataWords int) (addr.Addr, bool) {
 	if dataWords < 0 {
 		panic("mem: negative object size")
@@ -149,7 +141,6 @@ func (h *Heap) Alloc(s *Segment, oid addr.OID, dataWords int) (addr.Addr, bool) 
 	a := s.Meta.Base.AddWords(s.allocOff)
 	s.allocOff += need
 	writeHeader(s, a, oid, dataWords)
-	h.objs[oid] = a
 	return a, true
 }
 
@@ -176,6 +167,7 @@ func materialize(s *Segment, a addr.Addr, oid addr.OID, dataWords int) {
 
 func writeHeader(s *Segment, a addr.Addr, oid addr.OID, dataWords int) {
 	off := a.WordOff(s.Meta.Base)
+	s.fwdMap.Clear(off)
 	s.words[off] = uint64(uint32(dataWords))
 	s.words[off+1] = uint64(oid)
 	s.words[off+2] = 0
@@ -207,6 +199,9 @@ func (h *Heap) Forwarded(a addr.Addr) bool { return h.Word(a)&flagForwarded != 0
 func (h *Heap) SetFwd(a, to addr.Addr) {
 	s := h.mustSeg(a)
 	off := a.WordOff(s.Meta.Base)
+	if s.objMap.Get(off) {
+		s.fwdMap.Set(off)
+	}
 	s.words[off+2] = uint64(to)
 	s.words[off] |= flagForwarded
 }
@@ -216,6 +211,7 @@ func (h *Heap) SetFwd(a, to addr.Addr) {
 func (h *Heap) ClearFwd(a addr.Addr) {
 	s := h.mustSeg(a)
 	off := a.WordOff(s.Meta.Base)
+	s.fwdMap.Clear(off)
 	s.words[off] &^= flagForwarded
 	s.words[off+2] = 0
 }
@@ -311,34 +307,6 @@ func (h *Heap) CopyObject(src, dst addr.Addr) {
 	copy(ds.words[to:to+size], ss.words[from:from+size])
 	var mask [4]uint64 // an object of up to 256 words moves its bits without allocating
 	ds.refMap.store(to, size, ss.refMap.extract(mask[:0], from, size))
-}
-
-// ---- Canonical addresses -------------------------------------------------
-
-// Canonical returns this node's canonical address for oid.
-func (h *Heap) Canonical(oid addr.OID) (addr.Addr, bool) {
-	a, ok := h.objs[oid]
-	return a, ok
-}
-
-// SetCanonical records a as this node's canonical address for oid.
-func (h *Heap) SetCanonical(oid addr.OID, a addr.Addr) {
-	h.objs[oid] = a
-}
-
-// DropObject forgets oid's canonical address (the object was reclaimed
-// locally).
-func (h *Heap) DropObject(oid addr.OID) {
-	delete(h.objs, oid)
-}
-
-// ForEachCanonical calls f with every OID that has a canonical address on
-// this node, and that address, in no particular order. f may forget the
-// object it is given (DropObject) but must not record new ones.
-func (h *Heap) ForEachCanonical(f func(o addr.OID, a addr.Addr)) {
-	for o, a := range h.objs {
-		f(o, a)
-	}
 }
 
 // OIDAt resolves the address a (following forwarding pointers) and returns

@@ -74,9 +74,6 @@ func TestAllocObject(t *testing.T) {
 	if !h.IsObjectAt(oa) {
 		t.Fatal("object-map bit missing")
 	}
-	if c, ok := h.Canonical(7); !ok || c != oa {
-		t.Fatalf("canonical = %v, %v", c, ok)
-	}
 	if s.UsedWords() != HeaderWords+4 {
 		t.Fatalf("used = %d", s.UsedWords())
 	}
@@ -374,9 +371,6 @@ func TestRewriteWalks(t *testing.T) {
 	if h.Mapped(x) || len(h.Segments()) != 0 {
 		t.Fatal("segment still mapped after DiscardSegment")
 	}
-	if _, ok := h.Canonical(1); !ok {
-		t.Fatal("DiscardSegment touched the canonical map")
-	}
 }
 
 func TestCopyContentsFrom(t *testing.T) {
@@ -435,24 +429,6 @@ func TestSnapshotRestore(t *testing.T) {
 	s.Import(snap)
 	if h.GetField(oa, 0) != 123 {
 		t.Fatal("restore failed")
-	}
-}
-
-func TestKnownObjectsAndDrop(t *testing.T) {
-	a, h := newTestHeap()
-	s := h.MapSegment(a.NewSegment(1))
-	h.Alloc(s, 1, 1)
-	h.Alloc(s, 2, 1)
-	if len(h.objs) != 2 {
-		t.Fatalf("known = %v", h.objs)
-	}
-	h.ForEachCanonical(func(o addr.OID, _ addr.Addr) {
-		if o == 1 {
-			h.DropObject(o)
-		}
-	})
-	if _, ok := h.Canonical(1); ok || len(h.objs) != 1 {
-		t.Fatal("drop failed")
 	}
 }
 

@@ -233,6 +233,11 @@ type Segment struct {
 	// allocOff is the bump-allocation offset, meaningful only on the node
 	// that allocates into this segment.
 	allocOff int
+	// fwdMap marks the object headers holding a forwarding pointer, so a
+	// rewrite of forwarding pointers visits only those. Every write of a
+	// header word keeps it exact: writeHeader, SetFwd, ClearFwd, WriteRange
+	// and Import.
+	fwdMap *Bitmap
 }
 
 func newSegment(m *SegmentMeta) *Segment {
@@ -241,6 +246,7 @@ func newSegment(m *SegmentMeta) *Segment {
 		words:  make([]uint64, m.Words),
 		objMap: NewBitmap(m.Words),
 		refMap: NewBitmap(m.Words),
+		fwdMap: NewBitmap(m.Words),
 	}
 }
 
@@ -254,10 +260,13 @@ func (s *Segment) UsedWords() int {
 	return s.allocOff
 }
 
+// ObjectCount returns the number of objects materialized in this replica.
+func (s *Segment) ObjectCount() int { return s.objMap.Count() }
+
 // Objects returns the header addresses of every object materialized in this
 // replica, in address order.
 func (s *Segment) Objects() []addr.Addr {
-	var out []addr.Addr
+	out := make([]addr.Addr, 0, s.ObjectCount())
 	s.objMap.ForEach(func(i int) { out = append(out, s.Meta.Base.AddWords(i)) })
 	return out
 }
@@ -276,14 +285,27 @@ func (s *Segment) RewriteRefs(f func(v addr.Addr) (addr.Addr, bool)) int {
 	return n
 }
 
+// markFwds re-derives the forwarded-header marks of words [from, to) from
+// the object map and the header words.
+func (s *Segment) markFwds(from, to int) {
+	s.fwdMap.forRange(from, to, s.fwdMap.Clear)
+	s.objMap.forRange(from, to, func(off int) {
+		if s.words[off]&flagForwarded != 0 {
+			s.fwdMap.Set(off)
+		}
+	})
+}
+
+// ForwardedHeaders returns how many object headers in this replica hold a
+// forwarding pointer.
+func (s *Segment) ForwardedHeaders() int { return s.fwdMap.Count() }
+
 // RewriteFwds does for the forwarding pointers in this replica's object
-// headers what RewriteRefs does for its pointer words.
+// headers what RewriteRefs does for its pointer words. It visits only the
+// forwarded headers, so a replica with none returns at once.
 func (s *Segment) RewriteFwds(f func(v addr.Addr) (addr.Addr, bool)) int {
 	n := 0
-	s.objMap.ForEach(func(off int) {
-		if s.words[off]&flagForwarded == 0 {
-			return
-		}
+	s.fwdMap.ForEach(func(off int) {
 		if r, ok := f(addr.Addr(s.words[off+2])); ok {
 			s.words[off+2] = uint64(r)
 			n++
@@ -344,4 +366,5 @@ func (s *Segment) Import(img SegImage) {
 	copy(s.objMap.bits, img.ObjBits)
 	copy(s.refMap.bits, img.RefBits)
 	s.allocOff = img.AllocOff
+	s.markFwds(0, len(s.words))
 }

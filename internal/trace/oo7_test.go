@@ -50,7 +50,7 @@ func TestOO7SurvivesCollection(t *testing.T) {
 	n.CollectGroup(nil)
 	cl.Run(0)
 	for _, o := range db.Objects {
-		if _, ok := n.Collector().Heap().Canonical(o.OID); !ok {
+		if _, ok := n.DSM().Canonical(o.OID); !ok {
 			t.Fatalf("live design object %v reclaimed", o)
 		}
 	}
@@ -84,7 +84,7 @@ func TestOO7ModuleDeletion(t *testing.T) {
 		t.Fatal("module deletion reclaimed nothing")
 	}
 	// Module 1's subtree must be fully intact.
-	if _, ok := n.Collector().Heap().Canonical(db.Modules[1].OID); !ok {
+	if _, ok := n.DSM().Canonical(db.Modules[1].OID); !ok {
 		t.Fatal("surviving module reclaimed")
 	}
 	if v, err := n.ReadWord(db.Modules[1], 1); err != nil || v != 1 {

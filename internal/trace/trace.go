@@ -212,7 +212,7 @@ func MutateValues(nd *cluster.Node, g Graph, n int, seed int64) error {
 func CountPresent(nd *cluster.Node, g Graph) int {
 	n := 0
 	for _, o := range g.Objects {
-		if _, ok := nd.Collector().Heap().Canonical(o.OID); ok {
+		if _, ok := nd.DSM().Canonical(o.OID); ok {
 			n++
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -126,9 +127,10 @@ func TestOneWayToBuildANode(t *testing.T) {
 }
 
 // TestNodeLocalStateCarriesNoLock is the lock census: the collector, the
-// protocol engine, the heap and the heat table are node-local state, owned
-// outright by the node lock in internal/cluster, so none of their files may
-// import sync. A second lock under the node lock buys no concurrency —
+// protocol engine (with the node's object records and their member lists and
+// entering index, dsm/record.go), the heap and the heat table are node-local
+// state, owned outright by the node lock in internal/cluster, so none of their
+// files may import sync. A second lock under the node lock buys no concurrency —
 // nothing reaches this state without the node lock — and costs every
 // mutator operation.
 // The cluster-wide directory (core/directory.go) and the segment allocator
@@ -136,6 +138,9 @@ func TestOneWayToBuildANode(t *testing.T) {
 func TestNodeLocalStateCarriesNoLock(t *testing.T) {
 	files := append(sourceFiles(t, "../core"), sourceFiles(t, "../dsm")...)
 	files = append(files, filepath.Join("..", "mem", "heap.go"), filepath.Join("..", "obs", "heat", "heat.go"))
+	if !slices.Contains(files, filepath.Join("..", "dsm", "record.go")) {
+		t.Fatal("the census misses the object records (dsm/record.go)")
+	}
 	for _, path := range files {
 		if path == filepath.Join("..", "core", "directory.go") {
 			continue
