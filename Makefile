@@ -5,11 +5,9 @@ GO ?= go
 # The deterministic simnet envelopes, named once: `bench-json-sim` writes
 # them, `bench-ref` and `bench-gate` (and CI, through make) read them. Each
 # name has its bmxd arguments in <name>_ARGS.
-SIM_BENCHES := BENCH_4 BENCH_6_pertx BENCH_6_flip BENCH_7_simnet BENCH_9_zipf BENCH_9_churn
+SIM_BENCHES := BENCH_4 BENCH_7_simnet BENCH_9_zipf BENCH_9_churn
 TREE4 := -nodes 4 -objects 200 -rounds 8 -workload tree -seed 5 -bunches 4
-BENCH_4_ARGS        := $(TREE4)
-BENCH_6_pertx_ARGS  := $(TREE4) -store mem -sync pertx
-BENCH_6_flip_ARGS   := $(TREE4) -store mem -sync flip
+BENCH_4_ARGS        := $(TREE4) -store mem
 BENCH_7_simnet_ARGS := -nodes 3 -objects 120 -rounds 8 -workload tree -seed 5
 BENCH_9_zipf_ARGS   := -nodes 3 -objects 150 -rounds 8 -workload zipf -seed 5
 BENCH_9_churn_ARGS  := -nodes 3 -objects 60 -rounds 8 -workload churn-heavy -seed 5
@@ -48,24 +46,24 @@ chaos:
 	$(GO) run ./cmd/bmxd -chaos -nodes 3 -chaos-steps 400 -seed 1 -loss 0.05 -dup 0.15 -delay 0.2
 	$(GO) run ./cmd/bmxd -chaos -nodes 4 -chaos-steps 300 -seed 42 -dup 0.25 -delay 0.3 -partition-every 50 -partition-for 15
 
-# Crash-recovery chaos: seeded kill/restart schedules across both commit
-# disciplines and every store backend, plus the Go crash suite under the
-# race detector. Each run kills nodes mid-collection on both sides of the
-# flip's log force and audits persistence-by-reachability after restart.
+# Crash-recovery chaos: seeded kill/restart schedules across every store
+# backend, plus the Go crash suite under the race detector. Each run kills
+# nodes mid-collection on both sides of the flip's log force and audits
+# persistence-by-reachability after restart.
 # The flatfs runs use a fresh real directory, so recovery reads back what
 # their tail writes and fsyncs actually left on disk; the seed-5 one must
 # print byte for byte what the same run on the in-memory store prints.
 chaos-crash:
-	$(GO) test -race -run 'Crash|KillRestart|GroupCommit' ./internal/cluster/ ./internal/store/
-	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 600 -seed 1 -sync pertx
-	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 600 -seed 2 -sync flip
+	$(GO) test -race -run 'Crash|KillRestart|FlipForces' ./internal/cluster/ ./internal/store/
+	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 600 -seed 1
+	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 600 -seed 2
 	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-		$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 3 -store flatfs -store-dir "$$d" -sync flip
-	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 4 -store lsm -sync flip
+		$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 3 -store flatfs -store-dir "$$d"
+	$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 4 -store lsm
 	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-		$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 5 -store flatfs -store-dir "$$d/store" -sync pertx -stats-json > "$$d/flatfs.json"; \
+		$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 5 -store flatfs -store-dir "$$d/store" -stats-json > "$$d/flatfs.json"; \
 		s=$$?; cat "$$d/flatfs.json"; [ $$s -eq 0 ] && \
-		$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 5 -store mem -sync pertx -stats-json | diff "$$d/flatfs.json" -
+		$(GO) run ./cmd/bmxd -chaos-crash -nodes 3 -chaos-steps 400 -seed 5 -store mem -stats-json | diff "$$d/flatfs.json" -
 
 bench:
 	$(GO) test -bench=. -benchmem -run xxx .
@@ -81,11 +79,11 @@ profile-gc:
 # machine-readable benchmark summaries (quantile trajectories, msgs/op, GC
 # copy and scan volume) that CI uploads as artifacts and A/B-diffs with
 # `bmxstat -bench`. BENCH_4 is the tree workload sharded across four bunches,
-# each collected by its own BGC. The BENCH_6 pair is the same workload on
-# the mem store: per-transaction commit vs group commit (syncs-per-flip is
-# the figure that moves). There is no envelope per backend: flatfs reports
-# exactly what mem does and lsm differs only in bytes synced (`make
-# chaos-crash` and TestCrashChaosFlatFS check that).
+# each collected by its own BGC, on the mem store: each round commits (and
+# forces) one transaction, so syncs-per-flip is the persistence figure it
+# gates. There is no envelope per backend: flatfs reports exactly what mem
+# does and lsm differs only in bytes synced (`make chaos-crash` and
+# TestCrashChaosFlatFS check that).
 # BENCH_7 runs the same tree workload once on the simulated network and
 # once as a real 3-process TCP cluster over loopback, and A/B-diffs them:
 # the paper's accounting figures (msgs/op, piggyback volume, zero collector

@@ -59,7 +59,6 @@ func main() {
 
 		storeKind = flag.String("store", "", "persistent store backend: mem, flatfs or lsm (empty = no persistence)")
 		storeDir  = flag.String("store-dir", "", "flatfs only, and required by it: directory for the durable files, one subdirectory per node")
-		syncMode  = flag.String("sync", "pertx", "RVM commit discipline with -store: pertx (force the log every commit) or flip (group commit, one force per collection flip)")
 
 		listen   = flag.String("listen", "", "multi-process mode: serve this node on ADDR (host:port) and cluster with -peers; rank in the sorted address set is the node identity, rank 0 drives")
 		peersArg = flag.String("peers", "", "multi-process mode: comma-separated listen addresses of the other bmxd processes")
@@ -72,7 +71,7 @@ func main() {
 		partEvery  = flag.Int("partition-every", 40, "chaos: cut a random node pair every N steps (0 = never)")
 		partFor    = flag.Int("partition-for", 12, "chaos: heal each cut after N steps")
 
-		crashChaos = flag.Bool("chaos-crash", false, "run the seeded crash-recovery chaos schedule instead of the workload driver (implies -store mem unless set)")
+		crashChaos = flag.Bool("chaos-crash", false, "run the seeded crash-recovery chaos schedule instead of the workload driver: kill nodes on both sides of a flip's log force, recover, audit persistence by reachability (implies -store mem unless set)")
 	)
 	flag.Parse()
 
@@ -111,15 +110,6 @@ func main() {
 	if *traceJSON {
 		*traceOn = true
 	}
-	groupCommit := false
-	switch *syncMode {
-	case "pertx":
-	case "flip":
-		groupCommit = true
-	default:
-		fmt.Fprintf(os.Stderr, "bmxd: unknown sync mode %q\n", *syncMode)
-		os.Exit(2)
-	}
 	withDisk, factory, err := storeConfig(*storeKind, *storeDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bmxd:", err)
@@ -127,8 +117,7 @@ func main() {
 	}
 	if *crashChaos {
 		runCrashChaosCmd(bmx.CrashChaosConfig{
-			Nodes: *nodes, Steps: *chaosSteps, Seed: *seed,
-			GroupCommit: groupCommit, Store: factory,
+			Nodes: *nodes, Steps: *chaosSteps, Seed: *seed, Store: factory,
 		}, *statsJSON)
 		return
 	}
@@ -146,7 +135,7 @@ func main() {
 		Faults:      bmx.FaultPlan{Default: bmx.FaultRates{Drop: *loss}},
 		SendLatency: 1, CallLatency: 1,
 		Consistency: proto, SegmentGrainTokens: coarse,
-		WithDisk: withDisk, Store: factory, GroupCommit: groupCommit,
+		WithDisk: withDisk, Store: factory,
 	})
 	if *traceOn {
 		cl.EnableTracing()
@@ -237,10 +226,8 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		// With a store, each round is one committed transaction: under
-		// -sync pertx the commit forces the log here and now; under
-		// -sync flip it only appends, and the next collection's flip
-		// barrier forces the whole batch with a single sync.
+		// With a store, each round is one committed transaction, and the
+		// commit forces the log here and now.
 		if withDisk {
 			mutator.Sync()
 			if mutator != n0 {
@@ -374,12 +361,12 @@ func storeConfig(kind, dir string) (bool, func() store.Store, error) {
 // Exit status 1 if any kill/restart broke the durable state machine.
 func runCrashChaosCmd(cfg bmx.CrashChaosConfig, statsJSON bool) {
 	rep := bmx.RunCrashChaos(cfg)
-	fmt.Printf("crash chaos: %d nodes, %d steps, seed %d, group commit %v\n",
-		cfg.Nodes, rep.Steps, cfg.Seed, cfg.GroupCommit)
+	fmt.Printf("crash chaos: %d nodes, %d steps, seed %d\n", cfg.Nodes, rep.Steps, cfg.Seed)
 	fmt.Printf("ops %d, crashes %d (%d before flip sync, %d after), collections %d, checkpoints %d\n",
 		rep.Ops, rep.Crashes, rep.BeforeSync, rep.AfterSync, rep.Collections, rep.Checkpoints)
-	fmt.Printf("log forces %d, objects lost before first durability point %d\n",
-		rep.Syncs, rep.LostAllocs)
+	// Every commit forces the log, so the commit counter is the force count.
+	fmt.Printf("driver syncs %d, log forces %d, objects lost before first durability point %d\n",
+		rep.Syncs, rep.Stats["rvm.log.commits"], rep.LostAllocs)
 	fmt.Printf("simulated ticks: %d\n", rep.ClockTicks)
 	if statsJSON {
 		statsToJSON(os.Stdout, rep.Stats, nil)

@@ -11,7 +11,7 @@ import (
 	"bmx/internal/obs"
 )
 
-// CI perf gate: `bmxstat -bench BENCH_6_flip.json -ref BENCH_REF.json
+// CI perf gate: `bmxstat -bench BENCH_4.json -ref BENCH_REF.json
 // -gate 25` compares a fresh benchmark envelope against the committed
 // reference and exits non-zero when a gated metric regressed by more than
 // the given percentage. `-make-ref` builds the reference file from a
@@ -79,8 +79,8 @@ func gateViolations(cur, ref gateFigures, pct float64) []string {
 	worse := func(metric string, cur, ref float64) {
 		if ref <= 0 {
 			// A zero reference means the metric must stay zero: any
-			// appearance is a regression no tolerance excuses (this is how
-			// syncs-per-flip catches a group-commit discipline break).
+			// appearance is a regression no tolerance excuses (an envelope
+			// without a store must never report syncs-per-flip).
 			if cur > 0 {
 				out = append(out, fmt.Sprintf("%s: %.2f appeared (reference is 0)", metric, cur))
 			}

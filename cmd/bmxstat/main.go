@@ -14,7 +14,7 @@
 //	bmxstat -series a.ndjson -diff b.ndjson   # A/B two runs' series
 //	bmxstat -trace n0.ndjson,n1.ndjson -spans # cross-process span trees
 //	bmxstat -trace n0.ndjson,n1.ndjson -heat  # merged access heatmap + locality
-//	bmxstat -bench BENCH_6_flip.json -ref BENCH_REF.json -gate 25  # perf gate
+//	bmxstat -bench BENCH_4.json -ref BENCH_REF.json -gate 25  # perf gate
 package main
 
 import (

@@ -57,11 +57,6 @@ type Config struct {
 	// selects store.NewDisk — the deterministic map-backed mem backend,
 	// byte-identical to the seed behaviour.
 	Store func() store.Store
-	// GroupCommit selects the RVM commit discipline: false (default)
-	// forces the log on every transaction commit, exactly the seed's
-	// behaviour; true defers durability to the collector's flip barrier —
-	// one batched log force per collection.
-	GroupCommit bool
 	// Consistency selects the DSM protocol variant (the paper's entry
 	// consistency by default; see dsm.Protocol). The collector is
 	// identical under every variant.
@@ -228,7 +223,6 @@ func (cl *Cluster) newNode(id addr.NodeID) *Node {
 		n.disk = store.Measure(base, cl.net.Stats(), cl.net.Stats().Observer())
 		n.log = rvm.NewLog(n.disk, "rvm-log")
 		n.log.SetCounter(cl.net.Stats().Add)
-		n.log.SetGroupCommit(cfg.GroupCommit)
 		col.SetDurabilityBarrier(n.flipBarrier)
 	}
 	cl.nodes = append(cl.nodes, n)

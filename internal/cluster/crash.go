@@ -105,8 +105,6 @@ type CrashChaosConfig struct {
 	// alternating pseudo-randomly between the two sides of the flip sync.
 	CrashEvery int
 
-	// GroupCommit selects the RVM commit discipline for every node.
-	GroupCommit bool
 	// Store is the per-node backend factory (nil = the deterministic mem
 	// backend).
 	Store func() store.Store
@@ -177,12 +175,11 @@ type crashObj struct {
 func RunCrashChaos(cfg CrashChaosConfig) CrashChaosReport {
 	cfg = cfg.withDefaults()
 	cl := New(Config{
-		Nodes:       cfg.Nodes,
-		SegWords:    chaosSegWords,
-		Seed:        cfg.Seed,
-		WithDisk:    true,
-		Store:       cfg.Store,
-		GroupCommit: cfg.GroupCommit,
+		Nodes:    cfg.Nodes,
+		SegWords: chaosSegWords,
+		Seed:     cfg.Seed,
+		WithDisk: true,
+		Store:    cfg.Store,
 	})
 	return runCrashChaos(cl, cfg)
 }
@@ -481,14 +478,10 @@ func runCrashChaos(cl *Cluster, cfg CrashChaosConfig) CrashChaosReport {
 					break
 				}
 			}
-		case 8: // sync: commit the open mutation transaction
+		case 8: // sync: commit and force the open mutation transaction
 			nd.Sync()
 			rep.Syncs++
-			if !cl.cfg.GroupCommit {
-				// Per-transaction commit forces the log; in group-commit
-				// mode durability waits for a flip barrier or checkpoint.
-				markDurable(ni)
-			}
+			markDurable(ni)
 		case 9: // read share: a replica somewhere else
 			if len(livePool) == 0 {
 				break
@@ -505,7 +498,7 @@ func runCrashChaos(cl *Cluster, cfg CrashChaosConfig) CrashChaosReport {
 			o.shared = true
 			cl.Node(other).AcquireRead(o.ref)
 		case 10: // plain collection at home: a durability point (the barrier
-			// commits the open transaction and, in group mode, forces it)
+			// commits and forces the open transaction)
 			nd.CollectBunch(homes[ni])
 			rep.Collections++
 			markDurable(ni)

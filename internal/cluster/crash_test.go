@@ -8,39 +8,79 @@ import (
 	"bmx/internal/store"
 )
 
+// TestCrashChaosMemPerTx also counts the syncs that force appended log
+// records. bmxd -chaos-crash prints rvm.log.commits as the run's log
+// forces, so every commit must be exactly one of them; the driver's own
+// Sync ops are fewer, since flips and checkpoints commit too.
 func TestCrashChaosMemPerTx(t *testing.T) {
-	rep := RunCrashChaos(CrashChaosConfig{Seed: 1})
+	var logs []*logForces
+	rep := RunCrashChaos(CrashChaosConfig{Seed: 1, Store: func() store.Store {
+		l := &logForces{Store: store.NewDisk()}
+		logs = append(logs, l)
+		return l
+	}})
 	requireCrashRun(t, rep)
+	var forces int64
+	for _, l := range logs {
+		forces += l.forces
+	}
+	if commits := rep.Stats["rvm.log.commits"]; commits != forces || forces <= int64(rep.Syncs) {
+		t.Errorf("rvm.log.commits %d, log forces %d, driver syncs %d: want commits = forces > syncs",
+			commits, forces, rep.Syncs)
+	}
 }
 
-func TestCrashChaosMemGroupCommit(t *testing.T) {
-	rep := RunCrashChaos(CrashChaosConfig{Seed: 2, GroupCommit: true})
+// logForces wraps a node's store and counts its log forces: syncs of the
+// RVM log with records appended since the previous sync.
+type logForces struct {
+	store.Store
+	appended bool
+	forces   int64
+}
+
+func (l *logForces) Append(name string, data []byte) {
+	l.appended = l.appended || name == "rvm-log"
+	l.Store.Append(name, data)
+}
+
+func (l *logForces) Sync(name string) {
+	if name == "rvm-log" && l.appended {
+		l.appended = false
+		l.forces++
+	}
+	l.Store.Sync(name)
+}
+
+func (l *logForces) Crash() {
+	l.appended = false
+	l.Store.Crash()
+}
+
+func TestCrashChaosMemSeed2(t *testing.T) {
+	rep := RunCrashChaos(CrashChaosConfig{Seed: 2})
 	requireCrashRun(t, rep)
 }
 
 // TestCrashChaosFlatFS runs seed 3 on real-directory flatfs, one
-// subdirectory per node, under both commit disciplines, and checks it
-// against the other backends: flatfs and mem have one file shape, so the
-// runs match counter for counter and tick for tick; lsm differs only in
-// the bytes its watermark syncs.
+// subdirectory per node, and checks it against the other backends: flatfs
+// and mem have one file shape, so the runs match counter for counter and
+// tick for tick; lsm differs only in the bytes its watermark syncs.
 func TestCrashChaosFlatFS(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		run := func(mk func() store.Store) CrashChaosReport {
-			return RunCrashChaos(CrashChaosConfig{Seed: 3, GroupCommit: group, Store: mk})
-		}
-		dir, node := t.TempDir(), 0
-		flat := run(func() store.Store {
-			node++
-			return store.NewFlatFS(filepath.Join(dir, fmt.Sprintf("node%d", node)))
-		})
-		requireCrashRun(t, flat)
-		mem := run(nil)
-		lsm := run(func() store.Store { return store.NewLSM() })
-		requireSameRun(t, fmt.Sprintf("group=%v mem vs flatfs", group), mem, flat)
-		delete(mem.Stats, "store.bytes.synced")
-		delete(lsm.Stats, "store.bytes.synced")
-		requireSameRun(t, fmt.Sprintf("group=%v mem vs lsm", group), mem, lsm)
+	run := func(mk func() store.Store) CrashChaosReport {
+		return RunCrashChaos(CrashChaosConfig{Seed: 3, Store: mk})
 	}
+	dir, node := t.TempDir(), 0
+	flat := run(func() store.Store {
+		node++
+		return store.NewFlatFS(filepath.Join(dir, fmt.Sprintf("node%d", node)))
+	})
+	requireCrashRun(t, flat)
+	mem := run(nil)
+	lsm := run(func() store.Store { return store.NewLSM() })
+	requireSameRun(t, "mem vs flatfs", mem, flat)
+	delete(mem.Stats, "store.bytes.synced")
+	delete(lsm.Stats, "store.bytes.synced")
+	requireSameRun(t, "mem vs lsm", mem, lsm)
 }
 
 // requireSameRun fails unless two crash-chaos runs ended with equal
@@ -64,9 +104,8 @@ func requireSameRun(t *testing.T, what string, a, b CrashChaosReport) {
 
 func TestCrashChaosLSM(t *testing.T) {
 	rep := RunCrashChaos(CrashChaosConfig{
-		Seed:        4,
-		GroupCommit: true,
-		Store:       func() store.Store { return store.NewLSM() },
+		Seed:  4,
+		Store: func() store.Store { return store.NewLSM() },
 	})
 	requireCrashRun(t, rep)
 }
@@ -76,14 +115,10 @@ func TestCrashChaosManySeeds(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for seed := int64(10); seed < 16; seed++ {
-		for _, gc := range []bool{false, true} {
-			rep := RunCrashChaos(CrashChaosConfig{
-				Seed: seed, Steps: 300, CrashEvery: 30, GroupCommit: gc,
-			})
-			if len(rep.Violations) > 0 {
-				t.Errorf("seed %d group=%v: %d violations, first: %s",
-					seed, gc, len(rep.Violations), rep.Violations[0])
-			}
+		rep := RunCrashChaos(CrashChaosConfig{Seed: seed, Steps: 300, CrashEvery: 30})
+		if len(rep.Violations) > 0 {
+			t.Errorf("seed %d: %d violations, first: %s",
+				seed, len(rep.Violations), rep.Violations[0])
 		}
 	}
 }
@@ -130,21 +165,68 @@ func TestCrashChaosDeterministic(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFewerSyncs: the point of group commit — one log force per
-// flip instead of one per transaction commit.
-func TestGroupCommitFewerSyncs(t *testing.T) {
-	syncs := func(group bool) int64 {
-		rep := RunCrashChaos(CrashChaosConfig{Seed: 9, Steps: 300, CrashEvery: 1 << 30, GroupCommit: group})
-		if len(rep.Violations) > 0 {
-			t.Fatalf("group=%v violations: %v", group, rep.Violations)
-		}
-		return rep.Stats["store.syncs"]
+// TestFlipForcesOncePerCollection: a driver that never calls Sync between
+// collections gets one log force per collection from per-transaction
+// commit alone. Each flip commits the open mutation transaction with the
+// flip's own records, so over the collections store.syncs moves exactly
+// as core.gc.runs does; and a crash before a flip's force loses exactly
+// the window since the previous flip: the writes and the allocation made
+// in it, and nothing older.
+func TestFlipForcesOncePerCollection(t *testing.T) {
+	cl := New(Config{Nodes: 1, SegWords: 64, WithDisk: true})
+	nd := cl.Node(0)
+	b := nd.NewBunch()
+	refs := make([]Ref, 4)
+	for i := range refs {
+		refs[i] = nd.MustAlloc(b, 2)
+		nd.AddRoot(refs[i])
 	}
-	perTx, grouped := syncs(false), syncs(true)
-	if grouped >= perTx {
-		t.Errorf("group commit did not reduce syncs: per-tx=%d grouped=%d", perTx, grouped)
-	} else {
-		t.Logf("store syncs: per-tx=%d grouped=%d", perTx, grouped)
+	write := func(base uint64) {
+		t.Helper()
+		for i, r := range refs {
+			if err := nd.AcquireWrite(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := nd.WriteWord(r, 0, base+uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	nd.Sync()
+	stats := cl.Stats()
+	syncs0, runs0 := stats.Get("store.syncs"), stats.Get("core.gc.runs")
+	const rounds = 5
+	for k := 1; k <= rounds; k++ {
+		write(100 * uint64(k))
+		nd.CollectBunch(b)
+	}
+	syncs, runs := stats.Get("store.syncs")-syncs0, stats.Get("core.gc.runs")-runs0
+	if runs != rounds || syncs != runs {
+		t.Fatalf("%d collections with no Sync between them cost %d store syncs, want one each", runs, syncs)
+	}
+
+	write(900)
+	lost := nd.MustAlloc(b, 2)
+	nd.AddRoot(lost)
+	nd.ArmFlipCrash(CrashBeforeFlipSync)
+	nd.CollectBunch(b)
+	if !nd.FlipCrashFired() {
+		t.Fatal("armed crash did not fire")
+	}
+	if err := nd.KillRestart(b); err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(0)
+	for i, r := range refs {
+		if err := nd.AcquireRead(r); err != nil {
+			t.Fatalf("object %d lost: %v", i, err)
+		}
+		if got, err := nd.ReadWord(r, 0); err != nil || got != 100*rounds+uint64(i) {
+			t.Fatalf("object %d recovered %d (%v), want the last flip's %d", i, got, err, 100*rounds+i)
+		}
+	}
+	if _, present := nd.DSM().Canonical(lost.OID); present {
+		t.Fatalf("object allocated after the last flip survived a crash before the next force")
 	}
 }
 
@@ -154,7 +236,7 @@ func TestGroupCommitFewerSyncs(t *testing.T) {
 // the barrier and recover. The object must come back at its post-copy
 // canonical address with its data intact.
 func TestKillRestartCopiedObject(t *testing.T) {
-	cl := New(Config{Nodes: 1, SegWords: 64, WithDisk: true, GroupCommit: true})
+	cl := New(Config{Nodes: 1, SegWords: 64, WithDisk: true})
 	nd := cl.Node(0)
 	b := nd.NewBunch()
 	r, err := nd.Alloc(b, 3)
@@ -191,7 +273,7 @@ func TestKillRestartCopiedObject(t *testing.T) {
 // word field as a word. The wide object spans more than 64 words, so its
 // logged mask spans two mask words.
 func TestKillRestartCopiedRefMap(t *testing.T) {
-	cl := New(Config{Nodes: 1, SegWords: 256, WithDisk: true, GroupCommit: true})
+	cl := New(Config{Nodes: 1, SegWords: 256, WithDisk: true})
 	nd := cl.Node(0)
 	b := nd.NewBunch()
 	obj, target, wide := nd.MustAlloc(b, 2), nd.MustAlloc(b, 1), nd.MustAlloc(b, 70)
@@ -282,7 +364,7 @@ func TestKillRestartDeadStaysDead(t *testing.T) {
 // sync must roll the node back to its last durability point — the flip
 // itself leaves no durable trace.
 func TestCrashBeforeSyncLosesUnsynced(t *testing.T) {
-	cl := New(Config{Nodes: 1, SegWords: 64, WithDisk: true, GroupCommit: true})
+	cl := New(Config{Nodes: 1, SegWords: 64, WithDisk: true})
 	nd := cl.Node(0)
 	b := nd.NewBunch()
 	r, err := nd.Alloc(b, 2)
@@ -331,7 +413,7 @@ func TestCrashBeforeSyncLosesUnsynced(t *testing.T) {
 // home with its durable value, although the from-space behind that value's
 // older copies is gone.
 func TestSelfReclaimWaitsForDurableFlip(t *testing.T) {
-	cl := New(Config{Nodes: 2, SegWords: 64, WithDisk: true, GroupCommit: true})
+	cl := New(Config{Nodes: 2, SegWords: 64, WithDisk: true})
 	home, peer := cl.Node(0), cl.Node(1)
 	b := home.NewBunch()
 	refs := make([]Ref, 8)

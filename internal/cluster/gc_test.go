@@ -6,6 +6,7 @@ import (
 
 	"bmx/internal/addr"
 	"bmx/internal/core"
+	"bmx/internal/mem"
 )
 
 // settle runs collections at every node over every mapped bunch and drains
@@ -695,11 +696,11 @@ func TestFromSpaceReclaimBatch(t *testing.T) {
 
 	for _, n := range []*Node{n0, n1, n2} {
 		h := n.Collector().Heap()
-		for _, id := range h.Segments() {
-			if doomed(h.Seg(id).Meta.Base) {
-				t.Fatalf("node %v still maps reclaimed segment %v", n.ID(), id)
+		h.ForEachSegment(func(s *mem.Segment) {
+			if doomed(s.Meta.Base) {
+				t.Fatalf("node %v still maps reclaimed segment %v", n.ID(), s.Meta.ID)
 			}
-		}
+		})
 		// The replica's own word, before any acquire refreshes it, must
 		// already have been rewritten out of the freed batch.
 		if can, ok := n.DSM().Canonical(o1.OID); ok && h.IsObjectAt(can) {
@@ -747,7 +748,7 @@ func TestCopyOverflowSegmentsAreReclaimed(t *testing.T) {
 	if err := n1.MapBunch(b); err != nil {
 		t.Fatal(err)
 	}
-	mapped := func() int { return len(n0.Collector().Heap().Segments()) }
+	mapped := func() int { return mappedSegments(n0) }
 	var wantMapped, wantDir int
 	for round := 1; round <= 6; round++ {
 		n0.CollectBunch(b)
@@ -842,7 +843,7 @@ func TestEveryNodeReclaimsItsOwnFromSpace(t *testing.T) {
 			cl.Run(0)
 		}
 		for i := range nodes {
-			mapped := len(cl.Node(i).Collector().Heap().Segments())
+			mapped := mappedSegments(cl.Node(i))
 			switch k {
 			case 10:
 				mappedAt10[i] = mapped
@@ -1162,4 +1163,11 @@ func TestCoMappedCrossNodeCycle(t *testing.T) {
 	if !has(n1, control) {
 		t.Fatal("control object lost")
 	}
+}
+
+// mappedSegments counts the segment replicas n maps.
+func mappedSegments(n *Node) int {
+	count := 0
+	n.Collector().Heap().ForEachSegment(func(*mem.Segment) { count++ })
+	return count
 }

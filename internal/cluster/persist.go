@@ -55,10 +55,10 @@ func (n *Node) logRange(tx *rvm.Tx, a addr.Addr, words int) {
 // flipBarrier is the collector's durability barrier (§8, O'Toole et al.):
 // the BGC calls it from its locked flip bracket, once per collection. It
 // logs what the flip changed — the to-space headers of copied objects and
-// a death record per reclaimed object — commits, and in group-commit mode
-// forces the whole batch with a single sync. Runs with the node lock held
-// (the flip bracket takes it), so it touches openTx like any other
-// persistence path.
+// a death record per reclaimed object — and commits them, with whatever
+// the open transaction holds, in one forced log write. Runs with the node
+// lock held (the flip bracket takes it), so it touches openTx like any
+// other persistence path.
 //
 // A crash armed via ArmFlipCrash fires here: CrashBeforeFlipSync skips the
 // barrier entirely (the flip happened in memory but nothing about it
@@ -83,9 +83,6 @@ func (n *Node) flipBarrier(fl core.FlipLog) {
 		}
 		n.openTx.Commit()
 		n.openTx = nil
-	}
-	if n.log.GroupCommit() {
-		n.log.Barrier()
 	}
 	n.cl.Stats().Add("cluster.flipBarriers", 1)
 	if n.flipCrash == CrashAfterFlipSync {

@@ -198,7 +198,7 @@ func TestCheckpointMultipleBunches(t *testing.T) {
 // markers to rvm.log.bytes.
 func TestFlipLogsOneRecordPerCopiedObject(t *testing.T) {
 	const objects, fields = 20, 4
-	cl := New(Config{Nodes: 1, SegWords: 256, WithDisk: true, GroupCommit: true})
+	cl := New(Config{Nodes: 1, SegWords: 256, WithDisk: true})
 	n := cl.Node(0)
 	b := n.NewBunch()
 	var prev Ref

@@ -98,8 +98,8 @@ type Collector struct {
 	// durBarrier, when set, is the node's durability barrier: collect()
 	// invokes it at the end of the flip, after reclaim and table rebuild,
 	// with what the flip changed. The persistence layer logs the copied
-	// headers and the deaths and forces the RVM log with one group-commit
-	// sync — the "single batched log force per flip" of §8 / O'Toole et al.
+	// headers and the deaths and commits them as one RVM transaction — the
+	// "single batched log force per flip" of §8 / O'Toole et al.
 	durBarrier func(FlipLog)
 }
 

@@ -73,14 +73,6 @@ func (h *Heap) SegAt(a addr.Addr) *Segment {
 // Mapped reports whether the segment containing a is mapped locally.
 func (h *Heap) Mapped(a addr.Addr) bool { return h.SegAt(a) != nil }
 
-// Segments returns the IDs of all locally mapped segments, in increasing
-// order.
-func (h *Heap) Segments() []addr.SegID {
-	var out []addr.SegID
-	h.ForEachSegment(func(s *Segment) { out = append(out, s.Meta.ID) })
-	return out
-}
-
 // ForEachSegment calls f with every locally mapped replica, in segment-ID
 // order. f must not map or unmap segments.
 func (h *Heap) ForEachSegment(f func(s *Segment)) {

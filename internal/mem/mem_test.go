@@ -368,7 +368,9 @@ func TestRewriteWalks(t *testing.T) {
 	}
 
 	h.DiscardSegment(s.Meta.ID)
-	if h.Mapped(x) || len(h.Segments()) != 0 {
+	mapped := 0
+	h.ForEachSegment(func(*Segment) { mapped++ })
+	if h.Mapped(x) || mapped != 0 {
 		t.Fatal("segment still mapped after DiscardSegment")
 	}
 }

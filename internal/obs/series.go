@@ -185,9 +185,10 @@ type BenchSummary struct {
 	GCCopyWords      int64   `json:"gc_copy_words"`
 	GCScanObjects    int64   `json:"gc_scan_objects"`
 	// StoreSyncs and the two per-collection ratios are the §8 durability
-	// figures: group commit's whole point is one log force per flip, so
-	// syncs-per-flip ≈ 1 under group commit and rises with per-transaction
-	// commit; log bytes per collection sizes the flip's durable transcript.
+	// figures: a flip commits its batch with one log force, so
+	// syncs-per-flip is 1 for a driver that never syncs between
+	// collections and rises with every extra caller Sync; log bytes per
+	// collection sizes the flip's durable transcript.
 	StoreSyncs            int64   `json:"store_syncs"`
 	SyncsPerFlip          float64 `json:"syncs_per_flip"`
 	LogBytesPerCollection float64 `json:"log_bytes_per_collection"`

@@ -12,20 +12,16 @@
 // each backed by a (simulated) file, and changes to mapped segments reach
 // disk atomically through this log.
 //
-// The log supports two commit disciplines. In the classic per-transaction
-// mode every Commit forces the log (one sync per transaction). In group
-// commit mode (SetGroupCommit) Commit only appends — records and commit
-// markers accumulate in the page cache — and an explicit Barrier forces the
-// whole batch with a single sync. The collector calls Barrier once from its
-// locked flip bracket, so a collection costs one forced write no matter how
-// many objects moved or died.
+// Every Commit forces the log. The collector commits a flip's copied headers
+// and deaths as one transaction from its locked flip bracket, so a
+// collection costs one forced write no matter how many objects moved or
+// died, and a caller that wants fewer forces commits less often.
 package rvm
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"bmx/internal/addr"
 	"bmx/internal/mem"
@@ -69,13 +65,10 @@ type Log struct {
 
 	mu      sync.Mutex
 	nextTx  uint64
-	group   bool
 	counter func(name string, d int64)
 	// spare is the last sealed transaction's buffer, for the next Begin:
 	// store backends do not retain what Append is given.
 	spare []byte
-	// dirty: a transaction was sealed since the last Barrier or Truncate.
-	dirty atomic.Bool
 }
 
 // NewLog opens (or creates) the log named name on st.
@@ -83,23 +76,8 @@ func NewLog(st store.Store, name string) *Log {
 	return &Log{st: st, name: name, nextTx: 1}
 }
 
-// SetGroupCommit selects the commit discipline: with on, Commit appends
-// without forcing and durability waits for the next Barrier.
-func (l *Log) SetGroupCommit(on bool) {
-	l.mu.Lock()
-	l.group = on
-	l.mu.Unlock()
-}
-
-// GroupCommit reports the current commit discipline.
-func (l *Log) GroupCommit() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.group
-}
-
 // SetCounter installs a sink for the log's flat counters (rvm.log.bytes,
-// rvm.log.commits, rvm.log.barriers). A nil sink disables them.
+// rvm.log.commits). A nil sink disables them.
 func (l *Log) SetCounter(f func(name string, d int64)) {
 	l.mu.Lock()
 	l.counter = f
@@ -126,25 +104,9 @@ func (l *Log) Begin() *Tx {
 	return &Tx{log: l, id: id, buf: buf}
 }
 
-// Barrier forces everything appended so far — the group-commit durability
-// point. The collector calls this once per collection flip, from its locked
-// flip bracket; after Barrier returns, every transaction committed before
-// it survives any crash. A barrier with nothing sealed since the last
-// barrier or Truncate syncs nothing and is not counted. In per-transaction
-// mode each Commit forces on its own, so a barrier after commits is a
-// harmless extra force.
-func (l *Log) Barrier() {
-	if !l.dirty.Swap(false) {
-		return
-	}
-	l.st.Sync(l.name)
-	l.count("rvm.log.barriers", 1)
-}
-
 // Truncate discards the log contents, typically after a checkpoint has made
 // the logged state durable elsewhere.
 func (l *Log) Truncate() {
-	l.dirty.Store(false)
 	l.st.Write(l.name, nil)
 	l.st.Sync(l.name)
 }
@@ -279,24 +241,19 @@ func (tx *Tx) seal(op string) {
 	tx.done = true
 	l := tx.log
 	l.st.Append(l.name, tx.buf)
-	l.dirty.Store(true)
 	l.count("rvm.log.bytes", int64(len(tx.buf)))
 	l.mu.Lock()
 	l.spare, tx.buf = tx.buf[:0], nil
 	l.mu.Unlock()
 }
 
-// Commit appends the transaction's records and a commit marker to the log.
-// In per-transaction mode the log is forced before returning, so the
-// updates survive any crash; in group-commit mode durability waits for the
-// next Barrier.
+// Commit appends the transaction's records and a commit marker to the log
+// and forces the log before returning, so the updates survive any crash.
 func (tx *Tx) Commit() {
 	tx.seal("Commit")
 	l := tx.log
 	l.count("rvm.log.commits", 1)
-	if !l.GroupCommit() {
-		l.st.Sync(l.name)
-	}
+	l.st.Sync(l.name)
 }
 
 // ---- Segment images (words + object-map + reference-map) ------------------

@@ -269,93 +269,6 @@ func TestCrashMidSequenceKeepsPrefix(t *testing.T) {
 	}
 }
 
-func TestGroupCommitNeedsBarrier(t *testing.T) {
-	d := store.NewDisk()
-	l := NewLog(d, "log")
-	l.SetGroupCommit(true)
-	tx := l.Begin()
-	tx.SetRange(1, 0, 0, []uint64{42}, nil)
-	tx.Commit() // append only: no force in group-commit mode
-	d.Crash()
-	if recs := l.Recover(); len(recs) != 0 {
-		t.Fatalf("group-committed tx durable without barrier: %v", recs)
-	}
-}
-
-func TestGroupCommitBarrierForcesBatch(t *testing.T) {
-	d := store.NewDisk()
-	l := NewLog(d, "log")
-	l.SetGroupCommit(true)
-	for i := 0; i < 5; i++ {
-		tx := l.Begin()
-		tx.SetRange(1, 0, i, []uint64{uint64(i)}, nil)
-		tx.Commit()
-	}
-	_, _, syncsBefore := d.Stats()
-	l.Barrier()
-	_, _, syncsAfter := d.Stats()
-	if syncsAfter-syncsBefore != 1 {
-		t.Fatalf("barrier cost %d syncs, want 1", syncsAfter-syncsBefore)
-	}
-	d.Crash()
-	if recs := l.Recover(); len(recs) != 5 {
-		t.Fatalf("recovered %d records after barrier, want 5", len(recs))
-	}
-}
-
-// TestBarrierSkipsUnchangedLog: a barrier forces only what was sealed since
-// the last barrier, so in group-commit mode Commit + Barrier + Barrier is
-// one store sync, and only the barrier that synced is counted.
-func TestBarrierSkipsUnchangedLog(t *testing.T) {
-	d := store.NewDisk()
-	l := NewLog(d, "log")
-	l.SetGroupCommit(true)
-	counts := map[string]int64{}
-	l.SetCounter(func(name string, v int64) { counts[name] += v })
-	tx := l.Begin()
-	tx.SetRange(1, 0, 0, []uint64{7}, nil)
-	tx.Commit()
-	l.Barrier()
-	l.Barrier()
-	if _, _, syncs := d.Stats(); syncs != 1 {
-		t.Errorf("Commit+Barrier+Barrier cost %d syncs, want 1", syncs)
-	}
-	if counts["rvm.log.barriers"] != 1 {
-		t.Errorf("rvm.log.barriers = %d, want 1", counts["rvm.log.barriers"])
-	}
-	d.Crash()
-	if recs := l.Recover(); len(recs) != 1 {
-		t.Errorf("recovered %d records, want 1", len(recs))
-	}
-}
-
-func TestGroupCommitOneSyncPerBatch(t *testing.T) {
-	// The point of group commit: N transactions cost one force, vs N in
-	// per-transaction mode.
-	perTx := store.NewDisk()
-	l1 := NewLog(perTx, "log")
-	for i := 0; i < 10; i++ {
-		tx := l1.Begin()
-		tx.SetRange(0, 0, i, []uint64{1}, nil)
-		tx.Commit()
-	}
-	_, _, perTxSyncs := perTx.Stats()
-
-	grouped := store.NewDisk()
-	l2 := NewLog(grouped, "log")
-	l2.SetGroupCommit(true)
-	for i := 0; i < 10; i++ {
-		tx := l2.Begin()
-		tx.SetRange(0, 0, i, []uint64{1}, nil)
-		tx.Commit()
-	}
-	l2.Barrier()
-	_, _, groupSyncs := grouped.Stats()
-	if perTxSyncs != 10 || groupSyncs != 1 {
-		t.Fatalf("syncs: per-tx %d (want 10), grouped %d (want 1)", perTxSyncs, groupSyncs)
-	}
-}
-
 func TestDeadRecordRoundTrip(t *testing.T) {
 	d := store.NewDisk()
 	l := NewLog(d, "log")
@@ -394,9 +307,11 @@ func TestLogCounters(t *testing.T) {
 	tx := l.Begin()
 	tx.SetRange(0, 0, 0, []uint64{1}, nil)
 	tx.Commit()
-	l.Barrier()
-	if counts["rvm.log.commits"] != 1 || counts["rvm.log.barriers"] != 1 || counts["rvm.log.bytes"] == 0 {
+	if counts["rvm.log.commits"] != 1 || counts["rvm.log.bytes"] == 0 {
 		t.Fatalf("counts = %v", counts)
+	}
+	if _, _, syncs := d.Stats(); syncs != 1 {
+		t.Fatalf("one commit cost %d syncs, want 1", syncs)
 	}
 }
 

@@ -31,8 +31,8 @@ const lsmCompactThreshold = 4096
 // LSM is the log-structured backend: every mutation is a record appended
 // to a single shared log of segments. Sync(name) advances a durable
 // watermark over the whole log — group durability, one barrier makes every
-// buffered record durable, which is exactly the access pattern the
-// group-committed RVM log generates. Crash truncates the log at the
+// buffered record durable, which is exactly the access pattern of an RVM
+// log that appends a transaction and forces it. Crash truncates the log at the
 // watermark and rebuilds the namespace from the durable prefix. When the
 // log grows past a threshold, Sync compacts: the durable index is written
 // out as a fresh snapshot log and the history dropped.
