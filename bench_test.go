@@ -536,6 +536,43 @@ func BenchmarkParallelRunConcurrent(b *testing.B) {
 // background traffic. There is no mutator traffic and no store, so the
 // number is the collector's own (`make profile-gc` profiles it).
 func BenchmarkCollectChurn(b *testing.B) {
+	round := collectChurn(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		round(k)
+	}
+}
+
+// collectChurnAllocsPerRound bounds the Go heap allocations of one
+// BenchmarkCollectChurn round in steady state: the measured 215, plus 10 %.
+const collectChurnAllocsPerRound = 236
+
+// TestCollectChurnAllocs pins BenchmarkCollectChurn's allocations per
+// round, so a collection that starts rebuilding its scratch from nil again
+// shows here.
+func TestCollectChurnAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 10 000-object cluster")
+	}
+	round := collectChurn(t)
+	k := 0
+	for ; k < 64; k++ { // past the first collection at every node
+		round(k)
+	}
+	// 64 rounds: 16 at each node, 8 of them reusing from-space.
+	got := testing.AllocsPerRun(64, func() {
+		round(k)
+		k++
+	})
+	if got > collectChurnAllocsPerRound {
+		t.Fatalf("a collection round allocates %.0f times, bound %d", got, collectChurnAllocsPerRound)
+	}
+}
+
+// collectChurn builds BenchmarkCollectChurn's cluster and returns its
+// round k.
+func collectChurn(tb testing.TB) func(k int) {
 	const nodes, perNode, churn, words = 4, 2500, 50, 4
 	cl := bmx.New(bmx.Config{Nodes: nodes, Seed: 12})
 	bu := cl.Node(0).NewBunch()
@@ -544,7 +581,7 @@ func BenchmarkCollectChurn(b *testing.B) {
 		n := cl.Node(i)
 		if i > 0 {
 			if err := n.MapBunch(bu); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		for range perNode {
@@ -554,9 +591,7 @@ func BenchmarkCollectChurn(b *testing.B) {
 		}
 	}
 	cl.Run(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for k := 0; k < b.N; k++ {
+	return func(k int) {
 		i := k % nodes
 		n := cl.Node(i)
 		first := k / nodes * churn % perNode

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"bmx/internal/addr"
 	"bmx/internal/store"
 )
 
@@ -416,7 +417,10 @@ func TestSelfReclaimWaitsForDurableFlip(t *testing.T) {
 	cl := New(Config{Nodes: 2, SegWords: 64, WithDisk: true})
 	home, peer := cl.Node(0), cl.Node(1)
 	b := home.NewBunch()
-	refs := make([]Ref, 8)
+	// Four seven-word objects fill 28 of a to-space segment's 64 words,
+	// under the 4/5 that would keep it in place: every collection here
+	// evacuates its predecessor's to-space.
+	refs := make([]Ref, 4)
 	for i := range refs {
 		refs[i] = home.MustAlloc(b, 4)
 		home.AddRoot(refs[i])
@@ -476,4 +480,268 @@ func TestSelfReclaimWaitsForDurableFlip(t *testing.T) {
 			t.Fatalf("object %d recovered %d (%v), want durable value %d", i, got, err, 200+i)
 		}
 	}
+}
+
+// onEachBackend runs f on a fresh persistent cluster of the given size
+// over the in-memory store and over flatfs (one directory per node).
+func onEachBackend(t *testing.T, nodes int, f func(t *testing.T, cl *Cluster)) {
+	for _, backend := range []string{"mem", "flatfs"} {
+		t.Run(backend, func(t *testing.T) {
+			cfg := Config{Nodes: nodes, SegWords: 64, WithDisk: true}
+			if backend == "flatfs" {
+				dir, node := t.TempDir(), 0
+				cfg.Store = func() store.Store {
+					node++
+					return store.NewFlatFS(filepath.Join(dir, fmt.Sprintf("node%d", node)))
+				}
+			}
+			f(t, New(cfg))
+		})
+	}
+}
+
+// mustOK fails the test on a non-nil error.
+func mustOK(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// allocFilled allocates n rooted five-data-word objects at nd — eight of
+// them, three header words each, fill a 64-word segment — with word 0 of
+// object i set to base+i.
+func allocFilled(t *testing.T, nd *Node, b addr.BunchID, n int, base uint64) []Ref {
+	t.Helper()
+	objs := make([]Ref, n)
+	for i := range objs {
+		objs[i] = nd.MustAlloc(b, 5)
+		nd.AddRoot(objs[i])
+		mustOK(t, nd.WriteWord(objs[i], 0, base+uint64(i)))
+	}
+	return objs
+}
+
+// readWord0 reads word 0 of r at nd under a read token.
+func readWord0(t *testing.T, nd *Node, r Ref) uint64 {
+	t.Helper()
+	mustOK(t, nd.AcquireRead(r))
+	defer nd.Release(r)
+	v, err := nd.ReadWord(r, 0)
+	mustOK(t, err)
+	return v
+}
+
+// TestKillRestartKeepsKeptSegment kills a node between a flip that kept a
+// segment in place and its next collection: the kept objects recover at
+// their addresses with their last synced values, on mem and on flatfs. A
+// kept object is never logged whole again, so what its flip rewrote in it
+// — here a reference to a fresh object the flip moved — is logged by that
+// flip: after §4.5 frees the fresh object's first segment, a second
+// restart still finds the reference.
+func TestKillRestartKeepsKeptSegment(t *testing.T) {
+	onEachBackend(t, 1, func(t *testing.T, cl *Cluster) {
+		nd := cl.Node(0)
+		b := nd.NewBunch()
+		objs := allocFilled(t, nd, b, 8, 100)
+		nd.CollectBunch(b) // the first collection copies all eight
+		leaf := nd.MustAlloc(b, 1)
+		mustOK(t, nd.WriteWord(leaf, 0, 77))
+		mustOK(t, nd.WriteRef(objs[0], 1, leaf))
+		for i, r := range objs {
+			mustOK(t, nd.WriteWord(r, 0, 200+uint64(i)))
+		}
+		nd.Sync()
+		addrs := make([]addr.Addr, len(objs))
+		for i, r := range objs {
+			addrs[i] = mustCanonical(t, nd, r)
+		}
+		// The full segment stays; only the fresh leaf moves, and the
+		// flip rewrites the kept object's reference to it.
+		if st := nd.CollectBunch(b); st.Copied != 1 {
+			t.Fatalf("keeping collection copied %d objects, want only the leaf", st.Copied)
+		}
+		for i, r := range objs {
+			mustOK(t, nd.WriteWord(r, 0, 300+uint64(i))) // never synced
+		}
+		verify := func(when string) {
+			t.Helper()
+			for i, r := range objs {
+				if a := mustCanonical(t, nd, r); a != addrs[i] {
+					t.Fatalf("%s: kept object %d recovered at %v, was at %v", when, i, a, addrs[i])
+				}
+				if got := readWord0(t, nd, r); got != 200+uint64(i) {
+					t.Fatalf("%s: kept object %d = %d, want synced value %d", when, i, got, 200+i)
+				}
+			}
+			mustOK(t, nd.AcquireRead(objs[0]))
+			got, err := nd.ReadRef(objs[0], 1)
+			nd.Release(objs[0])
+			if err != nil || got != leaf {
+				t.Fatalf("%s: kept object's reference = %v (%v), want %v", when, got, err, leaf)
+			}
+			if v := readWord0(t, nd, leaf); v != 77 {
+				t.Fatalf("%s: leaf = %d, want 77", when, v)
+			}
+			if bad := cl.CheckInvariants(); len(bad) != 0 {
+				t.Fatalf("%s: invariants: %v", when, bad)
+			}
+		}
+		mustOK(t, nd.KillRestart(b))
+		cl.Run(0)
+		verify("after the restart")
+		if st := nd.ReclaimFromSpace(b); st.Segments == 0 {
+			t.Fatal("reclaim freed nothing")
+		}
+		mustOK(t, nd.KillRestart(b))
+		cl.Run(0)
+		verify("after §4.5 and a second restart")
+	})
+}
+
+// TestKillRestartKeepsObjectMovedIntoAllocationSegment moves an owned
+// object into the allocation segment between two collections — a §4.5
+// evacuation, which logs nothing — and fills that segment so it is wholly
+// live at the next collection. That collection must still evacuate the
+// segment, logging the object at its new address: had it kept the segment,
+// a restart would find the object's only logged header in the segment §4.5
+// freed.
+func TestKillRestartKeepsObjectMovedIntoAllocationSegment(t *testing.T) {
+	onEachBackend(t, 2, func(t *testing.T, cl *Cluster) {
+		nd, peer := cl.Node(0), cl.Node(1)
+		b := nd.NewBunch()
+		mustOK(t, peer.MapBunch(b))
+		o := allocFilled(t, nd, b, 1, 1)[0]
+		objs := allocFilled(t, nd, b, 4, 100)
+		nd.Sync()
+		// The peer takes o's write token, so this node's first collection
+		// copies only the four objects it owns: to-space is half full.
+		mustOK(t, peer.AcquireWrite(o))
+		mustOK(t, peer.WriteWord(o, 0, 2))
+		peer.Release(o)
+		cl.Run(0)
+		nd.CollectBunch(b)
+		cl.Run(0)
+		// Taking o back leaves it owned here in from-space, so §4.5
+		// evacuates it into the allocation segment.
+		mustOK(t, nd.AcquireWrite(o))
+		nd.Release(o)
+		if st := nd.ReclaimFromSpace(b); st.Segments == 0 {
+			t.Fatal("reclaim freed nothing")
+		}
+		cl.Run(0)
+		alloc := nd.Collector().Heap().Allocator()
+		seg, _ := alloc.SegIndex(mustCanonical(t, nd, objs[0]))
+		if got, _ := alloc.SegIndex(mustCanonical(t, nd, o)); got != seg {
+			t.Fatalf("evacuated object in segment %v, want the allocation segment %v", got, seg)
+		}
+		objs = append(objs, allocFilled(t, nd, b, 3, 104)...) // 64 of 64 words live
+		nd.Sync()
+		nd.CollectBunch(b)
+		cl.Run(0)
+		mustOK(t, nd.KillRestart(b))
+		cl.Run(0)
+		if v := readWord0(t, nd, o); v != 2 {
+			t.Fatalf("moved object = %d after the restart, want 2", v)
+		}
+		for i, r := range objs {
+			if v := readWord0(t, nd, r); v != 100+uint64(i) {
+				t.Fatalf("object %d = %d after the restart, want %d", i, v, 100+i)
+			}
+		}
+	})
+}
+
+// TestKillRestartKeepsGrantIntoKeptSegment has another node take the write
+// token on an object in a settled segment and write it; this node takes
+// the token back, which installs the new image in place. The next flip
+// keeps the segment, so it must log that image: a restart recovers the
+// written value at the same address.
+func TestKillRestartKeepsGrantIntoKeptSegment(t *testing.T) {
+	onEachBackend(t, 2, func(t *testing.T, cl *Cluster) {
+		nd, peer := cl.Node(0), cl.Node(1)
+		b := nd.NewBunch()
+		mustOK(t, peer.MapBunch(b))
+		objs := allocFilled(t, nd, b, 8, 100)
+		nd.Sync()
+		nd.CollectBunch(b) // copies all eight into one full segment
+		cl.Run(0)
+		x := objs[3]
+		at := mustCanonical(t, nd, x)
+		mustOK(t, peer.AcquireWrite(x))
+		mustOK(t, peer.WriteWord(x, 0, 999))
+		peer.Release(x)
+		cl.Run(0)
+		mustOK(t, nd.AcquireWrite(x))
+		nd.Release(x)
+		if st := nd.CollectBunch(b); st.Copied != 0 {
+			t.Fatalf("keeping collection copied %d objects, want 0", st.Copied)
+		}
+		cl.Run(0)
+		mustOK(t, nd.KillRestart(b))
+		cl.Run(0)
+		if a := mustCanonical(t, nd, x); a != at {
+			t.Fatalf("kept object recovered at %v, was at %v", a, at)
+		}
+		for i, r := range objs {
+			want := 100 + uint64(i)
+			if r == x {
+				want = 999
+			}
+			if v := readWord0(t, nd, r); v != want {
+				t.Fatalf("object %d = %d after the restart, want %d", i, v, want)
+			}
+		}
+		if bad := cl.CheckInvariants(); len(bad) != 0 {
+			t.Fatalf("invariants: %v", bad)
+		}
+	})
+}
+
+// TestKillRestartKeepsReclaimRewriteInKeptSegment has a kept object refer
+// to another node's object. That node moves its object and frees the old
+// segment in a §4.5 round, in which this node rewrites the kept object's
+// word. The next flip here keeps the segment, so it must log the word: a
+// restart recovers the reference, not a word into the freed segment.
+func TestKillRestartKeepsReclaimRewriteInKeptSegment(t *testing.T) {
+	onEachBackend(t, 2, func(t *testing.T, cl *Cluster) {
+		nd, peer := cl.Node(0), cl.Node(1)
+		b := nd.NewBunch()
+		mustOK(t, peer.MapBunch(b))
+		leaf := allocFilled(t, peer, b, 1, 7)[0]
+		objs := allocFilled(t, nd, b, 8, 100)
+		mustOK(t, nd.AcquireRead(leaf))
+		nd.Release(leaf)
+		mustOK(t, nd.WriteRef(objs[0], 1, leaf))
+		nd.Sync()
+		nd.CollectBunch(b) // copies all eight into one full segment
+		cl.Run(0)
+		peer.CollectBunch(b) // the leaf moves at its owner
+		cl.Run(0)
+		before := cl.Stats().Get("core.reclaim.refsRewritten")
+		if st := peer.ReclaimFromSpace(b); st.Segments == 0 {
+			t.Fatal("the peer's reclaim freed nothing")
+		}
+		cl.Run(0)
+		if cl.Stats().Get("core.reclaim.refsRewritten") == before {
+			t.Fatal("the §4.5 round rewrote no word")
+		}
+		if st := nd.CollectBunch(b); st.Copied != 0 {
+			t.Fatalf("keeping collection copied %d objects, want 0", st.Copied)
+		}
+		cl.Run(0)
+		mustOK(t, nd.KillRestart(b))
+		cl.Run(0)
+		// The restart recovers no replica of the peer's leaf, so the word
+		// is read raw: it must name the leaf's address at its owner.
+		want := mustCanonical(t, peer, leaf)
+		if got := addr.Addr(nd.Collector().Heap().GetField(mustCanonical(t, nd, objs[0]), 1)); got != want {
+			t.Fatalf("kept object's reference recovered as %v, want the leaf's address %v", got, want)
+		}
+		for i, r := range objs {
+			if v := readWord0(t, nd, r); v != 100+uint64(i) {
+				t.Fatalf("object %d = %d after the restart, want %d", i, v, 100+i)
+			}
+		}
+	})
 }

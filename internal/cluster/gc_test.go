@@ -1171,3 +1171,163 @@ func mappedSegments(n *Node) int {
 	n.Collector().Heap().ForEachSegment(func(*mem.Segment) { count++ })
 	return count
 }
+
+// TestDenseSurvivorSegmentsStayInPlace pins the bunch collector's keep
+// rule: a node's first collection of a bunch copies every owned live
+// object; after that, a segment the node created, that survived its last
+// collection and is still at least 4/5 live stays where it is — no copy,
+// no forwarding pointer, no new address, no location update — and a
+// segment that drops below 4/5 is evacuated whole and freed by §4.5.
+func TestDenseSurvivorSegmentsStayInPlace(t *testing.T) {
+	// Five data words and a three-word header: a 64-word segment holds
+	// exactly eight objects.
+	cl := New(Config{Nodes: 3, SegWords: 64, Seed: 1})
+	n0 := cl.Node(0)
+	b := n0.NewBunch()
+	objs := make([]Ref, 16)
+	for i := range objs {
+		objs[i] = n0.MustAlloc(b, 5)
+		n0.AddRoot(objs[i])
+		if err := n0.WriteWord(objs[i], 0, uint64(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := n0.col.Heap()
+	where := func(r Ref) (addr.Addr, addr.SegID) {
+		n0.mu.Lock()
+		defer n0.mu.Unlock()
+		a, _ := n0.dsm.Canonical(r.OID)
+		id, _ := heap.Allocator().SegIndex(a)
+		return a, id
+	}
+	dead := map[Ref]bool{}
+	check := func(when string) {
+		t.Helper()
+		for i, r := range objs {
+			if dead[r] {
+				continue
+			}
+			if err := n0.AcquireRead(r); err != nil {
+				t.Fatalf("%s: object %d: %v", when, i, err)
+			}
+			v, err := n0.ReadWord(r, 0)
+			n0.Release(r)
+			if err != nil || v != uint64(100+i) {
+				t.Fatalf("%s: object %d = %d, %v", when, i, v, err)
+			}
+		}
+		if bad := cl.CheckInvariants(); len(bad) != 0 {
+			t.Fatalf("%s: invariants: %v", when, bad)
+		}
+	}
+	stat := cl.Stats().Get
+
+	// The first collection copies everything into two full segments.
+	if st := n0.CollectBunch(b); st.Copied != len(objs) {
+		t.Fatalf("first collection copied %d objects, want %d", st.Copied, len(objs))
+	}
+	cl.Run(0)
+	segs := map[addr.SegID][]Ref{}
+	for _, r := range objs {
+		_, id := where(r)
+		segs[id] = append(segs[id], r)
+	}
+	if len(segs) != 2 {
+		t.Fatalf("first collection spread 16 objects over %d segments, want 2", len(segs))
+	}
+	var ids []addr.SegID
+	for id := range segs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	sparse, full := segs[ids[0]], segs[ids[1]]
+	// The peers read every object but the two that lose their root below:
+	// a copy of any of the others owes them a location update.
+	for _, p := range []*Node{cl.Node(1), cl.Node(2)} {
+		for _, r := range objs {
+			if r == sparse[0] || r == sparse[1] {
+				continue
+			}
+			if err := p.AcquireRead(r); err != nil {
+				t.Fatal(err)
+			}
+			p.Release(r)
+		}
+	}
+	cl.Run(0)
+	check("after the first collection")
+
+	// The second collection finds both segments survivors and full.
+	addrs := map[Ref]addr.Addr{}
+	for _, r := range objs {
+		addrs[r], _ = where(r)
+	}
+	kept, batches, flushes := stat("core.gc.segsKept"), stat("msg.sent.kind.dsm.locBatch"), stat("core.locFlush.msgs")
+	if st := n0.CollectBunch(b); st.Copied != 0 {
+		t.Fatalf("second collection copied %d objects, want 0", st.Copied)
+	}
+	if got := stat("core.gc.segsKept") - kept; got != 2 {
+		t.Fatalf("second collection kept %d segments, want 2", got)
+	}
+	for _, r := range objs {
+		if a, _ := where(r); a != addrs[r] || heap.Forwarded(a) {
+			t.Fatalf("kept object %v moved from %v to %v (forwarded %v)", r, addrs[r], a, heap.Forwarded(a))
+		}
+	}
+	// Nothing moved, so nothing is owed: neither a background flush nor
+	// the consistency traffic of the peers' next acquires carries a
+	// location update.
+	n0.FlushLocations()
+	cl.Run(0)
+	for _, p := range []*Node{cl.Node(1), cl.Node(2)} {
+		if err := p.AcquireWrite(full[0]); err != nil {
+			t.Fatal(err)
+		}
+		p.Release(full[0])
+	}
+	cl.Run(0)
+	if got := stat("msg.sent.kind.dsm.locBatch") - batches; got != 0 {
+		t.Fatalf("a collection that moved nothing led to %d dsm.locBatch messages", got)
+	}
+	if got := stat("core.locFlush.msgs") - flushes; got != 0 {
+		t.Fatalf("a collection that moved nothing owed %d location flushes", got)
+	}
+	check("after the keeping collection")
+
+	// Unrooting two objects of the first segment leaves it 6/8 live, below
+	// 4/5: exactly its six survivors move, and the full segment stays.
+	n0.RemoveRoot(sparse[0])
+	n0.RemoveRoot(sparse[1])
+	dead[sparse[0]], dead[sparse[1]] = true, true
+	st := n0.CollectBunch(b)
+	if st.Copied != 6 || st.Dead != 2 {
+		t.Fatalf("collection after unrooting copied %d and reclaimed %d, want 6 and 2", st.Copied, st.Dead)
+	}
+	for _, r := range sparse[2:] {
+		if a, id := where(r); a == addrs[r] || id == ids[0] {
+			t.Fatalf("survivor %v of the sparse segment still at %v", r, a)
+		}
+	}
+	for _, r := range full {
+		if a, _ := where(r); a != addrs[r] {
+			t.Fatalf("object %v of the full segment moved from %v to %v", r, addrs[r], a)
+		}
+	}
+	if !slices.Contains(n0.Collector().FromSpaceSegments(b), ids[0]) {
+		t.Fatalf("evacuated segment %v not on the from-space list %v", ids[0], n0.Collector().FromSpaceSegments(b))
+	}
+	// The survivors' new addresses are owed to the peers that read them.
+	n0.FlushLocations()
+	if stat("core.locFlush.msgs") == flushes {
+		t.Fatal("the evacuated survivors' moves owed no location update")
+	}
+	cl.Run(0)
+	check("after evacuating the sparse segment")
+	n0.ReclaimFromSpace(b)
+	cl.Run(0)
+	if heap.Seg(ids[0]) != nil || heap.Seg(ids[1]) == nil {
+		t.Fatalf("after §4.5: sparse segment mapped %v, full segment mapped %v",
+			heap.Seg(ids[0]) != nil, heap.Seg(ids[1]) != nil)
+	}
+	check("after §4.5 freed the sparse segment")
+}

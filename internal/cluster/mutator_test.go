@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -125,8 +127,8 @@ func TestZeroSizeObject(t *testing.T) {
 func TestTinySegmentsGC(t *testing.T) {
 	// Segment overflow during allocation and during the copy phase: with
 	// 16-word segments (13 data words max), multi-object graphs span many
-	// segments and every collection allocates several fresh to-space
-	// segments.
+	// segments and every collection that copies the chain allocates
+	// several fresh to-space segments, two seven-word objects to each.
 	cl := New(Config{Nodes: 1, SegWords: 16})
 	n := cl.Node(0)
 	b := n.NewBunch()
@@ -143,13 +145,45 @@ func TestTinySegmentsGC(t *testing.T) {
 		objs = append(objs, o)
 		prev = o
 	}
-	for round := 0; round < 3; round++ {
+	// replace swaps chain link i for a fresh object holding its value.
+	replace := func(i int) {
+		o := n.MustAlloc(b, 4)
+		n.WriteWord(o, 1, uint64(i))
+		if i+1 < len(objs) {
+			n.WriteRef(o, 0, objs[i+1])
+		}
+		if i == 0 {
+			n.AddRoot(o)
+			n.RemoveRoot(objs[0])
+		} else {
+			n.WriteRef(objs[i-1], 0, o)
+		}
+		objs[i] = o
+	}
+	for round := 0; round < 4; round++ {
+		if round > 0 {
+			// To-space holds the chain two objects to a segment, in OID
+			// order. Replacing every other object in that order leaves
+			// each survivor segment half dead, below 4/5 live: the six
+			// survivors are evacuated along with the six fresh objects.
+			byOID := slices.Clone(objs)
+			slices.SortFunc(byOID, func(x, y Ref) int { return cmp.Compare(x.OID, y.OID) })
+			for k := 0; k < len(byOID); k += 2 {
+				replace(slices.Index(objs, byOID[k]))
+			}
+		}
 		st := n.CollectBunch(b)
 		if st.Copied != 12 {
 			t.Fatalf("round %d copied %d, want 12", round, st.Copied)
 		}
 		cl.Run(0)
 	}
+	// Every to-space segment now survived a collection with both its
+	// objects live (14 of 16 words): the next collection copies nothing.
+	if st := n.CollectBunch(b); st.Copied != 0 {
+		t.Fatalf("dense survivor segments copied %d objects, want 0", st.Copied)
+	}
+	cl.Run(0)
 	for i, o := range objs {
 		if v, err := n.ReadWord(o, 1); err != nil || v != uint64(i) {
 			t.Fatalf("object %d = %d, %v", i, v, err)

@@ -54,8 +54,9 @@ func (n *Node) logRange(tx *rvm.Tx, a addr.Addr, words int) {
 
 // flipBarrier is the collector's durability barrier (§8, O'Toole et al.):
 // the BGC calls it from its locked flip bracket, once per collection. It
-// logs what the flip changed — the to-space headers of copied objects and
-// a death record per reclaimed object — and commits them, with whatever
+// logs what the flip changed — the to-space headers of copied objects, what
+// the collector changed in objects it kept in place, and a death record per
+// reclaimed object — and commits them, with whatever
 // the open transaction holds, in one forced log write. Runs with the node
 // lock held (the flip bracket takes it), so it touches openTx like any
 // other persistence path.
@@ -73,10 +74,19 @@ func (n *Node) flipBarrier(fl core.FlipLog) {
 		n.flipCrash = crashFired
 		return
 	}
-	if n.openTx != nil || len(fl.Copied) > 0 || len(fl.Dead) > 0 {
+	if n.openTx != nil || len(fl.Copied) > 0 || len(fl.Dead) > 0 ||
+		len(fl.Installed) > 0 || len(fl.Rewritten) > 0 {
 		tx := n.tx()
 		for _, r := range fl.Copied {
 			n.logObject(tx, r)
+		}
+		for _, r := range fl.Installed {
+			n.logObject(tx, r)
+		}
+		// One record per word: a record of HeaderWords or more is read
+		// as an object header at recovery.
+		for _, a := range fl.Rewritten {
+			n.logRange(tx, a, 1)
 		}
 		for _, o := range fl.Dead {
 			tx.SetDead(o)

@@ -41,6 +41,14 @@ type Replica struct {
 	// fromSegs are locally created segments superseded by the last
 	// collection, eligible for the §4.5 reuse protocol.
 	fromSegs []addr.SegID
+	// relog holds what the collector changed in place in the bunch's
+	// settled segments (Collector.settled) since its last flip here:
+	// pointer words it rewrote and objects whose granted image it
+	// installed. A kept object is never copied, so never logged whole
+	// again; the next flip logs the changes in the segments it keeps
+	// (relogFor). Each entry is held once, so the set stays within the
+	// size of those segments however long the bunch goes uncollected.
+	relog map[relogEntry]bool
 	// copiedWords is what the last collection of the bunch copied at this
 	// node, headers included: the §4.5 reuse trigger's yardstick.
 	copiedWords int
@@ -48,11 +56,42 @@ type Replica struct {
 	writeLog    map[addr.OID]bool
 }
 
+// relogEntry is one in-place change awaiting the flip's log: the word at a,
+// or, when o is set, the whole object o with its header at a.
+type relogEntry struct {
+	a addr.Addr
+	o addr.OID
+}
+
+// gcScratch is the per-collection scratch of this node's collections: each
+// collection truncates and refills it, so a steady-state collection does
+// not rebuild its root lists, work stack and segment set from nil.
+// Collections at a node run one at a time, under the node lock.
+type gcScratch struct {
+	strongRoots, weakRoots, plainStrong, auxRoots []addr.OID
+	// scionRootsBySrc keeps its keys across collections; a source node
+	// with no scion roots this time has an empty list.
+	scionRootsBySrc map[addr.NodeID][]addr.OID
+	work            []addr.OID
+	oldSegs         map[addr.SegID]bool
+}
+
+func (s *gcScratch) reset() {
+	s.strongRoots = s.strongRoots[:0]
+	s.weakRoots = s.weakRoots[:0]
+	s.plainStrong = s.plainStrong[:0]
+	for x, l := range s.scionRootsBySrc {
+		s.scionRootsBySrc[x] = l[:0]
+	}
+	clear(s.oldSegs)
+}
+
 func newReplica(b addr.BunchID) *Replica {
 	return &Replica{
 		Bunch:    b,
 		Table:    ssp.NewTable(b),
 		writeLog: make(map[addr.OID]bool),
+		relog:    make(map[relogEntry]bool),
 	}
 }
 
@@ -90,10 +129,26 @@ type Collector struct {
 	pending map[addr.NodeID]map[addr.OID]dsm.Manifest
 
 	// Flight-recorder plumbing, cached from the transport's observer.
-	rec        *obs.Recorder
-	copyHist   *obs.Histogram // words moved per evacuated object
-	scanHist   *obs.Histogram // objects scanned per collection
-	phaseHists map[string]*obs.Histogram
+	rec         *obs.Recorder
+	copyHist    *obs.Histogram // words moved per evacuated object
+	scanHist    *obs.Histogram // objects scanned per collection
+	segLiveHist *obs.Histogram // live percent of each own segment per collection
+	phaseHists  map[string]*obs.Histogram
+
+	// segLive counts, per segment, the live words the running collection's
+	// trace found with their header there (indexed by SegID). scratch is
+	// the rest of a collection's reused buffers.
+	segLive []int
+	scratch gcScratch
+	// settled holds the segments this node created that already existed
+	// when it last collected their bunch: the only ones a collection may
+	// keep in place (keepDense). The allocation segment current at that
+	// collection's end is left out while it has room, since objects may
+	// still arrive in it unlogged (a §4.5 evacuation, a copy-out,
+	// Reestablish). A segment leaves the set when it joins from-space, so
+	// from keepDense to the flip a collected bunch's settled segments are
+	// exactly the kept ones.
+	settled map[addr.SegID]bool
 
 	// durBarrier, when set, is the node's durability barrier: collect()
 	// invokes it at the end of the flip, after reclaim and table rebuild,
@@ -108,10 +163,19 @@ type Collector struct {
 // were reclaimed as dead. Both slices are in deterministic (sorted-trace)
 // order; Copied holds the copied objects' records, so the barrier reads
 // their to-space addresses without a lookup.
+//
+// Objects in a segment the flip kept in place are not copied, so their
+// durable state is their segment image plus earlier log records. What the
+// collector changed in them since it last logged them rides the flip too:
+// Installed holds kept owned objects whose image a grant installed (logged
+// whole, like Copied), Rewritten the pointer words it rewrote in kept
+// segments (logged one word each).
 type FlipLog struct {
-	Bunches []addr.BunchID
-	Copied  []*dsm.Record
-	Dead    []addr.OID
+	Bunches   []addr.BunchID
+	Copied    []*dsm.Record
+	Dead      []addr.OID
+	Installed []*dsm.Record
+	Rewritten []addr.Addr
 }
 
 // gcPhases names the per-phase simulated-tick histograms a collection feeds.
@@ -126,17 +190,23 @@ func NewCollector(node addr.NodeID, heap *mem.Heap, dir Dir, net transport.Trans
 		phases[p] = o.Hist("gc.phase." + p + ".ticks")
 	}
 	return &Collector{
-		node:       node,
-		heap:       heap,
-		dir:        dir,
-		net:        net,
-		reps:       make(map[addr.BunchID]*Replica),
-		recvGen:    make(map[tableKey]uint64),
-		pending:    make(map[addr.NodeID]map[addr.OID]dsm.Manifest),
-		rec:        o.Recorder(node),
-		copyHist:   o.Hist("gc.copy.words"),
-		scanHist:   o.Hist("gc.scan.objects"),
-		phaseHists: phases,
+		node:        node,
+		heap:        heap,
+		dir:         dir,
+		net:         net,
+		reps:        make(map[addr.BunchID]*Replica),
+		recvGen:     make(map[tableKey]uint64),
+		pending:     make(map[addr.NodeID]map[addr.OID]dsm.Manifest),
+		rec:         o.Recorder(node),
+		copyHist:    o.Hist("gc.copy.words"),
+		scanHist:    o.Hist("gc.scan.objects"),
+		segLiveHist: o.Hist("core.bgc.segLiveFrac"),
+		phaseHists:  phases,
+		scratch: gcScratch{
+			scionRootsBySrc: make(map[addr.NodeID][]addr.OID),
+			oldSegs:         make(map[addr.SegID]bool),
+		},
+		settled: make(map[addr.SegID]bool),
 	}
 }
 
@@ -186,6 +256,7 @@ func (c *Collector) CrashBunch(b addr.BunchID) {
 	rep.allocSeg = nil
 	rep.gcActive = false
 	rep.writeLog = make(map[addr.OID]bool)
+	clear(rep.relog)
 	for nd, q := range c.pending {
 		for o, man := range q {
 			if man.Bunch == b {

@@ -125,6 +125,12 @@ func (c *Collector) CollectBunches(bunches []addr.BunchID) CollectStats {
 // there, and never less than reuseFactor segments.
 const reuseFactor = 2
 
+// denseLivePercent is the share of its capacity a segment's live words
+// must reach for a collection to leave it in place (keepDense): at most a
+// fifth of a kept segment is dead, and it is recovered once the segment
+// drops below the threshold and is evacuated.
+const denseLivePercent = 80
+
 func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool) CollectStats {
 	// ---- From-space reuse (§4.5), before this collection starts ---------
 	// The paper reuses a from-space segment once the to-space fills. Only
@@ -150,31 +156,30 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		set[b] = true
 	}
 
-	oldSegs := make(map[addr.SegID]bool)
-	fromCandidates := make(map[addr.BunchID][]addr.SegID)
-	var strongRoots, weakRoots []addr.OID
+	scr := &c.scratch
+	scr.reset()
+	clear(c.segLive)
 	// plainStrong keeps the non-scion strong roots (mutator handles and
 	// entering ownerPtrs) and scionRootsBySrc the inter-scion roots per
 	// source node, for the derivative-exiting analysis after the trace.
-	var plainStrong []addr.OID
-	scionRootsBySrc := make(map[addr.NodeID][]addr.OID)
+	strongRoots, weakRoots, plainStrong := scr.strongRoots, scr.weakRoots, scr.plainStrong
+	scionRootsBySrc := scr.scionRootsBySrc
 
 	// ---- Setup and flip pause 1 (root snapshot, §4.1) --------------------
 	c.rec.Emit(obs.Event{Kind: obs.KGCStart, Class: obs.ClassGC, Flags: gfl, A: int64(len(bunches))})
 
 	// Snapshot the pre-collection segment lists: the copy phase evacuates
-	// these, and every segment this node created for the bunch since its
-	// last collection — allocation and copy-overflow segments alike —
-	// becomes a from-space candidate for the §4.5 reuse protocol. Nothing
-	// is mapped here: a segment this node holds no replica of has no
-	// object for the trace to find.
+	// these, bar the dense ones keepDense leaves in place, and every
+	// segment this node created for the bunch since its last collection —
+	// allocation and copy-overflow segments alike — becomes a from-space
+	// candidate for the §4.5 reuse protocol. Nothing is mapped here: a
+	// segment this node holds no replica of has no object for the trace to
+	// find.
 	for _, b := range bunches {
 		rep := c.Replica(b)
 		for _, meta := range c.dir.Segments(b) {
-			oldSegs[meta.ID] = true
+			scr.oldSegs[meta.ID] = true
 		}
-		fromCandidates[b] = rep.ownSegs
-		rep.ownSegs = nil
 		rep.copiedWords = 0
 		// Fresh to-space: mutator allocations during the collection
 		// land there and survive this cycle unconditionally.
@@ -228,6 +233,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		}
 		weakRoots = append(weakRoots, rep.Table.IntraScionRootOIDs()...)
 	}
+	scr.strongRoots, scr.weakRoots, scr.plainStrong = strongRoots, weakRoots, plainStrong
 	st.RootCount = len(strongRoots) + len(weakRoots)
 	c.net.Clock().Advance(rootTick * uint64(st.RootCount))
 	st.PauseRootTicks = pause1.Elapsed()
@@ -259,23 +265,31 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	// X, is held live here solely on X's own behalf. Its exiting entry is
 	// flagged so X's group collector can discount the echo.
 	derivative := make(map[addr.OID]bool)
-	for x := range scionRootsBySrc {
-		if x == c.node {
-			continue // a local ownerPtr target never routes through itself
+	for x, xs := range scionRootsBySrc {
+		if x == c.node || len(xs) == 0 {
+			// A local ownerPtr target never routes through itself, and an
+			// empty list is a source with no scion roots this time.
+			continue
 		}
 		aux := make(map[addr.OID]int)
-		auxRoots := append([]addr.OID(nil), plainStrong...)
+		auxRoots := append(scr.auxRoots[:0], plainStrong...)
 		for ox, sc := range scionRootsBySrc {
 			if ox != x {
 				auxRoots = append(auxRoots, sc...)
 			}
 		}
+		scr.auxRoots = auxRoots
 		c.traceQuiet(set, auxRoots, strongLive, aux)
 		for o, s := range live {
 			if s == strongLive && aux[o] == notLive && c.dsm.OwnerPtrOf(o) == x {
 				derivative[o] = true
 			}
 		}
+	}
+
+	// ---- Keep dense segments in place -----------------------------------
+	for _, b := range bunches {
+		c.keepDense(c.Replica(b), scr.oldSegs)
 	}
 
 	// ---- Copy phase: only locally-owned live objects move (§4.2) --------
@@ -291,9 +305,8 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		if !ok {
 			continue
 		}
-		meta := c.dir.Allocator().Lookup(can)
-		if meta == nil || !oldSegs[meta.ID] {
-			continue // already in to-space (e.g. allocated during this GC)
+		if id, _ := c.heap.Allocator().SegIndex(can); !scr.oldSegs[id] || c.settled[id] {
+			continue // already in to-space (e.g. allocated during this GC), or kept
 		}
 		o := r.OID()
 		if man, moved := c.moveOwnedObject(r); moved {
@@ -376,7 +389,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 				continue
 			}
 			if hasCanon {
-				if meta := c.dir.Allocator().Lookup(can); meta != nil && !oldSegs[meta.ID] {
+				if meta := c.dir.Allocator().Lookup(can); meta != nil && !scr.oldSegs[meta.ID] {
 					continue // allocated during this collection; not traced, not dead
 				}
 			}
@@ -427,14 +440,16 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 
 	// ---- Rebuild stub tables and exiting ownerPtrs (§4.3), send (§6) -
 	tablesWatch := transport.StartWatch(c.net.Clock())
+	fl := FlipLog{Bunches: bunches, Copied: copied, Dead: deadOIDs}
 	for _, b := range bunches {
 		rep := c.Replica(b)
 		oldTable := rep.Table
 		exiting := c.rebuildTable(b, live)
 		rep.Gen++
 		c.sendTables(b, oldTable, exiting, derivative)
-		rep.fromSegs = append(rep.fromSegs, fromCandidates[b]...)
 		rep.gcActive = false
+		c.relogFor(rep, &fl)
+		c.settle(rep)
 	}
 	c.phaseHists["tables"].Observe(int64(tablesWatch.Elapsed()))
 
@@ -443,7 +458,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	// before or after the flip's sync — the two windows the crash chaos
 	// mode probes.
 	if c.durBarrier != nil {
-		c.durBarrier(FlipLog{Bunches: bunches, Copied: copied, Dead: deadOIDs})
+		c.durBarrier(fl)
 	}
 
 	for _, s := range live {
@@ -530,13 +545,17 @@ func (c *Collector) traceQuiet(set map[addr.BunchID]bool, roots []addr.OID, stre
 	c.traceImpl(set, roots, strength, live, true)
 }
 
+// traceImpl is trace's and traceQuiet's walk, over the scratch work stack.
+// A counted trace also adds each object it marks to the live words of the
+// segment holding its header (segLive), for keepDense.
 func (c *Collector) traceImpl(set map[addr.BunchID]bool, roots []addr.OID, strength int, live map[addr.OID]int, quiet bool) (int, int) {
 	scanned, words := 0, 0
-	work := append([]addr.OID(nil), roots...)
+	work := append(c.scratch.work[:0], roots...)
 	for len(work) > 0 {
 		o := work[len(work)-1]
 		work = work[:len(work)-1]
-		if o.IsNil() || live[o] >= strength {
+		prev := live[o]
+		if o.IsNil() || prev >= strength {
 			continue
 		}
 		r := c.dsm.Record(o)
@@ -562,6 +581,9 @@ func (c *Collector) traceImpl(set map[addr.BunchID]bool, roots []addr.OID, stren
 		words += size
 		if !quiet {
 			c.net.Clock().Advance(scanWordTick * uint64(size))
+			if prev == notLive && c.heap.ObjOID(a) == o && !c.heap.Forwarded(a) {
+				c.countLive(a, size+mem.HeaderWords)
+			}
 		}
 		c.heap.ForEachRef(a, func(_ int, v addr.Addr) {
 			if v.IsNil() {
@@ -577,7 +599,98 @@ func (c *Collector) traceImpl(set map[addr.BunchID]bool, roots []addr.OID, stren
 			work = append(work, t)
 		})
 	}
+	c.scratch.work = work
 	return scanned, words
+}
+
+// countLive adds words to the live words of the segment holding a.
+func (c *Collector) countLive(a addr.Addr, words int) {
+	id, _ := c.heap.Allocator().SegIndex(a)
+	if n := int(id) + 1; n > len(c.segLive) {
+		c.segLive = append(c.segLive, make([]int, n-len(c.segLive))...)
+	}
+	c.segLive[id] += words
+}
+
+// keepDense decides which of the segments this node created for rep's
+// bunch before this collection (those in old, the collection's snapshot)
+// stay in place; the rest join from-space. A segment stays when it is
+// settled (Collector.settled) and the live words the trace found in it
+// reach denseLivePercent of its capacity. Copying it would recover at most
+// a fifth of a segment, for a forwarding pointer, a location update and a
+// log record per object; no acquire-time invariant needs an object to move
+// (§4.2, §4.4). Capacity, not used words, is the yardstick: only the
+// allocation segment receives new objects, so a half-filled segment's free
+// tail is lost unless it is evacuated. A node's first collection of a
+// bunch keeps nothing, and an object allocated between collections is
+// always compacted once (settle).
+func (c *Collector) keepDense(rep *Replica, old map[addr.SegID]bool) {
+	own := rep.ownSegs[:0]
+	var kept, evacuated int64
+	for _, id := range rep.ownSegs {
+		if !old[id] {
+			own = append(own, id) // opened during this collection: to-space
+			continue
+		}
+		if s := c.heap.Seg(id); s != nil {
+			live := 0
+			if int(id) < len(c.segLive) {
+				live = c.segLive[id]
+			}
+			c.segLiveHist.Observe(int64(100 * live / s.Meta.Words))
+			if c.settled[id] && 100*live >= denseLivePercent*s.Meta.Words {
+				own = append(own, id)
+				kept++
+				continue
+			}
+		}
+		delete(c.settled, id)
+		rep.fromSegs = append(rep.fromSegs, id)
+		evacuated++
+	}
+	rep.ownSegs = own
+	c.stats().Add("core.gc.segsKept", kept)
+	c.stats().Add("core.gc.segsEvacuated", evacuated)
+}
+
+// relogFor hands the flip log rep's in-place changes (Replica.relog) that
+// lie in a segment this flip kept, and forgets the rest: they lay in
+// evacuated segments, whose owned objects were copied and are logged whole.
+// Until settle runs, the bunch's settled segments are the kept ones.
+func (c *Collector) relogFor(rep *Replica, fl *FlipLog) {
+	alloc := c.heap.Allocator()
+	for e := range rep.relog {
+		id, _ := alloc.SegIndex(e.a)
+		switch {
+		case !c.settled[id]:
+		case e.o.IsNil():
+			fl.Rewritten = append(fl.Rewritten, e.a)
+		default:
+			// Only an owned object this node still holds at that header
+			// has a durable state here to bring up to date.
+			r := c.dsm.Record(e.o)
+			if can, ok := r.Canonical(); ok && can == e.a && r.IsOwner() &&
+				c.heap.ObjOID(can) == e.o && !c.heap.Forwarded(can) {
+				fl.Installed = append(fl.Installed, r)
+			}
+		}
+	}
+	clear(rep.relog)
+	slices.Sort(fl.Rewritten)
+	slices.SortFunc(fl.Installed, func(a, b *dsm.Record) int { return cmp.Compare(a.OID(), b.OID()) })
+}
+
+// settle marks rep's own segments settled at the flip, bar the current
+// allocation segment while it has room for another object: what lands
+// there before the next collection is not logged whole, so that collection
+// evacuates it and logs its copies.
+func (c *Collector) settle(rep *Replica) {
+	for _, id := range rep.ownSegs {
+		c.settled[id] = true
+	}
+	if s := rep.allocSeg; s != nil && s.FreeWords() >= mem.HeaderWords {
+		delete(c.settled, s.Meta.ID)
+	}
 }
 
 // stubsAllInGroup reports whether every inter-bunch stub this node holds

@@ -212,6 +212,7 @@ func (c *Collector) InstallImage(img dsm.ObjectImage, ms []dsm.Manifest, from ad
 		c.heap.ClearFwd(a)
 	}
 	c.heap.WriteRange(c.heap.DataAddr(a, 0), img.Words, img.Refs)
+	c.noteChange(relogEntry{a: a, o: img.OID})
 	// A word no local header identifies (this node rejected its referee's
 	// manifest as older than a location it knows) is identified by the
 	// grant's manifest for that address (invariant 1).
@@ -229,7 +230,8 @@ func (c *Collector) InstallImage(img dsm.ObjectImage, ms []dsm.Manifest, from ad
 // address ResolveRef gives it (inHand as there), counting each rewrite under
 // counter: a stale replica may map an older header than the canonical one,
 // which grants would not identify. The change is address-level only, so it
-// needs no token and is invisible to the consistency contract (§4.4).
+// needs no token and is invisible to the consistency contract (§4.4). Each
+// rewritten word is noted for a later flip's log (noteChange).
 func (c *Collector) normalizeRefs(a addr.Addr, counter string, inHand func(addr.Addr) addr.OID) {
 	c.heap.ForEachRef(a, func(i int, w addr.Addr) {
 		if w.IsNil() {
@@ -238,8 +240,31 @@ func (c *Collector) normalizeRefs(a addr.Addr, counter string, inHand func(addr.
 		if r, _ := c.ResolveRef(w, inHand); !r.IsNil() && r != w {
 			c.heap.SetField(a, i, uint64(r), true)
 			c.stats().Add(counter, 1)
+			c.noteChange(relogEntry{a: c.heap.DataAddr(a, i)})
 		}
 	})
+}
+
+// settledReplica returns the replica of the bunch s serves if s is a
+// settled segment here (Collector.settled): the only segments a flip can
+// keep in place. Otherwise nil.
+func (c *Collector) settledReplica(s *mem.Segment) *Replica {
+	if !c.settled[s.Meta.ID] {
+		return nil
+	}
+	return c.reps[s.Meta.Bunch]
+}
+
+// noteChange records an in-place change the collector made in a settled
+// segment (Replica.relog). A change anywhere else is some other node's to
+// log, or lies in a segment whose owned objects the next flip copies and
+// logs whole.
+func (c *Collector) noteChange(e relogEntry) {
+	if s := c.heap.SegAt(e.a); s != nil {
+		if rep := c.settledReplica(s); rep != nil {
+			rep.relog[e] = true
+		}
+	}
 }
 
 // PrepareOwnershipTransfer implements invariant 3 at the old owner: if this

@@ -402,10 +402,17 @@ func (c *Collector) rewriteRefsInto(doomed segSet, headers []SegHeader, late []d
 		var refs, fwds int
 		unresolved = 0
 		c.heap.ForEachSegment(func(s *mem.Segment) {
-			if !doomed.has(s.Meta.ID) {
-				refs += s.RewriteRefs(escape)
-				fwds += s.RewriteFwds(escape)
+			if doomed.has(s.Meta.ID) {
+				return
 			}
+			var note func(addr.Addr)
+			if rep := c.settledReplica(s); rep != nil {
+				// A kept object is never logged whole again: the flip
+				// that keeps it logs the words rewritten here.
+				note = func(a addr.Addr) { rep.relog[relogEntry{a: a}] = true }
+			}
+			refs += s.RewriteRefs(escape, note)
+			fwds += s.RewriteFwds(escape)
 		})
 		if refs > 0 {
 			c.stats().Add("core.reclaim.refsRewritten", int64(refs))

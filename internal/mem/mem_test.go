@@ -352,8 +352,12 @@ func TestRewriteWalks(t *testing.T) {
 		seen = append(seen, v)
 		return x, v == y
 	}
-	if n := s.RewriteRefs(moveY); n != 1 || len(seen) != 2 {
+	var at []addr.Addr
+	if n := s.RewriteRefs(moveY, func(a addr.Addr) { at = append(at, a) }); n != 1 || len(seen) != 2 {
 		t.Fatalf("RewriteRefs rewrote %d of %v, want 1 of 2 pointer words", n, seen)
+	}
+	if len(at) != 1 || at[0] != h.DataAddr(x, 1) {
+		t.Fatalf("RewriteRefs reported rewritten words %v, want [%v]", at, h.DataAddr(x, 1))
 	}
 	if h.GetField(x, 1) != uint64(x) || h.GetField(x, 2) != uint64(z) || h.GetField(x, 0) != 7 {
 		t.Fatalf("fields after RewriteRefs = %d %d %d", h.GetField(x, 0), h.GetField(x, 1), h.GetField(x, 2))

@@ -273,13 +273,17 @@ func (s *Segment) Objects() []addr.Addr {
 
 // RewriteRefs offers the value of every word marked as a pointer in this
 // replica's reference map to f, in address order, and stores f's answer
-// wherever f reports a change. It returns the number of words rewritten.
-func (s *Segment) RewriteRefs(f func(v addr.Addr) (addr.Addr, bool)) int {
+// wherever f reports a change, telling rewritten (if not nil) the address
+// of each word it rewrote. It returns the number of words rewritten.
+func (s *Segment) RewriteRefs(f func(v addr.Addr) (addr.Addr, bool), rewritten func(at addr.Addr)) int {
 	n := 0
 	s.refMap.ForEach(func(off int) {
 		if r, ok := f(addr.Addr(s.words[off])); ok {
 			s.words[off] = uint64(r)
 			n++
+			if rewritten != nil {
+				rewritten(s.Meta.Base.AddWords(off))
+			}
 		}
 	})
 	return n
