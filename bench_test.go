@@ -545,8 +545,8 @@ func BenchmarkCollectChurn(b *testing.B) {
 }
 
 // collectChurnAllocsPerRound bounds the Go heap allocations of one
-// BenchmarkCollectChurn round in steady state: the measured 215, plus 10 %.
-const collectChurnAllocsPerRound = 236
+// BenchmarkCollectChurn round in steady state: the measured 169, plus 10 %.
+const collectChurnAllocsPerRound = 186
 
 // TestCollectChurnAllocs pins BenchmarkCollectChurn's allocations per
 // round, so a collection that starts rebuilding its scratch from nil again

@@ -745,3 +745,35 @@ func TestKillRestartKeepsReclaimRewriteInKeptSegment(t *testing.T) {
 		}
 	})
 }
+
+// TestKillRestartKeepsPeerOwnedObject restarts a node that holds a
+// reference to an object a peer owns in the same bunch: the restarted
+// node must still read the object's value. It reads 0 today, and the test
+// is skipped until KillRestart stops forgetting the peers' own objects.
+func TestKillRestartKeepsPeerOwnedObject(t *testing.T) {
+	t.Skip("KillRestart has every peer ForgetBunch the restarted bunch: the peer drops its own leaf's protocol state, and the restarted node re-establishes the leaf empty (reads 0, not 7)")
+	onEachBackend(t, 2, func(t *testing.T, cl *Cluster) {
+		nd, peer := cl.Node(0), cl.Node(1)
+		b := nd.NewBunch()
+		mustOK(t, peer.MapBunch(b))
+		leaf := allocFilled(t, peer, b, 1, 7)[0]
+		root := allocFilled(t, nd, b, 1, 100)[0]
+		mustOK(t, nd.AcquireRead(leaf))
+		nd.Release(leaf)
+		mustOK(t, nd.WriteRef(root, 1, leaf))
+		nd.Sync()
+		peer.Sync()
+		nd.CollectBunch(b)
+		cl.Run(0)
+		peer.CollectBunch(b)
+		cl.Run(0)
+		mustOK(t, nd.KillRestart(b))
+		cl.Run(0)
+		if v := readWord0(t, nd, leaf); v != 7 {
+			t.Fatalf("peer-owned leaf = %d at the restarted node, want 7", v)
+		}
+		if v := readWord0(t, nd, root); v != 100 {
+			t.Fatalf("root = %d after the restart, want 100", v)
+		}
+	})
+}

@@ -7,6 +7,7 @@ import (
 	"bmx/internal/addr"
 	"bmx/internal/core"
 	"bmx/internal/mem"
+	"bmx/internal/ssp"
 )
 
 // settle runs collections at every node over every mapped bunch and drains
@@ -1330,4 +1331,111 @@ func TestDenseSurvivorSegmentsStayInPlace(t *testing.T) {
 			heap.Seg(ids[0]) != nil, heap.Seg(ids[1]) != nil)
 	}
 	check("after §4.5 freed the sparse segment")
+}
+
+// TestStaleMarkDoesNotKeepObject collects, unroots one object and collects
+// again: the mark the first collection left in the object's record is of an
+// older epoch, so it must not keep the object, which the second collection
+// reclaims.
+func TestStaleMarkDoesNotKeepObject(t *testing.T) {
+	cl := New(Config{Nodes: 1, SegWords: 64, Seed: 1})
+	n := cl.Node(0)
+	b := n.NewBunch()
+	keep, drop := n.MustAlloc(b, 1), n.MustAlloc(b, 1)
+	n.AddRoot(keep)
+	n.AddRoot(drop)
+	if st := n.CollectBunch(b); st.LiveStrong != 2 || st.Dead != 0 {
+		t.Fatalf("first collection: %d strongly live, %d dead; want 2, 0", st.LiveStrong, st.Dead)
+	}
+	n.RemoveRoot(drop)
+	if st := n.CollectBunch(b); st.LiveStrong != 1 || st.Dead != 1 {
+		t.Fatalf("second collection: %d strongly live, %d dead; want 1, 1", st.LiveStrong, st.Dead)
+	}
+	if _, ok := n.DSM().Canonical(drop.OID); ok {
+		t.Fatal("the unrooted object survived on its stale mark")
+	}
+	if _, ok := n.DSM().Canonical(keep.OID); !ok {
+		t.Fatal("the rooted object was reclaimed")
+	}
+}
+
+// TestLiveOIDsLeavesMarksAlone runs the same schedule on two clusters, one
+// of which calls LiveOIDs between the two collections: LiveOIDs keeps its
+// own marks, so the next collection must decide exactly as without it.
+func TestLiveOIDsLeavesMarksAlone(t *testing.T) {
+	run := func(probe bool) (core.CollectStats, []addr.OID) {
+		cl := New(Config{Nodes: 1, SegWords: 64, Seed: 1})
+		n := cl.Node(0)
+		b := n.NewBunch()
+		root := n.MustAlloc(b, 2)
+		n.AddRoot(root)
+		var objs []Ref
+		for i := range 6 {
+			objs = append(objs, n.MustAlloc(b, 1))
+			if i < 2 {
+				mustOK(t, n.WriteRef(root, i, objs[i]))
+			} else {
+				n.AddRoot(objs[i])
+			}
+		}
+		n.CollectBunch(b)
+		var live []addr.OID
+		if probe {
+			n.mu.Lock()
+			live = n.col.LiveOIDs(b)
+			n.mu.Unlock()
+		}
+		mustOK(t, n.WriteRef(root, 1, Ref{}))
+		n.RemoveRoot(objs[2])
+		n.RemoveRoot(objs[3])
+		st := n.CollectBunch(b)
+		if _, ok := n.DSM().Canonical(objs[1].OID); ok {
+			t.Fatalf("probe %v: the unreferenced object survived", probe)
+		}
+		return st, live
+	}
+	want, _ := run(false)
+	got, live := run(true)
+	if len(live) != 7 {
+		t.Fatalf("LiveOIDs listed %d objects, want 7", len(live))
+	}
+	if got.LiveStrong != want.LiveStrong || got.LiveWeak != want.LiveWeak || got.Dead != want.Dead ||
+		got.Scanned != want.Scanned || got.Copied != want.Copied {
+		t.Fatalf("after LiveOIDs the collection gave %+v, without it %+v", got, want)
+	}
+	if want.LiveStrong != 4 || want.Dead != 3 {
+		t.Fatalf("collection found %d strongly live and %d dead, want 4 and 3", want.LiveStrong, want.Dead)
+	}
+}
+
+// TestUnrecordedRootMarkedOnce roots a collection at an object the node
+// keeps no record of, through two scions and an intra-bunch scion: the
+// trace marks it in the collector's side map, counts it once as unknown
+// and once as strongly live.
+func TestUnrecordedRootMarkedOnce(t *testing.T) {
+	cl := New(Config{Nodes: 2, SegWords: 64, Seed: 1})
+	n := cl.Node(0)
+	b := n.NewBunch()
+	root, gone := n.MustAlloc(b, 1), n.MustAlloc(b, 1)
+	n.AddRoot(root)
+	n.CollectBunch(b) // gone dies here: its record goes with it
+	cl.Run(0)
+	if n.DSM().Record(gone.OID) != nil {
+		t.Fatal("the dead object kept its record")
+	}
+	n.mu.Lock()
+	tab := n.col.Replica(b).Table
+	for _, src := range []addr.OID{100, 101} {
+		tab.AddInterScion(ssp.InterScion{TargetOID: gone.OID, TargetBunch: b, SrcOID: src, SrcBunch: b + 1, SrcNode: 1})
+	}
+	tab.AddIntraScion(ssp.IntraScion{OID: gone.OID, Bunch: b, NewOwner: 1})
+	n.mu.Unlock()
+	before := cl.Stats().Get("core.gc.rootUnknown")
+	st := n.CollectBunch(b)
+	if got := cl.Stats().Get("core.gc.rootUnknown") - before; got != 1 {
+		t.Fatalf("the unrecorded root counted %d times as unknown, want 1", got)
+	}
+	if st.LiveStrong != 2 || st.LiveWeak != 0 {
+		t.Fatalf("%d strongly and %d weakly live, want 2 and 0", st.LiveStrong, st.LiveWeak)
+	}
 }

@@ -65,15 +65,37 @@ type relogEntry struct {
 
 // gcScratch is the per-collection scratch of this node's collections: each
 // collection truncates and refills it, so a steady-state collection does
-// not rebuild its root lists, work stack and segment set from nil.
+// not rebuild its root lists, work stack, maps and record lists from nil.
 // Collections at a node run one at a time, under the node lock.
 type gcScratch struct {
 	strongRoots, weakRoots, plainStrong, auxRoots []addr.OID
-	// scionRootsBySrc keeps its keys across collections; a source node
-	// with no scion roots this time has an empty list.
+	// scionRootsBySrc and deadByManager keep their keys across
+	// collections; a node with nothing this time has an empty list.
 	scionRootsBySrc map[addr.NodeID][]addr.OID
+	deadByManager   map[addr.NodeID][]addr.OID
 	work            []addr.OID
 	oldSegs         map[addr.SegID]bool
+	set             map[addr.BunchID]bool // the collected bunches
+	// unrecorded marks the objects the trace found live that have no
+	// record here (markOf); aux is the derivative re-trace's own marks.
+	unrecorded map[addr.OID]int
+	aux        map[addr.OID]int
+	derivative map[addr.OID]bool
+	dead       []addr.OID
+	liveOrder  []*dsm.Record
+	copied     []*dsm.Record
+}
+
+func newGCScratch() gcScratch {
+	return gcScratch{
+		scionRootsBySrc: make(map[addr.NodeID][]addr.OID),
+		deadByManager:   make(map[addr.NodeID][]addr.OID),
+		oldSegs:         make(map[addr.SegID]bool),
+		set:             make(map[addr.BunchID]bool),
+		unrecorded:      make(map[addr.OID]int),
+		aux:             make(map[addr.OID]int),
+		derivative:      make(map[addr.OID]bool),
+	}
 }
 
 func (s *gcScratch) reset() {
@@ -83,7 +105,19 @@ func (s *gcScratch) reset() {
 	for x, l := range s.scionRootsBySrc {
 		s.scionRootsBySrc[x] = l[:0]
 	}
+	for x, l := range s.deadByManager {
+		s.deadByManager[x] = l[:0]
+	}
 	clear(s.oldSegs)
+	clear(s.set)
+	clear(s.unrecorded)
+	clear(s.derivative)
+	s.dead = s.dead[:0]
+	// A shorter list must not keep the last one's records from the Go
+	// collector past its length.
+	clear(s.liveOrder)
+	clear(s.copied)
+	s.liveOrder, s.copied = s.liveOrder[:0], s.copied[:0]
 }
 
 func newReplica(b addr.BunchID) *Replica {
@@ -140,6 +174,9 @@ type Collector struct {
 	// the rest of a collection's reused buffers.
 	segLive []int
 	scratch gcScratch
+	// markEpoch is the running (or last) collection's mark epoch: a
+	// record whose mark carries it was marked by that collection.
+	markEpoch uint32
 	// settled holds the segments this node created that already existed
 	// when it last collected their bunch: the only ones a collection may
 	// keep in place (keepDense). The allocation segment current at that
@@ -202,11 +239,8 @@ func NewCollector(node addr.NodeID, heap *mem.Heap, dir Dir, net transport.Trans
 		scanHist:    o.Hist("gc.scan.objects"),
 		segLiveHist: o.Hist("core.bgc.segLiveFrac"),
 		phaseHists:  phases,
-		scratch: gcScratch{
-			scionRootsBySrc: make(map[addr.NodeID][]addr.OID),
-			oldSegs:         make(map[addr.SegID]bool),
-		},
-		settled: make(map[addr.SegID]bool),
+		scratch:     newGCScratch(),
+		settled:     make(map[addr.SegID]bool),
 	}
 }
 

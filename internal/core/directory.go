@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -30,7 +31,7 @@ import (
 // ObjInfo is the directory's record of one object: where it was allocated
 // and by whom. The allocation site is the first owner and therefore a valid
 // starting point for any ownerPtr chain. The directory keeps one per object
-// ever allocated, so the two 32-bit fields share a word.
+// ever allocated, packed in its object table (objEntry).
 type ObjInfo struct {
 	OID       addr.OID
 	AllocAddr addr.Addr
@@ -62,19 +63,76 @@ type Directory struct {
 	mu        sync.Mutex
 	alloc     *mem.Allocator
 	bunches   map[addr.BunchID]*bunchInfo
-	objects   map[addr.OID]ObjInfo
+	objects   objTable
 	nextBunch addr.BunchID
 	nextOID   addr.OID
 	// segObjs lists the objects allocated in each segment (the population
 	// sharing one token under segment-grain consistency).
 	segObjs map[addr.SegID][]addr.OID
-	// ownerHint is the manager-side probable owner of each object (Li's
-	// dynamic distributed manager keeps exactly this), updated whenever a
-	// write token is granted; absent, the allocation site stands in. It
-	// only seeds ownerPtr chains when a node has no local routing state;
-	// the chains themselves stay authoritative, so a stale hint — any past
-	// owner — is still a sound place to start one.
-	ownerHint map[addr.OID]addr.NodeID
+}
+
+// objPageShift sets the object table's page: 4 096 entries of 24 bytes.
+const objPageShift = 12
+
+// objTable is the directory's object records, indexed by OID: fixed pages
+// of entries, so a record costs its entry and no hash slot. NewOID issues
+// OIDs from one counter, so the pages up to the counter's sit in a slice.
+// A page past it, for an OID the directory has not issued, goes in a map:
+// a stray huge OID costs one page, not memory in proportion to its value.
+type objTable struct {
+	pages []*objPage
+	far   map[uint64]*objPage
+}
+
+type objPage [1 << objPageShift]objEntry
+
+// objEntry is one OID's slot: its allocation record, if registered (alloc
+// set), and its owner hint, if one was recorded (hint set).
+type objEntry struct {
+	addr  addr.Addr
+	size  int32
+	bunch addr.BunchID
+	alloc nodeSlot
+	hint  nodeSlot
+}
+
+// nodeSlot holds a NodeID with its sign bit flipped, so the zero slot
+// holds none: the one NodeID it cannot hold, math.MinInt32, is no node's.
+type nodeSlot int32
+
+func slotOf(n addr.NodeID) nodeSlot  { return nodeSlot(n ^ math.MinInt32) }
+func (s nodeSlot) node() addr.NodeID { return addr.NodeID(s ^ math.MinInt32) }
+
+// entry returns o's slot, nil if its page does not exist. With grow it
+// creates the page: in the slice if it is at most the page of issued (the
+// next OID to issue), else in the map.
+func (t *objTable) entry(o, issued addr.OID, grow bool) *objEntry {
+	p := uint64(o) >> objPageShift
+	var pg *objPage
+	if p < uint64(len(t.pages)) {
+		pg = t.pages[p]
+	}
+	if pg == nil && t.far != nil {
+		pg = t.far[p]
+	}
+	if pg == nil {
+		if !grow {
+			return nil
+		}
+		pg = new(objPage)
+		if p <= uint64(issued)>>objPageShift {
+			if n := int(p) + 1; n > len(t.pages) {
+				t.pages = append(t.pages, make([]*objPage, n-len(t.pages))...)
+			}
+			t.pages[p] = pg
+		} else {
+			if t.far == nil {
+				t.far = make(map[uint64]*objPage)
+			}
+			t.far[p] = pg
+		}
+	}
+	return &pg[uint64(o)&(1<<objPageShift-1)]
 }
 
 // NewDirectory creates a directory drawing segments from alloc.
@@ -82,11 +140,9 @@ func NewDirectory(alloc *mem.Allocator) *Directory {
 	return &Directory{
 		alloc:     alloc,
 		bunches:   make(map[addr.BunchID]*bunchInfo),
-		objects:   make(map[addr.OID]ObjInfo),
 		nextBunch: 1,
 		nextOID:   1,
 		segObjs:   make(map[addr.SegID][]addr.OID),
-		ownerHint: make(map[addr.OID]addr.NodeID),
 	}
 }
 
@@ -253,11 +309,13 @@ func (d *Directory) NewOID() addr.OID {
 	return o
 }
 
-// RegisterObject records the allocation of oid.
+// RegisterObject records the allocation of oid. Its size fits in 32 bits:
+// an object fits in a segment.
 func (d *Directory) RegisterObject(info ObjInfo) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.objects[info.OID] = info
+	e := d.objects.entry(info.OID, d.nextOID, true)
+	e.addr, e.size, e.bunch, e.alloc = info.AllocAddr, int32(info.Size), info.Bunch, slotOf(info.AllocNode)
 	if meta := d.alloc.Lookup(info.AllocAddr); meta != nil {
 		d.segObjs[meta.ID] = append(d.segObjs[meta.ID], info.OID)
 	}
@@ -267,8 +325,11 @@ func (d *Directory) RegisterObject(info ObjInfo) {
 func (d *Directory) Object(o addr.OID) (ObjInfo, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	info, ok := d.objects[o]
-	return info, ok
+	e := d.objects.entry(o, d.nextOID, false)
+	if e == nil || e.alloc == 0 {
+		return ObjInfo{}, false
+	}
+	return ObjInfo{OID: o, AllocAddr: e.addr, Size: int(e.size), Bunch: e.bunch, AllocNode: e.alloc.node()}, true
 }
 
 // SegmentPopulation returns the objects allocated in the segment containing
@@ -284,11 +345,15 @@ func (d *Directory) SegmentPopulation(a addr.Addr) []addr.OID {
 }
 
 // SetOwnerHint records the probable current owner of o (updated at every
-// ownership transfer).
+// ownership transfer): the manager-side hint Li's dynamic distributed
+// manager keeps; absent, the allocation site stands in. It only seeds
+// ownerPtr chains when a node has no local routing state; the chains
+// themselves stay authoritative, so a stale hint — any past owner — is
+// still a sound place to start one.
 func (d *Directory) SetOwnerHint(o addr.OID, n addr.NodeID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.ownerHint[o] = n
+	d.objects.entry(o, d.nextOID, true).hint = slotOf(n)
 }
 
 // Locate returns what a node needs to start tracking o: its bunch and its
@@ -298,11 +363,15 @@ func (d *Directory) Locate(o addr.OID) (addr.BunchID, addr.NodeID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	b, hint := addr.NoBunch, addr.NoNode
-	if info, ok := d.objects[o]; ok {
-		b, hint = info.Bunch, info.AllocNode
+	e := d.objects.entry(o, d.nextOID, false)
+	if e == nil {
+		return b, hint
 	}
-	if n, ok := d.ownerHint[o]; ok {
-		hint = n
+	if e.alloc != 0 {
+		b, hint = e.bunch, e.alloc.node()
+	}
+	if e.hint != 0 {
+		hint = e.hint.node()
 	}
 	return b, hint
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bmx/internal/addr"
 	"bmx/internal/mem"
@@ -140,5 +143,149 @@ func TestDirectoryHoldersProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// locateIs fails the test unless d locates o at (b, hint).
+func locateIs(t *testing.T, d *Directory, o addr.OID, b addr.BunchID, hint addr.NodeID) {
+	t.Helper()
+	if gb, gh := d.Locate(o); gb != b || gh != hint {
+		t.Fatalf("Locate(%v) = (%v, %v), want (%v, %v)", o, gb, gh, b, hint)
+	}
+}
+
+func TestObjectTableHintBeforeRegistration(t *testing.T) {
+	d := newDir()
+	b := d.NewBunch(1)
+	o := d.NewOID()
+	d.SetOwnerHint(o, 3)
+	if _, ok := d.Object(o); ok {
+		t.Fatal("a hint alone must not register the object")
+	}
+	locateIs(t, d, o, addr.NoBunch, 3)
+	d.RegisterObject(ObjInfo{OID: o, Bunch: b, Size: 2, AllocNode: 1, AllocAddr: 0x40})
+	locateIs(t, d, o, b, 3) // the hint outranks the allocation site
+	// A hint naming no node is a hint: it outranks the allocation site too.
+	d.SetOwnerHint(o, addr.NoNode)
+	locateIs(t, d, o, b, addr.NoNode)
+}
+
+func TestObjectTableRegistrationWithoutHint(t *testing.T) {
+	d := newDir()
+	b := d.NewBunch(2)
+	o := d.NewOID()
+	info := ObjInfo{OID: o, Bunch: b, Size: 0, AllocNode: 0, AllocAddr: 0}
+	d.RegisterObject(info)
+	if got, ok := d.Object(o); !ok || got != info {
+		t.Fatalf("Object(%v) = %+v, %v; want %+v", o, got, ok, info)
+	}
+	locateIs(t, d, o, b, 0) // the allocation site stands in for the hint
+}
+
+func TestObjectTableUnknownOID(t *testing.T) {
+	d := newDir()
+	b := d.NewBunch(1)
+	o := d.NewOID()
+	d.RegisterObject(ObjInfo{OID: o, Bunch: b, Size: 1, AllocNode: 1, AllocAddr: 0x40})
+	for _, u := range []addr.OID{addr.NilOID, o + 1} {
+		if got, ok := d.Object(u); ok || got != (ObjInfo{}) {
+			t.Fatalf("Object(%v) = %+v, %v; want the zero record", u, got, ok)
+		}
+		locateIs(t, d, u, addr.NoBunch, addr.NoNode)
+	}
+}
+
+func TestObjectTablePastLastPage(t *testing.T) {
+	d := newDir()
+	b := d.NewBunch(1)
+	past := addr.OID(3 << objPageShift) // pages 0 to 2 not yet issued
+	for _, o := range []addr.OID{past, past + 1<<objPageShift - 1, past + 1<<objPageShift} {
+		if _, ok := d.Object(o); ok {
+			t.Fatalf("Object(%v) found before any registration", o)
+		}
+		locateIs(t, d, o, addr.NoBunch, addr.NoNode)
+		d.RegisterObject(ObjInfo{OID: o, Bunch: b, Size: 4, AllocNode: 2, AllocAddr: 0x80})
+		if got, ok := d.Object(o); !ok || got.OID != o || got.Size != 4 {
+			t.Fatalf("Object(%v) = %+v, %v after registration", o, got, ok)
+		}
+		locateIs(t, d, o, b, 2)
+	}
+	// The counter catching up reaches the same records.
+	for d.NewOID() <= past+1<<objPageShift {
+	}
+	locateIs(t, d, past, b, 2)
+	d.SetOwnerHint(past, 5)
+	locateIs(t, d, past, b, 5)
+}
+
+func TestObjectTableHugeOIDAllocatesOnePage(t *testing.T) {
+	d := newDir()
+	b := d.NewBunch(1)
+	d.RegisterObject(ObjInfo{OID: d.NewOID(), Bunch: b, AllocNode: 1})
+	huge := addr.OID(1<<40 + 12345)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d.SetOwnerHint(huge, 4)
+	d.RegisterObject(ObjInfo{OID: huge + 1, Bunch: b, Size: 3, AllocNode: 2})
+	runtime.ReadMemStats(&after)
+	page := uint64(unsafe.Sizeof(objPage{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > page+page/4 {
+		t.Fatalf("two records near 1<<40 allocated %d bytes, want at most one %d-byte page and change", got, page)
+	}
+	locateIs(t, d, huge, addr.NoBunch, 4)
+	locateIs(t, d, huge+1, b, 2)
+	locateIs(t, d, huge+2, addr.NoBunch, addr.NoNode)
+}
+
+// TestObjectTableMatchesMap drives the table and a reference pair of maps
+// (a record map and a hint map, the hint outranking the allocation site)
+// through seeded random registrations and hints, over issued OIDs, OIDs
+// past the counter and far ones, and checks every answer.
+func TestObjectTableMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := newDir()
+		b := d.NewBunch(0)
+		objects := map[addr.OID]ObjInfo{}
+		hints := map[addr.OID]addr.NodeID{}
+		var oids []addr.OID
+		pick := func() addr.OID {
+			switch k := rng.Intn(10); {
+			case k < 6 && len(oids) > 0:
+				return oids[rng.Intn(len(oids))]
+			case k < 8:
+				return addr.OID(rng.Intn(3 << objPageShift))
+			default:
+				return addr.OID(1<<30 + rng.Intn(1<<12))
+			}
+		}
+		for step := 0; step < 3000; step++ {
+			switch rng.Intn(3) {
+			case 0:
+				oids = append(oids, d.NewOID())
+			case 1:
+				info := ObjInfo{OID: pick(), Bunch: b + addr.BunchID(rng.Intn(3)), Size: rng.Intn(60),
+					AllocNode: addr.NodeID(rng.Intn(5)), AllocAddr: addr.Addr(8 * rng.Intn(1<<20))}
+				d.RegisterObject(info)
+				objects[info.OID] = info
+			case 2:
+				o, n := pick(), addr.NodeID(rng.Intn(6)-1)
+				d.SetOwnerHint(o, n)
+				hints[o] = n
+			}
+			o := pick()
+			want, wantOK := objects[o]
+			if got, ok := d.Object(o); got != want || ok != wantOK {
+				t.Fatalf("seed %d step %d: Object(%v) = %+v, %v; want %+v, %v", seed, step, o, got, ok, want, wantOK)
+			}
+			wb, wh := addr.NoBunch, addr.NoNode
+			if info, ok := objects[o]; ok {
+				wb, wh = info.Bunch, info.AllocNode
+			}
+			if n, ok := hints[o]; ok {
+				wh = n
+			}
+			locateIs(t, d, o, wb, wh)
+		}
 	}
 }

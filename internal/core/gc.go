@@ -151,14 +151,15 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	if group {
 		gfl = obs.FlagGroup
 	}
-	set := make(map[addr.BunchID]bool, len(bunches))
-	for _, b := range bunches {
-		set[b] = true
-	}
 
 	scr := &c.scratch
 	scr.reset()
 	clear(c.segLive)
+	c.nextMarkEpoch()
+	set := scr.set
+	for _, b := range bunches {
+		set[b] = true
+	}
 	// plainStrong keeps the non-scion strong roots (mutator handles and
 	// entering ownerPtrs) and scionRootsBySrc the inter-scion roots per
 	// source node, for the derivative-exiting analysis after the trace.
@@ -248,30 +249,35 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 
 	// ---- Trace -----------------------------------------------------------
 	traceWatch := transport.StartWatch(c.net.Clock())
-	live := make(map[addr.OID]int)
-	n, w := c.trace(set, strongRoots, strongLive, live)
+	n, w := c.trace(set, strongRoots, strongLive)
 	st.Scanned += n
 	st.ScannedWords += w
-	n, w = c.trace(set, weakRoots, weakLive, live)
+	n, w = c.trace(set, weakRoots, weakLive)
 	st.Scanned += n
 	st.ScannedWords += w
 	c.scanHist.Observe(int64(st.Scanned))
 	c.phaseHists["trace"].Observe(int64(traceWatch.Elapsed()))
 	c.rec.Emit(obs.Event{Kind: obs.KGCTrace, Class: obs.ClassGC, Flags: gfl, A: int64(st.Scanned)})
 
+	// The derivative analysis, copy and fixup walk this order: no mark
+	// changes between them.
+	liveOrder := c.liveRecords(bunches)
+
 	// Derivative-exiting analysis (§6.2 extended): for each remote node X
 	// whose scions contributed roots, re-trace without them; a strongly
 	// live object unreachable without X's scions, whose ownerPtr points at
 	// X, is held live here solely on X's own behalf. Its exiting entry is
-	// flagged so X's group collector can discount the echo.
-	derivative := make(map[addr.OID]bool)
+	// flagged so X's group collector can discount the echo. An object with
+	// no record here has no ownerPtr, so only liveOrder can qualify.
+	derivative := scr.derivative
 	for x, xs := range scionRootsBySrc {
 		if x == c.node || len(xs) == 0 {
 			// A local ownerPtr target never routes through itself, and an
 			// empty list is a source with no scion roots this time.
 			continue
 		}
-		aux := make(map[addr.OID]int)
+		aux := scr.aux
+		clear(aux)
 		auxRoots := append(scr.auxRoots[:0], plainStrong...)
 		for ox, sc := range scionRootsBySrc {
 			if ox != x {
@@ -280,9 +286,9 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		}
 		scr.auxRoots = auxRoots
 		c.traceQuiet(set, auxRoots, strongLive, aux)
-		for o, s := range live {
-			if s == strongLive && aux[o] == notLive && c.dsm.OwnerPtrOf(o) == x {
-				derivative[o] = true
+		for _, r := range liveOrder {
+			if c.markOf(r, r.OID()) == strongLive && aux[r.OID()] == notLive && r.OwnerPtr() == x {
+				derivative[r.OID()] = true
 			}
 		}
 	}
@@ -294,9 +300,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 
 	// ---- Copy phase: only locally-owned live objects move (§4.2) --------
 	copyWatch := transport.StartWatch(c.net.Clock())
-	var copied []*dsm.Record
-	// Copy and fixup both walk this order: live does not change between them.
-	liveOrder := c.liveRecords(bunches, live)
+	copied := scr.copied
 	for _, r := range liveOrder {
 		if !r.IsOwner() {
 			continue
@@ -319,6 +323,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 				Flags: gfl | obs.FlagOwned, OID: o, A: int64(man.Size)})
 		}
 	}
+	scr.copied = copied
 	c.phaseHists["copy"].Observe(int64(copyWatch.Elapsed()))
 
 	// ---- Local reference update (§4.4): no token, strictly local --------
@@ -335,7 +340,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	for _, b := range bunches {
 		rep := c.Replica(b)
 		for o := range rep.writeLog {
-			if live[o] != notLive {
+			if c.markOf(c.dsm.Record(o), o) != notLive {
 				c.fixupLocalRefs(o)
 			} else {
 				// Written while the collector ran but missed by the
@@ -350,7 +355,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	}
 	if len(revive) > 0 {
 		slices.Sort(revive)
-		rn, rw := c.trace(set, revive, strongLive, live)
+		rn, rw := c.trace(set, revive, strongLive)
 		st.Scanned += rn
 		st.ScannedWords += rw
 		c.stats().Add("core.gc.revived", int64(len(revive)))
@@ -362,15 +367,15 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 
 	// ---- Reclaim dead objects locally -------------------------------
 	reclaimWatch := transport.StartWatch(c.net.Clock())
-	deadByManager := make(map[addr.NodeID][]addr.OID)
-	var deadOIDs []addr.OID
+	deadByManager := scr.deadByManager
+	deadOIDs := scr.dead
 	for _, b := range bunches {
 		// Every record of the bunch with protocol state or a canonical
 		// address; the walk frees records but creates none.
 		for _, r := range c.dsm.Members(b) {
 			o := r.OID()
 			can, hasCanon := r.Canonical()
-			if !r.Known() && !hasCanon || live[o] != notLive {
+			if !r.Known() && !hasCanon || c.markOf(r, o) != notLive {
 				continue
 			}
 			if r.IsRoot() {
@@ -435,6 +440,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 			c.stats().Add("core.gc.dead", 1)
 		}
 	}
+	scr.dead = deadOIDs
 	c.sendDeadNotices(deadByManager)
 	c.phaseHists["reclaim"].Observe(int64(reclaimWatch.Elapsed()))
 
@@ -444,7 +450,7 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 	for _, b := range bunches {
 		rep := c.Replica(b)
 		oldTable := rep.Table
-		exiting := c.rebuildTable(b, live)
+		exiting := c.rebuildTable(b)
 		rep.Gen++
 		c.sendTables(b, oldTable, exiting, derivative)
 		rep.gcActive = false
@@ -461,12 +467,20 @@ func (c *Collector) collect(bunches []addr.BunchID, opts CollectOpts, group bool
 		c.durBarrier(fl)
 	}
 
-	for _, s := range live {
+	count := func(s int) {
 		if s == strongLive {
 			st.LiveStrong++
 		} else if s == weakLive {
 			st.LiveWeak++
 		}
+	}
+	for _, b := range bunches {
+		for _, r := range c.dsm.Members(b) {
+			count(c.markOf(r, r.OID()))
+		}
+	}
+	for _, s := range scr.unrecorded {
+		count(s)
 	}
 	st.TotalTicks = total.Elapsed()
 	st.CPUTicks = rootTick*uint64(st.RootCount) +
@@ -500,8 +514,8 @@ func (c *Collector) LiveOIDs(b addr.BunchID) []addr.OID {
 	}
 	strong = append(strong, c.dsm.EnteringRoots(b)...)
 	live := make(map[addr.OID]int)
-	c.trace(set, strong, strongLive, live)
-	c.trace(set, rep.Table.IntraScionRootOIDs(), weakLive, live)
+	c.traceImpl(set, strong, strongLive, live, false)
+	c.traceImpl(set, rep.Table.IntraScionRootOIDs(), weakLive, live, false)
 	return sortedLiveOIDs(live)
 }
 
@@ -528,24 +542,72 @@ func (c *Collector) newAllocSeg(b addr.BunchID) *mem.Segment {
 	return seg
 }
 
+// A collection marks what it finds live in the objects' records
+// (dsm.Record.Mark, DESIGN.md §14): the collector's mark epoch, advanced at
+// every collection, above the strength in the low markShift bits. A mark
+// from an earlier collection reads as notLive, so no pass clears marks.
+// An object the node keeps no record of is marked in the scratch's
+// unrecorded map. Between the trace and the end of the collection no
+// record is created for an object, and none the trace marked is freed: a
+// detach hands its mark to the record that takes over.
+const (
+	markShift    = 2
+	strengthMask = 1<<markShift - 1
+	maxMarkEpoch = 1<<(32-markShift) - 1
+)
+
+// nextMarkEpoch starts a collection's marks. When the epoch would
+// overflow, every record's mark is cleared first, so no mark of an old
+// epoch can read as current.
+func (c *Collector) nextMarkEpoch() {
+	if c.markEpoch == maxMarkEpoch {
+		c.dsm.ClearMarks()
+		c.markEpoch = 0
+	}
+	c.markEpoch++
+}
+
+// markOf returns the strength the running collection marked o with; r is
+// o's record, nil when the node has none.
+func (c *Collector) markOf(r *dsm.Record, o addr.OID) int {
+	if r == nil {
+		return c.scratch.unrecorded[o]
+	}
+	if m := r.Mark(); m>>markShift == c.markEpoch {
+		return int(m & strengthMask)
+	}
+	return notLive
+}
+
+// setMark marks o, whose record is r, with strength s.
+func (c *Collector) setMark(r *dsm.Record, o addr.OID, s int) {
+	if r == nil {
+		c.scratch.unrecorded[o] = s
+		return
+	}
+	r.SetMark(c.markEpoch<<markShift | uint32(s))
+}
+
 // trace marks everything reachable from roots inside the collected bunch
 // set at the given strength, scanning objects in place — including
 // non-owned, possibly inconsistent replicas: "an inconsistent copy of the
 // object is sufficient, because scanning an old version results in making a
 // more conservative decision" (§4.2). Returns the number of objects and
 // words scanned.
-func (c *Collector) trace(set map[addr.BunchID]bool, roots []addr.OID, strength int, live map[addr.OID]int) (int, int) {
-	return c.traceImpl(set, roots, strength, live, false)
+func (c *Collector) trace(set map[addr.BunchID]bool, roots []addr.OID, strength int) (int, int) {
+	return c.traceImpl(set, roots, strength, nil, false)
 }
 
-// traceQuiet is trace without clock charges, stats or diagnostics: an
-// analysis pass (e.g. the derivative-exiting computation) that must not
-// perturb the simulation's accounting.
+// traceQuiet is trace without clock charges, stats or diagnostics, and
+// with its marks in live instead of the records: an analysis pass (e.g.
+// the derivative-exiting computation) that must not perturb the
+// simulation's accounting or the collection's marks.
 func (c *Collector) traceQuiet(set map[addr.BunchID]bool, roots []addr.OID, strength int, live map[addr.OID]int) {
 	c.traceImpl(set, roots, strength, live, true)
 }
 
 // traceImpl is trace's and traceQuiet's walk, over the scratch work stack.
+// It keeps its marks in live, or with a nil live in the records (markOf).
 // A counted trace also adds each object it marks to the live words of the
 // segment holding its header (segLive), for keepDense.
 func (c *Collector) traceImpl(set map[addr.BunchID]bool, roots []addr.OID, strength int, live map[addr.OID]int, quiet bool) (int, int) {
@@ -554,15 +616,27 @@ func (c *Collector) traceImpl(set map[addr.BunchID]bool, roots []addr.OID, stren
 	for len(work) > 0 {
 		o := work[len(work)-1]
 		work = work[:len(work)-1]
-		prev := live[o]
-		if o.IsNil() || prev >= strength {
+		if o.IsNil() {
 			continue
 		}
 		r := c.dsm.Record(o)
+		var prev int
+		if live != nil {
+			prev = live[o]
+		} else {
+			prev = c.markOf(r, o)
+		}
+		if prev >= strength {
+			continue
+		}
 		if !set[c.bunchOf(r, o)] {
 			continue // cross-bunch edges are represented by SSPs, not traced
 		}
-		live[o] = strength
+		if live != nil {
+			live[o] = strength
+		} else {
+			c.setMark(r, o, strength)
+		}
 		a, ok := r.Canonical()
 		if !ok {
 			if !quiet {
@@ -724,7 +798,7 @@ func (c *Collector) fixupLocalRefs(o addr.OID) {
 // is live here (the forwarding chain must outlive the replica, §6.2); scions
 // are untouched — only the scion cleaner retires them. It returns the new
 // exiting-ownerPtr map, which omits weakly live objects (§6.2).
-func (c *Collector) rebuildTable(b addr.BunchID, live map[addr.OID]int) map[addr.OID]addr.NodeID {
+func (c *Collector) rebuildTable(b addr.BunchID) map[addr.OID]addr.NodeID {
 	rep := c.Replica(b)
 	old := rep.Table
 	nt := ssp.NewTable(b)
@@ -732,7 +806,7 @@ func (c *Collector) rebuildTable(b addr.BunchID, live map[addr.OID]int) map[addr
 	nt.IntraScions = old.IntraScions
 
 	for _, stub := range old.InterStubList() {
-		if live[stub.SrcOID] == notLive {
+		if c.markOf(c.dsm.Record(stub.SrcOID), stub.SrcOID) == notLive {
 			c.stats().Add("core.gc.stubsDropped", 1)
 			continue
 		}
@@ -743,7 +817,7 @@ func (c *Collector) rebuildTable(b addr.BunchID, live map[addr.OID]int) map[addr
 		nt.AddInterStub(stub)
 	}
 	for _, stub := range old.IntraStubList() {
-		if live[stub.OID] == notLive {
+		if c.markOf(c.dsm.Record(stub.OID), stub.OID) == notLive {
 			c.stats().Add("core.gc.stubsDropped", 1)
 			continue
 		}
@@ -755,10 +829,12 @@ func (c *Collector) rebuildTable(b addr.BunchID, live map[addr.OID]int) map[addr
 	for _, sc := range nt.InterScions {
 		scionTargets[sc.TargetOID] = true
 	}
+	// Only an object with a record here can have an exiting ownerPtr. The
+	// revival trace marks after liveOrder is built, so walk the members.
 	exiting := make(map[addr.OID]addr.NodeID)
-	for o, s := range live {
-		r := c.dsm.Record(o)
-		if s != strongLive || c.bunchOf(r, o) != b || r.IsOwner() {
+	for _, r := range c.dsm.Members(b) {
+		o := r.OID()
+		if c.markOf(r, o) != strongLive || r.IsOwner() {
 			continue
 		}
 		// Exiting ownerPtrs describe cached *replicas* (§4.3); protocol
@@ -856,19 +932,21 @@ func (c *Collector) sendTables(b addr.BunchID, oldTable *ssp.Table, exiting map[
 	c.rec.Emit(obs.Event{Kind: obs.KGCTables, Class: obs.ClassGC, A: int64(len(order))})
 }
 
-// liveRecords lists the records of the collected bunches the trace found
-// live, in OID order. Each member list is in OID order already, so only a
-// group of several bunches is sorted. A live object without a record here
-// has neither a copy to move nor words to fix, so it is not listed.
-func (c *Collector) liveRecords(bunches []addr.BunchID, live map[addr.OID]int) []*dsm.Record {
-	out := make([]*dsm.Record, 0, len(live))
+// liveRecords lists the records of the collected bunches the trace marked,
+// in OID order, in the scratch's list. Each member list is in OID order
+// already, so only a group of several bunches is sorted. A live object
+// without a record here has neither a copy to move nor words to fix, so it
+// is not listed.
+func (c *Collector) liveRecords(bunches []addr.BunchID) []*dsm.Record {
+	out := c.scratch.liveOrder[:0]
 	for _, b := range bunches {
 		for _, r := range c.dsm.Members(b) {
-			if live[r.OID()] != notLive {
+			if c.markOf(r, r.OID()) != notLive {
 				out = append(out, r)
 			}
 		}
 	}
+	c.scratch.liveOrder = out
 	if len(bunches) > 1 {
 		slices.SortFunc(out, func(a, b *dsm.Record) int { return cmp.Compare(a.OID(), b.OID()) })
 	}

@@ -126,14 +126,18 @@ func (c *Collector) HandleAsync(m transport.Msg) {
 }
 
 // sendDeadNotices tells each manager which of its objects the owner just
-// reclaimed.
+// reclaimed. The lists are the collection's scratch, so each notice sends a
+// copy; a manager with an empty list gets none.
 func (c *Collector) sendDeadNotices(byManager map[addr.NodeID][]addr.OID) {
 	for _, mgr := range sortedNodeIDs(byManager) {
 		oids := byManager[mgr]
+		if len(oids) == 0 {
+			continue
+		}
 		slices.Sort(oids)
 		c.net.Send(transport.Msg{
 			From: c.node, To: mgr, Kind: KindDeadNotice, Class: transport.ClassGC,
-			Payload: DeadNoticeMsg{From: c.node, OIDs: oids},
+			Payload: DeadNoticeMsg{From: c.node, OIDs: slices.Clone(oids)},
 			Bytes:   8 + 8*len(oids),
 		})
 		c.stats().Add("core.deadNotices", 1)

@@ -22,6 +22,9 @@ type Record struct {
 	canon addr.Addr // node-local canonical header address, NilAddr if none
 	epoch uint64    // relocation epoch applied (or, at the owner, produced) here; see Manifest.Epoch
 	freed bool
+	// mark is the node's collector's mark, opaque here: it sits in the
+	// padding after freed, and a fresh record starts at 0.
+	mark uint32
 	// st is the protocol state, valid while st.rec points back here. A
 	// record that loses its state is retired and its other contents move
 	// to a fresh record (detach), so a protocol step that released the node
@@ -40,6 +43,8 @@ func (r *Record) IsRoot() bool        { return r != nil && r.roots > 0 }
 func (r *Record) HasEntering() bool   { return r.Known() && len(r.st.Entering) > 0 }
 func (r *Record) Epoch() uint64       { return r.epoch }
 func (r *Record) SetEpoch(e uint64)   { r.epoch = e }
+func (r *Record) Mark() uint32        { return r.mark }
+func (r *Record) SetMark(m uint32)    { r.mark = m }
 
 // Mode returns the node's token mode for the object.
 func (r *Record) Mode() Mode {
@@ -206,7 +211,7 @@ func (n *Node) attach(o addr.OID, b addr.BunchID) *ObjState {
 
 // detach drops r's protocol state and unindexes its entering ownerPtrs. The
 // state stays in r, detached, for a caller still holding it: r is freed,
-// and a fresh record takes over whatever else it held.
+// and a fresh record takes over whatever else it held, the mark included.
 func (n *Node) detach(r *Record) {
 	for _, e := range r.st.Entering {
 		n.unindex(r.bunch, e.Node, r.oid)
@@ -216,7 +221,7 @@ func (n *Node) detach(r *Record) {
 		n.release(r)
 		return
 	}
-	nr := &Record{oid: r.oid, bunch: r.bunch, roots: r.roots, canon: r.canon, epoch: r.epoch}
+	nr := &Record{oid: r.oid, bunch: r.bunch, roots: r.roots, canon: r.canon, epoch: r.epoch, mark: r.mark}
 	r.freed = true
 	n.bunches[r.bunch].freed = true
 	n.objs[r.oid] = nr
@@ -324,6 +329,13 @@ func (n *Node) RemoveRoot(o addr.OID) {
 
 // IsRoot reports whether o is currently a mutator root on this node.
 func (n *Node) IsRoot(o addr.OID) bool { return n.objs[o].IsRoot() }
+
+// ClearMarks sets every record's mark to 0.
+func (n *Node) ClearMarks() {
+	for _, r := range n.objs {
+		r.mark = 0
+	}
+}
 
 // AuditIndexes checks the member lists and the entering index against a
 // walk of the records and returns what disagrees (Cluster.CheckInvariants).

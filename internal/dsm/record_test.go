@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"bmx/internal/addr"
 )
@@ -213,5 +214,51 @@ func TestForgottenStateStaysDetached(t *testing.T) {
 	}
 	if bad := n.AuditIndexes(); len(bad) > 0 {
 		t.Fatal(bad)
+	}
+}
+
+// TestDetachKeepsMark pins the collector's mark across a record's
+// replacement: a forget that leaves the object an address hands the mark
+// to the record that takes over, and a record created after the object was
+// freed starts unmarked.
+func TestDetachKeepsMark(t *testing.T) {
+	env := newFakeEnv(t, 2)
+	env.bunch[1] = 1
+	n := env.nodes[0]
+	n.SetCanonical(1, 1, 0x1000)
+	n.Learn(1, 1, 1)
+	old := n.Record(1)
+	old.SetMark(7<<2 | 2)
+	n.Forget(1)
+	r := n.Record(1)
+	if r == old || r.Known() {
+		t.Fatal("Forget must detach the state into a fresh record")
+	}
+	if got := r.Mark(); got != 7<<2|2 {
+		t.Fatalf("the fresh record's mark = %#x, want the detached one's %#x", got, 7<<2|2)
+	}
+	n.DropCanonical(1)
+	if n.Record(1) != nil {
+		t.Fatal("a record holding nothing must be freed")
+	}
+	if got := n.SetCanonical(1, 1, 0x2000).Mark(); got != 0 {
+		t.Fatalf("a record created after the free has mark %#x, want 0", got)
+	}
+	n.Record(1).SetMark(3)
+	n.ClearMarks()
+	if got := n.Record(1).Mark(); got != 0 {
+		t.Fatalf("ClearMarks left mark %#x", got)
+	}
+}
+
+// TestRecordSize pins a record's size on a 64-bit platform: the mark sits
+// in the padding after freed, and every node keeps a record per object it
+// holds.
+func TestRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned size is a 64-bit platform's")
+	}
+	if got := unsafe.Sizeof(Record{}); got != 120 {
+		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want 120", got)
 	}
 }
