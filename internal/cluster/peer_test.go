@@ -47,6 +47,18 @@ func startPeers(t *testing.T, addrs []string) []*Peer {
 func startPeersSeg(t *testing.T, addrs []string, segWords int) []*Peer {
 	t.Helper()
 	peers := make([]*Peer, len(addrs))
+	// The seed closes last, as bmxd shuts it down last: a delivery still
+	// draining at a follower may call the seed's directory, and only a
+	// follower's own Close lets that call fail quietly.
+	t.Cleanup(func() {
+		for _, seedPass := range []bool{false, true} {
+			for _, p := range peers {
+				if p != nil && p.IsSeed() == seedPass {
+					p.Close()
+				}
+			}
+		}
+	})
 	for i, a := range addrs {
 		var others []string
 		for j, b := range addrs {
@@ -58,7 +70,6 @@ func startPeersSeg(t *testing.T, addrs []string, segWords int) []*Peer {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { p.Close() })
 		peers[i] = p
 	}
 	for _, p := range peers {

@@ -536,9 +536,7 @@ func (c *Collector) newAllocSeg(b addr.BunchID) *mem.Segment {
 	// Allocating into a bunch makes this node one of its holders: it must
 	// receive location updates, reachability tables and §4.5
 	// address-change rounds for the bunch.
-	if !c.dir.HasReplica(b, c.node) {
-		c.dir.AddInterested(b, c.node)
-	}
+	c.dir.AddInterested(b, c.node)
 	return seg
 }
 

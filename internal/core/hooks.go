@@ -436,9 +436,7 @@ func (c *Collector) Reestablish(o addr.OID) bool {
 	if !ok {
 		return false
 	}
-	if !c.dir.HasReplica(info.Bunch, c.node) {
-		c.dir.AddInterested(info.Bunch, c.node)
-	}
+	c.dir.AddInterested(info.Bunch, c.node)
 	a, live := c.dsm.Canonical(o)
 	if live {
 		a = c.heap.Resolve(a)

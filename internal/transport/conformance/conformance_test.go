@@ -31,9 +31,24 @@ func TestConformanceSimnet(t *testing.T) {
 }
 
 // The real-socket transport: one process-analog per node, connected in a
-// full loopback mesh, delivering continuously.
+// full loopback mesh, delivering continuously. Endpoint i dials endpoint j
+// for i < j, so each pair shares one stream.
 func TestConformanceTCP(t *testing.T) {
-	conformance.Run(t, func(t *testing.T, nodes []addr.NodeID) *conformance.Env {
+	conformance.Run(t, tcpMesh(func(i, j int) bool { return i < j }))
+}
+
+// The topology every NewPeer cluster runs: every endpoint dials every
+// other, so each pair keeps two streams, and each endpoint sends only on
+// the streams it dialed.
+func TestConformanceTCPMutualDial(t *testing.T) {
+	conformance.Run(t, tcpMesh(func(i, j int) bool { return i != j }))
+}
+
+// tcpMesh builds one TCP endpoint per node, endpoint i dialing endpoint j
+// wherever dials(i, j). Every AddPeer comes before the suite registers a
+// node, as AddPeer asks of a pair that dials both ways.
+func tcpMesh(dials func(i, j int) bool) conformance.Factory {
+	return func(t *testing.T, nodes []addr.NodeID) *conformance.Env {
 		eps := make(map[addr.NodeID]*tcp.Transport, len(nodes))
 		var all []*tcp.Transport
 		for _, id := range nodes {
@@ -45,11 +60,9 @@ func TestConformanceTCP(t *testing.T) {
 			eps[id] = tr
 			all = append(all, tr)
 		}
-		// Full mesh: every endpoint dials every other (deduplicated to
-		// one stream per pair by the transport).
 		for i, a := range all {
 			for j, b := range all {
-				if i < j {
+				if dials(i, j) {
 					a.AddPeer(b.Addr())
 				}
 			}
@@ -70,5 +83,5 @@ func TestConformanceTCP(t *testing.T) {
 				}
 			},
 		}
-	})
+	}
 }

@@ -1,5 +1,6 @@
-// Package tcp is the real-socket implementation of transport.Network: one
-// persistent TCP stream per process pair carrying length-prefixed frames.
+// Package tcp is the real-socket implementation of transport.Network:
+// persistent TCP streams carrying length-prefixed frames, each process
+// sending on the streams it dialed.
 //
 // The wire unit is a frame: a 4-byte big-endian length followed by a
 // hand-rolled binary body (type tag, Lamport tick, then type-specific

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bmx/internal/addr"
@@ -21,9 +20,13 @@ type Options struct {
 	// The resolved address, Addr(), is the process's cluster-wide identity.
 	Listen string
 	// Peers are the listen addresses of the other cluster processes. Each
-	// gets a dialer that maintains one persistent connection with
-	// reconnect and backoff; the mesh is deduplicated so a pair of
-	// processes shares exactly one stream no matter who dials whom.
+	// gets a dialer that maintains one persistent stream with reconnect and
+	// backoff, and this process sends to that peer only on the stream it
+	// dialed. A stream the peer dials here carries the peer's traffic only,
+	// so a pair that dials both ways keeps two streams, one per direction.
+	// A hello names its sender by its Addr, and only that exact string is
+	// recognized as a dialed peer; a peer named otherwise is routed over
+	// whichever stream announced it last.
 	Peers []string
 
 	// CallTimeout is the synchronous call deadline (default 10s). One
@@ -115,12 +118,17 @@ type Transport struct {
 	callees  map[addr.NodeID]transport.CallHandler
 	inboxes  map[addr.NodeID]*inbox
 	seqs     map[pairKey]uint64
-	conns    map[string]*conn // by remote identity (canonical listen addr)
-	// streams holds every stream that may still carry routes: from the
-	// moment newConn sends its hello — before the peer's hello names it —
-	// until it is demoted or dropped. Register announces to all of them.
+	// dialers holds the wake channel of each peer's dialer, by the address
+	// it dials (see routeHello).
+	dialers map[string]chan struct{}
+	// streams holds every live stream, from the moment newConn sends its
+	// hello — before the peer's hello names it — until it closes. Register
+	// announces to all of them; Close severs them.
 	streams map[*conn]struct{}
 	routes  map[addr.NodeID]*conn
+	// routed is closed and replaced whenever routes changes; WaitForNodes
+	// waits on it.
+	routed chan struct{}
 	// pending holds the slot of every remote call in flight, by request
 	// ID; freeSlots holds the slots of calls that have returned.
 	pending   map[uint64]*callSlot
@@ -157,21 +165,24 @@ func New(opts Options) (*Transport, error) {
 		callees:  make(map[addr.NodeID]transport.CallHandler),
 		inboxes:  make(map[addr.NodeID]*inbox),
 		seqs:     make(map[pairKey]uint64),
-		conns:    make(map[string]*conn),
+		dialers:  make(map[string]chan struct{}),
 		streams:  make(map[*conn]struct{}),
 		routes:   make(map[addr.NodeID]*conn),
+		routed:   make(chan struct{}),
 		pending:  make(map[uint64]*callSlot),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		done:     make(chan struct{}),
 	}
 	t.stats.Observer().SetTickSource(t.clock.Now)
 	t.piggyHist = t.stats.Observer().Hist("net.piggyback.bytes")
-	t.wg.Add(2)
-	go t.acceptLoop()
-	go t.sweepLoop()
+	// The peers count as dialed before the first stream is accepted, so no
+	// hello of theirs routes on a stream they dialed (see routeHello).
 	for _, p := range opts.Peers {
 		t.AddPeer(p)
 	}
+	t.wg.Add(2)
+	go t.acceptLoop()
+	go t.sweepLoop()
 	return t, nil
 }
 
@@ -189,10 +200,22 @@ func (t *Transport) Clock() *transport.Clock { return t.clock }
 func (t *Transport) Stats() *transport.Stats { return t.stats }
 
 // AddPeer starts maintaining a persistent connection to the given listen
-// address (reconnecting with backoff until Close).
+// address (reconnecting with backoff until Close); from then on this side
+// sends to the peer only on the stream it dials. Add a peer before the
+// nodes behind it register, or name it in Options.Peers: routes that its
+// hello already installed on a stream it dialed move to the new stream,
+// and a frame still in flight on the old one may arrive after the new
+// one's. Adding a peer twice, or after Close, changes nothing.
 func (t *Transport) AddPeer(peer string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.dialers[peer]; ok || t.closed {
+		return
+	}
+	wake := make(chan struct{}, 1)
+	t.dialers[peer] = wake
 	t.wg.Add(1)
-	go t.dialLoop(peer)
+	go t.dialLoop(peer, wake)
 }
 
 // Register installs the handlers for a local node and announces the
@@ -229,12 +252,12 @@ func (t *Transport) helloLocked() frame {
 
 // Send enqueues one asynchronous message. The stream sequence number is
 // assigned, and the frame queued, under the transport lock, so the queue
-// holds a pair's frames in Seq order; each remote pair shares a single TCP
-// stream, and no inline write overtakes a queued frame (see conn.write),
-// so delivery is per-pair FIFO. A send to a disconnected or unknown node
-// is dropped — it still consumes its sequence number, so the receiver
-// observes a gap, never a reorder — matching the lossy contract the GC's
-// idempotent tables are built for.
+// holds a pair's frames in Seq order; a destination's route stays on one
+// stream for that stream's whole life (see routeHello), and no inline write
+// overtakes a queued frame (see conn.write), so delivery is per-pair FIFO.
+// A send to a disconnected or unknown node is dropped — it still consumes
+// its sequence number, so the receiver observes a gap, never a reorder —
+// matching the lossy contract the GC's idempotent tables are built for.
 // Locally-registered destinations are delivered through the same
 // per-destination inbox goroutines as network traffic, never
 // synchronously on the caller's stack (callers may hold node locks).
@@ -513,23 +536,24 @@ func (t *Transport) accountCallReply(m transport.Msg, replyBytes int) {
 }
 
 // WaitForNodes blocks until routes to at least want distinct remote nodes
-// exist (the mesh has formed), or the timeout elapses.
+// exist (the mesh has formed), or the timeout elapses. It wakes at every
+// change of the route table.
 func (t *Transport) WaitForNodes(want int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for {
 		t.mu.Lock()
-		got := len(t.routes)
+		got, routed := len(t.routes), t.routed
 		t.mu.Unlock()
 		if got >= want {
 			return nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("tcp: %s: only %d of %d remote nodes routable after %v", t.laddr, got, want, timeout)
-		}
 		select {
+		case <-routed:
 		case <-t.done:
 			return fmt.Errorf("tcp: transport closed while waiting for peers")
-		case <-time.After(10 * time.Millisecond):
+		case <-timer.C:
+			return fmt.Errorf("tcp: %s: only %d of %d remote nodes routable after %v", t.laddr, got, want, timeout)
 		}
 	}
 }
@@ -542,8 +566,8 @@ func (t *Transport) Close() error {
 	for _, s := range t.pending {
 		t.finishLocked(s, callOutcome{status: callLost})
 	}
-	conns := make([]*conn, 0, len(t.conns))
-	for _, c := range t.conns {
+	conns := make([]*conn, 0, len(t.streams))
+	for c := range t.streams {
 		conns = append(conns, c)
 	}
 	inboxes := make([]*inbox, 0, len(t.inboxes))
@@ -634,23 +658,18 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
-// dialLoop maintains one persistent connection to peer, reconnecting with
-// exponential backoff. If the mesh deduplication closes this dialer's
-// stream in favor of the peer's inbound one, the loop parks until the
-// surviving stream dies before dialing again.
-func (t *Transport) dialLoop(peer string) {
+// dialLoop maintains one persistent stream to peer, redialing with
+// exponential backoff while the peer is unreachable and after the stream
+// dies. A hello the peer sends on a stream it dialed here arrives on wake
+// and cuts the backoff short: the peer is up.
+func (t *Transport) dialLoop(peer string, wake <-chan struct{}) {
 	defer t.wg.Done()
 	backoff := t.opts.BackoffMin
 	for {
-		select {
-		case <-t.done:
-			return
-		default:
-		}
 		nc, err := net.DialTimeout("tcp", peer, dialTimeout)
 		if err != nil {
 			t.stats.Add("tcp.dialError", 1)
-			if !t.sleep(backoff) {
+			if !t.sleep(backoff, wake) {
 				return
 			}
 			backoff = min(backoff*2, t.opts.BackoffMax)
@@ -658,46 +677,35 @@ func (t *Transport) dialLoop(peer string) {
 		}
 		backoff = t.opts.BackoffMin
 		c := t.newConn(nc, true)
+		if c == nil {
+			return
+		}
 		select {
 		case <-c.closedCh:
 		case <-t.done:
 			return
 		}
-		// If the peer's inbound stream won deduplication, it now serves
-		// this pair; wait for it rather than racing it with redials.
-		if id := c.identity(); id != "" {
-			for {
-				t.mu.Lock()
-				rival := t.conns[id]
-				t.mu.Unlock()
-				if rival == nil || rival == c {
-					break
-				}
-				select {
-				case <-rival.closedCh:
-				case <-t.done:
-					return
-				}
-			}
-		}
-		if !t.sleep(backoff) {
+		if !t.sleep(backoff, wake) {
 			return
 		}
 	}
 }
 
-// sleep waits for d or transport shutdown; it reports whether to go on.
-func (t *Transport) sleep(d time.Duration) bool {
+// sleep waits for d, a wake or transport shutdown; it reports whether to go
+// on.
+func (t *Transport) sleep(d time.Duration, wake <-chan struct{}) bool {
 	select {
 	case <-t.done:
 		return false
+	case <-wake:
 	case <-time.After(d):
-		return true
 	}
+	return true
 }
 
 // newConn wraps an established socket: both ends immediately announce
-// themselves with a hello and start the read/write loops.
+// themselves with a hello and start the read/write loops. Once Close has
+// begun it closes the socket instead and returns nil.
 func (t *Transport) newConn(nc net.Conn, dialed bool) *conn {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -705,6 +713,11 @@ func (t *Transport) newConn(nc net.Conn, dialed bool) *conn {
 	c := &conn{t: t, nc: nc, dialed: dialed, closedCh: make(chan struct{}), calls: make(chan inCall)}
 	c.qcond = sync.NewCond(&c.qmu)
 	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		nc.Close()
+		return nil
+	}
 	hello := t.helloLocked()
 	c.enqueue(&hello, nil)
 	t.streams[c] = struct{}{}
@@ -715,122 +728,55 @@ func (t *Transport) newConn(nc net.Conn, dialed bool) *conn {
 	return c
 }
 
-// installConn records the identity a hello announced and routes its
-// nodes. When both ends dialed each other, the duplicate streams are
-// collapsed deterministically: the connection dialed by the side with the
-// lexicographically smaller listen address survives — both ends compute
-// the same verdict from the same two strings. It reports whether c should
-// stay open.
-func (t *Transport) installConn(c *conn, f frame) bool {
-	var loser *conn
+// routeHello routes the nodes a hello names on c, the stream it came on, if
+// this side dialed c or does not dial the peer at all. A stream the peer
+// dialed to a process that dials it back carries the peer's sends and calls
+// and this side's replies to them, never this side's own traffic. So each
+// direction of a pair uses one stream for that stream's whole life, a route
+// never moves between two live streams (AddPeer names the one exception),
+// and no stream needs closing for another: per-pair FIFO holds by
+// construction. Such a hello wakes this side's dialer instead, so a process
+// that started before its peer listened does not sit out its backoff.
+func (t *Transport) routeHello(c *conn, f *frame) {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return false
-	}
-	c.setIdentity(f.ListenAddr)
-	if existing := t.conns[f.ListenAddr]; existing != nil && existing != c {
-		survivorIsDialed := t.laddr < f.ListenAddr
-		if c.dialed != survivorIsDialed {
-			t.mu.Unlock()
-			return false // existing stream (or the peer's) wins; drop c
+	defer t.mu.Unlock()
+	if wake, dials := t.dialers[f.ListenAddr]; dials && !c.dialed {
+		select {
+		case wake <- struct{}{}:
+		default:
 		}
-		t.demoteConnLocked(existing)
-		loser = existing
+		return
 	}
-	t.conns[f.ListenAddr] = c
+	c.qmu.Lock()
+	dead := c.dead // closed before this hello: its detach has run
+	c.qmu.Unlock()
+	if dead {
+		return
+	}
 	for _, n := range f.Nodes {
 		if t.handlers[n] == nil {
 			t.routes[n] = c
 		}
 	}
-	t.mu.Unlock()
-	if loser != nil {
-		// The loser may be mid-conversation: under load the crossing dial
-		// can land long after the mesh formed on the other stream, and
-		// killing it outright would fail every call in flight on it. Demote
-		// it from routing (new traffic uses c) but keep it open until its
-		// pending calls resolve — replies match by request ID, not stream.
-		t.stats.Add("tcp.demoted", 1)
-		t.wg.Add(1)
-		go t.drainConn(loser)
-	}
-	return true
+	t.routesChangedLocked()
 }
 
-// demoteConnLocked removes c from the connection and routing tables but
-// leaves its pending calls registered; t.mu must be held.
-func (t *Transport) demoteConnLocked(c *conn) {
-	delete(t.streams, c)
-	if id := c.identity(); id != "" && t.conns[id] == c {
-		delete(t.conns, id)
-	}
-	for n, rc := range t.routes {
-		if rc == c {
-			delete(t.routes, n)
-		}
-	}
+// routesChangedLocked wakes every WaitForNodes; t.mu must be held.
+func (t *Transport) routesChangedLocked() {
+	close(t.routed)
+	t.routed = make(chan struct{})
 }
 
-// drainConn closes a demoted stream once its in-flight calls have
-// resolved, bounded by the call timeout plus a sweep (nothing can be
-// pending longer).
-// Async frames still queued on it flow out meanwhile; in the worst case a
-// late one interleaves with the successor stream at the receiver, which
-// the background protocol absorbs the same way it absorbs delay — tables
-// have generation watermarks, location updates have epochs (§6.1).
-func (t *Transport) drainConn(c *conn) {
-	defer t.wg.Done()
-	// The linger floor covers traffic the busy check cannot see: a call
-	// frame the peer wrote just before its own demotion that is still in
-	// the socket buffer. Loopback delivers in microseconds; a second
-	// absorbs even a badly starved scheduler.
-	linger := time.Second
-	if linger > t.opts.CallTimeout {
-		linger = t.opts.CallTimeout
-	}
-	start := time.Now()
-	deadline := start.Add(t.opts.CallTimeout + sweepPeriod(t.opts.CallTimeout))
-	for time.Now().Before(deadline) {
-		if time.Since(start) >= linger && !t.connBusy(c) {
-			break
-		}
-		if !t.sleep(5 * time.Millisecond) {
-			break
-		}
-	}
-	c.close()
-}
-
-// connBusy reports whether c still carries an unresolved conversation:
-// a local call awaiting its reply, or a received call whose reply has
-// not been written or queued.
-func (t *Transport) connBusy(c *conn) bool {
-	if c.serving.Load() != 0 {
-		return true
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, s := range t.pending {
-		if s.c == c {
-			return true
-		}
-	}
-	return false
-}
-
-// dropConnLocked removes c from the connection and routing tables and
-// fails its pending calls; t.mu must be held.
+// dropConnLocked removes c from the stream and routing tables and fails
+// its pending calls; t.mu must be held.
 func (t *Transport) dropConnLocked(c *conn) {
 	delete(t.streams, c)
-	if id := c.identity(); id != "" && t.conns[id] == c {
-		delete(t.conns, id)
-	}
 	for n, rc := range t.routes {
 		if rc == c {
 			delete(t.routes, n)
 		}
 	}
+	t.routesChangedLocked()
 	for _, s := range t.pending {
 		if s.c == c {
 			t.finishLocked(s, callOutcome{status: callLost})
@@ -933,9 +879,6 @@ type conn struct {
 	nc     net.Conn
 	dialed bool
 
-	idMu sync.Mutex
-	id   string // peer identity (canonical listen addr), "" until hello
-
 	// The write side. One goroutine at a time writes to nc, and holds the
 	// writing mark while it does: the write loop draining q, or a caller
 	// writing its own frame inline (see write).
@@ -952,22 +895,6 @@ type conn struct {
 	// calls hands received calls to the stream's call workers. It is
 	// unbuffered, so a send succeeds only into a worker waiting for work.
 	calls chan inCall
-	// serving counts call frames received on this stream whose replies
-	// have not been written or queued yet; drainConn waits for it to reach
-	// zero so a demoted stream never swallows a reply it still owes.
-	serving atomic.Int64
-}
-
-func (c *conn) setIdentity(id string) {
-	c.idMu.Lock()
-	c.id = id
-	c.idMu.Unlock()
-}
-
-func (c *conn) identity() string {
-	c.idMu.Lock()
-	defer c.idMu.Unlock()
-	return c.id
 }
 
 // enqueue queues one frame (payload v, see appendFrame) for the write loop.
@@ -1094,7 +1021,7 @@ func (c *conn) writeLoop() {
 
 // readLoop decodes frames until the stream errors, each frame's payload
 // before the reader reuses its buffer for the next: hellos (re)install
-// identity and routes, msgs go to their destination inbox, calls go to the
+// routes, msgs go to their destination inbox, calls go to the
 // stream's call workers, replies end their calls. Nothing here waits for a
 // handler, a callee or a write. Every received tick merges into the local
 // Lamport clock.
@@ -1110,9 +1037,7 @@ func (c *conn) readLoop() {
 		c.t.clock.Observe(f.Tick)
 		switch f.Type {
 		case frameHello:
-			if !c.t.installConn(c, f) {
-				return
-			}
+			c.t.routeHello(c, &f)
 		case frameMsg:
 			c.t.deliverRemote(&f)
 		case frameCall:
@@ -1135,7 +1060,6 @@ func (c *conn) dispatchCall(f *frame) {
 	ic := inCall{id: f.ReqID, err: err, m: transport.Msg{From: f.From, To: f.To, Kind: f.Kind, Class: f.Class,
 		Payload: payload, Bytes: f.Bytes, Piggyback: f.Piggyback,
 		Span: obs.SpanContext{Trace: f.Trace, Span: f.Span, Parent: f.SParent}}}
-	c.serving.Add(1)
 	select {
 	case c.calls <- ic:
 	default:
@@ -1149,7 +1073,6 @@ func (c *conn) dispatchCall(f *frame) {
 func (c *conn) callWorker(ic inCall) {
 	for {
 		c.t.serveCall(c, &ic)
-		c.serving.Add(-1)
 		select {
 		case ic = <-c.calls:
 		case <-c.closedCh:

@@ -191,15 +191,11 @@ func TestCallTimesOut(t *testing.T) {
 		second <- err
 	}()
 	<-entered
+	// The late reply is the only frame b sends after its clock jumps, and
+	// it carries the jump: a's clock passing it means the reply arrived.
+	late := b.Clock().Advance(1 << 40)
 	close(release)
-	waitFor(t, "the late reply leaves the callee", func() bool {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		for _, c := range b.conns {
-			return c.serving.Load() == 1 // only "second" still owes its reply
-		}
-		return false
-	})
+	waitFor(t, "the late reply reaches the caller", func() bool { return a.Clock().Now() > late })
 	close(hold)
 	if err := <-second; err != nil {
 		t.Fatal(err)
@@ -583,43 +579,164 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	})
 }
 
-// Both ends dialing each other simultaneously must collapse to one
-// stream per pair without losing routability.
-func TestMutualDialDeduplicates(t *testing.T) {
-	a, err := New(Options{})
+// Two processes that dial each other keep two streams, one per direction.
+// Each routes to the other on the stream it dialed from its first routed
+// send on, numbered sends that both start the moment their side's
+// WaitForNodes returns arrive in Seq order, and neither stream closes.
+// The two sides start at once, each naming the other in Options.Peers as a
+// NewPeer cluster does, so the dials cross, or one side's dial fails and
+// waits for the other's hello.
+func TestMutualDialRoutesOnDialedStream(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		formMutualPair(t, i)
+	}
+}
+
+// reserveAddrs returns n loopback addresses that were free a moment ago.
+func reserveAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs
+}
+
+func formMutualPair(t *testing.T, formation int) {
+	const n = 200
+	addrs := reserveAddrs(t, 2)
+	var trs [2]*Transport
+	var mu sync.Mutex
+	var got [2][]transport.Msg
+	var routes [2]*conn
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for k := range trs {
+		self, peer := addr.NodeID(k), addr.NodeID(1-k)
+		tr, err := New(Options{Listen: addrs[self], Peers: []string{addrs[peer]}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		trs[k] = tr
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr.Register(self, func(m transport.Msg) {
+				mu.Lock()
+				got[self] = append(got[self], m)
+				mu.Unlock()
+			}, nil)
+			if err := tr.WaitForNodes(1, 5*time.Second); err != nil {
+				errs <- err
+				return
+			}
+			for i := 0; i < n; i++ {
+				if !tr.Send(transport.Msg{From: self, To: peer, Kind: "gc.table", Payload: i}) {
+					errs <- fmt.Errorf("side %d: send %d rejected", self, i)
+					return
+				}
+				tr.mu.Lock()
+				c := tr.routes[peer]
+				tr.mu.Unlock()
+				if i == 0 {
+					routes[self] = c
+				}
+				if c != routes[self] || !c.dialed {
+					errs <- fmt.Errorf("side %d: send %d routed on a stream other than its first dialed one (dialed %v)", self, i, c.dialed)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("formation %d: %v", formation, err)
+	}
+	waitFor(t, "every send delivered", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got[0]) == n && len(got[1]) == n
+	})
+	for k, tr := range trs {
+		for i, m := range got[k] {
+			if m.Seq != uint64(i+1) || m.Payload != i {
+				t.Fatalf("formation %d: side %d got seq %d payload %v as message %d (FIFO broken)", formation, k, m.Seq, m.Payload, i)
+			}
+		}
+		tr.mu.Lock()
+		streams, route := len(tr.streams), tr.routes[addr.NodeID(1-k)]
+		_, open := tr.streams[routes[k]]
+		tr.mu.Unlock()
+		if streams != 2 || route != routes[k] || !open {
+			t.Fatalf("formation %d: side %d has %d streams and routes on %p, want 2 and %p, still open", formation, k, streams, route, routes[k])
+		}
+	}
+}
+
+// A hello on a stream the peer dialed wakes this side's dialer for that
+// peer out of its backoff: a process that tried its peer before the peer
+// listened becomes routable as soon as the peer dials it, not a backoff
+// later.
+func TestHelloWakesDialer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baddr := ln.Addr().String()
+	ln.Close()
+	a, err := New(Options{Peers: []string{baddr}, BackoffMin: time.Minute, BackoffMax: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a.Register(0, nil, nil)
+	waitFor(t, "a's first dial fails", func() bool { return a.Stats().Get("tcp.dialError") > 0 })
+	var b *Transport
+	waitFor(t, "rebind of the reserved address", func() bool {
+		b, err = New(Options{Listen: baddr, Peers: []string{a.Addr()}})
+		return err == nil
+	})
 	defer b.Close()
-	a.Register(0, nil, func(m transport.Msg) (any, int, error) { return "a", 1, nil })
-	b.Register(1, nil, func(m transport.Msg) (any, int, error) { return "b", 1, nil })
-	a.AddPeer(b.Addr())
-	b.AddPeer(a.Addr())
+	b.Register(1, nil, nil)
 	if err := a.WaitForNodes(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.WaitForNodes(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "dedup settles to one stream each", func() bool {
-		a.mu.Lock()
-		na := len(a.conns)
-		a.mu.Unlock()
-		b.mu.Lock()
-		nb := len(b.conns)
-		b.mu.Unlock()
-		return na == 1 && nb == 1
-	})
-	if _, err := a.Call(transport.Msg{From: 0, To: 1, Kind: "q"}); err != nil {
-		t.Fatalf("call a->b after dedup: %v", err)
+}
+
+// Close severs every stream, including one whose peer never sent a hello:
+// a raw socket that connects and stays silent must not keep Close from
+// returning.
+func TestCloseSeversSilentStream(t *testing.T) {
+	a, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := b.Call(transport.Msg{From: 1, To: 0, Kind: "q"}); err != nil {
-		t.Fatalf("call b->a after dedup: %v", err)
+	nc, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	// a's hello arriving shows that a has taken the stream on.
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- a.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked on a stream whose peer sent no hello")
 	}
 }
 
