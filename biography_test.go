@@ -46,15 +46,17 @@ func TestBiographyReconstructsOwnershipTransfers(t *testing.T) {
 	n1.Release(o)
 	cl.Run(0)
 
-	// Offline round trip: dump the window as NDJSON, read it back.
+	// Offline round trip: write the window as a telemetry stream, read it
+	// back.
 	var buf bytes.Buffer
-	if err := obs.DumpJSON(&buf, cl.Observer().Events()); err != nil {
+	if err := obs.WriteStream(&buf, obs.Stream{Events: cl.Observer().Events()}); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := obs.ReadEventsNDJSONLoose(&buf)
+	st, err := obs.ReadStream(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	evs := st.Events
 
 	bio := obs.BiographyOf(evs, o.OID)
 	if len(bio.Entries) == 0 {

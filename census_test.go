@@ -37,6 +37,8 @@ var censusAllowed = map[string]string{
 
 	// Standard-library interfaces, called by the standard library.
 	"internal/transport.wireError.Unwrap": "errors.Is and errors.As match a decoded wire error through it",
+	"internal/obs.Event.MarshalJSON":      "encoding/json writes an event record's payload through it (obs.WriteStream)",
+	"internal/obs.Event.UnmarshalJSON":    "encoding/json reads an event record's payload through it (obs.ReadStream)",
 }
 
 // goFiles returns the non-test Go files under root, skipping hidden

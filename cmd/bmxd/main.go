@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"bmx"
@@ -50,7 +51,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload and loss seed")
 
 		traceOn   = flag.Bool("trace", false, "enable the flight recorder; dump its retained event window and histograms at exit")
-		traceJSON = flag.Bool("trace-json", false, "like -trace, but dump events as newline-delimited JSON")
+		traceOut  = flag.String("trace-out", "", "enable the flight recorder and write the run's telemetry stream (events, heat rows, samples, histogram summaries as tagged NDJSON) to FILE for bmxstat; the files of a -listen cluster's processes merge with bmxstat a b c")
 		statsJSON = flag.Bool("stats-json", false, "dump the final counters and histogram snapshots as JSON instead of text")
 
 		httpAddr  = flag.String("http", "", "serve live introspection (/metrics, /events, /objects/<oid>, /series, /debug/pprof) on this address, e.g. :8080 or 127.0.0.1:0")
@@ -62,7 +63,6 @@ func main() {
 
 		listen   = flag.String("listen", "", "multi-process mode: serve this node on ADDR (host:port) and cluster with -peers; rank in the sorted address set is the node identity, rank 0 drives")
 		peersArg = flag.String("peers", "", "multi-process mode: comma-separated listen addresses of the other bmxd processes")
-		traceOut = flag.String("trace-out", "", "multi-process mode: write this process's flight-recorder events as NDJSON to FILE (mergeable across processes with bmxstat -trace a,b,c)")
 
 		chaos      = flag.Bool("chaos", false, "run the seeded chaos soak instead of the workload driver")
 		chaosSteps = flag.Int("chaos-steps", 400, "chaos: workload steps in the fault storm")
@@ -75,12 +75,21 @@ func main() {
 	)
 	flag.Parse()
 
-	if *listen != "" {
-		if ignored := peerIgnoredFlags(); len(ignored) > 0 {
-			fmt.Fprintf(os.Stderr, "bmxd: -listen (multi-process mode) does not support %s\n",
-				strings.Join(ignored, ", "))
-			os.Exit(2)
-		}
+	mode := "sim"
+	switch {
+	case *listen != "":
+		mode = "listen"
+	case *crashChaos:
+		mode = "chaos-crash"
+	case *chaos:
+		mode = "chaos"
+	}
+	if unread := unreadFlags(mode); len(unread) > 0 {
+		fmt.Fprintf(os.Stderr, "bmxd: %s mode does not read %s\n", mode, strings.Join(unread, ", "))
+		os.Exit(2)
+	}
+
+	if mode == "listen" {
 		runPeerCluster(peerOpts{
 			listen: *listen, peers: splitPeers(*peersArg),
 			workload: *workload, objects: *objects, rounds: *rounds,
@@ -107,9 +116,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bmxd: unknown grain %q\n", *grain)
 		os.Exit(2)
 	}
-	if *traceJSON {
-		*traceOn = true
-	}
 	withDisk, factory, err := storeConfig(*storeKind, *storeDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bmxd:", err)
@@ -126,7 +132,7 @@ func main() {
 			nodes: *nodes, steps: *chaosSteps, seed: *seed, proto: proto,
 			drop: *loss, dup: *dup, delay: *delay,
 			partEvery: *partEvery, partFor: *partFor,
-			trace: *traceOn, traceJSON: *traceJSON, statsJSON: *statsJSON,
+			trace: *traceOn, traceOut: *traceOut, statsJSON: *statsJSON,
 		})
 		return
 	}
@@ -139,11 +145,10 @@ func main() {
 	})
 	if *traceOn {
 		cl.EnableTracing()
-		// A trace run is an observability run: account access locality too,
-		// so the JSON dump carries heat rows for bmxstat -heat.
+		// A trace run is an observability run: account access locality too.
 		cl.EnableHeat()
 	}
-	intr := introspection{httpAddr: *httpAddr, hold: *httpHold, benchPath: *benchJSON}
+	intr := introspection{httpAddr: *httpAddr, benchPath: *benchJSON, streamPath: *traceOut}
 	intr.start(cl)
 	n0 := cl.Node(0)
 	switch *workload {
@@ -278,15 +283,49 @@ func main() {
 	fmt.Printf("GC work: %d cpu ticks\n", gcTotal.CPUTicks)
 	fmt.Println()
 	dumpStats(cl, *statsJSON)
-	rows := cl.Heat()
-	dumpTrace(cl.Observer(), *traceOn, *traceJSON, rows)
+	if *traceOn {
+		fmt.Println()
+		fmt.Println("-- histograms --")
+		for _, h := range cl.Observer().Histograms() {
+			fmt.Println(h)
+		}
+		dumpEvents(cl.Observer().Events())
+	}
+	intr.finish(cl, cl.Heat())
 
 	if st.Get("dsm.acquire.r.gc")+st.Get("dsm.acquire.w.gc") != 0 ||
 		st.Get("dsm.invalidation.gc") != 0 {
 		fmt.Fprintln(os.Stderr, "bmxd: COLLECTOR INTERFERED WITH THE CONSISTENCY PROTOCOL")
 		os.Exit(1)
 	}
-	intr.finish(cl, rows)
+	if *httpHold && *httpAddr != "" {
+		fmt.Fprintln(os.Stderr, "bmxd: run complete; holding for scrapes (-http-hold). Kill to exit.")
+		select {}
+	}
+}
+
+// modeFlags names the flags each bmxd mode reads, the flag that selects
+// the mode included. A run refuses any other flag set on its command line
+// rather than silently running without it.
+var modeFlags = map[string][]string{
+	"sim": {"nodes", "objects", "rounds", "workload", "bunches", "protocol", "grain", "loss", "seed",
+		"trace", "trace-out", "stats-json", "http", "http-hold", "bench-json", "store", "store-dir"},
+	"chaos": {"chaos", "nodes", "chaos-steps", "seed", "protocol", "loss", "dup", "delay",
+		"partition-every", "partition-for", "trace", "trace-out", "stats-json"},
+	"chaos-crash": {"chaos-crash", "nodes", "chaos-steps", "seed", "store", "store-dir", "stats-json"},
+	"listen":      {"listen", "peers", "workload", "objects", "rounds", "seed", "trace-out", "bench-json"},
+}
+
+// unreadFlags names, as "-name", every flag set on the command line that
+// mode does not read.
+func unreadFlags(mode string) []string {
+	var out []string
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(modeFlags[mode], f.Name) {
+			out = append(out, "-"+f.Name)
+		}
+	})
+	return out
 }
 
 // buildGraph builds one workload shard of roughly `objects` objects in
@@ -382,16 +421,16 @@ func runCrashChaosCmd(cfg bmx.CrashChaosConfig, statsJSON bool) {
 	os.Exit(1)
 }
 
-// introspection bundles the live-readout flags: the HTTP server and the
-// benchmark summary.
+// introspection bundles the live-readout flags: the HTTP server, the
+// benchmark summary and the telemetry stream.
 type introspection struct {
-	httpAddr  string
-	hold      bool
-	benchPath string
+	httpAddr   string
+	benchPath  string
+	streamPath string
 }
 
 func (in introspection) enabled() bool {
-	return in.httpAddr != "" || in.benchPath != ""
+	return in.httpAddr != "" || in.benchPath != "" || in.streamPath != ""
 }
 
 // start attaches the sampler (one sample per Run drain) and, with -http,
@@ -403,14 +442,18 @@ func (in introspection) start(cl *bmx.Cluster) {
 	}
 	cl.EnableSampling(0)
 	// Heat accounting rides every introspection run: the bench summary's
-	// locality figures and the /heat endpoint both read it.
+	// locality figures, the stream's heat rows and the /heat endpoint all
+	// read it.
 	cl.EnableHeat()
+	// The stream's events and the /events and /objects endpoints read the
+	// flight recorder; serving them without tracing would 404 every
+	// biography.
+	if in.streamPath != "" || in.httpAddr != "" {
+		cl.EnableTracing()
+	}
 	if in.httpAddr == "" {
 		return
 	}
-	// The /events and /objects endpoints read the flight recorder; serving
-	// them without tracing would 404 every biography.
-	cl.EnableTracing()
 	srv := &introspect.Server{
 		Counters: cl.Stats().Snapshot,
 		Observer: cl.Observer(),
@@ -419,16 +462,15 @@ func (in introspection) start(cl *bmx.Cluster) {
 	}
 	bound, err := srv.Serve(in.httpAddr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bmxd:", err)
-		os.Exit(1)
+		fatalf("bmxd: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "bmxd: introspection on http://%s/\n", bound)
 }
 
-// finish writes the bench artifact and, with -http-hold, parks
-// the process so the server stays scrapable. rows is the run's merged heat
-// table: the bench summary's owner-mismatch figure comes
-// from analyzing it.
+// finish cuts the final sample and writes the bench artifact and the
+// telemetry stream. rows is the run's merged heat table: the bench
+// summary's owner-mismatch figure comes from analyzing it, and the stream
+// carries it.
 func (in introspection) finish(cl *bmx.Cluster, rows []heat.Row) {
 	if !in.enabled() {
 		return
@@ -438,23 +480,46 @@ func (in introspection) finish(cl *bmx.Cluster, rows []heat.Row) {
 	if in.benchPath != "" {
 		f, err := os.Create(in.benchPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bmxd:", err)
-			os.Exit(1)
+			fatalf("bmxd: %v", err)
 		}
 		b := cl.Sampler().Bench()
 		b.OwnerMismatchCount = int64(len(heat.Analyze(rows).Mismatches))
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(b); err != nil {
-			fmt.Fprintln(os.Stderr, "bmxd:", err)
-			os.Exit(1)
+			fatalf("bmxd: %v", err)
 		}
 		f.Close()
 		fmt.Fprintf(os.Stderr, "bmxd: benchmark summary written to %s\n", in.benchPath)
 	}
-	if in.hold && in.httpAddr != "" {
-		fmt.Fprintln(os.Stderr, "bmxd: run complete; holding for scrapes (-http-hold). Kill to exit.")
-		select {}
+	if in.streamPath != "" {
+		writeStream(in.streamPath, runStream(cl, rows))
+	}
+}
+
+// runStream is everything a cluster recorded, as one telemetry stream:
+// the flight recorder's window, the given heat rows, the sampler's window
+// and a summary of every histogram that saw a value.
+func runStream(cl *bmx.Cluster, rows []heat.Row) obs.Stream {
+	return obs.Stream{
+		Events:  cl.Observer().Events(),
+		Heat:    rows,
+		Samples: cl.Sampler().Samples(),
+		Hists:   histSummaries(cl.Observer()),
+	}
+}
+
+// writeStream writes a telemetry stream to path (bmxd -trace-out).
+func writeStream(path string, st obs.Stream) {
+	f, err := os.Create(path)
+	if err == nil {
+		err = obs.WriteStream(f, st)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fatalf("bmxd: %v", err)
 	}
 }
 
@@ -465,7 +530,9 @@ type chaosOpts struct {
 	drop, dup, delay   float64
 	partEvery, partFor int
 
-	trace, traceJSON, statsJSON bool
+	trace     bool
+	traceOut  string
+	statsJSON bool
 }
 
 // runChaos runs the seeded chaos soak: the mixed mutator+GC storm under
@@ -478,7 +545,7 @@ func runChaos(o chaosOpts) {
 			Drop: o.drop, Dup: o.dup, Delay: o.delay, DelayTicks: delayTicks,
 		}},
 		PartitionEvery: o.partEvery, PartitionFor: o.partFor,
-		Trace: o.trace,
+		Trace: o.trace || o.traceOut != "",
 	})
 	fmt.Printf("chaos soak: %d nodes, %d steps, seed %d, drop %.0f%%, dup %.0f%%, delay %.0f%% (%d ticks)\n",
 		o.nodes, rep.Steps, o.seed, o.drop*100, o.dup*100, o.delay*100, delayTicks)
@@ -491,7 +558,10 @@ func runChaos(o chaosOpts) {
 		statsToJSON(os.Stdout, rep.Stats, nil)
 	}
 	if o.trace {
-		dumpEvents(rep.Events, o.traceJSON)
+		dumpEvents(rep.Events)
+	}
+	if o.traceOut != "" {
+		writeStream(o.traceOut, obs.Stream{Events: rep.Events})
 	}
 	if len(rep.Violations) == 0 {
 		fmt.Println("converged: all invariants hold after heal and drain")
@@ -511,17 +581,22 @@ func runChaos(o chaosOpts) {
 func dumpStats(cl *bmx.Cluster, asJSON bool) {
 	st := cl.Stats()
 	if asJSON {
-		var hists []obs.HistSummary
-		for _, h := range cl.Observer().Histograms() {
-			if s := h.Summary(); s.Count > 0 {
-				hists = append(hists, s)
-			}
-		}
-		statsToJSON(os.Stdout, st.Snapshot(), hists)
+		statsToJSON(os.Stdout, st.Snapshot(), histSummaries(cl.Observer()))
 		return
 	}
 	fmt.Println("-- full counters --")
 	fmt.Print(st.String())
+}
+
+// histSummaries summarizes every histogram of o that saw a value.
+func histSummaries(o *obs.Observer) []obs.HistSummary {
+	var out []obs.HistSummary
+	for _, h := range o.Histograms() {
+		if s := h.Summary(); s.Count > 0 {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // statsJSONDoc is the -stats-json document shape.
@@ -535,49 +610,13 @@ func statsToJSON(w *os.File, snap map[string]int64, hists []obs.HistSummary) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintln(os.Stderr, "bmxd:", err)
-		os.Exit(1)
+		fatalf("bmxd: %v", err)
 	}
 }
 
-// dumpTrace prints the flight recorder's histograms and retained window; in
-// JSON mode the heat rows ride along in the same NDJSON stream (each loose
-// reader skips the other's lines, so `bmxstat -heat -trace` and
-// `bmxstat -trace` both consume the one capture).
-func dumpTrace(o *obs.Observer, on, asJSON bool, rows []heat.Row) {
-	if !on {
-		return
-	}
-	fmt.Println()
-	fmt.Println("-- histograms --")
-	if asJSON {
-		if err := obs.DumpHistogramsJSON(os.Stdout, o.Histograms()); err != nil {
-			fmt.Fprintln(os.Stderr, "bmxd:", err)
-			os.Exit(1)
-		}
-	} else {
-		obs.DumpHistograms(os.Stdout, o.Histograms())
-	}
-	dumpEvents(o.Events(), asJSON)
-	if asJSON && len(rows) > 0 {
-		fmt.Println()
-		fmt.Printf("-- heat table (%d rows) --\n", len(rows))
-		if err := heat.WriteRowsNDJSON(os.Stdout, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "bmxd:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-func dumpEvents(evs []obs.Event, asJSON bool) {
+// dumpEvents prints a flight-recorder window as text (bmxd -trace).
+func dumpEvents(evs []obs.Event) {
 	fmt.Println()
 	fmt.Printf("-- flight recorder window (%d events) --\n", len(evs))
-	if asJSON {
-		if err := obs.DumpJSON(os.Stdout, evs); err != nil {
-			fmt.Fprintln(os.Stderr, "bmxd:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	obs.Dump(os.Stdout, evs)
 }

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -20,7 +19,6 @@ import (
 
 	"bmx"
 	"bmx/internal/addr"
-	"bmx/internal/obs"
 	"bmx/internal/obs/heat"
 	"bmx/internal/trace"
 	"bmx/internal/transport"
@@ -60,26 +58,6 @@ type peerOpts struct {
 	// cuts one sample per round, so a TCP run diffs against a simnet run
 	// with bmxstat -bench A -diff B.
 	benchOut string
-}
-
-// peerFlags are the flags multi-process mode reads (peerOpts); it takes
-// nothing else from the command line.
-var peerFlags = map[string]bool{
-	"listen": true, "peers": true, "workload": true, "objects": true,
-	"rounds": true, "seed": true, "trace-out": true, "bench-json": true,
-}
-
-// peerIgnoredFlags names, as "-name", every flag set on the command line
-// that multi-process mode does not read, so it can refuse them instead of
-// silently running without them.
-func peerIgnoredFlags() []string {
-	var out []string
-	flag.Visit(func(f *flag.Flag) {
-		if !peerFlags[f.Name] {
-			out = append(out, "-"+f.Name)
-		}
-	})
-	return out
 }
 
 // runPeerCluster is the -listen entry point; it never returns.
@@ -414,25 +392,15 @@ func auditIndependence(c map[string]int64) (string, bool) {
 	return "", true
 }
 
-// writePeerTrace dumps this process's flight-recorder window as NDJSON,
-// followed by its heat-table rows in the same stream. Events are stamped
-// with the transport's Lamport clock, so the per-process files merge into
-// one causally ordered stream (bmxstat -trace a,b,c), and the heat rows'
-// ownership marks merge by the same ticks (bmxstat -heat -trace a,b,c).
+// writePeerTrace writes this process's telemetry stream to path: its
+// flight-recorder window, its own heat table's rows, and its samples and
+// histograms. Events are stamped with the transport's Lamport clock, so
+// the per-process files merge into one causally ordered stream
+// (bmxstat a b c), and the heat rows' ownership marks merge by the same
+// ticks (bmxstat -heat a b c).
 func writePeerTrace(p *bmx.Peer, path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("bmxd: %v", err)
-	}
-	defer f.Close()
-	if err := obs.DumpJSON(f, p.Cluster().Observer().Events()); err != nil {
-		fatalf("bmxd: %v", err)
-	}
-	if err := heat.WriteRowsNDJSON(f, p.Cluster().Heat()); err != nil {
-		fatalf("bmxd: %v", err)
+	if path != "" {
+		writeStream(path, runStream(p.Cluster(), p.Cluster().Heat()))
 	}
 }
 

@@ -142,9 +142,9 @@ func TestThreeProcessClusterConverges(t *testing.T) {
 		}
 	}
 
-	// Merge the per-process traces on the Lamport tick and re-assert the
-	// paper's claims offline. The loose reader skips the heat rows each
-	// capture now ends with; those are parsed separately below.
+	// Merge the per-process streams on the Lamport tick and re-assert the
+	// paper's claims offline. Each stream carries the process's events and
+	// its heat table's rows.
 	var evs []obs.Event
 	var heatParts [][]heat.Row
 	for _, p := range procs {
@@ -152,29 +152,19 @@ func TestThreeProcessClusterConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := obs.ReadEventsNDJSONLoose(f)
+		st, err := obs.ReadStream(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("trace %s: %v", p.trace, err)
 		}
-		if len(part) == 0 {
+		if len(st.Events) == 0 {
 			t.Fatalf("trace %s is empty", p.trace)
 		}
-		evs = append(evs, part...)
-
-		f, err = os.Open(p.trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := heat.ReadRowsNDJSONLoose(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("heat rows %s: %v", p.trace, err)
-		}
-		if len(rows) == 0 {
+		evs = append(evs, st.Events...)
+		if len(st.Heat) == 0 {
 			t.Fatalf("trace %s carries no heat rows", p.trace)
 		}
-		heatParts = append(heatParts, rows)
+		heatParts = append(heatParts, st.Heat)
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Tick < evs[j].Tick })
 
@@ -197,7 +187,7 @@ func TestThreeProcessClusterConverges(t *testing.T) {
 		rep.TrackedObjects, rep.RemoteRatio, m.OID, m.Owner, m.Dominant, m.RemoteRatio)
 
 	// If any assertion below fails, leave the merged stream where CI can
-	// upload it: `bmxstat -trace <artifact> -spans` then reconstructs the
+	// upload it: `bmxstat -spans <artifact>` then reconstructs the
 	// exact trees this test saw.
 	t.Cleanup(func() {
 		if !t.Failed() {
@@ -213,7 +203,7 @@ func TestThreeProcessClusterConverges(t *testing.T) {
 			return
 		}
 		defer f.Close()
-		if err := obs.DumpJSON(f, evs); err != nil {
+		if err := obs.WriteStream(f, obs.Stream{Events: evs}); err != nil {
 			t.Logf("span artifact: %v", err)
 			return
 		}

@@ -40,12 +40,11 @@ func init() {
 	transport.RegisterPayload(tagCtlHeatReply,
 		func(dst []byte, p ctlHeatReply) []byte { return transport.AppendSlice(dst, p.Rows, appendHeatRow) },
 		func(r *transport.Reader) ctlHeatReply {
-			return ctlHeatReply{Rows: transport.ReadSlice(r, 11, readHeatRow)}
+			return ctlHeatReply{Rows: transport.ReadSlice(r, 10, readHeatRow)}
 		})
 }
 
 func appendHeatRow(dst []byte, row heat.Row) []byte {
-	dst = transport.AppendVarint(dst, int64(row.Heat))
 	dst = transport.AppendUvarint(dst, row.OID)
 	dst = transport.AppendUvarint(dst, uint64(row.Bunch))
 	dst = transport.AppendNodeID(dst, addr.NodeID(row.Node))
@@ -59,7 +58,7 @@ func appendHeatRow(dst []byte, row heat.Row) []byte {
 }
 
 func readHeatRow(r *transport.Reader) heat.Row {
-	row := heat.Row{Heat: r.Int(), OID: r.Uvarint(), Bunch: r.Uint32(), Node: int32(r.NodeID()),
+	row := heat.Row{OID: r.Uvarint(), Bunch: r.Uint32(), Node: int32(r.NodeID()),
 		Reads: r.Uvarint(), Writes: r.Uvarint(), Acquires: r.Uvarint(), Remote: r.Uvarint(), Hops: r.Uvarint()}
 	if r.Bool() {
 		owner := int32(r.NodeID())

@@ -2,43 +2,19 @@ package main
 
 import (
 	"fmt"
-	"strings"
 
 	"bmx/internal/addr"
 	"bmx/internal/obs/heat"
 )
 
-// Heat mode: `bmxstat -heat -trace n0.ndjson,n1.ndjson,n2.ndjson` reads the
-// heat rows bmxd appends to each per-process capture (or a /heat download),
-// merges them into one cluster-wide table ordered by the transport's Lamport
-// tick (owner marks resolve to the latest tick across processes), and prints
-// the locality report: hottest objects with their per-node access split, the
-// per-bunch and per-node remote ratios, and the migration advice list —
-// objects whose dominant writer is not their current owner, ranked by the
-// ownerPtr hops that mismatch cost.
-
-// readHeat loads and merges the heat rows of a comma-separated capture list.
-// Event lines in the same files are skipped by the loose reader, so the input
-// can be raw bmxd -trace-out / -trace-json output.
-func readHeat(traceList string) []heat.Row {
-	var parts [][]heat.Row
-	for _, p := range strings.Split(traceList, ",") {
-		r := open(p)
-		rows, err := heat.ReadRowsNDJSONLoose(r)
-		r.Close()
-		if err != nil {
-			fail(err)
-		}
-		parts = append(parts, rows)
-	}
-	return heat.Merge(parts...)
-}
-
-func printHeat(traceList string, topN int, asJSON bool) {
-	rows := readHeat(traceList)
-	if len(rows) == 0 {
-		fail(fmt.Errorf("%s contains no heat rows (was the run traced with heat enabled?)", traceList))
-	}
+// Heat mode: `bmxstat -heat n0.ndjson n1.ndjson n2.ndjson` takes the heat
+// rows of the per-process streams (or /heat downloads), merged into one
+// cluster-wide table (owner marks resolve to the latest Lamport tick across
+// processes), and prints the locality report: hottest objects with their
+// per-node access split, the per-bunch and per-node remote ratios, and the
+// migration advice list — objects whose dominant writer is not their
+// current owner, ranked by the ownerPtr hops that mismatch cost.
+func printHeat(rows []heat.Row, topN int, asJSON bool) {
 	rep := heat.Analyze(rows)
 	if asJSON {
 		emitJSON(rep)

@@ -1,19 +1,24 @@
-// Command bmxstat is the offline trace analyzer: it reads the flight
-// recorder's NDJSON event stream (a `bmxd -trace-json` capture or an
-// /events download) and/or the time-series sampler's NDJSON (a /series
-// download from bmxd -http), and prints what a run actually did — the hot objects, the
-// acquire-path and critical-path breakdowns, the per-phase GC cost, the
-// biography of one object, or an A/B comparison of two runs.
+// Command bmxstat is the offline analyzer of telemetry streams. It reads
+// one or more stream files — bmxd -trace-out files, or /events, /spans,
+// /series and /heat downloads from bmxd -http; - for stdin — merges them
+// by Lamport tick, and prints what a run actually did: the hot objects,
+// the acquire-path and critical-path breakdowns, the per-phase GC cost,
+// the sampled time series and the histograms. An option picks another
+// printer: one object's biography (-oid), the cross-process span trees
+// (-spans), the merged access heatmap (-heat) or an A/B comparison of two
+// runs' series (-diff). With -bench it reads benchmark summaries (bmxd
+// -bench-json) instead: it prints or A/B-diffs them, gates one against a
+// reference, or merges a list into a reference.
 //
 // Examples:
 //
-//	bmxd -nodes 3 -rounds 6 -workload tree -seed 5 -trace-json > run.ndjson
-//	bmxstat -trace run.ndjson                 # overview: top objects, hops, GC
-//	bmxstat -trace run.ndjson -oid O36        # one object's biography
-//	bmxstat -trace run.ndjson -top 20         # more hot objects
-//	bmxstat -series a.ndjson -diff b.ndjson   # A/B two runs' series
-//	bmxstat -trace n0.ndjson,n1.ndjson -spans # cross-process span trees
-//	bmxstat -trace n0.ndjson,n1.ndjson -heat  # merged access heatmap + locality
+//	bmxd -nodes 3 -rounds 6 -workload tree -seed 5 -trace-out run.ndjson
+//	bmxstat run.ndjson                     # overview: top objects, hops, GC, series
+//	bmxstat -oid O36 run.ndjson            # one object's biography
+//	bmxstat -top 20 run.ndjson             # more hot objects
+//	bmxstat -diff b.ndjson a.ndjson        # A/B two runs' series
+//	bmxstat -spans n0.ndjson n1.ndjson     # cross-process span trees
+//	bmxstat -heat n0.ndjson n1.ndjson      # merged access heatmap + locality
 //	bmxstat -bench BENCH_4.json -ref BENCH_REF.json -gate 25  # perf gate
 package main
 
@@ -30,6 +35,7 @@ import (
 	"bmx/internal/addr"
 	"bmx/internal/introspect"
 	"bmx/internal/obs"
+	"bmx/internal/obs/heat"
 )
 
 func fail(err error) {
@@ -50,24 +56,22 @@ func open(path string) io.ReadCloser {
 
 func main() {
 	var (
-		tracePath  = flag.String("trace", "", "event NDJSON to analyze (a bmxd -trace-json capture or an /events download; - for stdin)")
-		seriesPath = flag.String("series", "", "time-series NDJSON to analyze (a /series download from bmxd -http; - for stdin)")
-		benchPath  = flag.String("bench", "", "benchmark summary JSON to analyze (a bmxd -bench-json artifact; - for stdin)")
-		diffPath   = flag.String("diff", "", "second run to compare against -series (time-series NDJSON) or -bench (summary JSON); prints an A/B comparison")
+		benchPath  = flag.String("bench", "", "analyze this benchmark summary JSON (a bmxd -bench-json artifact; - for stdin) instead of streams")
+		diffPath   = flag.String("diff", "", "second run to compare against: a stream, whose samples are set against the streams' samples, or with -bench a summary JSON; prints an A/B comparison")
 		oidFlag    = flag.String("oid", "", "print the biography of this object (accepts 36 or O36)")
 		topN       = flag.Int("top", 10, "how many hot objects the overview lists (and how many slowest acquires -spans renders)")
 		asJSON     = flag.Bool("json", false, "machine-readable output")
-		spansFlag  = flag.Bool("spans", false, "reconstruct cross-process span trees from -trace (comma-separated per-process captures) and print latency attribution plus the per-trace §4.4 verdict")
-		heatFlag   = flag.Bool("heat", false, "merge the heat rows of -trace (comma-separated per-process captures or /heat downloads) and print the cluster-wide locality report")
+		spansFlag  = flag.Bool("spans", false, "reconstruct cross-process span trees from the streams' events and print latency attribution plus the per-trace §4.4 verdict")
+		heatFlag   = flag.Bool("heat", false, "merge the streams' heat rows and print the cluster-wide locality report")
 		refPath    = flag.String("ref", "", "benchmark reference document (BENCH_REF.json) for -gate")
 		gatePct    = flag.Float64("gate", 0, "with -bench and -ref: allowed upward drift in percent; exits 1 when a gated metric regressed further")
 		makeRefFlg = flag.Bool("make-ref", false, "merge the -bench list (comma-separated envelopes) into a reference document on stdout")
 	)
-	flag.Parse()
-	if *tracePath == "" && *seriesPath == "" && *benchPath == "" {
-		flag.Usage()
-		os.Exit(2)
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: bmxstat [options] STREAM...\n       bmxstat -bench SUMMARY [options]")
+		flag.PrintDefaults()
 	}
+	flag.Parse()
 	if *makeRefFlg {
 		if *benchPath == "" {
 			fail(fmt.Errorf("-make-ref needs -bench with the envelope list"))
@@ -82,89 +86,90 @@ func main() {
 		runGate(*benchPath, *refPath, *gatePct)
 		return
 	}
-	if *heatFlag {
-		// Heat mode parses its own rows (a /heat download has no events at
-		// all), so it runs before the event reader and its emptiness check.
-		if *tracePath == "" {
-			fail(fmt.Errorf("-heat needs -trace"))
+	if *benchPath != "" {
+		a := readBench(*benchPath)
+		switch {
+		case *diffPath != "":
+			printDiff(a, readBench(*diffPath), *benchPath, *diffPath, *asJSON)
+		case *asJSON:
+			emitJSON(a)
+		default:
+			printBench(a)
 		}
-		printHeat(*tracePath, *topN, *asJSON)
 		return
 	}
 
-	var evs []obs.Event
-	if *tracePath != "" {
-		// -trace accepts a comma-separated list: the per-process captures
-		// of a multi-process run (bmxd -trace-out) merge into one stream,
-		// ordered by the transport's Lamport tick.
-		paths := strings.Split(*tracePath, ",")
-		for _, p := range paths {
-			r := open(p)
-			part, err := obs.ReadEventsNDJSONLoose(r)
-			r.Close()
-			if err != nil {
-				fail(err)
-			}
-			evs = append(evs, part...)
-		}
-		if len(evs) == 0 {
-			fail(fmt.Errorf("%s contains no events (was the run traced with -trace-json?)", *tracePath))
-		}
-		if len(paths) > 1 {
-			sort.SliceStable(evs, func(i, j int) bool { return evs[i].Tick < evs[j].Tick })
-		}
+	paths := flag.Args()
+	if len(paths) == 0 {
+		flag.Usage()
+		os.Exit(2)
 	}
-	var samples []obs.Sample
-	if *seriesPath != "" {
-		r := open(*seriesPath)
-		var err error
-		samples, err = obs.ReadSamplesNDJSON(r)
-		r.Close()
-		if err != nil {
-			fail(err)
-		}
-	}
-
+	st := readStreams(paths)
+	name := strings.Join(paths, ", ")
 	switch {
+	case *heatFlag:
+		if len(st.Heat) == 0 {
+			fail(fmt.Errorf("%s carries no heat rows (was the run traced with -trace-out?)", name))
+		}
+		printHeat(st.Heat, *topN, *asJSON)
 	case *spansFlag:
-		if evs == nil {
-			fail(fmt.Errorf("-spans needs -trace"))
-		}
-		printSpans(evs, *topN, *asJSON)
+		printSpans(eventsOf(st, name), *topN, *asJSON)
 	case *oidFlag != "":
-		if evs == nil {
-			fail(fmt.Errorf("-oid needs -trace"))
-		}
 		oid, err := introspect.ParseOID(*oidFlag)
 		if err != nil {
 			fail(err)
 		}
-		printBiography(evs, oid, *asJSON)
-	case *benchPath != "":
-		a := readBench(*benchPath)
-		if *diffPath != "" {
-			printDiff(a, readBench(*diffPath), *benchPath, *diffPath, *asJSON)
-			return
-		}
-		if *asJSON {
-			emitJSON(a)
-			return
-		}
-		printBench(a)
+		printBiography(eventsOf(st, name), oid, *asJSON)
 	case *diffPath != "":
-		if samples == nil {
-			fail(fmt.Errorf("-diff needs -series or -bench"))
+		other := readStreams([]string{*diffPath})
+		if len(st.Samples) == 0 || len(other.Samples) == 0 {
+			fail(fmt.Errorf("-diff compares sampled series, and %s or %s carries no samples", name, *diffPath))
 		}
-		r := open(*diffPath)
-		other, err := obs.ReadSamplesNDJSON(r)
+		printDiff(obs.BenchOf(st.Samples), obs.BenchOf(other.Samples), name, *diffPath, *asJSON)
+	default:
+		if len(st.Events) == 0 && len(st.Samples) == 0 {
+			fail(fmt.Errorf("%s carries no events or samples (a heat-only stream reads with -heat)", name))
+		}
+		printOverview(st, *topN, *asJSON)
+	}
+}
+
+// readStreams reads the stream files and merges them into one: events in
+// Lamport-tick order (per-process files interleave causally; one file
+// keeps its own order), heat rows through heat.Merge (owner marks resolve
+// to the latest tick across processes), samples and histograms side by
+// side.
+func readStreams(paths []string) obs.Stream {
+	var all obs.Stream
+	var heatParts [][]heat.Row
+	for _, p := range paths {
+		if len(p) > 1 && p[0] == '-' {
+			fail(fmt.Errorf("%s: options go before the stream files", p))
+		}
+		r := open(p)
+		st, err := obs.ReadStream(r)
 		r.Close()
 		if err != nil {
-			fail(err)
+			fail(fmt.Errorf("%s: %w", p, err))
 		}
-		printDiff(obs.BenchOf(samples), obs.BenchOf(other), *seriesPath, *diffPath, *asJSON)
-	default:
-		printOverview(evs, samples, *topN, *asJSON)
+		all.Events = append(all.Events, st.Events...)
+		heatParts = append(heatParts, st.Heat)
+		all.Samples = append(all.Samples, st.Samples...)
+		all.Hists = append(all.Hists, st.Hists...)
 	}
+	if len(paths) > 1 {
+		sort.SliceStable(all.Events, func(i, j int) bool { return all.Events[i].Tick < all.Events[j].Tick })
+	}
+	all.Heat = heat.Merge(heatParts...)
+	return all
+}
+
+// eventsOf returns the stream's events, failing when there are none.
+func eventsOf(st obs.Stream, name string) []obs.Event {
+	if len(st.Events) == 0 {
+		fail(fmt.Errorf("%s carries no events (was the run traced with -trace-out?)", name))
+	}
+	return st.Events
 }
 
 // printBiography tells one object's story, flagging any ownerPtr cycle the
@@ -209,26 +214,28 @@ type overviewJSON struct {
 	Crit   *obs.CritStats    `json:"crit,omitempty"`
 	GC     *obs.GCStats      `json:"gc,omitempty"`
 	Series *obs.BenchSummary `json:"series,omitempty"`
+	Hists  []obs.HistSummary `json:"hists,omitempty"`
 }
 
-func printOverview(evs []obs.Event, samples []obs.Sample, topN int, asJSON bool) {
-	var doc overviewJSON
-	if evs != nil {
+func printOverview(st obs.Stream, topN int, asJSON bool) {
+	evs := st.Events
+	doc := overviewJSON{Hists: st.Hists}
+	if len(evs) > 0 {
 		hops := obs.HopsOf(evs)
 		crit := obs.CritOf(evs)
 		gc := obs.GCOf(evs)
 		doc.Hot = obs.HotObjects(evs, topN)
 		doc.Hops, doc.Crit, doc.GC = &hops, &crit, &gc
 	}
-	if samples != nil {
-		b := obs.BenchOf(samples)
+	if len(st.Samples) > 0 {
+		b := obs.BenchOf(st.Samples)
 		doc.Series = &b
 	}
 	if asJSON {
 		emitJSON(doc)
 		return
 	}
-	if evs != nil {
+	if len(evs) > 0 {
 		fmt.Printf("-- hot objects (top %d of the trace) --\n", topN)
 		fmt.Printf("%-8s %9s %9s %6s %9s\n", "oid", "acquires", "hops", "moves", "events")
 		for _, h := range doc.Hot {
@@ -263,6 +270,13 @@ func printOverview(evs []obs.Event, samples []obs.Sample, topN int, asJSON bool)
 	if doc.Series != nil {
 		fmt.Println()
 		printBench(*doc.Series)
+	}
+	if len(doc.Hists) > 0 {
+		fmt.Println()
+		fmt.Println("-- histograms --")
+		for _, h := range doc.Hists {
+			fmt.Println(h)
+		}
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"bmx/internal/obs"
 )
 
-// Span-tree analysis: `bmxstat -trace a.ndjson,b.ndjson,c.ndjson -spans`
-// stitches the per-process captures into cross-process span trees and
+// Span-tree analysis: `bmxstat -spans a.ndjson b.ndjson c.ndjson` stitches
+// the per-process streams into cross-process span trees and
 // prints the per-op latency breakdown, the slowest acquires hop by hop,
 // and the per-trace §4.4 verdict.
 

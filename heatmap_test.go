@@ -2,7 +2,7 @@ package bmx_test
 
 // Heatmap acceptance tests: the cluster-wide access-locality table driven
 // through the public facade. The determinism pin freezes the heat table's
-// serialization on simnet — same seed, byte-identical NDJSON — the golden
+// serialization on simnet — same seed, byte-identical stream — the golden
 // pin freezes its content, and the hammer runs the zipf mutators
 // concurrently with GC workers under -race.
 
@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"bmx"
+	"bmx/internal/obs"
 	"bmx/internal/obs/heat"
 	"bmx/internal/trace"
 )
@@ -49,25 +50,25 @@ func driveHeatRun(t *testing.T, seed int64) []heat.Row {
 	return cl.Heat()
 }
 
+// writeRows serializes rows as the heat records of a telemetry stream.
+func writeRows(t *testing.T, rows []heat.Row) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteStream(&buf, obs.Stream{Heat: rows}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestHeatTableDeterministicUnderSeed(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := heat.WriteRowsNDJSON(&a, driveHeatRun(t, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := heat.WriteRowsNDJSON(&b, driveHeatRun(t, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() == 0 {
+	a, b := writeRows(t, driveHeatRun(t, 5)), writeRows(t, driveHeatRun(t, 5))
+	if len(a) == 0 {
 		t.Fatal("heat table is empty after a traced run")
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("same seed produced different heat tables:\n%s\nvs\n%s", a.String(), b.String())
+	if !bytes.Equal(a, b) {
+		t.Fatalf("same seed produced different heat tables:\n%s\nvs\n%s", a, b)
 	}
-	if c := driveHeatRun(t, 6); func() bool {
-		var cb bytes.Buffer
-		heat.WriteRowsNDJSON(&cb, c)
-		return bytes.Equal(a.Bytes(), cb.Bytes())
-	}() {
+	if bytes.Equal(a, writeRows(t, driveHeatRun(t, 6))) {
 		t.Fatal("different seeds produced identical heat tables")
 	}
 }
@@ -78,16 +79,13 @@ func TestHeatTableDeterministicUnderSeed(t *testing.T) {
 // (testdata/heat_seed5.ndjson was recorded from that design): counters,
 // bunches, owners and owner ticks all match.
 func TestHeatRowsMatchGolden(t *testing.T) {
-	var got bytes.Buffer
-	if err := heat.WriteRowsNDJSON(&got, driveHeatRun(t, 5)); err != nil {
-		t.Fatal(err)
-	}
+	got := writeRows(t, driveHeatRun(t, 5))
 	want, err := os.ReadFile("testdata/heat_seed5.ndjson")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("merged heat rows differ from testdata/heat_seed5.ndjson:\n%s", got.String())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("merged heat rows differ from testdata/heat_seed5.ndjson:\n%s", got)
 	}
 }
 

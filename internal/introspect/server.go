@@ -74,11 +74,11 @@ func (s *Server) index(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprint(w, `bmx introspection
   /metrics          Prometheus text exposition (counters + histograms + gauges)
-  /events           flight-recorder window as NDJSON (?oid=36 to filter)
+  /events           flight-recorder window as a telemetry stream (?oid=36 to filter)
   /objects/<oid>    object biography as JSON (accepts 36 or O36)
-  /series           time-series sampler window as NDJSON
-  /spans            span begin/end events from the retained window as NDJSON
-  /heat             access-locality heat table as NDJSON (bmxstat -heat merges these)
+  /series           time-series sampler window as a telemetry stream
+  /spans            span begin/end events from the retained window as a telemetry stream
+  /heat             access-locality heat table as a telemetry stream (bmxstat -heat merges these)
   /debug/pprof/     Go runtime profiles
 `)
 }
@@ -128,15 +128,21 @@ func (s *Server) localityGauges() []obs.PromGauge {
 	}
 }
 
-// heat serves the current heat table as NDJSON rows — the same wire shape
-// bmxd appends to trace files, so `curl /heat` output feeds straight into
-// `bmxstat -heat -trace`.
-func (s *Server) heat(w http.ResponseWriter, _ *http.Request) {
+// stream serves one kind's records as a telemetry stream. Every stream
+// endpoint is this writer with a kind filter, so a download of any of
+// them is a valid bmxstat input.
+func stream(w http.ResponseWriter, st obs.Stream) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if s.Heat == nil {
-		return
+	obs.WriteStream(w, st)
+}
+
+// heat serves the current heat table's rows, which `bmxstat -heat` merges.
+func (s *Server) heat(w http.ResponseWriter, _ *http.Request) {
+	var rows []heat.Row
+	if s.Heat != nil {
+		rows = s.Heat()
 	}
-	heat.WriteRowsNDJSON(w, s.Heat())
+	stream(w, obs.Stream{Heat: rows})
 }
 
 // runtimeGauges reports the process's build identity and Go runtime health
@@ -161,42 +167,38 @@ func runtimeGauges() []obs.PromGauge {
 	}
 }
 
-// spans serves the span begin/end events of the retained window as NDJSON —
-// the live form of what `bmxstat -spans` stitches offline across processes.
-func (s *Server) spans(w http.ResponseWriter, _ *http.Request) {
-	var spans []obs.Event
+// eventsWhere returns the retained events keep admits.
+func (s *Server) eventsWhere(keep func(obs.Event) bool) []obs.Event {
+	var out []obs.Event
 	if s.Observer != nil {
 		for _, e := range s.Observer.Events() {
-			if e.Kind == obs.KSpanBegin || e.Kind == obs.KSpanEnd {
-				spans = append(spans, e)
+			if keep(e) {
+				out = append(out, e)
 			}
 		}
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	obs.DumpJSON(w, spans)
+	return out
+}
+
+// spans serves the span begin/end events of the retained window — the live
+// form of what `bmxstat -spans` stitches offline across processes.
+func (s *Server) spans(w http.ResponseWriter, _ *http.Request) {
+	stream(w, obs.Stream{Events: s.eventsWhere(func(e obs.Event) bool {
+		return e.Kind == obs.KSpanBegin || e.Kind == obs.KSpanEnd
+	})})
 }
 
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
-	var evs []obs.Event
-	if s.Observer != nil {
-		evs = s.Observer.Events()
-	}
+	keep := func(obs.Event) bool { return true }
 	if q := r.URL.Query().Get("oid"); q != "" {
 		oid, err := ParseOID(q)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		kept := evs[:0:0]
-		for _, e := range evs {
-			if e.OID == oid {
-				kept = append(kept, e)
-			}
-		}
-		evs = kept
+		keep = func(e obs.Event) bool { return e.OID == oid }
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	obs.DumpJSON(w, evs)
+	stream(w, obs.Stream{Events: s.eventsWhere(keep)})
 }
 
 // bioJSON is the wire shape of /objects/<oid>.
@@ -253,11 +255,7 @@ func (s *Server) object(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var evs []obs.Event
-	if s.Observer != nil {
-		evs = s.Observer.Events()
-	}
-	bio := obs.BiographyOf(evs, oid)
+	bio := obs.BiographyOf(s.eventsWhere(func(e obs.Event) bool { return e.OID == oid }), oid)
 	if len(bio.Entries) == 0 {
 		http.Error(w, fmt.Sprintf("no events for %v in the retained window", oid), http.StatusNotFound)
 		return
@@ -269,10 +267,7 @@ func (s *Server) object(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) series(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if s.Sampler != nil {
-		s.Sampler.WriteNDJSON(w)
-	}
+	stream(w, obs.Stream{Samples: s.Sampler.Samples()})
 }
 
 // ParseOID accepts both the bare number ("36") and the rendered form

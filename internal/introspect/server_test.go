@@ -20,6 +20,7 @@ func newServedCluster(t *testing.T) (*bmx.Cluster, *httptest.Server) {
 	cl := bmx.New(bmx.Config{Nodes: 3, SegWords: 256, Seed: 7, SendLatency: 1, CallLatency: 1})
 	cl.EnableTracing()
 	cl.EnableSampling(0)
+	cl.EnableHeat()
 
 	n0, n1 := cl.Node(0), cl.Node(1)
 	b := n0.NewBunch()
@@ -44,6 +45,7 @@ func newServedCluster(t *testing.T) (*bmx.Cluster, *httptest.Server) {
 		Counters: cl.Stats().Snapshot,
 		Observer: cl.Observer(),
 		Sampler:  cl.Sampler(),
+		Heat:     cl.Heat,
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -114,10 +116,11 @@ func TestSpansEndpointServesSpanEvents(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	evs, err := obs.ReadEventsNDJSONLoose(strings.NewReader(body))
+	st, err := obs.ReadStream(strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("/spans is not parseable NDJSON: %v", err)
+		t.Fatalf("/spans is not a parseable telemetry stream: %v", err)
 	}
+	evs := st.Events
 	if len(evs) == 0 {
 		t.Fatal("no span events served (the workload acquires, so spans must exist)")
 	}
@@ -140,10 +143,11 @@ func TestEventsEndpointServesNDJSON(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	evs, err := obs.ReadEventsNDJSONLoose(strings.NewReader(body))
+	st, err := obs.ReadStream(strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("/events is not parseable NDJSON: %v", err)
+		t.Fatalf("/events is not a parseable telemetry stream: %v", err)
 	}
+	evs := st.Events
 	if len(evs) == 0 {
 		t.Fatal("no events served")
 	}
@@ -159,7 +163,8 @@ func TestEventsEndpointServesNDJSON(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("filter status %d", code)
 	}
-	fevs, err := obs.ReadEventsNDJSONLoose(strings.NewReader(body))
+	fst, err := obs.ReadStream(strings.NewReader(body))
+	fevs := fst.Events
 	if err != nil || len(fevs) == 0 {
 		t.Fatalf("filtered events: %v, %d", err, len(fevs))
 	}
@@ -213,7 +218,8 @@ func TestSeriesAndPprofEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	samples, err := obs.ReadSamplesNDJSON(strings.NewReader(body))
+	st, err := obs.ReadStream(strings.NewReader(body))
+	samples := st.Samples
 	if err != nil || len(samples) == 0 {
 		t.Fatalf("series: %v, %d samples", err, len(samples))
 	}
@@ -222,5 +228,23 @@ func TestSeriesAndPprofEndpoints(t *testing.T) {
 	}
 	if code, _ := get(t, s, s.URL+"/nope"); code != 404 {
 		t.Fatalf("unknown path status %d", code)
+	}
+}
+
+func TestHeatEndpointServesRows(t *testing.T) {
+	cl, s := newServedCluster(t)
+	code, body := get(t, s, s.URL+"/heat")
+	if code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	st, err := obs.ReadStream(strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("/heat is not a parseable telemetry stream: %v", err)
+	}
+	if len(st.Heat) == 0 || len(st.Heat) != len(cl.Heat()) {
+		t.Fatalf("/heat served %d rows, the cluster holds %d", len(st.Heat), len(cl.Heat()))
+	}
+	if len(st.Events)+len(st.Samples)+len(st.Hists) != 0 {
+		t.Fatal("/heat served records of another kind")
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Offline trace analysis: the library half of cmd/bmxstat. Everything here
 // works on a plain []Event, whether it came from a live Observer or was read
-// back from an NDJSON dump with ReadEventsNDJSONLoose.
+// back from a telemetry stream with ReadStream.
 
 func modeName(a int64) string {
 	switch a {
@@ -218,21 +218,20 @@ func CritOf(evs []Event) CritStats {
 		if !isCall && !isSend {
 			continue
 		}
-		switch e.Class {
-		case ClassApp:
-			if isCall {
-				st.AppCalls++
-			} else {
-				st.AppSends++
-			}
-		case ClassGC:
+		if gc, scion := critGCMessage(e); gc {
 			if isCall {
 				st.GCCalls++
 			} else {
 				st.GCSends++
 			}
-			if e.Msg == MsgScion {
+			if scion {
 				st.GCScion++
+			}
+		} else if e.Class == ClassApp {
+			if isCall {
+				st.AppCalls++
+			} else {
+				st.AppSends++
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"bmx/internal/addr"
@@ -30,13 +31,14 @@ func syntheticTrace() []Event {
 func TestEventNDJSONRoundTrip(t *testing.T) {
 	evs := syntheticTrace()
 	var buf bytes.Buffer
-	if err := DumpJSON(&buf, evs); err != nil {
+	if err := WriteStream(&buf, Stream{Events: evs}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadEventsNDJSONLoose(&buf)
+	s, err := ReadStream(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := s.Events
 	if len(back) != len(evs) {
 		t.Fatalf("round-trip lost events: %d of %d", len(back), len(evs))
 	}
@@ -132,8 +134,12 @@ func TestHopCritAndGCBreakdowns(t *testing.T) {
 }
 
 func TestReadEventsRejectsUnknownKind(t *testing.T) {
-	in := bytes.NewBufferString(`{"seq":1,"tick":1,"node":0,"kind":"no.such.kind","class":"app"}` + "\n")
-	if evs, err := ReadEventsNDJSONLoose(in); err != nil || len(evs) != 0 {
-		t.Fatalf("unknown kind parsed as %v, %v; want it skipped", evs, err)
+	in := bytes.NewBufferString(`{"rec":"event","seq":1,"tick":1,"node":0,"kind":"no.such.kind","class":"app"}` + "\n")
+	s, err := ReadStream(in)
+	if err == nil || len(s.Events) != 0 {
+		t.Fatalf("unknown kind parsed as %v, %v; want it rejected", s.Events, err)
+	}
+	if !strings.Contains(err.Error(), "line 1") || !strings.Contains(err.Error(), "no.such.kind") {
+		t.Fatalf("error %q does not name the line and the kind", err)
 	}
 }

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-
-	"bmx/internal/addr"
 )
 
 // Dump writes one line per event — the human-readable flight-recorder
@@ -16,85 +13,4 @@ func Dump(w io.Writer, evs []Event) {
 	for _, e := range evs {
 		fmt.Fprintln(w, e.String())
 	}
-}
-
-// eventJSON is the wire shape of one event in a JSON dump: symbolic kind and
-// class, NoNode peers omitted.
-type eventJSON struct {
-	Seq   uint64 `json:"seq"`
-	Tick  uint64 `json:"tick"`
-	Node  int32  `json:"node"`
-	Kind  string `json:"kind"`
-	Class string `json:"class"`
-	Msg   string `json:"msg,omitempty"`
-	OID   uint64 `json:"oid,omitempty"`
-	From  *int32 `json:"from,omitempty"`
-	To    *int32 `json:"to,omitempty"`
-	A     int64  `json:"a,omitempty"`
-	B     int64  `json:"b,omitempty"`
-	Crit  bool   `json:"crit,omitempty"`
-	Owned bool   `json:"owned,omitempty"`
-	Group bool   `json:"group,omitempty"`
-
-	Trace   uint64 `json:"trace,omitempty"`
-	Span    uint64 `json:"span,omitempty"`
-	SParent uint64 `json:"parent,omitempty"`
-	Op      string `json:"op,omitempty"`
-}
-
-func toJSON(e Event) eventJSON {
-	j := eventJSON{
-		Seq: e.Seq, Tick: e.Tick, Node: int32(e.Node),
-		Kind: e.Kind.String(), Class: e.Class.String(),
-		OID: uint64(e.OID), A: e.A, B: e.B,
-		Crit: e.Critical(), Owned: e.Owned(), Group: e.Flags&FlagGroup != 0,
-		Trace: e.Trace, Span: e.Span, SParent: e.SParent,
-	}
-	if e.Op != OpNone {
-		j.Op = e.Op.String()
-	}
-	if e.Msg != MsgNone {
-		j.Msg = e.Msg.String()
-	}
-	if e.Kind.hasPeers() {
-		if e.From != addr.NoNode {
-			v := int32(e.From)
-			j.From = &v
-		}
-		if e.To != addr.NoNode {
-			v := int32(e.To)
-			j.To = &v
-		}
-	}
-	return j
-}
-
-// DumpJSON writes the events as newline-delimited JSON objects (one event
-// per line, greppable and streamable).
-func DumpJSON(w io.Writer, evs []Event) error {
-	enc := json.NewEncoder(w)
-	for _, e := range evs {
-		if err := enc.Encode(toJSON(e)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DumpHistograms writes a one-line summary of every histogram.
-func DumpHistograms(w io.Writer, hs []*Histogram) {
-	for _, h := range hs {
-		fmt.Fprintln(w, h.String())
-	}
-}
-
-// DumpHistogramsJSON writes the histogram summaries as a JSON array.
-func DumpHistogramsJSON(w io.Writer, hs []*Histogram) error {
-	out := make([]HistSummary, 0, len(hs))
-	for _, h := range hs {
-		out = append(out, h.Summary())
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -1,8 +1,7 @@
 package heat
 
 import (
-	"bytes"
-	"strings"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -76,15 +75,8 @@ func TestSnapshotSortedAndDeterministic(t *testing.T) {
 	merged := func() []Row {
 		return Merge(tables[0].Snapshot(), tables[1].Snapshot(), tables[2].Snapshot())
 	}
-	var a, b bytes.Buffer
-	if err := WriteRowsNDJSON(&a, merged()); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRowsNDJSON(&b, merged()); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("two merges of one set of tables differ:\n%s\nvs\n%s", a.String(), b.String())
+	if a, b := merged(), merged(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("two merges of one set of tables differ:\n%+v\nvs\n%+v", a, b)
 	}
 	for _, rows := range [][]Row{tables[0].Snapshot(), tables[2].Snapshot(), merged()} {
 		for i := 1; i < len(rows); i++ {
@@ -113,45 +105,15 @@ func TestOwnerOnlyMarkSurvivesSnapshot(t *testing.T) {
 	}
 }
 
-func TestWireRoundTripThroughMixedStream(t *testing.T) {
-	t0, _ := table(0)
-	t1, tick := table(1)
-	t0.NoteWrite(10, 1)
-	t1.NoteAcquire(10, 1, true, 2)
-	*tick = 3
-	t1.NoteOwner(10)
-	want := Merge(t0.Snapshot(), t1.Snapshot())
-
-	var buf bytes.Buffer
-	// Heat rows cohabit a stream with event lines and report text; the
-	// loose reader must keep exactly the rows.
-	buf.WriteString(`{"kind":"span.begin","seq":1,"tick":2,"node":0}` + "\n")
-	buf.WriteString("-- heat table (2 rows) --\n")
-	if err := WriteRowsNDJSON(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString("not json at all\n")
-	got, err := ReadRowsNDJSONLoose(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	WriteRowsNDJSON(&a, want)
-	WriteRowsNDJSON(&b, got)
-	if a.String() != b.String() {
-		t.Fatalf("round trip changed the rows:\n%s\nvs\n%s", a.String(), b.String())
-	}
-}
-
 func TestMergeSumsCellsAndResolvesOwnerByTick(t *testing.T) {
 	own := func(n int32) *int32 { return &n }
 	partA := []Row{
-		{Heat: 1, OID: 10, Bunch: 1, Node: 0, Writes: 4, Acquires: 2, Remote: 1, Hops: 2,
+		{OID: 10, Bunch: 1, Node: 0, Writes: 4, Acquires: 2, Remote: 1, Hops: 2,
 			Owner: own(0), OwnerTick: 5},
 	}
 	partB := []Row{
-		{Heat: 1, OID: 10, Bunch: 1, Node: 0, Writes: 1},
-		{Heat: 1, OID: 10, Bunch: 1, Node: 1, Writes: 7, Acquires: 3, Remote: 3, Hops: 4,
+		{OID: 10, Bunch: 1, Node: 0, Writes: 1},
+		{OID: 10, Bunch: 1, Node: 1, Writes: 7, Acquires: 3, Remote: 3, Hops: 4,
 			Owner: own(1), OwnerTick: 9},
 	}
 	merged := Merge(partA, partB)
@@ -174,8 +136,8 @@ func TestMergeSumsCellsAndResolvesOwnerByTick(t *testing.T) {
 
 	// Equal ticks: the later-merged mark wins (>=).
 	tie := Merge(
-		[]Row{{Heat: 1, OID: 7, Node: 0, Owner: own(0), OwnerTick: 5}},
-		[]Row{{Heat: 1, OID: 7, Node: 1, Owner: own(1), OwnerTick: 5}},
+		[]Row{{OID: 7, Node: 0, Owner: own(0), OwnerTick: 5}},
+		[]Row{{OID: 7, Node: 1, Owner: own(1), OwnerTick: 5}},
 	)
 	for _, r := range tie {
 		if *r.Owner != 1 {
@@ -191,8 +153,8 @@ func TestMergeSumsCellsAndResolvesOwnerByTick(t *testing.T) {
 func TestMergeDropsSupersededOwnerMark(t *testing.T) {
 	own := func(n int32) *int32 { return &n }
 	merged := Merge(
-		[]Row{{Heat: 1, OID: 7, Node: 0, Owner: own(0), OwnerTick: 5}},
-		[]Row{{Heat: 1, OID: 7, Bunch: 1, Node: 1, Reads: 1, Owner: own(1), OwnerTick: 9}},
+		[]Row{{OID: 7, Node: 0, Owner: own(0), OwnerTick: 5}},
+		[]Row{{OID: 7, Bunch: 1, Node: 1, Reads: 1, Owner: own(1), OwnerTick: 9}},
 	)
 	if len(merged) != 1 {
 		t.Fatalf("got %d rows, want the one (O7, N1) cell: %+v", len(merged), merged)
@@ -206,12 +168,12 @@ func TestAnalyzeFindsOwnerMismatch(t *testing.T) {
 	own := func(n int32) *int32 { return &n }
 	rows := []Row{
 		// Object 10: node 0 wrote most, node 1 owns it — the mismatch.
-		{Heat: 1, OID: 10, Bunch: 1, Node: 0, Writes: 9, Acquires: 9, Remote: 6, Hops: 11, Owner: own(1), OwnerTick: 8},
-		{Heat: 1, OID: 10, Bunch: 1, Node: 1, Writes: 2, Acquires: 2, Owner: own(1), OwnerTick: 8},
+		{OID: 10, Bunch: 1, Node: 0, Writes: 9, Acquires: 9, Remote: 6, Hops: 11, Owner: own(1), OwnerTick: 8},
+		{OID: 10, Bunch: 1, Node: 1, Writes: 2, Acquires: 2, Owner: own(1), OwnerTick: 8},
 		// Object 20: owned by its dominant writer — no advice.
-		{Heat: 1, OID: 20, Bunch: 1, Node: 0, Writes: 5, Acquires: 5, Owner: own(0), OwnerTick: 3},
+		{OID: 20, Bunch: 1, Node: 0, Writes: 5, Acquires: 5, Owner: own(0), OwnerTick: 3},
 		// Object 30: reads only, never written — no dominant writer.
-		{Heat: 1, OID: 30, Bunch: 1, Node: 2, Reads: 4, Owner: own(2), OwnerTick: 2},
+		{OID: 30, Bunch: 1, Node: 2, Reads: 4, Owner: own(2), OwnerTick: 2},
 	}
 	rep := Analyze(rows)
 	if rep.TrackedObjects != 3 {
@@ -243,9 +205,9 @@ func TestAnalyzeFindsOwnerMismatch(t *testing.T) {
 func TestAnalyzeRanksMismatchesByWastedHops(t *testing.T) {
 	own := func(n int32) *int32 { return &n }
 	rows := []Row{
-		{Heat: 1, OID: 10, Node: 0, Writes: 3, Hops: 2, Owner: own(1), OwnerTick: 1},
-		{Heat: 1, OID: 20, Node: 0, Writes: 3, Hops: 9, Owner: own(1), OwnerTick: 1},
-		{Heat: 1, OID: 30, Node: 0, Writes: 3, Hops: 5, Owner: own(1), OwnerTick: 1},
+		{OID: 10, Node: 0, Writes: 3, Hops: 2, Owner: own(1), OwnerTick: 1},
+		{OID: 20, Node: 0, Writes: 3, Hops: 9, Owner: own(1), OwnerTick: 1},
+		{OID: 30, Node: 0, Writes: 3, Hops: 5, Owner: own(1), OwnerTick: 1},
 	}
 	rep := Analyze(rows)
 	if len(rep.Mismatches) != 3 {
@@ -322,17 +284,5 @@ func TestConcurrentNotesUnderRace(t *testing.T) {
 	if writes != want || reads != want || acquires != want {
 		t.Fatalf("lost notes under concurrency: writes=%d reads=%d acquires=%d want %d each",
 			writes, reads, acquires, want)
-	}
-}
-
-func TestVersionMarkerOnEveryRow(t *testing.T) {
-	tb, _ := table(0)
-	tb.NoteWrite(1, 1)
-	var buf bytes.Buffer
-	if err := WriteRowsNDJSON(&buf, tb.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"heat":1`) {
-		t.Fatalf("serialized row misses the format marker: %s", buf.String())
 	}
 }

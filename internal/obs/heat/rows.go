@@ -1,11 +1,7 @@
 package heat
 
 import (
-	"bufio"
-	"bytes"
 	"cmp"
-	"encoding/json"
-	"io"
 	"slices"
 
 	"bmx/internal/addr"
@@ -14,11 +10,9 @@ import (
 // Row is the wire shape of one heat cell: one accessing node's counters for
 // one object, with the table's ownership mark for that object repeated on
 // every row (the duplication keeps rows self-contained, so any subset of a
-// stream still merges correctly). The "heat" field is the format marker and
-// version — event lines carry "kind" instead, so the two NDJSON vocabularies
-// share a stream and each loose reader skips the other's lines.
+// stream still merges correctly). In a telemetry stream (obs.WriteStream)
+// a row is the payload of a record tagged "heat".
 type Row struct {
-	Heat  int    `json:"heat"` // format version, currently 1
 	OID   uint64 `json:"oid"`
 	Bunch uint32 `json:"bunch,omitempty"`
 	Node  int32  `json:"node"`
@@ -37,9 +31,6 @@ type Row struct {
 	OwnerTick uint64 `json:"ownerTick,omitempty"`
 }
 
-// rowVersion is the format marker value every emitted row carries.
-const rowVersion = 1
-
 // Snapshot renders the table as rows sorted by OID — a deterministic
 // serialization: same seed, same run, byte-identical rows. Call it under
 // the node lock.
@@ -47,7 +38,7 @@ func (t *Table) Snapshot() []Row {
 	rows := make([]Row, 0, len(t.cells))
 	for o, c := range t.cells {
 		r := Row{
-			Heat: rowVersion, OID: uint64(o), Bunch: uint32(c.bunch), Node: int32(t.node),
+			OID: uint64(o), Bunch: uint32(c.bunch), Node: int32(t.node),
 			Reads: c.reads, Writes: c.writes, Acquires: c.acquires,
 			Remote: c.remote, Hops: c.hops,
 		}
@@ -73,7 +64,7 @@ func (r *Row) mark(owner int32, tick uint64) { r.Owner, r.OwnerTick = &owner, ti
 // bareRow is an ownership mark with no counters: the owner's row for an
 // object it holds but has not accessed.
 func bareRow(o addr.OID, owner int32, tick uint64) Row {
-	r := Row{Heat: rowVersion, OID: uint64(o), Node: owner}
+	r := Row{OID: uint64(o), Node: owner}
 	r.mark(owner, tick)
 	return r
 }
@@ -119,7 +110,7 @@ func Merge(parts ...[]Row) []Row {
 			k := cellKey{oid: r.OID, node: r.Node}
 			c, ok := cells[k]
 			if !ok {
-				c = &Row{Heat: rowVersion, OID: r.OID, Node: r.Node}
+				c = &Row{OID: r.OID, Node: r.Node}
 				cells[k] = c
 			}
 			if c.Bunch == 0 {
@@ -148,40 +139,4 @@ func Merge(parts ...[]Row) []Row {
 	}
 	sortRows(out)
 	return out
-}
-
-// WriteRowsNDJSON writes rows as newline-delimited JSON, one row per line —
-// appendable to an event trace stream (the loose readers on both sides skip
-// each other's lines).
-func WriteRowsNDJSON(w io.Writer, rows []Row) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, r := range rows {
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadRowsNDJSONLoose extracts heat rows from mixed output: any line that
-// parses as a row with the "heat" format marker is kept, everything else
-// (events, report text, histogram dumps) is skipped — so a raw bmxd
-// -trace-json capture or a -trace-out file is directly consumable.
-func ReadRowsNDJSONLoose(r io.Reader) ([]Row, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var out []Row
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) < 2 || line[0] != '{' || line[len(line)-1] != '}' {
-			continue
-		}
-		var row Row
-		if err := json.Unmarshal(line, &row); err != nil || row.Heat == 0 {
-			continue
-		}
-		out = append(out, row)
-	}
-	return out, sc.Err()
 }

@@ -187,8 +187,10 @@ func (h *Histogram) Summary() HistSummary {
 }
 
 // String renders a one-line summary.
-func (h *Histogram) String() string {
-	s := h.Summary()
+func (h *Histogram) String() string { return h.Summary().String() }
+
+// String renders the summary as one line.
+func (s HistSummary) String() string {
 	if s.Count == 0 {
 		return fmt.Sprintf("%-28s empty", s.Name)
 	}

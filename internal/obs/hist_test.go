@@ -163,13 +163,14 @@ func TestSamplerNDJSONRoundTrip(t *testing.T) {
 		s.Sample(uint64(i * 10))
 	}
 	var buf bytes.Buffer
-	if err := s.WriteNDJSON(&buf); err != nil {
+	if err := WriteStream(&buf, Stream{Samples: s.Samples()}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSamplesNDJSON(&buf)
+	st, err := ReadStream(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := st.Samples
 	if len(back) != 5 {
 		t.Fatalf("round-trip lost samples: %d", len(back))
 	}
@@ -265,7 +266,7 @@ func TestSamplerRace(t *testing.T) {
 		tick++
 		if tick%50 == 0 {
 			var buf bytes.Buffer
-			_ = s.WriteNDJSON(&buf)
+			_ = WriteStream(&buf, Stream{Samples: s.Samples()})
 			_ = s.Bench()
 		}
 	}

@@ -215,7 +215,7 @@ func TestDumpJSONIsNDJSON(t *testing.T) {
 	r.Emit(Event{Kind: KAcquireHop, Class: ClassApp, OID: 36, From: 0, To: 1, A: 3})
 	r.Emit(Event{Kind: KGCCopy, Class: ClassGC, OID: 4, From: addr.NoNode, To: addr.NoNode, Flags: FlagOwned, A: 8})
 	var buf bytes.Buffer
-	if err := DumpJSON(&buf, o.Events()); err != nil {
+	if err := WriteStream(&buf, Stream{Events: o.Events()}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -226,7 +226,7 @@ func TestDumpJSONIsNDJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatalf("line 1 is not JSON: %v", err)
 	}
-	if first["kind"] != "dsm.acquire.hop" || first["oid"] != float64(36) {
+	if first["rec"] != "event" || first["kind"] != "dsm.acquire.hop" || first["oid"] != float64(36) {
 		t.Errorf("line 1 = %v", first)
 	}
 	var second map[string]any

@@ -40,7 +40,7 @@ func CollectorAcquires(evs []Event) []Event {
 func CriticalGCMessages(evs []Event) []Event {
 	var out []Event
 	for _, e := range evs {
-		if (e.Kind == KSend || e.Kind == KCall) && e.Class == ClassGC && e.Critical() {
+		if gc, _ := critGCMessage(e); gc {
 			out = append(out, e)
 		}
 	}
@@ -52,11 +52,20 @@ func CriticalGCMessages(evs []Event) []Event {
 func NonScion(evs []Event) []Event {
 	var out []Event
 	for _, e := range evs {
-		if e.Msg != MsgScion {
+		if _, scion := critGCMessage(e); !scion {
 			out = append(out, e)
 		}
 	}
 	return out
+}
+
+// critGCMessage is the §4.4 rule every probe of it applies: gc reports a
+// GC-class message (asynchronous send or synchronous call) emitted on the
+// application's critical path, and scion whether that message is the
+// write barrier's scion-message, the §3.2 exception counted apart.
+func critGCMessage(e Event) (gc, scion bool) {
+	gc = (e.Kind == KSend || e.Kind == KCall) && e.Class == ClassGC && e.Critical()
+	return gc, gc && e.Msg == MsgScion
 }
 
 // CollectorInvalidations returns every invalidation performed on behalf of

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"slices"
 	"sync"
 )
@@ -131,33 +129,6 @@ func (s *Sampler) Samples() []Sample {
 		out = append(out, s.ring[(s.start+i)%len(s.ring)])
 	}
 	return out
-}
-
-// WriteNDJSON writes the retained samples as newline-delimited JSON, one
-// sample per line — the same greppable shape as the event dump.
-func (s *Sampler) WriteNDJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, p := range s.Samples() {
-		if err := enc.Encode(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadSamplesNDJSON parses a series NDJSON stream back into samples
-// (bmxstat's input path).
-func ReadSamplesNDJSON(r io.Reader) ([]Sample, error) {
-	dec := json.NewDecoder(r)
-	var out []Sample
-	for dec.More() {
-		var p Sample
-		if err := dec.Decode(&p); err != nil {
-			return out, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // QuantileSeries is the trajectory of one histogram's quantiles across the

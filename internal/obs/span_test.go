@@ -111,13 +111,14 @@ func TestSpanEventsNDJSONRoundTrip(t *testing.T) {
 	sp.End()
 
 	var buf bytes.Buffer
-	if err := DumpJSON(&buf, o.Events()); err != nil {
+	if err := WriteStream(&buf, Stream{Events: o.Events()}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadEventsNDJSONLoose(&buf)
+	s, err := ReadStream(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := s.Events
 	if len(back) != len(o.Events()) {
 		t.Fatalf("round trip lost events: %d vs %d", len(back), len(o.Events()))
 	}

@@ -143,15 +143,10 @@ func (t *SpanTrace) Verdict() TraceVerdict {
 	var v TraceVerdict
 	t.walk(func(s *Span) {
 		for _, e := range s.Events {
-			if e.Class != ClassGC || !e.Critical() {
-				continue
-			}
-			if e.Kind != KSend && e.Kind != KCall {
-				continue
-			}
-			if e.Msg == MsgScion {
+			switch gc, scion := critGCMessage(e); {
+			case scion:
 				v.ScionMessages = append(v.ScionMessages, e)
-			} else {
+			case gc:
 				v.GCMessages = append(v.GCMessages, e)
 			}
 		}

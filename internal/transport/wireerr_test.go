@@ -43,10 +43,14 @@ func TestWireErrorUnknownName(t *testing.T) {
 	}
 }
 
+// errSentinelA is registered once per process under test.sentinelA; a
+// package-level value keeps a second run of the test (-count=2) a
+// re-registration of the same value, not a conflict.
+var errSentinelA = errors.New("sentinel A")
+
 func TestRegisterWireErrorIdempotentAndConflict(t *testing.T) {
-	errA := errors.New("sentinel A")
-	RegisterWireError("test.sentinelA", errA)
-	RegisterWireError("test.sentinelA", errA) // same value: no-op
+	RegisterWireError("test.sentinelA", errSentinelA)
+	RegisterWireError("test.sentinelA", errSentinelA) // same value: no-op
 
 	defer func() {
 		if recover() == nil {
